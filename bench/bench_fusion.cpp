@@ -37,7 +37,6 @@
 #include "noise/noise_model.hpp"
 #include "sim/cpu_features.hpp"
 #include "sim/fusion.hpp"
-#include "sim/precision.hpp"
 #include "sim/statevector.hpp"
 
 namespace {
@@ -123,18 +122,16 @@ struct SvTimings
     double plain_s = 0.0;
     double fused_scalar_s = 0.0;
     double fused_simd_s = 0.0;
-    double fused_f32_s = 0.0;
     std::uint64_t ops_merged = 0;
 };
 
-/** Time one fused-program config for the precision `T` runs under the
- *  currently active kernel tier. */
-template <typename T>
+/** Time one fused-program config under the currently active kernel
+ *  tier. */
 double
 time_fused(const sim::FusedProgram &program, int qubits,
            const std::vector<double> &params, int reps)
 {
-    sim::BasicStateVector<T> psi(qubits);
+    sim::StateVector psi(qubits);
     program.run(psi, params); // warm-up
     const auto start = std::chrono::steady_clock::now();
     for (int r = 0; r < reps; ++r)
@@ -160,13 +157,12 @@ time_statevector(const circ::Circuit &c, int qubits, int reps)
     // workloads (CNR replicas, RepCap inits, training epochs).
     const sim::FusedProgram program = sim::FusedProgram::compile(c);
     t.ops_merged = program.ops_merged();
-    // Scalar vs SIMD vs f32: same compiled program, different kernel
-    // tier / amplitude type, so the columns isolate the kernel cost.
+    // Scalar vs SIMD: same compiled program, different kernel tier, so
+    // the columns isolate the kernel cost.
     sim::set_forced_tier(sim::KernelTier::Baseline);
-    t.fused_scalar_s = time_fused<double>(program, qubits, params, reps);
+    t.fused_scalar_s = time_fused(program, qubits, params, reps);
     sim::clear_forced_tier();
-    t.fused_simd_s = time_fused<double>(program, qubits, params, reps);
-    t.fused_f32_s = time_fused<float>(program, qubits, params, reps);
+    t.fused_simd_s = time_fused(program, qubits, params, reps);
     return t;
 }
 
@@ -209,11 +205,11 @@ main(int argc, char **argv)
                 sim::kernel_tier_name(sim::active_tier()));
 
     // Part 1: state-vector, per-gate dispatch vs fused program, with
-    // the fused engine timed at every kernel tier / precision.
+    // the fused engine timed at every kernel tier.
     Table sv("State-vector: per-gate vs fused (single-threaded)");
     sv.set_header({"circuit", "qubits", "ops merged", "per-gate (ms)",
                    "fused scalar (ms)", "fused simd (ms)",
-                   "simd speedup", "fused f32 (ms)", "max |diff|"});
+                   "simd speedup", "max |diff|"});
     const std::vector<int> sv_qubits =
         small ? std::vector<int>{4, 6} : std::vector<int>{4, 6, 8, 10};
     for (const int qubits : sv_qubits) {
@@ -249,7 +245,6 @@ main(int argc, char **argv)
                         Table::fmt(t.fused_scalar_s /
                                        std::max(1e-12, t.fused_simd_s),
                                    2),
-                        Table::fmt(1e3 * t.fused_f32_s, 4),
                         Table::fmt(diff, 14)});
         }
     }
@@ -261,11 +256,10 @@ main(int argc, char **argv)
     // fixed seed so both paths see identical circuits.
     const dev::Device device = dev::make_device("ibmq_mumbai");
     Table dm("Noisy DM CNR path: Kraus loop vs superoperator programs "
-             "(scalar / SIMD / f32)");
+             "(scalar / SIMD)");
     dm.set_header({"qubits", "replicas", "kraus (ms)",
                    "superop scalar (ms)", "superop simd (ms)",
-                   "simd speedup", "superop f32 (ms)",
-                   "max |prob diff|"});
+                   "simd speedup", "max |prob diff|"});
     double simd_speedup_at_8 = 0.0;
     // 8 qubits stays in the smoke preset: it is the smallest size whose
     // sections clear the perf gate's 10 ms jitter cutoff.
@@ -283,9 +277,10 @@ main(int argc, char **argv)
         noise::NoisyDensitySimulator unfused(device);
         unfused.use_fused_execution(false);
         noise::NoisyDensitySimulator fused(device);
-        noise::NoisyDensitySimulator fused32(
-            device, 1.0, sim::Precision::Float32Proxy);
 
+        // The equivalence sweep also warms the fused program cache, so
+        // the fused timings match CNR's steady state (each replica is
+        // compiled once and executed for its fidelity evaluation).
         double diff = 0.0;
         for (const circ::Circuit &replica : reps) {
             const auto a = unfused.run_distribution(replica);
@@ -294,14 +289,6 @@ main(int argc, char **argv)
                 diff = std::max(diff, std::abs(a[i] - b[i]));
         }
         ok = ok && diff <= 1e-9;
-
-        // Warm the per-simulator program caches first so the fused
-        // timings match CNR's steady state (each replica is compiled
-        // once and executed for its fidelity evaluation).
-        double f32_warm = 0.0;
-        for (const circ::Circuit &replica : reps)
-            f32_warm += fused32.fidelity(replica);
-        (void)f32_warm;
 
         // Min-of-k sampling in the smoke preset: the perf gate compares
         // these sections across invocations, and one averaged pass is
@@ -317,10 +304,9 @@ main(int argc, char **argv)
         // sweep before recording.
         const int passes = small ? 3 : 1;
         const int inner = small ? 4 : 1;
-        double kraus_s = 0.0, scalar_s = 0.0, simd_s = 0.0, f32_s = 0.0;
+        double kraus_s = 0.0, scalar_s = 0.0, simd_s = 0.0;
         for (int pass = 0; pass < passes; ++pass) {
-            double unfused_sum = 0.0, scalar_sum = 0.0, fused_sum = 0.0,
-                   f32_sum = 0.0;
+            double unfused_sum = 0.0, scalar_sum = 0.0, fused_sum = 0.0;
             auto start = std::chrono::steady_clock::now();
             double cpu_start = bench::process_cpu_seconds();
             for (int it = 0; it < inner; ++it) {
@@ -356,19 +342,10 @@ main(int argc, char **argv)
                 (bench::process_cpu_seconds() - cpu_start) / inner;
             const double simd_t = seconds_since(start) / inner;
 
-            start = std::chrono::steady_clock::now();
-            for (int it = 0; it < inner; ++it) {
-                f32_sum = 0.0;
-                for (const circ::Circuit &replica : reps)
-                    f32_sum += fused32.fidelity(replica);
-            }
-            const double f32_t = seconds_since(start) / inner;
-
             ok = ok &&
                  std::abs(unfused_sum - fused_sum) <= 1e-9 * replicas;
             ok = ok &&
                  std::abs(scalar_sum - fused_sum) <= 1e-9 * replicas;
-            ok = ok && std::abs(f32_sum - fused_sum) <= 1e-3 * replicas;
 
             reporter.record_perf(
                 "dm.kraus.q" + std::to_string(qubits), kraus_cpu);
@@ -380,8 +357,6 @@ main(int argc, char **argv)
                 scalar_s = scalar_t;
             if (pass == 0 || simd_t < simd_s)
                 simd_s = simd_t;
-            if (pass == 0 || f32_t < f32_s)
-                f32_s = f32_t;
         }
 
         const double simd_speedup = scalar_s / std::max(1e-12, simd_s);
@@ -392,7 +367,6 @@ main(int argc, char **argv)
                     Table::fmt(1e3 * scalar_s, 3),
                     Table::fmt(1e3 * simd_s, 3),
                     Table::fmt(simd_speedup, 2),
-                    Table::fmt(1e3 * f32_s, 3),
                     Table::fmt(diff, 12)});
     }
     reporter.add(dm);

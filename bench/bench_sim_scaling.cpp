@@ -229,20 +229,6 @@ time_statevector(const circ::Circuit &c, int qubits, bool specialized,
     return seconds_since(start) / reps;
 }
 
-/** Seconds per run of `c` at amplitude precision T (active tier). */
-template <typename T>
-double
-time_statevector_t(const circ::Circuit &c, int qubits, int reps)
-{
-    sim::BasicStateVector<T> psi(qubits);
-    const std::vector<double> params = fixed_params(c);
-    psi.run(c, params); // warm-up
-    const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r)
-        psi.run(c, params);
-    return seconds_since(start) / reps;
-}
-
 /** True when scalar and SIMD kernels produce bit-identical states. */
 bool
 tiers_bit_identical(const circ::Circuit &c, int qubits)
@@ -374,28 +360,25 @@ run_comparisons(int argc, char **argv)
     }
     reporter.add(kernels);
 
-    // Part 1b: runtime SIMD dispatch and the f32 proxy precision, on
-    // the same circuits. The scalar-vs-SIMD columns share one binary —
+    // Part 1b: runtime SIMD dispatch, on the same circuits. The
+    // scalar-vs-SIMD columns share one binary —
     // the tier is forced at runtime — and the bit-identical column is
     // the dispatch contract (ELV_FORCE_KERNEL=baseline reproduces the
     // dispatched results exactly).
     bool tiers_ok = true;
     Table simd("SIMD dispatch: scalar vs " +
                std::string(sim::kernel_tier_name(sim::active_tier())) +
-               ", f64 vs f32 (single-threaded)");
+               " (single-threaded)");
     simd.set_header({"circuit", "qubits", "scalar f64 (ms)",
-                     "simd f64 (ms)", "simd speedup", "simd f32 (ms)",
-                     "f32 gain", "bit-identical"});
+                     "simd f64 (ms)", "simd speedup", "bit-identical"});
     for (const KernelCase &kc : cases) {
         const int reps = small ? 10 : (kc.qubits >= 16 ? 10 : 40);
         sim::set_forced_tier(sim::KernelTier::Baseline);
         const double scalar_s =
-            time_statevector_t<double>(kc.circuit, kc.qubits, reps);
+            time_statevector(kc.circuit, kc.qubits, true, reps);
         sim::clear_forced_tier();
         const double simd_s =
-            time_statevector_t<double>(kc.circuit, kc.qubits, reps);
-        const double f32_s =
-            time_statevector_t<float>(kc.circuit, kc.qubits, reps);
+            time_statevector(kc.circuit, kc.qubits, true, reps);
         reporter.record_perf("simd.f64." + std::string(kc.perf) +
                                  ".q" + std::to_string(kc.qubits),
                              simd_s);
@@ -405,8 +388,6 @@ run_comparisons(int argc, char **argv)
                       Table::fmt(1e3 * scalar_s, 3),
                       Table::fmt(1e3 * simd_s, 3),
                       Table::fmt(scalar_s / std::max(1e-12, simd_s), 2),
-                      Table::fmt(1e3 * f32_s, 3),
-                      Table::fmt(simd_s / std::max(1e-12, f32_s), 2),
                       identical ? "yes" : "NO"});
     }
     reporter.add(simd);

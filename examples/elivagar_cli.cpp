@@ -77,7 +77,6 @@
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "qml/synthetic.hpp"
-#include "sim/precision.hpp"
 #include "qml/trainer.hpp"
 #include "server/json_value.hpp"
 #include "server/protocol.hpp"
@@ -104,8 +103,6 @@ struct CliOptions
     bool metrics = false;
     /** Wall-clock budget for the search phase; 0 disables. */
     double deadline_sec = 0.0;
-    /** Amplitude precision of the CNR/RepCap proxies ("f64"/"f32"). */
-    std::string precision = "f64";
     /** Local worker processes; > 0 switches to distributed search. */
     int workers = 0;
     /** Remote `elivagar_worker --serve` peers to attach (host:port). */
@@ -163,9 +160,6 @@ print_usage()
         "  --deadline-sec F   cancel the search after F seconds of "
         "wall clock\n"
         "                     (exit 3; journaled stages survive)\n"
-        "  --precision P      proxy-scoring precision: f64 (default) "
-        "or f32\n"
-        "                     (CNR/RepCap only; training stays f64)\n"
         "  --prune-dead       elide ops outside the measurement "
         "lightcone\n"
         "                     during CNR/RepCap scoring and training "
@@ -235,8 +229,6 @@ parse(int argc, char **argv, CliOptions &options)
             options.checkpoint = value();
         else if (arg == "--deadline-sec")
             options.deadline_sec = std::atof(value());
-        else if (arg == "--precision")
-            options.precision = value();
         else if (arg == "--prune-dead")
             options.prune_dead = true;
         else if (arg == "--fault-rate")
@@ -624,7 +616,7 @@ print_client_usage()
         "  --id job-N         job id (status/cancel/result/watch)\n"
         "submit options (mirror the one-shot search flags):\n"
         "  --benchmark NAME --device NAME --candidates N --seed N\n"
-        "  --scale F --priority N --deadline-sec F --precision f64|f32\n"
+        "  --scale F --priority N --deadline-sec F\n"
         "  --workers N        run the job's search over N worker "
         "processes\n"
         "  --watch            stream status until the job finishes\n"
@@ -757,8 +749,6 @@ run_client(int argc, char **argv)
             options.spec.priority = std::atoi(value());
         else if (arg == "--deadline-sec")
             options.spec.deadline_sec = std::atof(value());
-        else if (arg == "--precision")
-            options.spec.precision = value();
         else if (arg == "--workers")
             options.spec.workers = std::atoi(value());
         else if (arg == "--watch")
@@ -912,14 +902,6 @@ main(int argc, char **argv)
         config.seed = options.seed;
         config.threads = options.threads < 0 ? 0 : options.threads;
         config.resilience.checkpoint_path = options.checkpoint;
-        {
-            const auto precision =
-                sim::precision_from_name(options.precision);
-            if (!precision)
-                elv::fatal("--precision must be f64 or f32");
-            config.cnr.precision = *precision;
-            config.repcap.precision = *precision;
-        }
         if (options.prune_dead) {
             config.cnr.prune_dead_structure = true;
             config.repcap.prune_dead_structure = true;
@@ -972,7 +954,6 @@ main(int argc, char **argv)
             spec.candidates = options.candidates;
             spec.seed = options.seed;
             spec.scale = options.scale;
-            spec.precision = options.precision;
             dist::DistConfig dc;
             dc.workers = options.workers;
             dc.attach = options.attach;

@@ -32,7 +32,7 @@ clifford_noise_resilience(const circ::Circuit &circuit,
     if (!executor) {
         if (options.backend == CnrBackend::Density)
             owned = std::make_unique<exec::DensityExecutor>(
-                device, options.noise_scale, options.precision);
+                device, options.noise_scale);
         else
             owned = std::make_unique<exec::StabilizerExecutor>(
                 device, options.shots, options.noise_scale);

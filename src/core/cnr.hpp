@@ -49,14 +49,6 @@ struct CnrOptions
     /** Multiplies device error rates (ablation knob). */
     double noise_scale = 1.0;
     /**
-     * Amplitude precision of the density backend. Float32Proxy halves
-     * the memory traffic of every superoperator pass; CNR is a ranking
-     * proxy, and the ranking is preserved (see sim/precision.hpp and
-     * the ranking-equivalence tests). Ignored by the stabilizer
-     * backend and by caller-supplied executors.
-     */
-    sim::Precision precision = sim::Precision::Float64;
-    /**
      * Route executions through this executor instead of building a
      * plain one from `backend` (non-owning; e.g. a ResilientExecutor
      * with fault injection / degradation). Null = plain execution.

@@ -13,18 +13,10 @@
 
 namespace elv::core {
 
-namespace {
-
-/**
- * The whole estimator, templated on amplitude precision. Only the
- * prepared/rotated states live in T; random draws, TVD similarities and
- * the Frobenius reduction are double either way, so the two precisions
- * consume identical RNG streams and differ only in amplitude rounding.
- */
-template <typename T>
 RepCapResult
-repcap_impl(const circ::Circuit &circuit, const qml::Dataset &data,
-            elv::Rng &rng, const RepCapOptions &options)
+representational_capacity(const circ::Circuit &circuit,
+                          const qml::Dataset &data, elv::Rng &rng,
+                          const RepCapOptions &options)
 {
     data.check();
     ELV_REQUIRE(options.samples_per_class >= 1 &&
@@ -62,7 +54,7 @@ repcap_impl(const circ::Circuit &circuit, const qml::Dataset &data,
     std::vector<double> r_c(d * d, 0.0);
     RepCapResult result;
 
-    std::vector<sim::BasicStateVector<T>> states;
+    std::vector<sim::StateVector> states;
     states.reserve(d);
 
     // One candidate circuit, d x param_inits executions: compile the
@@ -79,7 +71,7 @@ repcap_impl(const circ::Circuit &circuit, const qml::Dataset &data,
         // Prepare the d output states once per init.
         states.clear();
         for (std::size_t s = 0; s < d; ++s) {
-            sim::BasicStateVector<T> psi(local.num_qubits());
+            sim::StateVector psi(local.num_qubits());
             program.run(psi, params, data.samples[chosen[s]]);
             states.push_back(std::move(psi));
             ++result.circuit_executions;
@@ -103,7 +95,7 @@ repcap_impl(const circ::Circuit &circuit, const qml::Dataset &data,
             std::vector<std::vector<double>> dists;
             dists.reserve(d);
             for (const auto &psi : states) {
-                sim::BasicStateVector<T> rotated = psi;
+                sim::StateVector rotated = psi;
                 for (std::size_t m = 0; m < measured.size(); ++m)
                     rotated.apply_1q(basis[m], measured[m]);
                 auto probs = rotated.probabilities(measured);
@@ -142,18 +134,6 @@ repcap_impl(const circ::Circuit &circuit, const qml::Dataset &data,
     }
     result.repcap = 1.0 - frob2 / static_cast<double>(d * d);
     return result;
-}
-
-} // namespace
-
-RepCapResult
-representational_capacity(const circ::Circuit &circuit,
-                          const qml::Dataset &data, elv::Rng &rng,
-                          const RepCapOptions &options)
-{
-    if (options.precision == sim::Precision::Float32Proxy)
-        return repcap_impl<float>(circuit, data, rng, options);
-    return repcap_impl<double>(circuit, data, rng, options);
 }
 
 } // namespace elv::core

@@ -20,7 +20,6 @@
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
 #include "qml/dataset.hpp"
-#include "sim/precision.hpp"
 
 namespace elv::core {
 
@@ -33,12 +32,6 @@ struct RepCapOptions
     int param_inits = 32;
     /** Random measurement bases per state pair (n_bases in Eq. 6). */
     int num_bases = 4;
-    /**
-     * Amplitude precision of the state-vector runs. Float32Proxy is
-     * the ranking-only fast path (see sim/precision.hpp); similarity
-     * accumulation always stays double.
-     */
-    sim::Precision precision = sim::Precision::Float64;
     /**
      * Elide ops outside the measurement lightcone before compiling the
      * fused program (lint/dataflow.hpp). The prune preserves the

@@ -7,7 +7,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/cpu_features.hpp"
-#include "sim/precision.hpp"
 
 namespace elv::core {
 
@@ -164,12 +163,11 @@ run_report_json(const ElivagarConfig &config, const SearchResult &result)
     json.kv("report", "elivagar_search");
     json.kv("version", elv::version_string());
     json.kv("timestamp", elv::iso8601_utc_now());
-    // Execution provenance: kernel tier actually dispatched and the
-    // proxy-scoring precision, so a report is self-describing when
-    // artifacts from different machines or builds are compared.
+    // Execution provenance: the kernel tier actually dispatched, so a
+    // report is self-describing when artifacts from different machines
+    // or builds are compared.
     json.kv("kernel_dispatch",
             sim::kernel_tier_name(sim::active_tier()));
-    json.kv("precision", sim::precision_name(config.cnr.precision));
     write_config(json, config);
     write_search(json, result);
     write_phases(json, result);

@@ -28,8 +28,9 @@ seconds_since(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** CNR-value histogram edges (scores live in [0, 1]). */
-const std::vector<double> &
+/** CNR-value histogram edges (scores live in [0, 1]); read only by
+ *  metric macros, which -DELV_OBS=OFF compiles out. */
+[[maybe_unused]] const std::vector<double> &
 cnr_edges()
 {
     static const std::vector<double> edges{0.1, 0.2, 0.3, 0.4, 0.5,
@@ -125,11 +126,13 @@ config_fingerprint(const ElivagarConfig &config)
     fp_mix(h, static_cast<std::uint64_t>(config.cnr.backend));
     fp_mix(h, static_cast<std::uint64_t>(config.cnr.shots));
     fp_mix_double(h, config.cnr.noise_scale);
-    fp_mix(h, static_cast<std::uint64_t>(config.cnr.precision));
+    // Former CNR/RepCap precision slots (f64 = 0): kept so journals,
+    // manifests and dist state dirs from older builds still resume.
+    fp_mix(h, 0);
     fp_mix(h, static_cast<std::uint64_t>(config.repcap.samples_per_class));
     fp_mix(h, static_cast<std::uint64_t>(config.repcap.param_inits));
     fp_mix(h, static_cast<std::uint64_t>(config.repcap.num_bases));
-    fp_mix(h, static_cast<std::uint64_t>(config.repcap.precision));
+    fp_mix(h, 0);
     fp_mix_double(h, config.cnr_threshold);
     fp_mix_double(h, config.keep_fraction);
     fp_mix_double(h, config.alpha_cnr);
@@ -148,44 +151,17 @@ config_fingerprint(const ElivagarConfig &config)
     return h;
 }
 
-namespace {
-
-sim::Precision
-flip_precision(sim::Precision precision)
-{
-    return precision == sim::Precision::Float64
-               ? sim::Precision::Float32Proxy
-               : sim::Precision::Float64;
-}
-
-} // namespace
-
 std::string
 fingerprint_mismatch_hint(const ElivagarConfig &config,
                           std::uint64_t stored)
 {
-    // Single enumerable-field mutations, most likely culprit first
-    // (the CLI's --precision sets CNR and RepCap together, so the
-    // joint flip is the realistic one).
+    // Single enumerable-field mutations, most likely culprit first.
     struct Probe
     {
         const char *what;
         void (*mutate)(ElivagarConfig &);
     };
     static const Probe probes[] = {
-        {"the precision setting changed (--precision f32 vs f64)",
-         [](ElivagarConfig &c) {
-             c.cnr.precision = flip_precision(c.cnr.precision);
-             c.repcap.precision = flip_precision(c.repcap.precision);
-         }},
-        {"the CNR precision changed (f32 vs f64)",
-         [](ElivagarConfig &c) {
-             c.cnr.precision = flip_precision(c.cnr.precision);
-         }},
-        {"the RepCap precision changed (f32 vs f64)",
-         [](ElivagarConfig &c) {
-             c.repcap.precision = flip_precision(c.repcap.precision);
-         }},
         {"use_cnr was toggled (the RepCap-only ablation)",
          [](ElivagarConfig &c) { c.use_cnr = !c.use_cnr; }},
         {"the CNR backend changed (density vs stabilizer)",
@@ -250,8 +226,7 @@ evaluate_candidate_cnr(const dev::Device &device,
             device, cnr_backend_kind(config.cnr.backend),
             config.cnr.shots, config.cnr.noise_scale,
             config.resilience.retry, faults,
-            stage_seed(config.seed, 0xe8ec, index),
-            config.cnr.precision);
+            stage_seed(config.seed, 0xe8ec, index));
         options.executor = executor.get();
     }
     elv::Rng rng(stage_seed(config.seed, 0xc14, index));

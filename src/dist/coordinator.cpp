@@ -35,8 +35,9 @@ seconds_since(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** CNR histogram edges, mirroring the in-process pipeline metrics. */
-const std::vector<double> &
+/** CNR histogram edges, mirroring the in-process pipeline metrics;
+ *  read only by metric macros, which -DELV_OBS=OFF compiles out. */
+[[maybe_unused]] const std::vector<double> &
 cnr_edges()
 {
     static const std::vector<double> edges{0.1, 0.2, 0.3, 0.4, 0.5,

@@ -49,9 +49,8 @@ Executor::supports(const circ::Circuit &) const
 }
 
 DensityExecutor::DensityExecutor(const dev::Device &device,
-                                 double noise_scale,
-                                 sim::Precision precision)
-    : sim_(device, noise_scale, precision)
+                                 double noise_scale)
+    : sim_(device, noise_scale)
 {
 }
 

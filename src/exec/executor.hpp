@@ -138,14 +138,8 @@ class DensityExecutor : public Executor
     /** Circuits touching more qubits than this are unsupported. */
     static constexpr int kMaxQubits = 12;
 
-    /**
-     * @param precision amplitude precision of the density-matrix
-     *        kernels (Float32Proxy is the CNR proxy fast path; see
-     *        sim/precision.hpp).
-     */
-    explicit DensityExecutor(
-        const dev::Device &device, double noise_scale = 1.0,
-        sim::Precision precision = sim::Precision::Float64);
+    explicit DensityExecutor(const dev::Device &device,
+                             double noise_scale = 1.0);
 
     BackendKind kind() const override { return BackendKind::Density; }
     bool supports(const circ::Circuit &circuit) const override;

@@ -9,8 +9,9 @@
 
 namespace {
 
-/** Backoff-delay histogram edges (simulated milliseconds). */
-const std::vector<double> &
+/** Backoff-delay histogram edges (simulated milliseconds); read only
+ *  by metric macros, which -DELV_OBS=OFF compiles out. */
+[[maybe_unused]] const std::vector<double> &
 backoff_edges()
 {
     static const std::vector<double> edges{10.0,    50.0,    100.0,
@@ -35,12 +36,11 @@ rung_seed(std::uint64_t base, int rung)
 
 std::unique_ptr<Executor>
 make_backend(const dev::Device &device, BackendKind kind, int shots,
-             double noise_scale, sim::Precision precision)
+             double noise_scale)
 {
     switch (kind) {
       case BackendKind::Density:
-        return std::make_unique<DensityExecutor>(device, noise_scale,
-                                                 precision);
+        return std::make_unique<DensityExecutor>(device, noise_scale);
       case BackendKind::Stabilizer:
         return std::make_unique<StabilizerExecutor>(device, shots,
                                                     noise_scale);
@@ -57,8 +57,7 @@ ResilientExecutor::ResilientExecutor(const dev::Device &device,
                                      double noise_scale,
                                      const RetryPolicy &policy,
                                      const FaultConfig &faults,
-                                     std::uint64_t seed,
-                                     sim::Precision precision)
+                                     std::uint64_t seed)
     : device_(device), policy_(policy),
       jitter_rng_(seed ^ 0x7265747279ULL)
 {
@@ -79,8 +78,8 @@ ResilientExecutor::ResilientExecutor(const dev::Device &device,
     }
 
     for (std::size_t r = 0; r < kinds.size(); ++r) {
-        auto backend = make_backend(device_, kinds[r], shots, noise_scale,
-                                    precision);
+        auto backend =
+            make_backend(device_, kinds[r], shots, noise_scale);
         if (faults.any() && faults.applies_to(kinds[r])) {
             FaultConfig rung_faults = faults;
             rung_faults.seed =

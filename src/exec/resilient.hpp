@@ -43,15 +43,12 @@ class ResilientExecutor : public Executor
      * @param shots shots per stabilizer execution
      * @param noise_scale multiplies calibration error rates
      * @param seed jitter stream seed (also mixed into fault streams)
-     * @param precision amplitude precision of density-matrix rungs
-     *        (other rungs are unaffected; see sim/precision.hpp)
      */
     ResilientExecutor(const dev::Device &device, BackendKind primary,
                       int shots, double noise_scale,
                       const RetryPolicy &policy = {},
                       const FaultConfig &faults = {},
-                      std::uint64_t seed = 0,
-                      sim::Precision precision = sim::Precision::Float64);
+                      std::uint64_t seed = 0);
 
     BackendKind kind() const override;
     bool supports(const circ::Circuit &circuit) const override;

@@ -38,10 +38,6 @@
  *                        measure-terminal, so "gate after measure" is
  *                        unrepresentable and guarded at the set level)
  *   dead-code         W  unused qubits, never-trained parameter slots
- *   precision-misuse  W  training/gradient path configured with the
- *                        Float32Proxy amplitude policy (gradients
- *                        always run f64; the f32 proxy is for
- *                        ranking-only scoring)
  *   dead-lightcone    W  ops outside the backward measurement
  *                        lightcone — traced out of every measured
  *                        marginal (dataflow.hpp; `lint --fix` elides)
@@ -67,7 +63,6 @@
 #include "circuit/circuit.hpp"
 #include "device/device.hpp"
 #include "sim/fusion.hpp"
-#include "sim/precision.hpp"
 
 namespace elv::lint {
 
@@ -150,11 +145,6 @@ struct LintOptions
     /** Data embeddings must precede all variational gates (fixed-
      *  embedding templates; searched candidates interleave by design). */
     bool require_embedding_prefix = false;
-    /** The circuit is entering a training/gradient path (enables the
-     *  precision-misuse rule together with `precision`). */
-    bool training_path = false;
-    /** Amplitude precision the surrounding run was configured with. */
-    sim::Precision precision = sim::Precision::Float64;
     /** Rule ids to skip. */
     std::vector<std::string> disabled_rules;
 

@@ -396,29 +396,6 @@ rule_dead_code(const CircuitView &c, const LintOptions &, Report &out)
 }
 
 /**
- * precision-misuse (warning): a training/gradient path configured with
- * the Float32Proxy amplitude policy. The f32 proxy exists for
- * ranking-only scoring (CNR/RepCap) — Adam accumulation and
- * parameter-shift differences cancel below single precision, so the
- * trainer ignores the request and runs double anyway. The
- * configuration is still worth surfacing: whoever set it expected a
- * speedup the trainer cannot grant.
- */
-void
-rule_precision_misuse(const CircuitView &, const LintOptions &options,
-                      Report &out)
-{
-    if (!options.training_path ||
-        options.precision != sim::Precision::Float32Proxy)
-        return;
-    out.add(Severity::Warning, "precision-misuse", -1,
-            "training/gradient path configured with the f32 proxy "
-            "precision; gradients require f64 and the trainer runs "
-            "double regardless — keep Float32Proxy on the CNR/RepCap "
-            "scoring path");
-}
-
-/**
  * dead-lightcone (warnings): ops outside the backward measurement
  * lightcone — their effects are traced out of every measured marginal,
  * so the simulators pay full price for provably-invisible structure.
@@ -545,10 +522,6 @@ register_builtin_rules(Linter &linter)
     linter.register_rule({"dead-code", Severity::Warning,
                           "unused qubits and never-trained parameters"},
                          rule_dead_code);
-    linter.register_rule({"precision-misuse", Severity::Warning,
-                          "training/gradient path configured with the "
-                          "f32 proxy precision (gradients run f64)"},
-                         rule_precision_misuse);
     linter.register_rule({"dead-lightcone", Severity::Warning,
                           "ops outside the backward measurement "
                           "lightcone (traced out; --fix elides)"},

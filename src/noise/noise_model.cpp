@@ -77,9 +77,8 @@ mitigate_readout(const std::vector<double> &probs,
 }
 
 NoisyDensitySimulator::NoisyDensitySimulator(const dev::Device &device,
-                                             double noise_scale,
-                                             sim::Precision precision)
-    : device_(device), scale_(noise_scale), precision_(precision)
+                                             double noise_scale)
+    : device_(device), scale_(noise_scale)
 {
     ELV_REQUIRE(noise_scale >= 0.0, "negative noise scale");
     // Reject malformed calibration up front: a silent size mismatch
@@ -110,23 +109,12 @@ NoisyDensitySimulator::run_distribution(const circ::Circuit &circuit,
                                         const std::vector<double> &params,
                                         const std::vector<double> &x) const
 {
-    if (precision_ == sim::Precision::Float32Proxy)
-        return run_distribution_impl<float>(circuit, params, x);
-    return run_distribution_impl<double>(circuit, params, x);
-}
-
-template <typename T>
-std::vector<double>
-NoisyDensitySimulator::run_distribution_impl(
-    const circ::Circuit &circuit, const std::vector<double> &params,
-    const std::vector<double> &x) const
-{
     ELV_REQUIRE(circuit.num_qubits() <= device_.num_qubits(),
                 "circuit larger than device");
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
 
-    sim::BasicDensityMatrix<T> rho(local.num_qubits());
+    sim::DensityMatrix rho(local.num_qubits());
     if (fused_)
         program_for(circuit, local, kept)->run(rho, params, x);
     else
@@ -147,9 +135,8 @@ NoisyDensitySimulator::run_distribution_impl(
     return probs;
 }
 
-template <typename T>
 void
-NoisyDensitySimulator::apply_unfused(sim::BasicDensityMatrix<T> &rho,
+NoisyDensitySimulator::apply_unfused(sim::DensityMatrix &rho,
                                      const circ::Circuit &local,
                                      const std::vector<int> &kept,
                                      const std::vector<double> &params,

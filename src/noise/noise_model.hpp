@@ -28,7 +28,6 @@
 #include "noise/channels.hpp"
 #include "noise/superop.hpp"
 #include "sim/density_matrix.hpp"
-#include "sim/precision.hpp"
 #include "stabilizer/tableau.hpp"
 
 namespace elv::noise {
@@ -61,14 +60,9 @@ class NoisyDensitySimulator
      * @param device calibration source
      * @param noise_scale multiplies every error rate (1 = calibrated,
      *        0 = noiseless); used by ablations
-     * @param precision amplitude precision of the density-matrix
-     *        kernels. Float32Proxy halves memory traffic for
-     *        ranking-only proxy scoring (CNR); the ideal reference
-     *        state inside fidelity() always stays double.
      */
-    explicit NoisyDensitySimulator(
-        const dev::Device &device, double noise_scale = 1.0,
-        sim::Precision precision = sim::Precision::Float64);
+    explicit NoisyDensitySimulator(const dev::Device &device,
+                                   double noise_scale = 1.0);
 
     /**
      * Run `circuit` (qubits = physical device qubits; 2-qubit gates must
@@ -99,26 +93,9 @@ class NoisyDensitySimulator
      */
     void use_fused_execution(bool on) { fused_ = on; }
 
-    /** The configured amplitude precision. */
-    sim::Precision precision() const { return precision_; }
-
-    /** Switch the amplitude precision (takes effect on the next run). */
-    void set_precision(sim::Precision precision)
-    {
-        precision_ = precision;
-    }
-
   private:
-    /** run_distribution instantiated at one amplitude precision. */
-    template <typename T>
-    std::vector<double>
-    run_distribution_impl(const circ::Circuit &circuit,
-                          const std::vector<double> &params,
-                          const std::vector<double> &x) const;
-
     /** The original per-gate channel loop (reference path). */
-    template <typename T>
-    void apply_unfused(sim::BasicDensityMatrix<T> &rho,
+    void apply_unfused(sim::DensityMatrix &rho,
                        const circ::Circuit &local,
                        const std::vector<int> &kept,
                        const std::vector<double> &params,
@@ -131,7 +108,6 @@ class NoisyDensitySimulator
 
     const dev::Device &device_;
     double scale_;
-    sim::Precision precision_;
     bool fused_ = true;
     /**
      * Bounded program cache keyed by the exact serialization of the

@@ -287,17 +287,13 @@ NoisyProgram::compile(const circ::Circuit &local,
     return prog;
 }
 
-template <typename T>
 void
-NoisyProgram::run(sim::BasicDensityMatrix<T> &rho,
-                  const std::vector<double> &params,
+NoisyProgram::run(sim::DensityMatrix &rho, const std::vector<double> &params,
                   const std::vector<double> &x) const
 {
     ELV_REQUIRE(rho.num_qubits() == num_qubits_,
                 "program/state qubit count mismatch");
     sim::note_kernel_dispatch();
-    if constexpr (std::is_same_v<T, float>)
-        ELV_METRIC_COUNT("sim.f32_evals");
     rho.reset();
     for (const Entry &e : entries_) {
         switch (e.kind) {
@@ -313,12 +309,5 @@ NoisyProgram::run(sim::BasicDensityMatrix<T> &rho,
         }
     }
 }
-
-template void NoisyProgram::run(sim::BasicDensityMatrix<double> &,
-                                const std::vector<double> &,
-                                const std::vector<double> &) const;
-template void NoisyProgram::run(sim::BasicDensityMatrix<float> &,
-                                const std::vector<double> &,
-                                const std::vector<double> &) const;
 
 } // namespace elv::noise

@@ -77,15 +77,8 @@ class NoisyProgram
                                 const std::vector<int> &kept,
                                 const dev::Device &device, double scale);
 
-    /**
-     * Replay on `rho` from |0...0><0...0|. Works on both precision
-     * instantiations — compiled superoperators stay double and convert
-     * at the kernel boundary, so one compiled program serves the
-     * Float64 and Float32Proxy paths alike.
-     */
-    template <typename T>
-    void run(sim::BasicDensityMatrix<T> &rho,
-             const std::vector<double> &params = {},
+    /** Replay on `rho` from |0...0><0...0|. */
+    void run(sim::DensityMatrix &rho, const std::vector<double> &params = {},
              const std::vector<double> &x = {}) const;
 
     /** Gate/channel applications eliminated by fusion. */
@@ -117,14 +110,5 @@ class NoisyProgram
     std::uint64_t ops_merged_ = 0;
     int num_qubits_ = 1;
 };
-
-extern template void
-NoisyProgram::run(sim::BasicDensityMatrix<double> &,
-                  const std::vector<double> &,
-                  const std::vector<double> &) const;
-extern template void
-NoisyProgram::run(sim::BasicDensityMatrix<float> &,
-                  const std::vector<double> &,
-                  const std::vector<double> &) const;
 
 } // namespace elv::noise

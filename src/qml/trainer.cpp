@@ -73,16 +73,8 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
                     static_cast<std::size_t>(data.num_classes),
                 "not enough measured qubits for the class count");
 
-    // Training-boundary pre-flight: beyond the structural rules, this
-    // is where the precision-misuse warning fires — gradients always
-    // run f64, so a Float32Proxy request here is a configuration smell,
-    // not a speedup (see sim/precision.hpp).
-    {
-        lint::LintOptions lint_options;
-        lint_options.training_path = true;
-        lint_options.precision = config.precision;
-        lint::preflight(circuit, lint::Boundary::Training, lint_options);
-    }
+    // Training-boundary pre-flight: the structural rules.
+    lint::preflight(circuit, lint::Boundary::Training);
 
     // Optional dead-structure elision: out-of-lightcone ops are removed
     // and their parameter slots densely renumbered; param_map records

@@ -21,7 +21,6 @@
 #include "circuit/circuit.hpp"
 #include "qml/classifier.hpp"
 #include "qml/dataset.hpp"
-#include "sim/precision.hpp"
 
 namespace elv::qml {
 
@@ -58,16 +57,6 @@ struct TrainConfig
      * provider interface simple is worth the restriction).
      */
     DistributionFn distribution;
-    /**
-     * Requested amplitude precision. Training ALWAYS runs in
-     * complex<double> — Adam accumulation and parameter-shift
-     * differences cancel below single precision — so Float32Proxy here
-     * is never honored; it only makes the training pre-flight emit the
-     * "precision-misuse" lint warning. The field exists so a config
-     * that shares precision between scoring and training surfaces the
-     * mistake instead of silently training in the wrong precision.
-     */
-    sim::Precision precision = sim::Precision::Float64;
     /**
      * Elide dead structure (lint/dataflow.hpp) before training: ops
      * outside the measurement lightcone are removed and their

@@ -4,7 +4,6 @@
 
 #include "common/logging.hpp"
 #include "obs/json.hpp"
-#include "sim/precision.hpp"
 
 namespace elv::srv {
 
@@ -51,8 +50,6 @@ JobSpec::check() const
         elv::fatal("job scale must lie in (0, 1]");
     if (deadline_sec < 0.0)
         elv::fatal("job deadline must be non-negative");
-    if (!sim::precision_from_name(precision))
-        elv::fatal("job precision must be \"f64\" or \"f32\"");
     if (workers < 0 || workers > 64)
         elv::fatal("job workers must lie in [0, 64]");
 }
@@ -69,7 +66,6 @@ JobSpec::to_json() const
     json.kv("scale", scale);
     json.kv("priority", priority);
     json.kv("deadline_sec", deadline_sec);
-    json.kv("precision", precision);
     json.kv("workers", workers);
     json.end_object();
     return json.str();
@@ -98,8 +94,6 @@ JobSpec::from_json(const JsonValue &value, JobSpec &out,
         out.priority = static_cast<int>(v->as_int(out.priority));
     if (const JsonValue *v = value.get("deadline_sec"))
         out.deadline_sec = v->as_number(out.deadline_sec);
-    if (const JsonValue *v = value.get("precision"))
-        out.precision = v->as_string(out.precision);
     if (const JsonValue *v = value.get("workers"))
         out.workers = static_cast<int>(v->as_int(out.workers));
     try {
@@ -128,13 +122,6 @@ job_search_config(const JobSpec &spec, const qml::BenchmarkSpec &bench,
     config.candidate.num_features = bench.dim;
     config.seed = spec.seed;
     config.threads = threads;
-    // check() guarantees the name parses; both proxies follow the job's
-    // precision while training (if any) stays double (see trainer.hpp).
-    const sim::Precision precision =
-        sim::precision_from_name(spec.precision)
-            .value_or(sim::Precision::Float64);
-    config.cnr.precision = precision;
-    config.repcap.precision = precision;
     config.resilience.checkpoint_path = journal_path;
     // Server jobs retry with bounded full jitter: many tenants share
     // the backends, and synchronized backoff from concurrent jobs is

@@ -74,13 +74,6 @@ struct JobSpec
      */
     double deadline_sec = 0.0;
     /**
-     * Amplitude precision of the CNR/RepCap proxy evaluations: "f64"
-     * (default) or "f32" (mixed-precision fast path; see
-     * sim/precision.hpp). Part of the config fingerprint — a journal
-     * written under one precision does not resume under the other.
-     */
-    std::string precision = "f64";
-    /**
      * Distributed fan-out: > 0 runs the search through
      * dist::distributed_search with this many local worker processes
      * sharing the job's thread quota; 0 (default) evaluates in-process.

@@ -40,7 +40,9 @@ us_since(std::chrono::steady_clock::time_point start)
     return seconds_since(start) * 1e6;
 }
 
-const std::vector<double> &
+/** Job-duration histogram edges (seconds); read only by metric
+ *  macros, which -DELV_OBS=OFF compiles out. */
+[[maybe_unused]] const std::vector<double> &
 job_seconds_edges()
 {
     static const std::vector<double> edges{0.01, 0.05, 0.1,  0.5,  1.0,
@@ -640,12 +642,11 @@ Server::run_job(const RecordPtr &rec)
         json.kv("degraded_candidates", result.degraded_candidates);
         json.kv("resumed", result.resumed);
         json.kv("total_seconds", result.total_seconds);
-        // Execution provenance: which kernel tier and precision this
-        // result was computed with (PR 7), so artifacts from mixed
-        // fleets stay self-describing.
+        // Execution provenance: which kernel tier this result was
+        // computed with, so artifacts from mixed fleets stay
+        // self-describing.
         json.kv("kernel_dispatch",
                 sim::kernel_tier_name(sim::active_tier()));
-        json.kv("precision", rec->spec.precision);
         if (trace_ok)
             json.kv("trace", job_path(rec->id, ".trace.json"));
         json.kv("circuit", circ::to_text_line(result.best_circuit));

@@ -9,32 +9,28 @@
 
 namespace elv::sim {
 
-template <typename T>
-BasicDensityMatrix<T>::BasicDensityMatrix(int num_qubits)
+DensityMatrix::DensityMatrix(int num_qubits)
     : num_qubits_(num_qubits), vec_(2 * num_qubits)
 {
     ELV_REQUIRE(num_qubits >= 1 && num_qubits <= 13,
                 "density matrix limited to 1..13 qubits");
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::reset()
+DensityMatrix::reset()
 {
     vec_.reset();
 }
 
-template <typename T>
-typename BasicDensityMatrix<T>::AmpT
-BasicDensityMatrix<T>::element(std::size_t row, std::size_t col) const
+Amp
+DensityMatrix::element(std::size_t row, std::size_t col) const
 {
     const std::size_t n = static_cast<std::size_t>(num_qubits_);
     return vec_.amp(row | (col << n));
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::set_pure(const BasicStateVector<T> &psi)
+DensityMatrix::set_pure(const StateVector &psi)
 {
     ELV_REQUIRE(psi.num_qubits() == num_qubits_,
                 "pure-state qubit count mismatch");
@@ -46,25 +42,22 @@ BasicDensityMatrix<T>::set_pure(const BasicStateVector<T> &psi)
                 psi.amp(r) * std::conj(psi.amp(c));
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::apply_1q(const Mat2 &u, int q)
+DensityMatrix::apply_1q(const Mat2 &u, int q)
 {
     vec_.apply_1q(u, q);
     vec_.apply_1q(conjugate(u), q + num_qubits_);
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::apply_2q(const Mat4 &u, int q0, int q1)
+DensityMatrix::apply_2q(const Mat4 &u, int q0, int q1)
 {
     vec_.apply_2q(u, q0, q1);
     vec_.apply_2q(conjugate(u), q0 + num_qubits_, q1 + num_qubits_);
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::apply_kraus_1q(const std::vector<Mat2> &kraus, int q)
+DensityMatrix::apply_kraus_1q(const std::vector<Mat2> &kraus, int q)
 {
     ELV_REQUIRE(!kraus.empty(), "empty Kraus set");
     // Member scratch, sized on first use: copying into it and the
@@ -72,7 +65,7 @@ BasicDensityMatrix<T>::apply_kraus_1q(const std::vector<Mat2> &kraus, int q)
     // applications allocate nothing.
     auto &state = vec_.amps();
     kraus_original_ = state;
-    kraus_acc_.assign(state.size(), AmpT(0));
+    kraus_acc_.assign(state.size(), Amp(0));
     for (const Mat2 &k : kraus) {
         std::copy(kraus_original_.begin(), kraus_original_.end(),
                   state.begin());
@@ -83,15 +76,14 @@ BasicDensityMatrix<T>::apply_kraus_1q(const std::vector<Mat2> &kraus, int q)
     std::swap(state, kraus_acc_);
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::apply_kraus_2q(const std::vector<Mat4> &kraus,
-                                      int q0, int q1)
+DensityMatrix::apply_kraus_2q(const std::vector<Mat4> &kraus, int q0,
+                              int q1)
 {
     ELV_REQUIRE(!kraus.empty(), "empty Kraus set");
     auto &state = vec_.amps();
     kraus_original_ = state;
-    kraus_acc_.assign(state.size(), AmpT(0));
+    kraus_acc_.assign(state.size(), Amp(0));
     for (const Mat4 &k : kraus) {
         std::copy(kraus_original_.begin(), kraus_original_.end(),
                   state.begin());
@@ -102,18 +94,16 @@ BasicDensityMatrix<T>::apply_kraus_2q(const std::vector<Mat4> &kraus,
     std::swap(state, kraus_acc_);
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::apply_superop_1q(const Mat4 &s, int q)
+DensityMatrix::apply_superop_1q(const Mat4 &s, int q)
 {
     ELV_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
     ELV_METRIC_COUNT("sim.superop_applies");
     vec_.apply_2q(s, q, q + num_qubits_);
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::apply_superop_2q(const Mat16 &s, int q0, int q1)
+DensityMatrix::apply_superop_2q(const Mat16 &s, int q0, int q1)
 {
     ELV_REQUIRE(q0 >= 0 && q0 < num_qubits_ && q1 >= 0 &&
                     q1 < num_qubits_ && q0 != q1,
@@ -122,14 +112,13 @@ BasicDensityMatrix<T>::apply_superop_2q(const Mat16 &s, int q0, int q1)
     vec_.apply_4q(s, q0, q1, q0 + num_qubits_, q1 + num_qubits_);
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::apply_depolarizing_1q(double p, int q)
+DensityMatrix::apply_depolarizing_1q(double p, int q)
 {
     ELV_REQUIRE(p >= 0.0 && p <= 1.0, "bad depolarizing probability");
-    const T lambda = static_cast<T>(4.0 * p / 3.0);
-    const T keep = static_cast<T>(1) - lambda;
-    const T half = static_cast<T>(0.5);
+    const double lambda = 4.0 * p / 3.0;
+    const double keep = 1.0 - lambda;
+    const double half = 0.5;
     const std::size_t dim = std::size_t{1} << num_qubits_;
     const std::size_t m = std::size_t{1} << q;
     auto &data = vec_.amps();
@@ -143,7 +132,7 @@ BasicDensityMatrix<T>::apply_depolarizing_1q(double p, int q)
                 // Handle the (0,0)/(1,1) pair once, at the 0 slot.
                 const std::size_t idx1 = (r | m) | ((c | m) <<
                                                     num_qubits_);
-                const AmpT mix = half * (data[idx] + data[idx1]);
+                const Amp mix = half * (data[idx] + data[idx1]);
                 data[idx] = keep * data[idx] + lambda * mix;
                 data[idx1] = keep * data[idx1] + lambda * mix;
             }
@@ -151,14 +140,13 @@ BasicDensityMatrix<T>::apply_depolarizing_1q(double p, int q)
     }
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::apply_depolarizing_2q(double p, int q0, int q1)
+DensityMatrix::apply_depolarizing_2q(double p, int q0, int q1)
 {
     ELV_REQUIRE(p >= 0.0 && p <= 1.0, "bad depolarizing probability");
     ELV_REQUIRE(q0 != q1, "depolarizing on equal qubits");
-    const T lambda = static_cast<T>(16.0 * p / 15.0);
-    const T keep = static_cast<T>(1) - lambda;
+    const double lambda = 16.0 * p / 15.0;
+    const double keep = 1.0 - lambda;
     const std::size_t dim = std::size_t{1} << num_qubits_;
     const std::size_t m0 = std::size_t{1} << q0;
     const std::size_t m1 = std::size_t{1} << q1;
@@ -173,7 +161,7 @@ BasicDensityMatrix<T>::apply_depolarizing_2q(double p, int q0, int q1)
             } else if ((r & both) == 0) {
                 // Average the four matched diagonal-in-subspace slots.
                 const std::size_t rows[4] = {r, r | m1, r | m0, r | both};
-                AmpT mix(0);
+                Amp mix(0);
                 std::size_t idxs[4];
                 for (int k = 0; k < 4; ++k) {
                     const std::size_t cc =
@@ -181,7 +169,7 @@ BasicDensityMatrix<T>::apply_depolarizing_2q(double p, int q0, int q1)
                     idxs[k] = rows[k] | (cc << num_qubits_);
                     mix += data[idxs[k]];
                 }
-                mix *= static_cast<T>(0.25);
+                mix *= 0.25;
                 for (auto i : idxs)
                     data[i] = keep * data[i] + lambda * mix;
             }
@@ -189,18 +177,15 @@ BasicDensityMatrix<T>::apply_depolarizing_2q(double p, int q0, int q1)
     }
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::apply_thermal_relaxation(double gamma,
-                                                double lambda, int q)
+DensityMatrix::apply_thermal_relaxation(double gamma, double lambda, int q)
 {
     ELV_REQUIRE(gamma >= 0.0 && gamma <= 1.0 && lambda >= 0.0 &&
                     lambda <= 1.0,
                 "bad relaxation parameters");
-    const T keep = static_cast<T>(1.0 - gamma);
-    const T gain = static_cast<T>(gamma);
-    const T coherence =
-        static_cast<T>(std::sqrt((1.0 - gamma) * (1.0 - lambda)));
+    const double keep = 1.0 - gamma;
+    const double gain = gamma;
+    const double coherence = std::sqrt((1.0 - gamma) * (1.0 - lambda));
     const std::size_t dim = std::size_t{1} << num_qubits_;
     const std::size_t m = std::size_t{1} << q;
     auto &data = vec_.amps();
@@ -222,14 +207,13 @@ BasicDensityMatrix<T>::apply_thermal_relaxation(double gamma,
     }
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::apply_op(const circ::Op &op,
-                                const std::vector<double> &params,
-                                const std::vector<double> &x)
+DensityMatrix::apply_op(const circ::Op &op,
+                        const std::vector<double> &params,
+                        const std::vector<double> &x)
 {
     if (op.kind == circ::GateKind::AmpEmbed) {
-        BasicStateVector<T> psi(num_qubits_);
+        StateVector psi(num_qubits_);
         psi.set_amplitude_embedding(x);
         set_pure(psi);
         return;
@@ -269,11 +253,10 @@ BasicDensityMatrix<T>::apply_op(const circ::Op &op,
                  op.qubits[1]);
 }
 
-template <typename T>
 void
-BasicDensityMatrix<T>::run(const circ::Circuit &circuit,
-                           const std::vector<double> &params,
-                           const std::vector<double> &x)
+DensityMatrix::run(const circ::Circuit &circuit,
+                   const std::vector<double> &params,
+                   const std::vector<double> &x)
 {
     ELV_REQUIRE(circuit.num_qubits() == num_qubits_,
                 "circuit/state qubit count mismatch");
@@ -284,24 +267,22 @@ BasicDensityMatrix<T>::run(const circ::Circuit &circuit,
         apply_op(op, params, x);
 }
 
-template <typename T>
 double
-BasicDensityMatrix<T>::trace() const
+DensityMatrix::trace() const
 {
     double t = 0.0;
     const std::size_t dim = std::size_t{1} << num_qubits_;
     for (std::size_t i = 0; i < dim; ++i)
-        t += static_cast<double>(element(i, i).real());
+        t += element(i, i).real();
     return t;
 }
 
-template <typename T>
 double
-BasicDensityMatrix<T>::purity() const
+DensityMatrix::purity() const
 {
     // Tr(rho^2) = sum_{r,c} |rho(r,c)|^2 for Hermitian rho.
     double p = 0.0;
-    for (const AmpT &a : vec_.amps()) {
+    for (const Amp &a : vec_.amps()) {
         const double re = a.real();
         const double im = a.imag();
         p += re * re + im * im;
@@ -309,15 +290,14 @@ BasicDensityMatrix<T>::purity() const
     return p;
 }
 
-template <typename T>
 std::vector<double>
-BasicDensityMatrix<T>::probabilities(const std::vector<int> &qubits) const
+DensityMatrix::probabilities(const std::vector<int> &qubits) const
 {
     ELV_REQUIRE(qubits.size() <= 20, "too many measured qubits");
     std::vector<double> probs(std::size_t{1} << qubits.size(), 0.0);
     const std::size_t dim = std::size_t{1} << num_qubits_;
     for (std::size_t i = 0; i < dim; ++i) {
-        const double p = static_cast<double>(element(i, i).real());
+        const double p = element(i, i).real();
         std::size_t outcome = 0;
         for (std::size_t b = 0; b < qubits.size(); ++b)
             if (i & (std::size_t{1} << qubits[b]))
@@ -326,8 +306,5 @@ BasicDensityMatrix<T>::probabilities(const std::vector<int> &qubits) const
     }
     return probs;
 }
-
-template class BasicDensityMatrix<double>;
-template class BasicDensityMatrix<float>;
 
 } // namespace elv::sim

@@ -9,14 +9,6 @@
  * circuits of up to ~10 qubits — which covers every circuit in this
  * reproduction, because Elivagar circuits live on small connected device
  * subgraphs.
- *
- * Like the state vector, the class is templated on the amplitude
- * component type: `DensityMatrix` (double) is the default everywhere;
- * `DensityMatrixF` backs the Float32Proxy policy for CNR-style proxy
- * scoring, where the superoperator passes dominate and halving the
- * amplitude footprint halves memory traffic. Scalar channel parameters
- * stay double in the interface and are rounded once per channel
- * application, not per amplitude.
  */
 #pragma once
 
@@ -28,14 +20,11 @@
 namespace elv::sim {
 
 /** A mixed quantum state over a fixed qubit register. */
-template <typename T>
-class BasicDensityMatrix
+class DensityMatrix
 {
   public:
-    using AmpT = std::complex<T>;
-
     /** Construct in |0...0><0...0|. Practical limit is ~12 qubits. */
-    explicit BasicDensityMatrix(int num_qubits);
+    explicit DensityMatrix(int num_qubits);
 
     /** Reset to |0...0><0...0|. */
     void reset();
@@ -43,10 +32,10 @@ class BasicDensityMatrix
     int num_qubits() const { return num_qubits_; }
 
     /** rho(r, c) element access. */
-    AmpT element(std::size_t row, std::size_t col) const;
+    Amp element(std::size_t row, std::size_t col) const;
 
     /** Set to the pure state |psi><psi|. */
-    void set_pure(const BasicStateVector<T> &psi);
+    void set_pure(const StateVector &psi);
 
     /** Apply a 1-qubit unitary. */
     void apply_1q(const Mat2 &u, int q);
@@ -130,23 +119,14 @@ class BasicDensityMatrix
   private:
     int num_qubits_;
     /** 2n-qubit vectorized representation of rho. */
-    BasicStateVector<T> vec_;
+    StateVector vec_;
     bool specialized_ = true;
     /**
      * Reusable scratch for the generic Kraus path, sized on first use;
      * avoids allocating 2 x 4^n amplitudes per channel application.
      */
-    AmpVector<T> kraus_original_;
-    AmpVector<T> kraus_acc_;
+    AmpVector kraus_original_;
+    AmpVector kraus_acc_;
 };
-
-extern template class BasicDensityMatrix<double>;
-extern template class BasicDensityMatrix<float>;
-
-/** The default full-precision density matrix. */
-using DensityMatrix = BasicDensityMatrix<double>;
-
-/** The Float32Proxy density matrix (ranking-only proxy evaluation). */
-using DensityMatrixF = BasicDensityMatrix<float>;
 
 } // namespace elv::sim

@@ -141,10 +141,8 @@ FusedProgram::compile(const circ::Circuit &circuit)
     return prog;
 }
 
-template <typename T>
 void
-FusedProgram::run(BasicStateVector<T> &psi,
-                  const std::vector<double> &params,
+FusedProgram::run(StateVector &psi, const std::vector<double> &params,
                   const std::vector<double> &x) const
 {
     ELV_REQUIRE(psi.num_qubits() == num_qubits_,
@@ -152,8 +150,6 @@ FusedProgram::run(BasicStateVector<T> &psi,
     ELV_TRACE_SCOPE("sv.fused_run", "sim");
     ELV_METRIC_COUNT("sim.sv.fused_runs");
     note_kernel_dispatch();
-    if constexpr (std::is_same_v<T, float>)
-        ELV_METRIC_COUNT("sim.f32_evals");
     psi.reset();
     for (const FusedOp &f : ops_) {
         switch (f.kind) {
@@ -207,25 +203,11 @@ FusionCache::clear()
     programs_.clear();
 }
 
-template <typename T>
 void
-fused_run(BasicStateVector<T> &psi, const circ::Circuit &circuit,
+fused_run(StateVector &psi, const circ::Circuit &circuit,
           const std::vector<double> &params, const std::vector<double> &x)
 {
     FusionCache::global().get(circuit)->run(psi, params, x);
 }
-
-template void FusedProgram::run(BasicStateVector<double> &,
-                                const std::vector<double> &,
-                                const std::vector<double> &) const;
-template void FusedProgram::run(BasicStateVector<float> &,
-                                const std::vector<double> &,
-                                const std::vector<double> &) const;
-template void fused_run(BasicStateVector<double> &, const circ::Circuit &,
-                        const std::vector<double> &,
-                        const std::vector<double> &);
-template void fused_run(BasicStateVector<float> &, const circ::Circuit &,
-                        const std::vector<double> &,
-                        const std::vector<double> &);
 
 } // namespace elv::sim

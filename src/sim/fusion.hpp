@@ -63,13 +63,9 @@ class FusedProgram
     /**
      * Run from |0...0>: resets `psi`, then applies the fused stream.
      * Equivalent to StateVector::run on the source circuit within
-     * floating-point reassociation of each fused group. Works on both
-     * precision instantiations; fused matrices stay double and convert
-     * at the kernel boundary.
+     * floating-point reassociation of each fused group.
      */
-    template <typename T>
-    void run(BasicStateVector<T> &psi,
-             const std::vector<double> &params = {},
+    void run(StateVector &psi, const std::vector<double> &params = {},
              const std::vector<double> &x = {}) const;
 
     const std::vector<FusedOp> &ops() const { return ops_; }
@@ -137,28 +133,10 @@ class FusionCache
 /**
  * Run `circuit` on `psi` through the fusion cache. Drop-in replacement
  * for StateVector::run on hot paths that re-execute the same circuit
- * many times (training, RepCap, CNR ideal outputs). Compiled programs
- * are precision-agnostic, so both instantiations share one cache entry
- * per circuit.
+ * many times (training, RepCap, CNR ideal outputs).
  */
-template <typename T>
-void fused_run(BasicStateVector<T> &psi, const circ::Circuit &circuit,
+void fused_run(StateVector &psi, const circ::Circuit &circuit,
                const std::vector<double> &params = {},
                const std::vector<double> &x = {});
-
-extern template void
-FusedProgram::run(BasicStateVector<double> &, const std::vector<double> &,
-                  const std::vector<double> &) const;
-extern template void
-FusedProgram::run(BasicStateVector<float> &, const std::vector<double> &,
-                  const std::vector<double> &) const;
-extern template void fused_run(BasicStateVector<double> &,
-                               const circ::Circuit &,
-                               const std::vector<double> &,
-                               const std::vector<double> &);
-extern template void fused_run(BasicStateVector<float> &,
-                               const circ::Circuit &,
-                               const std::vector<double> &,
-                               const std::vector<double> &);
 
 } // namespace elv::sim

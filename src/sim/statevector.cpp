@@ -10,77 +10,45 @@
 
 namespace elv::sim {
 
-namespace {
-
 using vec::insert_zero_bit;
 
-/** Flatten a double matrix row-major into the amplitude type. The
- *  double instantiation aliases the matrix storage directly (Mat rows
- *  are contiguous); the float one converts into `buf`. */
-template <typename T, std::size_t N, typename Mat>
-inline const std::complex<T> *
-flat_matrix(const Mat &u, std::complex<T> *buf)
-{
-    if constexpr (std::is_same_v<T, double>) {
-        (void)buf;
-        return u[0].data();
-    } else {
-        for (std::size_t r = 0; r < N; ++r)
-            for (std::size_t c = 0; c < N; ++c)
-                buf[N * r + c] = std::complex<T>(u[r][c]);
-        return buf;
-    }
-}
-
-} // namespace
-
-template <typename T>
-BasicStateVector<T>::BasicStateVector(int num_qubits)
+StateVector::StateVector(int num_qubits)
     : num_qubits_(num_qubits)
 {
     ELV_REQUIRE(num_qubits >= 1 && num_qubits <= 26,
                 "state vector limited to 1..26 qubits");
-    amps_.assign(std::size_t{1} << num_qubits, AmpT(0));
-    amps_[0] = AmpT(1);
+    amps_.assign(std::size_t{1} << num_qubits, Amp(0));
+    amps_[0] = Amp(1);
 }
 
-template <typename T>
 void
-BasicStateVector<T>::reset()
+StateVector::reset()
 {
-    std::fill(amps_.begin(), amps_.end(), AmpT(0));
-    amps_[0] = AmpT(1);
+    std::fill(amps_.begin(), amps_.end(), Amp(0));
+    amps_[0] = Amp(1);
 }
 
-template <typename T>
 void
-BasicStateVector<T>::apply_1q(const Mat2 &u, int q)
+StateVector::apply_1q(const Mat2 &u, int q)
 {
     ELV_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
     const std::size_t stride = std::size_t{1} << q;
-    AmpT buf[4];
-    vec::apply_1q(amps_.data(), amps_.size(), stride,
-                  flat_matrix<T, 2>(u, buf));
+    vec::apply_1q(amps_.data(), amps_.size(), stride, u[0].data());
 }
 
-template <typename T>
 void
-BasicStateVector<T>::apply_2q(const Mat4 &u, int q0, int q1)
+StateVector::apply_2q(const Mat4 &u, int q0, int q1)
 {
     ELV_REQUIRE(q0 >= 0 && q0 < num_qubits_ && q1 >= 0 &&
                     q1 < num_qubits_ && q0 != q1,
                 "bad 2-qubit operands");
     const std::size_t m0 = std::size_t{1} << q0;
     const std::size_t m1 = std::size_t{1} << q1;
-    AmpT buf[16];
-    vec::apply_2q(amps_.data(), amps_.size(), m0, m1,
-                  flat_matrix<T, 4>(u, buf));
+    vec::apply_2q(amps_.data(), amps_.size(), m0, m1, u[0].data());
 }
 
-template <typename T>
 void
-BasicStateVector<T>::apply_4q(const Mat16 &u, int q0, int q1, int q2,
-                              int q3)
+StateVector::apply_4q(const Mat16 &u, int q0, int q1, int q2, int q3)
 {
     const int qs[4] = {q0, q1, q2, q3};
     for (int a = 0; a < 4; ++a) {
@@ -93,14 +61,12 @@ BasicStateVector<T>::apply_4q(const Mat16 &u, int q0, int q1, int q2,
     const std::size_t m1 = std::size_t{1} << q1;
     const std::size_t m2 = std::size_t{1} << q2;
     const std::size_t m3 = std::size_t{1} << q3;
-    AmpT buf[256];
     vec::apply_4q(amps_.data(), amps_.size(), m0, m1, m2, m3,
-                  flat_matrix<T, 16>(u, buf));
+                  u[0].data());
 }
 
-template <typename T>
 void
-BasicStateVector<T>::apply_cx(int control, int target)
+StateVector::apply_cx(int control, int target)
 {
     ELV_REQUIRE(control >= 0 && control < num_qubits_ && target >= 0 &&
                     target < num_qubits_ && control != target,
@@ -117,9 +83,8 @@ BasicStateVector<T>::apply_cx(int control, int target)
     }
 }
 
-template <typename T>
 void
-BasicStateVector<T>::apply_cz(int q0, int q1)
+StateVector::apply_cz(int q0, int q1)
 {
     ELV_REQUIRE(q0 >= 0 && q0 < num_qubits_ && q1 >= 0 &&
                     q1 < num_qubits_ && q0 != q1,
@@ -136,9 +101,8 @@ BasicStateVector<T>::apply_cz(int q0, int q1)
     }
 }
 
-template <typename T>
 void
-BasicStateVector<T>::apply_swap(int q0, int q1)
+StateVector::apply_swap(int q0, int q1)
 {
     ELV_REQUIRE(q0 >= 0 && q0 < num_qubits_ && q1 >= 0 &&
                     q1 < num_qubits_ && q0 != q1,
@@ -155,22 +119,17 @@ BasicStateVector<T>::apply_swap(int q0, int q1)
     }
 }
 
-template <typename T>
 void
-BasicStateVector<T>::apply_diag_1q(std::complex<double> d0,
-                                   std::complex<double> d1, int q)
+StateVector::apply_diag_1q(Amp d0, Amp d1, int q)
 {
     ELV_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
     const std::size_t stride = std::size_t{1} << q;
-    vec::apply_diag_1q(amps_.data(), amps_.size(), stride, AmpT(d0),
-                       AmpT(d1));
+    vec::apply_diag_1q(amps_.data(), amps_.size(), stride, d0, d1);
 }
 
-template <typename T>
 void
-BasicStateVector<T>::apply_op(const circ::Op &op,
-                              const std::vector<double> &params,
-                              const std::vector<double> &x)
+StateVector::apply_op(const circ::Op &op, const std::vector<double> &params,
+                      const std::vector<double> &x)
 {
     if (op.kind == circ::GateKind::AmpEmbed) {
         set_amplitude_embedding(x);
@@ -219,11 +178,10 @@ BasicStateVector<T>::apply_op(const circ::Op &op,
     }
 }
 
-template <typename T>
 void
-BasicStateVector<T>::run(const circ::Circuit &circuit,
-                         const std::vector<double> &params,
-                         const std::vector<double> &x)
+StateVector::run(const circ::Circuit &circuit,
+                 const std::vector<double> &params,
+                 const std::vector<double> &x)
 {
     ELV_REQUIRE(circuit.num_qubits() == num_qubits_,
                 "circuit/state qubit count mismatch");
@@ -231,43 +189,36 @@ BasicStateVector<T>::run(const circ::Circuit &circuit,
     ELV_TRACE_SCOPE("sv.run", "sim");
     ELV_METRIC_COUNT("sim.sv.runs");
     note_kernel_dispatch();
-    if constexpr (std::is_same_v<T, float>)
-        ELV_METRIC_COUNT("sim.f32_evals");
     reset();
     for (const circ::Op &op : circuit.ops())
         apply_op(op, params, x);
 }
 
-template <typename T>
 void
-BasicStateVector<T>::set_amplitude_embedding(const std::vector<double> &x)
+StateVector::set_amplitude_embedding(const std::vector<double> &x)
 {
     ELV_REQUIRE(x.size() <= amps_.size(),
                 "amplitude embedding input larger than state");
     double ss = 0.0;
     for (double v : x)
         ss += v * v;
-    std::fill(amps_.begin(), amps_.end(), AmpT(0));
+    std::fill(amps_.begin(), amps_.end(), Amp(0));
     if (ss <= 0.0) {
-        amps_[0] = AmpT(1);
+        amps_[0] = Amp(1);
         return;
     }
     const double inv = 1.0 / std::sqrt(ss);
     for (std::size_t i = 0; i < x.size(); ++i)
-        amps_[i] = AmpT(static_cast<T>(x[i] * inv));
+        amps_[i] = Amp(x[i] * inv);
 }
 
-template <typename T>
 double
-BasicStateVector<T>::expect_z(int q) const
+StateVector::expect_z(int q) const
 {
     ELV_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
     const std::size_t mask = std::size_t{1} << q;
     double e = 0.0;
     for (std::size_t i = 0; i < amps_.size(); ++i) {
-        // |a|^2 expanded with double operands: identical to std::norm
-        // for T = double, and a double accumulation (rather than a
-        // float one) of float amplitudes.
         const double re = amps_[i].real();
         const double im = amps_[i].imag();
         const double p = re * re + im * im;
@@ -276,12 +227,11 @@ BasicStateVector<T>::expect_z(int q) const
     return e;
 }
 
-template <typename T>
 double
-BasicStateVector<T>::norm() const
+StateVector::norm() const
 {
     double s = 0.0;
-    for (const AmpT &a : amps_) {
+    for (const Amp &a : amps_) {
         const double re = a.real();
         const double im = a.imag();
         s += re * re + im * im;
@@ -289,22 +239,19 @@ BasicStateVector<T>::norm() const
     return s;
 }
 
-template <typename T>
 double
-BasicStateVector<T>::overlap(const BasicStateVector &other) const
+StateVector::overlap(const StateVector &other) const
 {
     ELV_REQUIRE(other.amps_.size() == amps_.size(),
                 "overlap dimension mismatch");
     std::complex<double> acc(0);
     for (std::size_t i = 0; i < amps_.size(); ++i)
-        acc += std::conj(std::complex<double>(other.amps_[i])) *
-               std::complex<double>(amps_[i]);
+        acc += std::conj(other.amps_[i]) * amps_[i];
     return std::norm(acc);
 }
 
-template <typename T>
 std::vector<double>
-BasicStateVector<T>::probabilities(const std::vector<int> &qubits) const
+StateVector::probabilities(const std::vector<int> &qubits) const
 {
     ELV_REQUIRE(qubits.size() <= 20, "too many measured qubits");
     std::vector<double> probs(std::size_t{1} << qubits.size(), 0.0);
@@ -323,9 +270,8 @@ BasicStateVector<T>::probabilities(const std::vector<int> &qubits) const
     return probs;
 }
 
-template <typename T>
 std::vector<double>
-BasicStateVector<T>::probabilities_full() const
+StateVector::probabilities_full() const
 {
     std::vector<double> probs(amps_.size());
     for (std::size_t i = 0; i < amps_.size(); ++i) {
@@ -336,18 +282,14 @@ BasicStateVector<T>::probabilities_full() const
     return probs;
 }
 
-template <typename T>
 std::size_t
-BasicStateVector<T>::sample(const std::vector<int> &qubits,
-                            elv::Rng &rng) const
+StateVector::sample(const std::vector<int> &qubits, elv::Rng &rng) const
 {
     return sample_from(probabilities(qubits), rng);
 }
 
-template <typename T>
 std::size_t
-BasicStateVector<T>::sample_from(const std::vector<double> &probs,
-                                 elv::Rng &rng)
+StateVector::sample_from(const std::vector<double> &probs, elv::Rng &rng)
 {
     ELV_REQUIRE(!probs.empty(), "cannot sample an empty distribution");
     ELV_METRIC_COUNT("sim.shots");
@@ -359,8 +301,5 @@ BasicStateVector<T>::sample_from(const std::vector<double> &probs,
     }
     return probs.size() - 1;
 }
-
-template class BasicStateVector<double>;
-template class BasicStateVector<float>;
 
 } // namespace elv::sim

@@ -6,15 +6,6 @@
  * least significant bit). Used for all noiseless evaluation: training,
  * RepCap, ideal Clifford-replica outputs and ground-truth checks.
  *
- * The simulator is templated on the amplitude component type:
- * `StateVector` (= BasicStateVector<double>) is the default used
- * everywhere correctness-sensitive; `StateVectorF` backs the
- * Float32Proxy precision policy (sim/precision.hpp) for ranking-only
- * proxy scoring. Both share one implementation; the public matrix/gate
- * interface stays in double (Mat2/Mat4/Mat16) and converts at the
- * kernel boundary, while reductions (norms, probabilities,
- * expectations) always accumulate and return double.
- *
  * The inner loops dispatch to the vectorized kernels in
  * sim/vec_complex.hpp; all kernel tiers are bit-identical, so results
  * never depend on the host CPU or on ELV_FORCE_KERNEL.
@@ -33,19 +24,14 @@
 namespace elv::sim {
 
 /** Aligned amplitude storage (64-byte base for the vector kernels). */
-template <typename T>
-using AmpVector =
-    std::vector<std::complex<T>, AlignedAllocator<std::complex<T>>>;
+using AmpVector = std::vector<Amp, AlignedAllocator<Amp>>;
 
 /** A pure quantum state over a fixed qubit register. */
-template <typename T>
-class BasicStateVector
+class StateVector
 {
   public:
-    using AmpT = std::complex<T>;
-
     /** Construct in |0...0>. Practical limit is ~24 qubits. */
-    explicit BasicStateVector(int num_qubits);
+    explicit StateVector(int num_qubits);
 
     /** Reset to |0...0>. */
     void reset();
@@ -54,9 +40,9 @@ class BasicStateVector
     std::size_t dim() const { return amps_.size(); }
 
     /** Raw amplitude access (basis-state index). */
-    AmpT amp(std::size_t index) const { return amps_[index]; }
-    AmpVector<T> &amps() { return amps_; }
-    const AmpVector<T> &amps() const { return amps_; }
+    Amp amp(std::size_t index) const { return amps_[index]; }
+    AmpVector &amps() { return amps_; }
+    const AmpVector &amps() const { return amps_; }
 
     /** Apply a 1-qubit unitary to qubit q. */
     void apply_1q(const Mat2 &u, int q);
@@ -91,8 +77,7 @@ class BasicStateVector
     void apply_swap(int q0, int q1);
 
     /** Diagonal 1-qubit gate diag(d0, d1) on qubit q. */
-    void apply_diag_1q(std::complex<double> d0, std::complex<double> d1,
-                       int q);
+    void apply_diag_1q(Amp d0, Amp d1, int q);
 
     /**
      * Route apply_op through the specialized kernels (default on).
@@ -129,7 +114,7 @@ class BasicStateVector
     double norm() const;
 
     /** |<other|this>|^2 overlap with another state of equal size. */
-    double overlap(const BasicStateVector &other) const;
+    double overlap(const StateVector &other) const;
 
     /**
      * Marginal outcome distribution over `qubits`: entry k is the
@@ -154,17 +139,8 @@ class BasicStateVector
 
   private:
     int num_qubits_;
-    AmpVector<T> amps_;
+    AmpVector amps_;
     bool specialized_ = true;
 };
-
-extern template class BasicStateVector<double>;
-extern template class BasicStateVector<float>;
-
-/** The default full-precision simulator. */
-using StateVector = BasicStateVector<double>;
-
-/** The Float32Proxy simulator (ranking-only proxy evaluation). */
-using StateVectorF = BasicStateVector<float>;
 
 } // namespace elv::sim

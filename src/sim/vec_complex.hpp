@@ -27,13 +27,9 @@
  * give W consecutive amplitudes whenever W <= lo (the smallest qubit
  * mask). Kernels vectorize under that rule; when the lowest mask is 1
  * (a qubit-0 operand — common for density-matrix superoperators) the
- * AVX2 double kernels fall back to a 128-bit-shuffle variant that
+ * AVX2 kernels fall back to a 128-bit-shuffle variant that
  * reassembles lanes with perm2f128, and everything else falls back to
  * the scalar loop.
- *
- * Instantiated for Amp = complex<double> and complex<float> (the
- * Float32Proxy precision policy); the float tiers vectorize the plain
- * contiguous cases only.
  */
 #pragma once
 
@@ -64,10 +60,9 @@ insert_zero_bit(std::size_t v, std::size_t mask)
 // define the reference arithmetic every vector tier must reproduce
 // bit-for-bit.
 
-template <typename T>
 inline void
-scalar_1q(std::complex<T> *amps, std::size_t dim, std::size_t stride,
-          const std::complex<T> *u, std::size_t base_begin,
+scalar_1q(std::complex<double> *amps, std::size_t dim, std::size_t stride,
+          const std::complex<double> *u, std::size_t base_begin,
           std::size_t base_end)
 {
     (void)dim;
@@ -76,18 +71,17 @@ scalar_1q(std::complex<T> *amps, std::size_t dim, std::size_t stride,
         for (std::size_t off = 0; off < stride; ++off) {
             const std::size_t i0 = base + off;
             const std::size_t i1 = i0 + stride;
-            const std::complex<T> a0 = amps[i0];
-            const std::complex<T> a1 = amps[i1];
+            const std::complex<double> a0 = amps[i0];
+            const std::complex<double> a1 = amps[i1];
             amps[i0] = u[0] * a0 + u[1] * a1;
             amps[i1] = u[2] * a0 + u[3] * a1;
         }
     }
 }
 
-template <typename T>
 inline void
-scalar_diag_1q(std::complex<T> *amps, std::size_t stride,
-               std::complex<T> d0, std::complex<T> d1,
+scalar_diag_1q(std::complex<double> *amps, std::size_t stride,
+               std::complex<double> d0, std::complex<double> d1,
                std::size_t base_begin, std::size_t base_end)
 {
     for (std::size_t base = base_begin; base < base_end;
@@ -99,21 +93,20 @@ scalar_diag_1q(std::complex<T> *amps, std::size_t stride,
     }
 }
 
-template <typename T>
 inline void
-scalar_2q(std::complex<T> *amps, std::size_t m0, std::size_t m1,
-          std::size_t lo, std::size_t hi, const std::complex<T> *u,
+scalar_2q(std::complex<double> *amps, std::size_t m0, std::size_t m1,
+          std::size_t lo, std::size_t hi, const std::complex<double> *u,
           std::size_t g_begin, std::size_t g_end)
 {
     for (std::size_t g = g_begin; g < g_end; ++g) {
         const std::size_t i = insert_zero_bit(insert_zero_bit(g, lo), hi);
         // Local basis |q0 q1>: index = 2 * bit(q0) + bit(q1).
         const std::size_t idx[4] = {i, i | m1, i | m0, i | m0 | m1};
-        std::complex<T> in[4];
+        std::complex<double> in[4];
         for (std::size_t k = 0; k < 4; ++k)
             in[k] = amps[idx[k]];
         for (std::size_t r = 0; r < 4; ++r) {
-            std::complex<T> acc(0);
+            std::complex<double> acc(0);
             for (std::size_t c = 0; c < 4; ++c)
                 acc += u[4 * r + c] * in[c];
             amps[idx[r]] = acc;
@@ -121,21 +114,20 @@ scalar_2q(std::complex<T> *amps, std::size_t m0, std::size_t m1,
     }
 }
 
-template <typename T>
 inline void
-scalar_4q(std::complex<T> *amps, const std::size_t *sorted,
-          const std::size_t *offset, const std::complex<T> *u,
+scalar_4q(std::complex<double> *amps, const std::size_t *sorted,
+          const std::size_t *offset, const std::complex<double> *u,
           std::size_t g_begin, std::size_t g_end)
 {
     for (std::size_t g = g_begin; g < g_end; ++g) {
         std::size_t i = g;
         for (int a = 0; a < 4; ++a)
             i = insert_zero_bit(i, sorted[a]);
-        std::complex<T> in[16];
+        std::complex<double> in[16];
         for (std::size_t k = 0; k < 16; ++k)
             in[k] = amps[i | offset[k]];
         for (std::size_t r = 0; r < 16; ++r) {
-            std::complex<T> acc(0);
+            std::complex<double> acc(0);
             for (std::size_t c = 0; c < 16; ++c)
                 acc += u[16 * r + c] * in[c];
             amps[i | offset[r]] = acc;
@@ -163,7 +155,7 @@ scalar_4q(std::complex<T> *amps, const std::size_t *sorted,
 #endif
 
 // ---------------------------------------------------------------------
-// AVX2, double precision (2 complex<double> lanes per ymm).
+// AVX2 (2 complex<double> lanes per ymm).
 
 /** Lanewise w*a in the scalar operation order (no FMA). */
 __attribute__((target("avx2"))) inline __m256d
@@ -399,172 +391,7 @@ avx2_4q_pd(std::complex<double> *amps, std::size_t dim,
 }
 
 // ---------------------------------------------------------------------
-// AVX2, single precision (4 complex<float> lanes per ymm). Plain
-// contiguous cases only; small-stride cases fall back to scalar.
-
-__attribute__((target("avx2"))) inline __m256
-cmul_ps(__m256 a, __m256 wr, __m256 wi)
-{
-    const __m256 t1 = _mm256_mul_ps(a, wr);
-    const __m256 sw = _mm256_permute_ps(a, 0xB1);
-    const __m256 t2 = _mm256_mul_ps(sw, wi);
-    return _mm256_addsub_ps(t1, t2);
-}
-
-__attribute__((target("avx2"))) inline void
-matvec_ps(const std::complex<float> *u, std::size_t n, const __m256 *in,
-          __m256 *out)
-{
-    for (std::size_t r = 0; r < n; ++r) {
-        __m256 acc = _mm256_setzero_ps();
-        for (std::size_t c = 0; c < n; ++c) {
-            const std::complex<float> w = u[r * n + c];
-            acc = _mm256_add_ps(
-                acc, cmul_ps(in[c], _mm256_set1_ps(w.real()),
-                             _mm256_set1_ps(w.imag())));
-        }
-        out[r] = acc;
-    }
-}
-
-__attribute__((target("avx2"))) inline void
-avx2_1q_ps(std::complex<float> *amps, std::size_t dim, std::size_t stride,
-           const std::complex<float> *u)
-{
-    if (stride < 4) {
-        scalar_1q(amps, dim, stride, u, 0, dim);
-        return;
-    }
-    float *raw = reinterpret_cast<float *>(amps);
-    const __m256 u00r = _mm256_set1_ps(u[0].real());
-    const __m256 u00i = _mm256_set1_ps(u[0].imag());
-    const __m256 u01r = _mm256_set1_ps(u[1].real());
-    const __m256 u01i = _mm256_set1_ps(u[1].imag());
-    const __m256 u10r = _mm256_set1_ps(u[2].real());
-    const __m256 u10i = _mm256_set1_ps(u[2].imag());
-    const __m256 u11r = _mm256_set1_ps(u[3].real());
-    const __m256 u11i = _mm256_set1_ps(u[3].imag());
-    for (std::size_t base = 0; base < dim; base += 2 * stride) {
-        for (std::size_t off = 0; off < stride; off += 4) {
-            float *p0 = raw + 2 * (base + off);
-            float *p1 = p0 + 2 * stride;
-            const __m256 a0 = _mm256_loadu_ps(p0);
-            const __m256 a1 = _mm256_loadu_ps(p1);
-            _mm256_storeu_ps(p0,
-                             _mm256_add_ps(cmul_ps(a0, u00r, u00i),
-                                           cmul_ps(a1, u01r, u01i)));
-            _mm256_storeu_ps(p1,
-                             _mm256_add_ps(cmul_ps(a0, u10r, u10i),
-                                           cmul_ps(a1, u11r, u11i)));
-        }
-    }
-}
-
-__attribute__((target("avx2"))) inline void
-avx2_diag_1q_ps(std::complex<float> *amps, std::size_t dim,
-                std::size_t stride, std::complex<float> d0,
-                std::complex<float> d1)
-{
-    float *raw = reinterpret_cast<float *>(amps);
-    if (stride >= 4) {
-        const __m256 d0r = _mm256_set1_ps(d0.real());
-        const __m256 d0i = _mm256_set1_ps(d0.imag());
-        const __m256 d1r = _mm256_set1_ps(d1.real());
-        const __m256 d1i = _mm256_set1_ps(d1.imag());
-        for (std::size_t base = 0; base < dim; base += 2 * stride) {
-            for (std::size_t off = 0; off < stride; off += 4) {
-                float *p0 = raw + 2 * (base + off);
-                float *p1 = p0 + 2 * stride;
-                _mm256_storeu_ps(
-                    p0, cmul_ps(_mm256_loadu_ps(p0), d0r, d0i));
-                _mm256_storeu_ps(
-                    p1, cmul_ps(_mm256_loadu_ps(p1), d1r, d1i));
-            }
-        }
-        return;
-    }
-    if (dim < 4) {
-        scalar_diag_1q(amps, stride, d0, d1, 0, dim);
-        return;
-    }
-    // stride 1 or 2: build a mixed per-lane multiplier (pattern period
-    // 2*stride divides the 4-lane width). Lane k holds amplitude
-    // index i with i % 4 == k, whose diagonal factor is d1 iff the
-    // stride bit of i is set.
-    const std::complex<float> lane[4] = {
-        (0 & stride) ? d1 : d0, (1 & stride) ? d1 : d0,
-        (2 & stride) ? d1 : d0, (3 & stride) ? d1 : d0};
-    const __m256 mr =
-        _mm256_set_ps(lane[3].real(), lane[3].real(), lane[2].real(),
-                      lane[2].real(), lane[1].real(), lane[1].real(),
-                      lane[0].real(), lane[0].real());
-    const __m256 mi =
-        _mm256_set_ps(lane[3].imag(), lane[3].imag(), lane[2].imag(),
-                      lane[2].imag(), lane[1].imag(), lane[1].imag(),
-                      lane[0].imag(), lane[0].imag());
-    for (std::size_t i = 0; i + 4 <= dim; i += 4) {
-        float *p = raw + 2 * i;
-        _mm256_storeu_ps(p, cmul_ps(_mm256_loadu_ps(p), mr, mi));
-    }
-}
-
-__attribute__((target("avx2"))) inline void
-avx2_2q_ps(std::complex<float> *amps, std::size_t dim, std::size_t m0,
-           std::size_t m1, const std::complex<float> *u)
-{
-    const std::size_t lo = m0 < m1 ? m0 : m1;
-    const std::size_t hi = m0 < m1 ? m1 : m0;
-    const std::size_t groups = dim >> 2;
-    if (lo < 4) {
-        scalar_2q(amps, m0, m1, lo, hi, u, 0, groups);
-        return;
-    }
-    float *raw = reinterpret_cast<float *>(amps);
-    for (std::size_t g = 0; g + 4 <= groups; g += 4) {
-        const std::size_t i =
-            insert_zero_bit(insert_zero_bit(g, lo), hi);
-        const std::size_t idx[4] = {i, i | m1, i | m0, i | m0 | m1};
-        __m256 in[4], out[4];
-        for (std::size_t k = 0; k < 4; ++k)
-            in[k] = _mm256_loadu_ps(raw + 2 * idx[k]);
-        matvec_ps(u, 4, in, out);
-        for (std::size_t r = 0; r < 4; ++r)
-            _mm256_storeu_ps(raw + 2 * idx[r], out[r]);
-    }
-    if (groups & 3)
-        scalar_2q(amps, m0, m1, lo, hi, u, groups & ~std::size_t{3},
-                  groups);
-}
-
-__attribute__((target("avx2"))) inline void
-avx2_4q_ps(std::complex<float> *amps, std::size_t dim,
-           const std::size_t *sorted, const std::size_t *offset,
-           const std::complex<float> *u)
-{
-    const std::size_t groups = dim >> 4;
-    if (sorted[0] < 4) {
-        scalar_4q(amps, sorted, offset, u, 0, groups);
-        return;
-    }
-    float *raw = reinterpret_cast<float *>(amps);
-    for (std::size_t g = 0; g + 4 <= groups; g += 4) {
-        std::size_t i = g;
-        for (int a = 0; a < 4; ++a)
-            i = insert_zero_bit(i, sorted[a]);
-        __m256 in[16], out[16];
-        for (std::size_t k = 0; k < 16; ++k)
-            in[k] = _mm256_loadu_ps(raw + 2 * (i | offset[k]));
-        matvec_ps(u, 16, in, out);
-        for (std::size_t r = 0; r < 16; ++r)
-            _mm256_storeu_ps(raw + 2 * (i | offset[r]), out[r]);
-    }
-    if (groups & 3)
-        scalar_4q(amps, sorted, offset, u, groups & ~std::size_t{3},
-                  groups);
-}
-
-// ---------------------------------------------------------------------
-// AVX-512F, double precision (4 complex<double> lanes per zmm). Plain
+// AVX-512F (4 complex<double> lanes per zmm). Plain
 // contiguous cases; smaller strides delegate to the AVX2 kernels
 // (which remain bit-identical).
 
@@ -712,95 +539,68 @@ avx512_4q_pd(std::complex<double> *amps, std::size_t dim,
 #endif // ELV_VEC_X86
 
 // ---------------------------------------------------------------------
-// Tier dispatch. Float has no dedicated AVX-512 kernels (the proxy
-// path's win is the halved memory traffic, already realized at 256
-// bits); an AVX-512 host runs floats through the AVX2 kernels.
+// Tier dispatch.
 
-template <typename T>
 inline void
-apply_1q(std::complex<T> *amps, std::size_t dim, std::size_t stride,
-         const std::complex<T> *u)
+apply_1q(std::complex<double> *amps, std::size_t dim, std::size_t stride,
+         const std::complex<double> *u)
 {
 #if ELV_VEC_X86
     const KernelTier tier = active_tier();
-    if constexpr (std::is_same_v<T, double>) {
-        if (tier == KernelTier::AVX512 && stride >= 4) {
-            avx512_1q_pd(amps, dim, stride, u);
-            return;
-        }
-        if (tier != KernelTier::Baseline) {
-            avx2_1q_pd(amps, dim, stride, u);
-            return;
-        }
-    } else {
-        if (tier != KernelTier::Baseline) {
-            avx2_1q_ps(amps, dim, stride, u);
-            return;
-        }
+    if (tier == KernelTier::AVX512 && stride >= 4) {
+        avx512_1q_pd(amps, dim, stride, u);
+        return;
+    }
+    if (tier != KernelTier::Baseline) {
+        avx2_1q_pd(amps, dim, stride, u);
+        return;
     }
 #endif
     scalar_1q(amps, dim, stride, u, 0, dim);
 }
 
-template <typename T>
 inline void
-apply_diag_1q(std::complex<T> *amps, std::size_t dim, std::size_t stride,
-              std::complex<T> d0, std::complex<T> d1)
+apply_diag_1q(std::complex<double> *amps, std::size_t dim, std::size_t stride,
+              std::complex<double> d0, std::complex<double> d1)
 {
 #if ELV_VEC_X86
     const KernelTier tier = active_tier();
-    if constexpr (std::is_same_v<T, double>) {
-        if (tier == KernelTier::AVX512 && stride >= 4) {
-            avx512_diag_1q_pd(amps, dim, stride, d0, d1);
-            return;
-        }
-        if (tier != KernelTier::Baseline) {
-            avx2_diag_1q_pd(amps, dim, stride, d0, d1);
-            return;
-        }
-    } else {
-        if (tier != KernelTier::Baseline) {
-            avx2_diag_1q_ps(amps, dim, stride, d0, d1);
-            return;
-        }
+    if (tier == KernelTier::AVX512 && stride >= 4) {
+        avx512_diag_1q_pd(amps, dim, stride, d0, d1);
+        return;
+    }
+    if (tier != KernelTier::Baseline) {
+        avx2_diag_1q_pd(amps, dim, stride, d0, d1);
+        return;
     }
 #endif
     scalar_diag_1q(amps, stride, d0, d1, 0, dim);
 }
 
-template <typename T>
 inline void
-apply_2q(std::complex<T> *amps, std::size_t dim, std::size_t m0,
-         std::size_t m1, const std::complex<T> *u)
+apply_2q(std::complex<double> *amps, std::size_t dim, std::size_t m0,
+         std::size_t m1, const std::complex<double> *u)
 {
     const std::size_t lo = m0 < m1 ? m0 : m1;
     const std::size_t hi = m0 < m1 ? m1 : m0;
 #if ELV_VEC_X86
     const KernelTier tier = active_tier();
-    if constexpr (std::is_same_v<T, double>) {
-        if (tier == KernelTier::AVX512 && lo >= 4) {
-            avx512_2q_pd(amps, dim, m0, m1, u);
-            return;
-        }
-        if (tier != KernelTier::Baseline) {
-            avx2_2q_pd(amps, dim, m0, m1, u);
-            return;
-        }
-    } else {
-        if (tier != KernelTier::Baseline) {
-            avx2_2q_ps(amps, dim, m0, m1, u);
-            return;
-        }
+    if (tier == KernelTier::AVX512 && lo >= 4) {
+        avx512_2q_pd(amps, dim, m0, m1, u);
+        return;
+    }
+    if (tier != KernelTier::Baseline) {
+        avx2_2q_pd(amps, dim, m0, m1, u);
+        return;
     }
 #endif
     scalar_2q(amps, m0, m1, lo, hi, u, 0, dim >> 2);
 }
 
-template <typename T>
 inline void
-apply_4q(std::complex<T> *amps, std::size_t dim, std::size_t m0,
+apply_4q(std::complex<double> *amps, std::size_t dim, std::size_t m0,
          std::size_t m1, std::size_t m2, std::size_t m3,
-         const std::complex<T> *u)
+         const std::complex<double> *u)
 {
     // Gather needs the insertion masks in ascending order; the local
     // basis order stays |q0 q1 q2 q3> via the offset table.
@@ -815,20 +615,13 @@ apply_4q(std::complex<T> *amps, std::size_t dim, std::size_t m0,
                     ((k & 2) ? m2 : 0) | ((k & 1) ? m3 : 0);
 #if ELV_VEC_X86
     const KernelTier tier = active_tier();
-    if constexpr (std::is_same_v<T, double>) {
-        if (tier == KernelTier::AVX512 && sorted[0] >= 4) {
-            avx512_4q_pd(amps, dim, sorted, offset, u);
-            return;
-        }
-        if (tier != KernelTier::Baseline) {
-            avx2_4q_pd(amps, dim, sorted, offset, u);
-            return;
-        }
-    } else {
-        if (tier != KernelTier::Baseline) {
-            avx2_4q_ps(amps, dim, sorted, offset, u);
-            return;
-        }
+    if (tier == KernelTier::AVX512 && sorted[0] >= 4) {
+        avx512_4q_pd(amps, dim, sorted, offset, u);
+        return;
+    }
+    if (tier != KernelTier::Baseline) {
+        avx2_4q_pd(amps, dim, sorted, offset, u);
+        return;
     }
 #endif
     scalar_4q(amps, sorted, offset, u, 0, dim >> 4);

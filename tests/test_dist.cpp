@@ -157,7 +157,6 @@ TEST(DistPartition, MoreShardsThanWorkYieldsEmptyRanges)
 TEST(DistWire, ConfigureRoundTrip)
 {
     srv::JobSpec spec = small_spec();
-    spec.precision = "f32";
     const std::string line = make_configure(spec, 3, 0xdeadbeefcafe01ULL, 4);
     CoordRequest request;
     std::string error;
@@ -166,10 +165,35 @@ TEST(DistWire, ConfigureRoundTrip)
     EXPECT_EQ(request.spec.benchmark, spec.benchmark);
     EXPECT_EQ(request.spec.candidates, spec.candidates);
     EXPECT_EQ(request.spec.seed, spec.seed);
-    EXPECT_EQ(request.spec.precision, "f32");
     EXPECT_EQ(request.threads, 3);
     EXPECT_EQ(request.fingerprint, 0xdeadbeefcafe01ULL);
     EXPECT_EQ(request.crash_after, 4);
+}
+
+/** Configure lines and manifest records from builds that still carried
+ * a "precision" spec field parse; the unknown key is ignored. */
+TEST(DistWire, ConfigureWithLegacyPrecisionKeyParses)
+{
+    const srv::JobSpec spec = small_spec();
+    std::string line = make_configure(spec, 2, 0x1234ULL, 0);
+    const std::size_t at = line.find("\"workers\":");
+    ASSERT_NE(at, std::string::npos) << line;
+    line.insert(at, "\"precision\":\"f64\",");
+    CoordRequest request;
+    std::string error;
+    ASSERT_TRUE(parse_coord_request(line, request, error)) << error;
+    EXPECT_EQ(request.kind, CoordRequest::Kind::Configure);
+    EXPECT_EQ(request.spec.seed, spec.seed);
+    EXPECT_EQ(request.spec.candidates, spec.candidates);
+
+    std::string record = spec.to_json();
+    record.insert(record.find("\"workers\":"), "\"precision\":\"f64\",");
+    srv::JsonValue value;
+    ASSERT_TRUE(srv::json_parse(record, value, error)) << error;
+    srv::JobSpec parsed;
+    ASSERT_TRUE(srv::JobSpec::from_json(value, parsed, error)) << error;
+    EXPECT_EQ(parsed.seed, spec.seed);
+    EXPECT_EQ(parsed.benchmark, spec.benchmark);
 }
 
 TEST(DistWire, StageAndRecordRoundTrips)
@@ -374,7 +398,7 @@ TEST(DistDeterminism, StateDirResumesUnderDifferentWorkerCount)
 }
 
 /** A state_dir written under a different configuration is refused,
- * with the likely culprit named (precision here). */
+ * and the refusal names the fingerprint. */
 TEST(DistDeterminism, StateDirFromDifferentConfigRefusedWithHint)
 {
     const srv::JobSpec spec = small_spec();
@@ -385,7 +409,7 @@ TEST(DistDeterminism, StateDirFromDifferentConfigRefusedWithHint)
     distributed_search(spec, first);
 
     srv::JobSpec flipped = spec;
-    flipped.precision = "f32";
+    flipped.seed += 1;
     DistConfig second = dist_config(2);
     second.state_dir = state_dir;
     try {
@@ -394,7 +418,6 @@ TEST(DistDeterminism, StateDirFromDifferentConfigRefusedWithHint)
     } catch (const elv::UsageError &e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("fingerprint"), std::string::npos) << what;
-        EXPECT_NE(what.find("precision"), std::string::npos) << what;
     }
 }
 

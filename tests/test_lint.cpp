@@ -524,7 +524,7 @@ TEST(LintPlumbing, CatalogCoversEveryRule)
         "qubit-bounds",   "param-binding",    "embedding-order",
         "connectivity",   "clifford-replica", "measurement",
         "dead-code",      "fusion-barrier",   "device-topology",
-        "device-calibration", "precision-misuse", "dead-lightcone",
+        "device-calibration", "dead-lightcone",
         "dead-parameter", "clifford-region"};
     for (const char *id : expected) {
         bool found = false;

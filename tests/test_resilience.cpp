@@ -311,7 +311,7 @@ TEST(Resilience, FingerprintMismatchNamesBothPrintsAndLikelyCulprit)
     // The refusing-to-resume message must carry enough to debug it
     // from a log line alone: the stored fingerprint, the expected
     // one, and — when a single-field change explains the difference —
-    // which knob moved. Precision flips are the realistic culprit.
+    // which knob moved (here the CNR backend).
     const qml::Benchmark bench = qml::make_benchmark("moons", 10, 0.1);
     const dev::Device device = dev::make_device("ibm_lagos");
     ElivagarConfig config = small_search_config(bench.spec.dim);
@@ -320,8 +320,7 @@ TEST(Resilience, FingerprintMismatchNamesBothPrintsAndLikelyCulprit)
     const std::uint64_t stored = config_fingerprint(config);
 
     ElivagarConfig flipped = config;
-    flipped.cnr.precision = sim::Precision::Float32Proxy;
-    flipped.repcap.precision = sim::Precision::Float32Proxy;
+    flipped.cnr.backend = CnrBackend::Stabilizer;
     try {
         elivagar_search(device, bench.train, flipped);
         FAIL() << "expected the mismatched journal to be refused";
@@ -336,7 +335,7 @@ TEST(Resilience, FingerprintMismatchNamesBothPrintsAndLikelyCulprit)
                           config_fingerprint(flipped)));
         EXPECT_NE(what.find(stored_hex), std::string::npos) << what;
         EXPECT_NE(what.find(expected_hex), std::string::npos) << what;
-        EXPECT_NE(what.find("precision"), std::string::npos) << what;
+        EXPECT_NE(what.find("CNR backend"), std::string::npos) << what;
     }
     std::remove(config.resilience.checkpoint_path.c_str());
 }
@@ -346,13 +345,12 @@ TEST(Resilience, FingerprintHintCoversSingleFieldMutations)
     const qml::Benchmark bench = qml::make_benchmark("moons", 10, 0.1);
     ElivagarConfig config = small_search_config(bench.spec.dim);
 
-    // Joint precision flip (the CLI's --precision).
+    // CNR backend switch (density vs stabilizer).
     ElivagarConfig mutated = config;
-    mutated.cnr.precision = sim::Precision::Float32Proxy;
-    mutated.repcap.precision = sim::Precision::Float32Proxy;
+    mutated.cnr.backend = CnrBackend::Stabilizer;
     std::string hint = fingerprint_mismatch_hint(
         config, config_fingerprint(mutated));
-    EXPECT_NE(hint.find("precision"), std::string::npos) << hint;
+    EXPECT_NE(hint.find("CNR backend"), std::string::npos) << hint;
 
     // use_cnr toggle (the RepCap-only ablation).
     mutated = config;
@@ -368,6 +366,37 @@ TEST(Resilience, FingerprintHintCoversSingleFieldMutations)
     EXPECT_EQ(fingerprint_mismatch_hint(config,
                                         config_fingerprint(mutated)),
               "");
+}
+
+/** Fingerprints pinned to the values older builds computed, so their
+ * journals, manifests and dist state dirs keep resuming. */
+TEST(Fingerprint, GoldenValuesMatchEarlierBuilds)
+{
+    EXPECT_EQ(config_fingerprint(ElivagarConfig{}), 0x902d077d099a5636ULL);
+
+    ElivagarConfig c;
+    c.seed = 7;
+    c.num_candidates = 64;
+    c.candidate.num_qubits = 6;
+    c.candidate.num_params = 18;
+    c.candidate.num_embeds = 6;
+    c.candidate.num_meas = 2;
+    c.candidate.num_features = 16;
+    c.candidate.noise_aware = false;
+    c.cnr.num_replicas = 8;
+    c.cnr.backend = CnrBackend::Stabilizer;
+    c.cnr.shots = 512;
+    c.cnr.noise_scale = 0.5;
+    c.repcap.samples_per_class = 8;
+    c.repcap.param_inits = 4;
+    c.repcap.num_bases = 2;
+    c.cnr_threshold = 0.25;
+    c.keep_fraction = 0.5;
+    c.alpha_cnr = 0.75;
+    c.use_cnr = false;
+    c.cnr.prune_dead_structure = true;
+    c.repcap.prune_dead_structure = true;
+    EXPECT_EQ(config_fingerprint(c), 0x78c2b535d3f2b25dULL);
 }
 
 TEST(Resilience, OldJournalVersionDiscardedNotFatal)

@@ -525,13 +525,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GateIdentities,
 // ---------------------------------------------------------------------------
 // Aligned amplitude storage.
 
-static_assert(std::is_same_v<AmpVector<double>::allocator_type,
+static_assert(std::is_same_v<AmpVector::allocator_type,
                              AlignedAllocator<std::complex<double>>>,
               "state storage must use the over-aligned allocator");
 static_assert(
     std::is_same_v<
-        AlignedAllocator<std::complex<double>>::rebind<float>::other,
-        AlignedAllocator<float, 64>>,
+        AlignedAllocator<std::complex<double>>::rebind<double>::other,
+        AlignedAllocator<double, 64>>,
     "rebinding must preserve the 64-byte alignment");
 static_assert(std::is_same_v<AlignedAllocator<double, 64>::value_type,
                              double>,
@@ -548,8 +548,6 @@ TEST(AlignedStorage, AmplitudesStartOn64ByteBoundary)
     for (int n = 1; n <= 10; ++n) {
         StateVector psi(n);
         EXPECT_TRUE(is_64_byte_aligned(psi.amps().data())) << n;
-        StateVectorF psif(n);
-        EXPECT_TRUE(is_64_byte_aligned(psif.amps().data())) << n;
     }
     // Copies allocate fresh storage; alignment must survive.
     StateVector a(6);
@@ -559,15 +557,15 @@ TEST(AlignedStorage, AmplitudesStartOn64ByteBoundary)
 
 TEST(AlignedStorage, AllocatorRoundsOddSizesUp)
 {
-    AlignedAllocator<std::complex<float>> alloc;
+    AlignedAllocator<double> alloc;
     for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{7},
                           std::size_t{129}}) {
-        std::complex<float> *p = alloc.allocate(n);
+        double *p = alloc.allocate(n);
         EXPECT_TRUE(is_64_byte_aligned(p)) << n;
         alloc.deallocate(p, n);
     }
-    EXPECT_TRUE(alloc == AlignedAllocator<std::complex<float>>{});
-    EXPECT_FALSE(alloc != AlignedAllocator<std::complex<float>>{});
+    EXPECT_TRUE(alloc == AlignedAllocator<double>{});
+    EXPECT_FALSE(alloc != AlignedAllocator<double>{});
 }
 
 // ---------------------------------------------------------------------------
@@ -626,8 +624,7 @@ random_matrix(Rng &rng)
  * CX/CZ/SWAP permutation paths, the diagonal fast path) under a forced
  * tier and return the final amplitudes.
  */
-template <typename T>
-AmpVector<T>
+AmpVector
 run_kernel_gauntlet(int num_qubits, KernelTier tier, unsigned seed)
 {
     set_forced_tier(tier);
@@ -641,7 +638,7 @@ run_kernel_gauntlet(int num_qubits, KernelTier tier, unsigned seed)
     for (auto &v : x)
         v = rng.uniform(-1.0, 1.0);
 
-    BasicStateVector<T> psi(num_qubits);
+    StateVector psi(num_qubits);
     psi.run(c, params, x);
     psi.apply_cx(0, num_qubits - 1);
     psi.apply_cz(num_qubits - 1, 0);
@@ -657,14 +654,11 @@ run_kernel_gauntlet(int num_qubits, KernelTier tier, unsigned seed)
     return psi.amps();
 }
 
-template <typename T>
 void
-expect_bit_identical(const AmpVector<T> &a, const AmpVector<T> &b)
+expect_bit_identical(const AmpVector &a, const AmpVector &b)
 {
     ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                          a.size() * sizeof(std::complex<T>)),
-              0);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(Amp)), 0);
 }
 
 TEST(KernelDispatch, StateVectorTiersBitIdentical)
@@ -673,25 +667,10 @@ TEST(KernelDispatch, StateVectorTiersBitIdentical)
     const int best = static_cast<int>(best_supported_tier());
     for (int n : {2, 3, 5, 8}) {
         const auto scalar =
-            run_kernel_gauntlet<double>(n, KernelTier::Baseline, 77u + n);
+            run_kernel_gauntlet(n, KernelTier::Baseline, 77u + n);
         for (int t = 1; t <= best; ++t) {
-            const auto vec = run_kernel_gauntlet<double>(
+            const auto vec = run_kernel_gauntlet(
                 n, static_cast<KernelTier>(t), 77u + n);
-            expect_bit_identical(scalar, vec);
-        }
-    }
-}
-
-TEST(KernelDispatch, FloatStateVectorTiersBitIdentical)
-{
-    TierGuard guard;
-    const int best = static_cast<int>(best_supported_tier());
-    for (int n : {2, 4, 8}) {
-        const auto scalar =
-            run_kernel_gauntlet<float>(n, KernelTier::Baseline, 31u + n);
-        for (int t = 1; t <= best; ++t) {
-            const auto vec = run_kernel_gauntlet<float>(
-                n, static_cast<KernelTier>(t), 31u + n);
             expect_bit_identical(scalar, vec);
         }
     }
@@ -737,29 +716,6 @@ TEST(KernelDispatch, DensityMatrixTiersBitIdentical)
                     << "tier " << t << " rho(" << r << ", " << col << ")";
             }
     }
-}
-
-TEST(KernelDispatch, FloatStateTracksDoubleWithinFloatEps)
-{
-    Rng rng(101);
-    const int n = 6;
-    Circuit c = build_random_rxyz_cz(n, n, 4 * n, 2, rng);
-    std::vector<double> params(static_cast<std::size_t>(4 * n));
-    for (auto &p : params)
-        p = rng.uniform(-M_PI, M_PI);
-    const std::vector<double> x = {0.3, -0.2, 0.7, -0.9, 0.1, 0.5};
-
-    StateVector psi(n);
-    psi.run(c, params, x);
-    StateVectorF psif(n);
-    psif.run(c, params, x);
-
-    EXPECT_NEAR(psif.norm(), 1.0, 1e-5);
-    const auto pd = psi.probabilities(c.measured());
-    const auto pf = psif.probabilities(c.measured());
-    ASSERT_EQ(pd.size(), pf.size());
-    for (std::size_t i = 0; i < pd.size(); ++i)
-        EXPECT_NEAR(pd[i], pf[i], 1e-5);
 }
 
 } // namespace
