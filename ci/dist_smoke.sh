@@ -2,7 +2,7 @@
 # Distributed-search smoke test: the merged multi-process ranking must
 # be byte-identical to the single-process one.
 #
-# Three legs, all compared with cmp(1) against the serial reference
+# Four legs, all compared with cmp(1) against the serial reference
 # ranking dump (hexfloat, so "identical" means bit-identical doubles):
 #
 #  1. 4 forked workers — the plain fan-out path.
@@ -13,6 +13,9 @@
 #  3. A state-dir run interrupted by leg 2's crash machinery, re-run
 #     at a different worker count: must resume from the shard journals
 #     (no re-evaluation) to the same bytes.
+#  4. One `elivagar_worker --serve` peer attached over TCP (--attach):
+#     the socket transport must merge the same bytes, and the idle
+#     worker must exit cleanly within 5 s of SIGTERM.
 #
 # Usage: ci/dist_smoke.sh [BUILD_DIR] (default: build)
 set -euo pipefail
@@ -21,7 +24,13 @@ BUILD=${1:-build}
 CLI="$BUILD/examples/elivagar_cli"
 WORKER="$BUILD/examples/elivagar_worker"
 WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
+SERVE_PID=""
+
+cleanup() {
+    [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2>/dev/null || true
+    rm -rf "$WORK"
+}
+trap cleanup EXIT
 
 SPEC=(--benchmark moons --candidates 24 --seed 11 --scale 0.1
       --threads 1 --search-only)
@@ -64,5 +73,41 @@ grep -q "resumed from checkpoint" "$WORK/resume.log" || {
     echo "FAIL: the second run did not resume from the shard journals" >&2
     exit 1
 }
+
+echo "== socket-attached --serve worker =="
+"$WORKER" --serve --port 0 > "$WORK/serve.out" &
+SERVE_PID=$!
+PORT=""
+for _ in $(seq 1 100); do
+    PORT=$(sed -n 's/.*"port":\([0-9][0-9]*\).*/\1/p' "$WORK/serve.out")
+    [ -n "$PORT" ] && break
+    sleep 0.1
+done
+[ -n "$PORT" ] || {
+    echo "FAIL: the --serve worker never announced its port" >&2
+    exit 1
+}
+"$CLI" "${SPEC[@]}" --attach "127.0.0.1:$PORT" \
+    --dump-ranking "$WORK/attach.txt"
+cmp "$WORK/serial.txt" "$WORK/attach.txt" || {
+    echo "FAIL: ranking differs through a socket-attached worker" >&2
+    exit 1
+}
+kill -TERM "$SERVE_PID"
+for _ in $(seq 1 50); do
+    kill -0 "$SERVE_PID" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 "$SERVE_PID" 2>/dev/null; then
+    echo "FAIL: the --serve worker still runs 5 s after SIGTERM" >&2
+    exit 1
+fi
+STATUS=0
+wait "$SERVE_PID" || STATUS=$?
+SERVE_PID=""
+if [ "$STATUS" -ne 0 ]; then
+    echo "FAIL: the --serve worker exited with status $STATUS" >&2
+    exit 1
+fi
 
 echo "PASS: distributed rankings are byte-identical to serial"

@@ -18,19 +18,17 @@
  *                                      host:port` transport. Prints
  *                                      {"ev":"listening","port":N}
  *                                      once bound; port 0 picks a free
- *                                      one.
+ *                                      one. SIGTERM/SIGINT stop it
+ *                                      between conversations.
  */
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/line_io.hpp"
 #include "common/logging.hpp"
 #include "dist/worker.hpp"
 
@@ -57,113 +55,27 @@ print_usage()
         "(default 0)\n");
 }
 
-/** Read one '\n'-terminated line from `fd` (blocking, buffered). */
-bool
-read_line_fd(int fd, std::string &buffer, std::string &line)
-{
-    for (;;) {
-        const std::size_t newline = buffer.find('\n');
-        if (newline != std::string::npos) {
-            line = buffer.substr(0, newline);
-            buffer.erase(0, newline + 1);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            return true;
-        }
-        char chunk[4096];
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR) {
-                if (g_signal != 0)
-                    return false;
-                continue;
-            }
-            return false;
-        }
-        if (n == 0)
-            return false;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-}
-
-/** Write `line` + '\n' fully to `fd`; false when the peer is gone. */
-bool
-write_line_fd(int fd, const std::string &line)
-{
-    const std::string data = line + "\n";
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-        const ssize_t n =
-            ::write(fd, data.data() + sent, data.size() - sent);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/** Serve one coordinator conversation over a file-descriptor pair. */
-int
-serve_fds(int in_fd, int out_fd)
-{
-    std::string buffer;
-    elv::dist::WorkerIo io;
-    io.read_line = [in_fd, &buffer](std::string &line) {
-        return read_line_fd(in_fd, buffer, line);
-    };
-    io.write_line = [out_fd](const std::string &line) {
-        return write_line_fd(out_fd, line);
-    };
-    return elv::dist::serve_worker(io);
-}
-
 /** --serve: bind, announce the port, accept coordinators in turn. */
 int
-serve_tcp(const std::string &host, int port)
+serve_tcp(const std::string &host, std::uint16_t port)
 {
-    const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd < 0)
-        elv::fatal(std::string("socket: ") + std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
-        elv::fatal("bad --host address: " + host);
-    if (::bind(listen_fd, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        elv::fatal(std::string("bind: ") + std::strerror(errno));
-    if (::listen(listen_fd, 4) != 0)
-        elv::fatal(std::string("listen: ") + std::strerror(errno));
-    socklen_t addr_len = sizeof(addr);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr *>(&addr),
-                      &addr_len) != 0)
-        elv::fatal(std::string("getsockname: ") +
-                   std::strerror(errno));
+    elv::Listener listener(host, port, 4);
     std::printf("{\"ev\":\"listening\",\"port\":%u}\n",
-                static_cast<unsigned>(ntohs(addr.sin_port)));
+                static_cast<unsigned>(listener.port()));
     std::fflush(stdout);
     while (g_signal == 0) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            elv::warn(std::string("accept: ") + std::strerror(errno));
-            break;
-        }
+        // The poll tick returns on a signal too, so an idle worker
+        // sees SIGTERM within one tick.
+        const int fd = listener.accept(200);
+        if (fd < 0)
+            continue;
         // One coordinator at a time: a worker is a single evaluation
         // engine, and queued coordinators would only time out slower.
-        const int code = serve_fds(fd, fd);
+        const int code = elv::dist::serve_worker(fd, fd);
         ::close(fd);
         if (code != 0)
             elv::warn("worker: conversation abandoned");
     }
-    ::close(listen_fd);
     return 0;
 }
 
@@ -206,8 +118,8 @@ main(int argc, char **argv)
         std::signal(SIGINT, on_signal);
 
         if (serve)
-            return serve_tcp(host, port);
-        return serve_fds(STDIN_FILENO, STDOUT_FILENO);
+            return serve_tcp(host, static_cast<std::uint16_t>(port));
+        return elv::dist::serve_worker(STDIN_FILENO, STDOUT_FILENO);
     } catch (const elv::UsageError &error) {
         std::fprintf(stderr, "error: %s\n", error.what());
         print_usage();

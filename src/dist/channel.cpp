@@ -1,131 +1,24 @@
 #include "dist/channel.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "server/tcp.hpp"
+#include "dist/wire.hpp"
 
 namespace elv::dist {
 
-namespace {
-
-/** One-time process-wide SIGPIPE suppression: a write to a worker
- * that just died must surface as EPIPE, not kill the coordinator. */
-void
-ignore_sigpipe()
+std::unique_ptr<WorkerChannel>
+WorkerChannel::spawn(const std::string &binary,
+                     const std::vector<std::string> &args,
+                     std::string &error)
 {
-    static const bool once = [] {
-        std::signal(SIGPIPE, SIG_IGN);
-        return true;
-    }();
-    (void)once;
-}
-
-/** Write all of `data`; false + errno text on a dead pipe. */
-bool
-write_all(int fd, const std::string &data, std::string &error)
-{
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-        const ssize_t n =
-            ::write(fd, data.data() + sent, data.size() - sent);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            error = std::strerror(errno);
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/**
- * Read one '\n'-terminated line from `fd` into `line`, buffering the
- * remainder in `buffer`. The timeout covers the whole line, not just
- * the first byte — a worker trickling partial output is still a
- * stalled worker.
- */
-bool
-read_line_fd(int fd, std::string &buffer, std::string &line,
-             std::string &error, double timeout_sec)
-{
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(
-                timeout_sec > 0.0 ? timeout_sec : 0.0));
-    for (;;) {
-        const std::size_t newline = buffer.find('\n');
-        if (newline != std::string::npos) {
-            line = buffer.substr(0, newline);
-            buffer.erase(0, newline + 1);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            return true;
-        }
-        int wait_ms = -1;
-        if (timeout_sec > 0.0) {
-            const auto left =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - std::chrono::steady_clock::now())
-                    .count();
-            if (left <= 0) {
-                error = "timed out waiting for the worker";
-                return false;
-            }
-            wait_ms = static_cast<int>(left);
-        }
-        struct pollfd pfd;
-        pfd.fd = fd;
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-        const int ready = ::poll(&pfd, 1, wait_ms);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            error = std::strerror(errno);
-            return false;
-        }
-        if (ready == 0) {
-            error = "timed out waiting for the worker";
-            return false;
-        }
-        char chunk[4096];
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            error = std::strerror(errno);
-            return false;
-        }
-        if (n == 0) {
-            error = "worker closed the connection";
-            return false;
-        }
-        buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-}
-
-} // namespace
-
-ProcessChannel::~ProcessChannel() { close(); }
-
-bool
-ProcessChannel::spawn(const std::string &binary,
-                      const std::vector<std::string> &args,
-                      std::string &error)
-{
-    ignore_sigpipe();
     // O_CLOEXEC, atomically: a worker forked later must not inherit
     // this worker's pipe ends — a leaked write end would keep the
     // coordinator from ever seeing EOF when this worker dies, turning
@@ -134,13 +27,13 @@ ProcessChannel::spawn(const std::string &binary,
     int to_child[2], from_child[2];
     if (::pipe2(to_child, O_CLOEXEC) != 0) {
         error = std::strerror(errno);
-        return false;
+        return nullptr;
     }
     if (::pipe2(from_child, O_CLOEXEC) != 0) {
         error = std::strerror(errno);
         ::close(to_child[0]);
         ::close(to_child[1]);
-        return false;
+        return nullptr;
     }
     const pid_t child = ::fork();
     if (child < 0) {
@@ -149,7 +42,7 @@ ProcessChannel::spawn(const std::string &binary,
         ::close(to_child[1]);
         ::close(from_child[0]);
         ::close(from_child[1]);
-        return false;
+        return nullptr;
     }
     if (child == 0) {
         // Child: protocol on stdin/stdout, logs on inherited stderr.
@@ -172,45 +65,63 @@ ProcessChannel::spawn(const std::string &binary,
     }
     ::close(to_child[0]);
     ::close(from_child[1]);
-    pid_ = child;
-    in_fd_ = to_child[1];
-    out_fd_ = from_child[0];
-    buffer_.clear();
-    return true;
+    return std::unique_ptr<WorkerChannel>(
+        new WorkerChannel(to_child[1], from_child[0], child,
+                          "local worker pid " + std::to_string(child)));
+}
+
+std::unique_ptr<WorkerChannel>
+WorkerChannel::connect(const std::string &host, std::uint16_t port,
+                       std::string &error)
+{
+    const std::string where = host + ":" + std::to_string(port);
+    const int fd = connect_tcp(host, port, error);
+    if (fd < 0) {
+        error = "cannot connect to " + where + ": " + error;
+        return nullptr;
+    }
+    return std::unique_ptr<WorkerChannel>(
+        new WorkerChannel(fd, fd, -1, where));
+}
+
+WorkerChannel::WorkerChannel(int write_fd, int read_fd, int pid,
+                             std::string where)
+    : write_fd_(write_fd), read_fd_(read_fd), pid_(pid),
+      where_(std::move(where)), reader_(read_fd, kMaxLineBytes)
+{
+}
+
+WorkerChannel::~WorkerChannel() { close(); }
+
+bool
+WorkerChannel::send_line(const std::string &line, std::string &error)
+{
+    if (write_fd_ < 0) {
+        error = "channel to " + where_ + " is closed";
+        return false;
+    }
+    return write_line(write_fd_, line, error);
 }
 
 bool
-ProcessChannel::send_line(const std::string &line, std::string &error)
+WorkerChannel::read_line(std::string &line, std::string &error,
+                         double timeout_sec)
 {
-    if (in_fd_ < 0) {
-        error = "worker process is not running";
+    if (read_fd_ < 0) {
+        error = "channel to " + where_ + " is closed";
         return false;
     }
-    return write_all(in_fd_, line + "\n", error);
-}
-
-bool
-ProcessChannel::read_line(std::string &line, std::string &error,
-                          double timeout_sec)
-{
-    if (out_fd_ < 0) {
-        error = "worker process is not running";
-        return false;
-    }
-    return read_line_fd(out_fd_, buffer_, line, error, timeout_sec);
+    return reader_.read_line(line, error, timeout_sec);
 }
 
 void
-ProcessChannel::close()
+WorkerChannel::close()
 {
-    if (in_fd_ >= 0) {
-        ::close(in_fd_);
-        in_fd_ = -1;
-    }
-    if (out_fd_ >= 0) {
-        ::close(out_fd_);
-        out_fd_ = -1;
-    }
+    if (read_fd_ >= 0 && read_fd_ != write_fd_)
+        ::close(read_fd_);
+    if (write_fd_ >= 0)
+        ::close(write_fd_);
+    read_fd_ = write_fd_ = -1;
     if (pid_ > 0) {
         // Crash-hard teardown: the worker holds no state worth a
         // graceful drain (journals live on the coordinator side), and
@@ -221,61 +132,6 @@ ProcessChannel::close()
         }
         pid_ = -1;
     }
-    buffer_.clear();
-}
-
-std::string
-ProcessChannel::describe() const
-{
-    return pid_ > 0 ? "local worker pid " + std::to_string(pid_)
-                    : "local worker (not running)";
-}
-
-SocketChannel::SocketChannel(std::string host, std::uint16_t port)
-    : host_(std::move(host)), port_(port)
-{
-    ignore_sigpipe();
-    client_ =
-        std::make_unique<srv::Client>(host_, port_, connect_error_);
-    if (!client_->connected())
-        client_.reset();
-}
-
-SocketChannel::~SocketChannel() = default;
-
-bool
-SocketChannel::send_line(const std::string &line, std::string &error)
-{
-    if (!client_) {
-        error = "not connected to " + describe() +
-                (connect_error_.empty() ? "" : ": " + connect_error_);
-        return false;
-    }
-    return client_->send_line(line, error);
-}
-
-bool
-SocketChannel::read_line(std::string &line, std::string &error,
-                         double timeout_sec)
-{
-    if (!client_) {
-        error = "not connected to " + describe() +
-                (connect_error_.empty() ? "" : ": " + connect_error_);
-        return false;
-    }
-    return client_->read_line(line, error, timeout_sec);
-}
-
-void
-SocketChannel::close()
-{
-    client_.reset();
-}
-
-std::string
-SocketChannel::describe() const
-{
-    return host_ + ":" + std::to_string(port_);
 }
 
 bool

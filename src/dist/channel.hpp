@@ -1,17 +1,17 @@
 /**
  * @file
- * Worker transports for the distributed search. A WorkerChannel is one
- * line-oriented conversation with a worker; the coordinator never
- * cares which kind it holds:
+ * Worker transport for the distributed search. A WorkerChannel is one
+ * line-oriented conversation with a worker: a write fd, a read fd and a
+ * LineReader capped at wire.hpp's kMaxLineBytes. It is created one of
+ * two ways, and the coordinator never cares which:
  *
- *  - ProcessChannel: fork/exec of the elivagar_worker binary with the
- *    protocol on the child's stdin/stdout pipes (logs stay on the
- *    inherited stderr). close() is crash-hard: SIGKILL + reap, which
- *    is also what the coordinator does to a worker that stopped making
- *    progress before reissuing its shard.
- *  - SocketChannel: a TCP connection to `elivagar_worker --serve`
- *    running on another machine, wrapping the server line-protocol
- *    client (srv::Client).
+ *  - spawn(): fork/exec of the elivagar_worker binary with the protocol
+ *    on the child's stdin/stdout pipes (logs stay on the inherited
+ *    stderr). close() is crash-hard: SIGKILL + reap, which is also what
+ *    the coordinator does to a worker that stopped making progress
+ *    before reissuing its shard.
+ *  - connect(): a TCP connection to `elivagar_worker --serve` running
+ *    on another machine; one socket carries both directions.
  *
  * Reads take a timeout everywhere: a worker that neither produces a
  * record nor fails within the progress deadline is indistinguishable
@@ -25,9 +25,7 @@
 #include <string>
 #include <vector>
 
-namespace elv::srv {
-class Client;
-}
+#include "common/line_io.hpp"
 
 namespace elv::dist {
 
@@ -35,88 +33,58 @@ namespace elv::dist {
 class WorkerChannel
 {
   public:
-    virtual ~WorkerChannel() = default;
-
-    /** Send one protocol line; false + `error` on a dead peer. */
-    virtual bool send_line(const std::string &line,
-                           std::string &error) = 0;
-
-    /**
-     * Read the next line. False on EOF, a dead peer, or after
-     * `timeout_sec` without data (`error` says which); timeout <= 0
-     * blocks indefinitely.
-     */
-    virtual bool read_line(std::string &line, std::string &error,
-                           double timeout_sec) = 0;
-
-    /** Tear the conversation down (idempotent; hard for processes). */
-    virtual void close() = 0;
-
-    /** Human-readable endpoint for diagnostics ("pid 1234", host). */
-    virtual std::string describe() const = 0;
-};
-
-/** Fork/exec'd local worker speaking the protocol over pipes. */
-class ProcessChannel : public WorkerChannel
-{
-  public:
-    ProcessChannel() = default;
-    /** close()s — a still-running child is SIGKILLed and reaped. */
-    ~ProcessChannel() override;
-
-    ProcessChannel(const ProcessChannel &) = delete;
-    ProcessChannel &operator=(const ProcessChannel &) = delete;
-
     /**
      * Spawn `binary` with `args` (argv[1..]); stdin/stdout become the
-     * protocol pipes, stderr is inherited. False + `error` when the
-     * binary cannot be executed (detected on the first read/write
-     * since exec failure happens after fork; spawn() itself only
-     * fails on pipe/fork errors).
+     * protocol pipes, stderr is inherited. Null + `error` only on
+     * pipe/fork failure: a binary that cannot be executed fails after
+     * the fork, so it surfaces as EOF on the first read.
      */
-    bool spawn(const std::string &binary,
-               const std::vector<std::string> &args, std::string &error);
+    static std::unique_ptr<WorkerChannel>
+    spawn(const std::string &binary, const std::vector<std::string> &args,
+          std::string &error);
 
-    bool send_line(const std::string &line, std::string &error) override;
+    /** Connect to a worker serving `host`:`port`; null + `error` when
+     * the connection fails. */
+    static std::unique_ptr<WorkerChannel>
+    connect(const std::string &host, std::uint16_t port,
+            std::string &error);
+
+    /** close()s — a still-running child is SIGKILLed and reaped. */
+    ~WorkerChannel();
+
+    WorkerChannel(const WorkerChannel &) = delete;
+    WorkerChannel &operator=(const WorkerChannel &) = delete;
+
+    /** Send one protocol line; false + `error` on a dead peer. */
+    bool send_line(const std::string &line, std::string &error);
+
+    /**
+     * Read the next line. False on EOF, a dead peer, an over-long line,
+     * or after `timeout_sec` without a complete line (`error` says
+     * which); timeout <= 0 blocks indefinitely.
+     */
     bool read_line(std::string &line, std::string &error,
-                   double timeout_sec) override;
-    void close() override;
-    std::string describe() const override;
+                   double timeout_sec);
 
-    /** Child pid; -1 when not running. */
+    /** Tear the conversation down (idempotent; hard for processes). */
+    void close();
+
+    /** Endpoint for diagnostics ("local worker pid 1234", host:port). */
+    const std::string &describe() const { return where_; }
+
+    /** Spawned child's pid; -1 for a socket peer or once closed. */
     int pid() const { return pid_; }
 
   private:
-    int pid_ = -1;
-    /** Write end towards the child's stdin. */
-    int in_fd_ = -1;
-    /** Read end of the child's stdout. */
-    int out_fd_ = -1;
-    std::string buffer_;
-};
+    WorkerChannel(int write_fd, int read_fd, int pid, std::string where);
 
-/** Remote worker attached over TCP (elivagar_worker --serve). */
-class SocketChannel : public WorkerChannel
-{
-  public:
-    /**
-     * Connects immediately; a failed connect leaves the channel dead
-     * (the first send/read reports the stored error).
-     */
-    SocketChannel(std::string host, std::uint16_t port);
-    ~SocketChannel() override;
-
-    bool send_line(const std::string &line, std::string &error) override;
-    bool read_line(std::string &line, std::string &error,
-                   double timeout_sec) override;
-    void close() override;
-    std::string describe() const override;
-
-  private:
-    std::string host_;
-    std::uint16_t port_ = 0;
-    std::string connect_error_;
-    std::unique_ptr<srv::Client> client_;
+    /** The child's stdin pipe, or the socket. */
+    int write_fd_;
+    /** The child's stdout pipe, or the same socket. */
+    int read_fd_;
+    int pid_;
+    std::string where_;
+    LineReader reader_;
 };
 
 /**

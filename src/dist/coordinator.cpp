@@ -222,17 +222,18 @@ connect_shard(RunContext &ctx, Shard &shard, std::string &error)
 {
     std::unique_ptr<WorkerChannel> channel;
     if (shard.local) {
-        auto process = std::make_unique<ProcessChannel>();
-        if (!process->spawn(ctx.worker_binary, {}, error))
+        channel = WorkerChannel::spawn(ctx.worker_binary, {}, error);
+        if (!channel)
             return nullptr;
-        channel = std::move(process);
         {
             std::lock_guard<std::mutex> lock(ctx.control_mutex);
             ++ctx.stats->workers_spawned;
         }
         ELV_METRIC_COUNT("dist.workers_spawned");
     } else {
-        channel = std::make_unique<SocketChannel>(shard.host, shard.port);
+        channel = WorkerChannel::connect(shard.host, shard.port, error);
+        if (!channel)
+            return nullptr;
         {
             std::lock_guard<std::mutex> lock(ctx.control_mutex);
             ++ctx.stats->workers_attached;

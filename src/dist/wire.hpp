@@ -49,6 +49,10 @@ namespace elv::dist {
 /** Bumped on incompatible wire changes; checked in the handshake. */
 constexpr int kProtocolVersion = 1;
 
+/** Line cap on both ends of the wire. The longest legitimate line, a
+ * stage request of at most 4096 indices, is far below it. */
+constexpr std::size_t kMaxLineBytes = 1024 * 1024;
+
 /** @name Coordinator -> worker request builders @{ */
 std::string make_configure(const srv::JobSpec &spec, int threads,
                            std::uint64_t fingerprint, int crash_after);

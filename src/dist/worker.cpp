@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "common/line_io.hpp"
 #include "common/logging.hpp"
 #include "dist/wire.hpp"
 #include "obs/metrics.hpp"
@@ -74,12 +75,20 @@ circuit_for(WorkerSearch &search, int index)
     return *slot;
 }
 
+/** Write one event line; false when the coordinator went away. */
+bool
+send_event(int fd, const std::string &line)
+{
+    std::string error;
+    return write_line(fd, line, error);
+}
+
 /** Serialized record emission with the crash_after test hook. */
 class RecordSink
 {
   public:
-    RecordSink(const WorkerIo &io, int crash_after)
-        : io_(io), crash_after_(crash_after)
+    RecordSink(int out_fd, int crash_after)
+        : out_fd_(out_fd), crash_after_(crash_after)
     {
     }
 
@@ -88,7 +97,7 @@ class RecordSink
     emit(const std::string &line)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (!io_.write_line(line))
+        if (!send_event(out_fd_, line))
             return false;
         ++emitted_;
         if (crash_after_ > 0 && emitted_ >= crash_after_) {
@@ -100,7 +109,7 @@ class RecordSink
     }
 
   private:
-    const WorkerIo &io_;
+    int out_fd_;
     std::mutex mutex_;
     int emitted_ = 0;
     int crash_after_ = 0;
@@ -112,7 +121,7 @@ class RecordSink
  */
 bool
 run_stage(WorkerSearch &search, const CoordRequest &request,
-          RecordSink &sink, const WorkerIo &io)
+          RecordSink &sink, int out_fd)
 {
     const bool is_cnr = request.stage == "cnr";
     ELV_METRIC_COUNT_N("dist.worker.requests", 1);
@@ -120,10 +129,10 @@ run_stage(WorkerSearch &search, const CoordRequest &request,
     // coordinator bug, reported instead of crashing the worker.
     for (int index : request.indices)
         if (index < 0 || index >= search.config.num_candidates) {
-            io.write_line(make_error("candidate index " +
-                                     std::to_string(index) +
-                                     " out of range"));
-            return io.write_line(make_stage_done(request.stage, 0));
+            send_event(out_fd, make_error("candidate index " +
+                                          std::to_string(index) +
+                                          " out of range"));
+            return send_event(out_fd, make_stage_done(request.stage, 0));
         }
     std::atomic<bool> transport_ok{true};
     par::ThreadPool pool(search.config.threads);
@@ -151,25 +160,26 @@ run_stage(WorkerSearch &search, const CoordRequest &request,
     });
     if (!transport_ok.load())
         return false;
-    return io.write_line(
-        make_stage_done(request.stage, request.indices.size()));
+    return send_event(out_fd, make_stage_done(request.stage,
+                                              request.indices.size()));
 }
 
 } // namespace
 
 int
-serve_worker(const WorkerIo &io)
+serve_worker(int in_fd, int out_fd)
 {
     std::optional<WorkerSearch> search;
     std::optional<RecordSink> sink;
-    std::string line;
-    while (io.read_line(line)) {
+    LineReader reader(in_fd, kMaxLineBytes);
+    std::string line, read_error;
+    while (reader.read_line(line, read_error)) {
         if (line.empty())
             continue;
         CoordRequest request;
         std::string error;
         if (!parse_coord_request(line, request, error)) {
-            io.write_line(make_error("bad request: " + error));
+            send_event(out_fd, make_error("bad request: " + error));
             return 1;
         }
         switch (request.kind) {
@@ -177,8 +187,8 @@ serve_worker(const WorkerIo &io)
             try {
                 search = configure_search(request);
             } catch (const std::exception &e) {
-                io.write_line(make_error(std::string("configure: ") +
-                                         e.what()));
+                send_event(out_fd, make_error(std::string("configure: ") +
+                                              e.what()));
                 return 1;
             }
             const std::uint64_t fingerprint =
@@ -187,36 +197,36 @@ serve_worker(const WorkerIo &io)
                 // A worker from a different build / catalog would
                 // contribute values from a different search; refuse
                 // loudly rather than merge garbage.
-                io.write_line(make_error(
+                send_event(out_fd, make_error(
                     "config fingerprint mismatch: worker derives " +
                     fingerprint_to_hex(fingerprint) +
                     ", coordinator expects " +
                     fingerprint_to_hex(request.fingerprint)));
                 return 1;
             }
-            sink.emplace(io, search->crash_after);
-            if (!io.write_line(make_ready(fingerprint)))
+            sink.emplace(out_fd, search->crash_after);
+            if (!send_event(out_fd, make_ready(fingerprint)))
                 return 1;
             break;
         }
         case CoordRequest::Kind::Stage: {
             if (!search || !sink) {
-                io.write_line(
-                    make_error("stage request before configure"));
+                send_event(out_fd,
+                           make_error("stage request before configure"));
                 return 1;
             }
             try {
-                if (!run_stage(*search, request, *sink, io))
+                if (!run_stage(*search, request, *sink, out_fd))
                     return 1;
             } catch (const std::exception &e) {
-                io.write_line(make_error(
+                send_event(out_fd, make_error(
                     std::string("evaluation failed: ") + e.what()));
                 return 1;
             }
             break;
         }
         case CoordRequest::Kind::Shutdown:
-            io.write_line(make_bye());
+            send_event(out_fd, make_bye());
             return 0;
         }
     }

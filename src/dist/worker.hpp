@@ -14,27 +14,17 @@
  */
 #pragma once
 
-#include <functional>
-#include <string>
-
 namespace elv::dist {
-
-/** Line transport the worker serves (pipes or an accepted socket). */
-struct WorkerIo
-{
-    /** Blocking read of the next request line; false = EOF/peer gone. */
-    std::function<bool(std::string &line)> read_line;
-    /** Write one event line; false = peer gone. */
-    std::function<bool(const std::string &line)> write_line;
-};
 
 /**
  * Serve one coordinator conversation to completion (shutdown request
- * or EOF). Returns the process exit code: 0 for a clean conversation,
- * 1 when the conversation had to be abandoned (protocol violation,
- * evaluation failure — reported to the coordinator as an error event
- * first whenever the transport still works).
+ * or EOF), reading requests from `in_fd` and writing events to
+ * `out_fd` — stdin/stdout pipes, or one accepted socket for both.
+ * Returns the process exit code: 0 for a clean conversation, 1 when
+ * the conversation had to be abandoned (protocol violation, evaluation
+ * failure — reported to the coordinator as an error event first
+ * whenever the transport still works).
  */
-int serve_worker(const WorkerIo &io);
+int serve_worker(int in_fd, int out_fd);
 
 } // namespace elv::dist

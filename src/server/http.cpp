@@ -1,41 +1,17 @@
 #include "server/http.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
-
-#include "common/logging.hpp"
 #include "obs/metrics.hpp"
 
 namespace elv::srv {
 
 namespace {
 
-/** Whole request must arrive within this budget, and fit this cap. */
-constexpr int kReadDeadlineMs = 2000;
-constexpr std::size_t kMaxRequestBytes = 8192;
-
-bool
-send_all(int fd, const std::string &data)
-{
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-        const ssize_t n = ::send(fd, data.data() + sent,
-                                 data.size() - sent, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
+/** The whole request head (CRLFs included) must arrive within this
+ * budget, and fit this cap. */
+constexpr std::chrono::milliseconds kHeadDeadline{2000};
+constexpr std::size_t kMaxHeadBytes = 8192;
 
 std::string
 http_response(const char *status, const std::string &content_type,
@@ -54,36 +30,9 @@ http_response(const char *status, const std::string &content_type,
 
 MetricsHttpServer::MetricsHttpServer(Server &server,
                                      const HttpConfig &config)
-    : server_(server), config_(config),
-      epoch_(std::chrono::steady_clock::now())
+    : server_(server), epoch_(std::chrono::steady_clock::now()),
+      listener_(config.host, config.port, 16)
 {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-        elv::fatal("cannot create metrics socket: " +
-                   std::string(std::strerror(errno)));
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(config_.port);
-    if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1)
-        elv::fatal("bad metrics bind address: " + config_.host);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof addr) != 0)
-        elv::fatal("cannot bind metrics port " + config_.host + ":" +
-                   std::to_string(config_.port) + ": " +
-                   std::string(std::strerror(errno)));
-    if (::listen(listen_fd_, 16) != 0)
-        elv::fatal("cannot listen on metrics port: " +
-                   std::string(std::strerror(errno)));
-
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&bound),
-                      &len) == 0)
-        port_ = ntohs(bound.sin_port);
-
     thread_ = std::thread([this] { serve_loop(); });
 }
 
@@ -92,8 +41,6 @@ MetricsHttpServer::~MetricsHttpServer()
     stop();
     if (thread_.joinable())
         thread_.join();
-    if (listen_fd_ >= 0)
-        ::close(listen_fd_);
 }
 
 void
@@ -126,17 +73,9 @@ void
 MetricsHttpServer::serve_loop()
 {
     while (!stop_.load()) {
-        pollfd pfd{};
-        pfd.fd = listen_fd_;
-        pfd.events = POLLIN;
         // Same short tick as TcpServer::run so stop() is honoured
         // promptly on an idle port.
-        const int ready = ::poll(&pfd, 1, 200);
-        if (ready < 0 && errno != EINTR)
-            break;
-        if (ready <= 0 || !(pfd.revents & POLLIN))
-            continue;
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        const int fd = listener_.accept(200);
         if (fd < 0)
             continue;
         handle_connection(fd);
@@ -147,46 +86,27 @@ MetricsHttpServer::serve_loop()
 void
 MetricsHttpServer::handle_connection(int fd)
 {
-    // Read until the header terminator, a hard deadline, or the byte
-    // cap — scrapers send a few hundred bytes immediately, so anything
-    // slower forfeits its connection rather than stalling the loop.
-    std::string request;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(kReadDeadlineMs);
-    while (request.find("\r\n\r\n") == std::string::npos &&
-           request.find("\n\n") == std::string::npos) {
-        if (request.size() > kMaxRequestBytes)
+    // Read the request line and headers up to the blank line under one
+    // deadline and byte cap — scrapers send a few hundred bytes
+    // immediately, so anything slower or bigger forfeits its
+    // connection rather than stalling the loop.
+    LineReader reader(fd, kMaxHeadBytes);
+    const auto deadline = std::chrono::steady_clock::now() + kHeadDeadline;
+    std::string line, header, error;
+    std::size_t head_bytes = 0;
+    do {
+        const double left = std::chrono::duration<double>(
+                                deadline - std::chrono::steady_clock::now())
+                                .count();
+        if (left <= 0.0 || !reader.read_line(header, error, left))
             return;
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now());
-        if (left.count() <= 0)
+        if (head_bytes == 0)
+            line = header; // "GET <target> HTTP/1.x": all we parse
+        head_bytes += header.size() + 2;
+        if (head_bytes > kMaxHeadBytes)
             return;
-        pollfd pfd{};
-        pfd.fd = fd;
-        pfd.events = POLLIN;
-        const int ready =
-            ::poll(&pfd, 1, static_cast<int>(left.count()));
-        if (ready <= 0) {
-            if (ready < 0 && errno == EINTR)
-                continue;
-            return;
-        }
-        char chunk[4096];
-        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR)
-                continue;
-            return;
-        }
-        request.append(chunk, static_cast<std::size_t>(n));
-    }
+    } while (!header.empty());
 
-    // "GET <target> HTTP/1.x" — the only line we care about.
-    const std::size_t eol = request.find('\n');
-    std::string line = request.substr(0, eol);
-    if (!line.empty() && line.back() == '\r')
-        line.pop_back();
     std::string method, target;
     const std::size_t sp1 = line.find(' ');
     if (sp1 != std::string::npos) {
@@ -197,20 +117,23 @@ MetricsHttpServer::handle_connection(int fd)
                                           : sp2 - sp1 - 1);
     }
     if (method != "GET") {
-        send_all(fd, http_response("405 Method Not Allowed",
-                                   "text/plain",
-                                   "only GET is supported\n"));
+        write_all(fd,
+                  http_response("405 Method Not Allowed", "text/plain",
+                                "only GET is supported\n"),
+                  error);
         return;
     }
     std::string content_type;
     const std::string body = handle(target, content_type);
     if (content_type.empty()) {
-        send_all(fd, http_response("404 Not Found", "text/plain",
-                                   "unknown path (try /metrics or "
-                                   "/healthz)\n"));
+        write_all(fd,
+                  http_response("404 Not Found", "text/plain",
+                                "unknown path (try /metrics or "
+                                "/healthz)\n"),
+                  error);
         return;
     }
-    send_all(fd, http_response("200 OK", content_type, body));
+    write_all(fd, http_response("200 OK", content_type, body), error);
 }
 
 } // namespace elv::srv

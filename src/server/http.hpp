@@ -13,10 +13,11 @@
  *
  * The implementation is deliberately not a web server: one accept
  * loop thread (same 200 ms poll-tick pattern as `TcpServer::run`),
- * each connection handled inline under a hard read deadline and
- * byte cap, response written, connection closed. A scraper is a
- * well-behaved machine client; a slow or malicious peer costs at most
- * one deadline, never a thread or unbounded memory.
+ * each connection handled inline: the request head is read line by
+ * line under a 2 s whole-head deadline and an 8 KiB cap, the response
+ * written, the connection closed. A scraper is a well-behaved machine
+ * client; a slow or malicious peer costs at most one deadline, never a
+ * thread or unbounded memory.
  */
 #pragma once
 
@@ -26,6 +27,7 @@
 #include <string>
 #include <thread>
 
+#include "common/line_io.hpp"
 #include "obs/exposition.hpp"
 #include "server/server.hpp"
 
@@ -52,7 +54,7 @@ class MetricsHttpServer
     void stop();
 
     /** The bound port (resolves an ephemeral request). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return listener_.port(); }
 
     /** Response document for a request target ("/metrics", ...). The
      * transport-free core, also what the tests drive directly. */
@@ -63,11 +65,9 @@ class MetricsHttpServer
     void handle_connection(int fd);
 
     Server &server_;
-    HttpConfig config_;
     obs::Exposition exposition_;
     std::chrono::steady_clock::time_point epoch_;
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
+    Listener listener_;
     std::atomic<bool> stop_{false};
     std::thread thread_;
 };

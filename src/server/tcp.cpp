@@ -1,16 +1,8 @@
 #include "server/tcp.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <chrono>
-#include <cstring>
-
-#include "common/logging.hpp"
 #include "obs/json.hpp"
 #include "server/protocol.hpp"
 
@@ -18,69 +10,14 @@ namespace elv::srv {
 
 namespace {
 
-/** Write the whole buffer plus a newline; false on a broken peer. */
-bool
-send_all_line(int fd, const std::string &line)
-{
-    std::string framed = line;
-    framed.push_back('\n');
-    std::size_t sent = 0;
-    while (sent < framed.size()) {
-        const ssize_t n =
-            ::send(fd, framed.data() + sent, framed.size() - sent,
-                   MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/** Pop one complete line off `buffer` (terminators stripped);
- * false when no full line has arrived yet. */
-bool
-extract_line(std::string &buffer, std::string &line)
-{
-    const std::size_t eol = buffer.find('\n');
-    if (eol == std::string::npos)
-        return false;
-    line = buffer.substr(0, eol);
-    if (!line.empty() && line.back() == '\r')
-        line.pop_back();
-    buffer.erase(0, eol + 1);
-    return true;
-}
-
-/**
- * Read one '\n'-terminated line into `line` (terminator stripped),
- * buffering leftovers in `buffer`. Returns false on EOF/error, and
- * fails the connection outright past `max_bytes` — a peer that never
- * sends a newline must not grow our memory.
- */
-bool
-recv_line(int fd, std::string &buffer, std::string &line,
-          std::size_t max_bytes)
-{
-    while (true) {
-        if (extract_line(buffer, line))
-            return true;
-        if (buffer.size() > max_bytes)
-            return false;
-        char chunk[4096];
-        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        if (n == 0)
-            return false;
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-}
+/** Concurrent connections; the excess is rejected explicitly. */
+constexpr std::size_t kMaxConnections = 64;
+/** Request line cap; a longer line ends its connection. */
+constexpr std::size_t kMaxRequestBytes = 64 * 1024;
+/** Response line cap on the client side. */
+constexpr std::size_t kMaxResponseBytes = 1024 * 1024;
+/** Accept poll tick: how fast stop() is honoured on an idle port. */
+constexpr int kAcceptTickMs = 200;
 
 std::string
 transport_error_line(const std::string &what)
@@ -96,35 +33,9 @@ transport_error_line(const std::string &what)
 } // namespace
 
 TcpServer::TcpServer(Server &server, const TcpConfig &config)
-    : server_(server), config_(config)
+    : server_(server), config_(config),
+      listener_(config.host, config.port, 16)
 {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-        elv::fatal("cannot create server socket: " +
-                   std::string(std::strerror(errno)));
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof one);
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(config_.port);
-    if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1)
-        elv::fatal("bad bind address: " + config_.host);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof addr) != 0)
-        elv::fatal("cannot bind " + config_.host + ":" +
-                   std::to_string(config_.port) + ": " +
-                   std::string(std::strerror(errno)));
-    if (::listen(listen_fd_, 16) != 0)
-        elv::fatal("cannot listen: " +
-                   std::string(std::strerror(errno)));
-
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&bound),
-                      &len) == 0)
-        port_ = ntohs(bound.sin_port);
 }
 
 TcpServer::~TcpServer()
@@ -142,15 +53,13 @@ TcpServer::~TcpServer()
     for (Connection &conn : conns)
         if (conn.thread.joinable())
             conn.thread.join();
-    if (listen_fd_ >= 0)
-        ::close(listen_fd_);
 }
 
 void
 TcpServer::stop()
 {
     stop_.store(true);
-    // Half-close every live connection so threads blocked in recv()
+    // Half-close every live connection so threads blocked in a read
     // see EOF and exit; otherwise an idle client would block the
     // destructor's join indefinitely.
     std::lock_guard<std::mutex> lock(conns_mutex_);
@@ -177,23 +86,14 @@ void
 TcpServer::run()
 {
     while (!stop_.load()) {
-        pollfd pfd{};
-        pfd.fd = listen_fd_;
-        pfd.events = POLLIN;
-        // Short poll tick so stop() and signal handlers are honoured
-        // promptly even when no client ever connects.
-        const int ready = ::poll(&pfd, 1, 200);
-        if (ready < 0 && errno != EINTR)
-            break;
-        if (ready <= 0 || !(pfd.revents & POLLIN))
-            continue;
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        const int fd = listener_.accept(kAcceptTickMs);
         if (fd < 0)
             continue;
-        if (active_.load() >= config_.max_connections) {
+        if (active_.load() >= kMaxConnections) {
             // Explicit rejection, mirroring job admission control.
-            send_all_line(
-                fd, transport_error_line("too many connections"));
+            std::string ignored;
+            write_line(fd, transport_error_line("too many connections"),
+                       ignored);
             ::close(fd);
             continue;
         }
@@ -221,14 +121,14 @@ TcpServer::run()
 void
 TcpServer::handle_connection(int fd)
 {
-    std::string buffer, line;
-    while (!stop_.load() &&
-           recv_line(fd, buffer, line, config_.max_line_bytes)) {
+    LineReader reader(fd, kMaxRequestBytes);
+    std::string line, error;
+    while (!stop_.load() && reader.read_line(line, error)) {
         if (line.empty())
             continue;
         const RequestOutcome outcome =
             handle_request(server_, line, config_.allow_shutdown);
-        if (!send_all_line(fd, outcome.response))
+        if (!write_line(fd, outcome.response, error))
             return;
         if (outcome.action == RequestAction::Watch) {
             watch_job(fd, outcome.watch_id);
@@ -245,11 +145,12 @@ void
 TcpServer::watch_job(int fd, const std::string &id)
 {
     std::uint64_t epoch = server_.change_epoch();
+    std::string error;
     while (!stop_.load()) {
         const auto snap = server_.status(id);
         if (!snap)
             return;
-        if (!send_all_line(fd, status_json(*snap)))
+        if (!write_line(fd, status_json(*snap), error))
             return;
         if (job_state_terminal(snap->state))
             return;
@@ -261,27 +162,9 @@ TcpServer::watch_job(int fd, const std::string &id)
 
 Client::Client(const std::string &host, std::uint16_t port,
                std::string &error)
+    : fd_(connect_tcp(host, port, error)),
+      reader_(fd_, kMaxResponseBytes)
 {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) {
-        error = std::strerror(errno);
-        return;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        error = "bad address: " + host;
-        ::close(fd_);
-        fd_ = -1;
-        return;
-    }
-    if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof addr) != 0) {
-        error = std::strerror(errno);
-        ::close(fd_);
-        fd_ = -1;
-    }
 }
 
 Client::~Client()
@@ -297,11 +180,7 @@ Client::send_line(const std::string &line, std::string &error)
         error = "not connected";
         return false;
     }
-    if (!send_all_line(fd_, line)) {
-        error = "connection lost while sending";
-        return false;
-    }
-    return true;
+    return write_line(fd_, line, error);
 }
 
 bool
@@ -312,64 +191,7 @@ Client::read_line(std::string &line, std::string &error,
         error = "not connected";
         return false;
     }
-    constexpr std::size_t max_bytes = 1024 * 1024;
-    if (timeout_sec <= 0.0) {
-        if (!recv_line(fd_, buffer_, line, max_bytes)) {
-            error = "connection closed by the server";
-            return false;
-        }
-        return true;
-    }
-    // The deadline covers the whole line, not just the first byte: a
-    // server that stalls mid-line must not hang the client past its
-    // requested timeout.
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(timeout_sec));
-    while (true) {
-        if (extract_line(buffer_, line))
-            return true;
-        if (buffer_.size() > max_bytes) {
-            error = "response line too long";
-            return false;
-        }
-        const auto left = std::chrono::duration_cast<
-            std::chrono::milliseconds>(deadline -
-                                       std::chrono::steady_clock::now());
-        if (left.count() <= 0) {
-            error = "timed out waiting for the server";
-            return false;
-        }
-        pollfd pfd{};
-        pfd.fd = fd_;
-        pfd.events = POLLIN;
-        const int ready =
-            ::poll(&pfd, 1, static_cast<int>(left.count()));
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            error = std::strerror(errno);
-            return false;
-        }
-        if (ready == 0) {
-            error = "timed out waiting for the server";
-            return false;
-        }
-        char chunk[4096];
-        const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-        if (n == 0) {
-            error = "connection closed by the server";
-            return false;
-        }
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            error = std::strerror(errno);
-            return false;
-        }
-        buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
+    return reader_.read_line(line, error, timeout_sec);
 }
 
 bool

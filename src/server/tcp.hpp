@@ -20,6 +20,7 @@
 #include <string>
 #include <thread>
 
+#include "common/line_io.hpp"
 #include "server/server.hpp"
 
 namespace elv::srv {
@@ -33,10 +34,6 @@ struct TcpConfig
     std::uint16_t port = 0;
     /** Honour {"op":"shutdown"} requests from clients. */
     bool allow_shutdown = false;
-    /** Concurrent connections; the excess is rejected explicitly. */
-    std::size_t max_connections = 64;
-    /** Per-request line cap (bytes); longer lines end the connection. */
-    std::size_t max_line_bytes = 64 * 1024;
 };
 
 /** Accept loop + per-connection threads in front of a Server core. */
@@ -53,7 +50,7 @@ class TcpServer
     TcpServer &operator=(const TcpServer &) = delete;
 
     /** The bound port (the chosen one when config.port was 0). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return listener_.port(); }
 
     /**
      * Accept loop. Returns when stop() is called or a permitted
@@ -66,7 +63,7 @@ class TcpServer
     /**
      * Ask run() to return; safe from any thread and from more than
      * one caller. Also half-closes every live connection socket so
-     * threads blocked in recv() wake up and exit — without this an
+     * threads blocked in a read wake up and exit — without this an
      * idle client would pin the destructor's join forever.
      */
     void stop();
@@ -100,8 +97,7 @@ class TcpServer
 
     Server &server_;
     TcpConfig config_;
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
+    Listener listener_;
 
     std::mutex conns_mutex_;
     std::list<Connection> conns_;
@@ -147,7 +143,7 @@ class Client
 
   private:
     int fd_ = -1;
-    std::string buffer_;
+    LineReader reader_;
 };
 
 /** @} */

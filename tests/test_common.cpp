@@ -1,14 +1,24 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG determinism and distribution
- * sanity, statistics, and the table printer.
+ * sanity, statistics, the table printer, and the fd line-I/O layer every
+ * transport reads and writes through.
  */
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <thread>
 
+#include "common/line_io.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
@@ -212,6 +222,193 @@ TEST(Logging, RequireThrowsInternalError)
 TEST(Logging, FatalThrowsUsageError)
 {
     EXPECT_THROW(elv::fatal("bad input"), elv::UsageError);
+}
+
+// --- Line I/O ----------------------------------------------------------
+
+/** Lines of every protocol that reads through LineReader: server
+ * requests and responses, dist worker events, an HTTP request head,
+ * and one line longer than a read chunk. */
+const std::vector<std::string> &
+protocol_corpus()
+{
+    static const std::vector<std::string> corpus = {
+        R"({"op":"submit","spec":{"benchmark":"moons","candidates":16}})",
+        R"({"ok":true,"id":"job-1","accepted":true})",
+        R"({"op":"watch","id":"job-1"})",
+        R"({"id":"job-1","state":"running","phase":"cnr","done":3})",
+        R"({"ok":false,"error":"too many connections"})",
+        R"({"op":"configure","threads":2,"fp":"00deadbeefcafe01"})",
+        R"({"ev":"ready","protocol":1,"fp":"00deadbeefcafe01"})",
+        R"({"op":"cnr","indices":[0,1,2,3,4,5,6,7]})",
+        R"({"ev":"cnr","i":3,"cnr":"0x1.f9add3c0ca458p-4","execs":8})",
+        R"({"ev":"done","op":"cnr","n":8})",
+        R"({"ev":"bye"})",
+        "GET /metrics HTTP/1.1",
+        "Host: 127.0.0.1:9100",
+        "Accept: text/plain",
+        "",
+        std::string(10000, 'x'),
+    };
+    return corpus;
+}
+
+/**
+ * Send `lines` through the writer's end in seeded random chunk sizes,
+ * each line ending in "\n" or "\r\n" at random, then close it; the
+ * reader must get exactly the original lines back, then "closed".
+ */
+void
+expect_corpus_round_trip(int read_fd, int write_fd, std::uint64_t seed)
+{
+    const std::vector<std::string> &corpus = protocol_corpus();
+    std::thread writer([&corpus, write_fd, seed] {
+        elv::Rng rng(seed);
+        std::string stream;
+        for (const std::string &line : corpus)
+            stream += line + (rng.bernoulli(0.5) ? "\r\n" : "\n");
+        std::string error;
+        for (std::size_t at = 0; at < stream.size();) {
+            const std::size_t n = std::min(stream.size() - at,
+                                           1 + rng.uniform_index(700));
+            if (!elv::write_all(write_fd, stream.substr(at, n), error))
+                break;
+            at += n;
+        }
+        ::close(write_fd);
+    });
+    elv::LineReader reader(read_fd, 64 * 1024);
+    std::string line, error;
+    for (const std::string &expected : corpus) {
+        if (!reader.read_line(line, error, 10.0)) {
+            ADD_FAILURE() << "seed " << seed << ": " << error;
+            break;
+        }
+        EXPECT_EQ(line, expected) << "seed " << seed;
+    }
+    EXPECT_FALSE(reader.read_line(line, error, 10.0));
+    EXPECT_NE(error.find("closed"), std::string::npos) << error;
+    // Closing first unblocks a writer stuck on a reader that gave up.
+    ::close(read_fd);
+    writer.join();
+}
+
+TEST(LineIo, ChunkedCorpusRoundTripsOverSocketsAndPipes)
+{
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        int sv[2];
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+        expect_corpus_round_trip(sv[0], sv[1], seed);
+        int fds[2];
+        ASSERT_EQ(::pipe(fds), 0);
+        expect_corpus_round_trip(fds[0], fds[1], seed);
+    }
+}
+
+TEST(LineIo, LineOverTheCapIsTooLong)
+{
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    std::string error;
+    ASSERT_TRUE(elv::write_all(fds[1], "12345678\r\n123456789\n", error));
+    elv::LineReader reader(fds[0], 8);
+    std::string line;
+    ASSERT_TRUE(reader.read_line(line, error, 5.0)) << error;
+    EXPECT_EQ(line, "12345678"); // at the cap, CR not counted
+    EXPECT_FALSE(reader.read_line(line, error, 5.0));
+    EXPECT_NE(error.find("too long"), std::string::npos) << error;
+
+    // An unterminated line fails as soon as it passes the cap, without
+    // waiting for a newline or the deadline.
+    ASSERT_TRUE(elv::write_all(fds[1], std::string(64, 'y'), error));
+    elv::LineReader fresh(fds[0], 8);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(fresh.read_line(line, error, 30.0));
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start)
+                  .count(),
+              5.0);
+    EXPECT_NE(error.find("too long"), std::string::npos) << error;
+    ::close(fds[0]);
+    ::close(fds[1]);
+}
+
+TEST(LineIo, EofMidLineIsClosedNeverAPartialLine)
+{
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    std::string error;
+    ASSERT_TRUE(elv::write_all(fds[1], "whole\npart", error));
+    ::close(fds[1]);
+    elv::LineReader reader(fds[0], 1024);
+    std::string line;
+    ASSERT_TRUE(reader.read_line(line, error)) << error;
+    EXPECT_EQ(line, "whole");
+    line = "untouched";
+    EXPECT_FALSE(reader.read_line(line, error));
+    EXPECT_NE(error.find("closed"), std::string::npos) << error;
+    EXPECT_EQ(line, "untouched");
+    ::close(fds[0]);
+}
+
+TEST(LineIo, StalledHalfLineTimesOutAtItsDeadline)
+{
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    std::string error;
+    ASSERT_TRUE(elv::write_all(sv[1], "{\"ok\":tr", error));
+    elv::LineReader reader(sv[0], 1024);
+    std::string line;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(reader.read_line(line, error, 0.3));
+    const double took = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    EXPECT_GE(took, 0.29);
+    EXPECT_LT(took, 5.0);
+    EXPECT_NE(error.find("timed out"), std::string::npos) << error;
+
+    // The rest of the line still arrives intact after the timeout.
+    ASSERT_TRUE(elv::write_all(sv[1], "ue}\n", error));
+    ASSERT_TRUE(reader.read_line(line, error, 5.0)) << error;
+    EXPECT_EQ(line, "{\"ok\":true}");
+    ::close(sv[0]);
+    ::close(sv[1]);
+}
+
+/** Nagle would hold a second back-to-back line (a watch ack, then its
+ * first status line) until the peer's delayed ACK, ~40 ms later. */
+TEST(LineIo, AcceptedAndConnectedSocketsSetTcpNoDelay)
+{
+    elv::Listener listener("127.0.0.1", 0, 4);
+    ASSERT_GT(listener.port(), 0);
+    // An empty tick returns -1 instead of blocking.
+    EXPECT_LT(listener.accept(20), 0);
+
+    std::string error;
+    const int client = elv::connect_tcp("127.0.0.1", listener.port(), error);
+    ASSERT_GE(client, 0) << error;
+    int accepted = -1;
+    for (int tick = 0; tick < 50 && accepted < 0; ++tick)
+        accepted = listener.accept(100);
+    ASSERT_GE(accepted, 0);
+
+    for (const int fd : {client, accepted}) {
+        int value = 0;
+        socklen_t len = sizeof value;
+        ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len),
+                  0);
+        EXPECT_NE(value, 0) << "fd " << fd;
+    }
+
+    // And the pair carries lines both ways.
+    ASSERT_TRUE(elv::write_line(client, "ping", error)) << error;
+    elv::LineReader server_side(accepted, 64);
+    std::string line;
+    ASSERT_TRUE(server_side.read_line(line, error, 5.0)) << error;
+    EXPECT_EQ(line, "ping");
+    ::close(client);
+    ::close(accepted);
 }
 
 } // namespace

@@ -7,13 +7,17 @@
  * that do not divide the pool), after a worker is SIGKILLed mid-shard
  * and its shard reissued, after falling back to in-process evaluation
  * when the worker binary cannot be spawned at all, and when a run
- * resumes from its shard journals under a different worker count.
+ * resumes from its shard journals under a different worker count. The
+ * socket transport (`elivagar_worker --serve` + attach) and the worker
+ * channel's line cap are driven end to end as well.
  *
  * The worker binary under test is the real elivagar_worker (path baked
  * in via ELV_WORKER_BIN), fork/exec'd exactly as in production.
  */
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -431,6 +435,68 @@ TEST(DistDeterminism, MoreWorkersThanCandidates)
     const DistResult dist = distributed_search(spec, dist_config(5));
     expect_bit_identical(reference, dist.result);
     EXPECT_LE(dist.stats.workers_spawned, 3);
+}
+
+double
+seconds_since(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+/** A peer that streams one endless line is cut off at the 1 MiB line
+ * cap, not buffered until the record deadline runs out. */
+TEST(DistChannel, EndlessLineFailsFastAsTooLong)
+{
+    std::string error, line;
+    const auto channel = WorkerChannel::spawn(
+        "/bin/sh", {"-c", "head -c 4194304 /dev/zero; exec sleep 30"},
+        error);
+    ASSERT_NE(channel, nullptr) << error;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(channel->read_line(line, error, 20.0));
+    EXPECT_LT(seconds_since(start), 5.0);
+    EXPECT_NE(error.find("too long"), std::string::npos) << error;
+}
+
+/**
+ * The socket transport end to end: an `elivagar_worker --serve` peer
+ * attached by endpoint merges to the serial ranking bit for bit, and
+ * once idle again it exits on SIGTERM.
+ */
+TEST(DistAttach, ServeWorkerMatchesSerialAndStopsOnSigterm)
+{
+    std::string error, line;
+    const auto worker = WorkerChannel::spawn(
+        ELV_WORKER_BIN, {"--serve", "--port", "0"}, error);
+    ASSERT_NE(worker, nullptr) << error;
+    ASSERT_TRUE(worker->read_line(line, error, 30.0)) << error;
+    srv::JsonValue announce;
+    ASSERT_TRUE(srv::json_parse(line, announce, error)) << line;
+    ASSERT_NE(announce.get("port"), nullptr) << line;
+    const std::uint64_t port = announce.get("port")->as_uint(0);
+    ASSERT_GT(port, 0u) << line;
+
+    const srv::JobSpec spec = small_spec();
+    const core::SearchResult reference = serial_reference(spec);
+    DistConfig dc = dist_config(0);
+    dc.attach = {"127.0.0.1:" + std::to_string(port)};
+    const DistResult dist = distributed_search(spec, dc);
+    expect_bit_identical(reference, dist.result);
+    EXPECT_EQ(dist.stats.workers_attached, 1);
+    EXPECT_EQ(dist.stats.workers_spawned, 0);
+    EXPECT_EQ(dist.stats.records_received,
+              static_cast<std::uint64_t>(spec.candidates +
+                                         reference.survivors));
+    EXPECT_EQ(dist.stats.fallback_records, 0u);
+
+    // Its stdout reaching EOF is the worker exiting.
+    ASSERT_EQ(::kill(worker->pid(), SIGTERM), 0);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(worker->read_line(line, error, 5.0)) << line;
+    EXPECT_LT(seconds_since(start), 5.0);
+    EXPECT_NE(error.find("closed"), std::string::npos) << error;
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -22,6 +23,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/line_io.hpp"
 #include "common/logging.hpp"
 #include "server/http.hpp"
 #include "server/job.hpp"
@@ -815,6 +817,68 @@ TEST(Telemetry, HttpHandleServesMetricsHealthzAnd404)
     std::string none_type = "sentinel";
     EXPECT_TRUE(http.handle("/no-such", none_type).empty());
     EXPECT_TRUE(none_type.empty());
+}
+
+/** Send `request` to the metrics port; everything the server writes
+ * back before it closes (empty when it drops the connection). */
+std::string
+http_exchange(std::uint16_t port, const std::string &request)
+{
+    std::string error;
+    const int fd = connect_tcp("127.0.0.1", port, error);
+    EXPECT_GE(fd, 0) << error;
+    if (fd < 0)
+        return "";
+    const timeval limit{10, 0}; // a server that never answers fails
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
+    EXPECT_TRUE(write_all(fd, request, error)) << error;
+    std::string response;
+    char chunk[4096];
+    ssize_t n = 0;
+    // n < 0 also ends it: closing on unread request bytes resets.
+    while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0)
+        response.append(chunk, static_cast<std::size_t>(n));
+    ::close(fd);
+    return response;
+}
+
+TEST(Telemetry, HttpWireAnswers200And405And404)
+{
+    ServerConfig config = small_config(fresh_dir("tele_http_wire"));
+    config.metrics = true;
+    Server server(config);
+    MetricsHttpServer http(server, HttpConfig{});
+
+    const std::string ok = http_exchange(
+        http.port(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+    EXPECT_EQ(ok.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << ok;
+    EXPECT_NE(ok.find("Content-Type: text/plain"), std::string::npos);
+
+    const std::string post = http_exchange(
+        http.port(), "POST /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    EXPECT_EQ(post.rfind("HTTP/1.0 405 Method Not Allowed\r\n", 0), 0u)
+        << post;
+
+    // Bare-LF heads are accepted too.
+    const std::string missing =
+        http_exchange(http.port(), "GET /no-such HTTP/1.0\n\n");
+    EXPECT_EQ(missing.rfind("HTTP/1.0 404 Not Found\r\n", 0), 0u)
+        << missing;
+}
+
+TEST(Telemetry, HttpHeadOver8KiBIsDroppedWithoutResponse)
+{
+    Server server(small_config(fresh_dir("tele_http_big")));
+    MetricsHttpServer http(server, HttpConfig{});
+    std::string head = "GET /metrics HTTP/1.1\r\n";
+    while (head.size() <= 9000)
+        head += "X-Pad: " + std::string(100, 'a') + "\r\n";
+    EXPECT_EQ(http_exchange(http.port(), head), "");
+
+    // The port keeps serving after dropping the oversized head.
+    const std::string ok =
+        http_exchange(http.port(), "GET /healthz HTTP/1.0\r\n\r\n");
+    EXPECT_EQ(ok.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << ok;
 }
 
 } // namespace
