@@ -8,15 +8,16 @@
  *    FusedProgram::run (adjacent fixed gates collapsed into dense
  *    Mat2/Mat4 groups) on Clifford-heavy and parametric circuits at
  *    4-10 qubits, with a max-|amp-diff| equivalence check;
- *  - noisy density-matrix CNR path: NoisyDensitySimulator::fidelity on
- *    Clifford replicas of a device-native candidate, per-gate channel
- *    loop (per-Kraus full-vector passes) vs compiled NoisyPrograms
- *    (one gathered superoperator apply per gate+noise group), with a
- *    max-|prob-diff| equivalence check on the output distributions.
+ *  - noisy density-matrix CNR path: what CNR does per Clifford replica
+ *    of a device-native candidate — one NoisyProgram compile against a
+ *    warm superoperator table, then one replay — timed as separate
+ *    compile and replay columns, with a max-|prob-diff| check against
+ *    programs built from a fresh table (must be exactly 0).
  *
  * The exit code reflects the *correctness* checks (fused must match
- * unfused) plus, only when `--baseline` names a previous dump, the
- * harness perf gate over the recorded min-of-k section timings —
+ * per-gate execution; table-compiled must match fresh builds) plus,
+ * only when `--baseline` names a previous dump, the harness perf gate
+ * over the recorded min-of-k section timings —
  * absolute speedups are still reported, not gated, so a loaded CI
  * machine cannot turn a perf report into a flaky failure. `--small`
  * restricts the sweep to the smallest sizes for smoke runs.
@@ -34,8 +35,9 @@
 #include "core/candidate_gen.hpp"
 #include "device/device.hpp"
 #include "harness.hpp"
-#include "noise/noise_model.hpp"
+#include "noise/superop.hpp"
 #include "sim/cpu_features.hpp"
+#include "sim/density_matrix.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
 
@@ -250,15 +252,16 @@ main(int argc, char **argv)
     }
     reporter.add(sv);
 
-    // Part 2: the noisy density-matrix CNR path — fidelity of Clifford
-    // replicas of a device-native candidate, channel loop vs compiled
-    // superoperator programs. Replicas are regenerated per size with a
-    // fixed seed so both paths see identical circuits.
+    // Part 2: the noisy density-matrix CNR path, as CNR runs it for
+    // each replica: one compile against the simulator's superoperator
+    // table, then one replay. Compile and replay are timed as separate
+    // columns; replay at the scalar and at the dispatched SIMD tier.
+    // Replicas are regenerated per size with a fixed seed.
     const dev::Device device = dev::make_device("ibmq_mumbai");
-    Table dm("Noisy DM CNR path: Kraus loop vs superoperator programs "
-             "(scalar / SIMD)");
-    dm.set_header({"qubits", "replicas", "kraus (ms)",
-                   "superop scalar (ms)", "superop simd (ms)",
+    Table dm("Noisy DM CNR path: compile against the superoperator "
+             "table, then replay (scalar / SIMD)");
+    dm.set_header({"qubits", "replicas", "compile (ms)",
+                   "replay scalar (ms)", "replay simd (ms)",
                    "simd speedup", "max |prob diff|"});
     double simd_speedup_at_8 = 0.0;
     // 8 qubits stays in the smoke preset: it is the smallest size whose
@@ -270,25 +273,43 @@ main(int argc, char **argv)
         elv::Rng rng(23 + static_cast<std::uint64_t>(qubits));
         const circ::Circuit candidate =
             cnr_candidate(device, qubits, rng);
-        std::vector<circ::Circuit> reps;
-        for (int m = 0; m < replicas; ++m)
-            reps.push_back(circ::make_clifford_replica(candidate, rng));
-
-        noise::NoisyDensitySimulator unfused(device);
-        unfused.use_fused_execution(false);
-        noise::NoisyDensitySimulator fused(device);
-
-        // The equivalence sweep also warms the fused program cache, so
-        // the fused timings match CNR's steady state (each replica is
-        // compiled once and executed for its fidelity evaluation).
-        double diff = 0.0;
-        for (const circ::Circuit &replica : reps) {
-            const auto a = unfused.run_distribution(replica);
-            const auto b = fused.run_distribution(replica);
-            for (std::size_t i = 0; i < a.size(); ++i)
-                diff = std::max(diff, std::abs(a[i] - b[i]));
+        struct Replica
+        {
+            circ::Circuit local;
+            std::vector<int> kept;
+        };
+        std::vector<Replica> reps;
+        for (int m = 0; m < replicas; ++m) {
+            Replica r;
+            r.local = circ::make_clifford_replica(candidate, rng)
+                          .compacted(r.kept);
+            reps.push_back(std::move(r));
         }
-        ok = ok && diff <= 1e-9;
+
+        // The table is warm after the first replica, as in CNR, where
+        // one simulator's table serves all of a candidate's replicas.
+        noise::SuperopTable table;
+        std::vector<noise::NoisyProgram> programs;
+        for (const Replica &r : reps)
+            programs.push_back(noise::NoisyProgram::compile(
+                r.local, r.kept, device, 1.0, table));
+
+        // Table-compiled programs must replay exactly like programs
+        // built against a fresh table.
+        double diff = 0.0;
+        for (std::size_t m = 0; m < reps.size(); ++m) {
+            const auto fresh = noise::NoisyProgram::compile(
+                reps[m].local, reps[m].kept, device, 1.0);
+            sim::DensityMatrix a(reps[m].local.num_qubits());
+            sim::DensityMatrix b(reps[m].local.num_qubits());
+            programs[m].run(a);
+            fresh.run(b);
+            const auto pa = a.probabilities(reps[m].local.measured());
+            const auto pb = b.probabilities(reps[m].local.measured());
+            for (std::size_t i = 0; i < pa.size(); ++i)
+                diff = std::max(diff, std::abs(pa[i] - pb[i]));
+        }
+        ok = ok && diff == 0.0;
 
         // Min-of-k sampling in the smoke preset: the perf gate compares
         // these sections across invocations, and one averaged pass is
@@ -304,55 +325,52 @@ main(int argc, char **argv)
         // sweep before recording.
         const int passes = small ? 3 : 1;
         const int inner = small ? 4 : 1;
-        double kraus_s = 0.0, scalar_s = 0.0, simd_s = 0.0;
+        auto replay_sweep = [&] {
+            double trace_sum = 0.0;
+            for (std::size_t m = 0; m < reps.size(); ++m) {
+                sim::DensityMatrix rho(reps[m].local.num_qubits());
+                programs[m].run(rho);
+                trace_sum += rho.trace();
+            }
+            return trace_sum;
+        };
+        double compile_s = 0.0, scalar_s = 0.0, simd_s = 0.0;
         for (int pass = 0; pass < passes; ++pass) {
-            double unfused_sum = 0.0, scalar_sum = 0.0, fused_sum = 0.0;
             auto start = std::chrono::steady_clock::now();
             double cpu_start = bench::process_cpu_seconds();
-            for (int it = 0; it < inner; ++it) {
-                unfused_sum = 0.0;
-                for (const circ::Circuit &replica : reps)
-                    unfused_sum += unfused.fidelity(replica);
-            }
-            const double kraus_cpu =
+            for (int it = 0; it < inner; ++it)
+                for (std::size_t m = 0; m < reps.size(); ++m)
+                    programs[m] = noise::NoisyProgram::compile(
+                        reps[m].local, reps[m].kept, device, 1.0, table);
+            const double compile_cpu =
                 (bench::process_cpu_seconds() - cpu_start) / inner;
-            const double kraus_t = seconds_since(start) / inner;
+            const double compile_t = seconds_since(start) / inner;
 
-            // The acceptance comparison: identical compiled
-            // superoperator programs, scalar kernels vs the dispatched
-            // SIMD tier.
+            // Identical programs, scalar kernels vs the dispatched SIMD
+            // tier.
+            double scalar_sum = 0.0, simd_sum = 0.0;
             sim::set_forced_tier(sim::KernelTier::Baseline);
             start = std::chrono::steady_clock::now();
-            for (int it = 0; it < inner; ++it) {
-                scalar_sum = 0.0;
-                for (const circ::Circuit &replica : reps)
-                    scalar_sum += fused.fidelity(replica);
-            }
+            for (int it = 0; it < inner; ++it)
+                scalar_sum = replay_sweep();
             const double scalar_t = seconds_since(start) / inner;
             sim::clear_forced_tier();
 
             start = std::chrono::steady_clock::now();
             cpu_start = bench::process_cpu_seconds();
-            for (int it = 0; it < inner; ++it) {
-                fused_sum = 0.0;
-                for (const circ::Circuit &replica : reps)
-                    fused_sum += fused.fidelity(replica);
-            }
+            for (int it = 0; it < inner; ++it)
+                simd_sum = replay_sweep();
             const double simd_cpu =
                 (bench::process_cpu_seconds() - cpu_start) / inner;
             const double simd_t = seconds_since(start) / inner;
-
-            ok = ok &&
-                 std::abs(unfused_sum - fused_sum) <= 1e-9 * replicas;
-            ok = ok &&
-                 std::abs(scalar_sum - fused_sum) <= 1e-9 * replicas;
+            ok = ok && scalar_sum == simd_sum;
 
             reporter.record_perf(
-                "dm.kraus.q" + std::to_string(qubits), kraus_cpu);
+                "dm.compile.q" + std::to_string(qubits), compile_cpu);
             reporter.record_perf(
-                "dm.superop_simd.q" + std::to_string(qubits), simd_cpu);
-            if (pass == 0 || kraus_t < kraus_s)
-                kraus_s = kraus_t;
+                "dm.replay_simd.q" + std::to_string(qubits), simd_cpu);
+            if (pass == 0 || compile_t < compile_s)
+                compile_s = compile_t;
             if (pass == 0 || scalar_t < scalar_s)
                 scalar_s = scalar_t;
             if (pass == 0 || simd_t < simd_s)
@@ -363,7 +381,7 @@ main(int argc, char **argv)
         if (qubits == 8)
             simd_speedup_at_8 = simd_speedup;
         dm.add_row({std::to_string(qubits), std::to_string(replicas),
-                    Table::fmt(1e3 * kraus_s, 3),
+                    Table::fmt(1e3 * compile_s, 3),
                     Table::fmt(1e3 * scalar_s, 3),
                     Table::fmt(1e3 * simd_s, 3),
                     Table::fmt(simd_speedup, 2),
@@ -375,8 +393,7 @@ main(int argc, char **argv)
         std::printf("noisy CNR path SIMD speedup at 8 qubits: %.2fx "
                     "(target >= 1.5x, f64 SIMD vs scalar)\n",
                     simd_speedup_at_8);
-    std::printf("fused-vs-unfused equivalence: %s\n",
-                ok ? "ok" : "FAILED");
+    std::printf("equivalence checks: %s\n", ok ? "ok" : "FAILED");
     const int gate_rc = reporter.perf_gate_exit_code();
     return ok ? gate_rc : 1;
 }

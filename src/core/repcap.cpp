@@ -1,9 +1,9 @@
 #include "core/repcap.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hpp"
-#include "common/statistics.hpp"
 #include "common/validate.hpp"
 #include "lint/dataflow.hpp"
 #include "obs/metrics.hpp"
@@ -54,12 +54,28 @@ representational_capacity(const circ::Circuit &circuit,
     std::vector<double> r_c(d * d, 0.0);
     RepCapResult result;
 
-    std::vector<sim::StateVector> states;
-    states.reserve(d);
-
     // One candidate circuit, d x param_inits executions: compile the
     // fused program once (no cache — candidates are one-shot here).
     const sim::FusedProgram program = sim::FusedProgram::compile(local);
+
+    // Embedding matrices read only the sample, so each (sample, gate)
+    // resolves once per candidate; variational ones once per init.
+    std::vector<sim::ResolvedBarriers> embedded;
+    embedded.reserve(d);
+    for (std::size_t s = 0; s < d; ++s)
+        embedded.push_back(program.resolve(circ::ParamRole::Embedding, {},
+                                           data.samples[chosen[s]]));
+
+    std::vector<sim::StateVector> states(d,
+                                         sim::StateVector(local.num_qubits()));
+    sim::StateVector rotated(local.num_qubits());
+    const std::size_t outcomes = std::size_t{1} << measured.size();
+    // Outcome-major: entry (k, s) is P_s(k), so for a fixed state i the
+    // pair loop below runs over contiguous j and vectorizes, while each
+    // pair still sums |P_i(k) - P_j(k)| in outcome order (the order
+    // elv::total_variation_distance uses).
+    std::vector<double> dists(outcomes * d);
+    std::vector<double> abs_sum(d);
 
     for (int t = 0; t < options.param_inits; ++t) {
         // Random parameter vector theta_t (uniformly sampled angles).
@@ -67,13 +83,13 @@ representational_capacity(const circ::Circuit &circuit,
             static_cast<std::size_t>(local.num_params()));
         for (auto &p : params)
             p = rng.uniform(-M_PI, M_PI);
+        const sim::ResolvedBarriers variational =
+            program.resolve(circ::ParamRole::Variational, params, {});
 
         // Prepare the d output states once per init.
-        states.clear();
         for (std::size_t s = 0; s < d; ++s) {
-            sim::StateVector psi(local.num_qubits());
-            program.run(psi, params, data.samples[chosen[s]]);
-            states.push_back(std::move(psi));
+            program.run(states[s], variational, embedded[s],
+                        data.samples[chosen[s]]);
             ++result.circuit_executions;
         }
 
@@ -92,10 +108,8 @@ representational_capacity(const circ::Circuit &circuit,
             }
 
             // Outcome distribution of each state in this basis.
-            std::vector<std::vector<double>> dists;
-            dists.reserve(d);
-            for (const auto &psi : states) {
-                sim::StateVector rotated = psi;
+            for (std::size_t s = 0; s < d; ++s) {
+                rotated.amps() = states[s].amps();
                 for (std::size_t m = 0; m < measured.size(); ++m)
                     rotated.apply_1q(basis[m], measured[m]);
                 auto probs = rotated.probabilities(measured);
@@ -104,15 +118,23 @@ representational_capacity(const circ::Circuit &circuit,
                 elv::validate_distribution(
                     probs, elv::DistributionPolicy::Renormalize,
                     "RepCap randomized measurement");
-                dists.push_back(std::move(probs));
+                for (std::size_t o = 0; o < outcomes; ++o)
+                    dists[o * d + s] = probs[o];
             }
 
+            // Similarity 1 - TVD of every pair (i, j > i).
             for (std::size_t i = 0; i < d; ++i) {
                 r_c[i * d + i] += 1.0;
+                std::fill(abs_sum.begin() + static_cast<std::ptrdiff_t>(i),
+                          abs_sum.end(), 0.0);
+                for (std::size_t o = 0; o < outcomes; ++o) {
+                    const double *row = dists.data() + o * d;
+                    const double p_i = row[i];
+                    for (std::size_t j = i + 1; j < d; ++j)
+                        abs_sum[j] += std::abs(p_i - row[j]);
+                }
                 for (std::size_t j = i + 1; j < d; ++j) {
-                    const double sim_ij =
-                        1.0 - elv::total_variation_distance(dists[i],
-                                                            dists[j]);
+                    const double sim_ij = 1.0 - 0.5 * abs_sum[j];
                     r_c[i * d + j] += sim_ij;
                     r_c[j * d + i] += sim_ij;
                 }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "common/statistics.hpp"
+#include "obs/metrics.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
 
@@ -91,16 +93,43 @@ NoisyDensitySimulator::program_for(const circ::Circuit &circuit,
                                    const circ::Circuit &local,
                                    const std::vector<int> &kept) const
 {
-    const std::string key = circ::to_text_line(circuit);
+    // Every calibration value a compile of `circuit` reads, raw: the
+    // kept qubits' T1/T2/1-qubit error and the error of every coupler
+    // between two kept qubits (`kept` is sorted).
+    std::string key = circ::to_text_line(circuit);
+    auto put = [&key](double v) {
+        char raw[sizeof v];
+        std::memcpy(raw, &v, sizeof v);
+        key.append(raw, sizeof raw);
+    };
+    for (int pq : kept) {
+        const auto q = static_cast<std::size_t>(pq);
+        put(device_.t1_us[q]);
+        put(device_.t2_us[q]);
+        put(device_.error_1q[q]);
+    }
+    const auto &edges = device_.topology.edges();
+    for (std::size_t e = 0; e < edges.size(); ++e)
+        if (std::binary_search(kept.begin(), kept.end(), edges[e].first) &&
+            std::binary_search(kept.begin(), kept.end(), edges[e].second))
+            put(device_.error_2q[e]);
+    put(device_.duration_1q_ns);
+    put(device_.duration_2q_ns);
+
     std::lock_guard<std::mutex> lock(cache_mutex_);
     auto it = cache_.find(key);
-    if (it != cache_.end())
+    if (it != cache_.end()) {
+        ELV_METRIC_COUNT("noise.program_cache.hits");
         return it->second;
-    if (cache_.size() >= 128)
+    }
+    ELV_METRIC_COUNT("noise.program_cache.misses");
+    if (cache_.size() >= 128) {
+        ELV_METRIC_COUNT_N("noise.program_cache.evictions", cache_.size());
         cache_.clear();
+    }
     auto program = std::make_shared<const NoisyProgram>(
-        NoisyProgram::compile(local, kept, device_, scale_));
-    cache_.emplace(key, program);
+        NoisyProgram::compile(local, kept, device_, scale_, table_));
+    cache_.emplace(std::move(key), program);
     return program;
 }
 
@@ -113,13 +142,19 @@ NoisyDensitySimulator::run_distribution(const circ::Circuit &circuit,
                 "circuit larger than device");
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
+    return distribution(*program_for(circuit, local, kept), local, kept,
+                        params, x);
+}
 
+std::vector<double>
+NoisyDensitySimulator::distribution(const NoisyProgram &program,
+                                    const circ::Circuit &local,
+                                    const std::vector<int> &kept,
+                                    const std::vector<double> &params,
+                                    const std::vector<double> &x) const
+{
     sim::DensityMatrix rho(local.num_qubits());
-    if (fused_)
-        program_for(circuit, local, kept)->run(rho, params, x);
-    else
-        apply_unfused(rho, local, kept, params, x);
-
+    program.run(rho, params, x);
     auto probs = rho.probabilities(local.measured());
     if (scale_ > 0.0) {
         std::vector<double> flips;
@@ -135,79 +170,23 @@ NoisyDensitySimulator::run_distribution(const circ::Circuit &circuit,
     return probs;
 }
 
-void
-NoisyDensitySimulator::apply_unfused(sim::DensityMatrix &rho,
-                                     const circ::Circuit &local,
-                                     const std::vector<int> &kept,
-                                     const std::vector<double> &params,
-                                     const std::vector<double> &x) const
-{
-    auto clamp01 = [](double v) { return std::clamp(v, 0.0, 1.0); };
-
-    for (const circ::Op &op : local.ops()) {
-        rho.apply_op(op, params, x);
-        if (scale_ == 0.0 || op.kind == circ::GateKind::AmpEmbed)
-            continue;
-        if (op.num_qubits() == 1) {
-            const int lq = op.qubits[0];
-            const int pq = kept[static_cast<std::size_t>(lq)];
-            const double err = clamp01(
-                scale_ *
-                device_.error_1q[static_cast<std::size_t>(pq)]);
-            rho.apply_depolarizing_1q(err, lq);
-            const ThermalParams relax = thermal_relaxation_params(
-                device_.t1_us[static_cast<std::size_t>(pq)] /
-                    std::max(scale_, 1e-9),
-                device_.t2_us[static_cast<std::size_t>(pq)] /
-                    std::max(scale_, 1e-9),
-                device_.duration_1q_ns);
-            rho.apply_thermal_relaxation(relax.gamma, relax.lambda, lq);
-        } else {
-            const int la = op.qubits[0], lb = op.qubits[1];
-            const int pa = kept[static_cast<std::size_t>(la)];
-            const int pb = kept[static_cast<std::size_t>(lb)];
-            if (!device_.topology.has_edge(pa, pb))
-                elv::fatal("2-qubit gate on uncoupled physical qubits " +
-                           std::to_string(pa) + "," + std::to_string(pb) +
-                           "; route the circuit first");
-            const double err = clamp01(scale_ * device_.edge_error(pa, pb));
-            // CRY lowers to two CX on hardware: pay the channel twice.
-            const int reps = op.kind == circ::GateKind::CRY ? 2 : 1;
-            for (int rep = 0; rep < reps; ++rep)
-                rho.apply_depolarizing_2q(err, la, lb);
-            for (int side = 0; side < 2; ++side) {
-                const int lq = side == 0 ? la : lb;
-                const int pq = kept[static_cast<std::size_t>(lq)];
-                const ThermalParams relax = thermal_relaxation_params(
-                    device_.t1_us[static_cast<std::size_t>(pq)] /
-                        std::max(scale_, 1e-9),
-                    device_.t2_us[static_cast<std::size_t>(pq)] /
-                        std::max(scale_, 1e-9),
-                    device_.duration_2q_ns);
-                rho.apply_thermal_relaxation(relax.gamma, relax.lambda,
-                                             lq);
-            }
-        }
-    }
-}
-
 double
 NoisyDensitySimulator::fidelity(const circ::Circuit &circuit,
                                 const std::vector<double> &params,
                                 const std::vector<double> &x) const
 {
+    ELV_REQUIRE(circuit.num_qubits() <= device_.num_qubits(),
+                "circuit larger than device");
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
     sim::StateVector psi(local.num_qubits());
-    if (fused_) {
-        // Compile locally instead of through the global FusionCache:
-        // CNR replicas are one-shot circuits and would churn it.
-        sim::FusedProgram::compile(local).run(psi, params, x);
-    } else {
-        psi.run(local, params, x);
-    }
+    // Compile locally instead of through the global FusionCache: CNR
+    // replicas are one-shot circuits and would churn it.
+    sim::FusedProgram::compile(local).run(psi, params, x);
     const auto ideal = psi.probabilities(local.measured());
-    const auto noisy = run_distribution(circuit, params, x);
+    const NoisyProgram program =
+        NoisyProgram::compile(local, kept, device_, scale_, table_);
+    const auto noisy = distribution(program, local, kept, params, x);
     return 1.0 - elv::total_variation_distance(ideal, noisy);
 }
 

@@ -78,6 +78,9 @@ class NoisyDensitySimulator
     /**
      * Fidelity proxy used throughout the paper: 1 - TVD between the
      * noisy and the noiseless outcome distributions of `circuit`.
+     * Compiles straight against the superoperator table and bypasses
+     * the program cache: CNR replicas are one-shot circuits, so caching
+     * their programs would only churn it.
      */
     double fidelity(const circ::Circuit &circuit,
                     const std::vector<double> &params = {},
@@ -85,21 +88,13 @@ class NoisyDensitySimulator
 
     const dev::Device &device() const { return device_; }
 
-    /**
-     * Route execution through compiled NoisyPrograms — fused
-     * gate+channel superoperators, cached per circuit — instead of the
-     * per-gate channel loop (default on). The unfused path is kept for
-     * the equivalence tests and the bench comparison.
-     */
-    void use_fused_execution(bool on) { fused_ = on; }
-
   private:
-    /** The original per-gate channel loop (reference path). */
-    void apply_unfused(sim::DensityMatrix &rho,
-                       const circ::Circuit &local,
-                       const std::vector<int> &kept,
-                       const std::vector<double> &params,
-                       const std::vector<double> &x) const;
+    /** Replay `program` and read out its measured qubits. */
+    std::vector<double> distribution(const NoisyProgram &program,
+                                     const circ::Circuit &local,
+                                     const std::vector<int> &kept,
+                                     const std::vector<double> &params,
+                                     const std::vector<double> &x) const;
 
     /** Cached compiled program for `circuit` (compiling on miss). */
     std::shared_ptr<const NoisyProgram>
@@ -108,12 +103,16 @@ class NoisyDensitySimulator
 
     const dev::Device &device_;
     double scale_;
-    bool fused_ = true;
+    /** Gate+noise superoperators shared by every compile. */
+    mutable SuperopTable table_;
     /**
-     * Bounded program cache keyed by the exact serialization of the
+     * Bounded program cache for run_distribution, which replays one
+     * circuit per test sample. Keyed by the exact serialization of the
      * *original* (pre-compaction) circuit — physical qubit labels
-     * determine the noise, so the original text is the right key.
-     * Cleared wholesale at capacity, like sim::FusionCache.
+     * determine the noise — plus the raw calibration values of the
+     * qubits it touches and the couplers among them, so a drifted
+     * calibration misses instead of replaying a stale program. Cleared
+     * wholesale at capacity, like sim::FusionCache.
      */
     mutable std::mutex cache_mutex_;
     mutable std::unordered_map<std::string,

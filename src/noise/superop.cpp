@@ -1,6 +1,7 @@
 #include "noise/superop.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -75,16 +76,13 @@ expand_superop_1q(const Mat4 &s, int slot)
     const std::size_t keep =
         15u & ~((1u << rbit) | (1u << cbit));
     Mat16 out = {};
-    for (std::size_t i = 0; i < 16; ++i)
-        for (std::size_t j = 0; j < 16; ++j) {
-            if ((i & keep) != (j & keep))
-                continue;
-            const std::size_t li =
-                2 * ((i >> rbit) & 1) + ((i >> cbit) & 1);
-            const std::size_t lj =
-                2 * ((j >> rbit) & 1) + ((j >> cbit) & 1);
-            out[i][j] = s[li][lj];
-        }
+    // Row i is nonzero only in the 4 columns agreeing with it on `keep`.
+    for (std::size_t i = 0; i < 16; ++i) {
+        const std::size_t li = 2 * ((i >> rbit) & 1) + ((i >> cbit) & 1);
+        for (std::size_t lj = 0; lj < 4; ++lj)
+            out[i][(i & keep) | (lj >> 1) << rbit | (lj & 1) << cbit] =
+                s[li][lj];
+    }
     return out;
 }
 
@@ -103,10 +101,184 @@ swap_superop_pair(const Mat16 &s)
     return out;
 }
 
+namespace {
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+double
+clamp01(double v)
+{
+    return std::clamp(v, 0.0, 1.0);
+}
+
+/** T1 or T2 with the error rates scaled by `scale` (time divides). */
+double
+scaled_time(double t_us, double scale)
+{
+    return t_us / std::max(scale, 1e-9);
+}
+
+Mat4
+thermal_superop(double t1, double t2, double duration_ns)
+{
+    return kraus_superop_1q(thermal_relaxation_kraus(t1, t2, duration_ns));
+}
+
+} // namespace
+
+std::size_t
+SuperopTable::KeyHash::operator()(const Key &key) const
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::uint64_t word : key) {
+        h ^= word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+        h *= 1099511628211ULL;
+    }
+    return static_cast<std::size_t>(h);
+}
+
+template <typename Mat, typename Build>
+Mat
+SuperopTable::lookup(std::unordered_map<Key, Mat, KeyHash> &map,
+                     const Key &key, Build &&build)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = map.find(key);
+        if (it != map.end()) {
+            ELV_METRIC_COUNT("noise.superop_table.hits");
+            return it->second;
+        }
+    }
+    // Build outside the lock: a racing thread may build the same entry
+    // too, and both results are bit-identical.
+    ELV_METRIC_COUNT("noise.superop_table.misses");
+    const Mat built = build();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (map.size() >= kCapacity) {
+        ELV_METRIC_COUNT_N("noise.superop_table.evictions", map.size());
+        map.clear();
+    }
+    map.emplace(key, built);
+    return built;
+}
+
+Mat4
+SuperopTable::gate_1q(const circ::Op &op, bool fixed, int pq,
+                      const dev::Device &device, double scale)
+{
+    const bool noisy = scale > 0.0;
+    ELV_REQUIRE(fixed || noisy, "nothing to build for this gate");
+    const auto angles = fixed ? circ::op_angles(op, {}, {})
+                              : std::array<double, 3>{};
+    double err = 0.0, t1 = 0.0, t2 = 0.0;
+    if (noisy) {
+        const auto q = static_cast<std::size_t>(pq);
+        err = clamp01(scale * device.error_1q[q]);
+        t1 = scaled_time(device.t1_us[q], scale);
+        t2 = scaled_time(device.t2_us[q], scale);
+    }
+    const double duration = noisy ? device.duration_1q_ns : 0.0;
+    const Key key = {static_cast<std::uint64_t>(op.kind) | 1u << 8 |
+                         std::uint64_t{fixed} << 10 |
+                         std::uint64_t{noisy} << 11,
+                     bits(angles[0]), bits(angles[1]), bits(angles[2]),
+                     bits(err), bits(t1), bits(t2), bits(duration), 0, 0};
+    return lookup(one_, key, [&] {
+        Mat4 s = {};
+        bool have = false;
+        if (fixed) {
+            s = unitary_superop_1q(sim::gate_matrix_1q(op.kind, angles));
+            have = true;
+        }
+        if (noisy) {
+            const Mat4 noise =
+                sim::matmul(thermal_superop(t1, t2, duration),
+                            kraus_superop_1q(depolarizing_1q_kraus(err)));
+            s = have ? sim::matmul(noise, s) : noise;
+        }
+        return s;
+    });
+}
+
+Mat16
+SuperopTable::gate_2q(const circ::Op &op, bool fixed, int pa, int pb,
+                      const dev::Device &device, double scale)
+{
+    const bool noisy = scale > 0.0;
+    ELV_REQUIRE(fixed || noisy, "nothing to build for this gate");
+    const auto angles = fixed ? circ::op_angles(op, {}, {})
+                              : std::array<double, 3>{};
+    double err = 0.0, t1a = 0.0, t2a = 0.0, t1b = 0.0, t2b = 0.0;
+    if (noisy) {
+        if (!device.topology.has_edge(pa, pb))
+            elv::fatal("2-qubit gate on uncoupled physical qubits " +
+                       std::to_string(pa) + "," + std::to_string(pb) +
+                       "; route the circuit first");
+        const auto a = static_cast<std::size_t>(pa);
+        const auto b = static_cast<std::size_t>(pb);
+        err = clamp01(scale * device.edge_error(pa, pb));
+        t1a = scaled_time(device.t1_us[a], scale);
+        t2a = scaled_time(device.t2_us[a], scale);
+        t1b = scaled_time(device.t1_us[b], scale);
+        t2b = scaled_time(device.t2_us[b], scale);
+    }
+    const double duration = noisy ? device.duration_2q_ns : 0.0;
+    const Key key = {static_cast<std::uint64_t>(op.kind) | 2u << 8 |
+                         std::uint64_t{fixed} << 10 |
+                         std::uint64_t{noisy} << 11,
+                     bits(angles[0]), bits(angles[1]), bits(angles[2]),
+                     bits(err), bits(t1a), bits(t2a), bits(t1b),
+                     bits(t2b), bits(duration)};
+    return lookup(two_, key, [&] {
+        Mat16 s = {};
+        bool have = false;
+        if (fixed) {
+            s = unitary_superop_2q(sim::gate_matrix_2q(op.kind, angles));
+            have = true;
+        }
+        if (noisy) {
+            Mat16 noise = kraus_superop_2q(depolarizing_2q_kraus(err));
+            // CRY lowers to two CX on hardware: pay the channel twice.
+            if (op.kind == circ::GateKind::CRY)
+                noise = sim::matmul(noise, noise);
+            noise = sim::matmul(
+                expand_superop_1q(thermal_superop(t1a, t2a, duration), 0),
+                noise);
+            noise = sim::matmul(
+                expand_superop_1q(thermal_superop(t1b, t2b, duration), 1),
+                noise);
+            s = have ? sim::matmul(noise, s) : noise;
+        }
+        return s;
+    });
+}
+
+std::size_t
+SuperopTable::size() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return one_.size() + two_.size();
+}
+
 NoisyProgram
 NoisyProgram::compile(const circ::Circuit &local,
                       const std::vector<int> &kept,
                       const dev::Device &device, double scale)
+{
+    SuperopTable table;
+    return compile(local, kept, device, scale, table);
+}
+
+NoisyProgram
+NoisyProgram::compile(const circ::Circuit &local,
+                      const std::vector<int> &kept,
+                      const dev::Device &device, double scale,
+                      SuperopTable &table)
 {
     ELV_REQUIRE(kept.size() ==
                     static_cast<std::size_t>(local.num_qubits()),
@@ -132,7 +304,6 @@ NoisyProgram::compile(const circ::Circuit &local,
     auto slot_at = [&stream](int idx) -> Slot & {
         return stream[static_cast<std::size_t>(idx)];
     };
-    auto clamp01 = [](double v) { return std::clamp(v, 0.0, 1.0); };
 
     auto add_super1 = [&](const Mat4 &s, int q) {
         const int idx = open_at(q);
@@ -188,14 +359,10 @@ NoisyProgram::compile(const circ::Circuit &local,
         stream.push_back(sl);
     };
 
-    auto thermal_superop = [&](int pq, double duration_ns) {
-        return kraus_superop_1q(thermal_relaxation_kraus(
-            device.t1_us[static_cast<std::size_t>(pq)] /
-                std::max(scale, 1e-9),
-            device.t2_us[static_cast<std::size_t>(pq)] /
-                std::max(scale, 1e-9),
-            duration_ns));
+    auto physical = [&kept](int lq) {
+        return kept[static_cast<std::size_t>(lq)];
     };
+    const bool noisy = scale > 0.0;
 
     for (const circ::Op &op : local.ops()) {
         const bool fixed = op.kind != circ::GateKind::AmpEmbed &&
@@ -217,65 +384,17 @@ NoisyProgram::compile(const circ::Circuit &local,
                 continue;
         }
 
+        if (!fixed && !noisy)
+            continue; // a noiseless barrier contributes nothing more
         if (op.num_qubits() == 1) {
             const int lq = op.qubits[0];
-            Mat4 s = {};
-            bool have = false;
-            if (fixed) {
-                s = unitary_superop_1q(sim::gate_matrix_1q(
-                    op.kind, circ::op_angles(op, {}, {})));
-                have = true;
-            }
-            if (scale > 0.0) {
-                const int pq = kept[static_cast<std::size_t>(lq)];
-                const double err = clamp01(
-                    scale *
-                    device.error_1q[static_cast<std::size_t>(pq)]);
-                const Mat4 noise = sim::matmul(
-                    thermal_superop(pq, device.duration_1q_ns),
-                    kraus_superop_1q(depolarizing_1q_kraus(err)));
-                s = have ? sim::matmul(noise, s) : noise;
-                have = true;
-            }
-            if (have)
-                add_super1(s, lq);
+            add_super1(table.gate_1q(op, fixed, physical(lq), device, scale),
+                       lq);
         } else {
             const int la = op.qubits[0], lb = op.qubits[1];
-            Mat16 s = {};
-            bool have = false;
-            if (fixed) {
-                s = unitary_superop_2q(sim::gate_matrix_2q(
-                    op.kind, circ::op_angles(op, {}, {})));
-                have = true;
-            }
-            if (scale > 0.0) {
-                const int pa = kept[static_cast<std::size_t>(la)];
-                const int pb = kept[static_cast<std::size_t>(lb)];
-                if (!device.topology.has_edge(pa, pb))
-                    elv::fatal(
-                        "2-qubit gate on uncoupled physical qubits " +
-                        std::to_string(pa) + "," + std::to_string(pb) +
-                        "; route the circuit first");
-                const double err =
-                    clamp01(scale * device.edge_error(pa, pb));
-                Mat16 noise = kraus_superop_2q(depolarizing_2q_kraus(err));
-                // CRY lowers to two CX on hardware: pay the channel
-                // twice (matching the unfused schedule).
-                if (op.kind == circ::GateKind::CRY)
-                    noise = sim::matmul(noise, noise);
-                noise = sim::matmul(
-                    expand_superop_1q(
-                        thermal_superop(pa, device.duration_2q_ns), 0),
-                    noise);
-                noise = sim::matmul(
-                    expand_superop_1q(
-                        thermal_superop(pb, device.duration_2q_ns), 1),
-                    noise);
-                s = have ? sim::matmul(noise, s) : noise;
-                have = true;
-            }
-            if (have)
-                add_super2(s, la, lb);
+            add_super2(table.gate_2q(op, fixed, physical(la), physical(lb),
+                                     device, scale),
+                       la, lb);
         }
     }
 

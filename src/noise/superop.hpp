@@ -18,11 +18,16 @@
  * parametric gates as barriers. Device noise depends only on the
  * physical qubit and gate arity — never on rotation angles — so even a
  * parametric gate contributes a fusable noise superoperator right
- * after its barrier entry.
+ * after its barrier entry. SuperopTable builds each such per-gate
+ * superoperator once; compiling a circuit is then lookups plus the
+ * fusion merges.
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -55,24 +60,83 @@ sim::Mat16 expand_superop_1q(const sim::Mat4 &s, int slot);
 sim::Mat16 swap_superop_pair(const sim::Mat16 &s);
 
 /**
- * A circuit compiled for noisy density-matrix execution: every fixed
- * gate is combined with its calibration noise into one superoperator
- * and adjacent superoperators are fused greedily (same pass structure
- * and barrier rules as sim::FusedProgram). Compiled once per circuit;
- * replaying it performs no per-run allocation or channel construction.
+ * Per-gate superoperators, built once and looked up thereafter. An
+ * entry is one gate's unitary superoperator (fixed gates) composed
+ * with its calibration noise (scale > 0): depolarizing then thermal
+ * relaxation after 1-qubit gates; depolarizing (twice for CRY, which
+ * lowers to two CX) then both thermal relaxations after 2-qubit gates.
+ *
+ * The key is (gate kind, arity, fixed angles, the post-scale
+ * calibration values the noise reads: gate error, T1, T2, duration of
+ * the physical qubit or of both ends of the ordered edge), compared
+ * bit for bit — never a qubit index. Equal keys therefore build equal
+ * matrices, and a drifted calibration is a new key, so an entry can
+ * never outlive the calibration it was built from. Filled lazily,
+ * thread-safe, cleared wholesale at capacity.
+ */
+class SuperopTable
+{
+  public:
+    /**
+     * Superoperator of 1-qubit `op` on physical qubit `pq`: its gate
+     * when `fixed`, then its noise when `scale` > 0 (at least one must
+     * apply).
+     */
+    sim::Mat4 gate_1q(const circ::Op &op, bool fixed, int pq,
+                      const dev::Device &device, double scale);
+
+    /**
+     * Superoperator of 2-qubit `op` on the ordered physical pair
+     * (pa, pb), basis |r_a r_b c_a c_b>. Fatal when the pair is not
+     * coupled and noise applies, whether or not the entry is cached.
+     */
+    sim::Mat16 gate_2q(const circ::Op &op, bool fixed, int pa, int pb,
+                       const dev::Device &device, double scale);
+
+    /** Entries currently held (1- and 2-qubit). */
+    std::size_t size() const;
+
+  private:
+    /** Header word (kind, arity, fixed, noisy), 3 angles, 6 values. */
+    using Key = std::array<std::uint64_t, 10>;
+
+    struct KeyHash
+    {
+        std::size_t operator()(const Key &key) const;
+    };
+
+    template <typename Mat, typename Build>
+    Mat lookup(std::unordered_map<Key, Mat, KeyHash> &map, const Key &key,
+               Build &&build);
+
+    static constexpr std::size_t kCapacity = 1024;
+
+    mutable std::mutex mutex_;
+    std::unordered_map<Key, sim::Mat4, KeyHash> one_;
+    std::unordered_map<Key, sim::Mat16, KeyHash> two_;
+};
+
+/**
+ * A circuit compiled for noisy density-matrix execution: every gate's
+ * SuperopTable entry, fused greedily with its neighbours (same pass
+ * structure and barrier rules as sim::FusedProgram). Replaying it
+ * performs no per-run allocation or channel construction.
  */
 class NoisyProgram
 {
   public:
     /**
      * Compile `local` (an already-compacted circuit) against the
-     * device calibration. `kept[q]` is the physical qubit behind local
-     * qubit q; `scale` multiplies every error rate (0 = noiseless).
-     * Replicates NoisyDensitySimulator's per-gate channel schedule:
-     * depolarizing then thermal relaxation after 1-qubit gates,
-     * depolarizing (twice for CRY) then both thermal relaxations after
-     * 2-qubit gates.
+     * device calibration, looking every gate's superoperator up in
+     * `table`. `kept[q]` is the physical qubit behind local qubit q;
+     * `scale` multiplies every error rate (0 = noiseless).
      */
+    static NoisyProgram compile(const circ::Circuit &local,
+                                const std::vector<int> &kept,
+                                const dev::Device &device, double scale,
+                                SuperopTable &table);
+
+    /** compile() against a fresh table of its own. */
     static NoisyProgram compile(const circ::Circuit &local,
                                 const std::vector<int> &kept,
                                 const dev::Device &device, double scale);

@@ -42,6 +42,8 @@ FusedProgram::compile(const circ::Circuit &circuit)
         return stream[static_cast<std::size_t>(idx)];
     };
 
+    // Next ResolvedBarriers slot per [role is embedding][arity is 2].
+    int next_slot[2][2] = {{0, 0}, {0, 0}};
     bool in_const_prefix = true;
     for (const circ::Op &op : circuit.ops()) {
         const bool barrier = op.kind == circ::GateKind::AmpEmbed ||
@@ -54,14 +56,18 @@ FusedProgram::compile(const circ::Circuit &circuit)
             // Angles resolve at run time; keep the IR op and close the
             // touched qubits (all of them for amplitude embedding,
             // which rewrites the whole state).
-            if (op.kind == circ::GateKind::AmpEmbed)
-                std::fill(open.begin(), open.end(), -1);
-            else
-                for (int k = 0; k < op.num_qubits(); ++k)
-                    open_at(op.qubits[static_cast<std::size_t>(k)]) = -1;
             Entry e;
             e.fused.kind = FusedOp::Kind::Barrier;
             e.fused.op = op;
+            if (op.kind == circ::GateKind::AmpEmbed) {
+                std::fill(open.begin(), open.end(), -1);
+            } else {
+                for (int k = 0; k < op.num_qubits(); ++k)
+                    open_at(op.qubits[static_cast<std::size_t>(k)]) = -1;
+                e.fused.slot =
+                    next_slot[op.role == circ::ParamRole::Embedding]
+                             [op.num_qubits() == 2]++;
+            }
             stream.push_back(e);
             continue;
         }
@@ -141,9 +147,9 @@ FusedProgram::compile(const circ::Circuit &circuit)
     return prog;
 }
 
+template <typename ApplyBarrier>
 void
-FusedProgram::run(StateVector &psi, const std::vector<double> &params,
-                  const std::vector<double> &x) const
+FusedProgram::replay(StateVector &psi, ApplyBarrier &&barrier) const
 {
     ELV_REQUIRE(psi.num_qubits() == num_qubits_,
                 "program/state qubit count mismatch");
@@ -160,10 +166,60 @@ FusedProgram::run(StateVector &psi, const std::vector<double> &params,
             psi.apply_2q(f.m4, f.q0, f.q1);
             break;
           case FusedOp::Kind::Barrier:
-            psi.apply_op(f.op, params, x);
+            barrier(f);
             break;
         }
     }
+}
+
+void
+FusedProgram::run(StateVector &psi, const std::vector<double> &params,
+                  const std::vector<double> &x) const
+{
+    replay(psi, [&](const FusedOp &f) { psi.apply_op(f.op, params, x); });
+}
+
+ResolvedBarriers
+FusedProgram::resolve(circ::ParamRole role,
+                      const std::vector<double> &params,
+                      const std::vector<double> &x) const
+{
+    ELV_REQUIRE(role != circ::ParamRole::None,
+                "only parametric barriers resolve");
+    ResolvedBarriers out;
+    for (const FusedOp &f : ops_) {
+        if (f.kind != FusedOp::Kind::Barrier || f.op.role != role ||
+            f.op.kind == circ::GateKind::AmpEmbed)
+            continue;
+        const auto angles = circ::op_angles(f.op, params, x);
+        if (f.op.num_qubits() == 1)
+            out.one.push_back(gate_matrix_1q(f.op.kind, angles));
+        else
+            out.two.push_back(gate_matrix_2q(f.op.kind, angles));
+    }
+    return out;
+}
+
+void
+FusedProgram::run(StateVector &psi, const ResolvedBarriers &variational,
+                  const ResolvedBarriers &embedding,
+                  const std::vector<double> &x) const
+{
+    replay(psi, [&](const FusedOp &f) {
+        const circ::Op &op = f.op;
+        if (op.kind == circ::GateKind::AmpEmbed) {
+            psi.set_amplitude_embedding(x);
+            return;
+        }
+        const ResolvedBarriers &mats =
+            op.role == circ::ParamRole::Embedding ? embedding : variational;
+        const auto slot = static_cast<std::size_t>(f.slot);
+        if (op.num_qubits() == 1)
+            psi.apply_gate(op.kind, mats.one.at(slot), op.qubits[0]);
+        else
+            psi.apply_gate(op.kind, mats.two.at(slot), op.qubits[0],
+                           op.qubits[1]);
+    });
 }
 
 FusionCache &
@@ -179,10 +235,15 @@ FusionCache::get(const circ::Circuit &circuit)
     const std::string key = circ::to_text_line(circuit);
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = programs_.find(key);
-    if (it != programs_.end())
+    if (it != programs_.end()) {
+        ELV_METRIC_COUNT("fusion.cache.hits");
         return it->second;
-    if (programs_.size() >= kCapacity)
+    }
+    ELV_METRIC_COUNT("fusion.cache.misses");
+    if (programs_.size() >= kCapacity) {
+        ELV_METRIC_COUNT_N("fusion.cache.evictions", programs_.size());
         programs_.clear();
+    }
     auto program =
         std::make_shared<const FusedProgram>(FusedProgram::compile(circuit));
     programs_.emplace(key, program);

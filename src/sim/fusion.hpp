@@ -51,6 +51,24 @@ struct FusedOp
     int q1 = -1;
     /** The original IR op (Barrier entries only). */
     circ::Op op{};
+    /**
+     * Parametric barriers: index among the program's barriers of the
+     * same role and arity, i.e. into ResolvedBarriers::one or ::two.
+     */
+    int slot = -1;
+};
+
+/**
+ * The gate matrices of a program's parametric barriers of one role
+ * (variational or embedding), resolved for one binding of their
+ * angles, in stream order: `one` for the 1-qubit barriers, `two` for
+ * the 2-qubit ones. Resolving once and replaying many times skips the
+ * per-run angle lookup and sin/cos/exp of every barrier.
+ */
+struct ResolvedBarriers
+{
+    std::vector<Mat2> one;
+    std::vector<Mat4> two;
 };
 
 /** A circuit compiled through the gate-fusion pass. */
@@ -67,6 +85,27 @@ class FusedProgram
      */
     void run(StateVector &psi, const std::vector<double> &params = {},
              const std::vector<double> &x = {}) const;
+
+    /**
+     * The matrices of every barrier with `role` (Variational or
+     * Embedding) for this (params, x). Variational matrices read only
+     * `params` and embedding matrices only `x`, so each side can be
+     * resolved once and reused across every binding of the other.
+     */
+    ResolvedBarriers resolve(circ::ParamRole role,
+                             const std::vector<double> &params,
+                             const std::vector<double> &x) const;
+
+    /**
+     * run() with every parametric barrier's matrix taken from
+     * `variational` / `embedding` (from resolve()) instead of being
+     * rebuilt, applied through the same kernels. `x` feeds an
+     * amplitude-embedding barrier. The state is bit-identical to
+     * run(psi, params, x) for the binding both sides were resolved for.
+     */
+    void run(StateVector &psi, const ResolvedBarriers &variational,
+             const ResolvedBarriers &embedding,
+             const std::vector<double> &x) const;
 
     const std::vector<FusedOp> &ops() const { return ops_; }
 
@@ -94,6 +133,11 @@ class FusedProgram
     int num_qubits() const { return num_qubits_; }
 
   private:
+    /** Reset `psi` and apply the stream; `barrier` applies Barrier
+     *  entries. */
+    template <typename ApplyBarrier>
+    void replay(StateVector &psi, ApplyBarrier &&barrier) const;
+
     std::vector<FusedOp> ops_;
     std::uint64_t ops_merged_ = 0;
     std::size_t source_ops_ = 0;

@@ -157,25 +157,36 @@ StateVector::apply_op(const circ::Op &op, const std::vector<double> &params,
           default:
             break;
         }
-        if (circ::gate_is_diagonal_1q(op.kind)) {
-            // Take the diagonal from the shared matrix factory so the
-            // fast path can never drift from the generic one.
-            ELV_METRIC_COUNT("sim.kernel.diag1q");
-            const auto angles = circ::op_angles(op, params, x);
-            const Mat2 u = gate_matrix_1q(op.kind, angles);
-            apply_diag_1q(u[0][0], u[1][1], op.qubits[0]);
-            return;
-        }
     }
     const auto angles = circ::op_angles(op, params, x);
-    if (op.num_qubits() == 1) {
-        ELV_METRIC_COUNT("sim.kernel.dense1q");
-        apply_1q(gate_matrix_1q(op.kind, angles), op.qubits[0]);
-    } else {
-        ELV_METRIC_COUNT("sim.kernel.dense2q");
-        apply_2q(gate_matrix_2q(op.kind, angles), op.qubits[0],
-                 op.qubits[1]);
+    if (op.num_qubits() == 1)
+        apply_gate(op.kind, gate_matrix_1q(op.kind, angles), op.qubits[0]);
+    else
+        apply_gate(op.kind, gate_matrix_2q(op.kind, angles), op.qubits[0],
+                   op.qubits[1]);
+}
+
+void
+StateVector::apply_gate(circ::GateKind kind, const Mat2 &u, int q)
+{
+    if (specialized_ && circ::gate_is_diagonal_1q(kind)) {
+        // The diagonal comes from the same matrix as the generic path,
+        // so the fast path can never drift from it.
+        ELV_METRIC_COUNT("sim.kernel.diag1q");
+        apply_diag_1q(u[0][0], u[1][1], q);
+        return;
     }
+    ELV_METRIC_COUNT("sim.kernel.dense1q");
+    apply_1q(u, q);
+}
+
+void
+StateVector::apply_gate(circ::GateKind, const Mat4 &u, int q0, int q1)
+{
+    // No 2-qubit matrix gate has a fast path: the permutation gates
+    // (CX/CZ/SWAP) take theirs in apply_op before any matrix exists.
+    ELV_METRIC_COUNT("sim.kernel.dense2q");
+    apply_2q(u, q0, q1);
 }
 
 void

@@ -93,6 +93,16 @@ class StateVector
                   const std::vector<double> &x);
 
     /**
+     * Apply an already-resolved gate matrix of kind `kind` through the
+     * kernel choice apply_op makes (the diagonal fast path for
+     * diagonal 1-qubit kinds, else the dense kernels). apply_op routes
+     * every matrix gate through these, so a caller that resolves
+     * matrices ahead of time runs the exact same kernels.
+     */
+    void apply_gate(circ::GateKind kind, const Mat2 &u, int q);
+    void apply_gate(circ::GateKind kind, const Mat4 &u, int q0, int q1);
+
+    /**
      * Run a circuit from |0...0>: resets, then applies every op.
      * `params` are the variational parameters, `x` the input sample.
      */

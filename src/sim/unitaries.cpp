@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "sim/vec_complex.hpp"
 
 namespace elv::sim {
 
@@ -243,15 +244,10 @@ identity4()
 Mat16
 matmul(const Mat16 &a, const Mat16 &b)
 {
+    // Composing noisy superoperators is most of NoisyProgram::compile,
+    // so this product has SIMD tiers (bit-identical, like every kernel).
     Mat16 out = {};
-    for (std::size_t i = 0; i < 16; ++i)
-        for (std::size_t k = 0; k < 16; ++k) {
-            const Amp aik = a[i][k];
-            if (aik == Amp(0))
-                continue;
-            for (std::size_t j = 0; j < 16; ++j)
-                out[i][j] += aik * b[k][j];
-        }
+    vec::matmul16(a[0].data(), b[0].data(), out[0].data());
     return out;
 }
 

@@ -135,6 +135,22 @@ scalar_4q(std::complex<double> *amps, const std::size_t *sorted,
     }
 }
 
+/** out += a * b over row-major 16x16 matrices, skipping zero a[i][k]
+ *  (superoperators are sparse); each out[i][j] sums in k order. */
+inline void
+scalar_matmul16(const std::complex<double> *a, const std::complex<double> *b,
+                std::complex<double> *out)
+{
+    for (std::size_t i = 0; i < 16; ++i)
+        for (std::size_t k = 0; k < 16; ++k) {
+            const std::complex<double> aik = a[16 * i + k];
+            if (aik == std::complex<double>(0))
+                continue;
+            for (std::size_t j = 0; j < 16; ++j)
+                out[16 * i + j] += aik * b[16 * k + j];
+        }
+}
+
 #if ELV_VEC_X86
 
 // FP contraction would silently fuse the mul/add intrinsic pairs below
@@ -181,6 +197,34 @@ matvec_pd(const std::complex<double> *u, std::size_t n, const __m256d *in,
                              _mm256_set1_pd(w.imag())));
         }
         out[r] = acc;
+    }
+}
+
+/** scalar_matmul16 with each row of `out` held in 8 ymm accumulators;
+ *  lanes run across j, so every out[i][j] sums in the same k order. */
+__attribute__((target("avx2"))) inline void
+avx2_matmul16_pd(const std::complex<double> *a, const std::complex<double> *b,
+                 std::complex<double> *out)
+{
+    const double *rb = reinterpret_cast<const double *>(b);
+    double *ro = reinterpret_cast<double *>(out);
+    for (std::size_t i = 0; i < 16; ++i) {
+        __m256d acc[8];
+        for (std::size_t jj = 0; jj < 8; ++jj)
+            acc[jj] = _mm256_loadu_pd(ro + 32 * i + 4 * jj);
+        for (std::size_t k = 0; k < 16; ++k) {
+            const std::complex<double> aik = a[16 * i + k];
+            if (aik == std::complex<double>(0))
+                continue;
+            const __m256d wr = _mm256_set1_pd(aik.real());
+            const __m256d wi = _mm256_set1_pd(aik.imag());
+            for (std::size_t jj = 0; jj < 8; ++jj)
+                acc[jj] = _mm256_add_pd(
+                    acc[jj],
+                    cmul_pd(_mm256_loadu_pd(rb + 32 * k + 4 * jj), wr, wi));
+        }
+        for (std::size_t jj = 0; jj < 8; ++jj)
+            _mm256_storeu_pd(ro + 32 * i + 4 * jj, acc[jj]);
     }
 }
 
@@ -625,6 +669,20 @@ apply_4q(std::complex<double> *amps, std::size_t dim, std::size_t m0,
     }
 #endif
     scalar_4q(amps, sorted, offset, u, 0, dim >> 4);
+}
+
+/** out += a * b for row-major 16x16 matrices (see scalar_matmul16). */
+inline void
+matmul16(const std::complex<double> *a, const std::complex<double> *b,
+         std::complex<double> *out)
+{
+#if ELV_VEC_X86
+    if (active_tier() != KernelTier::Baseline) {
+        avx2_matmul16_pd(a, b, out);
+        return;
+    }
+#endif
+    scalar_matmul16(a, b, out);
 }
 
 } // namespace elv::sim::vec

@@ -8,14 +8,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
 #include "compiler/compile.hpp"
 #include "core/candidate_gen.hpp"
+#include "core/checkpoint.hpp"
 #include "core/cnr.hpp"
 #include "core/repcap.hpp"
 #include "core/search.hpp"
@@ -444,6 +447,118 @@ TEST(Search, HigherThresholdRejectsMore)
         elivagar_search(device, bench.train, config);
     EXPECT_LT(strict.survivors, lax.survivors);
     EXPECT_LT(strict.repcap_executions, lax.repcap_executions);
+}
+
+// ---------------------------------------------------------------------
+// Pinned scores: every candidate's score, CNR and RepCap, bit for bit.
+// Any change that reassociates floating-point work in the search path
+// (fusion order, kernel arithmetic, summation order) fails here.
+
+struct PinnedScore
+{
+    const char *score;
+    const char *cnr;
+    const char *repcap;
+};
+
+/** {score, CNR, RepCap} per candidate, as hexfloats. */
+const PinnedScore kMnist4Perth[] = {
+    {"0x1.14b5c4510e006p-1", "0x1.ed496e8b5eba5p-1",
+     "0x1.19e8e5fd68f08p-1"},
+    {"0x1.11ebb9cbf440fp-1", "0x1.f1b27d7ead3a9p-1",
+     "0x1.15d431703515cp-1"},
+    {"0x1.19c2da43b693ap-1", "0x1.ecc21f1246066p-1",
+     "0x1.1f35af4cb5ec8p-1"},
+    {"0x0p+0", "0x1.eb397e791f965p-1",
+     "0x0p+0"},
+    {"0x1.1cae8b85f0cbdp-1", "0x1.fa3e91bd226bp-1",
+     "0x1.1e4ba8bd28f5p-1"},
+    {"0x0p+0", "0x1.e3f54d265935fp-1",
+     "0x0p+0"},
+    {"0x1.10fe95897187ep-1", "0x1.ed9d1c3c6c5c9p-1",
+     "0x1.16084381eec4cp-1"},
+    {"0x0p+0", "0x1.e4b0a0f165294p-1",
+     "0x0p+0"},
+    {"0x0p+0", "0x1.ca2036e384491p-1",
+     "0x0p+0"},
+    {"0x0p+0", "0x1.ea17258677084p-1",
+     "0x0p+0"},
+    {"0x0p+0", "0x1.eaec956ccfc2bp-1",
+     "0x0p+0"},
+    {"0x1.0c193f47e5c62p-1", "0x1.ecf1d60223c67p-1",
+     "0x1.113b378409884p-1"},
+    {"0x1.153e25e971572p-1", "0x1.f6126ce93ad42p-1",
+     "0x1.17f8702f80e8bp-1"},
+    {"0x1.1a9b841dcb3b2p-1", "0x1.ef8dcd204fe78p-1",
+     "0x1.1f4239f611b96p-1"},
+    {"0x0p+0", "0x1.e36556ad85ac6p-1",
+     "0x0p+0"},
+    {"0x0p+0", "0x1.e3cff9cc4a021p-1",
+     "0x0p+0"},
+};
+/** {score, CNR, RepCap} per candidate, as hexfloats. */
+const PinnedScore kMnist10Guadalupe[] = {
+    {"0x0p+0", "0x1.be2d9b41f7d69p-1",
+     "0x0p+0"},
+    {"0x0p+0", "0x1.c67e94e74bb4fp-1",
+     "0x0p+0"},
+    {"0x1.0cc9eb28d6e0ap-1", "0x1.d2fd31d0336c9p-1",
+     "0x1.1971c890a9b02p-1"},
+    {"0x1.0fd3cab24e70dp-1", "0x1.d72c69b492002p-1",
+     "0x1.1b5c02a49d1f9p-1"},
+    {"0x0p+0", "0x1.bb794672b6017p-1",
+     "0x0p+0"},
+    {"0x1.13267be1ac4a1p-1", "0x1.ebad0216b0c2ap-1",
+     "0x1.18c795a178f4cp-1"},
+    {"0x0p+0", "0x1.cc08e0082025cp-1",
+     "0x0p+0"},
+    {"0x1.2131c12b26e61p-1", "0x1.ce916c1f28b22p-1",
+     "0x1.3041251bf2fbep-1"},
+};
+
+/** The elivagar_cli mapping of (benchmark, device, pool, seed, scale). */
+SearchResult
+cli_search(const std::string &benchmark, const std::string &device_name,
+           int candidates, double scale)
+{
+    const qml::Benchmark bench = qml::make_benchmark(benchmark, 7, scale);
+    const dev::Device device = dev::make_device(device_name);
+    ElivagarConfig config;
+    config.num_candidates = candidates;
+    config.candidate.num_qubits = bench.spec.qubits;
+    config.candidate.num_params = bench.spec.params;
+    config.candidate.num_embeds = std::min(
+        bench.spec.params, std::max(bench.spec.dim, bench.spec.params / 4));
+    config.candidate.num_meas = bench.spec.meas;
+    config.candidate.num_features = bench.spec.dim;
+    config.seed = 7;
+    config.threads = 2;
+    return elivagar_search(device, bench.train, config);
+}
+
+template <std::size_t N>
+void
+expect_pinned(const SearchResult &found, const PinnedScore (&pins)[N])
+{
+    ASSERT_EQ(found.candidates.size(), N);
+    for (std::size_t n = 0; n < N; ++n) {
+        const CandidateRecord &record = found.candidates[n];
+        EXPECT_EQ(double_to_hex(record.score), pins[n].score) << "cand " << n;
+        EXPECT_EQ(double_to_hex(record.cnr), pins[n].cnr) << "cand " << n;
+        EXPECT_EQ(double_to_hex(record.repcap), pins[n].repcap)
+            << "cand " << n;
+    }
+}
+
+TEST(PinnedScores, Mnist4OnPerth)
+{
+    expect_pinned(cli_search("mnist-4", "ibm_perth", 16, 0.1), kMnist4Perth);
+}
+
+TEST(PinnedScores, Mnist10OnGuadalupe)
+{
+    expect_pinned(cli_search("mnist-10", "ibm_guadalupe", 8, 0.02),
+                  kMnist10Guadalupe);
 }
 
 } // namespace

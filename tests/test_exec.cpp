@@ -607,16 +607,47 @@ TEST(ResilientExecutor, UnsupportedPrimaryIsSkippedNotDegraded)
 {
     // A variational circuit cannot run on the stabilizer rung; with
     // Stabilizer as primary the noiseless rung services it, but that is
-    // a capability skip, not a degradation event.
+    // a capability skip, not a degradation event. (Distributions, not
+    // replica fidelity: a parametric circuit is never a valid replica.)
     const dev::Device device = dev::make_device("ibm_lagos");
     ResilientExecutor executor(device, BackendKind::Stabilizer, 512, 1.0);
     Rng rng(11);
     const circ::Circuit c = variational_circuit();
     ASSERT_TRUE(executor.supports(c));
-    executor.replica_fidelity(c, rng);
+    const std::vector<double> params(
+        static_cast<std::size_t>(c.num_params()), 0.4);
+    executor.run_distribution(c, params, {}, rng);
     EXPECT_FALSE(executor.last_report()->degraded);
     EXPECT_EQ(executor.last_report()->backend, BackendKind::Noiseless);
     EXPECT_EQ(executor.counters().degraded_calls, 0u);
+}
+
+TEST(ResilientExecutor, CalibrationDriftReachesTheDensityBackend)
+{
+    // Every call drifts the executor's calibration snapshot. A repeated
+    // circuit must be simulated against the drifted gate errors, not
+    // replay a program compiled before the drift (only readout, which
+    // is read live, used to get through).
+    const dev::Device device = dev::make_device("ibm_lagos");
+    FaultConfig faults;
+    faults.drift_rate = 1.0;
+    faults.drift_sigma = 1.0;
+    faults.seed = 5;
+    ResilientExecutor executor(device, BackendKind::Density, 512, 1.0,
+                               RetryPolicy{}, faults);
+    Rng rng(13);
+    const circ::Circuit c = variational_circuit();
+    const std::vector<double> params = {0.7, -1.1};
+    for (int call = 0; call < 3; ++call) {
+        const auto got = executor.run_distribution(c, params, {}, rng);
+        ASSERT_EQ(executor.last_report()->backend, BackendKind::Density);
+        const noise::NoisyDensitySimulator fresh(executor.device());
+        const auto want = fresh.run_distribution(c, params);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            EXPECT_NEAR(got[i], want[i], 1e-12) << "call " << call;
+    }
+    EXPECT_EQ(executor.injected().drifts, 3u);
 }
 
 TEST(ResilientExecutor, DistributionPathValidatesAndRetries)

@@ -7,13 +7,18 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "circuit/clifford_replica.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "common/statistics.hpp"
 #include "core/candidate_gen.hpp"
 #include "device/device.hpp"
 #include "noise/channels.hpp"
@@ -117,6 +122,105 @@ prepared_state(int qubits)
     rho.run(c);
     rho.apply_depolarizing_1q(0.05, qubits - 1); // make it mixed
     return rho;
+}
+
+/**
+ * Reference for the compiled noisy programs: the per-gate channel loop.
+ * Every gate, then its depolarizing (twice for CRY) and thermal-
+ * relaxation channels as separate Kraus passes, then readout confusion.
+ */
+std::vector<double>
+kraus_loop_distribution(const dev::Device &device, double scale,
+                        const circ::Circuit &circuit,
+                        const std::vector<double> &params = {},
+                        const std::vector<double> &x = {})
+{
+    std::vector<int> kept;
+    const circ::Circuit local = circuit.compacted(kept);
+    auto physical = [&kept](int lq) {
+        return static_cast<std::size_t>(kept[static_cast<std::size_t>(lq)]);
+    };
+    auto relax = [&](sim::DensityMatrix &rho, int lq, double duration_ns) {
+        const std::size_t pq = physical(lq);
+        const noise::ThermalParams p = noise::thermal_relaxation_params(
+            device.t1_us[pq] / std::max(scale, 1e-9),
+            device.t2_us[pq] / std::max(scale, 1e-9), duration_ns);
+        rho.apply_thermal_relaxation(p.gamma, p.lambda, lq);
+    };
+
+    sim::DensityMatrix rho(local.num_qubits());
+    for (const circ::Op &op : local.ops()) {
+        rho.apply_op(op, params, x);
+        if (scale == 0.0 || op.kind == circ::GateKind::AmpEmbed)
+            continue;
+        if (op.num_qubits() == 1) {
+            const int lq = op.qubits[0];
+            rho.apply_depolarizing_1q(
+                std::clamp(scale * device.error_1q[physical(lq)], 0.0, 1.0),
+                lq);
+            relax(rho, lq, device.duration_1q_ns);
+        } else {
+            const int la = op.qubits[0], lb = op.qubits[1];
+            const double err = std::clamp(
+                scale * device.edge_error(static_cast<int>(physical(la)),
+                                          static_cast<int>(physical(lb))),
+                0.0, 1.0);
+            const int reps = op.kind == circ::GateKind::CRY ? 2 : 1;
+            for (int rep = 0; rep < reps; ++rep)
+                rho.apply_depolarizing_2q(err, la, lb);
+            relax(rho, la, device.duration_2q_ns);
+            relax(rho, lb, device.duration_2q_ns);
+        }
+    }
+    auto probs = rho.probabilities(local.measured());
+    if (scale > 0.0) {
+        std::vector<double> flips;
+        for (int lq : local.measured())
+            flips.push_back(
+                std::min(0.5, scale * device.readout_error[physical(lq)]));
+        probs = noise::apply_readout_confusion(probs, flips);
+    }
+    return probs;
+}
+
+/** 1 - TVD between the noiseless output and the Kraus-loop one. */
+double
+kraus_loop_fidelity(const dev::Device &device, double scale,
+                    const circ::Circuit &circuit,
+                    const std::vector<double> &params = {},
+                    const std::vector<double> &x = {})
+{
+    std::vector<int> kept;
+    const circ::Circuit local = circuit.compacted(kept);
+    sim::StateVector psi(local.num_qubits());
+    psi.run(local, params, x);
+    return 1.0 - elv::total_variation_distance(
+                     psi.probabilities(local.measured()),
+                     kraus_loop_distribution(device, scale, circuit, params,
+                                             x));
+}
+
+/** Bitwise equality of two density matrices of equal size. */
+bool
+same_bits(const sim::DensityMatrix &a, const sim::DensityMatrix &b)
+{
+    const std::size_t dim = std::size_t{1} << a.num_qubits();
+    for (std::size_t r = 0; r < dim; ++r)
+        for (std::size_t c = 0; c < dim; ++c) {
+            const sim::Amp x = a.element(r, c), y = b.element(r, c);
+            if (std::memcmp(&x, &y, sizeof x) != 0)
+                return false;
+        }
+    return true;
+}
+
+/** Bitwise equality of two state vectors of equal size. */
+bool
+same_bits(const sim::StateVector &a, const sim::StateVector &b)
+{
+    return a.dim() == b.dim() &&
+           std::memcmp(a.amps().data(), b.amps().data(),
+                       a.dim() * sizeof(sim::Amp)) == 0;
 }
 
 TEST(Fusion, MatchesPerGateExecutionOnRandomCircuits)
@@ -284,9 +388,6 @@ TEST(NoisyProgram, MatchesUnfusedChannelLoop)
     config.num_features = 3;
 
     noise::NoisyDensitySimulator fused(device);
-    noise::NoisyDensitySimulator unfused(device);
-    unfused.use_fused_execution(false);
-
     for (int trial = 0; trial < 5; ++trial) {
         const circ::Circuit c =
             core::generate_candidate(device, config, rng);
@@ -295,13 +396,13 @@ TEST(NoisyProgram, MatchesUnfusedChannelLoop)
         const auto x = random_values(3, rng);
 
         const auto a = fused.run_distribution(c, params, x);
-        const auto b = unfused.run_distribution(c, params, x);
+        const auto b = kraus_loop_distribution(device, 1.0, c, params, x);
         ASSERT_EQ(a.size(), b.size());
         for (std::size_t i = 0; i < a.size(); ++i)
             EXPECT_NEAR(a[i], b[i], 1e-12) << "trial " << trial;
 
         EXPECT_NEAR(fused.fidelity(c, params, x),
-                    unfused.fidelity(c, params, x), 1e-12);
+                    kraus_loop_fidelity(device, 1.0, c, params, x), 1e-12);
     }
 }
 
@@ -320,13 +421,11 @@ TEST(NoisyProgram, MatchesUnfusedOnCliffordReplicas)
         core::generate_candidate(device, config, rng);
 
     noise::NoisyDensitySimulator fused(device);
-    noise::NoisyDensitySimulator unfused(device);
-    unfused.use_fused_execution(false);
     for (int m = 0; m < 4; ++m) {
         const circ::Circuit replica =
             circ::make_clifford_replica(candidate, rng);
-        EXPECT_NEAR(fused.fidelity(replica), unfused.fidelity(replica),
-                    1e-12);
+        EXPECT_NEAR(fused.fidelity(replica),
+                    kraus_loop_fidelity(device, 1.0, replica), 1e-12);
     }
 }
 
@@ -346,13 +445,248 @@ TEST(NoisyProgram, NoiseScaleZeroIsNoiselessInBothPaths)
     const auto x = random_values(3, rng);
 
     noise::NoisyDensitySimulator fused(device, 0.0);
-    noise::NoisyDensitySimulator unfused(device, 0.0);
-    unfused.use_fused_execution(false);
     const auto a = fused.run_distribution(c, params, x);
-    const auto b = unfused.run_distribution(c, params, x);
+    const auto b = kraus_loop_distribution(device, 0.0, c, params, x);
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_NEAR(a[i], b[i], 1e-12);
     EXPECT_NEAR(fused.fidelity(c, params, x), 1.0, 1e-9);
+}
+
+/** Fixed, variational and embedding gates on the coupled pairs of
+ *  `device` among its first four qubits, including CRY barriers (the
+ *  double-depolarizing 2-qubit case). */
+circ::Circuit
+device_circuit(const dev::Device &device, elv::Rng &rng, int ops)
+{
+    std::vector<std::pair<int, int>> edges;
+    for (const auto &e : device.topology.edges())
+        if (e.first < 4 && e.second < 4)
+            edges.push_back(e);
+    circ::Circuit c(device.num_qubits());
+    const circ::GateKind fixed1[] = {circ::GateKind::H, circ::GateKind::S,
+                                     circ::GateKind::X, circ::GateKind::Z};
+    for (int n = 0; n < ops; ++n) {
+        const auto &e = edges[rng.uniform_index(edges.size())];
+        const int q = rng.bernoulli(0.5) ? e.first : e.second;
+        switch (rng.uniform_index(6)) {
+        case 0:
+            c.add_gate(fixed1[rng.uniform_index(4)], {q});
+            break;
+        case 1:
+            c.add_gate(rng.bernoulli(0.5) ? circ::GateKind::CX
+                                          : circ::GateKind::CZ,
+                       {e.first, e.second});
+            break;
+        case 2:
+            c.add_variational(circ::GateKind::CRY, {e.second, e.first});
+            break;
+        case 3:
+            c.add_variational(circ::GateKind::U3, {q});
+            break;
+        case 4:
+            c.add_embedding(circ::GateKind::RY, {q},
+                            static_cast<int>(rng.uniform_index(3)));
+            break;
+        default:
+            c.add_gate(circ::GateKind::SWAP, {e.first, e.second});
+            break;
+        }
+    }
+    c.set_measured({edges[0].first});
+    return c;
+}
+
+TEST(SuperopTable, TableCompiledProgramsReplayBitIdentically)
+{
+    // Programs compiled against one shared, warm table replay to the
+    // same bits as programs each built against a fresh table, at every
+    // noise scale, and match the Kraus loop.
+    const dev::Device device = dev::make_device("ibm_lagos");
+    for (const double scale : {0.0, 0.5, 1.0}) {
+        elv::Rng rng(43);
+        noise::SuperopTable table;
+        for (int trial = 0; trial < 6; ++trial) {
+            const circ::Circuit c = device_circuit(device, rng, 30);
+            const auto params = random_values(
+                static_cast<std::size_t>(c.num_params()), rng);
+            const auto x = random_values(3, rng);
+            std::vector<int> kept;
+            const circ::Circuit local = c.compacted(kept);
+
+            const auto shared = noise::NoisyProgram::compile(
+                local, kept, device, scale, table);
+            const auto fresh =
+                noise::NoisyProgram::compile(local, kept, device, scale);
+            EXPECT_EQ(shared.size(), fresh.size());
+            EXPECT_EQ(shared.ops_merged(), fresh.ops_merged());
+            sim::DensityMatrix a(local.num_qubits()), b(local.num_qubits());
+            shared.run(a, params, x);
+            fresh.run(b, params, x);
+            EXPECT_TRUE(same_bits(a, b))
+                << "scale " << scale << " trial " << trial;
+
+            noise::NoisyDensitySimulator sim(device, scale);
+            const auto got = sim.run_distribution(c, params, x);
+            const auto want =
+                kraus_loop_distribution(device, scale, c, params, x);
+            for (std::size_t i = 0; i < got.size(); ++i)
+                EXPECT_NEAR(got[i], want[i], 1e-12);
+        }
+        EXPECT_GT(table.size(), 0u);
+    }
+}
+
+TEST(SuperopTable, DriftedCalibrationIsANewEntry)
+{
+    dev::Device device = dev::make_device("ibm_lagos");
+    elv::Rng rng(47);
+    const circ::Circuit c = device_circuit(device, rng, 24);
+    std::vector<int> kept;
+    const circ::Circuit local = c.compacted(kept);
+    const auto params =
+        random_values(static_cast<std::size_t>(c.num_params()), rng);
+    const auto x = random_values(3, rng);
+
+    noise::SuperopTable table;
+    const auto before =
+        noise::NoisyProgram::compile(local, kept, device, 1.0, table);
+    const std::size_t entries = table.size();
+    for (double &e : device.error_1q)
+        e *= 1.7;
+    for (double &e : device.error_2q)
+        e *= 0.6;
+    const auto after =
+        noise::NoisyProgram::compile(local, kept, device, 1.0, table);
+    EXPECT_GT(table.size(), entries);
+
+    const auto fresh = noise::NoisyProgram::compile(local, kept, device, 1.0);
+    sim::DensityMatrix a(local.num_qubits()), b(local.num_qubits()),
+        stale(local.num_qubits());
+    after.run(a, params, x);
+    fresh.run(b, params, x);
+    before.run(stale, params, x);
+    EXPECT_TRUE(same_bits(a, b));
+    EXPECT_FALSE(same_bits(a, stale));
+}
+
+TEST(SuperopTable, UncoupledEdgeIsFatalOnAWarmTable)
+{
+    // The key holds calibration values, not qubit labels: give qubit 2
+    // qubit 1's calibration so CX(0, 2) would key exactly like the
+    // cached CX(0, 1). The coupling check must still reject it.
+    dev::Device device = dev::make_device("ibm_lagos");
+    ASSERT_TRUE(device.topology.has_edge(0, 1));
+    ASSERT_FALSE(device.topology.has_edge(0, 2));
+    device.t1_us[2] = device.t1_us[1];
+    device.t2_us[2] = device.t2_us[1];
+
+    noise::SuperopTable table;
+    circ::Circuit coupled(3);
+    coupled.add_gate(circ::GateKind::CX, {0, 1});
+    coupled.set_measured({0});
+    std::vector<int> kept = {0, 1, 2};
+    noise::NoisyProgram::compile(coupled, kept, device, 1.0, table);
+    ASSERT_EQ(table.size(), 1u);
+
+    circ::Circuit uncoupled(3);
+    uncoupled.add_gate(circ::GateKind::CX, {0, 2});
+    uncoupled.set_measured({0});
+    EXPECT_THROW(
+        noise::NoisyProgram::compile(uncoupled, kept, device, 1.0, table),
+        elv::UsageError);
+}
+
+TEST(SuperopTable, SharedSimulatorIsThreadSafe)
+{
+    // One simulator (one table, one program cache) serving four threads
+    // gives every thread the serial answers, bit for bit.
+    const dev::Device device = dev::make_device("ibmq_jakarta");
+    elv::Rng rng(53);
+    core::CandidateConfig config;
+    config.num_qubits = 4;
+    config.num_params = 8;
+    config.num_embeds = 2;
+    config.num_meas = 2;
+    config.num_features = 3;
+    const circ::Circuit candidate =
+        core::generate_candidate(device, config, rng);
+    std::vector<circ::Circuit> replicas;
+    for (int m = 0; m < 8; ++m)
+        replicas.push_back(circ::make_clifford_replica(candidate, rng));
+    const auto params = random_values(
+        static_cast<std::size_t>(candidate.num_params()), rng);
+    const auto x = random_values(3, rng);
+
+    std::vector<double> serial;
+    {
+        const noise::NoisyDensitySimulator sim(device);
+        for (const circ::Circuit &r : replicas)
+            serial.push_back(sim.fidelity(r));
+        serial.push_back(sim.run_distribution(candidate, params, x)[0]);
+    }
+
+    const noise::NoisyDensitySimulator shared(device);
+    std::vector<std::vector<double>> got(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t)
+        threads.emplace_back([&, t] {
+            for (int rep = 0; rep < 3; ++rep) {
+                got[t].clear();
+                for (const circ::Circuit &r : replicas)
+                    got[t].push_back(shared.fidelity(r));
+                got[t].push_back(
+                    shared.run_distribution(candidate, params, x)[0]);
+            }
+        });
+    for (auto &th : threads)
+        th.join();
+    for (const auto &values : got)
+        EXPECT_EQ(values, serial);
+}
+
+TEST(Fusion, ResolvedBarriersReplayBitIdentically)
+{
+    // RepCap's path: barrier matrices resolved once per binding, then
+    // replayed, must give the state FusedProgram::run gives — for U3,
+    // CRY, product and amplitude embeddings, with and without the
+    // specialized kernels.
+    elv::Rng rng(59);
+    for (const bool specialized : {true, false}) {
+        for (int trial = 0; trial < 10; ++trial) {
+            const int qubits = 3 + static_cast<int>(rng.uniform_index(3));
+            circ::Circuit c = random_circuit(qubits, 30, rng, 4);
+            for (int q = 0; q + 1 < qubits; ++q) {
+                c.add_variational(circ::GateKind::CRY, {q + 1, q});
+                c.add_embedding(circ::GateKind::RZ, {q}, q % 4,
+                                (q + 1) % 4);
+                c.add_embedding(circ::GateKind::CRY, {q, q + 1}, 3);
+                c.add_gate(circ::GateKind::CX, {q, q + 1});
+            }
+            if (trial % 3 == 0) {
+                circ::Circuit amp(qubits);
+                amp.add_amplitude_embedding();
+                for (const circ::Op &op : c.ops())
+                    amp.append_op(op);
+                c = amp;
+            }
+            const auto params = random_values(
+                static_cast<std::size_t>(c.num_params()), rng);
+            const auto x = random_values(4, rng);
+
+            const sim::FusedProgram program = sim::FusedProgram::compile(c);
+            sim::StateVector want(qubits), got(qubits);
+            want.use_specialized_kernels(specialized);
+            got.use_specialized_kernels(specialized);
+            program.run(want, params, x);
+            program.run(got,
+                        program.resolve(circ::ParamRole::Variational,
+                                        params, {}),
+                        program.resolve(circ::ParamRole::Embedding, {}, x),
+                        x);
+            EXPECT_TRUE(same_bits(want, got))
+                << "trial " << trial << " specialized " << specialized;
+        }
+    }
 }
 
 /** A small trainable circuit on the moons features. */

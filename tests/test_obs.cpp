@@ -20,10 +20,14 @@
 
 #include "core/run_report.hpp"
 #include "core/search.hpp"
+#include "device/device.hpp"
+#include "noise/noise_model.hpp"
+#include "obs/exposition.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "qml/synthetic.hpp"
+#include "sim/fusion.hpp"
 
 namespace {
 
@@ -160,6 +164,54 @@ TEST(Metrics, MacroSitesRespectTheEnabledFlag)
     registry.set_enabled(false);
     EXPECT_EQ(registry.counter("test.macro.flag").value(), 3u);
     registry.reset();
+}
+
+TEST(Metrics, CachesReportHitsMissesAndEvictions)
+{
+    obs::Registry &registry = obs::Registry::global();
+    registry.reset();
+    registry.set_enabled(true);
+
+    // H, CX, H on a coupled pair: the second H reuses the first one's
+    // superoperator-table entry (same kind, same qubit calibration).
+    const dev::Device device = dev::make_device("ibm_lagos");
+    circ::Circuit c(device.num_qubits());
+    c.add_gate(circ::GateKind::H, {0});
+    c.add_gate(circ::GateKind::CX, {0, 1});
+    c.add_gate(circ::GateKind::H, {0});
+    c.set_measured({0, 1});
+    const noise::NoisyDensitySimulator noisy(device);
+    noisy.run_distribution(c); // compiles: table 2 misses + 1 hit
+    noisy.run_distribution(c); // program cache hit
+    noisy.fidelity(c);         // no program cache; table 3 hits
+
+    // 257 distinct circuits through the 256-entry fusion cache, then a
+    // repeat of the last one.
+    sim::FusionCache::global().clear();
+    sim::StateVector psi(1);
+    circ::Circuit chain(1);
+    chain.set_measured({0});
+    for (int n = 0; n <= 256; ++n) {
+        chain.add_gate(circ::GateKind::H, {0});
+        sim::fused_run(psi, chain);
+    }
+    sim::fused_run(psi, chain);
+    registry.set_enabled(false);
+
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.counter("noise.superop_table.misses"), 2u);
+    EXPECT_EQ(snap.counter("noise.superop_table.hits"), 4u);
+    EXPECT_EQ(snap.counter("noise.superop_table.evictions"), 0u);
+    EXPECT_EQ(snap.counter("noise.program_cache.misses"), 1u);
+    EXPECT_EQ(snap.counter("noise.program_cache.hits"), 1u);
+    EXPECT_EQ(snap.counter("fusion.cache.misses"), 257u);
+    EXPECT_EQ(snap.counter("fusion.cache.evictions"), 256u);
+    EXPECT_EQ(snap.counter("fusion.cache.hits"), 1u);
+    const std::string exposed = obs::render_prometheus(snap);
+    EXPECT_NE(exposed.find("elv_noise_superop_table_hits_total 4"),
+              std::string::npos);
+    registry.reset();
+    sim::FusionCache::global().clear();
 }
 #endif // ELV_OBS_DISABLED
 

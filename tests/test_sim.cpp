@@ -718,4 +718,33 @@ TEST(KernelDispatch, DensityMatrixTiersBitIdentical)
     }
 }
 
+TEST(KernelDispatch, Mat16ProductTiersBitIdentical)
+{
+    // Superoperator composition: a sparse left operand (whose zero
+    // entries every tier skips) and a dense one, against the textbook
+    // product.
+    TierGuard guard;
+    Rng rng(9);
+    Mat16 sparse = random_matrix<Mat16>(rng);
+    const Mat16 dense = random_matrix<Mat16>(rng);
+    for (std::size_t i = 0; i < 16; ++i)
+        for (std::size_t k = 0; k < 16; ++k)
+            if ((i + k) % 3 == 0)
+                sparse[i][k] = Amp(0);
+    for (const Mat16 &left : {sparse, dense}) {
+        Mat16 want = {};
+        for (std::size_t i = 0; i < 16; ++i)
+            for (std::size_t k = 0; k < 16; ++k)
+                if (left[i][k] != Amp(0))
+                    for (std::size_t j = 0; j < 16; ++j)
+                        want[i][j] += left[i][k] * dense[k][j];
+        for (int t = 0; t <= static_cast<int>(best_supported_tier()); ++t) {
+            set_forced_tier(static_cast<KernelTier>(t));
+            const Mat16 got = matmul(left, dense);
+            EXPECT_EQ(std::memcmp(&want, &got, sizeof got), 0)
+                << "tier " << t;
+        }
+    }
+}
+
 } // namespace
