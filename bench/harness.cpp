@@ -298,7 +298,7 @@ Reporter::run_perf_gate()
             if (const srv::JsonValue *v = doc.get("kernel_dispatch"))
                 base_tier = v->as_string();
             if (const srv::JsonValue *v = doc.get("threads"))
-                base_threads = static_cast<int>(v->as_int(-1));
+                base_threads = v->as_integer<int>().value_or(-1);
             if (const srv::JsonValue *v = doc.get("perf"))
                 for (const auto &[key, val] : v->members)
                     if (val.is_number())

@@ -10,9 +10,11 @@
 #     itself after streaming two records, mid CNR shard; the
 #     coordinator must reissue the shard remainder to a fresh worker
 #     and still merge the same bytes.
-#  3. A state-dir run interrupted by leg 2's crash machinery, re-run
-#     at a different worker count: must resume from the shard journals
-#     (no re-evaluation) to the same bytes.
+#  3. A state-dir run re-run at a different worker count, with the
+#     final dist.manifest record torn as a crash mid-append would tear
+#     it: must resume from the shard journals (no re-evaluation) to the
+#     same bytes, warn once about the torn record and truncate it, so a
+#     third run loads the manifest with no warning.
 #  4. One `elivagar_worker --serve` peer attached over TCP (--attach):
 #     the socket transport must merge the same bytes, and the idle
 #     worker must exit cleanly within 5 s of SIGTERM.
@@ -62,9 +64,10 @@ grep -q "1 reissue" "$WORK/crash.log" || {
 echo "== state-dir resume at a different worker count =="
 "$CLI" "${SPEC[@]}" --workers 2 --worker-bin "$WORKER" \
     --dist-state "$WORK/state" --dump-ranking /dev/null
+truncate -s -6 "$WORK/state/dist.manifest"
 "$CLI" "${SPEC[@]}" --workers 3 --worker-bin "$WORKER" \
     --dist-state "$WORK/state" --dump-ranking "$WORK/resume.txt" \
-    | tee "$WORK/resume.log"
+    2>&1 | tee "$WORK/resume.log"
 cmp "$WORK/serial.txt" "$WORK/resume.txt" || {
     echo "FAIL: ranking differs after a state-dir resume" >&2
     exit 1
@@ -73,6 +76,22 @@ grep -q "resumed from checkpoint" "$WORK/resume.log" || {
     echo "FAIL: the second run did not resume from the shard journals" >&2
     exit 1
 }
+DROPS=$(grep -c "dropping" "$WORK/resume.log" || true)
+[ "$DROPS" -eq 1 ] || {
+    echo "FAIL: expected one torn-record warning on resume, got $DROPS" >&2
+    exit 1
+}
+"$CLI" "${SPEC[@]}" --workers 3 --worker-bin "$WORKER" \
+    --dist-state "$WORK/state" --dump-ranking "$WORK/third.txt" \
+    2>&1 | tee "$WORK/third.log"
+cmp "$WORK/serial.txt" "$WORK/third.txt" || {
+    echo "FAIL: ranking differs on the third state-dir run" >&2
+    exit 1
+}
+if grep -q "dropping" "$WORK/third.log"; then
+    echo "FAIL: the torn manifest record was not truncated away" >&2
+    exit 1
+fi
 
 echo "== socket-attached --serve worker =="
 "$WORKER" --serve --port 0 > "$WORK/serve.out" &

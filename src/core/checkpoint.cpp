@@ -2,8 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "circuit/serialize.hpp"
@@ -38,60 +36,9 @@ try_double_from_hex(const std::string &text, double &value)
     return end != text.c_str() && *end == '\0';
 }
 
-namespace {
-
-/** FNV-1a over the record body (the torn-write detector). */
-std::uint64_t
-record_hash(const std::string &body)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : body) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-} // namespace
-
-std::string
-record_with_checksum(const std::string &body)
-{
-    char sum[32];
-    std::snprintf(sum, sizeof(sum), " ~%016llx",
-                  static_cast<unsigned long long>(record_hash(body)));
-    return body + sum;
-}
-
-bool
-strip_record_checksum(std::string &line)
-{
-    // The token is " ~" + 16 hex digits, always at the end of the line.
-    constexpr std::size_t token = 2 + 16;
-    if (line.size() < token + 1)
-        return false;
-    const std::size_t body_len = line.size() - token;
-    if (line[body_len] != ' ' || line[body_len + 1] != '~')
-        return false;
-    const std::string hex = line.substr(body_len + 2);
-    char *end = nullptr;
-    const std::uint64_t seen = std::strtoull(hex.c_str(), &end, 16);
-    if (end != hex.c_str() + 16)
-        return false;
-    line.resize(body_len);
-    return seen == record_hash(line);
-}
-
 SearchJournal::SearchJournal(std::string path, std::uint64_t fingerprint)
-    : path_(std::move(path)), fingerprint_(fingerprint)
+    : log_(std::move(path), "elv-search-journal 2", fingerprint)
 {
-    ELV_REQUIRE(!path_.empty(), "journal needs a path");
-}
-
-CheckpointEntry &
-SearchJournal::slot(int index)
-{
-    return entries_[index];
 }
 
 const CheckpointEntry *
@@ -102,9 +49,9 @@ SearchJournal::entry(int index) const
 }
 
 bool
-SearchJournal::parse_record(const std::string &line)
+SearchJournal::parse_record(const std::string &body)
 {
-    std::istringstream ls(line);
+    std::istringstream ls(body);
     std::string keyword;
     int index = -1;
     ls >> keyword >> index;
@@ -117,16 +64,14 @@ SearchJournal::parse_record(const std::string &line)
         std::getline(ls >> std::ws, circuit_line);
         if (circuit_line.empty())
             return false;
-        // Parse now so a truncated/corrupt circuit fails at load, not
-        // mid-search. Any parse failure — including invariant throws on
-        // mangled bytes — just marks the record malformed; load()
-        // decides whether that means torn tail or corruption.
+        // Parse now so a corrupt circuit fails at load, not mid-search;
+        // any throw (invariants on mangled bytes too) means malformed.
         try {
             circ::from_text_line(circuit_line);
         } catch (const std::exception &) {
             return false;
         }
-        slot(index).circuit_line = std::move(circuit_line);
+        entries_[index].circuit_line = std::move(circuit_line);
         return true;
     }
     if (keyword == "cnr") {
@@ -139,7 +84,7 @@ SearchJournal::parse_record(const std::string &line)
         if (!(ls >> value >> executions >> degraded >> retries) ||
             !try_double_from_hex(value, cnr))
             return false;
-        CheckpointEntry &e = slot(index);
+        CheckpointEntry &e = entries_[index];
         e.has_cnr = true;
         e.cnr = cnr;
         e.cnr_executions = executions;
@@ -154,7 +99,7 @@ SearchJournal::parse_record(const std::string &line)
         if (!(ls >> value >> executions) ||
             !try_double_from_hex(value, repcap))
             return false;
-        CheckpointEntry &e = slot(index);
+        CheckpointEntry &e = entries_[index];
         e.has_repcap = true;
         e.repcap = repcap;
         e.repcap_executions = executions;
@@ -172,133 +117,34 @@ SearchJournal::parse_record(const std::string &line)
 bool
 SearchJournal::load()
 {
-    std::ifstream in(path_, std::ios::binary);
-    if (!in)
-        return false;
-
-    // A crash while writing the very first append can tear the header
-    // block itself. A torn header with nothing after it is equivalent
-    // to "no journal yet": reset the file and start clean. A damaged
-    // header with records following is real corruption.
-    auto reset_torn_header = [&](const char *what) -> bool {
-        std::string rest;
-        if (std::getline(in, rest))
-            elv::fatal("journal " + path_ + ": " + what);
-        in.close();
-        elv::warn("journal " + path_ + ": dropping header torn by an "
-                  "interrupted write");
-        std::filesystem::resize_file(path_, 0);
-        return false;
-    };
-
-    std::string line;
-    if (!std::getline(in, line))
-        return false; // empty file: nothing journaled yet
-    if (line != "elv-search-journal 2") {
-        // A well-formed header of another version is not a torn write:
-        // it is a journal left behind by an older (or newer) build.
-        // Its record format may differ, so discard it and run the
-        // search fresh rather than fail with a misleading
-        // corruption error.
-        if (line.rfind("elv-search-journal ", 0) == 0) {
-            elv::warn("journal " + path_ + ": incompatible version '" +
-                      line + "' (this build writes version 2); "
-                      "discarding it and restarting the search fresh");
-            in.close();
-            std::filesystem::resize_file(path_, 0);
-            return false;
-        }
-        return reset_torn_header("missing header");
+    const auto other = log_.load(
+        [this](const std::string &body) { return parse_record(body); });
+    if (other) {
+        // Another version's record format may differ: run the search
+        // fresh rather than fail with a misleading corruption error.
+        elv::warn("journal " + log_.path() + ": incompatible version '" +
+                  *other + "' (this build writes version 2); "
+                  "discarding it and restarting the search fresh");
+        log_.reset();
     }
-    if (!std::getline(in, line))
-        return reset_torn_header("missing fingerprint");
-    {
-        std::istringstream ls(line);
-        std::string keyword, hex;
-        ls >> keyword >> hex;
-        if (keyword != "fingerprint" || hex.size() != 16)
-            return reset_torn_header("bad fingerprint line");
-        const std::uint64_t seen =
-            std::strtoull(hex.c_str(), nullptr, 16);
-        if (seen != fingerprint_) {
-            char expected[32];
-            std::snprintf(expected, sizeof(expected), "%016llx",
-                          static_cast<unsigned long long>(fingerprint_));
-            std::string message =
-                "journal " + path_ +
-                " was written by a different search configuration "
-                "(stored fingerprint " + hex + ", expected " +
-                expected + "); refusing to resume from it";
-            if (mismatch_hint_) {
-                const std::string guess = mismatch_hint_(seen);
-                if (!guess.empty())
-                    message += "; " + guess;
-            }
-            elv::fatal(message);
-        }
-    }
-
-    // A crash can tear the record in flight, so a malformed FINAL line
-    // is an expected artifact: drop it (and truncate it away so later
-    // loads stay clean). The per-record checksum makes "malformed"
-    // exact — truncation at any byte offset fails verification, even
-    // when the shortened fields would still lex as valid numbers. A
-    // malformed line anywhere else is corruption.
-    std::streampos line_start = in.tellg();
-    std::streampos torn_at(-1);
-    while (std::getline(in, line)) {
-        // getline on the unterminated final line still extracts it.
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (!line.empty() &&
-            !(strip_record_checksum(line) && parse_record(line))) {
-            torn_at = line_start;
-            if (std::getline(in, line))
-                elv::fatal("journal " + path_ + ": corrupt record");
-            break;
-        }
-        line_start = in.tellg();
-    }
-    in.close();
-    if (torn_at >= std::streampos(0)) {
-        elv::warn("journal " + path_ +
-                  ": dropping record torn by an interrupted write");
-        std::filesystem::resize_file(
-            path_, static_cast<std::uintmax_t>(torn_at));
-    }
-    header_written_ = true;
     return !entries_.empty();
 }
 
 void
-SearchJournal::append(const std::string &line, bool with_header)
+SearchJournal::record(const std::string &body)
 {
-    // Open-append-close per record: the line is on disk (and the
-    // descriptor flushed) before the search advances, so a crash loses
-    // at most the stage in flight.
-    std::ofstream out(path_, std::ios::app);
-    if (!out)
-        elv::fatal("cannot open journal " + path_ + " for appending");
-    if (with_header && !header_written_) {
-        char hex[32];
-        std::snprintf(hex, sizeof(hex), "%016llx",
-                      static_cast<unsigned long long>(fingerprint_));
-        out << "elv-search-journal 2\n";
-        out << "fingerprint " << hex << "\n";
-        header_written_ = true;
-    }
-    out << record_with_checksum(line) << "\n";
-    out.flush();
-    if (!out)
-        elv::fatal("failed to append to journal " + path_);
+    // Appended, then applied through the load-time parser: one grammar,
+    // and a record that would not load again fails here, not on resume.
+    log_.append(body);
+    ELV_REQUIRE(parse_record(body), "journal record does not parse: "
+                                        << body);
 }
 
 void
 SearchJournal::record_candidate(int index, const circ::Circuit &circuit)
 {
-    std::string line = circ::to_text_line(circuit);
-    append("cand " + std::to_string(index) + " " + line, true);
-    slot(index).circuit_line = std::move(line);
+    record("cand " + std::to_string(index) + " " +
+           circ::to_text_line(circuit));
 }
 
 void
@@ -306,37 +152,24 @@ SearchJournal::record_cnr(int index, double cnr,
                           std::uint64_t executions, bool degraded,
                           std::uint64_t retries)
 {
-    append("cnr " + std::to_string(index) + " " + double_to_hex(cnr) +
-               " " + std::to_string(executions) + " " +
-               (degraded ? "1" : "0") + " " + std::to_string(retries),
-           true);
-    CheckpointEntry &e = slot(index);
-    e.has_cnr = true;
-    e.cnr = cnr;
-    e.cnr_executions = executions;
-    e.degraded = degraded;
-    e.retries = retries;
+    record("cnr " + std::to_string(index) + " " + double_to_hex(cnr) +
+           " " + std::to_string(executions) + " " +
+           (degraded ? "1" : "0") + " " + std::to_string(retries));
 }
 
 void
 SearchJournal::record_repcap(int index, double repcap,
                              std::uint64_t executions)
 {
-    append("repcap " + std::to_string(index) + " " +
-               double_to_hex(repcap) + " " + std::to_string(executions),
-           true);
-    CheckpointEntry &e = slot(index);
-    e.has_repcap = true;
-    e.repcap = repcap;
-    e.repcap_executions = executions;
+    record("repcap " + std::to_string(index) + " " +
+           double_to_hex(repcap) + " " + std::to_string(executions));
 }
 
 void
 SearchJournal::record_rank(int index, double score, bool rejected)
 {
-    append("rank " + std::to_string(index) + " " + double_to_hex(score) +
-               " " + (rejected ? "1" : "0"),
-           true);
+    record("rank " + std::to_string(index) + " " + double_to_hex(score) +
+           " " + (rejected ? "1" : "0"));
 }
 
 } // namespace elv::core

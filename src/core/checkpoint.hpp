@@ -12,31 +12,25 @@
  * seeded RNG the final ranking is bit-identical to an uninterrupted
  * run.
  *
- * File format (line-oriented, hexfloat for exact double round-trips;
- * every record carries a trailing ~<hex> FNV checksum of its body):
+ * The file is a common/record_log.hpp RecordLog (header
+ * "elv-search-journal 2", a fingerprint of the search configuration,
+ * checksummed records; a torn final record is dropped and that
+ * candidate's stage re-runs). Record bodies, hexfloat for exact double
+ * round-trips:
  *
- *   elv-search-journal 2
- *   fingerprint <hex64>          # hash of the search configuration
- *   cand <idx> <escaped circuit> ~<sum> # written after generation
- *   cnr <idx> <hexfloat> <execs> <degraded> <retries> ~<sum>
- *   repcap <idx> <hexfloat> <execs> ~<sum>
- *   rank <idx> <score hexfloat> <rejected> ~<sum> # audit, not replayed
- *
- * The checksum is what makes torn-write detection exact: a record
- * truncated at *any* byte offset — even one whose shortened fields
- * still lex as valid numbers ("15" torn to "1") — fails verification.
- * A bad FINAL record is an expected crash artifact and is dropped
- * (that candidate's stage simply re-runs on resume); a bad record
- * anywhere else is real corruption and stays fatal.
+ *   cand <idx> <escaped circuit>        # written after generation
+ *   cnr <idx> <hexfloat> <execs> <degraded> <retries>
+ *   repcap <idx> <hexfloat> <execs>
+ *   rank <idx> <score hexfloat> <rejected>   # audit, not replayed
  */
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 
 #include "circuit/circuit.hpp"
+#include "common/record_log.hpp"
 
 namespace elv::core {
 
@@ -69,10 +63,11 @@ class SearchJournal
 
     /**
      * Load an existing journal. Returns true when entries were
-     * recovered; false when the file does not exist yet. fatal() on a
-     * malformed file or a fingerprint mismatch; the mismatch message
-     * reports both fingerprints (stored and expected) plus, when a
-     * hint callback is set, which configuration field likely changed.
+     * recovered; false when there is nothing to resume (no file yet,
+     * or one of another format version, which is discarded). fatal()
+     * on corruption or a fingerprint mismatch; the mismatch message
+     * names both fingerprints and, given a hint callback, which
+     * configuration field likely changed.
      */
     bool load();
 
@@ -83,10 +78,9 @@ class SearchJournal
      * fingerprint_mismatch_hint() in search.hpp for the standard
      * implementation; set before load().
      */
-    void
-    set_mismatch_hint(std::function<std::string(std::uint64_t)> hint)
+    void set_mismatch_hint(RecordLog::MismatchHint hint)
     {
-        mismatch_hint_ = std::move(hint);
+        log_.set_mismatch_hint(std::move(hint));
     }
 
     /** Entry for a candidate, or null when nothing is journaled. */
@@ -101,20 +95,14 @@ class SearchJournal
     void record_rank(int index, double score, bool rejected);
     /** @} */
 
-    /** Number of candidates with at least the generation stage. */
-    std::size_t size() const { return entries_.size(); }
-
   private:
-    void append(const std::string &line, bool with_header);
-    /** Parse one record line; false = malformed (e.g. torn write). */
-    bool parse_record(const std::string &line);
-    CheckpointEntry &slot(int index);
+    /** Append `body`, then apply it as load() would. */
+    void record(const std::string &body);
+    /** Parse one record body into entries_; false = malformed. */
+    bool parse_record(const std::string &body);
 
-    std::string path_;
-    std::uint64_t fingerprint_;
-    bool header_written_ = false;
+    RecordLog log_;
     std::map<int, CheckpointEntry> entries_;
-    std::function<std::string(std::uint64_t)> mismatch_hint_;
 };
 
 /** Exact double <-> text helpers (hexfloat, bit-preserving). */
@@ -122,21 +110,5 @@ std::string double_to_hex(double value);
 double double_from_hex(const std::string &text);
 /** Non-throwing parse; false on malformed text (torn-record path). */
 bool try_double_from_hex(const std::string &text, double &value);
-
-/** @name Checksummed append-only record lines
- * Shared by the search journal and the server's job manifest: `body`
- * is stored as "<body> ~<hex>" where <hex> is a 64-bit FNV-1a hash of
- * the body, so a line truncated or damaged at any byte offset is
- * detected on load.
- * @{ */
-/** Render `body` with its trailing checksum token appended. */
-std::string record_with_checksum(const std::string &body);
-/**
- * Verify and strip the checksum token of `line` in place. Returns
- * false (leaving `line` unspecified) when the token is missing or
- * does not match the body — i.e. the record is torn or corrupt.
- */
-bool strip_record_checksum(std::string &line);
-/** @} */
 
 } // namespace elv::core

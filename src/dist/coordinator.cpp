@@ -4,17 +4,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <thread>
 
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
+#include "common/record_log.hpp"
 #include "core/checkpoint.hpp"
 #include "dist/channel.hpp"
 #include "dist/wire.hpp"
@@ -45,97 +45,6 @@ cnr_edges()
     return edges;
 }
 
-/**
- * Append-only run manifest: shard assignment, completion and reissue
- * records, checksummed like every other durable artifact. The
- * journals alone carry the resume state — the manifest is the audit
- * trail that says which worker ran what, and its fingerprint header
- * refuses a state_dir written by a different search configuration.
- */
-class DistManifest
-{
-  public:
-    DistManifest(std::string path, std::uint64_t fingerprint,
-                 std::function<std::string(std::uint64_t)> hint)
-        : path_(std::move(path)), fingerprint_(fingerprint),
-          hint_(std::move(hint))
-    {
-    }
-
-    /** Returns true when a prior run's records were found. */
-    bool
-    load()
-    {
-        std::ifstream in(path_);
-        if (!in)
-            return false;
-        std::string line;
-        if (!std::getline(in, line) || line != "elv-dist-manifest 1")
-            elv::fatal("manifest " + path_ + ": bad header");
-        if (!std::getline(in, line))
-            elv::fatal("manifest " + path_ + ": missing fingerprint");
-        std::istringstream ls(line);
-        std::string keyword, hex;
-        ls >> keyword >> hex;
-        std::uint64_t seen = 0;
-        if (keyword != "fingerprint" ||
-            !fingerprint_from_hex(hex, seen))
-            elv::fatal("manifest " + path_ + ": bad fingerprint line");
-        if (seen != fingerprint_) {
-            std::string message =
-                "manifest " + path_ +
-                " belongs to a different search configuration "
-                "(stored fingerprint " + hex + ", expected " +
-                fingerprint_to_hex(fingerprint_) +
-                "); refusing to resume from this state directory";
-            if (hint_) {
-                const std::string guess = hint_(seen);
-                if (!guess.empty())
-                    message += "; " + guess;
-            }
-            elv::fatal(message);
-        }
-        header_written_ = true;
-        bool any = false;
-        while (std::getline(in, line)) {
-            if (line.empty())
-                continue;
-            // A torn final record is an expected crash artifact;
-            // the manifest is an audit trail, so it is merely noted.
-            if (!core::strip_record_checksum(line)) {
-                elv::warn("manifest " + path_ +
-                          ": dropping torn record");
-                break;
-            }
-            any = true;
-        }
-        return any;
-    }
-
-    /** Append one checksummed audit record (flushed immediately). */
-    void
-    record(const std::string &body)
-    {
-        std::ofstream out(path_, std::ios::app);
-        if (!out)
-            elv::fatal("cannot append to manifest " + path_);
-        if (!header_written_) {
-            out << "elv-dist-manifest 1\n"
-                << "fingerprint " << fingerprint_to_hex(fingerprint_)
-                << "\n";
-            header_written_ = true;
-        }
-        out << core::record_with_checksum(body) << "\n";
-        out.flush();
-    }
-
-  private:
-    std::string path_;
-    std::uint64_t fingerprint_;
-    std::function<std::string(std::uint64_t)> hint_;
-    bool header_written_ = false;
-};
-
 /** One shard: its index range, transport and coordinator-side journal. */
 struct Shard
 {
@@ -152,6 +61,8 @@ struct Shard
     int reissues = 0;
     /** Sticky failure once every recovery option is exhausted. */
     std::string failure;
+    /** Thrown on the shard's driver thread; rethrown after the join. */
+    std::exception_ptr error;
 };
 
 /** Everything the shard drivers share (immutable unless noted). */
@@ -168,7 +79,9 @@ struct RunContext
     /** Guards stats + manifest (shard threads write both). */
     std::mutex control_mutex;
     DistStats *stats = nullptr;
-    DistManifest *manifest = nullptr;
+    /** The run manifest (with a state_dir): an audit trail of shard
+     *  assignment, reissue and completion, fingerprinted. */
+    std::optional<RecordLog> manifest;
     const elv::CancelToken *cancel = nullptr;
     /** Per-phase progress (reset by the phase runner). */
     std::atomic<std::size_t> progress_done{0};
@@ -197,7 +110,7 @@ struct RunContext
     {
         std::lock_guard<std::mutex> lock(control_mutex);
         if (manifest)
-            manifest->record(body);
+            manifest->append(body);
     }
 };
 
@@ -467,16 +380,23 @@ run_phase(RunContext &ctx, std::vector<Shard> &shards,
         ELV_METRIC_COUNT("dist.shards_issued");
         drivers.emplace_back([&ctx, &shards, s, &stage, &pending,
                               &store, &fallback] {
-            drive_shard(ctx, shards[s], stage, pending[s], store,
-                        fallback);
+            try {
+                drive_shard(ctx, shards[s], stage, pending[s], store,
+                            fallback);
+            } catch (...) {
+                shards[s].error = std::current_exception();
+            }
         });
     }
     for (std::thread &driver : drivers)
         driver.join();
-    for (const Shard &shard : shards)
+    for (const Shard &shard : shards) {
+        if (shard.error)
+            std::rethrow_exception(shard.error);
         if (!shard.failure.empty())
             throw std::runtime_error("distributed search failed: " +
                                      shard.failure);
+    }
 }
 
 } // namespace
@@ -540,7 +460,7 @@ distributed_search(const srv::JobSpec &spec, const DistConfig &dist)
                    core::prepare_fault_config(config),
                    {},
                    &out.stats,
-                   nullptr,
+                   std::nullopt,
                    dist.hooks.cancel.get(),
                    {},
                    pool_size,
@@ -612,7 +532,6 @@ distributed_search(const srv::JobSpec &spec, const DistConfig &dist)
     auto hint = [&config](std::uint64_t stored) {
         return core::fingerprint_mismatch_hint(config, stored);
     };
-    std::unique_ptr<DistManifest> manifest;
     if (!dist.state_dir.empty()) {
         std::filesystem::create_directories(dist.state_dir);
         std::vector<std::string> current_files;
@@ -643,11 +562,16 @@ distributed_search(const srv::JobSpec &spec, const DistConfig &dist)
             if (old.load())
                 harvest(old);
         }
-        manifest = std::make_unique<DistManifest>(
-            dist.state_dir + "/dist.manifest", fingerprint, hint);
-        manifest->load();
-        ctx.manifest = manifest.get();
-        manifest->record(
+        RecordLog &manifest = ctx.manifest.emplace(
+            dist.state_dir + "/dist.manifest", "elv-dist-manifest 1",
+            fingerprint);
+        manifest.set_mismatch_hint(hint);
+        if (const auto other = manifest.load(
+                [](const std::string &) { return true; }))
+            elv::fatal("manifest " + manifest.path() + " has header '" +
+                       *other + "' from another build; delete it (the "
+                       "shard journals hold the resume state)");
+        manifest.append(
             "run shards " + std::to_string(total_shards) + " workers " +
             std::to_string(dist.workers) + " attached " +
             std::to_string(dist.attach.size()) + " candidates " +
@@ -843,9 +767,9 @@ distributed_search(const srv::JobSpec &spec, const DistConfig &dist)
     result.best_circuit = best->circuit;
     result.best_score = best->score;
     result.total_seconds = seconds_since(search_start);
-    if (manifest)
-        manifest->record("complete best_score " +
-                         core::double_to_hex(result.best_score));
+    if (ctx.manifest)
+        ctx.manifest->append("complete best_score " +
+                             core::double_to_hex(result.best_score));
     return out;
 }
 

@@ -1,31 +1,10 @@
 #include "dist/wire.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
+#include "common/record_log.hpp"
 #include "core/checkpoint.hpp"
 #include "obs/json.hpp"
 
 namespace elv::dist {
-
-std::string
-fingerprint_to_hex(std::uint64_t fingerprint)
-{
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(fingerprint));
-    return hex;
-}
-
-bool
-fingerprint_from_hex(const std::string &text, std::uint64_t &fingerprint)
-{
-    if (text.size() != 16)
-        return false;
-    char *end = nullptr;
-    fingerprint = std::strtoull(text.c_str(), &end, 16);
-    return end == text.c_str() + 16;
-}
 
 std::string
 make_configure(const srv::JobSpec &spec, int threads,
@@ -164,7 +143,7 @@ parse_worker_event(const std::string &line, WorkerEvent &out,
         out.kind = WorkerEvent::Kind::Ready;
         const srv::JsonValue *protocol = value.get("protocol");
         if (!protocol ||
-            protocol->as_int(-1) != kProtocolVersion) {
+            protocol->as_integer<int>() != kProtocolVersion) {
             error = "worker speaks an incompatible protocol version";
             return false;
         }
@@ -178,40 +157,31 @@ parse_worker_event(const std::string &line, WorkerEvent &out,
     }
     if (ev->text == "cnr") {
         out.kind = WorkerEvent::Kind::Cnr;
-        const srv::JsonValue *index = value.get("i");
-        if (!index || !index->is_number() ||
-            !read_hex_double(value, "cnr", out.cnr.cnr)) {
+        if (!value.get("i") || !value.read_integer("i", out.index, error) ||
+            !read_hex_double(value, "cnr", out.cnr.cnr) ||
+            !value.read_integer("execs", out.cnr.executions, error) ||
+            !value.read_integer("retries", out.cnr.retries, error)) {
             error = "malformed cnr record";
             return false;
         }
-        out.index = static_cast<int>(index->as_int(-1));
-        if (const srv::JsonValue *v = value.get("execs"))
-            out.cnr.executions = v->as_uint(0);
         if (const srv::JsonValue *v = value.get("degraded"))
             out.cnr.degraded = v->as_bool(false);
-        if (const srv::JsonValue *v = value.get("retries"))
-            out.cnr.retries = v->as_uint(0);
         return true;
     }
     if (ev->text == "repcap") {
         out.kind = WorkerEvent::Kind::RepCap;
-        const srv::JsonValue *index = value.get("i");
-        if (!index || !index->is_number() ||
-            !read_hex_double(value, "repcap", out.repcap.repcap)) {
+        if (!value.get("i") || !value.read_integer("i", out.index, error) ||
+            !read_hex_double(value, "repcap", out.repcap.repcap) ||
+            !value.read_integer("execs", out.repcap.executions, error)) {
             error = "malformed repcap record";
             return false;
         }
-        out.index = static_cast<int>(index->as_int(-1));
-        if (const srv::JsonValue *v = value.get("execs"))
-            out.repcap.executions = v->as_uint(0);
         return true;
     }
     if (ev->text == "done") {
         out.kind = WorkerEvent::Kind::Done;
         out.stage = value.get("op") ? value.get("op")->as_string() : "";
-        out.count = static_cast<std::size_t>(
-            value.get("n") ? value.get("n")->as_uint(0) : 0);
-        return true;
+        return value.read_integer("n", out.count, error);
     }
     if (ev->text == "error") {
         out.kind = WorkerEvent::Kind::Error;
@@ -244,7 +214,7 @@ parse_coord_request(const std::string &line, CoordRequest &out,
     if (op->text == "configure") {
         out.kind = CoordRequest::Kind::Configure;
         const srv::JsonValue *protocol = value.get("protocol");
-        if (!protocol || protocol->as_int(-1) != kProtocolVersion) {
+        if (!protocol || protocol->as_integer<int>() != kProtocolVersion) {
             error = "coordinator speaks an incompatible protocol "
                     "version";
             return false;
@@ -252,16 +222,15 @@ parse_coord_request(const std::string &line, CoordRequest &out,
         const srv::JsonValue *spec = value.get("spec");
         if (!spec || !srv::JobSpec::from_json(*spec, out.spec, error))
             return false;
-        if (const srv::JsonValue *v = value.get("threads"))
-            out.threads = static_cast<int>(v->as_int(1));
+        if (!value.read_integer("threads", out.threads, error) ||
+            !value.read_integer("crash_after", out.crash_after, error))
+            return false;
         const srv::JsonValue *fp = value.get("fp");
         if (!fp ||
             !fingerprint_from_hex(fp->as_string(), out.fingerprint)) {
             error = "configure without a valid fingerprint";
             return false;
         }
-        if (const srv::JsonValue *v = value.get("crash_after"))
-            out.crash_after = static_cast<int>(v->as_int(0));
         return true;
     }
     if (op->text == "cnr" || op->text == "repcap") {
@@ -275,11 +244,12 @@ parse_coord_request(const std::string &line, CoordRequest &out,
         }
         out.indices.reserve(indices->items.size());
         for (const srv::JsonValue &item : indices->items) {
-            if (!item.is_number()) {
-                error = "non-numeric candidate index";
+            const std::optional<int> index = item.as_integer<int>();
+            if (!index) {
+                error = "candidate index is not an int";
                 return false;
             }
-            out.indices.push_back(static_cast<int>(item.as_int(-1)));
+            out.indices.push_back(*index);
         }
         return true;
     }

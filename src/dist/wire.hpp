@@ -120,10 +120,4 @@ struct CoordRequest
 bool parse_coord_request(const std::string &line, CoordRequest &out,
                          std::string &error);
 
-/** @name Fingerprint wire form (16 lowercase hex digits) @{ */
-std::string fingerprint_to_hex(std::uint64_t fingerprint);
-bool fingerprint_from_hex(const std::string &text,
-                          std::uint64_t &fingerprint);
-/** @} */
-
 } // namespace elv::dist

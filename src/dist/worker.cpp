@@ -11,6 +11,7 @@
 
 #include "common/line_io.hpp"
 #include "common/logging.hpp"
+#include "common/record_log.hpp"
 #include "dist/wire.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"

@@ -84,18 +84,15 @@ JobSpec::from_json(const JsonValue &value, JobSpec &out,
         out.benchmark = v->as_string(out.benchmark);
     if (const JsonValue *v = value.get("device"))
         out.device = v->as_string(out.device);
-    if (const JsonValue *v = value.get("candidates"))
-        out.candidates = static_cast<int>(v->as_int(out.candidates));
-    if (const JsonValue *v = value.get("seed"))
-        out.seed = v->as_uint(out.seed);
     if (const JsonValue *v = value.get("scale"))
         out.scale = v->as_number(out.scale);
-    if (const JsonValue *v = value.get("priority"))
-        out.priority = static_cast<int>(v->as_int(out.priority));
     if (const JsonValue *v = value.get("deadline_sec"))
         out.deadline_sec = v->as_number(out.deadline_sec);
-    if (const JsonValue *v = value.get("workers"))
-        out.workers = static_cast<int>(v->as_int(out.workers));
+    if (!value.read_integer("candidates", out.candidates, error) ||
+        !value.read_integer("seed", out.seed, error) ||
+        !value.read_integer("priority", out.priority, error) ||
+        !value.read_integer("workers", out.workers, error))
+        return false;
     try {
         out.check();
     } catch (const elv::UsageError &e) {
@@ -123,10 +120,6 @@ job_search_config(const JobSpec &spec, const qml::BenchmarkSpec &bench,
     config.seed = spec.seed;
     config.threads = threads;
     config.resilience.checkpoint_path = journal_path;
-    // Server jobs retry with bounded full jitter: many tenants share
-    // the backends, and synchronized backoff from concurrent jobs is
-    // exactly the stampede the jitter exists to break.
-    config.resilience.retry.full_jitter = true;
     return config;
 }
 

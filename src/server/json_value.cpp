@@ -299,36 +299,6 @@ JsonValue::as_number(double fallback) const
     return kind == Kind::Number ? number : fallback;
 }
 
-std::int64_t
-JsonValue::as_int(std::int64_t fallback) const
-{
-    if (kind != Kind::Number)
-        return fallback;
-    // Integer tokens re-parse from the raw text so values past 2^53
-    // stay exact; anything fractional falls back to the double.
-    char *end = nullptr;
-    const long long exact = std::strtoll(text.c_str(), &end, 10);
-    if (end == text.c_str() + text.size())
-        return exact;
-    return static_cast<std::int64_t>(number);
-}
-
-std::uint64_t
-JsonValue::as_uint(std::uint64_t fallback) const
-{
-    if (kind != Kind::Number)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long exact =
-        std::strtoull(text.c_str(), &end, 10);
-    if (!text.empty() && text[0] != '-' &&
-        end == text.c_str() + text.size())
-        return exact;
-    if (number < 0)
-        return fallback;
-    return static_cast<std::uint64_t>(number);
-}
-
 bool
 JsonValue::as_bool(bool fallback) const
 {

@@ -14,8 +14,12 @@
  */
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,11 +48,53 @@ struct JsonValue
     /** @name Typed accessors with defaults (wrong kind = default) @{ */
     std::string as_string(const std::string &fallback = "") const;
     double as_number(double fallback = 0.0) const;
-    std::int64_t as_int(std::int64_t fallback = 0) const;
-    std::uint64_t as_uint(std::uint64_t fallback = 0) const;
     bool as_bool(bool fallback = false) const;
     /** @} */
+
+    /** This number as a T when it is an integer T holds exactly, else
+     *  std::nullopt: no conversion wraps, truncates or is undefined. */
+    template <typename T> std::optional<T> as_integer() const;
+
+    /** Read member `key` into `out` with as_integer(). An absent member
+     *  keeps `out`; one that is no integer `out` can hold sets `error`
+     *  and returns false. */
+    template <typename T>
+    bool
+    read_integer(const std::string &key, T &out, std::string &error) const
+    {
+        const JsonValue *member = get(key);
+        const std::optional<T> value =
+            member ? member->as_integer<T>() : std::optional<T>(out);
+        if (!value) {
+            error = "\"" + key + "\" is not an integer in range";
+            return false;
+        }
+        out = *value;
+        return true;
+    }
 };
+
+template <typename T>
+std::optional<T>
+JsonValue::as_integer() const
+{
+    if (kind != Kind::Number)
+        return std::nullopt;
+    // Plain integer tokens parse exactly from the raw text (seeds past
+    // 2^53); any other token ("1e3", "8.0") goes through the double,
+    // range-checked before the cast.
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, error] = std::from_chars(text.data(), end, value);
+    if (ptr == end)
+        return error == std::errc() ? std::optional<T>(value)
+                                    : std::nullopt;
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (!(number >= (std::numeric_limits<T>::is_signed ? -limit : 0.0) &&
+          number < limit && number == std::trunc(number)))
+        return std::nullopt;
+    return static_cast<T>(number);
+}
 
 /**
  * Parse one JSON document. Returns false and sets `error` (with a byte

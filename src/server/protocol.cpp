@@ -219,14 +219,14 @@ handle_request(Server &server, const std::string &line,
             wrap_document("metrics", server.metrics_json());
     } else if (op == "events") {
         std::uint64_t since = 0;
-        std::uint64_t limit = 64;
-        if (const JsonValue *v = request.get("since"))
-            since = v->as_uint(0);
-        if (const JsonValue *v = request.get("limit"))
-            limit = v->as_uint(64);
-        outcome.response = wrap_document(
-            "events", server.events_json(
-                          since, static_cast<std::size_t>(limit)));
+        std::size_t limit = 64;
+        if (!request.read_integer("since", since, error) ||
+            !request.read_integer("limit", limit, error)) {
+            outcome.response = error_response("events: " + error);
+            return outcome;
+        }
+        outcome.response =
+            wrap_document("events", server.events_json(since, limit));
     } else if (op == "watch") {
         std::string id;
         const std::string id_error = require_id(request, id);

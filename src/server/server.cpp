@@ -1,8 +1,8 @@
 #include "server/server.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -105,7 +105,9 @@ ServerConfig::check() const
 }
 
 Server::Server(const ServerConfig &config)
-    : config_(config), start_time_(std::chrono::steady_clock::now())
+    : config_(config),
+      manifest_(config.data_dir + "/jobs.manifest", kManifestHeader),
+      start_time_(std::chrono::steady_clock::now())
 {
     config_.check();
     thread_budget_ = config_.thread_budget > 0
@@ -139,23 +141,6 @@ Server::bump_epoch_locked()
 }
 
 void
-Server::append_manifest_locked(const std::string &body)
-{
-    const std::string path = config_.data_dir + "/jobs.manifest";
-    const bool fresh = !std::filesystem::exists(path) ||
-                       std::filesystem::file_size(path) == 0;
-    std::ofstream out(path, std::ios::app);
-    if (!out)
-        elv::fatal("cannot append to manifest " + path);
-    if (fresh)
-        out << kManifestHeader << "\n";
-    out << core::record_with_checksum(body) << "\n";
-    out.flush();
-    if (!out)
-        elv::fatal("failed to append to manifest " + path);
-}
-
-void
 Server::record_state_locked(JobRecord &rec, JobState state,
                             const std::string &detail)
 {
@@ -165,51 +150,30 @@ Server::record_state_locked(JobRecord &rec, JobState state,
                        job_state_name(state);
     if (!detail.empty())
         body += " " + detail;
-    append_manifest_locked(body);
+    manifest_.append(body);
     bump_epoch_locked();
 }
 
 void
 Server::recover_from_manifest()
 {
-    const std::string path = config_.data_dir + "/jobs.manifest";
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return;
-
-    std::string line;
-    if (!std::getline(in, line))
-        return;
-    if (line != kManifestHeader) {
-        // Torn header with nothing after it = empty manifest; with
-        // records after it = corruption (same policy as the journal).
-        if (std::getline(in, line))
-            elv::fatal("manifest " + path + ": bad header");
-        elv::warn("manifest " + path + ": dropping torn header");
-        in.close();
-        std::filesystem::resize_file(path, 0);
-        return;
-    }
-
     struct Recovered
     {
         JobSpec spec;
         JobState state = JobState::Queued;
         std::string detail;
-        bool have_spec = false;
     };
     std::map<std::uint64_t, Recovered> seen;
 
-    auto parse_line = [&](std::string &record) -> bool {
-        std::istringstream ls(record);
+    auto parse_line = [&](const std::string &body) -> bool {
+        std::istringstream ls(body);
         std::string keyword, id;
         ls >> keyword >> id;
-        if (id.rfind("job-", 0) != 0)
-            return false;
-        char *end = nullptr;
-        const std::uint64_t number =
-            std::strtoull(id.c_str() + 4, &end, 10);
-        if (*end != '\0' || number == 0)
+        std::uint64_t number = 0;
+        const char *last = id.data() + id.size();
+        if (id.rfind("job-", 0) != 0 ||
+            std::from_chars(id.data() + 4, last, number).ptr != last ||
+            number == 0)
             return false;
         if (keyword == "job") {
             std::string spec_json;
@@ -220,53 +184,33 @@ Server::recover_from_manifest()
             if (!json_parse(spec_json, value, error) ||
                 !JobSpec::from_json(value, spec, error))
                 return false;
-            Recovered &r = seen[number];
-            r.spec = spec;
-            r.have_spec = true;
+            seen[number].spec = spec;
             return true;
         }
         if (keyword == "state") {
-            std::string name;
+            // A job's state never precedes its spec line.
+            std::string name, detail;
             ls >> name;
+            std::getline(ls >> std::ws, detail);
             const auto state = job_state_from_name(name);
-            if (!state)
+            const auto it = seen.find(number);
+            if (!state || it == seen.end())
                 return false;
-            Recovered &r = seen[number];
-            std::getline(ls >> std::ws, r.detail);
-            r.state = *state;
+            it->second.state = *state;
+            it->second.detail = detail;
             return true;
         }
         return false;
     };
 
-    // Same torn-tail policy as the search journal: a record damaged at
-    // any byte offset fails its checksum; final = crash artifact
-    // (drop + truncate), interior = corruption.
-    std::streampos line_start = in.tellg();
-    std::streampos torn_at(-1);
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (!line.empty() &&
-            !(core::strip_record_checksum(line) && parse_line(line))) {
-            torn_at = line_start;
-            if (std::getline(in, line))
-                elv::fatal("manifest " + path + ": corrupt record");
-            break;
-        }
-        line_start = in.tellg();
-    }
-    in.close();
-    if (torn_at >= std::streampos(0)) {
-        elv::warn("manifest " + path +
-                  ": dropping record torn by an interrupted write");
-        std::filesystem::resize_file(
-            path, static_cast<std::uintmax_t>(torn_at));
-    }
+    // The manifest is the only record of accepted jobs, so one written
+    // by another format version is refused, never discarded.
+    if (const auto other = manifest_.load(parse_line))
+        elv::fatal("manifest " + manifest_.path() + " has header '" +
+                   *other + "' from another build; this build reads '" +
+                   kManifestHeader + "' and will not rewrite it");
 
     for (auto &[number, r] : seen) {
-        if (!r.have_spec)
-            continue; // state record for a job whose spec line tore
         auto rec = std::make_shared<JobRecord>();
         rec->number = number;
         rec->id = "job-" + std::to_string(number);
@@ -311,7 +255,7 @@ Server::recover_from_manifest()
     }
     if (recovered_ > 0)
         elv::inform("server: recovered " + std::to_string(recovered_) +
-                    " interrupted job(s) from " + path);
+                    " interrupted job(s) from " + manifest_.path());
     std::sort(queue_.begin(), queue_.end(),
               [](const RecordPtr &a, const RecordPtr &b) {
                   return a->number < b->number;
@@ -438,7 +382,7 @@ Server::submit(const JobSpec &spec)
     rec->token = std::make_shared<elv::CancelToken>();
     rec->submitted_at = std::chrono::steady_clock::now();
     rec->trace = std::make_shared<obs::SpanLog>();
-    append_manifest_locked("job " + rec->id + " " + spec.to_json());
+    manifest_.append("job " + rec->id + " " + spec.to_json());
     records_[rec->number] = rec;
     queue_.push_back(rec);
     ++submitted_;
@@ -489,7 +433,7 @@ Server::worker_loop()
             quota = quota_for_depth_locked(queue_.size());
             rec->thread_quota = quota;
             rec->state = JobState::Running;
-            append_manifest_locked("state " + rec->id + " running");
+            manifest_.append("state " + rec->id + " running");
             ++running_;
             threads_in_use_ += quota;
             ELV_METRIC_GAUGE_ADD("server.jobs.running", 1);

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "common/record_log.hpp"
 #include "obs/events.hpp"
 #include "obs/trace.hpp"
 #include "server/job.hpp"
@@ -231,7 +232,6 @@ class Server
     using RecordPtr = std::shared_ptr<JobRecord>;
 
     void recover_from_manifest();
-    void append_manifest_locked(const std::string &body);
     void record_state_locked(JobRecord &rec, JobState state,
                              const std::string &detail);
     void bump_epoch_locked();
@@ -251,6 +251,9 @@ class Server
 
     ServerConfig config_;
     int thread_budget_ = 1;
+    /** `<data_dir>/jobs.manifest`, header "elv-server-manifest 1";
+     *  appended under mutex_. */
+    RecordLog manifest_;
 
     mutable std::mutex mutex_;
     mutable std::condition_variable cv_;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG determinism and distribution
- * sanity, statistics, the table printer, and the fd line-I/O layer every
- * transport reads and writes through.
+ * sanity, statistics, the table printer, the fd line-I/O layer every
+ * transport reads and writes through, and the checksummed record log
+ * every durable file is written through.
  */
 #include <gtest/gtest.h>
 
@@ -14,12 +15,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include "common/line_io.hpp"
 #include "common/logging.hpp"
+#include "common/record_log.hpp"
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
 #include "common/table.hpp"
@@ -409,6 +414,240 @@ TEST(LineIo, AcceptedAndConnectedSocketsSetTcpNoDelay)
     EXPECT_EQ(line, "ping");
     ::close(client);
     ::close(accepted);
+}
+
+// --- Record log --------------------------------------------------------
+
+std::string
+log_path(const std::string &name)
+{
+    const std::string path = ::testing::TempDir() + "elv_log_" + name;
+    std::remove(path.c_str());
+    return path;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+void
+spit(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+/** A fingerprinted test log at `path`. */
+elv::RecordLog
+test_log(const std::string &path)
+{
+    return elv::RecordLog(path, "elv-test-log 1", 0x2a);
+}
+
+/** load() of `log`, collecting the replayed bodies. */
+std::vector<std::string>
+replay(elv::RecordLog &log)
+{
+    std::vector<std::string> bodies;
+    EXPECT_FALSE(log.load([&](const std::string &body) {
+                        bodies.push_back(body);
+                        return true;
+                    })
+                     .has_value());
+    return bodies;
+}
+
+/** Header block + two records, checksums computed independently. */
+const std::string kHeaderBlock =
+    "elv-test-log 1\nfingerprint 000000000000002a\n";
+const std::string kTwoRecords = kHeaderBlock +
+                                "alpha 1 ~f47b7909acc18eca\n"
+                                "beta ~f4039baf9ff2ba79\n";
+
+TEST(RecordLog, AppendWritesOneHeaderThenChecksummedLines)
+{
+    const std::string path = log_path("append");
+    {
+        elv::RecordLog log = test_log(path);
+        EXPECT_TRUE(replay(log).empty()); // missing file
+        log.append("alpha 1");
+        log.append("beta");
+    }
+    EXPECT_EQ(slurp(path), kTwoRecords);
+
+    elv::RecordLog again = test_log(path);
+    EXPECT_EQ(replay(again), (std::vector<std::string>{"alpha 1", "beta"}));
+    again.append("gamma");
+    EXPECT_EQ(slurp(path), kTwoRecords + "gamma ~3d9b7fc827fa9ec8\n");
+
+    // A log without a fingerprint has a header line only.
+    const std::string bare = log_path("bare");
+    elv::RecordLog plain(bare, "elv-test-log 1");
+    plain.append("beta");
+    EXPECT_EQ(slurp(bare), "elv-test-log 1\nbeta ~f4039baf9ff2ba79\n");
+}
+
+TEST(RecordLog, EmptyFileMeansNothingLogged)
+{
+    const std::string path = log_path("empty");
+    spit(path, "");
+    elv::RecordLog log = test_log(path);
+    EXPECT_TRUE(replay(log).empty());
+    log.append("beta");
+    EXPECT_EQ(slurp(path), kHeaderBlock + "beta ~f4039baf9ff2ba79\n");
+}
+
+TEST(RecordLog, TornHeaderResetsAtEveryByteOffset)
+{
+    const std::string path = log_path("torn_header");
+    for (std::size_t cut = 1; cut < kHeaderBlock.size(); ++cut) {
+        spit(path, kHeaderBlock.substr(0, cut));
+        elv::RecordLog log = test_log(path);
+        EXPECT_TRUE(replay(log).empty()) << "cut " << cut;
+        EXPECT_EQ(std::filesystem::file_size(path), 0u) << "cut " << cut;
+        log.append("beta");
+        EXPECT_EQ(slurp(path), kHeaderBlock + "beta ~f4039baf9ff2ba79\n")
+            << "cut " << cut;
+    }
+    // A header complete with its newline and no fingerprint line yet
+    // is torn too.
+    spit(path, "elv-test-log 1\n");
+    elv::RecordLog log = test_log(path);
+    EXPECT_TRUE(replay(log).empty());
+    EXPECT_EQ(std::filesystem::file_size(path), 0u);
+}
+
+TEST(RecordLog, DamagedHeaderWithRecordsAfterItIsFatal)
+{
+    const std::string path = log_path("bad_header");
+    const std::string records = kTwoRecords.substr(kHeaderBlock.size());
+    for (const std::string &header :
+         {std::string("elv-test-lo\n"), std::string("garbage\n"),
+          std::string("elv-test-log 1\nfingerprint 2a\n"),
+          std::string("elv-test-log 1\nfingerprint 000000000000002A \n"),
+          std::string("elv-test-log 1\nfingerprint 0x0000000000002a\n")}) {
+        spit(path, header + records);
+        elv::RecordLog log = test_log(path);
+        EXPECT_THROW(replay(log), elv::UsageError) << header;
+        EXPECT_EQ(slurp(path), header + records) << "left untouched";
+    }
+}
+
+TEST(RecordLog, OtherVersionIsReturnedAndNothingReplayed)
+{
+    const std::string path = log_path("version");
+    const std::string old = "elv-test-log 0\nfingerprint 000000000000002a\n"
+                            "alpha 1 ~f47b7909acc18eca\n";
+    spit(path, old);
+    elv::RecordLog log = test_log(path);
+    bool applied = false;
+    const auto other = log.load([&](const std::string &) {
+        applied = true;
+        return true;
+    });
+    ASSERT_TRUE(other.has_value());
+    EXPECT_EQ(*other, "elv-test-log 0");
+    EXPECT_FALSE(applied);
+    EXPECT_EQ(slurp(path), old);
+    // The caller may discard it; the next append starts afresh.
+    log.reset();
+    log.append("beta");
+    EXPECT_EQ(slurp(path), kHeaderBlock + "beta ~f4039baf9ff2ba79\n");
+}
+
+TEST(RecordLog, FingerprintMismatchIsFatalAndCarriesTheHint)
+{
+    const std::string path = log_path("fingerprint");
+    spit(path, kTwoRecords);
+    elv::RecordLog log(path, "elv-test-log 1", 0x2b);
+    log.set_mismatch_hint([](std::uint64_t stored) {
+        return stored == 0x2a ? "likely changed: seed" : "";
+    });
+    try {
+        log.load([](const std::string &) { return true; });
+        FAIL() << "expected the mismatched log to be refused";
+    } catch (const elv::UsageError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("000000000000002a"), std::string::npos) << what;
+        EXPECT_NE(what.find("000000000000002b"), std::string::npos) << what;
+        EXPECT_NE(what.find("likely changed: seed"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+    }
+}
+
+TEST(RecordLog, TornFinalRecordIsDroppedAtEveryByteOffset)
+{
+    const std::string path = log_path("torn_tail");
+    const std::string full = kTwoRecords + "gamma ~3d9b7fc827fa9ec8\n";
+    for (std::size_t cut = kTwoRecords.size(); cut < full.size(); ++cut) {
+        spit(path, full.substr(0, cut));
+        elv::RecordLog log = test_log(path);
+        EXPECT_EQ(replay(log),
+                  (std::vector<std::string>{"alpha 1", "beta"}))
+            << "cut " << cut;
+        EXPECT_EQ(slurp(path), kTwoRecords) << "cut " << cut;
+        // The next append lands on a clean line and loads back whole.
+        log.append("gamma");
+        EXPECT_EQ(slurp(path), full) << "cut " << cut;
+    }
+}
+
+TEST(RecordLog, FinalRecordTheParserRefusesIsDropped)
+{
+    const std::string path = log_path("refused");
+    spit(path, kTwoRecords);
+    elv::RecordLog log = test_log(path);
+    std::vector<std::string> bodies;
+    EXPECT_FALSE(log.load([&](const std::string &body) {
+                        bodies.push_back(body);
+                        return body != "beta";
+                    })
+                     .has_value());
+    EXPECT_EQ(bodies, (std::vector<std::string>{"alpha 1", "beta"}));
+    EXPECT_EQ(slurp(path), kHeaderBlock + "alpha 1 ~f47b7909acc18eca\n");
+}
+
+TEST(RecordLog, BadInteriorRecordIsFatal)
+{
+    const std::string path = log_path("interior");
+    const std::string records[] = {"alpha 1 ~f47b7909acc18eca\n",
+                                   "beta ~f4039baf9ff2ba79\n"};
+    for (const std::string &damaged :
+         {std::string("alpha 2 ~f47b7909acc18eca\n"),
+          std::string("alpha 1 ~f47b7909acc18ec\n"),
+          std::string("alpha 1\n")}) {
+        spit(path, kHeaderBlock + damaged + records[1]);
+        elv::RecordLog log = test_log(path);
+        EXPECT_THROW(replay(log), elv::UsageError) << damaged;
+    }
+    // A record the parser refuses is corruption too, unless final.
+    spit(path, kTwoRecords);
+    elv::RecordLog log = test_log(path);
+    EXPECT_THROW(log.load([](const std::string &body) {
+        return body != "alpha 1";
+    }),
+                 elv::UsageError);
+}
+
+TEST(RecordLog, ChecksumTokenRoundTripsAndRejectsDamage)
+{
+    std::string line = elv::record_with_checksum("cnr 0 0x1p-1 4 0 0");
+    EXPECT_EQ(line, "cnr 0 0x1p-1 4 0 0 ~14d82fe4e860b323");
+    EXPECT_TRUE(elv::strip_record_checksum(line));
+    EXPECT_EQ(line, "cnr 0 0x1p-1 4 0 0");
+    for (std::string damaged :
+         {std::string("cnr 0 0x1p-1 4 0 1 ~14d82fe4e860b323"),
+          std::string("cnr 0 0x1p-1 4 0 0 ~14d82fe4e860b32"),
+          std::string("cnr 0 0x1p-1 4 0 0  14d82fe4e860b323"),
+          std::string("cnr 0 0x1p-1 4 0 0 ~+4d82fe4e860b323"),
+          std::string(" ~14d82fe4e860b323"), std::string("")})
+        EXPECT_FALSE(elv::strip_record_checksum(damaged)) << damaged;
 }
 
 } // namespace

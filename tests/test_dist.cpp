@@ -265,6 +265,46 @@ TEST(DistWire, StageAndRecordRoundTrips)
     EXPECT_FALSE(parse_worker_event("not json at all", event, error));
 }
 
+/** An integer that does not fit its field rejects the whole line;
+ * it is never wrapped or cast out of range. */
+TEST(DistWire, OutOfRangeIntegersRejectTheLine)
+{
+    WorkerEvent event;
+    CoordRequest request;
+    std::string error;
+    const std::string cnr = R"({"ev":"cnr","cnr":"0x1p-1",)";
+    for (const std::string &line :
+         {cnr + R"("i":1e30})", cnr + R"("i":4294967296})",
+          cnr + R"("i":2.5})", cnr + R"("i":0,"execs":1e300})",
+          cnr + R"("i":0,"retries":-1})",
+          std::string(R"({"ev":"repcap","repcap":"0x1p-1","i":-1e30})"),
+          std::string(R"({"ev":"done","op":"cnr","n":-1})")})
+        EXPECT_FALSE(parse_worker_event(line, event, error)) << line;
+    ASSERT_TRUE(parse_worker_event(cnr + R"("i":3,"execs":8})", event,
+                                   error))
+        << error;
+    EXPECT_EQ(event.index, 3);
+
+    // threads = 7 and crash_after = 9, then each pushed out of range.
+    const std::string configure = make_configure(small_spec(), 7, 0x1, 9);
+    ASSERT_TRUE(parse_coord_request(configure, request, error)) << error;
+    for (const auto &[from, to] :
+         {std::pair<std::string, std::string>{"\"threads\": 7",
+                                              "\"threads\": 4294967297"},
+          std::pair<std::string, std::string>{"\"crash_after\": 9",
+                                              "\"crash_after\": 1e30"}}) {
+        std::string line = configure;
+        const std::size_t at = line.find(from);
+        ASSERT_NE(at, std::string::npos) << line;
+        line.replace(at, from.size(), to);
+        EXPECT_FALSE(parse_coord_request(line, request, error)) << line;
+    }
+    EXPECT_FALSE(parse_coord_request(R"({"op":"cnr","indices":[1,1e30]})",
+                                     request, error));
+    EXPECT_FALSE(parse_coord_request(
+        R"({"op":"cnr","indices":[2147483648]})", request, error));
+}
+
 TEST(DistWire, EndpointParsing)
 {
     std::string host;
@@ -475,7 +515,8 @@ TEST(DistAttach, ServeWorkerMatchesSerialAndStopsOnSigterm)
     srv::JsonValue announce;
     ASSERT_TRUE(srv::json_parse(line, announce, error)) << line;
     ASSERT_NE(announce.get("port"), nullptr) << line;
-    const std::uint64_t port = announce.get("port")->as_uint(0);
+    const std::uint64_t port = 
+        announce.get("port")->as_integer<std::uint64_t>().value_or(0);
     ASSERT_GT(port, 0u) << line;
 
     const srv::JobSpec spec = small_spec();

@@ -137,7 +137,7 @@ TEST(JsonValue, ParsesNestedDocument)
     const JsonValue *a = value.get("a");
     ASSERT_NE(a, nullptr);
     ASSERT_EQ(a->items.size(), 3u);
-    EXPECT_EQ(a->items[0].as_int(), 1);
+    EXPECT_EQ(a->items[0].as_integer<int>(), 1);
     EXPECT_DOUBLE_EQ(a->items[1].as_number(), 2.5);
     EXPECT_DOUBLE_EQ(a->items[2].as_number(), -300.0);
     const JsonValue *b = value.get("b");
@@ -154,8 +154,43 @@ TEST(JsonValue, PreservesLargeSeedsExactly)
     // 2^64 - 1: past the double-precision cliff at 2^53.
     ASSERT_TRUE(json_parse(R"({"seed": 18446744073709551615})", value,
                            error));
-    EXPECT_EQ(value.get("seed")->as_uint(0),
+    EXPECT_EQ(value.get("seed")->as_integer<std::uint64_t>(),
               18446744073709551615ull);
+}
+
+TEST(JsonValue, OutOfRangeIntegersAreNeverCast)
+{
+    JsonValue value;
+    std::string error;
+    ASSERT_TRUE(json_parse(
+        R"([1e30, -1e30, 1e300, -1e300, 4294967297, -1, 2.5,)"
+        R"( 9223372036854775808, 18446744073709551616, 1e3, -0])",
+        value, error))
+        << error;
+    const std::vector<JsonValue> &n = value.items;
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_FALSE(n[i].as_integer<int>().has_value()) << i;
+        EXPECT_FALSE(n[i].as_integer<std::int64_t>().has_value()) << i;
+        EXPECT_FALSE(n[i].as_integer<std::uint64_t>().has_value()) << i;
+    }
+    EXPECT_FALSE(n[4].as_integer<int>().has_value());
+    EXPECT_EQ(n[4].as_integer<std::int64_t>(), 4294967297LL);
+    EXPECT_FALSE(n[5].as_integer<std::uint64_t>().has_value());
+    EXPECT_EQ(n[5].as_integer<int>(), -1);
+    EXPECT_FALSE(n[6].as_integer<int>().has_value());
+    EXPECT_FALSE(n[7].as_integer<std::int64_t>().has_value());
+    EXPECT_EQ(n[7].as_integer<std::uint64_t>(), 9223372036854775808ULL);
+    EXPECT_FALSE(n[8].as_integer<std::uint64_t>().has_value());
+    EXPECT_EQ(n[9].as_integer<int>(), 1000);
+    EXPECT_EQ(n[10].as_integer<std::uint64_t>(), 0u);
+    // Other kinds are no integers; absent members leave the default.
+    ASSERT_TRUE(json_parse(R"({"s": "7", "b": true})", value, error));
+    EXPECT_FALSE(value.get("s")->as_integer<int>().has_value());
+    int out = 5;
+    EXPECT_FALSE(value.read_integer("b", out, error));
+    EXPECT_NE(error.find("\"b\""), std::string::npos) << error;
+    EXPECT_TRUE(value.read_integer("absent", out, error));
+    EXPECT_EQ(out, 5);
 }
 
 TEST(JsonValue, RejectsMalformedInput)
@@ -228,6 +263,24 @@ TEST(JobSpec, FromJsonRejectsBadFields)
     EXPECT_FALSE(JobSpec::from_json(value, spec, error));
     ASSERT_TRUE(json_parse(R"([1,2])", value, error));
     EXPECT_FALSE(JobSpec::from_json(value, spec, error));
+    // Integers that do not fit their field are errors: never wrapped
+    // (4294967297 is no 1-candidate job) nor cast out of range.
+    for (const char *doc :
+         {R"({"candidates": 1e30})", R"({"candidates": 4294967297})",
+          R"({"candidates": -1e30})", R"({"candidates": 8.5})",
+          R"({"candidates": "8"})", R"({"seed": 1e300})",
+          R"({"seed": -1})", R"({"seed": 18446744073709551616})",
+          R"({"priority": 1e30})", R"({"workers": -2147483649})"}) {
+        ASSERT_TRUE(json_parse(doc, value, error)) << doc;
+        EXPECT_FALSE(JobSpec::from_json(value, spec, error)) << doc;
+        EXPECT_NE(error.find("integer"), std::string::npos) << doc;
+    }
+    // Integral spellings that fit still parse.
+    ASSERT_TRUE(json_parse(R"({"candidates": 8e0, "seed": 1e3})", value,
+                           error));
+    ASSERT_TRUE(JobSpec::from_json(value, spec, error)) << error;
+    EXPECT_EQ(spec.candidates, 8);
+    EXPECT_EQ(spec.seed, 1000u);
 }
 
 TEST(JobState, NamesRoundTripAndTerminality)
@@ -355,8 +408,8 @@ TEST(Server, OverloadRejectsExplicitlyWithRetryAfter)
     ASSERT_TRUE(json_parse(server.health_json(), health, error));
     const JsonValue *jobs = health.get("jobs");
     ASSERT_NE(jobs, nullptr);
-    EXPECT_GE(jobs->get("rejected")->as_int(0), 1);
-    EXPECT_GE(jobs->get("shed")->as_int(0), 1);
+    EXPECT_GE(jobs->get("rejected")->as_integer<int>().value_or(0), 1);
+    EXPECT_GE(jobs->get("shed")->as_integer<int>().value_or(0), 1);
 }
 
 TEST(Server, DeadlineExpiryCancelsNotFails)
@@ -522,7 +575,10 @@ TEST(Protocol, HandlesBadInputWithoutThrowing)
          {"not json", "{}", R"({"op": 7})", R"({"op": "nope"})",
           R"({"op": "status"})", R"({"op": "submit"})",
           R"({"op": "cancel", "id": "job-9"})",
-          R"({"op": "shutdown"})"}) {
+          R"({"op": "shutdown"})", R"({"op": "events", "since": 1e300})",
+          R"({"op": "events", "limit": -1})",
+          R"({"op": "submit", "spec": {"candidates": 1e30}})",
+          R"({"op": "submit", "spec": {"candidates": 4294967297}})"}) {
         const RequestOutcome outcome =
             handle_request(server, line, /*allow_shutdown=*/false);
         EXPECT_EQ(outcome.action, RequestAction::Reply);
@@ -725,7 +781,8 @@ TEST(Telemetry, EventsVerbReportsJobLifecycle)
     ASSERT_TRUE(value.get("ok")->as_bool(false));
     const JsonValue *doc = value.get("events");
     ASSERT_NE(doc, nullptr);
-    const std::uint64_t last_seq = doc->get("last_seq")->as_uint(0);
+    const std::uint64_t last_seq = 
+        doc->get("last_seq")->as_integer<std::uint64_t>().value_or(0);
     EXPECT_GE(last_seq, 3u); // admitted, started, finished
 
     std::vector<std::string> kinds;
