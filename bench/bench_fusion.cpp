@@ -154,9 +154,8 @@ time_statevector(const circ::Circuit &c, int qubits, int reps)
         psi.run(c, params);
     t.plain_s = seconds_since(start) / reps;
 
-    // Compile outside the timed loop: the fusion cache amortizes
-    // compilation across the thousands of re-executions of real
-    // workloads (CNR replicas, RepCap inits, training epochs).
+    // Compile outside the timed loop: real workloads compile once and
+    // replay the program many times (RepCap inits, training epochs).
     const sim::FusedProgram program = sim::FusedProgram::compile(c);
     t.ops_merged = program.ops_merged();
     // Scalar vs SIMD: same compiled program, different kernel tier, so

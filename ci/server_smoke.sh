@@ -12,6 +12,11 @@
 # non-empty Prometheus exposition, and the scraped server.queue.depth
 # gauge must agree with the JSON {"op":"metrics"} verb.
 #
+# The one-shot CLI then runs the same spec with --search-only
+# --dump-ranking: its dumped best score must equal the clean job's
+# best_score_hex, so the CLI's flag mapping and the server's spec mapping
+# cannot drift apart.
+#
 # Usage: ci/server_smoke.sh [BUILD_DIR] (default: build)
 set -euo pipefail
 
@@ -114,6 +119,11 @@ kill -TERM "$SRV_PID"
 wait "$SRV_PID"
 SRV_PID=""
 
+echo "== one-shot CLI on the same spec =="
+"$CLI" "${SPEC[@]}" --search-only --dump-ranking "$WORK/cli_ranking.txt" \
+    > "$WORK/cli.log"
+cli_hex=$(awk '$1 == "best" {print $2}' "$WORK/cli_ranking.txt")
+
 echo "== compare =="
 clean_hex=$(json_field "$WORK/clean_result.json" best_score_hex)
 crash_hex=$(json_field "$WORK/crash_result.json" best_score_hex)
@@ -123,6 +133,7 @@ resumed=$(json_field "$WORK/crash_result.json" resumed)
 
 echo "clean best_score_hex:   $clean_hex"
 echo "resumed best_score_hex: $crash_hex (resumed=$resumed)"
+echo "one-shot CLI best:      $cli_hex"
 
 if [ "$clean_hex" != "$crash_hex" ]; then
     echo "FAIL: best_score_hex differs after crash recovery" >&2
@@ -136,4 +147,8 @@ if [ "$resumed" != "True" ] && [ "$resumed" != "true" ]; then
     echo "FAIL: recovered run did not resume from the journal" >&2
     exit 1
 fi
-echo "PASS: crash recovery is bit-identical and resumed"
+if [ "$cli_hex" != "$clean_hex" ]; then
+    echo "FAIL: the one-shot CLI and the server disagree on the best score" >&2
+    exit 1
+fi
+echo "PASS: crash recovery is bit-identical and resumed; the CLI agrees"

@@ -34,11 +34,12 @@
  * --benchmark/--device/... flags, `watch` streams status lines until
  * the job reaches a terminal state.
  *
- * Observability: --trace writes a Chrome trace_event JSON (open in
- * https://ui.perfetto.dev), --metrics turns on the counter registry and
- * prints it after the run, --report writes the structured run report,
- * and --profile samples the search with the SIGPROF profiler and
- * writes collapsed stacks (feed to flamegraph.pl / speedscope).
+ * Observability: --trace writes a Chrome trace_event JSON of the search
+ * (open in https://ui.perfetto.dev), --metrics turns on the counter
+ * registry and prints it after the search, --report writes the
+ * structured run report, and --profile samples the whole run — search,
+ * training and evaluation — with the SIGPROF profiler and writes
+ * collapsed stacks (feed to flamegraph.pl / speedscope).
  *
  * The `lint` subcommand runs the elvlint static verifier over circuit
  * files in the native text format (and, with --builtin, over every
@@ -169,8 +170,11 @@ print_usage()
         "probability F\n"
         "  --trace FILE       write a Chrome trace of the search "
         "(Perfetto-viewable)\n"
-        "  --profile FILE     sample the search with SIGPROF and write\n"
-        "                     collapsed stacks (flamegraph input)\n"
+        "  --profile FILE     sample the whole run (search, training, "
+        "evaluation)\n"
+        "                     with SIGPROF and write collapsed stacks "
+        "(flamegraph\n"
+        "                     input)\n"
         "  --metrics          collect and print pipeline metrics\n"
         "  --report FILE      write the structured run report JSON\n"
         "  --list             list benchmarks and devices, then exit\n"
@@ -920,10 +924,18 @@ main(int argc, char **argv)
             config.resilience.retry.max_attempts = 8;
         }
 
-        // Observability covers the search pipeline: tracing/metrics go
-        // live just before elivagar_search and the artifacts are
-        // written as soon as it returns, so the trace stays scoped to
-        // the phase/candidate spans (training is far chattier).
+        // Tracing and metrics cover the search: they go live just before
+        // elivagar_search and their artifacts are written as soon as it
+        // returns, so the trace stays scoped to the phase/candidate
+        // spans (training adds one fused-run span per sample). The
+        // profile samples the whole run and is written at the end.
+        auto write_profile = [&options] {
+            if (!options.profile_path.empty() &&
+                obs::Profiler::global().write_collapsed(
+                    options.profile_path))
+                std::printf("profile written to %s\n",
+                            options.profile_path.c_str());
+        };
         if (options.metrics)
             obs::Registry::global().set_enabled(true);
         if (!options.trace_path.empty())
@@ -1002,11 +1014,6 @@ main(int argc, char **argv)
             obs::Tracer::global().write(options.trace_path))
             std::printf("trace written to %s\n",
                         options.trace_path.c_str());
-        if (!options.profile_path.empty() &&
-            obs::Profiler::global().write_collapsed(
-                options.profile_path))
-            std::printf("profile written to %s\n",
-                        options.profile_path.c_str());
         if (!options.report_path.empty() &&
             core::write_run_report(options.report_path, config, found))
             std::printf("run report written to %s\n",
@@ -1038,8 +1045,10 @@ main(int argc, char **argv)
             std::printf("ranking written to %s\n",
                         options.dump_ranking.c_str());
         }
-        if (options.search_only)
+        if (options.search_only) {
+            write_profile();
             return 0;
+        }
 
         if (config.resilience.enabled)
             std::printf("resilience: %llu faults injected, %llu "
@@ -1072,6 +1081,7 @@ main(int argc, char **argv)
             });
         std::printf("accuracy: %.1f%% noiseless / %.1f%% noisy\n",
                     100 * ideal.accuracy, 100 * hw.accuracy);
+        write_profile();
 
         if (options.emit == "text") {
             std::printf("%s", circ::to_text(found.best_circuit).c_str());

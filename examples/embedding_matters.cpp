@@ -29,6 +29,7 @@ train_regression(const circ::Circuit &circuit, int epochs,
 {
     const std::vector<sim::DiagonalObservable> obs = {
         sim::DiagonalObservable::pauli_z(0)};
+    const sim::FusedProgram program = sim::FusedProgram::compile(circuit);
     qml::Adam adam(params.size(), 0.05);
 
     double final_mse = 0.0;
@@ -40,7 +41,7 @@ train_regression(const circ::Circuit &circuit, int epochs,
             const double x = 2.0 * M_PI * i / points;
             const double target = 0.5 * std::sin(2.0 * x);
             const auto g =
-                sim::adjoint_gradient(circuit, params, {x}, obs);
+                sim::adjoint_gradient(program, params, {x}, obs);
             const double err = g.values[0] - target;
             final_mse += err * err / points;
             for (std::size_t p = 0; p < params.size(); ++p)
@@ -92,13 +93,15 @@ main()
     std::printf("\n  x       target   circuit1  circuit2\n");
     const std::vector<sim::DiagonalObservable> obs = {
         sim::DiagonalObservable::pauli_z(0)};
+    const sim::FusedProgram rich_program = sim::FusedProgram::compile(rich);
+    const sim::FusedProgram poor_program = sim::FusedProgram::compile(poor);
     for (int i = 0; i <= 12; ++i) {
         const double x = 2.0 * M_PI * i / 12;
         const double t = 0.5 * std::sin(2.0 * x);
         const double y1 =
-            sim::expectations(rich, rich_params, {x}, obs)[0];
+            sim::expectations(rich_program, rich_params, {x}, obs)[0];
         const double y2 =
-            sim::expectations(poor, poor_params, {x}, obs)[0];
+            sim::expectations(poor_program, poor_params, {x}, obs)[0];
         std::printf("  %5.2f  %8.3f  %8.3f  %8.3f\n", x, t, y1, y2);
     }
     std::printf("\nSame trainable gates, different embeddings: circuit 1 "

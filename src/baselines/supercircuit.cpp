@@ -228,6 +228,8 @@ train_supercircuit(const SuperCircuit &super, const qml::Dataset &data,
                 super.random_config(target_params, rng);
             std::vector<int> slot_map;
             const Circuit circuit = super.instantiate(sub, slot_map);
+            const sim::FusedProgram program =
+                sim::FusedProgram::compile(circuit);
             std::vector<double> params(slot_map.size());
             for (std::size_t i = 0; i < slot_map.size(); ++i)
                 params[i] = result.shared_params[static_cast<std::size_t>(
@@ -249,11 +251,11 @@ train_supercircuit(const SuperCircuit &super, const qml::Dataset &data,
                         data.labels[idx])]};
                 sim::GradientResult g;
                 if (config.backend == qml::GradientBackend::Adjoint)
-                    g = sim::adjoint_gradient(circuit, params,
+                    g = sim::adjoint_gradient(program, params,
                                               data.samples[idx], obs);
                 else
                     g = sim::parameter_shift_gradient(
-                        circuit, params, data.samples[idx], obs);
+                        program, params, data.samples[idx], obs);
                 result.circuit_executions += g.circuit_executions;
 
                 const double p_y = std::max(g.values[0], 1e-10);

@@ -112,6 +112,7 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
     qml::Adam optimizer(flat.size(), config_.learning_rate);
     const auto projectors =
         sim::class_projectors(local.measured(), data.num_classes);
+    const sim::FusedProgram program = sim::FusedProgram::compile(local);
 
     std::vector<std::size_t> order(data.samples.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -161,7 +162,7 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
                     flat.begin() + static_cast<std::ptrdiff_t>(np));
                 const std::vector<sim::DiagonalObservable> obs = {
                     projectors[static_cast<std::size_t>(label)]};
-                const auto g = sim::adjoint_gradient(local, params, y,
+                const auto g = sim::adjoint_gradient(program, params, y,
                                                      obs, true);
                 exec_count += g.circuit_executions;
 

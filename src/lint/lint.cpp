@@ -221,8 +221,7 @@ lint_program(const sim::FusedProgram &program, const circ::Circuit &source,
     if (program.source_ops() != source.ops().size()) {
         std::ostringstream oss;
         oss << "program compiled from " << program.source_ops()
-            << " source ops, circuit has " << source.ops().size()
-            << " (stale cache entry?)";
+            << " source ops, circuit has " << source.ops().size();
         out.add(Severity::Error, rule, -1, oss.str());
     }
 

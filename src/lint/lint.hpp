@@ -211,11 +211,10 @@ Report lint_circuit(const CircuitView &view,
  * Lint a compiled fused program against the circuit it claims to have
  * been compiled from (the "fusion-barrier" rule): every parametric/
  * embedding source op must survive as a Barrier entry, in order, with
- * identical bindings — the precondition the FusionCache relies on when
- * it replays a program for fresh (params, x) values — and the fused
- * group accounting must cover exactly the fixed source ops. Detects
- * stale cache entries, dropped barriers, and regions fused across a
- * barrier.
+ * identical bindings — the precondition for replaying one program for
+ * fresh (params, x) values — and the fused group accounting must cover
+ * exactly the fixed source ops. Detects a program paired with another
+ * circuit, dropped barriers, and regions fused across a barrier.
  */
 Report lint_program(const sim::FusedProgram &program,
                     const circ::Circuit &source,

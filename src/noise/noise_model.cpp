@@ -180,8 +180,6 @@ NoisyDensitySimulator::fidelity(const circ::Circuit &circuit,
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
     sim::StateVector psi(local.num_qubits());
-    // Compile locally instead of through the global FusionCache: CNR
-    // replicas are one-shot circuits and would churn it.
     sim::FusedProgram::compile(local).run(psi, params, x);
     const auto ideal = psi.probabilities(local.measured());
     const NoisyProgram program =

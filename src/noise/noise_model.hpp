@@ -112,7 +112,7 @@ class NoisyDensitySimulator
      * determine the noise — plus the raw calibration values of the
      * qubits it touches and the couplers among them, so a drifted
      * calibration misses instead of replaying a stale program. Cleared
-     * wholesale at capacity, like sim::FusionCache.
+     * wholesale at capacity.
      */
     mutable std::mutex cache_mutex_;
     mutable std::unordered_map<std::string,

@@ -12,25 +12,41 @@
 
 namespace elv::qml {
 
+namespace {
+
+/** The compacted circuit, compiled. */
+sim::FusedProgram
+compile_compacted(const circ::Circuit &circuit)
+{
+    std::vector<int> kept;
+    return sim::FusedProgram::compile(circuit.compacted(kept));
+}
+
+/** Noiseless outcome distribution of one run of `program`. */
+std::vector<double>
+ideal_distribution(const sim::FusedProgram &program,
+                   const std::vector<double> &params,
+                   const std::vector<double> &x)
+{
+    sim::StateVector psi(program.num_qubits());
+    program.run(psi, params, x);
+    auto probs = psi.probabilities(program.source().measured());
+    // Numerical guardrail at the DistributionFn boundary: NaN or
+    // lost mass here silently corrupts every downstream loss.
+    elv::validate_distribution(probs, elv::DistributionPolicy::Renormalize,
+                               "statevector distribution");
+    return probs;
+}
+
+} // namespace
+
 DistributionFn
 statevector_distribution()
 {
     return [](const circ::Circuit &circuit,
               const std::vector<double> &params,
               const std::vector<double> &x) {
-        std::vector<int> kept;
-        const circ::Circuit local = circuit.compacted(kept);
-        sim::StateVector psi(local.num_qubits());
-        // Cached fused execution: evaluation sweeps re-run the same
-        // circuit once per sample.
-        sim::fused_run(psi, local, params, x);
-        auto probs = psi.probabilities(local.measured());
-        // Numerical guardrail at the DistributionFn boundary: NaN or
-        // lost mass here silently corrupts every downstream loss.
-        elv::validate_distribution(probs,
-                                   elv::DistributionPolicy::Renormalize,
-                                   "statevector distribution");
-        return probs;
+        return ideal_distribution(compile_compacted(circuit), params, x);
     };
 }
 
@@ -138,7 +154,15 @@ EvalResult
 evaluate(const circ::Circuit &circuit, const std::vector<double> &params,
          const Dataset &data)
 {
-    return evaluate(circuit, params, data, statevector_distribution());
+    // statevector_distribution()'s arithmetic, compiled once for all
+    // rows.
+    const sim::FusedProgram program = compile_compacted(circuit);
+    return evaluate(circuit, params, data,
+                    [&program](const circ::Circuit &,
+                               const std::vector<double> &p,
+                               const std::vector<double> &x) {
+                        return ideal_distribution(program, p, x);
+                    });
 }
 
 } // namespace elv::qml

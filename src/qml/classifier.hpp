@@ -26,7 +26,10 @@ using DistributionFn = std::function<std::vector<double>(
     const circ::Circuit &, const std::vector<double> &params,
     const std::vector<double> &x)>;
 
-/** Noiseless state-vector distribution provider. */
+/**
+ * Noiseless state-vector distribution provider. Compiles the circuit on
+ * every call; the noiseless evaluate() below compiles once for all rows.
+ */
 DistributionFn statevector_distribution();
 
 /**
@@ -67,7 +70,7 @@ EvalResult evaluate(const circ::Circuit &circuit,
                     const std::vector<double> &params, const Dataset &data,
                     const DistributionFn &dist_fn);
 
-/** Evaluate noiselessly. */
+/** Evaluate noiselessly (statevector_distribution()'s arithmetic). */
 EvalResult evaluate(const circ::Circuit &circuit,
                     const std::vector<double> &params,
                     const Dataset &data);

@@ -27,6 +27,7 @@ gradient_variance(const circ::Circuit &circuit, elv::Rng &rng,
     const std::vector<double> x(
         static_cast<std::size_t>(std::max(1, local.num_data_features())),
         0.0);
+    const sim::FusedProgram program = sim::FusedProgram::compile(local);
 
     GradientVariance result;
     std::vector<double> params(
@@ -35,7 +36,7 @@ gradient_variance(const circ::Circuit &circuit, elv::Rng &rng,
     for (int s = 0; s < options.num_samples; ++s) {
         for (auto &p : params)
             p = rng.uniform(-M_PI, M_PI);
-        const auto g = sim::adjoint_gradient(local, params, x, obs);
+        const auto g = sim::adjoint_gradient(program, params, x, obs);
         result.circuit_executions += g.circuit_executions;
         const double grad =
             g.jacobian[0][static_cast<std::size_t>(slot)];

@@ -154,6 +154,8 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
     // One pool for the whole call. Size 1 (the default) executes every
     // task inline in index order — the serial reference path.
     par::ThreadPool pool(config.threads);
+    // Compiled once; every sample's gradient on every worker replays it.
+    const sim::FusedProgram program = sim::FusedProgram::compile(local);
 
     for (int epoch = 0; epoch < config.epochs; ++epoch) {
         rng.shuffle(order);
@@ -171,7 +173,7 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
             std::vector<double> grad(result.params.size(), 0.0);
 
             // Each sample's loss/gradient is a pure function of
-            // (circuit, params, sample) — no RNG, no shared mutable
+            // (program, params, sample) — no RNG, no shared mutable
             // state — so the batch fans out across the pool; the
             // reduction below then runs serially in sample-index
             // order, reproducing the serial loop's floating-point
@@ -214,9 +216,9 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
                                 data.labels[idx])]};
                         return config.backend == GradientBackend::Adjoint
                                    ? sim::adjoint_gradient(
-                                         local, result.params, x, obs)
+                                         program, result.params, x, obs)
                                    : sim::parameter_shift_gradient(
-                                         local, result.params, x, obs);
+                                         program, result.params, x, obs);
                     });
             }
 

@@ -421,7 +421,6 @@ Server::worker_loop()
 {
     while (true) {
         RecordPtr rec;
-        int quota = 0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             cv_.wait(lock, [this] {
@@ -430,7 +429,7 @@ Server::worker_loop()
             if (stopping_)
                 return;
             rec = pop_best_locked();
-            quota = quota_for_depth_locked(queue_.size());
+            const int quota = quota_for_depth_locked(queue_.size());
             rec->thread_quota = quota;
             rec->state = JobState::Running;
             manifest_.append("state " + rec->id + " running");
@@ -443,26 +442,14 @@ Server::worker_loop()
             bump_epoch_locked();
         }
 
-        const auto job_start = std::chrono::steady_clock::now();
         run_job(rec);
-
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --running_;
-            threads_in_use_ -= quota;
-            ELV_METRIC_GAUGE_ADD("server.jobs.running", -1);
-            const double ms = seconds_since(job_start) * 1000.0;
-            job_ms_ewma_ = job_ms_ewma_ <= 0.0
-                               ? ms
-                               : 0.7 * job_ms_ewma_ + 0.3 * ms;
-            bump_epoch_locked();
-        }
     }
 }
 
 void
 Server::run_job(const RecordPtr &rec)
 {
+    const auto job_start = std::chrono::steady_clock::now();
     const std::shared_ptr<elv::CancelToken> token = rec->token;
     token->set_deadline_after(rec->spec.deadline_sec);
 
@@ -603,6 +590,15 @@ Server::run_job(const RecordPtr &rec)
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
+    // Release the quota in the critical section that records the job's
+    // state, so a client that sees the state also sees the threads
+    // free.
+    --running_;
+    threads_in_use_ -= rec->thread_quota;
+    ELV_METRIC_GAUGE_ADD("server.jobs.running", -1);
+    const double ms = seconds_since(job_start) * 1000.0;
+    job_ms_ewma_ =
+        job_ms_ewma_ <= 0.0 ? ms : 0.7 * job_ms_ewma_ + 0.3 * ms;
     rec->phase.clear();
     rec->trace_written = trace_ok;
     if (rec->abandoned) {

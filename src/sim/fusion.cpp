@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -25,8 +24,7 @@ FusedProgram
 FusedProgram::compile(const circ::Circuit &circuit)
 {
     FusedProgram prog;
-    prog.num_qubits_ = circuit.num_qubits();
-    prog.source_ops_ = circuit.ops().size();
+    prog.source_ = circuit;
 
     // open[q] indexes the stream entry still fusable on qubit q (-1 =
     // none). The invariant making every merge a legal commutation: no
@@ -151,7 +149,7 @@ template <typename ApplyBarrier>
 void
 FusedProgram::replay(StateVector &psi, ApplyBarrier &&barrier) const
 {
-    ELV_REQUIRE(psi.num_qubits() == num_qubits_,
+    ELV_REQUIRE(psi.num_qubits() == num_qubits(),
                 "program/state qubit count mismatch");
     ELV_TRACE_SCOPE("sv.fused_run", "sim");
     ELV_METRIC_COUNT("sim.sv.fused_runs");
@@ -220,55 +218,6 @@ FusedProgram::run(StateVector &psi, const ResolvedBarriers &variational,
             psi.apply_gate(op.kind, mats.two.at(slot), op.qubits[0],
                            op.qubits[1]);
     });
-}
-
-FusionCache &
-FusionCache::global()
-{
-    static FusionCache cache;
-    return cache;
-}
-
-std::shared_ptr<const FusedProgram>
-FusionCache::get(const circ::Circuit &circuit)
-{
-    const std::string key = circ::to_text_line(circuit);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = programs_.find(key);
-    if (it != programs_.end()) {
-        ELV_METRIC_COUNT("fusion.cache.hits");
-        return it->second;
-    }
-    ELV_METRIC_COUNT("fusion.cache.misses");
-    if (programs_.size() >= kCapacity) {
-        ELV_METRIC_COUNT_N("fusion.cache.evictions", programs_.size());
-        programs_.clear();
-    }
-    auto program =
-        std::make_shared<const FusedProgram>(FusedProgram::compile(circuit));
-    programs_.emplace(key, program);
-    return program;
-}
-
-std::size_t
-FusionCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return programs_.size();
-}
-
-void
-FusionCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    programs_.clear();
-}
-
-void
-fused_run(StateVector &psi, const circ::Circuit &circuit,
-          const std::vector<double> &params, const std::vector<double> &x)
-{
-    FusionCache::global().get(circuit)->run(psi, params, x);
 }
 
 } // namespace elv::sim

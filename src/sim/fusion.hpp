@@ -16,17 +16,16 @@
  * FusedProgram::run matches StateVector::run up to floating-point
  * reassociation within each fused group (~1e-15 per amplitude).
  *
- * The process-wide FusionCache memoizes compiled programs by the exact
- * serialized circuit text, so CNR replicas, RepCap re-executions and
- * parameter-shift loops compile once per distinct circuit.
+ * Compile once per circuit and hold the program: a caller that runs one
+ * circuit many times (training, gradients, evaluation, RepCap) compiles
+ * before its loop and replays the program for each (params, x). The
+ * program keeps a copy of its source circuit, so code that also walks
+ * the source ops (the adjoint reverse sweep, parameter shift) reads
+ * them from the program it runs and cannot pair it with another circuit.
  */
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -109,11 +108,14 @@ class FusedProgram
 
     const std::vector<FusedOp> &ops() const { return ops_; }
 
+    /** The circuit this program was compiled from. */
+    const circ::Circuit &source() const { return source_; }
+
     /** Source-circuit ops eliminated by fusion. */
     std::uint64_t ops_merged() const { return ops_merged_; }
 
     /** Source-circuit op count before fusion. */
-    std::size_t source_ops() const { return source_ops_; }
+    std::size_t source_ops() const { return source_.ops().size(); }
 
     /**
      * Leading source ops whose matrices resolved fully at compile time
@@ -130,7 +132,7 @@ class FusedProgram
         return const_prefix_source_ops_;
     }
 
-    int num_qubits() const { return num_qubits_; }
+    int num_qubits() const { return source_.num_qubits(); }
 
   private:
     /** Reset `psi` and apply the stream; `barrier` applies Barrier
@@ -138,49 +140,10 @@ class FusedProgram
     template <typename ApplyBarrier>
     void replay(StateVector &psi, ApplyBarrier &&barrier) const;
 
+    circ::Circuit source_;
     std::vector<FusedOp> ops_;
     std::uint64_t ops_merged_ = 0;
-    std::size_t source_ops_ = 0;
     std::size_t const_prefix_source_ops_ = 0;
-    int num_qubits_ = 1;
 };
-
-/**
- * Process-wide cache of compiled FusedPrograms keyed by the exact
- * circuit serialization (collision-free). Bounded: the cache is
- * cleared wholesale when it reaches capacity, which keeps the common
- * access pattern (a handful of hot circuits re-run thousands of times)
- * fully cached without ever growing unboundedly across a search.
- */
-class FusionCache
-{
-  public:
-    static FusionCache &global();
-
-    /** The compiled program for `circuit`, compiling on first use. */
-    std::shared_ptr<const FusedProgram> get(const circ::Circuit &circuit);
-
-    /** Entries currently cached (for tests). */
-    std::size_t size() const;
-
-    /** Drop every cached program. */
-    void clear();
-
-  private:
-    static constexpr std::size_t kCapacity = 256;
-
-    mutable std::mutex mutex_;
-    std::unordered_map<std::string, std::shared_ptr<const FusedProgram>>
-        programs_;
-};
-
-/**
- * Run `circuit` on `psi` through the fusion cache. Drop-in replacement
- * for StateVector::run on hot paths that re-execute the same circuit
- * many times (training, RepCap, CNR ideal outputs).
- */
-void fused_run(StateVector &psi, const circ::Circuit &circuit,
-               const std::vector<double> &params = {},
-               const std::vector<double> &x = {});
 
 } // namespace elv::sim

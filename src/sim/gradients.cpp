@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.hpp"
-#include "sim/fusion.hpp"
 
 namespace elv::sim {
 
@@ -43,15 +42,12 @@ deriv_overlap(const StateVector &lhs, const StateVector &rhs,
 } // namespace
 
 std::vector<double>
-expectations(const circ::Circuit &circuit, const std::vector<double> &params,
+expectations(const FusedProgram &program, const std::vector<double> &params,
              const std::vector<double> &x,
              const std::vector<DiagonalObservable> &obs)
 {
-    StateVector psi(circuit.num_qubits());
-    // Through the fusion cache: parameter-shift gradients evaluate the
-    // same circuit 2P+1 times per call, so the compile cost amortizes
-    // immediately.
-    fused_run(psi, circuit, params, x);
+    StateVector psi(program.num_qubits());
+    program.run(psi, params, x);
     std::vector<double> values;
     values.reserve(obs.size());
     // All observables share the measured-qubit distribution; evaluate it
@@ -62,12 +58,13 @@ expectations(const circ::Circuit &circuit, const std::vector<double> &params,
 }
 
 GradientResult
-adjoint_gradient(const circ::Circuit &circuit,
+adjoint_gradient(const FusedProgram &program,
                  const std::vector<double> &params,
                  const std::vector<double> &x,
                  const std::vector<DiagonalObservable> &obs,
                  bool with_embedding_grads)
 {
+    const circ::Circuit &circuit = program.source();
     const auto &ops = circuit.ops();
     for (std::size_t i = 0; i < ops.size(); ++i) {
         if (ops[i].kind == circ::GateKind::AmpEmbed)
@@ -106,7 +103,7 @@ adjoint_gradient(const circ::Circuit &circuit,
     StateVector forward(circuit.num_qubits());
     // Fused forward pass; the reverse sweep stays op-by-op because it
     // needs per-op derivative insertions.
-    fused_run(forward, circuit, params, x);
+    program.run(forward, params, x);
 
     for (std::size_t oi = 0; oi < obs.size(); ++oi) {
         result.values[oi] = obs[oi].expectation(forward);
@@ -140,13 +137,14 @@ adjoint_gradient(const circ::Circuit &circuit,
 }
 
 GradientResult
-parameter_shift_gradient(const circ::Circuit &circuit,
+parameter_shift_gradient(const FusedProgram &program,
                          const std::vector<double> &params,
                          const std::vector<double> &x,
                          const std::vector<DiagonalObservable> &obs)
 {
+    const circ::Circuit &circuit = program.source();
     GradientResult result;
-    result.values = expectations(circuit, params, x, obs);
+    result.values = expectations(program, params, x, obs);
     result.circuit_executions = 1;
     result.jacobian.assign(
         obs.size(),
@@ -157,7 +155,7 @@ parameter_shift_gradient(const circ::Circuit &circuit,
         std::vector<double> shifted = params;
         shifted[pi] += shift;
         ++result.circuit_executions;
-        return expectations(circuit, shifted, x, obs);
+        return expectations(program, shifted, x, obs);
     };
 
     for (const circ::Op &op : circuit.ops()) {

@@ -11,13 +11,17 @@
  *    parameter (four for controlled rotations), which is exactly the
  *    linear-in-parameters scaling the paper identifies as the
  *    SuperCircuit bottleneck.
+ *
+ * Each takes a FusedProgram compiled once by the caller, which replays
+ * it for every sample, step and shift; the adjoint reverse sweep and the
+ * shift loop walk the ops of the circuit the program was compiled from.
  */
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "circuit/circuit.hpp"
+#include "sim/fusion.hpp"
 #include "sim/observable.hpp"
 
 namespace elv::sim {
@@ -42,7 +46,7 @@ struct GradientResult
 };
 
 /** Evaluate expectations only (one circuit execution). */
-std::vector<double> expectations(const circ::Circuit &circuit,
+std::vector<double> expectations(const FusedProgram &program,
                                  const std::vector<double> &params,
                                  const std::vector<double> &x,
                                  const std::vector<DiagonalObservable> &obs);
@@ -54,7 +58,7 @@ std::vector<double> expectations(const circ::Circuit &circuit,
  * (derivatives with respect to each embedding gate's resolved angle;
  * product embeddings are rejected in that mode).
  */
-GradientResult adjoint_gradient(const circ::Circuit &circuit,
+GradientResult adjoint_gradient(const FusedProgram &program,
                                 const std::vector<double> &params,
                                 const std::vector<double> &x,
                                 const std::vector<DiagonalObservable> &obs,
@@ -65,7 +69,7 @@ GradientResult adjoint_gradient(const circ::Circuit &circuit,
  * rotations and U3 slots, four-term rule for CRY.
  */
 GradientResult parameter_shift_gradient(
-    const circ::Circuit &circuit, const std::vector<double> &params,
+    const FusedProgram &program, const std::vector<double> &params,
     const std::vector<double> &x,
     const std::vector<DiagonalObservable> &obs);
 

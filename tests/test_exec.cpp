@@ -18,11 +18,9 @@
 #include "common/rng.hpp"
 #include "common/validate.hpp"
 #include "core/candidate_gen.hpp"
-#include "exec/distribution.hpp"
 #include "exec/executor.hpp"
 #include "exec/fault_injector.hpp"
 #include "exec/resilient.hpp"
-#include "qml/classifier.hpp"
 
 namespace {
 
@@ -667,71 +665,6 @@ TEST(ResilientExecutor, DistributionPathValidatesAndRetries)
     for (int i = 0; i < 10; ++i) {
         auto probs = executor.run_distribution(c, params, {}, rng);
         EXPECT_TRUE(is_valid_distribution(probs, 1e-9));
-    }
-}
-
-// ---------------------------------------------------------------------
-// DistributionFn decorators
-// ---------------------------------------------------------------------
-
-TEST(ResilientDistribution, RetriesFlakyProviderToTheSameValues)
-{
-    int failures_left = 3;
-    qml::DistributionFn flaky =
-        [&](const circ::Circuit &, const std::vector<double> &,
-            const std::vector<double> &) -> std::vector<double> {
-        if (failures_left > 0) {
-            --failures_left;
-            throw BackendError("flaky");
-        }
-        return {0.5, 0.5};
-    };
-    auto counters = std::make_shared<RetryCounters>();
-    RetryPolicy policy;
-    policy.max_attempts = 5;
-    auto provider =
-        resilient_distribution(flaky, policy, 1234, counters);
-    const circ::Circuit c = clifford_circuit();
-    const auto probs = provider(c, {}, {});
-    EXPECT_EQ(probs, (std::vector<double>{0.5, 0.5}));
-    EXPECT_EQ(counters->calls, 1u);
-    EXPECT_EQ(counters->failures, 3u);
-    EXPECT_EQ(counters->retries, 3u);
-}
-
-TEST(ResilientDistribution, ExhaustedAttemptsThrow)
-{
-    qml::DistributionFn broken =
-        [](const circ::Circuit &, const std::vector<double> &,
-           const std::vector<double> &) -> std::vector<double> {
-        throw BackendError("down");
-    };
-    RetryPolicy policy;
-    policy.max_attempts = 3;
-    auto provider = resilient_distribution(broken, policy, 5);
-    EXPECT_THROW(provider(clifford_circuit(), {}, {}), BackendError);
-}
-
-TEST(FaultyDistribution, InjectedGarbageIsCaughtByResilientWrapper)
-{
-    qml::DistributionFn exact =
-        [](const circ::Circuit &, const std::vector<double> &,
-           const std::vector<double> &) -> std::vector<double> {
-        return {0.25, 0.75};
-    };
-    FaultConfig faults;
-    faults.transient_rate = 0.2;
-    faults.garbage_rate = 0.2;
-    faults.seed = 31;
-    RetryPolicy policy;
-    policy.max_attempts = 16;
-    auto provider = resilient_distribution(
-        faulty_distribution(exact, faults), policy, 6);
-    const circ::Circuit c = clifford_circuit();
-    for (int i = 0; i < 30; ++i) {
-        const auto probs = provider(c, {}, {});
-        EXPECT_NEAR(probs[0], 0.25, 1e-12);
-        EXPECT_NEAR(probs[1], 0.75, 1e-12);
     }
 }
 

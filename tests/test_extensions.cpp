@@ -47,7 +47,8 @@ TEST(EmbeddingGradients, MatchFiniteDifferences)
     std::vector<double> x = {0.4, -0.8};
 
     const auto obs = sim::class_projectors(c.measured(), 2);
-    const auto g = sim::adjoint_gradient(c, params, x, obs, true);
+    const auto g = sim::adjoint_gradient(sim::FusedProgram::compile(c),
+                                         params, x, obs, true);
     ASSERT_EQ(g.embedding_jacobian.size(), obs.size());
     ASSERT_EQ(g.embedding_jacobian[0].size(), 3u);
 
@@ -84,8 +85,10 @@ TEST(EmbeddingGradients, MatchFiniteDifferences)
             x[static_cast<std::size_t>(c.ops()[embed_ops[e]].data_index)];
         std::vector<double> xp = {x[0], x[1], base_angle + eps};
         std::vector<double> xm = {x[0], x[1], base_angle - eps};
-        const auto vp = sim::expectations(rebuilt, params, xp, obs);
-        const auto vm = sim::expectations(rebuilt, params, xm, obs);
+        const sim::FusedProgram program =
+            sim::FusedProgram::compile(rebuilt);
+        const auto vp = sim::expectations(program, params, xp, obs);
+        const auto vm = sim::expectations(program, params, xm, obs);
         for (std::size_t oi = 0; oi < obs.size(); ++oi)
             EXPECT_NEAR(g.embedding_jacobian[oi][e],
                         (vp[oi] - vm[oi]) / (2 * eps), 1e-6)
@@ -99,7 +102,8 @@ TEST(EmbeddingGradients, ProductEmbeddingsRejected)
     c.add_embedding(GateKind::RZ, {0}, 0, 1);
     c.set_measured({0});
     const auto obs = sim::class_projectors(c.measured(), 2);
-    EXPECT_THROW(sim::adjoint_gradient(c, {}, {0.1, 0.2}, obs, true),
+    EXPECT_THROW(sim::adjoint_gradient(sim::FusedProgram::compile(c), {},
+                                       {0.1, 0.2}, obs, true),
                  elv::InternalError);
 }
 

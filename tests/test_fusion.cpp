@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "circuit/builders.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/clifford_replica.hpp"
 #include "common/logging.hpp"
@@ -271,22 +272,6 @@ TEST(Fusion, ParametricGatesAreBarriers)
     ASSERT_EQ(p.ops().size(), 3u);
     EXPECT_EQ(p.ops()[1].kind, sim::FusedOp::Kind::Barrier);
     EXPECT_EQ(p.ops_merged(), 0u);
-}
-
-TEST(Fusion, CacheReturnsSharedProgramAndClears)
-{
-    sim::FusionCache::global().clear();
-    circ::Circuit c(2);
-    c.add_gate(circ::GateKind::H, {0});
-    c.add_gate(circ::GateKind::CX, {0, 1});
-    c.set_measured({0});
-
-    const auto a = sim::FusionCache::global().get(c);
-    const auto b = sim::FusionCache::global().get(c);
-    EXPECT_EQ(a.get(), b.get());
-    EXPECT_EQ(sim::FusionCache::global().size(), 1u);
-    sim::FusionCache::global().clear();
-    EXPECT_EQ(sim::FusionCache::global().size(), 0u);
 }
 
 TEST(Superop, DepolarizingMatchesKrausLoop1q)
@@ -740,6 +725,93 @@ TEST(BatchedTraining, BitIdenticalForEveryThreadCount)
                 << "threads=" << threads;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Pinned training: loss history, trained parameters, execution count and
+// noiseless test loss/accuracy, bit for bit. Any change that reassociates
+// floating-point work in training or noiseless evaluation fails here.
+
+struct PinnedTraining
+{
+    std::vector<double> loss_history;
+    std::vector<double> params;
+    std::uint64_t executions;
+    double test_loss;
+    double test_accuracy;
+};
+
+void
+expect_pinned(const circ::Circuit &c, const qml::Benchmark &bench,
+              const qml::TrainConfig &tc, const PinnedTraining &want)
+{
+    const qml::TrainResult got = qml::train_circuit(c, bench.train, tc);
+    ASSERT_EQ(got.loss_history.size(), want.loss_history.size());
+    for (std::size_t e = 0; e < want.loss_history.size(); ++e)
+        EXPECT_EQ(got.loss_history[e], want.loss_history[e])
+            << "epoch " << e;
+    ASSERT_EQ(got.params.size(), want.params.size());
+    for (std::size_t p = 0; p < want.params.size(); ++p)
+        EXPECT_EQ(got.params[p], want.params[p]) << "param " << p;
+    EXPECT_EQ(got.circuit_executions, want.executions);
+    const qml::EvalResult eval = qml::evaluate(c, got.params, bench.test);
+    EXPECT_EQ(eval.loss, want.test_loss);
+    EXPECT_EQ(eval.accuracy, want.test_accuracy);
+}
+
+TEST(PinnedTraining, AdjointHumanDesignedOnMnist4)
+{
+    // IQP embedding (fixed H/CX between product-embedding barriers) plus
+    // entangler layers; two threads share the compiled program.
+    const qml::Benchmark bench = qml::make_benchmark("mnist-4", 7, 0.02);
+    const circ::Circuit c = circ::build_human_designed(
+        bench.spec.qubits, bench.spec.dim, bench.spec.params,
+        bench.spec.meas, circ::EmbeddingScheme::IQP);
+    qml::TrainConfig tc;
+    tc.epochs = 3;
+    tc.batch_size = 16;
+    tc.seed = 5;
+    tc.threads = 2;
+    tc.backend = qml::GradientBackend::Adjoint;
+    expect_pinned(
+        c, bench, tc,
+        {{0x1.7f40bccb8296fp+0, 0x1.6c468d18be725p+0, 0x1.5fe665de958p+0},
+         {-0x1.1589a7c65d29ep+1, 0x1.50231052805fdp+0, 0x1.319cd4a8b9679p-4,
+          0x1.8d86b6ee70e4ap+0,  -0x1.5dab1b5b6679dp+1, 0x1.7a220e2c082b2p+0,
+          -0x1.746257c079281p+1, -0x1.1ed28d154e436p+1, -0x1.ca53c32acf9c4p-3,
+          -0x1.6bae52d59f636p+1, 0x1.30fa0937aa8cp+1,   0x1.cb58f15bb6564p-1,
+          0x1.c33a55720df48p+0,  0x1.703ce7b4ca67ep-1,  0x1.cc5e0772d9623p-1,
+          -0x1.9479cd5f39857p-1, 0x1.438be6feb8d79p-2,  -0x1.1defc05d25454p+0,
+          -0x1.e154d1750e40bp+0, 0x1.6b63965961fe6p-3,  0x1.6b1e0680db6dap+0,
+          -0x1.b5e5153d820dcp+0, -0x1.43234327798bdp+0, -0x1.05b3988f6e162p+1,
+          -0x1.cccb9d3e5ebefp-1, -0x1.8a0ca01516057p+1, 0x1.f2fecca80a246p+0,
+          -0x1.2f4f94cb759eep+0, 0x1.3fb658fd14a54p+1,  0x1.85f4584093acbp+1,
+          -0x1.9f9bbd4027521p-6, 0x1.17142d6452b36p-3,  -0x1.536eca84f4d7dp+1,
+          -0x1.77d435be06e1bp-6, 0x1.ad0dd26da6ca1p-1,  -0x1.776f419391b73p+1,
+          0x1.b47f2b1ce8323p+0,  0x1.246fe40b6e8cdp+0,  -0x1.deada742a88ecp-1,
+          -0x1.3135f4644029ep+1},
+         480,
+         0x1.52ee8eb12ddd1p+0,
+         0x1.999999999999ap-3});
+}
+
+TEST(PinnedTraining, ParameterShiftOnMoons)
+{
+    const qml::Benchmark bench = qml::make_benchmark("moons", 17, 0.1);
+    qml::TrainConfig tc;
+    tc.epochs = 2;
+    tc.batch_size = 5;
+    tc.seed = 3;
+    tc.threads = 1;
+    tc.backend = qml::GradientBackend::ParameterShift;
+    expect_pinned(
+        training_circuit(), bench, tc,
+        {{0x1.48a06cc167587p+0, 0x1.3b7cff4de2395p+0},
+         {0x1.612fa414aafcep-3, 0x1.a2ec4d8f17604p-1, -0x1.56b106932412cp+1,
+          0x1.8c2e056dc4c5fp-3, 0x1.3495b9b54aa6fp+0, 0x1.91083ba51b2f8p+1},
+         1560,
+         0x1.37c7beef2ad04p+0,
+         0x1.2aaaaaaaaaaabp-1});
 }
 
 TEST(ExecutionCount, DatasetVariantCountsEachSampleOnce)

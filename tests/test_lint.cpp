@@ -296,7 +296,7 @@ TEST(LintProgram, CompiledProgramIsClean)
 TEST(LintProgram, StaleCacheEntryDetected)
 {
     // Lint a program against a circuit it was not compiled from —
-    // the FusionCache precondition the rule exists to guard.
+    // the mismatch the rule exists to catch.
     Circuit compiled_from(2);
     compiled_from.add_gate(GateKind::H, {0});
     compiled_from.add_variational(GateKind::RX, {1});

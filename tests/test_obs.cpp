@@ -27,7 +27,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "qml/synthetic.hpp"
-#include "sim/fusion.hpp"
 
 namespace {
 
@@ -184,18 +183,6 @@ TEST(Metrics, CachesReportHitsMissesAndEvictions)
     noisy.run_distribution(c); // compiles: table 2 misses + 1 hit
     noisy.run_distribution(c); // program cache hit
     noisy.fidelity(c);         // no program cache; table 3 hits
-
-    // 257 distinct circuits through the 256-entry fusion cache, then a
-    // repeat of the last one.
-    sim::FusionCache::global().clear();
-    sim::StateVector psi(1);
-    circ::Circuit chain(1);
-    chain.set_measured({0});
-    for (int n = 0; n <= 256; ++n) {
-        chain.add_gate(circ::GateKind::H, {0});
-        sim::fused_run(psi, chain);
-    }
-    sim::fused_run(psi, chain);
     registry.set_enabled(false);
 
     const obs::MetricsSnapshot snap = registry.snapshot();
@@ -204,14 +191,10 @@ TEST(Metrics, CachesReportHitsMissesAndEvictions)
     EXPECT_EQ(snap.counter("noise.superop_table.evictions"), 0u);
     EXPECT_EQ(snap.counter("noise.program_cache.misses"), 1u);
     EXPECT_EQ(snap.counter("noise.program_cache.hits"), 1u);
-    EXPECT_EQ(snap.counter("fusion.cache.misses"), 257u);
-    EXPECT_EQ(snap.counter("fusion.cache.evictions"), 256u);
-    EXPECT_EQ(snap.counter("fusion.cache.hits"), 1u);
     const std::string exposed = obs::render_prometheus(snap);
     EXPECT_NE(exposed.find("elv_noise_superop_table_hits_total 4"),
               std::string::npos);
     registry.reset();
-    sim::FusionCache::global().clear();
 }
 #endif // ELV_OBS_DISABLED
 

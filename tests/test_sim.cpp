@@ -217,7 +217,8 @@ TEST(Observable, GroupProjectorsPartitionUnity)
     for (auto &p : params)
         p = rng.uniform(-M_PI, M_PI);
     const auto projs = class_projectors(c.measured(), 3);
-    const auto vals = expectations(c, params, x, projs);
+    const auto vals =
+        expectations(FusedProgram::compile(c), params, x, projs);
     double total = 0.0;
     for (double v : vals) {
         EXPECT_GE(v, -1e-12);
@@ -251,8 +252,9 @@ TEST_P(GradientAgreement, AdjointMatchesShiftAndFiniteDifference)
                                    rng.uniform(-1, 1)};
 
     const auto obs = class_projectors(c.measured(), 2);
-    const auto adj = adjoint_gradient(c, params, x, obs);
-    const auto shift = parameter_shift_gradient(c, params, x, obs);
+    const FusedProgram program = FusedProgram::compile(c);
+    const auto adj = adjoint_gradient(program, params, x, obs);
+    const auto shift = parameter_shift_gradient(program, params, x, obs);
 
     ASSERT_EQ(adj.values.size(), shift.values.size());
     for (std::size_t oi = 0; oi < obs.size(); ++oi) {
@@ -269,8 +271,8 @@ TEST_P(GradientAgreement, AdjointMatchesShiftAndFiniteDifference)
         auto pp = params, pm = params;
         pp[pi] += eps;
         pm[pi] -= eps;
-        const auto vp = expectations(c, pp, x, obs);
-        const auto vm = expectations(c, pm, x, obs);
+        const auto vp = expectations(program, pp, x, obs);
+        const auto vm = expectations(program, pm, x, obs);
         for (std::size_t oi = 0; oi < obs.size(); ++oi)
             EXPECT_NEAR(adj.jacobian[oi][pi],
                         (vp[oi] - vm[oi]) / (2 * eps), 1e-6);
@@ -287,12 +289,12 @@ TEST(Gradients, ParameterShiftCountsExecutions)
     c.add_variational(GateKind::RY, {1});
     c.set_measured({0});
     const auto obs = class_projectors(c.measured(), 2);
-    const auto res =
-        parameter_shift_gradient(c, {0.1, 0.2}, {}, obs);
+    const FusedProgram program = FusedProgram::compile(c);
+    const auto res = parameter_shift_gradient(program, {0.1, 0.2}, {}, obs);
     // 1 base + 2 shifts per parameter.
     EXPECT_EQ(res.circuit_executions, 5u);
 
-    const auto adj = adjoint_gradient(c, {0.1, 0.2}, {}, obs);
+    const auto adj = adjoint_gradient(program, {0.1, 0.2}, {}, obs);
     EXPECT_EQ(adj.circuit_executions, 1u);
 }
 
