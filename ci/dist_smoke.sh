@@ -12,9 +12,11 @@
 #     and still merge the same bytes.
 #  3. A state-dir run re-run at a different worker count, with the
 #     final dist.manifest record torn as a crash mid-append would tear
-#     it: must resume from the shard journals (no re-evaluation) to the
+#     it: must resume from DIR/search.journal (no re-evaluation) to the
 #     same bytes, warn once about the torn record and truncate it, so a
-#     third run loads the manifest with no warning.
+#     third run loads the manifest with no warning. Then an in-process
+#     run (no --workers) given that journal as --checkpoint must resume
+#     from it to the same bytes: the two journals are one format.
 #  4. One `elivagar_worker --serve` peer attached over TCP (--attach):
 #     the socket transport must merge the same bytes, and the idle
 #     worker must exit cleanly within 5 s of SIGTERM.
@@ -73,7 +75,7 @@ cmp "$WORK/serial.txt" "$WORK/resume.txt" || {
     exit 1
 }
 grep -q "resumed from checkpoint" "$WORK/resume.log" || {
-    echo "FAIL: the second run did not resume from the shard journals" >&2
+    echo "FAIL: the second run did not resume from the search journal" >&2
     exit 1
 }
 DROPS=$(grep -c "dropping" "$WORK/resume.log" || true)
@@ -92,6 +94,16 @@ if grep -q "dropping" "$WORK/third.log"; then
     echo "FAIL: the torn manifest record was not truncated away" >&2
     exit 1
 fi
+"$CLI" "${SPEC[@]}" --checkpoint "$WORK/state/search.journal" \
+    --dump-ranking "$WORK/in_process.txt" | tee "$WORK/in_process.log"
+cmp "$WORK/serial.txt" "$WORK/in_process.txt" || {
+    echo "FAIL: in-process resume from the dist journal differs" >&2
+    exit 1
+}
+grep -q "resumed from checkpoint" "$WORK/in_process.log" || {
+    echo "FAIL: the in-process run did not resume from the dist journal" >&2
+    exit 1
+}
 
 echo "== socket-attached --serve worker =="
 "$WORKER" --serve --port 0 > "$WORK/serve.out" &

@@ -16,9 +16,10 @@
  * processes (forked elivagar_worker binaries); --attach adds running
  * `elivagar_worker --serve` peers. The merged ranking is bit-identical
  * to the single-process search at any worker count. --dist-state DIR
- * keeps per-shard journals there so a crashed run resumes; a worker
- * that dies mid-shard is replaced and its remaining candidates
- * reissued automatically either way.
+ * keeps the search journal (DIR/search.journal, the --checkpoint
+ * format) there so a crashed run resumes; a worker that dies mid-shard
+ * is replaced and its remaining candidates reissued automatically
+ * either way.
  *   elivagar_cli lint [FILE ...] [--builtin] [--device NAME]
  *                [--replica] [--require-embedding-prefix] [--rules]
  *   elivagar_cli submit|status|cancel|result|watch|health|metrics|
@@ -79,6 +80,7 @@
 #include "obs/trace.hpp"
 #include "qml/synthetic.hpp"
 #include "qml/trainer.hpp"
+#include "server/job.hpp"
 #include "server/json_value.hpp"
 #include "server/protocol.hpp"
 #include "server/tcp.hpp"
@@ -110,7 +112,8 @@ struct CliOptions
     std::vector<std::string> attach;
     /** Worker binary override ("" = next to this binary / $PATH). */
     std::string worker_bin;
-    /** Shard-journal directory for distributed crash resume. */
+    /** State directory (search.journal + dist.manifest) for
+     * distributed crash resume. */
     std::string dist_state;
     /** Write the full candidate ranking (deterministic, hexfloat). */
     std::string dump_ranking;
@@ -146,9 +149,9 @@ print_usage()
         "  --worker-bin PATH  worker binary for --workers (default: "
         "the\n"
         "                     elivagar_worker next to this binary)\n"
-        "  --dist-state DIR   journal shards in DIR; a crashed "
-        "distributed run\n"
-        "                     re-run with the same DIR resumes\n"
+        "  --dist-state DIR   journal to DIR/search.journal; a crashed "
+        "distributed\n"
+        "                     run re-run with the same DIR resumes\n"
         "  --dump-ranking F   write the full candidate ranking to F "
         "(hexfloat,\n"
         "                     deterministic — byte-comparable)\n"
@@ -894,18 +897,18 @@ main(int argc, char **argv)
                     bench.spec.name.c_str(), bench.train.size(),
                     bench.test.size(), device.name.c_str());
 
-        core::ElivagarConfig config;
-        config.num_candidates = options.candidates;
-        config.candidate.num_qubits = bench.spec.qubits;
-        config.candidate.num_params = bench.spec.params;
-        config.candidate.num_embeds = std::min(
-            bench.spec.params,
-            std::max(bench.spec.dim, bench.spec.params / 4));
-        config.candidate.num_meas = bench.spec.meas;
-        config.candidate.num_features = bench.spec.dim;
-        config.seed = options.seed;
-        config.threads = options.threads < 0 ? 0 : options.threads;
-        config.resilience.checkpoint_path = options.checkpoint;
+        // One spec for both paths: the in-process config is the
+        // server's mapping of it, so journals and rankings are
+        // interchangeable with server jobs and distributed runs.
+        srv::JobSpec spec;
+        spec.benchmark = options.benchmark;
+        spec.device = options.device;
+        spec.candidates = options.candidates;
+        spec.seed = options.seed;
+        spec.scale = options.scale;
+        core::ElivagarConfig config = srv::job_search_config(
+            spec, bench.spec, options.threads < 0 ? 0 : options.threads,
+            options.checkpoint);
         if (options.prune_dead) {
             config.cnr.prune_dead_structure = true;
             config.repcap.prune_dead_structure = true;
@@ -954,18 +957,12 @@ main(int argc, char **argv)
                            "combined with --workers/--attach");
             if (!options.checkpoint.empty())
                 elv::fatal("--checkpoint journals an in-process "
-                           "search; distributed runs journal per "
-                           "shard — use --dist-state DIR");
+                           "search; distributed runs journal to "
+                           "DIR/search.journal — use --dist-state DIR");
             if (options.prune_dead)
                 elv::fatal("--prune-dead is not plumbed through the "
                            "worker job spec yet; drop --workers/"
                            "--attach to use it");
-            srv::JobSpec spec;
-            spec.benchmark = options.benchmark;
-            spec.device = options.device;
-            spec.candidates = options.candidates;
-            spec.seed = options.seed;
-            spec.scale = options.scale;
             dist::DistConfig dc;
             dc.workers = options.workers;
             dc.attach = options.attach;
@@ -995,8 +992,7 @@ main(int argc, char **argv)
             std::printf(
                 "dist: %d shard-stage(s) over %d worker(s) "
                 "(%d spawned, %d attached), %llu records streamed, "
-                "%llu resumed, %d reissue(s), %llu local "
-                "fallback(s)\n",
+                "%d reissue(s), %llu local fallback(s)\n",
                 dist_stats->shards,
                 options.workers +
                     static_cast<int>(options.attach.size()),
@@ -1004,8 +1000,6 @@ main(int argc, char **argv)
                 dist_stats->workers_attached,
                 static_cast<unsigned long long>(
                     dist_stats->records_received),
-                static_cast<unsigned long long>(
-                    dist_stats->records_resumed),
                 dist_stats->shards_reissued,
                 static_cast<unsigned long long>(
                     dist_stats->fallback_records));
@@ -1106,8 +1100,8 @@ main(int argc, char **argv)
                          options.checkpoint.c_str());
         if (!options.dist_state.empty())
             std::fprintf(stderr,
-                         "completed shard stages are journaled in %s; "
-                         "re-running resumes there\n",
+                         "completed stages are journaled in "
+                         "%s/search.journal; re-running resumes there\n",
                          options.dist_state.c_str());
         return 3;
     } catch (const UsageError &error) {

@@ -295,7 +295,7 @@ composite_score(double cnr, double repcap, const ElivagarConfig &config)
 
 SearchResult
 elivagar_search(const dev::Device &device, const qml::Dataset &train,
-                const ElivagarConfig &config)
+                const ElivagarConfig &config, RemoteStages *remote)
 {
     ELV_REQUIRE(config.num_candidates >= 1, "need at least one candidate");
     ELV_REQUIRE(config.keep_fraction > 0.0 && config.keep_fraction <= 1.0,
@@ -369,7 +369,7 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
     const exec::FaultConfig faults = prepare_fault_config(config);
     // Replays a journaled entry for candidate n, if present. The
     // returned pointer is stable (map node) and its fields are only
-    // ever written by candidate n's own task, so reading it outside
+    // ever written by candidate n's own store, so reading it outside
     // the lock afterwards is race-free.
     auto journal_entry = [&](std::size_t n) -> const CheckpointEntry * {
         if (!journal)
@@ -416,7 +416,9 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
     }
 
     // Step 2: CNR for every candidate (replayed from the journal where
-    // possible; each candidate draws from its own seeded stream).
+    // possible; each candidate draws from its own seeded stream). The
+    // pending rest goes to the remote stage first, if there is one;
+    // whatever it hands back is evaluated on the pool.
     // Per-candidate tallies land in index-addressed slots and are
     // merged serially below, in candidate order, so the accounting —
     // including the floating-point wait totals — is bit-identical to
@@ -432,36 +434,48 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
         PhaseScope phase("cnr", result);
         phase_begin("cnr");
         std::vector<CnrStageStats> stats(pool_size);
-        pool.parallel_for(pool_size, [&](std::size_t n) {
-            ELV_TRACE_SCOPE("cnr", "search.candidate",
-                            static_cast<std::int64_t>(n));
-            check_cancel("cnr");
+        const RemoteStages::CnrStore store = [&](int index,
+                                                 const CandidateCnr &cnr) {
+            const auto n = static_cast<std::size_t>(index);
             auto &record = result.candidates[n];
+            record.cnr = cnr.cnr;
+            record.degraded = cnr.degraded;
+            record.retries = cnr.retries;
+            stats[n] = {cnr.executions, cnr.counters, cnr.faults,
+                        cnr.wait_ms};
+            if (journal) {
+                std::lock_guard<std::mutex> lock(journal_mutex);
+                journal->record_cnr(index, cnr.cnr, cnr.executions,
+                                    cnr.degraded, cnr.retries);
+            }
+            task_done("cnr");
+        };
+        std::vector<int> pending;
+        for (std::size_t n = 0; n < pool_size; ++n) {
             const CheckpointEntry *entry = journal_entry(n);
             if (entry && entry->has_cnr) {
+                auto &record = result.candidates[n];
                 record.cnr = entry->cnr;
                 record.degraded = entry->degraded;
                 record.retries = entry->retries;
                 stats[n].executions = entry->cnr_executions;
                 task_done("cnr");
-                return;
+            } else {
+                pending.push_back(static_cast<int>(n));
             }
-            const CandidateCnr cnr = evaluate_candidate_cnr(
-                device, record.circuit, config, faults, n);
-            record.cnr = cnr.cnr;
-            record.degraded = cnr.degraded;
-            record.retries = cnr.retries;
-            stats[n].executions = cnr.executions;
-            stats[n].counters = cnr.counters;
-            stats[n].faults = cnr.faults;
-            stats[n].wait_ms = cnr.wait_ms;
-            if (journal) {
-                std::lock_guard<std::mutex> lock(journal_mutex);
-                journal->record_cnr(static_cast<int>(n), cnr.cnr,
-                                    cnr.executions, cnr.degraded,
-                                    cnr.retries);
-            }
-            task_done("cnr");
+        }
+        if (remote && !pending.empty()) {
+            pending = remote->cnr(pending, store);
+            check_cancel("cnr");
+        }
+        pool.parallel_for(pending.size(), [&](std::size_t k) {
+            const auto n = static_cast<std::size_t>(pending[k]);
+            ELV_TRACE_SCOPE("cnr", "search.candidate",
+                            static_cast<std::int64_t>(n));
+            check_cancel("cnr");
+            store(pending[k],
+                  evaluate_candidate_cnr(device, result.candidates[n].circuit,
+                                         config, faults, n));
         });
         for (std::size_t n = 0; n < pool_size; ++n) {
             result.cnr_executions += stats[n].executions;
@@ -483,32 +497,44 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
     {
         PhaseScope phase("repcap", result);
         phase_begin("repcap");
-        pool.parallel_for(pool_size, [&](std::size_t n) {
+        const RemoteStages::RepCapStore store =
+            [&](int index, const CandidateRepCap &rc) {
+                const auto n = static_cast<std::size_t>(index);
+                result.candidates[n].repcap = rc.repcap;
+                repcap_execs[n] = rc.executions;
+                if (journal) {
+                    std::lock_guard<std::mutex> lock(journal_mutex);
+                    journal->record_repcap(index, rc.repcap,
+                                           rc.executions);
+                }
+                task_done("repcap");
+            };
+        std::vector<int> pending;
+        for (std::size_t n = 0; n < pool_size; ++n) {
             auto &record = result.candidates[n];
+            const CheckpointEntry *entry = journal_entry(n);
             if (record.rejected_by_cnr) {
                 task_done("repcap");
-                return;
-            }
-            ELV_TRACE_SCOPE("repcap", "search.candidate",
-                            static_cast<std::int64_t>(n));
-            check_cancel("repcap");
-            const CheckpointEntry *entry = journal_entry(n);
-            if (entry && entry->has_repcap) {
+            } else if (entry && entry->has_repcap) {
                 record.repcap = entry->repcap;
                 repcap_execs[n] = entry->repcap_executions;
                 task_done("repcap");
-                return;
+            } else {
+                pending.push_back(static_cast<int>(n));
             }
-            const CandidateRepCap rc =
-                evaluate_candidate_repcap(record.circuit, train, config, n);
-            record.repcap = rc.repcap;
-            repcap_execs[n] = rc.executions;
-            if (journal) {
-                std::lock_guard<std::mutex> lock(journal_mutex);
-                journal->record_repcap(static_cast<int>(n), rc.repcap,
-                                       rc.executions);
-            }
-            task_done("repcap");
+        }
+        if (remote && !pending.empty()) {
+            pending = remote->repcap(pending, store);
+            check_cancel("repcap");
+        }
+        pool.parallel_for(pending.size(), [&](std::size_t k) {
+            const auto n = static_cast<std::size_t>(pending[k]);
+            ELV_TRACE_SCOPE("repcap", "search.candidate",
+                            static_cast<std::int64_t>(n));
+            check_cancel("repcap");
+            store(pending[k],
+                  evaluate_candidate_repcap(result.candidates[n].circuit,
+                                            train, config, n));
         });
         for (std::size_t n = 0; n < pool_size; ++n) {
             if (!result.candidates[n].rejected_by_cnr)

@@ -31,6 +31,11 @@
  * fixed. Journal writes are serialized through a single mutex-guarded
  * writer, keeping crash-resume valid under concurrency (see
  * DESIGN.md, "Parallel execution model").
+ *
+ * Every search runs through this one function: a distributed run
+ * (dist::distributed_search) is this function with a RemoteStages that
+ * evaluates the CNR and RepCap stages on worker processes, so it
+ * shares the journal, the phases and the ranking code.
  */
 #pragma once
 
@@ -298,13 +303,40 @@ double composite_score(double cnr, double repcap,
 /** @} */
 
 /**
+ * Somewhere else to evaluate the CNR and RepCap stages (src/dist
+ * scatters them over worker processes). For each stage the search
+ * passes the pending indices, ascending: every candidate the stage
+ * needs that the journal did not replay. The stage evaluates any of
+ * them with evaluate_candidate_cnr / evaluate_candidate_repcap and
+ * hands each value to `store(n, value)`, which fills record n, journals
+ * it and reports progress. `store` may be called from any thread, at
+ * most once per index, and must not be called after the method
+ * returns. The method returns the pending indices it did not store;
+ * the search evaluates those with its own pool.
+ */
+class RemoteStages
+{
+  public:
+    using CnrStore = std::function<void(int, const CandidateCnr &)>;
+    using RepCapStore = std::function<void(int, const CandidateRepCap &)>;
+
+    virtual ~RemoteStages() = default;
+    virtual std::vector<int> cnr(const std::vector<int> &pending,
+                                 const CnrStore &store) = 0;
+    virtual std::vector<int> repcap(const std::vector<int> &pending,
+                                    const RepCapStore &store) = 0;
+};
+
+/**
  * Run the Elivagar search for the QML task given by `train` on
  * `device`. The returned circuit is hardware-native (physical qubit
  * labels, coupled 2-qubit gates) and untrained; train it with
- * qml::train_circuit.
+ * qml::train_circuit. With `remote`, the CNR and RepCap stages go
+ * through it first; the ranking is bit-identical either way.
  */
 SearchResult elivagar_search(const dev::Device &device,
                              const qml::Dataset &train,
-                             const ElivagarConfig &config);
+                             const ElivagarConfig &config,
+                             RemoteStages *remote = nullptr);
 
 } // namespace elv::core

@@ -1,18 +1,14 @@
 #include "dist/coordinator.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
 #include <exception>
 #include <filesystem>
-#include <map>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 
-#include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "common/record_log.hpp"
 #include "core/checkpoint.hpp"
@@ -20,36 +16,18 @@
 #include "dist/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "qml/synthetic.hpp"
 
 namespace elv::dist {
 
 namespace {
 
-double
-seconds_since(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-/** CNR histogram edges, mirroring the in-process pipeline metrics;
- *  read only by metric macros, which -DELV_OBS=OFF compiles out. */
-[[maybe_unused]] const std::vector<double> &
-cnr_edges()
-{
-    static const std::vector<double> edges{0.1, 0.2, 0.3, 0.4, 0.5,
-                                           0.6, 0.7, 0.8, 0.9, 1.0};
-    return edges;
-}
-
-/** One shard: its index range, transport and coordinator-side journal. */
+/** One shard: its index range and transport. */
 struct Shard
 {
     int id = 0;
-    int begin = 0, end = 0;
+    /** One past the shard's last index (ranges are contiguous). */
+    int end = 0;
     /** Local fork/exec worker vs socket-attached peer. */
     bool local = true;
     std::string host;
@@ -57,12 +35,7 @@ struct Shard
     /** Test hook forwarded to the first configure, then consumed. */
     int crash_after = 0;
     std::unique_ptr<WorkerChannel> channel;
-    std::unique_ptr<core::SearchJournal> journal;
     int reissues = 0;
-    /** Sticky failure once every recovery option is exhausted. */
-    std::string failure;
-    /** Thrown on the shard's driver thread; rethrown after the join. */
-    std::exception_ptr error;
 };
 
 /** Everything the shard drivers share (immutable unless noted). */
@@ -70,39 +43,22 @@ struct RunContext
 {
     const srv::JobSpec &spec;
     const DistConfig &dist;
-    const dev::Device &device;
-    const qml::Benchmark &bench;
-    const core::ElivagarConfig &config;
     std::uint64_t fingerprint = 0;
     std::string worker_binary;
-    exec::FaultConfig faults;
     /** Guards stats + manifest (shard threads write both). */
     std::mutex control_mutex;
     DistStats *stats = nullptr;
     /** The run manifest (with a state_dir): an audit trail of shard
      *  assignment, reissue and completion, fingerprinted. */
     std::optional<RecordLog> manifest;
-    const elv::CancelToken *cancel = nullptr;
-    /** Per-phase progress (reset by the phase runner). */
-    std::atomic<std::size_t> progress_done{0};
-    std::size_t progress_total = 0;
-    const char *phase = "";
+    /** Contiguous, ascending index ranges; one thread per stage owns
+     *  each. */
+    std::vector<Shard> shards;
 
     bool
     cancelled() const
     {
-        return cancel && cancel->cancelled();
-    }
-
-    void
-    note_progress()
-    {
-        if (dist.hooks.progress)
-            dist.hooks.progress(
-                phase,
-                progress_done.fetch_add(1, std::memory_order_relaxed) +
-                    1,
-                progress_total);
+        return dist.hooks.cancel && dist.hooks.cancel->cancelled();
     }
 
     void
@@ -207,27 +163,32 @@ fail_shard_channel(RunContext &ctx, Shard &shard,
 }
 
 /**
- * Drive one shard through one stage: issue the pending indices,
- * absorb records, reissue on failure, fall back in-process as the
- * last resort. `store` receives each (index, event) exactly once;
- * indices are disjoint across shards, so stores need no locking.
+ * Drive one shard through one stage: issue the pending indices, hand
+ * each record to `store`, reissue on failure. Returns the indices left
+ * unevaluated when the reissues run out or the run is cancelled; the
+ * search evaluates those in-process. Indices are disjoint across
+ * shards, so each is stored at most once.
  */
-void
+std::vector<int>
 drive_shard(RunContext &ctx, Shard &shard, const std::string &stage,
             std::vector<int> pending,
-            const std::function<void(int, const WorkerEvent &)> &store,
-            const std::function<std::string(int)> &fallback)
+            const std::function<void(const WorkerEvent &)> &store)
 {
-    auto absorb = [&](int index, const WorkerEvent &event) {
-        store(index, event);
-        pending.erase(
-            std::find(pending.begin(), pending.end(), index));
+    const WorkerEvent::Kind record_kind = stage == "cnr"
+                                              ? WorkerEvent::Kind::Cnr
+                                              : WorkerEvent::Kind::RepCap;
+    auto absorb = [&](const WorkerEvent &event) {
+        const auto it =
+            std::find(pending.begin(), pending.end(), event.index);
+        if (event.kind != record_kind || it == pending.end())
+            return;
+        store(event);
+        pending.erase(it);
         {
             std::lock_guard<std::mutex> lock(ctx.control_mutex);
             ++ctx.stats->records_received;
         }
         ELV_METRIC_COUNT("dist.records_received");
-        ctx.note_progress();
     };
 
     bool issued_once = false;
@@ -279,16 +240,8 @@ drive_shard(RunContext &ctx, Shard &shard, const std::string &stage,
             }
             switch (event.kind) {
             case WorkerEvent::Kind::Cnr:
-                if (stage == "cnr" &&
-                    std::find(pending.begin(), pending.end(),
-                              event.index) != pending.end())
-                    absorb(event.index, event);
-                break;
             case WorkerEvent::Kind::RepCap:
-                if (stage == "repcap" &&
-                    std::find(pending.begin(), pending.end(),
-                              event.index) != pending.end())
-                    absorb(event.index, event);
+                absorb(event);
                 break;
             case WorkerEvent::Kind::Done:
                 done = true;
@@ -306,7 +259,7 @@ drive_shard(RunContext &ctx, Shard &shard, const std::string &stage,
                 break;
         }
         if (ctx.cancelled())
-            return;
+            break;
         if (!stream_ok) {
             fail_shard_channel(ctx, shard, stage, error);
             continue;
@@ -324,80 +277,99 @@ drive_shard(RunContext &ctx, Shard &shard, const std::string &stage,
     if (pending.empty()) {
         ctx.manifest_record("done " + stage + " shard " +
                             std::to_string(shard.id));
-        return;
+        return pending;
     }
     if (ctx.cancelled())
-        return;
-    // Every reissue burned: finish the shard in-process, or surface
-    // the failure with the worker's diagnostics.
-    if (!ctx.dist.allow_local_fallback) {
-        shard.failure = "shard " + std::to_string(shard.id) +
-                        " exhausted " +
-                        std::to_string(ctx.dist.max_reissues) +
-                        " reissues with " + describe_indices(pending) +
-                        " still pending";
-        return;
-    }
+        return pending;
+    // Every reissue burned: hand the rest back to the search.
     ctx.manifest_record("fallback " + stage + " shard " +
                         std::to_string(shard.id) + " " +
                         describe_indices(pending));
-    for (int index : pending) {
-        if (ctx.cancelled())
-            return;
-        const std::string record_line = fallback(index);
-        WorkerEvent event;
-        std::string error;
-        if (!parse_worker_event(record_line, event, error))
-            elv::fatal("internal fallback record failed to parse: " +
-                       error);
-        store(index, event);
-        {
-            std::lock_guard<std::mutex> lock(ctx.control_mutex);
-            ++ctx.stats->fallback_records;
-        }
-        ELV_METRIC_COUNT("dist.fallback_records");
-        ctx.note_progress();
+    {
+        std::lock_guard<std::mutex> lock(ctx.control_mutex);
+        ctx.stats->fallback_records += pending.size();
     }
+    ELV_METRIC_COUNT_N("dist.fallback_records", pending.size());
+    return pending;
 }
 
-/** Run one stage across all shards, one driver thread per shard. */
-void
-run_phase(RunContext &ctx, std::vector<Shard> &shards,
-          const std::string &stage,
-          const std::vector<std::vector<int>> &pending,
-          const std::function<void(int, const WorkerEvent &)> &store,
-          const std::function<std::string(int)> &fallback)
+/**
+ * Run one stage across the shards, one thread per shard with work. `pending` is ascending, so the indices the shards hand back
+ * are too.
+ */
+std::vector<int>
+scatter(RunContext &ctx, const std::string &stage,
+        const std::vector<int> &pending,
+        const std::function<void(const WorkerEvent &)> &store)
 {
-    std::vector<std::thread> drivers;
-    drivers.reserve(shards.size());
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        if (pending[s].empty())
+    std::vector<Shard> &shards = ctx.shards;
+    std::vector<std::vector<int>> work(shards.size());
+    std::size_t s = 0;
+    for (int index : pending) {
+        while (index >= shards[s].end)
+            ++s;
+        work[s].push_back(index);
+    }
+    std::vector<std::vector<int>> left(shards.size());
+    std::vector<std::exception_ptr> errors(shards.size());
+    std::vector<std::thread> threads;
+    threads.reserve(shards.size());
+    for (s = 0; s < shards.size(); ++s) {
+        if (work[s].empty())
             continue;
         {
             std::lock_guard<std::mutex> lock(ctx.control_mutex);
             ++ctx.stats->shards; // counts issued shard-stages
         }
         ELV_METRIC_COUNT("dist.shards_issued");
-        drivers.emplace_back([&ctx, &shards, s, &stage, &pending,
-                              &store, &fallback] {
+        threads.emplace_back([&, s] {
             try {
-                drive_shard(ctx, shards[s], stage, pending[s], store,
-                            fallback);
+                left[s] = drive_shard(ctx, shards[s], stage,
+                                      std::move(work[s]), store);
             } catch (...) {
-                shards[s].error = std::current_exception();
+                errors[s] = std::current_exception();
             }
         });
     }
-    for (std::thread &driver : drivers)
-        driver.join();
-    for (const Shard &shard : shards) {
-        if (shard.error)
-            std::rethrow_exception(shard.error);
-        if (!shard.failure.empty())
-            throw std::runtime_error("distributed search failed: " +
-                                     shard.failure);
-    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (const std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
+    std::vector<int> rest;
+    for (const std::vector<int> &indices : left)
+        rest.insert(rest.end(), indices.begin(), indices.end());
+    return rest;
 }
+
+/** elivagar_search's CNR and RepCap stages, scattered over the shards. */
+class ShardScatter final : public core::RemoteStages
+{
+  public:
+    explicit ShardScatter(RunContext &ctx) : ctx_(ctx) {}
+
+    std::vector<int>
+    cnr(const std::vector<int> &pending, const CnrStore &store) override
+    {
+        return scatter(ctx_, "cnr", pending,
+                       [&store](const WorkerEvent &event) {
+                           store(event.index, event.cnr);
+                       });
+    }
+
+    std::vector<int>
+    repcap(const std::vector<int> &pending,
+           const RepCapStore &store) override
+    {
+        return scatter(ctx_, "repcap", pending,
+                       [&store](const WorkerEvent &event) {
+                           store(event.index, event.repcap);
+                       });
+    }
+
+  private:
+    RunContext &ctx_;
+};
 
 } // namespace
 
@@ -433,58 +405,36 @@ distributed_search(const srv::JobSpec &spec, const DistConfig &dist)
     if (dist.threads_per_worker < 1)
         elv::fatal("threads per worker must be >= 1");
 
-    const auto search_start = std::chrono::steady_clock::now();
     ELV_TRACE_SCOPE("distributed_search", "dist");
 
     const dev::Device device = dev::make_device(spec.device);
     const qml::Benchmark bench =
         qml::make_benchmark(spec.benchmark, spec.seed, spec.scale);
-    const core::ElivagarConfig config = srv::job_search_config(
-        spec, bench.spec, dist.coordinator_threads, "");
+    core::ElivagarConfig config = srv::job_search_config(
+        spec, bench.spec, dist.coordinator_threads,
+        dist.state_dir.empty() ? "" : dist.state_dir + "/search.journal");
+    config.hooks = dist.hooks;
     const std::uint64_t fingerprint = core::config_fingerprint(config);
-    const int num_candidates = config.num_candidates;
-    const auto pool_size = static_cast<std::size_t>(num_candidates);
 
     DistResult out;
-    core::SearchResult &result = out.result;
-    result.candidates.resize(pool_size);
-
     RunContext ctx{spec,
                    dist,
-                   device,
-                   bench,
-                   config,
                    fingerprint,
                    dist.worker_binary.empty() ? default_worker_binary()
                                               : dist.worker_binary,
-                   core::prepare_fault_config(config),
                    {},
                    &out.stats,
                    std::nullopt,
-                   dist.hooks.cancel.get(),
-                   {},
-                   pool_size,
-                   ""};
-    auto check_cancel = [&](const char *where) {
-        if (ctx.cancel)
-            ctx.cancel->check(where);
-    };
-    auto phase_begin = [&](const char *phase) {
-        check_cancel(phase);
-        ctx.phase = phase;
-        ctx.progress_done.store(0, std::memory_order_relaxed);
-        if (dist.hooks.progress)
-            dist.hooks.progress(phase, 0, pool_size);
-    };
+                   std::vector<Shard>(
+                       static_cast<std::size_t>(total_shards))};
 
     // Shard plan: attached peers first, then local workers; the first
     // local shard carries the crash_after test hook.
-    const auto plan = partition_indices(num_candidates, total_shards);
-    std::vector<Shard> shards(static_cast<std::size_t>(total_shards));
+    const auto plan =
+        partition_indices(config.num_candidates, total_shards);
     for (int s = 0; s < total_shards; ++s) {
-        Shard &shard = shards[static_cast<std::size_t>(s)];
+        Shard &shard = ctx.shards[static_cast<std::size_t>(s)];
         shard.id = s;
-        shard.begin = plan[static_cast<std::size_t>(s)].first;
         shard.end = plan[static_cast<std::size_t>(s)].second;
         if (s < static_cast<int>(dist.attach.size())) {
             shard.local = false;
@@ -497,239 +447,35 @@ distributed_search(const srv::JobSpec &spec, const DistConfig &dist)
             shard.crash_after = dist.crash_after;
         }
     }
-    auto shard_of = [&](int index) -> Shard & {
-        for (Shard &shard : shards)
-            if (index >= shard.begin && index < shard.end)
-                return shard;
-        ELV_REQUIRE(false, "candidate index outside every shard");
-        return shards.front();
-    };
 
-    // Durable state: per-shard journals + the run manifest. The union
-    // of every shard-*.journal in the directory is the resume state,
-    // so a rerun at a different worker count still replays everything.
-    std::map<int, core::CheckpointEntry> prior;
-    auto harvest = [&](core::SearchJournal &journal) {
-        for (int n = 0; n < num_candidates; ++n)
-            if (const core::CheckpointEntry *entry = journal.entry(n)) {
-                core::CheckpointEntry &merged = prior[n];
-                if (merged.circuit_line.empty())
-                    merged.circuit_line = entry->circuit_line;
-                if (!merged.has_cnr && entry->has_cnr) {
-                    merged.has_cnr = true;
-                    merged.cnr = entry->cnr;
-                    merged.cnr_executions = entry->cnr_executions;
-                    merged.degraded = entry->degraded;
-                    merged.retries = entry->retries;
-                }
-                if (!merged.has_repcap && entry->has_repcap) {
-                    merged.has_repcap = true;
-                    merged.repcap = entry->repcap;
-                    merged.repcap_executions = entry->repcap_executions;
-                }
-            }
-    };
-    auto hint = [&config](std::uint64_t stored) {
-        return core::fingerprint_mismatch_hint(config, stored);
-    };
+    // Durable state: the search journal (resume state) and the run
+    // manifest (audit trail) share the state dir.
     if (!dist.state_dir.empty()) {
         std::filesystem::create_directories(dist.state_dir);
-        std::vector<std::string> current_files;
-        for (Shard &shard : shards) {
-            const std::string path =
-                dist.state_dir + "/shard-" + std::to_string(shard.id) +
-                ".journal";
-            current_files.push_back(
-                std::filesystem::path(path).filename().string());
-            shard.journal = std::make_unique<core::SearchJournal>(
-                path, fingerprint);
-            shard.journal->set_mismatch_hint(hint);
-            if (shard.journal->load())
-                harvest(*shard.journal);
-        }
-        // Journals left by a previous run at a different shard count.
-        for (const auto &entry :
-             std::filesystem::directory_iterator(dist.state_dir)) {
-            const std::string name = entry.path().filename().string();
-            if (name.rfind("shard-", 0) != 0 ||
-                name.find(".journal") == std::string::npos)
-                continue;
-            if (std::find(current_files.begin(), current_files.end(),
-                          name) != current_files.end())
-                continue;
-            core::SearchJournal old(entry.path().string(), fingerprint);
-            old.set_mismatch_hint(hint);
-            if (old.load())
-                harvest(old);
-        }
         RecordLog &manifest = ctx.manifest.emplace(
             dist.state_dir + "/dist.manifest", "elv-dist-manifest 1",
             fingerprint);
-        manifest.set_mismatch_hint(hint);
+        manifest.set_mismatch_hint([&config](std::uint64_t stored) {
+            return core::fingerprint_mismatch_hint(config, stored);
+        });
         if (const auto other = manifest.load(
                 [](const std::string &) { return true; }))
             elv::fatal("manifest " + manifest.path() + " has header '" +
-                       *other + "' from another build; delete it (the "
-                       "shard journals hold the resume state)");
+                       *other + "' from another build; delete it (" +
+                       config.resilience.checkpoint_path +
+                       " holds the resume state)");
         manifest.append(
             "run shards " + std::to_string(total_shards) + " workers " +
             std::to_string(dist.workers) + " attached " +
             std::to_string(dist.attach.size()) + " candidates " +
-            std::to_string(num_candidates));
-    }
-    result.resumed = !prior.empty();
-
-    // Step 1: generation, always local — cheap, deterministic, and it
-    // gives the coordinator the circuits the journal verifies against.
-    {
-        const auto phase_start = std::chrono::steady_clock::now();
-        phase_begin("generate");
-        par::ThreadPool pool(dist.coordinator_threads);
-        std::mutex journal_mutex;
-        pool.parallel_for(pool_size, [&](std::size_t n) {
-            auto &record = result.candidates[n];
-            record.circuit =
-                core::generate_search_candidate(device, config, n);
-            if (!dist.state_dir.empty()) {
-                std::lock_guard<std::mutex> lock(journal_mutex);
-                const auto it = prior.find(static_cast<int>(n));
-                if (it != prior.end() &&
-                    !it->second.circuit_line.empty()) {
-                    if (it->second.circuit_line !=
-                        circ::to_text_line(record.circuit))
-                        elv::fatal(
-                            "state dir " + dist.state_dir +
-                            ": candidate " + std::to_string(n) +
-                            " does not match the regenerated pool; "
-                            "the journals belong to a different run");
-                } else {
-                    shard_of(static_cast<int>(n))
-                        .journal->record_candidate(static_cast<int>(n),
-                                                   record.circuit);
-                }
-            }
-            ctx.note_progress();
-        });
-        result.phase_timings.push_back(
-            {"generate", seconds_since(phase_start)});
+            std::to_string(config.num_candidates));
     }
 
-    // Step 2 + 3: CNR scatter, then the global selection. The cutoff
-    // needs every candidate's CNR, so this phase barriers before the
-    // survivors are known.
-    std::vector<std::uint64_t> cnr_execs(pool_size, 0);
-    if (config.use_cnr) {
-        const auto phase_start = std::chrono::steady_clock::now();
-        phase_begin("cnr");
-        std::vector<std::vector<int>> pending(shards.size());
-        for (int n = 0; n < num_candidates; ++n) {
-            const auto it = prior.find(n);
-            if (it != prior.end() && it->second.has_cnr) {
-                auto &record =
-                    result.candidates[static_cast<std::size_t>(n)];
-                record.cnr = it->second.cnr;
-                record.degraded = it->second.degraded;
-                record.retries = it->second.retries;
-                cnr_execs[static_cast<std::size_t>(n)] =
-                    it->second.cnr_executions;
-                ++out.stats.records_resumed;
-                ctx.note_progress();
-                continue;
-            }
-            pending[static_cast<std::size_t>(shard_of(n).id)]
-                .push_back(n);
-        }
-        auto store = [&](int index, const WorkerEvent &event) {
-            auto &record =
-                result.candidates[static_cast<std::size_t>(index)];
-            record.cnr = event.cnr.cnr;
-            record.degraded = event.cnr.degraded;
-            record.retries = event.cnr.retries;
-            cnr_execs[static_cast<std::size_t>(index)] =
-                event.cnr.executions;
-            if (Shard &shard = shard_of(index); shard.journal)
-                shard.journal->record_cnr(index, event.cnr.cnr,
-                                          event.cnr.executions,
-                                          event.cnr.degraded,
-                                          event.cnr.retries);
-        };
-        auto fallback = [&](int index) {
-            const core::CandidateCnr cnr = core::evaluate_candidate_cnr(
-                device,
-                result.candidates[static_cast<std::size_t>(index)]
-                    .circuit,
-                config, ctx.faults, static_cast<std::size_t>(index));
-            return make_cnr_record(index, cnr);
-        };
-        run_phase(ctx, shards, "cnr", pending, store, fallback);
-        check_cancel("cnr");
-        for (std::size_t n = 0; n < pool_size; ++n) {
-            result.cnr_executions += cnr_execs[n];
-            ELV_METRIC_OBSERVE("search.cnr", cnr_edges(),
-                               result.candidates[n].cnr);
-        }
-        core::apply_cnr_selection(result.candidates, config);
-        result.phase_timings.push_back(
-            {"cnr", seconds_since(phase_start)});
-    }
-
-    // Step 4: RepCap scatter over the survivors only.
-    std::vector<std::uint64_t> repcap_execs(pool_size, 0);
-    {
-        const auto phase_start = std::chrono::steady_clock::now();
-        phase_begin("repcap");
-        std::vector<std::vector<int>> pending(shards.size());
-        for (int n = 0; n < num_candidates; ++n) {
-            auto &record =
-                result.candidates[static_cast<std::size_t>(n)];
-            if (record.rejected_by_cnr) {
-                ctx.note_progress();
-                continue;
-            }
-            const auto it = prior.find(n);
-            if (it != prior.end() && it->second.has_repcap) {
-                record.repcap = it->second.repcap;
-                repcap_execs[static_cast<std::size_t>(n)] =
-                    it->second.repcap_executions;
-                ++out.stats.records_resumed;
-                ctx.note_progress();
-                continue;
-            }
-            pending[static_cast<std::size_t>(shard_of(n).id)]
-                .push_back(n);
-        }
-        auto store = [&](int index, const WorkerEvent &event) {
-            result.candidates[static_cast<std::size_t>(index)].repcap =
-                event.repcap.repcap;
-            repcap_execs[static_cast<std::size_t>(index)] =
-                event.repcap.executions;
-            if (Shard &shard = shard_of(index); shard.journal)
-                shard.journal->record_repcap(index,
-                                             event.repcap.repcap,
-                                             event.repcap.executions);
-        };
-        auto fallback = [&](int index) {
-            const core::CandidateRepCap repcap =
-                core::evaluate_candidate_repcap(
-                    result.candidates[static_cast<std::size_t>(index)]
-                        .circuit,
-                    bench.train, config,
-                    static_cast<std::size_t>(index));
-            return make_repcap_record(index, repcap);
-        };
-        run_phase(ctx, shards, "repcap", pending, store, fallback);
-        check_cancel("repcap");
-        for (std::size_t n = 0; n < pool_size; ++n) {
-            if (!result.candidates[n].rejected_by_cnr)
-                ++result.survivors;
-            result.repcap_executions += repcap_execs[n];
-        }
-        result.phase_timings.push_back(
-            {"repcap", seconds_since(phase_start)});
-    }
+    ShardScatter remote(ctx);
+    out.result = core::elivagar_search(device, bench.train, config, &remote);
 
     // Workers are done: polite shutdown, then hard close.
-    for (Shard &shard : shards) {
+    for (Shard &shard : ctx.shards) {
         if (!shard.channel)
             continue;
         std::string error, line;
@@ -738,38 +484,9 @@ distributed_search(const srv::JobSpec &spec, const DistConfig &dist)
         shard.channel->close();
         ELV_METRIC_GAUGE_ADD("dist.active_workers", -1);
     }
-
-    // Step 5: composite score + final selection, index order — the
-    // same first-max-wins scan as the in-process search.
-    const core::CandidateRecord *best = nullptr;
-    {
-        const auto phase_start = std::chrono::steady_clock::now();
-        phase_begin("rank");
-        for (int n = 0; n < num_candidates; ++n) {
-            auto &record =
-                result.candidates[static_cast<std::size_t>(n)];
-            if (record.degraded)
-                ++result.degraded_candidates;
-            if (record.rejected_by_cnr)
-                continue;
-            record.score = core::composite_score(record.cnr,
-                                                 record.repcap, config);
-            if (!best || record.score > best->score)
-                best = &record;
-            if (Shard &shard = shard_of(n); shard.journal)
-                shard.journal->record_rank(n, record.score,
-                                           record.rejected_by_cnr);
-        }
-        result.phase_timings.push_back(
-            {"rank", seconds_since(phase_start)});
-    }
-    ELV_REQUIRE(best != nullptr, "no surviving candidate");
-    result.best_circuit = best->circuit;
-    result.best_score = best->score;
-    result.total_seconds = seconds_since(search_start);
     if (ctx.manifest)
         ctx.manifest->append("complete best_score " +
-                             core::double_to_hex(result.best_score));
+                             core::double_to_hex(out.result.best_score));
     return out;
 }
 

@@ -2,30 +2,30 @@
  * @file
  * Coordinator of the distributed sharded search.
  *
+ * distributed_search is core::elivagar_search with a RemoteStages that
+ * evaluates the CNR and RepCap stages on worker processes (local
+ * fork/exec'd elivagar_worker processes and/or socket-attached peers).
+ * The search generates the pool, replays its journal, selects, ranks
+ * and reports phases exactly as it does in-process; this file only
+ * scatters each stage's pending indices.
+ *
  * The candidate index range is partitioned into contiguous shards, one
- * per worker (local fork/exec'd elivagar_worker processes and/or
- * socket-attached peers). Workers evaluate CNR/RepCap with the same
- * per-candidate seeded streams the in-process search uses and stream
- * (index, score) records back; the coordinator merges them in
- * candidate-index order, so the final ranking is bit-identical to
- * core::elivagar_search at any shard count — proven by the test_dist
- * gauntlet.
+ * per worker. Workers evaluate with the same per-candidate seeded
+ * streams the in-process search uses and stream (index, score) records
+ * back; each record goes straight into the search's store, so the
+ * ranking is bit-identical to an in-process run at any shard count.
  *
- * Two-phase scatter: CNR is global — the keep-fraction cutoff needs
- * every candidate's value — so phase A fans CNR out and barriers,
- * the coordinator applies the selection, and phase B fans RepCap out
- * over the survivors only.
- *
- * Crash tolerance: every record received is appended to a per-shard
- * checkpoint journal (core/checkpoint, config-fingerprinted) on the
- * coordinator side — a worker crash can never tear one — and the run
- * manifest records shard assignment/completion. A worker that dies,
- * stalls past the progress deadline, or returns garbage is killed and
- * its shard reissued to a fresh worker *minus the records already
- * journaled*, resuming mid-shard; after max_reissues the remainder is
- * evaluated in-process (allow_local_fallback) or the run fails with
- * the worker's diagnostics. Re-running with the same state_dir resumes
- * the whole run from the journal union, at any worker count.
+ * Crash tolerance: with a state_dir, the search journals every record
+ * to state_dir/search.journal, the file --checkpoint writes, on the
+ * coordinator side, so a worker crash can never tear it; the run
+ * manifest (dist.manifest) records shard assignment and completion. A
+ * worker that dies, stalls past the progress deadline, or returns
+ * garbage is killed and its shard reissued to a fresh worker minus the
+ * records already stored. After max_reissues the shard hands its
+ * remaining indices back to the search, which evaluates them
+ * in-process. Re-running with the same state_dir resumes from the
+ * journal at any worker count, and an in-process run resumes from that
+ * journal too.
  */
 #pragma once
 
@@ -50,10 +50,11 @@ struct DistConfig
     std::string worker_binary;
     /** Simulator threads each worker runs with (>= 1). */
     int threads_per_worker = 1;
-    /** Coordinator threads (generation, fallback; 0 = hardware). */
+    /** Coordinator threads: the search's own pool (generation and
+     * handed-back indices; 0 = hardware). */
     int coordinator_threads = 0;
     /**
-     * Directory for the shard journals + run manifest; "" disables
+     * Directory for search.journal + the run manifest; "" disables
      * persistence (no crash resume across coordinator restarts;
      * mid-run reissue works regardless).
      */
@@ -65,10 +66,9 @@ struct DistConfig
      * is treated as hung and its shard reissued (seconds).
      */
     double record_timeout_sec = 300.0;
-    /** Reissues per shard before falling back / failing. */
+    /** Reissues per shard before its remainder goes back to the
+     * search. */
     int max_reissues = 2;
-    /** Evaluate a shard's remainder in-process as the last resort. */
-    bool allow_local_fallback = true;
     /**
      * Test hook forwarded to the first local worker's configure:
      * SIGKILL itself after emitting this many records (0 = off).
@@ -91,9 +91,8 @@ struct DistStats
     int worker_failures = 0;
     /** Records streamed back by workers (journal replays excluded). */
     std::uint64_t records_received = 0;
-    /** Candidate stages replayed from the state_dir journals. */
-    std::uint64_t records_resumed = 0;
-    /** Candidate stages evaluated in-process as a last resort. */
+    /** Candidate stages handed back to the search after a shard ran
+     * out of reissues. */
     std::uint64_t fallback_records = 0;
 };
 
@@ -115,11 +114,10 @@ std::vector<std::pair<int, int>> partition_indices(int count,
 
 /**
  * Run the distributed search for `spec` (same JobSpec -> config
- * mapping as the server and the CLI, so results are interchangeable
- * with a single-process run of the same spec). Throws UsageError on
- * unusable topology (no workers at all), CancelledError via the
- * hooks, and propagates evaluation failures when every fallback is
- * exhausted.
+ * mapping as the server and the CLI, so results and journals are
+ * interchangeable with a single-process run of the same spec). Throws
+ * UsageError on unusable topology (no workers at all), CancelledError
+ * via the hooks, and propagates evaluation failures.
  */
 DistResult distributed_search(const srv::JobSpec &spec,
                               const DistConfig &dist);

@@ -126,15 +126,25 @@ run_stage(WorkerSearch &search, const CoordRequest &request,
 {
     const bool is_cnr = request.stage == "cnr";
     ELV_METRIC_COUNT_N("dist.worker.requests", 1);
-    // Bounds-check before touching anything: a bad index is a
-    // coordinator bug, reported instead of crashing the worker.
-    for (int index : request.indices)
-        if (index < 0 || index >= search.config.num_candidates) {
+    // Check before touching anything: a bad index is a coordinator
+    // bug, reported instead of crashing the worker. A repeated one
+    // would have two tasks fill the same lazily built circuit slot.
+    std::vector<bool> seen(
+        static_cast<std::size_t>(search.config.num_candidates));
+    for (int index : request.indices) {
+        const char *problem = nullptr;
+        if (index < 0 || index >= search.config.num_candidates)
+            problem = " out of range";
+        else if (seen[static_cast<std::size_t>(index)])
+            problem = " repeated";
+        if (problem) {
             send_event(out_fd, make_error("candidate index " +
                                           std::to_string(index) +
-                                          " out of range"));
+                                          problem));
             return send_event(out_fd, make_stage_done(request.stage, 0));
         }
+        seen[static_cast<std::size_t>(index)] = true;
+    }
     std::atomic<bool> transport_ok{true};
     par::ThreadPool pool(search.config.threads);
     pool.parallel_for(request.indices.size(), [&](std::size_t k) {

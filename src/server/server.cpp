@@ -496,10 +496,11 @@ Server::run_job(const RecordPtr &rec)
             bump_epoch_locked();
         };
         if (rec->spec.workers > 0) {
-            // Distributed fan-out: shard journals live next to the
-            // job's other artifacts, so an abandoned job resumes its
-            // distributed search exactly like an in-process one
-            // resumes its journal — at any worker count.
+            // Distributed fan-out: the dist state dir (search.journal
+            // + dist.manifest) lives next to the job's other
+            // artifacts, so an abandoned job resumes its distributed
+            // search like an in-process one resumes its journal — at
+            // any worker count.
             dist::DistConfig dc;
             dc.workers = rec->spec.workers;
             dc.threads_per_worker =

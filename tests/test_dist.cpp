@@ -6,22 +6,33 @@
  * to the single-process search at 1/2/3/7 workers (including counts
  * that do not divide the pool), after a worker is SIGKILLed mid-shard
  * and its shard reissued, after falling back to in-process evaluation
- * when the worker binary cannot be spawned at all, and when a run
- * resumes from its shard journals under a different worker count. The
- * socket transport (`elivagar_worker --serve` + attach) and the worker
- * channel's line cap are driven end to end as well.
+ * when the worker binary cannot be spawned at all, when a run resumes
+ * from its search journal under a different worker count, and when a
+ * dist journal and an in-process journal resume each other. The
+ * search's RemoteStages seam is driven with a test-only remote stage,
+ * the worker's stage-request checks over a pipe, and the socket
+ * transport (`elivagar_worker --serve` + attach) and the worker
+ * channel's line cap end to end.
  *
  * The worker binary under test is the real elivagar_worker (path baked
  * in via ELV_WORKER_BIN), fork/exec'd exactly as in production.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <thread>
+
+#include <unistd.h>
 
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
@@ -30,6 +41,7 @@
 #include "dist/channel.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/wire.hpp"
+#include "dist/worker.hpp"
 #include "qml/synthetic.hpp"
 #include "server/job.hpp"
 #include "server/json_value.hpp"
@@ -399,23 +411,10 @@ TEST(DistDeterminism, UnspawnableWorkerFallsBackInProcess)
     EXPECT_EQ(dist.stats.records_received, 0u);
 }
 
-/** Without the fallback, an unusable worker fleet is an error, with
- * the shard's diagnostics in the message. */
-TEST(DistDeterminism, ExhaustedReissuesWithoutFallbackThrows)
-{
-    const srv::JobSpec spec = small_spec();
-    DistConfig dc = dist_config(1);
-    dc.worker_binary = "/nonexistent/elivagar_worker_missing";
-    dc.max_reissues = 0;
-    dc.allow_local_fallback = false;
-    EXPECT_THROW(distributed_search(spec, dc), std::runtime_error);
-}
-
 /**
  * Whole-run resume: a completed run's state_dir replays every record
- * from the shard journals — no worker is spawned at all — and a
- * *different* worker count reads the same journals (the union of
- * shard-*.journal is the resume state, not the per-shard layout).
+ * from search.journal — no worker is spawned and no shard issued — at
+ * a *different* worker count (the journal has no per-shard layout).
  */
 TEST(DistDeterminism, StateDirResumesUnderDifferentWorkerCount)
 {
@@ -436,9 +435,7 @@ TEST(DistDeterminism, StateDirResumesUnderDifferentWorkerCount)
     EXPECT_TRUE(resumed.result.resumed);
     EXPECT_EQ(resumed.stats.workers_spawned, 0);
     EXPECT_EQ(resumed.stats.records_received, 0u);
-    EXPECT_EQ(resumed.stats.records_resumed,
-              static_cast<std::uint64_t>(
-                  spec.candidates + reference.survivors));
+    EXPECT_EQ(resumed.stats.shards, 0);
 }
 
 /** A state_dir written under a different configuration is refused,
@@ -475,6 +472,336 @@ TEST(DistDeterminism, MoreWorkersThanCandidates)
     const DistResult dist = distributed_search(spec, dist_config(5));
     expect_bit_identical(reference, dist.result);
     EXPECT_LE(dist.stats.workers_spawned, 3);
+}
+
+// --- Remote stages ----------------------------------------------------
+
+/**
+ * A test-only remote stage: evaluates its pending indices with the core
+ * stage evaluators, in reverse order, on two std::threads, and hands
+ * back every third index (pending[0], pending[3], ...) for the search's
+ * own pool. With a token, it trips the token once `cancel_after`
+ * values are stored and then stops, handing back everything it did not
+ * store.
+ */
+class ReversedRemote final : public core::RemoteStages
+{
+  public:
+    ReversedRemote(const dev::Device &device, const qml::Dataset &train,
+                   const core::ElivagarConfig &config)
+        : device_(device), train_(train), config_(config),
+          faults_(core::prepare_fault_config(config))
+    {
+    }
+
+    std::vector<int>
+    cnr(const std::vector<int> &pending, const CnrStore &store) override
+    {
+        cnr_pending = pending;
+        return run(pending, [&](int n) {
+            store(n, core::evaluate_candidate_cnr(
+                         device_, circuit(n), config_, faults_,
+                         static_cast<std::size_t>(n)));
+        });
+    }
+
+    std::vector<int>
+    repcap(const std::vector<int> &pending,
+           const RepCapStore &store) override
+    {
+        repcap_pending = pending;
+        return run(pending, [&](int n) {
+            store(n, core::evaluate_candidate_repcap(
+                         circuit(n), train_, config_,
+                         static_cast<std::size_t>(n)));
+        });
+    }
+
+    /** The pending lists the search handed over, per stage. */
+    std::vector<int> cnr_pending, repcap_pending;
+    std::shared_ptr<CancelToken> cancel;
+    int cancel_after = 0;
+
+  private:
+    circ::Circuit
+    circuit(int n) const
+    {
+        return core::generate_search_candidate(
+            device_, config_, static_cast<std::size_t>(n));
+    }
+
+    std::vector<int>
+    run(const std::vector<int> &pending,
+        const std::function<void(int)> &evaluate)
+    {
+        std::vector<int> mine, back;
+        for (std::size_t k = 0; k < pending.size(); ++k)
+            (k % 3 == 0 ? back : mine).push_back(pending[k]);
+        std::reverse(mine.begin(), mine.end());
+        std::vector<char> stored(mine.size(), 0);
+        auto half = [&](std::size_t first) {
+            for (std::size_t k = first; k < mine.size(); k += 2) {
+                if (cancel && cancel->cancelled())
+                    return;
+                evaluate(mine[k]);
+                stored[k] = 1;
+                if (cancel && ++stores_ == cancel_after)
+                    cancel->cancel();
+            }
+        };
+        std::thread a(half, 0), b(half, 1);
+        a.join();
+        b.join();
+        for (std::size_t k = 0; k < mine.size(); ++k)
+            if (!stored[k])
+                back.push_back(mine[k]);
+        std::sort(back.begin(), back.end());
+        return back;
+    }
+
+    const dev::Device &device_;
+    const qml::Dataset &train_;
+    const core::ElivagarConfig &config_;
+    const exec::FaultConfig faults_;
+    std::atomic<int> stores_{0};
+};
+
+/** Indices of the `kind` records ("cnr" / "repcap") in a journal,
+ * ascending, repeats kept. */
+std::vector<int>
+journaled(const std::string &path, const std::string &kind)
+{
+    std::ifstream in(path);
+    std::vector<int> indices;
+    for (std::string line; std::getline(in, line);) {
+        std::istringstream fields(line);
+        std::string word;
+        int index = -1;
+        if (fields >> word >> index && word == kind)
+            indices.push_back(index);
+    }
+    std::sort(indices.begin(), indices.end());
+    return indices;
+}
+
+/** Ascending `from` minus ascending `drop`. */
+std::vector<int>
+minus(const std::vector<int> &from, const std::vector<int> &drop)
+{
+    std::vector<int> out;
+    std::set_difference(from.begin(), from.end(), drop.begin(), drop.end(),
+                        std::back_inserter(out));
+    return out;
+}
+
+/** Pending lists of a search with nothing journaled: the whole pool
+ * for CNR, the survivors for RepCap. */
+struct Pending
+{
+    std::vector<int> cnr, repcap;
+};
+
+Pending
+all_pending(const core::SearchResult &reference)
+{
+    Pending all;
+    for (std::size_t n = 0; n < reference.candidates.size(); ++n) {
+        all.cnr.push_back(static_cast<int>(n));
+        if (!reference.candidates[n].rejected_by_cnr)
+            all.repcap.push_back(static_cast<int>(n));
+    }
+    return all;
+}
+
+/** The search run with a remote stage equals the search without one,
+ * whatever order and thread the remote stores from. */
+TEST(DistRemoteStages, RemoteStageMatchesInProcessBitwise)
+{
+    const srv::JobSpec spec = small_spec();
+    const core::SearchResult reference = serial_reference(spec);
+    const Pending all = all_pending(reference);
+    const qml::Benchmark bench =
+        qml::make_benchmark(spec.benchmark, spec.seed, spec.scale);
+    const dev::Device device = dev::make_device(spec.device);
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const core::ElivagarConfig config =
+            srv::job_search_config(spec, bench.spec, threads, "");
+        ReversedRemote remote(device, bench.train, config);
+        expect_bit_identical(reference,
+                             core::elivagar_search(device, bench.train,
+                                                   config, &remote));
+        EXPECT_EQ(remote.cnr_pending, all.cnr);
+        EXPECT_EQ(remote.repcap_pending, all.repcap);
+    }
+}
+
+/**
+ * A cancel tripped mid-stage by the remote unwinds with CancelledError;
+ * the rerun on the same journal hands the remote only what the first
+ * run did not store, evaluates nothing twice, and ranks bit-identically.
+ * cancel_after 3 trips during CNR, 8 during RepCap (the remote stores 6
+ * of the 10 CNR values).
+ */
+TEST(DistRemoteStages, CancelledRemoteStageResumesFromTheJournal)
+{
+    const srv::JobSpec spec = small_spec();
+    const core::SearchResult reference = serial_reference(spec);
+    const Pending all = all_pending(reference);
+    const qml::Benchmark bench =
+        qml::make_benchmark(spec.benchmark, spec.seed, spec.scale);
+    const dev::Device device = dev::make_device(spec.device);
+    for (const int cancel_after : {3, 8}) {
+        SCOPED_TRACE("cancel_after=" + std::to_string(cancel_after));
+        const std::string dir =
+            fresh_state_dir("cancel_" + std::to_string(cancel_after));
+        std::filesystem::create_directories(dir);
+        const std::string journal = dir + "/search.journal";
+        core::ElivagarConfig config =
+            srv::job_search_config(spec, bench.spec, 2, journal);
+        ReversedRemote first(device, bench.train, config);
+        first.cancel = std::make_shared<CancelToken>();
+        first.cancel_after = cancel_after;
+        config.hooks.cancel = first.cancel;
+        EXPECT_THROW(
+            core::elivagar_search(device, bench.train, config, &first),
+            CancelledError);
+        const Pending done{journaled(journal, "cnr"),
+                           journaled(journal, "repcap")};
+        EXPECT_LT(done.cnr.size() + done.repcap.size(),
+                  all.cnr.size() + all.repcap.size());
+
+        config.hooks.cancel.reset();
+        ReversedRemote second(device, bench.train, config);
+        const core::SearchResult resumed =
+            core::elivagar_search(device, bench.train, config, &second);
+        expect_bit_identical(reference, resumed);
+        EXPECT_TRUE(resumed.resumed);
+        EXPECT_EQ(second.cnr_pending, minus(all.cnr, done.cnr));
+        EXPECT_EQ(second.repcap_pending, minus(all.repcap, done.repcap));
+        // Every value was evaluated exactly once across both runs.
+        EXPECT_EQ(journaled(journal, "cnr"), all.cnr);
+        EXPECT_EQ(journaled(journal, "repcap"), all.repcap);
+    }
+}
+
+/**
+ * A dist state dir and an in-process --checkpoint journal are one
+ * file format: each run resumes from the other's journal with nothing
+ * re-evaluated (no worker spawned, no cnr/repcap record appended).
+ */
+TEST(DistDeterminism, DistAndInProcessJournalsInterchange)
+{
+    const srv::JobSpec spec = small_spec();
+    const core::SearchResult reference = serial_reference(spec);
+    const qml::Benchmark bench =
+        qml::make_benchmark(spec.benchmark, spec.seed, spec.scale);
+    const dev::Device device = dev::make_device(spec.device);
+    auto stage_records = [](const std::string &journal) {
+        return journaled(journal, "cnr").size() +
+               journaled(journal, "repcap").size();
+    };
+    const std::size_t complete =
+        static_cast<std::size_t>(spec.candidates + reference.survivors);
+
+    // Dist run -> in-process resume.
+    const std::string state_dir = fresh_state_dir("interchange_dist");
+    DistConfig dc = dist_config(2);
+    dc.state_dir = state_dir;
+    expect_bit_identical(reference, distributed_search(spec, dc).result);
+    const std::string dist_journal = state_dir + "/search.journal";
+    ASSERT_EQ(stage_records(dist_journal), complete);
+    const core::SearchResult in_process = core::elivagar_search(
+        device, bench.train,
+        srv::job_search_config(spec, bench.spec, 1, dist_journal));
+    expect_bit_identical(reference, in_process);
+    EXPECT_TRUE(in_process.resumed);
+    EXPECT_EQ(stage_records(dist_journal), complete);
+
+    // In-process run -> dist resume.
+    const std::string own = fresh_state_dir("interchange_own");
+    std::filesystem::create_directories(own);
+    core::elivagar_search(
+        device, bench.train,
+        srv::job_search_config(spec, bench.spec, 1, own + "/j.journal"));
+    const std::string fresh = fresh_state_dir("interchange_fresh");
+    std::filesystem::create_directories(fresh);
+    std::filesystem::copy_file(own + "/j.journal",
+                               fresh + "/search.journal");
+    dc.state_dir = fresh;
+    const DistResult resumed = distributed_search(spec, dc);
+    expect_bit_identical(reference, resumed.result);
+    EXPECT_TRUE(resumed.result.resumed);
+    EXPECT_EQ(resumed.stats.workers_spawned, 0);
+    EXPECT_EQ(stage_records(fresh + "/search.journal"), complete);
+}
+
+// --- Worker ------------------------------------------------------------
+
+/** What serve_worker answers to `requests`, one event per line. */
+std::vector<WorkerEvent>
+serve(const std::vector<std::string> &requests)
+{
+    int in[2], out[2];
+    EXPECT_EQ(::pipe(in), 0);
+    EXPECT_EQ(::pipe(out), 0);
+    std::string input;
+    for (const std::string &request : requests)
+        input += request + "\n";
+    EXPECT_EQ(::write(in[1], input.data(), input.size()),
+              static_cast<ssize_t>(input.size()));
+    ::close(in[1]);
+    serve_worker(in[0], out[1]);
+    ::close(in[0]);
+    ::close(out[1]);
+    std::string output;
+    char buffer[4096];
+    for (ssize_t got; (got = ::read(out[0], buffer, sizeof buffer)) > 0;)
+        output.append(buffer, static_cast<std::size_t>(got));
+    ::close(out[0]);
+    std::vector<WorkerEvent> events;
+    std::istringstream lines(output);
+    for (std::string line; std::getline(lines, line);) {
+        WorkerEvent event;
+        std::string error;
+        EXPECT_TRUE(parse_worker_event(line, event, error)) << line;
+        events.push_back(event);
+    }
+    return events;
+}
+
+/** A stage request naming an index twice, or one outside the pool, is
+ * answered with an error event naming it and evaluates nothing. */
+TEST(DistWorker, RepeatedOrOutOfRangeIndexIsAnErrorEvent)
+{
+    const srv::JobSpec spec = small_spec();
+    const qml::Benchmark bench =
+        qml::make_benchmark(spec.benchmark, spec.seed, spec.scale);
+    const std::string configure = make_configure(
+        spec, 2,
+        core::config_fingerprint(
+            srv::job_search_config(spec, bench.spec, 2, "")),
+        0);
+    for (const auto &[indices, expected] :
+         {std::pair<std::vector<int>, std::string>{
+              {3, 3}, "candidate index 3 repeated"},
+          std::pair<std::vector<int>, std::string>{
+              {99}, "candidate index 99 out of range"}}) {
+        SCOPED_TRACE(expected);
+        const std::vector<WorkerEvent> events =
+            serve({configure, make_stage_request("cnr", indices)});
+        ASSERT_FALSE(events.empty());
+        EXPECT_EQ(events.front().kind, WorkerEvent::Kind::Ready);
+        int errors = 0;
+        for (const WorkerEvent &event : events) {
+            EXPECT_NE(event.kind, WorkerEvent::Kind::Cnr);
+            if (event.kind == WorkerEvent::Kind::Error) {
+                ++errors;
+                EXPECT_EQ(event.message, expected);
+            }
+        }
+        EXPECT_EQ(errors, 1);
+    }
 }
 
 double

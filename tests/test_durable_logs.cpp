@@ -152,7 +152,7 @@ dist_config(const std::string &state_dir)
 }
 
 /**
- * One distributed_search over `state_dir`, whose shard journals are
+ * One distributed_search over `state_dir`, whose search journal is
  * complete, so it resumes without spawning a worker. Returns what it
  * printed to stderr.
  */
@@ -236,7 +236,7 @@ TEST(DurableLog, JobsManifestBytesMatchThePreviousWriter)
 TEST(DurableLog, DistRunManifestBytesMatchThePreviousWriter)
 {
     const std::string state_dir = fresh_dir("dist_bytes");
-    // A first run leaves complete shard journals behind.
+    // A first run leaves a complete search journal behind.
     dist::distributed_search(dist_spec(), dist_config(state_dir));
     const std::string fixture =
         "elv-dist-manifest 1\n"
@@ -473,7 +473,7 @@ fuzz(const std::string &path, const std::vector<std::string> &donors,
 TEST(DurableLog, SeededMutantsLoadOrThrowUsageError)
 {
     // Real files: a server job's journal and manifest, a dist run's
-    // manifest (its shard journals are complete, so a load is a resume
+    // manifest (its search journal is complete, so a load is a resume
     // with no worker).
     const std::string dir = fresh_dir("mutants_server");
     {
