@@ -5,9 +5,11 @@
  * Default mode measures the two perf-critical comparisons of the
  * parallel search engine and dumps them to BENCH_parallel.json:
  *
- *  - generic dense matmul kernels vs the specialized CX/CZ/SWAP and
- *    diagonal-1q kernels, single-threaded, with a bit-level
- *    equivalence check;
+ *  - lane-batched replay (sim::StateBatch) against one-state-at-a-time
+ *    replay of a RepCap-shaped candidate, by qubits x lanes, with a
+ *    bit-identity check of every lane — the table behind RepCap's
+ *    lane constant;
+ *  - scalar vs SIMD kernel tiers on two fixed circuits;
  *  - `elivagar_search` at --threads 1 vs --threads N on an
  *    8-qubit/64-candidate search, with a bit-identity check of the
  *    full ranking (the determinism contract of src/parallel/).
@@ -47,6 +49,8 @@
 #include "qml/synthetic.hpp"
 #include "sim/cpu_features.hpp"
 #include "sim/density_matrix.hpp"
+#include "sim/fusion.hpp"
+#include "sim/state_batch.hpp"
 #include "sim/statevector.hpp"
 #include "stabilizer/tableau.hpp"
 
@@ -214,13 +218,11 @@ fixed_params(const circ::Circuit &c)
     return params;
 }
 
-/** Seconds per run of `c` on a fresh state with the given kernels. */
+/** Seconds per run of `c` on a fresh state. */
 double
-time_statevector(const circ::Circuit &c, int qubits, bool specialized,
-                 int reps)
+time_statevector(const circ::Circuit &c, int qubits, int reps)
 {
     sim::StateVector psi(qubits);
-    psi.use_specialized_kernels(specialized);
     const std::vector<double> params = fixed_params(c);
     psi.run(c, params); // warm-up
     const auto start = std::chrono::steady_clock::now();
@@ -247,19 +249,75 @@ tiers_bit_identical(const circ::Circuit &c, int qubits)
     return true;
 }
 
-/** Max |amp difference| between the two kernel paths for `c`. */
-double
-kernel_max_diff(const circ::Circuit &c, int qubits)
+/** A mnist-10-shaped RepCap candidate (12 params and 6 embedding
+ *  gates per qubit, 36 features) on `qubits` qubits of guadalupe. */
+circ::Circuit
+repcap_candidate(int qubits)
 {
-    sim::StateVector generic(qubits), fast(qubits);
-    generic.use_specialized_kernels(false);
-    const std::vector<double> params = fixed_params(c);
-    generic.run(c, params);
-    fast.run(c, params);
-    double diff = 0.0;
-    for (std::size_t i = 0; i < generic.dim(); ++i)
-        diff = std::max(diff, std::abs(generic.amp(i) - fast.amp(i)));
-    return diff;
+    core::CandidateConfig config;
+    config.num_qubits = qubits;
+    config.num_params = 12 * qubits;
+    config.num_embeds = 6 * qubits;
+    config.num_meas = std::min(4, qubits);
+    config.num_features = 36;
+    elv::Rng rng(static_cast<std::uint64_t>(qubits));
+    std::vector<int> kept;
+    return core::generate_candidate(dev::make_device("ibm_guadalupe"),
+                                    config, rng)
+        .compacted(kept);
+}
+
+/** Microseconds per state for lone and lane-batched replay of `c`:
+ *  the fastest of `rounds` alternating rounds of `reps` replays each,
+ *  since the host's speed drifts between rounds. */
+struct ReplayCost
+{
+    double lone_us = 0.0;
+    double batch_us = 0.0;
+    bool identical = true;
+};
+
+ReplayCost
+time_replay(const circ::Circuit &c, std::size_t lanes, int rounds, int reps)
+{
+    const sim::FusedProgram program = sim::FusedProgram::compile(c);
+    elv::Rng rng(lanes);
+    std::vector<std::vector<double>> xs(lanes, std::vector<double>(36));
+    for (auto &x : xs)
+        for (auto &v : x)
+            v = rng.uniform(-1.0, 1.0);
+    const auto variational = program.resolve(circ::ParamRole::Variational,
+                                             fixed_params(c), {});
+    std::vector<sim::ResolvedBarriers> embedded;
+    for (const auto &x : xs)
+        embedded.push_back(
+            program.resolve(circ::ParamRole::Embedding, {}, x));
+    const sim::LaneBarriers lane_embedded = program.resolve_embedding(xs);
+
+    std::vector<sim::StateVector> lone(lanes,
+                                       sim::StateVector(c.num_qubits()));
+    sim::StateBatch batch(c.num_qubits(), lanes);
+    ReplayCost cost;
+    const double per_state = 1e6 / (reps * static_cast<double>(lanes));
+    for (int round = 0; round < rounds; ++round) {
+        auto start = std::chrono::steady_clock::now();
+        for (int r = 0; r < reps; ++r)
+            for (std::size_t b = 0; b < lanes; ++b)
+                program.run(lone[b], variational, embedded[b], xs[b]);
+        const double lone_us = per_state * seconds_since(start);
+        start = std::chrono::steady_clock::now();
+        for (int r = 0; r < reps; ++r)
+            program.run(batch, variational, lane_embedded, 0);
+        const double batch_us = per_state * seconds_since(start);
+        cost.lone_us = round ? std::min(cost.lone_us, lone_us) : lone_us;
+        cost.batch_us = round ? std::min(cost.batch_us, batch_us) : batch_us;
+    }
+    for (std::size_t b = 0; b < lanes; ++b)
+        cost.identical =
+            cost.identical &&
+            std::memcmp(lone[b].amps().data(), batch.lane(b).amps().data(),
+                        lone[b].dim() * sizeof(sim::Amp)) == 0;
+    return cost;
 }
 
 /** The 8-qubit search of the parallel acceptance bench (64 candidates,
@@ -320,11 +378,47 @@ run_comparisons(int argc, char **argv)
                              args.data());
     reporter.set_seed(7);
 
-    // Part 1: specialized kernels vs generic dense matmul, one thread.
-    Table kernels(
-        "Specialized vs generic gate kernels (single-threaded)");
-    kernels.set_header({"circuit", "qubits", "generic (ms)",
-                        "specialized (ms)", "speedup", "max |diff|"});
+    // Part 1: lane-batched replay throughput, one thread: microseconds
+    // per state by qubits x lanes (the shape of the TFQ and MindSpore
+    // Quantum batch tables). RepCap replays its samples in batches of
+    // 32 lanes; the bit-identical column is the batch contract.
+    bool lanes_ok = true;
+    const std::vector<std::size_t> lane_counts = {8, 16, 32, 64};
+    Table replay("Lane-batched replay, us per state (single-threaded, " +
+                 std::string(sim::kernel_tier_name(sim::active_tier())) +
+                 ")");
+    std::vector<std::string> header = {"qubits", "lone"};
+    for (const std::size_t lanes : lane_counts)
+        header.push_back("B=" + std::to_string(lanes));
+    header.push_back("bit-identical");
+    replay.set_header(header);
+    for (const int qubits :
+         small ? std::vector<int>{4, 6} : std::vector<int>{4, 6, 8}) {
+        const circ::Circuit c = repcap_candidate(qubits);
+        std::vector<std::string> row = {std::to_string(qubits), ""};
+        bool identical = true;
+        double lone_us = 0.0;
+        for (const std::size_t lanes : lane_counts) {
+            const ReplayCost cost =
+                time_replay(c, lanes, small ? 2 : 7, small ? 10 : 50);
+            lone_us = lanes == lane_counts.front()
+                          ? cost.lone_us
+                          : std::min(lone_us, cost.lone_us);
+            identical = identical && cost.identical;
+            reporter.record_perf("batch.replay.q" + std::to_string(qubits) +
+                                     ".b" + std::to_string(lanes),
+                                 cost.batch_us * 1e-6);
+            row.push_back(Table::fmt(cost.batch_us, 2));
+        }
+        row[1] = Table::fmt(lone_us, 2);
+        row.push_back(identical ? "yes" : "NO");
+        lanes_ok = lanes_ok && identical;
+        replay.add_row(row);
+    }
+    reporter.add(replay);
+
+    const std::vector<int> case_qubits =
+        small ? std::vector<int>{8, 12} : std::vector<int>{8, 12, 16};
     struct KernelCase
     {
         const char *name;
@@ -332,8 +426,6 @@ run_comparisons(int argc, char **argv)
         circ::Circuit circuit;
         int qubits;
     };
-    const std::vector<int> case_qubits =
-        small ? std::vector<int>{8, 12} : std::vector<int>{8, 12, 16};
     std::vector<KernelCase> cases;
     for (const int qubits : case_qubits)
         cases.push_back({"clifford brickwork", "clifford",
@@ -341,26 +433,8 @@ run_comparisons(int argc, char **argv)
     for (const int qubits : case_qubits)
         cases.push_back(
             {"entangler mix", "mix", kernel_mix(qubits, 6), qubits});
-    for (const KernelCase &kc : cases) {
-        const int reps = small ? 10 : (kc.qubits >= 16 ? 10 : 40);
-        const double generic_s =
-            time_statevector(kc.circuit, kc.qubits, false, reps);
-        const double fast_s =
-            time_statevector(kc.circuit, kc.qubits, true, reps);
-        reporter.record_perf("kernels.specialized." +
-                                 std::string(kc.perf) + ".q" +
-                                 std::to_string(kc.qubits),
-                             fast_s);
-        const double diff = kernel_max_diff(kc.circuit, kc.qubits);
-        kernels.add_row({kc.name, std::to_string(kc.qubits),
-                         Table::fmt(1e3 * generic_s, 3),
-                         Table::fmt(1e3 * fast_s, 3),
-                         Table::fmt(generic_s / fast_s, 2),
-                         Table::fmt(diff, 12)});
-    }
-    reporter.add(kernels);
 
-    // Part 1b: runtime SIMD dispatch, on the same circuits. The
+    // Part 1b: runtime SIMD dispatch on two fixed circuits. The
     // scalar-vs-SIMD columns share one binary —
     // the tier is forced at runtime — and the bit-identical column is
     // the dispatch contract (ELV_FORCE_KERNEL=baseline reproduces the
@@ -374,11 +448,9 @@ run_comparisons(int argc, char **argv)
     for (const KernelCase &kc : cases) {
         const int reps = small ? 10 : (kc.qubits >= 16 ? 10 : 40);
         sim::set_forced_tier(sim::KernelTier::Baseline);
-        const double scalar_s =
-            time_statevector(kc.circuit, kc.qubits, true, reps);
+        const double scalar_s = time_statevector(kc.circuit, kc.qubits, reps);
         sim::clear_forced_tier();
-        const double simd_s =
-            time_statevector(kc.circuit, kc.qubits, true, reps);
+        const double simd_s = time_statevector(kc.circuit, kc.qubits, reps);
         reporter.record_perf("simd.f64." + std::string(kc.perf) +
                                  ".q" + std::to_string(kc.qubits),
                              simd_s);
@@ -442,7 +514,8 @@ run_comparisons(int argc, char **argv)
                     Table::fmt(serial_s / parallel_s, 2),
                     identical_rankings(serial, parallel) ? "yes" : "NO"});
     reporter.add(search);
-    const bool ok = identical_rankings(serial, parallel) && tiers_ok;
+    const bool ok =
+        identical_rankings(serial, parallel) && tiers_ok && lanes_ok;
     const int gate_rc = reporter.perf_gate_exit_code();
     return ok ? gate_rc : 1;
 }

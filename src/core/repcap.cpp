@@ -8,10 +8,24 @@
 #include "lint/dataflow.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fusion.hpp"
-#include "sim/statevector.hpp"
+#include "sim/state_batch.hpp"
 #include "sim/unitaries.hpp"
+#include "sim/vec_batch.hpp"
 
 namespace elv::core {
+
+namespace {
+
+/**
+ * Samples per StateBatch. A 6-qubit batch of 32 lanes is 64 x 32 x 16
+ * bytes = 32 KiB of amplitudes, so the batch a gate sweeps stays in L1d
+ * (EXPERIMENTS.md, "Lane-batched RepCap", has the replay throughput by
+ * qubits x lanes behind this choice). It changes no result: every lane
+ * is bit-identical to a lone replay.
+ */
+constexpr std::size_t kLanes = 32;
+
+} // namespace
 
 RepCapResult
 representational_capacity(const circ::Circuit &circuit,
@@ -60,21 +74,27 @@ representational_capacity(const circ::Circuit &circuit,
 
     // Embedding matrices read only the sample, so each (sample, gate)
     // resolves once per candidate; variational ones once per init.
-    std::vector<sim::ResolvedBarriers> embedded;
-    embedded.reserve(d);
-    for (std::size_t s = 0; s < d; ++s)
-        embedded.push_back(program.resolve(circ::ParamRole::Embedding, {},
-                                           data.samples[chosen[s]]));
+    std::vector<std::vector<double>> inputs;
+    inputs.reserve(d);
+    for (const std::size_t row : chosen)
+        inputs.push_back(data.samples[row]);
+    const sim::LaneBarriers embedded = program.resolve_embedding(inputs);
 
-    std::vector<sim::StateVector> states(d,
-                                         sim::StateVector(local.num_qubits()));
-    sim::StateVector rotated(local.num_qubits());
+    // The d states of one init replay as batches of kLanes samples
+    // (sample s is lane s % kLanes of batch s / kLanes); each lane is
+    // bit-identical to replaying its sample alone.
+    std::vector<sim::StateBatch> states;
+    for (std::size_t first = 0; first < d; first += kLanes)
+        states.emplace_back(local.num_qubits(),
+                            std::min(kLanes, d - first));
+    sim::StateBatch rotated = states.front();
     const std::size_t outcomes = std::size_t{1} << measured.size();
     // Outcome-major: entry (k, s) is P_s(k), so for a fixed state i the
     // pair loop below runs over contiguous j and vectorizes, while each
     // pair still sums |P_i(k) - P_j(k)| in outcome order (the order
     // elv::total_variation_distance uses).
     std::vector<double> dists(outcomes * d);
+    std::vector<double> probs(outcomes);
     std::vector<double> abs_sum(d);
 
     for (int t = 0; t < options.param_inits; ++t) {
@@ -87,10 +107,9 @@ representational_capacity(const circ::Circuit &circuit,
             program.resolve(circ::ParamRole::Variational, params, {});
 
         // Prepare the d output states once per init.
-        for (std::size_t s = 0; s < d; ++s) {
-            program.run(states[s], variational, embedded[s],
-                        data.samples[chosen[s]]);
-            ++result.circuit_executions;
+        for (std::size_t j = 0; j < states.size(); ++j) {
+            program.run(states[j], variational, embedded, j * kLanes);
+            result.circuit_executions += states[j].lanes();
         }
 
         for (int k = 0; k < options.num_bases; ++k) {
@@ -108,11 +127,16 @@ representational_capacity(const circ::Circuit &circuit,
             }
 
             // Outcome distribution of each state in this basis.
-            for (std::size_t s = 0; s < d; ++s) {
-                rotated.amps() = states[s].amps();
+            for (std::size_t j = 0; j < states.size(); ++j) {
+                rotated = states[j];
                 for (std::size_t m = 0; m < measured.size(); ++m)
                     rotated.apply_1q(basis[m], measured[m]);
-                auto probs = rotated.probabilities(measured);
+                rotated.probabilities(measured, dists.data() + j * kLanes,
+                                      d);
+            }
+            for (std::size_t s = 0; s < d; ++s) {
+                for (std::size_t o = 0; o < outcomes; ++o)
+                    probs[o] = dists[o * d + s];
                 // Guard the similarity estimate against numerical decay
                 // of the rotated state (NaN poisons the whole matrix).
                 elv::validate_distribution(
@@ -125,14 +149,8 @@ representational_capacity(const circ::Circuit &circuit,
             // Similarity 1 - TVD of every pair (i, j > i).
             for (std::size_t i = 0; i < d; ++i) {
                 r_c[i * d + i] += 1.0;
-                std::fill(abs_sum.begin() + static_cast<std::ptrdiff_t>(i),
-                          abs_sum.end(), 0.0);
-                for (std::size_t o = 0; o < outcomes; ++o) {
-                    const double *row = dists.data() + o * d;
-                    const double p_i = row[i];
-                    for (std::size_t j = i + 1; j < d; ++j)
-                        abs_sum[j] += std::abs(p_i - row[j]);
-                }
+                sim::vec::dispatch<sim::vec::AbsDiffRows>(
+                    dists.data(), outcomes, d, i, abs_sum.data());
                 for (std::size_t j = i + 1; j < d; ++j) {
                     const double sim_ij = 1.0 - 0.5 * abs_sum[j];
                     r_c[i * d + j] += sim_ij;

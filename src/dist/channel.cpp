@@ -19,6 +19,16 @@ WorkerChannel::spawn(const std::string &binary,
                      const std::vector<std::string> &args,
                      std::string &error)
 {
+    // argv is built before the fork: between fork and exec the child of
+    // a multithreaded process may make only async-signal-safe calls,
+    // and an allocation there can block forever on an allocator lock
+    // another thread held at the moment of the fork.
+    std::vector<char *> argv;
+    argv.push_back(const_cast<char *>(binary.c_str()));
+    for (const std::string &arg : args)
+        argv.push_back(const_cast<char *>(arg.c_str()));
+    argv.push_back(nullptr);
+
     // O_CLOEXEC, atomically: a worker forked later must not inherit
     // this worker's pipe ends — a leaked write end would keep the
     // coordinator from ever seeing EOF when this worker dies, turning
@@ -53,12 +63,7 @@ WorkerChannel::spawn(const std::string &binary,
         ::close(to_child[1]);
         ::close(from_child[0]);
         ::close(from_child[1]);
-        std::vector<char *> argv;
-        argv.push_back(const_cast<char *>(binary.c_str()));
-        for (const std::string &arg : args)
-            argv.push_back(const_cast<char *>(arg.c_str()));
-        argv.push_back(nullptr);
-        ::execvp(binary.c_str(), argv.data());
+        ::execvp(argv[0], argv.data());
         // Exec failed: the parent sees EOF on the first read and
         // reports the spawn failure there.
         ::_exit(127);

@@ -257,6 +257,7 @@ lint_program(const sim::FusedProgram &program, const circ::Circuit &source,
                         "entries");
             break;
           case sim::FusedOp::Kind::Two:
+          case sim::FusedOp::Kind::Permutation:
             ++groups;
             if (fop.q0 < 0 || fop.q0 >= n || fop.q1 < 0 || fop.q1 >= n ||
                 fop.q0 == fop.q1)

@@ -218,32 +218,30 @@ DensityMatrix::apply_op(const circ::Op &op,
         set_pure(psi);
         return;
     }
-    if (specialized_) {
-        const int n = num_qubits_;
-        switch (op.kind) {
-          case circ::GateKind::CX:
-            vec_.apply_cx(op.qubits[0], op.qubits[1]);
-            vec_.apply_cx(op.qubits[0] + n, op.qubits[1] + n);
-            return;
-          case circ::GateKind::CZ:
-            vec_.apply_cz(op.qubits[0], op.qubits[1]);
-            vec_.apply_cz(op.qubits[0] + n, op.qubits[1] + n);
-            return;
-          case circ::GateKind::SWAP:
-            vec_.apply_swap(op.qubits[0], op.qubits[1]);
-            vec_.apply_swap(op.qubits[0] + n, op.qubits[1] + n);
-            return;
-          default:
-            break;
-        }
-        if (circ::gate_is_diagonal_1q(op.kind)) {
-            const auto angles = circ::op_angles(op, params, x);
-            const Mat2 u = gate_matrix_1q(op.kind, angles);
-            vec_.apply_diag_1q(u[0][0], u[1][1], op.qubits[0]);
-            vec_.apply_diag_1q(std::conj(u[0][0]), std::conj(u[1][1]),
-                               op.qubits[0] + n);
-            return;
-        }
+    const int n = num_qubits_;
+    switch (op.kind) {
+      case circ::GateKind::CX:
+        vec_.apply_cx(op.qubits[0], op.qubits[1]);
+        vec_.apply_cx(op.qubits[0] + n, op.qubits[1] + n);
+        return;
+      case circ::GateKind::CZ:
+        vec_.apply_cz(op.qubits[0], op.qubits[1]);
+        vec_.apply_cz(op.qubits[0] + n, op.qubits[1] + n);
+        return;
+      case circ::GateKind::SWAP:
+        vec_.apply_swap(op.qubits[0], op.qubits[1]);
+        vec_.apply_swap(op.qubits[0] + n, op.qubits[1] + n);
+        return;
+      default:
+        break;
+    }
+    if (circ::gate_is_diagonal_1q(op.kind)) {
+        const auto angles = circ::op_angles(op, params, x);
+        const Mat2 u = gate_matrix_1q(op.kind, angles);
+        vec_.apply_diag_1q(u[0][0], u[1][1], op.qubits[0]);
+        vec_.apply_diag_1q(std::conj(u[0][0]), std::conj(u[1][1]),
+                           op.qubits[0] + n);
+        return;
     }
     const auto angles = circ::op_angles(op, params, x);
     if (op.num_qubits() == 1)
@@ -293,17 +291,11 @@ DensityMatrix::purity() const
 std::vector<double>
 DensityMatrix::probabilities(const std::vector<int> &qubits) const
 {
-    ELV_REQUIRE(qubits.size() <= 20, "too many measured qubits");
-    std::vector<double> probs(std::size_t{1} << qubits.size(), 0.0);
+    const OutcomeIndex outcome(qubits, num_qubits_);
+    std::vector<double> probs(outcome.outcomes(), 0.0);
     const std::size_t dim = std::size_t{1} << num_qubits_;
-    for (std::size_t i = 0; i < dim; ++i) {
-        const double p = element(i, i).real();
-        std::size_t outcome = 0;
-        for (std::size_t b = 0; b < qubits.size(); ++b)
-            if (i & (std::size_t{1} << qubits[b]))
-                outcome |= std::size_t{1} << b;
-        probs[outcome] += p;
-    }
+    for (std::size_t i = 0; i < dim; ++i)
+        probs[outcome(i)] += element(i, i).real();
     return probs;
 }
 

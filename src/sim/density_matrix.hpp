@@ -90,15 +90,12 @@ class DensityMatrix
     /** @} */
 
     /**
-     * Route apply_op through the specialized state-vector kernels
-     * (default on). CX/CZ/SWAP are real permutation/phase matrices, so
-     * the conjugate column-half application reuses the same kernel;
-     * diagonal 1-qubit gates conjugate the two diagonal entries. The
-     * win is compound here: every gate hits rho twice.
+     * Apply one IR op with resolved parameters (no noise). CX/CZ/SWAP
+     * take the state-vector permutation kernels (they are real
+     * matrices, so the conjugate column half reuses the same kernel)
+     * and diagonal 1-qubit gates the diagonal one with conjugated
+     * entries: every gate hits rho twice, so the win is compound.
      */
-    void use_specialized_kernels(bool on) { specialized_ = on; }
-
-    /** Apply one IR op with resolved parameters (no noise). */
     void apply_op(const circ::Op &op, const std::vector<double> &params,
                   const std::vector<double> &x);
 
@@ -113,14 +110,16 @@ class DensityMatrix
     /** Purity Tr(rho^2). */
     double purity() const;
 
-    /** Marginal outcome distribution over `qubits` (LSB-first order). */
+    /**
+     * Marginal outcome distribution over `qubits` (LSB-first order).
+     * Throws on an out-of-range or repeated qubit (see OutcomeIndex).
+     */
     std::vector<double> probabilities(const std::vector<int> &qubits) const;
 
   private:
     int num_qubits_;
     /** 2n-qubit vectorized representation of rho. */
     StateVector vec_;
-    bool specialized_ = true;
     /**
      * Reusable scratch for the generic Kraus path, sized on first use;
      * avoids allocating 2 x 4^n amplitudes per channel application.

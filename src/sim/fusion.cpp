@@ -16,7 +16,16 @@ struct Entry
 {
     FusedOp fused;
     bool skip = false;
+    /** A fixed CX/CZ/SWAP nothing has fused into (yet). */
+    bool lone_permutation = false;
 };
+
+bool
+is_permutation(circ::GateKind kind)
+{
+    return kind == circ::GateKind::CX || kind == circ::GateKind::CZ ||
+           kind == circ::GateKind::SWAP;
+}
 
 } // namespace
 
@@ -83,6 +92,7 @@ FusedProgram::compile(const circ::Circuit &circuit)
                     const int slot = e.fused.q0 == q ? 0 : 1;
                     e.fused.m4 =
                         matmul(embed_1q_in_2q(u, slot), e.fused.m4);
+                    e.lone_permutation = false;
                 }
                 ++prog.ops_merged_;
                 continue;
@@ -111,12 +121,15 @@ FusedProgram::compile(const circ::Circuit &circuit)
             e.fused.m4 = matmul(u, prev);
             e.fused.q0 = a;
             e.fused.q1 = b;
+            e.lone_permutation = false;
             ++prog.ops_merged_;
             continue;
         }
         // New 2-qubit entry; absorb pending 1-qubit entries on its
         // operands (they precede it with nothing touching a/b in
         // between, so pre-multiplying their embeddings is exact).
+        Entry e;
+        e.lone_permutation = is_permutation(op.kind);
         for (int slot = 0; slot < 2; ++slot) {
             const int q = op.qubits[static_cast<std::size_t>(slot)];
             const int idx = open_at(q);
@@ -125,11 +138,12 @@ FusedProgram::compile(const circ::Circuit &circuit)
                 u = matmul(u, embed_1q_in_2q(entry_at(idx).fused.m2,
                                              slot));
                 entry_at(idx).skip = true;
+                e.lone_permutation = false;
                 ++prog.ops_merged_;
             }
         }
-        Entry e;
         e.fused.kind = FusedOp::Kind::Two;
+        e.fused.op = op;
         e.fused.m4 = u;
         e.fused.q0 = a;
         e.fused.q1 = b;
@@ -138,9 +152,16 @@ FusedProgram::compile(const circ::Circuit &circuit)
     }
 
     prog.ops_.reserve(stream.size());
-    for (const Entry &e : stream)
-        if (!e.skip)
-            prog.ops_.push_back(e.fused);
+    for (const Entry &e : stream) {
+        if (e.skip)
+            continue;
+        prog.ops_.push_back(e.fused);
+        FusedOp &f = prog.ops_.back();
+        if (e.lone_permutation)
+            f.kind = FusedOp::Kind::Permutation;
+        else if (f.kind != FusedOp::Kind::Barrier)
+            f.op = {};
+    }
     ELV_METRIC_COUNT_N("fusion.ops_merged", prog.ops_merged_);
     return prog;
 }
@@ -162,6 +183,9 @@ FusedProgram::replay(StateVector &psi, ApplyBarrier &&barrier) const
             break;
           case FusedOp::Kind::Two:
             psi.apply_2q(f.m4, f.q0, f.q1);
+            break;
+          case FusedOp::Kind::Permutation:
+            psi.apply_gate(f.op.kind, f.m4, f.q0, f.q1);
             break;
           case FusedOp::Kind::Barrier:
             barrier(f);
@@ -218,6 +242,103 @@ FusedProgram::run(StateVector &psi, const ResolvedBarriers &variational,
             psi.apply_gate(op.kind, mats.two.at(slot), op.qubits[0],
                            op.qubits[1]);
     });
+}
+
+LaneBarriers
+FusedProgram::resolve_embedding(
+    const std::vector<std::vector<double>> &xs) const
+{
+    LaneBarriers out;
+    out.lanes = xs.size();
+    const std::size_t lanes = out.lanes;
+    bool amp_embed = false;
+    for (const FusedOp &f : ops_)
+        amp_embed = amp_embed || (f.kind == FusedOp::Kind::Barrier &&
+                                  f.op.kind == circ::GateKind::AmpEmbed);
+    if (amp_embed) {
+        for (const auto &x : xs)
+            out.features = std::max(out.features, x.size());
+        out.amp.assign(out.features * lanes, 0.0);
+    }
+    // Lane b's copy of slot s's coefficient k goes to
+    // planes[(coefficients * s + k) * lanes + b].
+    auto scatter = [lanes](std::vector<double> &planes, const auto &mats,
+                           std::size_t coefficients, std::size_t b) {
+        planes.resize(coefficients * mats.size() * lanes);
+        for (std::size_t s = 0; s < mats.size(); ++s) {
+            const auto *c = reinterpret_cast<const double *>(mats[s][0].data());
+            for (std::size_t k = 0; k < coefficients; ++k)
+                planes[(coefficients * s + k) * lanes + b] = c[k];
+        }
+    };
+    for (std::size_t b = 0; b < lanes; ++b) {
+        const ResolvedBarriers r =
+            resolve(circ::ParamRole::Embedding, {}, xs[b]);
+        scatter(out.one, r.one, 8, b);
+        scatter(out.two, r.two, 32, b);
+        if (amp_embed)
+            for (std::size_t f = 0; f < xs[b].size(); ++f)
+                out.amp[f * lanes + b] = xs[b][f];
+    }
+    return out;
+}
+
+void
+FusedProgram::run(StateBatch &batch, const ResolvedBarriers &variational,
+                  const LaneBarriers &embedding, std::size_t first) const
+{
+    ELV_REQUIRE(batch.num_qubits() == num_qubits(),
+                "program/state qubit count mismatch");
+    ELV_REQUIRE(first + batch.lanes() <= embedding.lanes,
+                "batch lanes outside the resolved samples");
+    ELV_TRACE_SCOPE("sv.fused_run", "sim");
+    // One run per lane, as if each sample replayed on its own.
+    ELV_METRIC_COUNT_N("sim.sv.fused_runs", batch.lanes());
+    note_kernel_dispatch(batch.lanes());
+    const std::size_t lanes = embedding.lanes;
+    auto lane_planes = [&](const std::vector<double> &planes,
+                           std::size_t coefficients, std::size_t slot) {
+        ELV_REQUIRE((slot + 1) * coefficients * lanes <= planes.size(),
+                    "embedding slot " << slot << " not resolved");
+        return LanePlanes{planes.data() + slot * coefficients * lanes + first,
+                          lanes};
+    };
+    batch.reset();
+    for (const FusedOp &f : ops_) {
+        switch (f.kind) {
+          case FusedOp::Kind::One:
+            batch.apply_1q(f.m2, f.q0);
+            break;
+          case FusedOp::Kind::Two:
+            batch.apply_2q(f.m4, f.q0, f.q1);
+            break;
+          case FusedOp::Kind::Permutation:
+            batch.apply_gate(f.op.kind, f.m4, f.q0, f.q1);
+            break;
+          case FusedOp::Kind::Barrier: {
+            const circ::Op &op = f.op;
+            const auto slot = static_cast<std::size_t>(f.slot);
+            if (op.kind == circ::GateKind::AmpEmbed)
+                batch.set_amplitude_embedding(
+                    {embedding.amp.data() + first, lanes},
+                    embedding.features);
+            else if (op.role == circ::ParamRole::Embedding &&
+                     op.num_qubits() == 1)
+                batch.apply_gate(op.kind, lane_planes(embedding.one, 8, slot),
+                                 op.qubits[0]);
+            else if (op.role == circ::ParamRole::Embedding)
+                batch.apply_gate(op.kind, lane_planes(embedding.two, 32, slot),
+                                 op.qubits[0], op.qubits[1]);
+            else if (op.num_qubits() == 1)
+                batch.apply_gate(op.kind, variational.one.at(slot),
+                                 op.qubits[0]);
+            else
+                batch.apply_gate(op.kind, variational.two.at(slot),
+                                 op.qubits[0], op.qubits[1]);
+            break;
+          }
+        }
+    }
 }
 
 } // namespace elv::sim

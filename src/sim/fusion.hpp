@@ -13,8 +13,17 @@
  * while executing far fewer state-vector passes on Clifford-heavy
  * circuits (CNR replicas are all-fixed and fuse maximally).
  *
- * FusedProgram::run matches StateVector::run up to floating-point
- * reassociation within each fused group (~1e-15 per amplitude).
+ * A fixed CX, CZ or SWAP that nothing fused into stays a Permutation
+ * entry and replays as the permutation it is, exactly, through the
+ * same kernels StateVector::run uses for it. FusedProgram::run matches
+ * StateVector::run up to floating-point reassociation within each
+ * dense fused group (~1e-15 per amplitude), and exactly everywhere
+ * else.
+ *
+ * Both replays, run(StateVector) and run(StateBatch), apply the same
+ * entries through the same kernel choices, and a batch lane does the
+ * scalar tier's exact arithmetic: every lane of a batch run is
+ * bit-identical to the scalar run of its sample.
  *
  * Compile once per circuit and hold the program: a caller that runs one
  * circuit many times (training, gradients, evaluation, RepCap) compiles
@@ -29,6 +38,7 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "sim/state_batch.hpp"
 #include "sim/statevector.hpp"
 #include "sim/unitaries.hpp"
 
@@ -38,9 +48,11 @@ namespace elv::sim {
 struct FusedOp
 {
     enum class Kind {
-        One,     ///< dense Mat2 on q0 (one or more fused fixed gates)
-        Two,     ///< dense Mat4 on (q0, q1), basis |q0 q1>
-        Barrier, ///< parametric / amplitude-embedding IR op, kept as-is
+        One,         ///< dense Mat2 on q0 (one or more fused fixed gates)
+        Two,         ///< dense Mat4 on (q0, q1), basis |q0 q1>
+        Permutation, ///< a lone fixed CX/CZ/SWAP on (q0, q1); m4 is its
+                     ///< matrix, but it replays as a permutation
+        Barrier,     ///< parametric / amplitude-embedding IR op, kept as-is
     };
 
     Kind kind = Kind::Barrier;
@@ -48,7 +60,7 @@ struct FusedOp
     Mat4 m4{};
     int q0 = -1;
     int q1 = -1;
-    /** The original IR op (Barrier entries only). */
+    /** The original IR op (Barrier and Permutation entries only). */
     circ::Op op{};
     /**
      * Parametric barriers: index among the program's barriers of the
@@ -68,6 +80,23 @@ struct ResolvedBarriers
 {
     std::vector<Mat2> one;
     std::vector<Mat4> two;
+};
+
+/**
+ * The embedding barriers' matrices of many samples, lane-major for a
+ * StateBatch replay: lane b holds what resolve(Embedding, {}, xs[b])
+ * gives sample b. Coefficient k (Mat2/Mat4 memory order) of 1-qubit
+ * slot s for lane b is one[(8 s + k) lanes + b], of 2-qubit slot s
+ * two[(32 s + k) lanes + b]. If the program embeds amplitudes, feature
+ * f of lane b is amp[f lanes + b], zero-padded to `features`.
+ */
+struct LaneBarriers
+{
+    std::size_t lanes = 0;
+    std::vector<double> one;
+    std::vector<double> two;
+    std::vector<double> amp;
+    std::size_t features = 0;
 };
 
 /** A circuit compiled through the gate-fusion pass. */
@@ -105,6 +134,19 @@ class FusedProgram
     void run(StateVector &psi, const ResolvedBarriers &variational,
              const ResolvedBarriers &embedding,
              const std::vector<double> &x) const;
+
+    /** The embedding matrices (and inputs) of every sample in `xs`. */
+    LaneBarriers resolve_embedding(
+        const std::vector<std::vector<double>> &xs) const;
+
+    /**
+     * Batched run(): lane b of `batch` replays sample first + b of
+     * `embedding` with the shared `variational` matrices. Every lane
+     * is bit-identical to run(psi, variational, <that sample's
+     * ResolvedBarriers>, <its x>), under every kernel tier.
+     */
+    void run(StateBatch &batch, const ResolvedBarriers &variational,
+             const LaneBarriers &embedding, std::size_t first) const;
 
     const std::vector<FusedOp> &ops() const { return ops_; }
 

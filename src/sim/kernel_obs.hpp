@@ -10,23 +10,28 @@
  */
 #pragma once
 
+#include <cstdint>
+
 #include "obs/metrics.hpp"
 #include "sim/cpu_features.hpp"
 
 namespace elv::sim {
 
+/** Count `runs` simulator runs on the active tier (a batch counts one
+ *  per lane). */
 inline void
-note_kernel_dispatch()
+note_kernel_dispatch(std::uint64_t runs = 1)
 {
+    (void)runs;
     switch (active_tier()) {
       case KernelTier::Baseline:
-        ELV_METRIC_COUNT("sim.kernel_dispatch.baseline");
+        ELV_METRIC_COUNT_N("sim.kernel_dispatch.baseline", runs);
         break;
       case KernelTier::AVX2:
-        ELV_METRIC_COUNT("sim.kernel_dispatch.avx2");
+        ELV_METRIC_COUNT_N("sim.kernel_dispatch.avx2", runs);
         break;
       case KernelTier::AVX512:
-        ELV_METRIC_COUNT("sim.kernel_dispatch.avx512");
+        ELV_METRIC_COUNT_N("sim.kernel_dispatch.avx512", runs);
         break;
     }
 }

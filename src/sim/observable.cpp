@@ -33,14 +33,10 @@ DiagonalObservable::expectation(const std::vector<double> &probs) const
 void
 DiagonalObservable::apply_to(StateVector &psi) const
 {
+    const OutcomeIndex outcome(qubits_, psi.num_qubits());
     auto &amps = psi.amps();
-    for (std::size_t i = 0; i < amps.size(); ++i) {
-        std::size_t outcome = 0;
-        for (std::size_t b = 0; b < qubits_.size(); ++b)
-            if (i & (std::size_t{1} << qubits_[b]))
-                outcome |= std::size_t{1} << b;
-        amps[i] *= weights_[outcome];
-    }
+    for (std::size_t i = 0; i < amps.size(); ++i)
+        amps[i] *= weights_[outcome(i)];
 }
 
 DiagonalObservable

@@ -37,7 +37,11 @@ class DiagonalObservable
     /** Expectation given a precomputed outcome distribution. */
     double expectation(const std::vector<double> &outcome_probs) const;
 
-    /** psi <- O psi (entrywise reweighting of amplitudes). */
+    /**
+     * psi <- O psi (entrywise reweighting of amplitudes). Throws when a
+     * qubit is outside psi's register or repeated (see OutcomeIndex),
+     * as expectation(psi) does.
+     */
     void apply_to(StateVector &psi) const;
 
     /** Z on a single qubit (weights +1 / -1). */

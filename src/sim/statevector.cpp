@@ -12,6 +12,21 @@ namespace elv::sim {
 
 using vec::insert_zero_bit;
 
+OutcomeIndex::OutcomeIndex(const std::vector<int> &qubits, int num_qubits)
+{
+    ELV_REQUIRE(qubits.size() <= 20, "too many measured qubits");
+    masks_.reserve(qubits.size());
+    std::size_t seen = 0;
+    for (const int q : qubits) {
+        ELV_REQUIRE(q >= 0 && q < num_qubits,
+                    "measured qubit " << q << " out of range");
+        const std::size_t mask = std::size_t{1} << q;
+        ELV_REQUIRE(!(seen & mask), "measured qubit " << q << " repeated");
+        seen |= mask;
+        masks_.push_back(mask);
+    }
+}
+
 StateVector::StateVector(int num_qubits)
     : num_qubits_(num_qubits)
 {
@@ -135,29 +150,6 @@ StateVector::apply_op(const circ::Op &op, const std::vector<double> &params,
         set_amplitude_embedding(x);
         return;
     }
-    // Kernel-mix counters (the --metrics "which dispatch path ran"
-    // tally). Each site is a relaxed flag load when metrics are off and
-    // compiles away entirely under ELV_OBS_DISABLED, so the dispatch
-    // stays kernel-bound either way.
-    if (specialized_) {
-        // Permutation/phase gates: no matrix, no multiplies.
-        switch (op.kind) {
-          case circ::GateKind::CX:
-            ELV_METRIC_COUNT("sim.kernel.cx");
-            apply_cx(op.qubits[0], op.qubits[1]);
-            return;
-          case circ::GateKind::CZ:
-            ELV_METRIC_COUNT("sim.kernel.cz");
-            apply_cz(op.qubits[0], op.qubits[1]);
-            return;
-          case circ::GateKind::SWAP:
-            ELV_METRIC_COUNT("sim.kernel.swap");
-            apply_swap(op.qubits[0], op.qubits[1]);
-            return;
-          default:
-            break;
-        }
-    }
     const auto angles = circ::op_angles(op, params, x);
     if (op.num_qubits() == 1)
         apply_gate(op.kind, gate_matrix_1q(op.kind, angles), op.qubits[0]);
@@ -169,8 +161,12 @@ StateVector::apply_op(const circ::Op &op, const std::vector<double> &params,
 void
 StateVector::apply_gate(circ::GateKind kind, const Mat2 &u, int q)
 {
-    if (specialized_ && circ::gate_is_diagonal_1q(kind)) {
-        // The diagonal comes from the same matrix as the generic path,
+    // Kernel-mix counters (the --metrics "which dispatch path ran"
+    // tally). Each site is a relaxed flag load when metrics are off and
+    // compiles away entirely under ELV_OBS_DISABLED, so the dispatch
+    // stays kernel-bound either way.
+    if (circ::gate_is_diagonal_1q(kind)) {
+        // The diagonal comes from the same matrix as the dense path,
         // so the fast path can never drift from it.
         ELV_METRIC_COUNT("sim.kernel.diag1q");
         apply_diag_1q(u[0][0], u[1][1], q);
@@ -181,10 +177,25 @@ StateVector::apply_gate(circ::GateKind kind, const Mat2 &u, int q)
 }
 
 void
-StateVector::apply_gate(circ::GateKind, const Mat4 &u, int q0, int q1)
+StateVector::apply_gate(circ::GateKind kind, const Mat4 &u, int q0, int q1)
 {
-    // No 2-qubit matrix gate has a fast path: the permutation gates
-    // (CX/CZ/SWAP) take theirs in apply_op before any matrix exists.
+    // Permutation/phase gates: no matrix, no multiplies.
+    switch (kind) {
+      case circ::GateKind::CX:
+        ELV_METRIC_COUNT("sim.kernel.cx");
+        apply_cx(q0, q1);
+        return;
+      case circ::GateKind::CZ:
+        ELV_METRIC_COUNT("sim.kernel.cz");
+        apply_cz(q0, q1);
+        return;
+      case circ::GateKind::SWAP:
+        ELV_METRIC_COUNT("sim.kernel.swap");
+        apply_swap(q0, q1);
+        return;
+      default:
+        break;
+    }
     ELV_METRIC_COUNT("sim.kernel.dense2q");
     apply_2q(u, q0, q1);
 }
@@ -264,19 +275,15 @@ StateVector::overlap(const StateVector &other) const
 std::vector<double>
 StateVector::probabilities(const std::vector<int> &qubits) const
 {
-    ELV_REQUIRE(qubits.size() <= 20, "too many measured qubits");
-    std::vector<double> probs(std::size_t{1} << qubits.size(), 0.0);
+    const OutcomeIndex outcome(qubits, num_qubits_);
+    std::vector<double> probs(outcome.outcomes(), 0.0);
     for (std::size_t i = 0; i < amps_.size(); ++i) {
         const double re = amps_[i].real();
         const double im = amps_[i].imag();
         const double p = re * re + im * im;
         if (p == 0.0)
             continue;
-        std::size_t outcome = 0;
-        for (std::size_t b = 0; b < qubits.size(); ++b)
-            if (i & (std::size_t{1} << qubits[b]))
-                outcome |= std::size_t{1} << b;
-        probs[outcome] += p;
+        probs[outcome(i)] += p;
     }
     return probs;
 }

@@ -26,6 +26,35 @@ namespace elv::sim {
 /** Aligned amplitude storage (64-byte base for the vector kernels). */
 using AmpVector = std::vector<Amp, AlignedAllocator<Amp>>;
 
+/**
+ * Outcome indexing over an ordered list of measured qubits: bit b of a
+ * basis state's outcome is its bit qubits[b]. Every probabilities()
+ * and DiagonalObservable builds its outcome indices through this, so
+ * the operand checks live here: construction rejects a qubit outside
+ * [0, num_qubits), a repeated qubit, and more than 20 qubits.
+ */
+class OutcomeIndex
+{
+  public:
+    OutcomeIndex(const std::vector<int> &qubits, int num_qubits);
+
+    /** Number of outcomes, 2^qubits. */
+    std::size_t outcomes() const { return std::size_t{1} << masks_.size(); }
+
+    /** Outcome of basis state `index`. */
+    std::size_t operator()(std::size_t index) const
+    {
+        std::size_t outcome = 0;
+        for (std::size_t b = 0; b < masks_.size(); ++b)
+            if (index & masks_[b])
+                outcome |= std::size_t{1} << b;
+        return outcome;
+    }
+
+  private:
+    std::vector<std::size_t> masks_;
+};
+
 /** A pure quantum state over a fixed qubit register. */
 class StateVector
 {
@@ -60,11 +89,11 @@ class StateVector
 
     /** @name Specialized gate kernels @{
      *
-     * Permutation/phase/diagonal fast paths used by apply_op in place
-     * of the generic dense kernels: CX/CZ/SWAP touch no matrix at all
-     * and diagonal 1-qubit gates (RZ/S/Sdg/Z) cost two multiplies per
-     * amplitude pair. All match the generic matmul path bit-for-bit on
-     * finite states.
+     * Permutation/phase/diagonal fast paths apply_gate takes in place
+     * of the dense kernels: CX/CZ/SWAP touch no matrix at all and
+     * diagonal 1-qubit gates (RZ/S/Sdg/Z) cost two multiplies per
+     * amplitude pair. On finite states they match the dense matmul
+     * path except, at most, in the sign of an exact zero.
      */
 
     /** CX with control `control`, target `target`. */
@@ -79,13 +108,6 @@ class StateVector
     /** Diagonal 1-qubit gate diag(d0, d1) on qubit q. */
     void apply_diag_1q(Amp d0, Amp d1, int q);
 
-    /**
-     * Route apply_op through the specialized kernels (default on).
-     * Off = always use the generic dense matmul kernels; kept for the
-     * kernel-equivalence tests and the bench comparison.
-     */
-    void use_specialized_kernels(bool on) { specialized_ = on; }
-
     /** @} */
 
     /** Apply one IR operation with resolved parameters. */
@@ -93,11 +115,12 @@ class StateVector
                   const std::vector<double> &x);
 
     /**
-     * Apply an already-resolved gate matrix of kind `kind` through the
-     * kernel choice apply_op makes (the diagonal fast path for
-     * diagonal 1-qubit kinds, else the dense kernels). apply_op routes
-     * every matrix gate through these, so a caller that resolves
-     * matrices ahead of time runs the exact same kernels.
+     * Apply an already-resolved gate matrix of kind `kind`. This is the
+     * one place the kernel choice is made: the diagonal fast path for
+     * diagonal 1-qubit kinds, the permutation kernels for CX/CZ/SWAP
+     * (which never read `u`), else the dense kernels. apply_op and the
+     * fused replays route every gate through these, so a caller that
+     * resolves matrices ahead of time runs the exact same kernels.
      */
     void apply_gate(circ::GateKind kind, const Mat2 &u, int q);
     void apply_gate(circ::GateKind kind, const Mat4 &u, int q0, int q1);
@@ -128,7 +151,8 @@ class StateVector
 
     /**
      * Marginal outcome distribution over `qubits`: entry k is the
-     * probability that qubits[i] reads bit i of k (LSB first).
+     * probability that qubits[i] reads bit i of k (LSB first). Throws
+     * on an out-of-range or repeated qubit (see OutcomeIndex).
      */
     std::vector<double> probabilities(const std::vector<int> &qubits) const;
 
@@ -150,7 +174,6 @@ class StateVector
   private:
     int num_qubits_;
     AmpVector amps_;
-    bool specialized_ = true;
 };
 
 } // namespace elv::sim

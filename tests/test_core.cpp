@@ -22,9 +22,14 @@
 #include "core/cnr.hpp"
 #include "core/repcap.hpp"
 #include "core/search.hpp"
+#include "common/validate.hpp"
+#include "lint/dataflow.hpp"
 #include "noise/noise_model.hpp"
 #include "qml/synthetic.hpp"
 #include "qml/trainer.hpp"
+#include "sim/cpu_features.hpp"
+#include "sim/fusion.hpp"
+#include "sim/statevector.hpp"
 
 namespace {
 
@@ -559,6 +564,189 @@ TEST(PinnedScores, Mnist10OnGuadalupe)
 {
     expect_pinned(cli_search("mnist-10", "ibm_guadalupe", 8, 0.02),
                   kMnist10Guadalupe);
+}
+
+/**
+ * The per-state RepCap loop, a test oracle: every sample replayed on
+ * its own StateVector, then rotated and measured one state at a time.
+ * representational_capacity replays lane batches and must match it
+ * bit for bit, consuming the same RNG stream.
+ */
+RepCapResult
+repcap_oracle(const Circuit &circuit, const qml::Dataset &data, Rng &rng,
+              const RepCapOptions &options)
+{
+    Circuit pruned = circuit;
+    if (options.prune_dead_structure)
+        pruned = lint::prune_to_lightcone(circuit, nullptr);
+    std::vector<int> kept;
+    const Circuit local = pruned.compacted(kept);
+    const auto &measured = local.measured();
+    const auto chosen =
+        qml::sample_per_class(data, options.samples_per_class, rng);
+    const std::size_t d = chosen.size();
+    std::vector<double> r_c(d * d, 0.0);
+    RepCapResult result;
+    const sim::FusedProgram program = sim::FusedProgram::compile(local);
+    std::vector<sim::ResolvedBarriers> embedded;
+    for (std::size_t s = 0; s < d; ++s)
+        embedded.push_back(program.resolve(ParamRole::Embedding, {},
+                                           data.samples[chosen[s]]));
+    std::vector<sim::StateVector> states(
+        d, sim::StateVector(local.num_qubits()));
+    sim::StateVector rotated(local.num_qubits());
+    const std::size_t outcomes = std::size_t{1} << measured.size();
+    std::vector<double> dists(outcomes * d);
+    std::vector<double> abs_sum(d);
+    for (int t = 0; t < options.param_inits; ++t) {
+        std::vector<double> params(
+            static_cast<std::size_t>(local.num_params()));
+        for (auto &p : params)
+            p = rng.uniform(-M_PI, M_PI);
+        const sim::ResolvedBarriers variational =
+            program.resolve(ParamRole::Variational, params, {});
+        for (std::size_t s = 0; s < d; ++s) {
+            program.run(states[s], variational, embedded[s],
+                        data.samples[chosen[s]]);
+            ++result.circuit_executions;
+        }
+        for (int k = 0; k < options.num_bases; ++k) {
+            std::vector<sim::Mat2> basis;
+            for (std::size_t m = 0; m < measured.size(); ++m) {
+                const std::array<double, 3> angles = {
+                    rng.uniform(0.0, M_PI), rng.uniform(0.0, 2.0 * M_PI),
+                    rng.uniform(0.0, 2.0 * M_PI)};
+                basis.push_back(sim::gate_matrix_1q(GateKind::U3, angles));
+            }
+            for (std::size_t s = 0; s < d; ++s) {
+                rotated.amps() = states[s].amps();
+                for (std::size_t m = 0; m < measured.size(); ++m)
+                    rotated.apply_1q(basis[m], measured[m]);
+                auto probs = rotated.probabilities(measured);
+                validate_distribution(probs, DistributionPolicy::Renormalize,
+                                      "RepCap randomized measurement");
+                for (std::size_t o = 0; o < outcomes; ++o)
+                    dists[o * d + s] = probs[o];
+            }
+            for (std::size_t i = 0; i < d; ++i) {
+                r_c[i * d + i] += 1.0;
+                std::fill(abs_sum.begin() + static_cast<std::ptrdiff_t>(i),
+                          abs_sum.end(), 0.0);
+                for (std::size_t o = 0; o < outcomes; ++o) {
+                    const double *row = dists.data() + o * d;
+                    for (std::size_t j = i + 1; j < d; ++j)
+                        abs_sum[j] += std::abs(row[i] - row[j]);
+                }
+                for (std::size_t j = i + 1; j < d; ++j) {
+                    const double sim_ij = 1.0 - 0.5 * abs_sum[j];
+                    r_c[i * d + j] += sim_ij;
+                    r_c[j * d + i] += sim_ij;
+                }
+            }
+        }
+    }
+    const double norm = 1.0 / (static_cast<double>(options.param_inits) *
+                               static_cast<double>(options.num_bases));
+    double frob2 = 0.0;
+    for (std::size_t i = 0; i < d; ++i)
+        for (std::size_t j = 0; j < d; ++j) {
+            const double ref =
+                data.labels[chosen[i]] == data.labels[chosen[j]] ? 1.0
+                                                                 : 0.0;
+            const double diff = r_c[i * d + j] * norm - ref;
+            frob2 += diff * diff;
+        }
+    result.repcap = 1.0 - frob2 / static_cast<double>(d * d);
+    return result;
+}
+
+/** representational_capacity against the oracle from one seed. */
+void
+expect_matches_oracle(const Circuit &c, const qml::Dataset &data,
+                      std::uint64_t seed, const RepCapOptions &options,
+                      const std::string &what)
+{
+    Rng r1(seed), r2(seed);
+    const RepCapResult got = representational_capacity(c, data, r1, options);
+    const RepCapResult want = repcap_oracle(c, data, r2, options);
+    EXPECT_EQ(double_to_hex(got.repcap), double_to_hex(want.repcap)) << what;
+    EXPECT_EQ(got.circuit_executions, want.circuit_executions) << what;
+    EXPECT_EQ(r1.next_u64(), r2.next_u64()) << what << ": RNG streams differ";
+}
+
+/** The CLI's candidate shape for a benchmark. */
+CandidateConfig
+pool_config(const qml::Benchmark &bench)
+{
+    CandidateConfig config;
+    config.num_qubits = bench.spec.qubits;
+    config.num_params = bench.spec.params;
+    config.num_embeds = std::min(
+        bench.spec.params, std::max(bench.spec.dim, bench.spec.params / 4));
+    config.num_meas = bench.spec.meas;
+    config.num_features = bench.spec.dim;
+    return config;
+}
+
+TEST(RepCap, BatchedMatchesPerStateOracleOnMnistPools)
+{
+    const std::pair<const char *, const char *> cells[] = {
+        {"mnist-4", "ibm_perth"}, {"mnist-10", "ibm_guadalupe"}};
+    for (const auto &[benchmark, device_name] : cells) {
+        const qml::Benchmark bench = qml::make_benchmark(benchmark, 7, 0.05);
+        const dev::Device device = dev::make_device(device_name);
+        const CandidateConfig config = pool_config(bench);
+        RepCapOptions options;
+        options.param_inits = 3;
+        Rng pool(11);
+        for (int n = 0; n < 6; ++n) {
+            const Circuit c = generate_candidate(device, config, pool);
+            for (const bool prune : {false, true}) {
+                options.prune_dead_structure = prune;
+                expect_matches_oracle(c, bench.train, 300 + n, options,
+                                      std::string(benchmark) + " cand " +
+                                          std::to_string(n) + " prune " +
+                                          std::to_string(prune));
+            }
+        }
+    }
+}
+
+TEST(RepCap, BatchedMatchesPerStateOracleOnAmplitudeEmbedding)
+{
+    const qml::Benchmark bench = qml::make_benchmark("mnist-4", 7, 0.05);
+    Circuit c(4);
+    c.add_amplitude_embedding();
+    for (int layer = 0; layer < 2; ++layer) {
+        for (int q = 0; q < 4; ++q)
+            c.add_variational(layer ? GateKind::RZ : GateKind::RY, {q});
+        for (int q = 0; q + 1 < 4; ++q)
+            c.add_gate(GateKind::CX, {q, q + 1});
+    }
+    c.set_measured({0, 2});
+    RepCapOptions options;
+    options.param_inits = 3;
+    expect_matches_oracle(c, bench.train, 5, options, "amplitude");
+}
+
+TEST(RepCap, BatchedMatchesPerStateOracleWhenLanesDoNotDivide)
+{
+    // d = 4 x 9 = 36 samples: one full batch of lanes plus a 4-lane
+    // one, under every kernel tier.
+    const qml::Benchmark bench = qml::make_benchmark("mnist-4", 7, 0.05);
+    const dev::Device device = dev::make_device("ibm_perth");
+    Rng pool(13);
+    const Circuit c =
+        generate_candidate(device, pool_config(bench), pool);
+    RepCapOptions options;
+    options.samples_per_class = 9;
+    options.param_inits = 3;
+    for (int t = 0; t <= static_cast<int>(sim::best_supported_tier()); ++t) {
+        sim::set_forced_tier(static_cast<sim::KernelTier>(t));
+        expect_matches_oracle(c, bench.train, 77, options,
+                              "tier " + std::to_string(t));
+    }
+    sim::clear_forced_tier();
 }
 
 } // namespace

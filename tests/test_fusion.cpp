@@ -2,8 +2,9 @@
  * @file
  * Fused execution engine: gate fusion equivalence, superoperator
  * channel kernels vs the Kraus reference, compiled noisy programs vs
- * the per-gate channel loop, and the batched-training determinism
- * contract (bit-identical results for every thread count).
+ * the per-gate channel loop, lane-batched replay vs the scalar replay
+ * (memcmp-equal under every kernel tier), and the batched-training
+ * determinism contract (bit-identical results for every thread count).
  */
 #include <gtest/gtest.h>
 
@@ -27,19 +28,22 @@
 #include "noise/superop.hpp"
 #include "qml/synthetic.hpp"
 #include "qml/trainer.hpp"
+#include "sim/cpu_features.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/fusion.hpp"
+#include "sim/state_batch.hpp"
 #include "sim/statevector.hpp"
+#include "sim/vec_batch.hpp"
 
 namespace {
 
 using namespace elv;
 
-/** Random mix of fixed, variational and embedding gates. */
-circ::Circuit
-random_circuit(int qubits, int ops, elv::Rng &rng, int features = 3)
+/** Append a random mix of fixed, variational and embedding gates. */
+void
+add_random_ops(circ::Circuit &c, int ops, elv::Rng &rng, int features)
 {
-    circ::Circuit c(qubits);
+    const int qubits = c.num_qubits();
     const circ::GateKind fixed1[] = {
         circ::GateKind::H, circ::GateKind::S,   circ::GateKind::Sdg,
         circ::GateKind::X, circ::GateKind::Y,   circ::GateKind::Z,
@@ -75,9 +79,23 @@ random_circuit(int qubits, int ops, elv::Rng &rng, int features = 3)
             break;
         }
     }
+}
+
+/** Random mix of fixed, variational and embedding gates. */
+circ::Circuit
+random_circuit(int qubits, int ops, elv::Rng &rng, int features = 3)
+{
+    circ::Circuit c(qubits);
+    add_random_ops(c, ops, rng, features);
     c.set_measured({0});
     return c;
 }
+
+/** Restores the CPU-detected kernel tier when a test ends. */
+struct TierGuard
+{
+    ~TierGuard() { sim::clear_forced_tier(); }
+};
 
 std::vector<double>
 random_values(std::size_t count, elv::Rng &rng)
@@ -629,49 +647,304 @@ TEST(SuperopTable, SharedSimulatorIsThreadSafe)
         EXPECT_EQ(values, serial);
 }
 
+/**
+ * The generic dense path over a fused program, a test oracle: every
+ * entry as its full matrix through the dense kernels, with no
+ * permutation or diagonal fast path.
+ */
+void
+replay_dense(const sim::FusedProgram &program, sim::StateVector &psi,
+             const std::vector<double> &params,
+             const std::vector<double> &x)
+{
+    psi.reset();
+    for (const sim::FusedOp &f : program.ops()) {
+        if (f.kind == sim::FusedOp::Kind::One) {
+            psi.apply_1q(f.m2, f.q0);
+        } else if (f.kind != sim::FusedOp::Kind::Barrier) {
+            psi.apply_2q(f.m4, f.q0, f.q1);
+        } else if (f.op.kind == circ::GateKind::AmpEmbed) {
+            psi.set_amplitude_embedding(x);
+        } else {
+            const auto angles = circ::op_angles(f.op, params, x);
+            if (f.op.num_qubits() == 1)
+                psi.apply_1q(sim::gate_matrix_1q(f.op.kind, angles),
+                             f.op.qubits[0]);
+            else
+                psi.apply_2q(sim::gate_matrix_2q(f.op.kind, angles),
+                             f.op.qubits[0], f.op.qubits[1]);
+        }
+    }
+}
+
+/** Equal amplitudes, except that a zero's sign may differ. */
+bool
+same_values(const sim::StateVector &a, const sim::StateVector &b)
+{
+    for (std::size_t i = 0; i < a.dim(); ++i)
+        if (a.amp(i).real() != b.amp(i).real() ||
+            a.amp(i).imag() != b.amp(i).imag())
+            return false;
+    return a.dim() == b.dim();
+}
+
 TEST(Fusion, ResolvedBarriersReplayBitIdentically)
 {
     // RepCap's path: barrier matrices resolved once per binding, then
     // replayed, must give the state FusedProgram::run gives — for U3,
-    // CRY, product and amplitude embeddings, with and without the
-    // specialized kernels.
+    // CRY, product and amplitude embeddings. Against the dense oracle
+    // (no permutation or diagonal kernel) only a zero's sign may
+    // differ.
     elv::Rng rng(59);
-    for (const bool specialized : {true, false}) {
-        for (int trial = 0; trial < 10; ++trial) {
-            const int qubits = 3 + static_cast<int>(rng.uniform_index(3));
-            circ::Circuit c = random_circuit(qubits, 30, rng, 4);
-            for (int q = 0; q + 1 < qubits; ++q) {
-                c.add_variational(circ::GateKind::CRY, {q + 1, q});
-                c.add_embedding(circ::GateKind::RZ, {q}, q % 4,
-                                (q + 1) % 4);
-                c.add_embedding(circ::GateKind::CRY, {q, q + 1}, 3);
-                c.add_gate(circ::GateKind::CX, {q, q + 1});
-            }
-            if (trial % 3 == 0) {
-                circ::Circuit amp(qubits);
-                amp.add_amplitude_embedding();
-                for (const circ::Op &op : c.ops())
-                    amp.append_op(op);
-                c = amp;
-            }
-            const auto params = random_values(
-                static_cast<std::size_t>(c.num_params()), rng);
-            const auto x = random_values(4, rng);
+    for (int trial = 0; trial < 20; ++trial) {
+        const int qubits = 3 + static_cast<int>(rng.uniform_index(3));
+        circ::Circuit c = random_circuit(qubits, 30, rng, 4);
+        for (int q = 0; q + 1 < qubits; ++q) {
+            c.add_variational(circ::GateKind::CRY, {q + 1, q});
+            c.add_embedding(circ::GateKind::RZ, {q}, q % 4, (q + 1) % 4);
+            c.add_embedding(circ::GateKind::CRY, {q, q + 1}, 3);
+            c.add_gate(circ::GateKind::CX, {q, q + 1});
+        }
+        if (trial % 3 == 0) {
+            circ::Circuit amp(qubits);
+            amp.add_amplitude_embedding();
+            for (const circ::Op &op : c.ops())
+                amp.append_op(op);
+            c = amp;
+        }
+        const auto params = random_values(
+            static_cast<std::size_t>(c.num_params()), rng);
+        const auto x = random_values(4, rng);
 
-            const sim::FusedProgram program = sim::FusedProgram::compile(c);
-            sim::StateVector want(qubits), got(qubits);
-            want.use_specialized_kernels(specialized);
-            got.use_specialized_kernels(specialized);
-            program.run(want, params, x);
-            program.run(got,
-                        program.resolve(circ::ParamRole::Variational,
-                                        params, {}),
-                        program.resolve(circ::ParamRole::Embedding, {}, x),
-                        x);
-            EXPECT_TRUE(same_bits(want, got))
-                << "trial " << trial << " specialized " << specialized;
+        const sim::FusedProgram program = sim::FusedProgram::compile(c);
+        sim::StateVector want(qubits), got(qubits), dense(qubits);
+        program.run(want, params, x);
+        program.run(got,
+                    program.resolve(circ::ParamRole::Variational, params,
+                                    {}),
+                    program.resolve(circ::ParamRole::Embedding, {}, x), x);
+        replay_dense(program, dense, params, x);
+        EXPECT_TRUE(same_bits(want, got)) << "trial " << trial;
+        EXPECT_TRUE(same_values(want, dense)) << "trial " << trial;
+    }
+}
+
+TEST(Fusion, LonePermutationGatesStayPermutations)
+{
+    // A fixed CX/CZ/SWAP nothing fuses into is a Permutation entry; one
+    // that absorbs a neighbour, or is composed with a later gate on the
+    // same pair, stays a dense Two entry.
+    circ::Circuit c(3);
+    c.add_variational(circ::GateKind::RY, {0});
+    c.add_gate(circ::GateKind::CX, {1, 0});
+    c.add_variational(circ::GateKind::RY, {1});
+    c.add_gate(circ::GateKind::CZ, {0, 2});
+    c.add_variational(circ::GateKind::RY, {0});
+    c.add_gate(circ::GateKind::H, {1});
+    c.add_gate(circ::GateKind::SWAP, {1, 2}); // absorbs the H
+    c.add_variational(circ::GateKind::RY, {2});
+    c.add_gate(circ::GateKind::CX, {0, 1});
+    c.add_gate(circ::GateKind::CX, {0, 1}); // composes with the last
+    c.set_measured({0});
+
+    const sim::FusedProgram p = sim::FusedProgram::compile(c);
+    std::vector<circ::GateKind> perms;
+    std::size_t dense = 0;
+    for (const sim::FusedOp &f : p.ops()) {
+        if (f.kind == sim::FusedOp::Kind::Permutation) {
+            perms.push_back(f.op.kind);
+            EXPECT_EQ(f.q0, f.op.qubits[0]);
+            EXPECT_EQ(f.q1, f.op.qubits[1]);
+        }
+        dense += f.kind == sim::FusedOp::Kind::Two;
+    }
+    EXPECT_EQ(perms, (std::vector<circ::GateKind>{circ::GateKind::CX,
+                                                  circ::GateKind::CZ}));
+    EXPECT_EQ(dense, 2u);
+}
+
+/** Per-lane inputs for the batch tests. */
+std::vector<std::vector<double>>
+lane_inputs(std::size_t lanes, std::size_t features, elv::Rng &rng)
+{
+    std::vector<std::vector<double>> xs;
+    for (std::size_t b = 0; b < lanes; ++b)
+        xs.push_back(random_values(features, rng));
+    return xs;
+}
+
+/**
+ * A random circuit plus every construct the batch replay has its own
+ * path for: lone CX/CZ/SWAP in both operand orders on qubits 0 and 1,
+ * diagonal and dense 1-qubit barriers of both roles, variational and
+ * embedding CRY, and (optionally) a leading amplitude embedding.
+ */
+circ::Circuit
+batch_gauntlet_circuit(int qubits, bool amplitude, elv::Rng &rng)
+{
+    circ::Circuit c(qubits);
+    if (amplitude)
+        c.add_amplitude_embedding();
+    add_random_ops(c, 24, rng, 4);
+    const std::pair<int, int> pairs[] = {
+        {0, 1}, {1, 0}, {0, qubits - 1}, {qubits - 1, 1}};
+    for (const circ::GateKind kind :
+         {circ::GateKind::CX, circ::GateKind::CZ, circ::GateKind::SWAP}) {
+        for (const auto &[a, b] : pairs) {
+            // Barriers on both operands keep the gate lone.
+            c.add_variational(circ::GateKind::RZ, {a});
+            c.add_embedding(circ::GateKind::RX, {b}, a % 4);
+            c.add_gate(kind, {a, b});
+            c.add_embedding(circ::GateKind::RZ, {a}, b % 4);
+            c.add_variational(circ::GateKind::U3, {b});
         }
     }
+    for (int q = 0; q + 1 < qubits; ++q) {
+        c.add_variational(circ::GateKind::CRY, {q + 1, q});
+        c.add_embedding(circ::GateKind::CRY, {q, q + 1}, q % 4);
+        c.add_gate(circ::GateKind::H, {q});
+        c.add_gate(circ::GateKind::CZ, {q, q + 1}); // absorbs the H
+    }
+    c.set_measured({0, qubits - 1});
+    return c;
+}
+
+TEST(StateBatch, LanesMatchScalarReplayUnderEveryTier)
+{
+    TierGuard guard;
+    const int best = static_cast<int>(sim::best_supported_tier());
+    elv::Rng rng(83);
+    for (int trial = 0; trial < 8; ++trial) {
+        const int qubits = 3 + trial % 4;
+        const circ::Circuit c =
+            batch_gauntlet_circuit(qubits, trial % 4 == 1, rng);
+        const sim::FusedProgram program = sim::FusedProgram::compile(c);
+        std::size_t perms = 0;
+        for (const sim::FusedOp &f : program.ops())
+            perms += f.kind == sim::FusedOp::Kind::Permutation;
+        ASSERT_GE(perms, 12u);
+        const auto params = random_values(
+            static_cast<std::size_t>(c.num_params()), rng);
+        const auto variational =
+            program.resolve(circ::ParamRole::Variational, params, {});
+
+        for (const std::size_t lanes : {1u, 7u, 9u, 33u}) {
+            const auto xs = lane_inputs(lanes + 3, 4, rng);
+            const sim::LaneBarriers embedded =
+                program.resolve_embedding(xs);
+            // Scalar reference of each lane, on the baseline tier.
+            sim::set_forced_tier(sim::KernelTier::Baseline);
+            std::vector<sim::StateVector> want;
+            for (std::size_t b = 0; b < lanes; ++b) {
+                want.emplace_back(qubits);
+                program.run(want.back(), params, xs[3 + b]);
+            }
+            for (int t = 0; t <= best; ++t) {
+                sim::set_forced_tier(static_cast<sim::KernelTier>(t));
+                sim::StateBatch batch(qubits, lanes);
+                program.run(batch, variational, embedded, 3);
+                for (std::size_t b = 0; b < lanes; ++b)
+                    EXPECT_TRUE(same_bits(want[b], batch.lane(b)))
+                        << "trial " << trial << " lanes " << lanes
+                        << " tier " << t << " lane " << b;
+            }
+        }
+    }
+}
+
+TEST(StateBatch, ProbabilitiesMatchScalarPerLaneUnderEveryTier)
+{
+    TierGuard guard;
+    elv::Rng rng(89);
+    const int qubits = 5;
+    const circ::Circuit c = batch_gauntlet_circuit(qubits, false, rng);
+    const sim::FusedProgram program = sim::FusedProgram::compile(c);
+    const auto params =
+        random_values(static_cast<std::size_t>(c.num_params()), rng);
+    const std::size_t lanes = 13;
+    const auto xs = lane_inputs(lanes, 4, rng);
+    const std::vector<int> measured = {3, 0, 4};
+    const std::size_t outcomes = 8;
+    for (int t = 0; t <= static_cast<int>(sim::best_supported_tier()); ++t) {
+        sim::set_forced_tier(static_cast<sim::KernelTier>(t));
+        sim::StateBatch batch(qubits, lanes);
+        program.run(batch,
+                    program.resolve(circ::ParamRole::Variational, params, {}),
+                    program.resolve_embedding(xs), 0);
+        // Outcome-major with a row stride wider than the batch.
+        std::vector<double> dists(outcomes * (lanes + 2), -1.0);
+        batch.probabilities(measured, dists.data() + 1, lanes + 2);
+        for (std::size_t b = 0; b < lanes; ++b) {
+            const auto want = batch.lane(b).probabilities(measured);
+            for (std::size_t o = 0; o < outcomes; ++o) {
+                const double got = dists[o * (lanes + 2) + 1 + b];
+                EXPECT_EQ(std::memcmp(&got, &want[o], sizeof got), 0)
+                    << "tier " << t << " lane " << b << " outcome " << o;
+            }
+        }
+        for (std::size_t o = 0; o < outcomes; ++o) {
+            EXPECT_EQ(dists[o * (lanes + 2)], -1.0);
+            EXPECT_EQ(dists[o * (lanes + 2) + lanes + 1], -1.0);
+        }
+    }
+}
+
+TEST(StateBatch, PairSumsMatchScalarUnderEveryTier)
+{
+    // RepCap's TVD pair loop: acc[j] sums |P_i(o) - P_j(o)| over the
+    // outcomes in order for every later state j. A final RepCap value
+    // can absorb a last-bit change in one pair, so every tier is held
+    // to the plain per-pair loop here, bit for bit.
+    TierGuard guard;
+    elv::Rng rng(97);
+    const std::size_t outcomes = 16;
+    for (const std::size_t d : {2u, 7u, 9u, 33u, 160u}) {
+        std::vector<double> dists(outcomes * d);
+        for (auto &p : dists)
+            p = rng.uniform(0.0, 0.2);
+        for (int t = 0; t <= static_cast<int>(sim::best_supported_tier());
+             ++t) {
+            sim::set_forced_tier(static_cast<sim::KernelTier>(t));
+            for (std::size_t i = 0; i < d; ++i) {
+                std::vector<double> got(d, -1.0);
+                sim::vec::dispatch<sim::vec::AbsDiffRows>(
+                    dists.data(), outcomes, d, i, got.data());
+                for (std::size_t j = 0; j < d; ++j) {
+                    double want = -1.0;
+                    if (j > i) {
+                        want = 0.0;
+                        for (std::size_t o = 0; o < outcomes; ++o)
+                            want += std::abs(dists[o * d + i] -
+                                             dists[o * d + j]);
+                    }
+                    EXPECT_EQ(std::memcmp(&got[j], &want, sizeof want), 0)
+                        << "d " << d << " tier " << t << " pair " << i
+                        << ", " << j;
+                }
+            }
+        }
+    }
+}
+
+TEST(StateBatch, OperandChecksMatchStateVector)
+{
+    sim::StateBatch batch(3, 4);
+    const sim::Mat2 h = sim::gate_matrix_1q(circ::GateKind::H, {});
+    const sim::Mat4 cx = sim::gate_matrix_2q(circ::GateKind::CX, {});
+    EXPECT_THROW(batch.apply_1q(h, 3), elv::InternalError);
+    EXPECT_THROW(batch.apply_gate(circ::GateKind::RZ, h, -1),
+                 elv::InternalError);
+    EXPECT_THROW(batch.apply_2q(cx, 1, 1), elv::InternalError);
+    EXPECT_THROW(batch.apply_gate(circ::GateKind::CX, cx, 0, 3),
+                 elv::InternalError);
+    EXPECT_THROW(batch.apply_swap(2, 2), elv::InternalError);
+    const std::vector<double> x(9, 0.5);
+    EXPECT_THROW(batch.set_amplitude_embedding({x.data(), 1}, 9),
+                 elv::InternalError);
+    std::vector<double> out(8 * 4);
+    EXPECT_THROW(batch.probabilities({0, 3}, out.data(), 4),
+                 elv::InternalError);
+    EXPECT_THROW(sim::StateBatch(3, 0), elv::InternalError);
 }
 
 /** A small trainable circuit on the moons features. */

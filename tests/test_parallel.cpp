@@ -363,17 +363,37 @@ TEST(Kernels, DirectKernelsMatchGenericMatmulOnRandomStates)
     }
 }
 
+/**
+ * The generic dense path, a test oracle: every op as its full matrix
+ * through the dense kernels, no permutation or diagonal fast path.
+ */
+template <typename State>
+void
+run_dense(State &state, const circ::Circuit &c,
+          const std::vector<double> &params)
+{
+    state.reset();
+    for (const circ::Op &op : c.ops()) {
+        const auto angles = circ::op_angles(op, params, {});
+        if (op.num_qubits() == 1)
+            state.apply_1q(sim::gate_matrix_1q(op.kind, angles),
+                           op.qubits[0]);
+        else
+            state.apply_2q(sim::gate_matrix_2q(op.kind, angles),
+                           op.qubits[0], op.qubits[1]);
+    }
+}
+
 TEST(Kernels, StateVectorDispatchMatchesGenericForEveryGate)
 {
     const circ::Circuit c = every_gate_circuit();
     const std::vector<double> params = circuit_params(c, 5);
 
     sim::StateVector fast(c.num_qubits());
-    fast.run(c, params); // specialized kernels (default)
+    fast.run(c, params); // specialized kernels
 
     sim::StateVector generic(c.num_qubits());
-    generic.use_specialized_kernels(false);
-    generic.run(c, params);
+    run_dense(generic, c, params);
 
     EXPECT_LE(max_amp_diff(generic, fast), 1e-12);
     EXPECT_NEAR(fast.norm(), 1.0, 1e-12);
@@ -389,8 +409,7 @@ TEST(Kernels, DensityMatrixDispatchMatchesGenericForEveryGate)
     fast.run(c, params);
 
     sim::DensityMatrix generic(c.num_qubits());
-    generic.use_specialized_kernels(false);
-    generic.run(c, params);
+    run_dense(generic, c, params);
 
     double worst = 0.0;
     for (std::size_t r = 0; r < dim; ++r)

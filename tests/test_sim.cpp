@@ -15,6 +15,7 @@
 #include "circuit/builders.hpp"
 #include "circuit/clifford_replica.hpp"
 #include "common/aligned.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
 #include "sim/cpu_features.hpp"
@@ -207,6 +208,29 @@ TEST(Observable, PauliZAndGroups)
     // State |q1 q0> = |10> -> outcome 2 -> group 0.
     EXPECT_DOUBLE_EQ(projs[0].expectation(psi), 1.0);
     EXPECT_DOUBLE_EQ(projs[1].expectation(psi), 0.0);
+}
+
+TEST(Observable, MeasuredQubitsAreRangeAndRepeatChecked)
+{
+    // Every outcome index goes through OutcomeIndex: a qubit outside
+    // the register or listed twice is an error, never a silent
+    // outcome (or an undefined shift for 64 and up).
+    StateVector psi(3);
+    DensityMatrix rho(3);
+    for (const std::vector<int> &bad :
+         {std::vector<int>{3}, std::vector<int>{0, 0}, std::vector<int>{64},
+          std::vector<int>{-1}, std::vector<int>{2, 1, 2}}) {
+        EXPECT_THROW(psi.probabilities(bad), InternalError) << bad[0];
+        EXPECT_THROW(rho.probabilities(bad), InternalError) << bad[0];
+        const DiagonalObservable obs(
+            bad, std::vector<double>(std::size_t{1} << bad.size(), 1.0));
+        EXPECT_THROW(obs.expectation(psi), InternalError) << bad[0];
+        EXPECT_THROW(obs.apply_to(psi), InternalError) << bad[0];
+    }
+    EXPECT_THROW(DiagonalObservable::pauli_z(7).expectation(psi),
+                 InternalError);
+    EXPECT_EQ(psi.probabilities({2, 0}), (std::vector<double>{1, 0, 0, 0}));
+    EXPECT_EQ(rho.probabilities({1}), (std::vector<double>{1, 0}));
 }
 
 TEST(Observable, GroupProjectorsPartitionUnity)
