@@ -43,10 +43,10 @@ bench_dir(const std::string &name)
     return path;
 }
 
-srv::JobSpec
+core::RunSpec
 burst_spec(std::uint64_t seed)
 {
-    srv::JobSpec spec;
+    core::RunSpec spec;
     spec.benchmark = "moons";
     spec.candidates = 6;
     spec.scale = 0.05;
@@ -95,7 +95,7 @@ main(int argc, char **argv)
         const auto start = std::chrono::steady_clock::now();
         int accepted = 0, rejected = 0;
         for (int i = 0; i < burst; ++i) {
-            srv::JobSpec spec =
+            core::RunSpec spec =
                 burst_spec(static_cast<std::uint64_t>(100 + i));
             // A sprinkling of priorities exercises the shed path.
             spec.priority = i % 3;
@@ -133,7 +133,7 @@ main(int argc, char **argv)
         config.thread_budget = reporter.threads();
         srv::Server server(config);
 
-        srv::JobSpec spec = burst_spec(7);
+        core::RunSpec spec = burst_spec(7);
         spec.candidates = 64;
         spec.scale = 0.1;
         spec.deadline_sec = deadline;

@@ -18,6 +18,7 @@
 #include "common/logging.hpp"
 #include "common/runinfo.hpp"
 #include "compiler/compile.hpp"
+#include "core/run_spec.hpp"
 #include "core/search.hpp"
 #include "noise/noise_model.hpp"
 #include "obs/json.hpp"
@@ -25,7 +26,6 @@
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "qml/trainer.hpp"
-#include "server/json_value.hpp"
 #include "sim/cpu_features.hpp"
 
 namespace elv::bench {
@@ -290,16 +290,16 @@ Reporter::run_perf_gate()
     } else {
         std::ostringstream buf;
         buf << in.rdbuf();
-        srv::JsonValue doc;
+        obs::JsonValue doc;
         std::string error;
-        if (!srv::json_parse(buf.str(), doc, error)) {
+        if (!obs::json_parse(buf.str(), doc, error)) {
             skip_reason = "baseline parse error: " + error;
         } else {
-            if (const srv::JsonValue *v = doc.get("kernel_dispatch"))
+            if (const obs::JsonValue *v = doc.get("kernel_dispatch"))
                 base_tier = v->as_string();
-            if (const srv::JsonValue *v = doc.get("threads"))
+            if (const obs::JsonValue *v = doc.get("threads"))
                 base_threads = v->as_integer<int>().value_or(-1);
-            if (const srv::JsonValue *v = doc.get("perf"))
+            if (const obs::JsonValue *v = doc.get("perf"))
                 for (const auto &[key, val] : v->members)
                     if (val.is_number())
                         base_perf[key] = val.number;
@@ -690,14 +690,12 @@ run_elivagar(const qml::Benchmark &bench, const dev::Device &device,
 {
     const auto start = std::chrono::steady_clock::now();
 
-    core::ElivagarConfig config;
-    config.num_candidates = options.candidates;
-    config.candidate.num_qubits = bench.spec.qubits;
-    config.candidate.num_params = bench.spec.params;
-    config.candidate.num_embeds =
-        std::max(bench.spec.dim, bench.spec.params / 4);
-    config.candidate.num_meas = bench.spec.meas;
-    config.candidate.num_features = bench.spec.dim;
+    core::RunSpec spec;
+    spec.candidates = options.candidates;
+    spec.seed = options.seed ^ 0xe1ULL;
+    core::ElivagarConfig config =
+        core::search_config(spec, bench.spec, options.threads, "");
+    // The ablation knobs, then the bench's cheaper scoring budget.
     config.candidate.embedding = knobs.embedding;
     config.candidate.noise_aware = knobs.noise_aware;
     config.use_cnr = knobs.use_cnr;
@@ -705,12 +703,6 @@ run_elivagar(const qml::Benchmark &bench, const dev::Device &device,
     config.cnr.noise_scale = options.noise_scale;
     config.repcap.samples_per_class = options.repcap_samples_per_class;
     config.repcap.param_inits = options.repcap_param_inits;
-    config.seed = options.seed ^ 0xe1ULL;
-    config.threads = options.threads;
-
-    // Embedding budget cannot exceed the rotation budget.
-    config.candidate.num_embeds =
-        std::min(config.candidate.num_embeds, bench.spec.params);
 
     const auto found = core::elivagar_search(device, bench.train, config);
     const double search_time = seconds_since(start);

@@ -14,8 +14,10 @@
 #
 # The one-shot CLI then runs the same spec with --search-only
 # --dump-ranking: its dumped best score must equal the clean job's
-# best_score_hex, so the CLI's flag mapping and the server's spec mapping
-# cannot drift apart.
+# best_score_hex, and every candidate's cnr, repcap, score and CNR
+# rejection in the clean job's report.json (%.17g doubles, exact) must
+# equal the dump's hexfloats, so the CLI and the server run one
+# spec-to-config mapping.
 #
 # Usage: ci/server_smoke.sh [BUILD_DIR] (default: build)
 set -euo pipefail
@@ -151,4 +153,26 @@ if [ "$cli_hex" != "$clean_hex" ]; then
     echo "FAIL: the one-shot CLI and the server disagree on the best score" >&2
     exit 1
 fi
+python3 - "$WORK/clean/job-1.report.json" "$WORK/cli_ranking.txt" <<'PY' || {
+import json, sys
+with open(sys.argv[1]) as f:
+    report = [(c["cnr"], c["repcap"], c["score"], c["rejected_by_cnr"])
+              for c in json.load(f)["candidates"]]
+dump = []
+with open(sys.argv[2]) as f:
+    for line in f:
+        w = line.split()
+        if w and w[0] == "cand":
+            dump.append((float.fromhex(w[3]), float.fromhex(w[4]),
+                         float.fromhex(w[2]), w[5] == "1"))
+if not dump or report != dump:
+    sys.exit("ranking: %d report vs %d dump candidates, first difference "
+             "%s" % (len(report), len(dump), next(
+                 (i for i, (a, b) in enumerate(zip(report, dump)) if a != b),
+                 None)))
+print("ranking: %d candidates identical" % len(dump))
+PY
+    echo "FAIL: the one-shot CLI and the server rank the spec differently" >&2
+    exit 1
+}
 echo "PASS: crash recovery is bit-identical and resumed; the CLI agrees"

@@ -31,8 +31,9 @@
  * resumes instead of starting over.
  *
  * Client mode talks to a running elivagar_server over its JSON line
- * protocol: `submit` sends a job spec built from the same
- * --benchmark/--device/... flags, `watch` streams status lines until
+ * protocol: `submit` sends the core::RunSpec that the one-shot run's
+ * spec flags (--benchmark/--device/...) build, parsed by the same
+ * function with the same defaults; `watch` streams status lines until
  * the job reaches a terminal state.
  *
  * Observability: --trace writes a Chrome trace_event JSON of the search
@@ -47,11 +48,12 @@
  * builder template, generated candidate, and catalog device). Exit
  * status 1 when any error-severity diagnostic fires.
  */
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -69,6 +71,7 @@
 #include "compiler/compile.hpp"
 #include "core/candidate_gen.hpp"
 #include "core/run_report.hpp"
+#include "core/run_spec.hpp"
 #include "core/search.hpp"
 #include "device/device.hpp"
 #include "lint/dataflow.hpp"
@@ -80,22 +83,65 @@
 #include "obs/trace.hpp"
 #include "qml/synthetic.hpp"
 #include "qml/trainer.hpp"
-#include "server/job.hpp"
-#include "server/json_value.hpp"
 #include "server/protocol.hpp"
 #include "server/tcp.hpp"
 #include "sim/fusion.hpp"
 
 namespace {
 
+/** Parse a whole flag value as a T in [lo, hi]; a trailing character,
+ * an overflow, NaN or a value out of range is a usage error. */
+template <typename T>
+T
+number(const std::string &flag, const char *text,
+       T lo = std::numeric_limits<T>::lowest(),
+       T hi = std::numeric_limits<T>::max())
+{
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(text, text + std::strlen(text), value);
+    if (ec != std::errc() || *end != '\0' || !(value >= lo && value <= hi))
+        elv::fatal(flag + " expects a number in range, got '" + text + "'");
+    return value;
+}
+
+/**
+ * Parse the run-spec flag `arg` into `spec`, taking its value from
+ * `value()`; false when `arg` is no spec flag. The one-shot run and
+ * `submit` both parse with this, so they share flags and defaults;
+ * their callers range-check the result with spec.check().
+ */
+template <typename Value>
+bool
+parse_spec_flag(const std::string &arg, Value &&value,
+                elv::core::RunSpec &spec)
+{
+    if (arg == "--benchmark")
+        spec.benchmark = value();
+    else if (arg == "--device")
+        spec.device = value();
+    else if (arg == "--candidates")
+        spec.candidates = number<int>(arg, value());
+    else if (arg == "--seed")
+        spec.seed = number<std::uint64_t>(arg, value());
+    else if (arg == "--scale")
+        spec.scale = number<double>(arg, value());
+    else if (arg == "--deadline-sec")
+        spec.deadline_sec = number<double>(arg, value());
+    else if (arg == "--workers")
+        spec.workers = number<int>(arg, value());
+    else if (arg == "--prune-dead")
+        spec.prune_dead = true;
+    else
+        return false;
+    return true;
+}
+
 struct CliOptions
 {
-    std::string benchmark = "moons";
-    std::string device = "ibm_lagos";
-    int candidates = 32;
+    /** The spec flags; the deadline covers the search phase. */
+    elv::core::RunSpec spec;
     int epochs = 40;
-    std::uint64_t seed = 7;
-    double scale = 0.3;
     std::string emit; // "", "text" or "qasm"
     std::string checkpoint;
     double fault_rate = 0.0;
@@ -104,10 +150,6 @@ struct CliOptions
     std::string profile_path;
     std::string report_path;
     bool metrics = false;
-    /** Wall-clock budget for the search phase; 0 disables. */
-    double deadline_sec = 0.0;
-    /** Local worker processes; > 0 switches to distributed search. */
-    int workers = 0;
     /** Remote `elivagar_worker --serve` peers to attach (host:port). */
     std::vector<std::string> attach;
     /** Worker binary override ("" = next to this binary / $PATH). */
@@ -121,8 +163,6 @@ struct CliOptions
     bool search_only = false;
     /** Test hook: first local worker SIGKILLs itself after N records. */
     int dist_test_crash = 0;
-    /** Dead-structure pruning in CNR/RepCap scoring and training. */
-    bool prune_dead = false;
 };
 
 void
@@ -166,9 +206,10 @@ print_usage()
         "                     (exit 3; journaled stages survive)\n"
         "  --prune-dead       elide ops outside the measurement "
         "lightcone\n"
-        "                     during CNR/RepCap scoring and training "
-        "(rankings\n"
-        "                     preserved; fingerprinted)\n"
+        "                     during CNR/RepCap scoring and training, "
+        "in-process\n"
+        "                     and on workers (rankings preserved; "
+        "fingerprinted)\n"
         "  --fault-rate F     inject transient backend faults with "
         "probability F\n"
         "  --trace FILE       write a Chrome trace of the search "
@@ -199,26 +240,13 @@ parse(int argc, char **argv, CliOptions &options)
                 elv::fatal("missing value for " + arg);
             return argv[++i];
         };
-        if (arg == "--benchmark")
-            options.benchmark = value();
-        else if (arg == "--device")
-            options.device = value();
-        else if (arg == "--candidates")
-            options.candidates = std::atoi(value());
-        else if (arg == "--epochs")
-            options.epochs = std::atoi(value());
-        else if (arg == "--seed")
-            options.seed = static_cast<std::uint64_t>(
-                std::strtoull(value(), nullptr, 10));
-        else if (arg == "--scale")
-            options.scale = std::atof(value());
+        if (parse_spec_flag(arg, value, options.spec))
+            continue;
+        if (arg == "--epochs")
+            options.epochs = number(arg, value(), 0, 1000000);
         else if (arg == "--threads")
-            options.threads = std::atoi(value());
-        else if (arg == "--workers") {
-            options.workers = std::atoi(value());
-            if (options.workers < 0)
-                elv::fatal("--workers must be >= 0");
-        } else if (arg == "--attach")
+            options.threads = number(arg, value(), 0, 1024);
+        else if (arg == "--attach")
             options.attach.push_back(value());
         else if (arg == "--worker-bin")
             options.worker_bin = value();
@@ -229,17 +257,13 @@ parse(int argc, char **argv, CliOptions &options)
         else if (arg == "--search-only")
             options.search_only = true;
         else if (arg == "--dist-test-crash")
-            options.dist_test_crash = std::atoi(value());
+            options.dist_test_crash = number<int>(arg, value(), 0);
         else if (arg == "--emit")
             options.emit = value();
         else if (arg == "--checkpoint")
             options.checkpoint = value();
-        else if (arg == "--deadline-sec")
-            options.deadline_sec = std::atof(value());
-        else if (arg == "--prune-dead")
-            options.prune_dead = true;
         else if (arg == "--fault-rate")
-            options.fault_rate = std::atof(value());
+            options.fault_rate = number(arg, value(), 0.0, 1.0);
         else if (arg == "--trace")
             options.trace_path = value();
         else if (arg == "--profile")
@@ -264,6 +288,7 @@ parse(int argc, char **argv, CliOptions &options)
             elv::fatal("unknown option: " + arg);
         }
     }
+    options.spec.check();
     return true;
 }
 
@@ -441,8 +466,7 @@ run_lint(int argc, char **argv)
         else if (arg == "--require-embedding-prefix")
             options.require_embedding_prefix = true;
         else if (arg == "--seed")
-            options.seed = static_cast<std::uint64_t>(
-                std::strtoull(value(), nullptr, 10));
+            options.seed = number<std::uint64_t>(arg, value());
         else if (arg == "--werror")
             options.werror = true;
         else if (arg == "--format")
@@ -604,7 +628,7 @@ struct ClientCliOptions
     std::string host = "127.0.0.1";
     int port = 7421;
     std::string id;
-    elv::srv::JobSpec spec;
+    elv::core::RunSpec spec;
     /** submit only: stream status until terminal after submitting. */
     bool watch_after = false;
     /** events only: paging cursor and clip. */
@@ -621,11 +645,10 @@ print_client_usage()
         "  --host A           server address (default 127.0.0.1)\n"
         "  --port N           server port (default 7421)\n"
         "  --id job-N         job id (status/cancel/result/watch)\n"
-        "submit options (mirror the one-shot search flags):\n"
-        "  --benchmark NAME --device NAME --candidates N --seed N\n"
-        "  --scale F --priority N --deadline-sec F\n"
-        "  --workers N        run the job's search over N worker "
-        "processes\n"
+        "submit options: the one-shot run's spec flags and defaults\n"
+        "  (--benchmark --device --candidates --seed --scale\n"
+        "  --deadline-sec --workers --prune-dead), plus\n"
+        "  --priority N       admission priority\n"
         "  --watch            stream status until the job finishes\n"
         "events options:\n"
         "  --since S          only events with seq > S (default 0)\n"
@@ -638,11 +661,11 @@ bool
 print_response(const std::string &response)
 {
     std::printf("%s\n", response.c_str());
-    elv::srv::JsonValue value;
+    elv::obs::JsonValue value;
     std::string error;
-    if (!elv::srv::json_parse(response, value, error))
+    if (!elv::obs::json_parse(response, value, error))
         return false;
-    const elv::srv::JsonValue *ok = value.get("ok");
+    const elv::obs::JsonValue *ok = value.get("ok");
     return ok && ok->as_bool(false);
 }
 
@@ -682,11 +705,11 @@ watch_until_terminal(const std::string &host, std::uint16_t port,
                 while (client.read_line(line, error)) {
                     std::printf("%s\n", line.c_str());
                     std::fflush(stdout);
-                    elv::srv::JsonValue value;
+                    elv::obs::JsonValue value;
                     std::string parse_error;
-                    if (!elv::srv::json_parse(line, value, parse_error))
+                    if (!elv::obs::json_parse(line, value, parse_error))
                         continue;
-                    const elv::srv::JsonValue *state =
+                    const elv::obs::JsonValue *state =
                         value.get("state");
                     if (!state || !state->is_string())
                         continue;
@@ -735,37 +758,22 @@ run_client(int argc, char **argv)
                 elv::fatal("missing value for " + arg);
             return argv[++i];
         };
+        if (parse_spec_flag(arg, value, options.spec))
+            continue;
         if (arg == "--host")
             options.host = value();
         else if (arg == "--port")
-            options.port = std::atoi(value());
+            options.port = number(arg, value(), 1, 65535);
         else if (arg == "--id")
             options.id = value();
-        else if (arg == "--benchmark")
-            options.spec.benchmark = value();
-        else if (arg == "--device")
-            options.spec.device = value();
-        else if (arg == "--candidates")
-            options.spec.candidates = std::atoi(value());
-        else if (arg == "--seed")
-            options.spec.seed = static_cast<std::uint64_t>(
-                std::strtoull(value(), nullptr, 10));
-        else if (arg == "--scale")
-            options.spec.scale = std::atof(value());
         else if (arg == "--priority")
-            options.spec.priority = std::atoi(value());
-        else if (arg == "--deadline-sec")
-            options.spec.deadline_sec = std::atof(value());
-        else if (arg == "--workers")
-            options.spec.workers = std::atoi(value());
+            options.spec.priority = number<int>(arg, value());
         else if (arg == "--watch")
             options.watch_after = true;
         else if (arg == "--since")
-            options.since = static_cast<std::uint64_t>(
-                std::strtoull(value(), nullptr, 10));
+            options.since = number<std::uint64_t>(arg, value());
         else if (arg == "--limit")
-            options.limit = static_cast<std::uint64_t>(
-                std::strtoull(value(), nullptr, 10));
+            options.limit = number<std::uint64_t>(arg, value());
         else if (arg == "--help" || arg == "-h") {
             print_client_usage();
             return 0;
@@ -773,8 +781,7 @@ run_client(int argc, char **argv)
             elv::fatal("unknown client option: " + arg);
         }
     }
-    if (options.port <= 0 || options.port > 65535)
-        elv::fatal("--port must lie in [1, 65535]");
+    options.spec.check();
 
     std::string error;
     srv::Client client(options.host,
@@ -803,11 +810,11 @@ run_client(int argc, char **argv)
             return 1;
         if (!options.watch_after)
             return 0;
-        srv::JsonValue value;
+        obs::JsonValue value;
         std::string parse_error;
-        if (!srv::json_parse(response, value, parse_error))
+        if (!obs::json_parse(response, value, parse_error))
             return 1;
-        const srv::JsonValue *id = value.get("id");
+        const obs::JsonValue *id = value.get("id");
         if (!id || !id->is_string())
             return 1;
         return watch_until_terminal(
@@ -890,35 +897,25 @@ main(int argc, char **argv)
         if (!parse(argc, argv, options))
             return 0;
 
-        const qml::Benchmark bench = qml::make_benchmark(
-            options.benchmark, options.seed, options.scale);
-        const dev::Device device = dev::make_device(options.device);
+        const core::RunSpec &spec = options.spec;
+        const qml::Benchmark bench =
+            qml::make_benchmark(spec.benchmark, spec.seed, spec.scale);
+        const dev::Device device = dev::make_device(spec.device);
         std::printf("benchmark %s (%zu train / %zu test), device %s\n",
                     bench.spec.name.c_str(), bench.train.size(),
                     bench.test.size(), device.name.c_str());
 
-        // One spec for both paths: the in-process config is the
-        // server's mapping of it, so journals and rankings are
-        // interchangeable with server jobs and distributed runs.
-        srv::JobSpec spec;
-        spec.benchmark = options.benchmark;
-        spec.device = options.device;
-        spec.candidates = options.candidates;
-        spec.seed = options.seed;
-        spec.scale = options.scale;
-        core::ElivagarConfig config = srv::job_search_config(
-            spec, bench.spec, options.threads < 0 ? 0 : options.threads,
-            options.checkpoint);
-        if (options.prune_dead) {
-            config.cnr.prune_dead_structure = true;
-            config.repcap.prune_dead_structure = true;
-        }
-        if (options.deadline_sec > 0.0) {
+        // One spec for both paths, mapped as every front end maps it,
+        // so journals and rankings are interchangeable with server jobs
+        // and distributed runs.
+        core::ElivagarConfig config = core::search_config(
+            spec, bench.spec, options.threads, options.checkpoint);
+        if (spec.deadline_sec > 0.0) {
             // Same cooperative-cancellation machinery the server uses
             // for per-job deadlines; the hooks are not fingerprinted,
             // so a journaled run resumes under a different budget.
             auto token = std::make_shared<CancelToken>();
-            token->set_deadline_after(options.deadline_sec);
+            token->set_deadline_after(spec.deadline_sec);
             config.hooks.cancel = token;
         }
         if (options.fault_rate > 0.0) {
@@ -947,7 +944,7 @@ main(int argc, char **argv)
             obs::Profiler::global().start();
 
         const bool distributed =
-            options.workers > 0 || !options.attach.empty();
+            spec.workers > 0 || !options.attach.empty();
         core::SearchResult found;
         std::optional<dist::DistStats> dist_stats;
         if (distributed) {
@@ -959,18 +956,12 @@ main(int argc, char **argv)
                 elv::fatal("--checkpoint journals an in-process "
                            "search; distributed runs journal to "
                            "DIR/search.journal — use --dist-state DIR");
-            if (options.prune_dead)
-                elv::fatal("--prune-dead is not plumbed through the "
-                           "worker job spec yet; drop --workers/"
-                           "--attach to use it");
             dist::DistConfig dc;
-            dc.workers = options.workers;
+            dc.workers = spec.workers;
             dc.attach = options.attach;
             dc.worker_binary = options.worker_bin;
-            dc.threads_per_worker =
-                options.threads <= 0 ? 1 : options.threads;
-            dc.coordinator_threads =
-                options.threads < 0 ? 0 : options.threads;
+            dc.threads_per_worker = std::max(1, options.threads);
+            dc.coordinator_threads = options.threads;
             dc.state_dir = options.dist_state;
             dc.crash_after = options.dist_test_crash;
             dc.hooks = config.hooks;
@@ -983,7 +974,7 @@ main(int argc, char **argv)
         }
         std::printf("search: %d survivors of %d candidates, score "
                     "%.3f, %llu executions%s\n",
-                    found.survivors, options.candidates,
+                    found.survivors, spec.candidates,
                     found.best_score,
                     static_cast<unsigned long long>(
                         found.total_executions()),
@@ -994,8 +985,7 @@ main(int argc, char **argv)
                 "(%d spawned, %d attached), %llu records streamed, "
                 "%d reissue(s), %llu local fallback(s)\n",
                 dist_stats->shards,
-                options.workers +
-                    static_cast<int>(options.attach.size()),
+                spec.workers + static_cast<int>(options.attach.size()),
                 dist_stats->workers_spawned,
                 dist_stats->workers_attached,
                 static_cast<unsigned long long>(
@@ -1057,9 +1047,9 @@ main(int argc, char **argv)
 
         qml::TrainConfig tc;
         tc.epochs = options.epochs;
-        tc.threads = options.threads < 0 ? 0 : options.threads;
-        tc.seed = options.seed + 1;
-        tc.prune_dead_structure = options.prune_dead;
+        tc.threads = options.threads;
+        tc.seed = spec.seed + 1;
+        tc.prune_dead_structure = spec.prune_dead;
         const auto trained =
             qml::train_circuit(found.best_circuit, bench.train, tc);
 

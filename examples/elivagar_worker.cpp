@@ -2,7 +2,7 @@
  * @file
  * Evaluation worker of the distributed sharded search (see
  * src/dist). One process serves one coordinator conversation: it
- * receives a JobSpec, proves config identity with a fingerprint
+ * receives a run spec, proves config identity with a fingerprint
  * handshake, then evaluates the CNR/RepCap stage requests it is sent
  * and streams (index, scores) records back. All protocol I/O is
  * line-delimited JSON; logs go to stderr so the protocol stream stays

@@ -48,21 +48,23 @@ class CancelToken
     }
 
     /**
-     * Arm a wall-clock deadline `seconds` from now; <= 0 disarms.
-     * Call before handing the token to workers — rearming while a
-     * pipeline polls is not synchronized.
+     * Arm a wall-clock deadline `seconds` from now; <= 0 or NaN
+     * disarms, and budgets past kNeverSec saturate there. Call before
+     * handing the token to workers — rearming while a pipeline polls
+     * is not synchronized.
      */
     void
     set_deadline_after(double seconds)
     {
-        if (seconds <= 0.0) {
+        if (!(seconds > 0.0)) {
             has_deadline_.store(false, std::memory_order_release);
             return;
         }
         deadline_ = std::chrono::steady_clock::now() +
                     std::chrono::duration_cast<
                         std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(seconds));
+                        std::chrono::duration<double>(
+                            seconds < kNeverSec ? seconds : kNeverSec));
         has_deadline_.store(true, std::memory_order_release);
     }
 
@@ -111,6 +113,10 @@ class CancelToken
     }
 
   private:
+    /** About a century: never expires, yet far inside the ~292 years
+     * of nanosecond clock ticks that a longer budget overflows. */
+    static constexpr double kNeverSec = 3.0e9;
+
     std::atomic<bool> cancelled_{false};
     std::atomic<bool> has_deadline_{false};
     std::chrono::steady_clock::time_point deadline_{};

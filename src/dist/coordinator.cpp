@@ -41,7 +41,7 @@ struct Shard
 /** Everything the shard drivers share (immutable unless noted). */
 struct RunContext
 {
-    const srv::JobSpec &spec;
+    const core::RunSpec &spec;
     const DistConfig &dist;
     std::uint64_t fingerprint = 0;
     std::string worker_binary;
@@ -392,7 +392,7 @@ partition_indices(int count, int shards)
 }
 
 DistResult
-distributed_search(const srv::JobSpec &spec, const DistConfig &dist)
+distributed_search(const core::RunSpec &spec, const DistConfig &dist)
 {
     spec.check();
     if (dist.workers < 0)
@@ -410,7 +410,7 @@ distributed_search(const srv::JobSpec &spec, const DistConfig &dist)
     const dev::Device device = dev::make_device(spec.device);
     const qml::Benchmark bench =
         qml::make_benchmark(spec.benchmark, spec.seed, spec.scale);
-    core::ElivagarConfig config = srv::job_search_config(
+    core::ElivagarConfig config = core::search_config(
         spec, bench.spec, dist.coordinator_threads,
         dist.state_dir.empty() ? "" : dist.state_dir + "/search.journal");
     config.hooks = dist.hooks;

@@ -34,8 +34,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/run_spec.hpp"
 #include "core/search.hpp"
-#include "server/job.hpp"
 
 namespace elv::dist {
 
@@ -113,13 +113,13 @@ std::vector<std::pair<int, int>> partition_indices(int count,
                                                    int shards);
 
 /**
- * Run the distributed search for `spec` (same JobSpec -> config
- * mapping as the server and the CLI, so results and journals are
+ * Run the distributed search for `spec` (core::search_config, as every
+ * other front end maps a spec, so results and journals are
  * interchangeable with a single-process run of the same spec). Throws
  * UsageError on unusable topology (no workers at all), CancelledError
  * via the hooks, and propagates evaluation failures.
  */
-DistResult distributed_search(const srv::JobSpec &spec,
+DistResult distributed_search(const core::RunSpec &spec,
                               const DistConfig &dist);
 
 } // namespace elv::dist

@@ -7,7 +7,7 @@
 namespace elv::dist {
 
 std::string
-make_configure(const srv::JobSpec &spec, int threads,
+make_configure(const core::RunSpec &spec, int threads,
                std::uint64_t fingerprint, int crash_after)
 {
     obs::JsonWriter json;
@@ -116,9 +116,9 @@ namespace {
 
 /** Read a hexfloat-encoded double member; false when absent/bad. */
 bool
-read_hex_double(const srv::JsonValue &value, const char *key, double &out)
+read_hex_double(const obs::JsonValue &value, const char *key, double &out)
 {
-    const srv::JsonValue *member = value.get(key);
+    const obs::JsonValue *member = value.get(key);
     if (!member || !member->is_string())
         return false;
     return core::try_double_from_hex(member->text, out);
@@ -130,10 +130,10 @@ bool
 parse_worker_event(const std::string &line, WorkerEvent &out,
                    std::string &error)
 {
-    srv::JsonValue value;
-    if (!srv::json_parse(line, value, error))
+    obs::JsonValue value;
+    if (!obs::json_parse(line, value, error))
         return false;
-    const srv::JsonValue *ev = value.get("ev");
+    const obs::JsonValue *ev = value.get("ev");
     if (!ev || !ev->is_string()) {
         error = "worker event without \"ev\"";
         return false;
@@ -141,13 +141,13 @@ parse_worker_event(const std::string &line, WorkerEvent &out,
     out = WorkerEvent{};
     if (ev->text == "ready") {
         out.kind = WorkerEvent::Kind::Ready;
-        const srv::JsonValue *protocol = value.get("protocol");
+        const obs::JsonValue *protocol = value.get("protocol");
         if (!protocol ||
             protocol->as_integer<int>() != kProtocolVersion) {
             error = "worker speaks an incompatible protocol version";
             return false;
         }
-        const srv::JsonValue *fp = value.get("fp");
+        const obs::JsonValue *fp = value.get("fp");
         if (!fp ||
             !fingerprint_from_hex(fp->as_string(), out.fingerprint)) {
             error = "ready event without a valid fingerprint";
@@ -157,22 +157,22 @@ parse_worker_event(const std::string &line, WorkerEvent &out,
     }
     if (ev->text == "cnr") {
         out.kind = WorkerEvent::Kind::Cnr;
-        if (!value.get("i") || !value.read_integer("i", out.index, error) ||
+        if (!value.get("i") || !value.read("i", out.index, error) ||
             !read_hex_double(value, "cnr", out.cnr.cnr) ||
-            !value.read_integer("execs", out.cnr.executions, error) ||
-            !value.read_integer("retries", out.cnr.retries, error)) {
+            !value.read("execs", out.cnr.executions, error) ||
+            !value.read("retries", out.cnr.retries, error)) {
             error = "malformed cnr record";
             return false;
         }
-        if (const srv::JsonValue *v = value.get("degraded"))
+        if (const obs::JsonValue *v = value.get("degraded"))
             out.cnr.degraded = v->as_bool(false);
         return true;
     }
     if (ev->text == "repcap") {
         out.kind = WorkerEvent::Kind::RepCap;
-        if (!value.get("i") || !value.read_integer("i", out.index, error) ||
+        if (!value.get("i") || !value.read("i", out.index, error) ||
             !read_hex_double(value, "repcap", out.repcap.repcap) ||
-            !value.read_integer("execs", out.repcap.executions, error)) {
+            !value.read("execs", out.repcap.executions, error)) {
             error = "malformed repcap record";
             return false;
         }
@@ -181,7 +181,7 @@ parse_worker_event(const std::string &line, WorkerEvent &out,
     if (ev->text == "done") {
         out.kind = WorkerEvent::Kind::Done;
         out.stage = value.get("op") ? value.get("op")->as_string() : "";
-        return value.read_integer("n", out.count, error);
+        return value.read("n", out.count, error);
     }
     if (ev->text == "error") {
         out.kind = WorkerEvent::Kind::Error;
@@ -202,10 +202,10 @@ bool
 parse_coord_request(const std::string &line, CoordRequest &out,
                     std::string &error)
 {
-    srv::JsonValue value;
-    if (!srv::json_parse(line, value, error))
+    obs::JsonValue value;
+    if (!obs::json_parse(line, value, error))
         return false;
-    const srv::JsonValue *op = value.get("op");
+    const obs::JsonValue *op = value.get("op");
     if (!op || !op->is_string()) {
         error = "request without \"op\"";
         return false;
@@ -213,19 +213,19 @@ parse_coord_request(const std::string &line, CoordRequest &out,
     out = CoordRequest{};
     if (op->text == "configure") {
         out.kind = CoordRequest::Kind::Configure;
-        const srv::JsonValue *protocol = value.get("protocol");
+        const obs::JsonValue *protocol = value.get("protocol");
         if (!protocol || protocol->as_integer<int>() != kProtocolVersion) {
             error = "coordinator speaks an incompatible protocol "
                     "version";
             return false;
         }
-        const srv::JsonValue *spec = value.get("spec");
-        if (!spec || !srv::JobSpec::from_json(*spec, out.spec, error))
+        const obs::JsonValue *spec = value.get("spec");
+        if (!spec || !core::RunSpec::from_json(*spec, out.spec, error))
             return false;
-        if (!value.read_integer("threads", out.threads, error) ||
-            !value.read_integer("crash_after", out.crash_after, error))
+        if (!value.read("threads", out.threads, error) ||
+            !value.read("crash_after", out.crash_after, error))
             return false;
-        const srv::JsonValue *fp = value.get("fp");
+        const obs::JsonValue *fp = value.get("fp");
         if (!fp ||
             !fingerprint_from_hex(fp->as_string(), out.fingerprint)) {
             error = "configure without a valid fingerprint";
@@ -236,14 +236,14 @@ parse_coord_request(const std::string &line, CoordRequest &out,
     if (op->text == "cnr" || op->text == "repcap") {
         out.kind = CoordRequest::Kind::Stage;
         out.stage = op->text;
-        const srv::JsonValue *indices = value.get("indices");
+        const obs::JsonValue *indices = value.get("indices");
         if (!indices ||
-            indices->kind != srv::JsonValue::Kind::Array) {
+            indices->kind != obs::JsonValue::Kind::Array) {
             error = "stage request without an indices array";
             return false;
         }
         out.indices.reserve(indices->items.size());
-        for (const srv::JsonValue &item : indices->items) {
+        for (const obs::JsonValue &item : indices->items) {
             const std::optional<int> index = item.as_integer<int>();
             if (!index) {
                 error = "candidate index is not an int";

@@ -3,12 +3,12 @@
  * Wire protocol of the distributed search: line-delimited JSON between
  * the coordinator (src/dist/coordinator) and worker processes
  * (elivagar_worker), reusing the server line format and the bounded
- * srv::JsonValue parser so a broken or hostile peer can at worst end
+ * obs::JsonValue parser so a broken or hostile peer can at worst end
  * its own connection.
  *
  * Conversation (one JSON object per line):
  *
- *   C -> W  {"op":"configure","spec":{...JobSpec...},"threads":T,
+ *   C -> W  {"op":"configure","spec":{...RunSpec...},"threads":T,
  *            "fp":"<hex16>","crash_after":0}
  *   W -> C  {"ev":"ready","protocol":1,"fp":"<hex16>"}
  *   C -> W  {"op":"cnr","indices":[3,4,5]}
@@ -40,9 +40,8 @@
 #include <string>
 #include <vector>
 
+#include "core/run_spec.hpp"
 #include "core/search.hpp"
-#include "server/job.hpp"
-#include "server/json_value.hpp"
 
 namespace elv::dist {
 
@@ -54,7 +53,7 @@ constexpr int kProtocolVersion = 1;
 constexpr std::size_t kMaxLineBytes = 1024 * 1024;
 
 /** @name Coordinator -> worker request builders @{ */
-std::string make_configure(const srv::JobSpec &spec, int threads,
+std::string make_configure(const core::RunSpec &spec, int threads,
                            std::uint64_t fingerprint, int crash_after);
 std::string make_stage_request(const std::string &stage,
                                const std::vector<int> &indices);
@@ -105,7 +104,7 @@ struct CoordRequest
 
     Kind kind = Kind::Shutdown;
     /** @name Configure payload @{ */
-    srv::JobSpec spec;
+    core::RunSpec spec;
     int threads = 1;
     std::uint64_t fingerprint = 0;
     int crash_after = 0;

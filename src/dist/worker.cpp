@@ -16,7 +16,6 @@
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "qml/synthetic.hpp"
-#include "server/job.hpp"
 
 namespace elv::dist {
 
@@ -52,10 +51,10 @@ configure_search(const CoordRequest &request)
         {},
         request.crash_after,
     };
-    // The exact JobSpec -> config mapping the server and the CLI use;
-    // both sides deriving it independently is what the fingerprint
-    // handshake verifies.
-    search.config = srv::job_search_config(
+    // The one spec -> config mapping every front end uses; both sides
+    // deriving it independently is what the fingerprint handshake
+    // verifies (a pruned spec included).
+    search.config = core::search_config(
         request.spec, search.bench.spec,
         request.threads < 1 ? 1 : request.threads, "");
     search.faults = core::prepare_fault_config(search.config);

@@ -18,9 +18,9 @@ error_response(const std::string &what)
 }
 
 std::string
-require_id(const JsonValue &request, std::string &id)
+require_id(const obs::JsonValue &request, std::string &id)
 {
-    const JsonValue *value = request.get("id");
+    const obs::JsonValue *value = request.get("id");
     if (!value || !value->is_string() || value->text.empty())
         return "request needs a job \"id\" string";
     id = value->text;
@@ -28,14 +28,14 @@ require_id(const JsonValue &request, std::string &id)
 }
 
 std::string
-handle_submit(Server &server, const JsonValue &request)
+handle_submit(Server &server, const obs::JsonValue &request)
 {
-    const JsonValue *spec_value = request.get("spec");
+    const obs::JsonValue *spec_value = request.get("spec");
     if (!spec_value)
         return error_response("submit needs a \"spec\" object");
-    JobSpec spec;
+    core::RunSpec spec;
     std::string error;
-    if (!JobSpec::from_json(*spec_value, spec, error))
+    if (!core::RunSpec::from_json(*spec_value, spec, error))
         return error_response(error);
     const SubmitOutcome outcome = server.submit(spec);
     obs::JsonWriter json;
@@ -53,7 +53,7 @@ handle_submit(Server &server, const JsonValue &request)
 }
 
 std::string
-handle_status(Server &server, const JsonValue &request)
+handle_status(Server &server, const obs::JsonValue &request)
 {
     std::string id;
     const std::string error = require_id(request, id);
@@ -85,7 +85,7 @@ handle_jobs(Server &server)
 }
 
 std::string
-handle_cancel(Server &server, const JsonValue &request)
+handle_cancel(Server &server, const obs::JsonValue &request)
 {
     std::string id;
     const std::string error = require_id(request, id);
@@ -102,7 +102,7 @@ handle_cancel(Server &server, const JsonValue &request)
 }
 
 std::string
-handle_result(Server &server, const JsonValue &request)
+handle_result(Server &server, const obs::JsonValue &request)
 {
     std::string id;
     const std::string error = require_id(request, id);
@@ -188,13 +188,13 @@ handle_request(Server &server, const std::string &line,
                bool allow_shutdown)
 {
     RequestOutcome outcome;
-    JsonValue request;
+    obs::JsonValue request;
     std::string error;
-    if (!json_parse(line, request, error)) {
+    if (!obs::json_parse(line, request, error)) {
         outcome.response = error_response("bad request: " + error);
         return outcome;
     }
-    const JsonValue *op_value = request.get("op");
+    const obs::JsonValue *op_value = request.get("op");
     if (!op_value || !op_value->is_string()) {
         outcome.response =
             error_response("request needs an \"op\" string");
@@ -220,8 +220,8 @@ handle_request(Server &server, const std::string &line,
     } else if (op == "events") {
         std::uint64_t since = 0;
         std::size_t limit = 64;
-        if (!request.read_integer("since", since, error) ||
-            !request.read_integer("limit", limit, error)) {
+        if (!request.read("since", since, error) ||
+            !request.read("limit", limit, error)) {
             outcome.response = error_response("events: " + error);
             return outcome;
         }
@@ -249,7 +249,7 @@ handle_request(Server &server, const std::string &line,
                                "connection");
             return outcome;
         }
-        if (const JsonValue *v = request.get("drain_sec"))
+        if (const obs::JsonValue *v = request.get("drain_sec"))
             outcome.drain_sec = v->as_number(0.0);
         obs::JsonWriter json;
         json.begin_object();
@@ -265,7 +265,7 @@ handle_request(Server &server, const std::string &line,
 }
 
 std::string
-make_submit_request(const JobSpec &spec)
+make_submit_request(const core::RunSpec &spec)
 {
     obs::JsonWriter json;
     json.begin_object();

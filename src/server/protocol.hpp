@@ -8,7 +8,7 @@
  *
  * Operations:
  *
- *   {"op":"submit","spec":{...JobSpec...}}
+ *   {"op":"submit","spec":{...RunSpec...}}
  *     -> {"ok":true,"id":"job-3"}
  *     -> {"ok":false,"error":"queue full","retry_after_ms":2500}
  *   {"op":"status","id":"job-3"}        job snapshot (or every job
@@ -70,7 +70,7 @@ RequestOutcome handle_request(Server &server, const std::string &line,
 std::string status_json(const JobStatusSnapshot &snap);
 
 /** @name Client-side request builders (single line, no newline) @{ */
-std::string make_submit_request(const JobSpec &spec);
+std::string make_submit_request(const core::RunSpec &spec);
 std::string make_status_request(const std::string &id);
 std::string make_jobs_request();
 std::string make_cancel_request(const std::string &id);

@@ -159,7 +159,7 @@ Server::recover_from_manifest()
 {
     struct Recovered
     {
-        JobSpec spec;
+        core::RunSpec spec;
         JobState state = JobState::Queued;
         std::string detail;
     };
@@ -178,11 +178,11 @@ Server::recover_from_manifest()
         if (keyword == "job") {
             std::string spec_json;
             std::getline(ls >> std::ws, spec_json);
-            JsonValue value;
+            obs::JsonValue value;
             std::string error;
-            JobSpec spec;
-            if (!json_parse(spec_json, value, error) ||
-                !JobSpec::from_json(value, spec, error))
+            core::RunSpec spec;
+            if (!obs::json_parse(spec_json, value, error) ||
+                !core::RunSpec::from_json(value, spec, error))
                 return false;
             seen[number].spec = spec;
             return true;
@@ -227,12 +227,12 @@ Server::recover_from_manifest()
                                   std::ios::binary);
                 std::ostringstream text;
                 text << doc.rdbuf();
-                JsonValue value;
+                obs::JsonValue value;
                 std::string error;
-                if (doc && json_parse(text.str(), value, error)) {
-                    if (const JsonValue *v = value.get("best_score"))
+                if (doc && obs::json_parse(text.str(), value, error)) {
+                    if (const obs::JsonValue *v = value.get("best_score"))
                         rec->best_score = v->as_number(0.0);
-                    if (const JsonValue *v = value.get("resumed"))
+                    if (const obs::JsonValue *v = value.get("resumed"))
                         rec->search_resumed = v->as_bool(false);
                 }
             }
@@ -311,7 +311,7 @@ Server::retry_after_estimate_locked() const
 }
 
 SubmitOutcome
-Server::submit(const JobSpec &spec)
+Server::submit(const core::RunSpec &spec)
 {
     SubmitOutcome outcome;
     try {
@@ -470,9 +470,9 @@ Server::run_job(const RecordPtr &rec)
         const qml::Benchmark bench = qml::make_benchmark(
             rec->spec.benchmark, rec->spec.seed, rec->spec.scale);
         const dev::Device device = dev::make_device(rec->spec.device);
-        config = job_search_config(rec->spec, bench.spec,
-                                   rec->thread_quota,
-                                   job_path(rec->id, ".journal"));
+        config = core::search_config(rec->spec, bench.spec,
+                                     rec->thread_quota,
+                                     job_path(rec->id, ".journal"));
         config.hooks.cancel = token;
         config.hooks.progress = [this, rec](const char *phase,
                                             std::size_t done,

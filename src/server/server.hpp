@@ -96,7 +96,7 @@ struct SubmitOutcome
 struct JobStatusSnapshot
 {
     std::string id;
-    JobSpec spec;
+    core::RunSpec spec;
     JobState state = JobState::Queued;
     /** Current pipeline phase while running ("generate", "cnr", ...). */
     std::string phase;
@@ -130,7 +130,7 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /** Admission-controlled submit; never blocks on a full queue. */
-    SubmitOutcome submit(const JobSpec &spec);
+    SubmitOutcome submit(const core::RunSpec &spec);
 
     /** Snapshot of one job, or nullopt for an unknown id. */
     std::optional<JobStatusSnapshot> status(const std::string &id) const;
@@ -206,7 +206,7 @@ class Server
     {
         std::string id;
         std::uint64_t number = 0;
-        JobSpec spec;
+        core::RunSpec spec;
         JobState state = JobState::Queued;
         std::string phase;
         std::size_t done = 0, total = 0;

@@ -18,10 +18,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "common/cancel.hpp"
 #include "common/line_io.hpp"
 #include "common/logging.hpp"
 #include "common/record_log.hpp"
@@ -648,6 +650,28 @@ TEST(RecordLog, ChecksumTokenRoundTripsAndRejectsDamage)
           std::string("cnr 0 0x1p-1 4 0 0 ~+4d82fe4e860b323"),
           std::string(" ~14d82fe4e860b323"), std::string("")})
         EXPECT_FALSE(elv::strip_record_checksum(damaged)) << damaged;
+}
+
+// --- CancelToken ------------------------------------------------------
+
+TEST(CancelToken, HugeDeadlinesSaturateInsteadOfExpiring)
+{
+    // From about 9.3e9 s the nanosecond tick count overflows; a budget
+    // that long (or infinite) must arm a deadline that never expires.
+    for (const double seconds :
+         {1e10, 1e19, 1e300, std::numeric_limits<double>::infinity()}) {
+        elv::CancelToken token;
+        token.set_deadline_after(seconds);
+        EXPECT_FALSE(token.cancelled()) << seconds;
+        EXPECT_STREQ(token.reason(), "none") << seconds;
+    }
+    elv::CancelToken token;
+    token.set_deadline_after(std::nan(""));
+    EXPECT_FALSE(token.deadline_expired());
+    token.set_deadline_after(1e-9);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(token.deadline_expired());
+    EXPECT_STREQ(token.reason(), "deadline");
 }
 
 } // namespace

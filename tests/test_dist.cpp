@@ -28,23 +28,26 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <unistd.h>
 
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "core/checkpoint.hpp"
+#include "core/run_spec.hpp"
 #include "core/search.hpp"
 #include "dist/channel.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/wire.hpp"
 #include "dist/worker.hpp"
+#include "obs/json.hpp"
 #include "qml/synthetic.hpp"
-#include "server/job.hpp"
-#include "server/json_value.hpp"
+#include "server/server.hpp"
 
 namespace {
 
@@ -52,10 +55,10 @@ using namespace elv;
 using namespace elv::dist;
 
 /** The small spec every gauntlet run searches (seconds per run). */
-srv::JobSpec
+core::RunSpec
 small_spec()
 {
-    srv::JobSpec spec;
+    core::RunSpec spec;
     spec.benchmark = "moons";
     spec.candidates = 10;
     spec.seed = 11;
@@ -63,15 +66,15 @@ small_spec()
     return spec;
 }
 
-/** Single-process reference with the identical JobSpec mapping. */
+/** Single-process reference with the identical spec mapping. */
 core::SearchResult
-serial_reference(const srv::JobSpec &spec)
+serial_reference(const core::RunSpec &spec)
 {
     const qml::Benchmark bench =
         qml::make_benchmark(spec.benchmark, spec.seed, spec.scale);
     const dev::Device device = dev::make_device(spec.device);
     const core::ElivagarConfig config =
-        srv::job_search_config(spec, bench.spec, 1, "");
+        core::search_config(spec, bench.spec, 1, "");
     return core::elivagar_search(device, bench.train, config);
 }
 
@@ -172,7 +175,7 @@ TEST(DistPartition, MoreShardsThanWorkYieldsEmptyRanges)
 
 TEST(DistWire, ConfigureRoundTrip)
 {
-    srv::JobSpec spec = small_spec();
+    core::RunSpec spec = small_spec();
     const std::string line = make_configure(spec, 3, 0xdeadbeefcafe01ULL, 4);
     CoordRequest request;
     std::string error;
@@ -190,7 +193,7 @@ TEST(DistWire, ConfigureRoundTrip)
  * a "precision" spec field parse; the unknown key is ignored. */
 TEST(DistWire, ConfigureWithLegacyPrecisionKeyParses)
 {
-    const srv::JobSpec spec = small_spec();
+    const core::RunSpec spec = small_spec();
     std::string line = make_configure(spec, 2, 0x1234ULL, 0);
     const std::size_t at = line.find("\"workers\":");
     ASSERT_NE(at, std::string::npos) << line;
@@ -204,10 +207,10 @@ TEST(DistWire, ConfigureWithLegacyPrecisionKeyParses)
 
     std::string record = spec.to_json();
     record.insert(record.find("\"workers\":"), "\"precision\":\"f64\",");
-    srv::JsonValue value;
-    ASSERT_TRUE(srv::json_parse(record, value, error)) << error;
-    srv::JobSpec parsed;
-    ASSERT_TRUE(srv::JobSpec::from_json(value, parsed, error)) << error;
+    obs::JsonValue value;
+    ASSERT_TRUE(obs::json_parse(record, value, error)) << error;
+    core::RunSpec parsed;
+    ASSERT_TRUE(core::RunSpec::from_json(value, parsed, error)) << error;
     EXPECT_EQ(parsed.seed, spec.seed);
     EXPECT_EQ(parsed.benchmark, spec.benchmark);
 }
@@ -337,16 +340,16 @@ TEST(DistWire, EndpointParsing)
 
 TEST(DistJobSpec, WorkersFieldRoundTripsAndValidates)
 {
-    srv::JobSpec spec = small_spec();
+    core::RunSpec spec = small_spec();
     spec.workers = 4;
-    srv::JsonValue value;
+    obs::JsonValue value;
     std::string error;
-    ASSERT_TRUE(srv::json_parse(spec.to_json(), value, error)) << error;
-    srv::JobSpec parsed;
-    ASSERT_TRUE(srv::JobSpec::from_json(value, parsed, error)) << error;
+    ASSERT_TRUE(obs::json_parse(spec.to_json(), value, error)) << error;
+    core::RunSpec parsed;
+    ASSERT_TRUE(core::RunSpec::from_json(value, parsed, error)) << error;
     EXPECT_EQ(parsed.workers, 4);
 
-    srv::JobSpec bad = small_spec();
+    core::RunSpec bad = small_spec();
     bad.workers = -1;
     EXPECT_THROW(bad.check(), elv::UsageError);
     bad.workers = 65;
@@ -360,7 +363,7 @@ TEST(DistJobSpec, WorkersFieldRoundTripsAndValidates)
  */
 TEST(DistDeterminism, ShardCountGauntletMatchesSerialBitwise)
 {
-    const srv::JobSpec spec = small_spec();
+    const core::RunSpec spec = small_spec();
     const core::SearchResult reference = serial_reference(spec);
     for (const int workers : {1, 2, 3, 7}) {
         const DistResult dist =
@@ -384,7 +387,7 @@ TEST(DistDeterminism, ShardCountGauntletMatchesSerialBitwise)
  */
 TEST(DistDeterminism, WorkerKilledMidShardIsReissuedBitIdentical)
 {
-    const srv::JobSpec spec = small_spec();
+    const core::RunSpec spec = small_spec();
     const core::SearchResult reference = serial_reference(spec);
     DistConfig dc = dist_config(2);
     dc.crash_after = 2;
@@ -400,7 +403,7 @@ TEST(DistDeterminism, WorkerKilledMidShardIsReissuedBitIdentical)
  * evaluation — the run completes bit-identically, not at all fast. */
 TEST(DistDeterminism, UnspawnableWorkerFallsBackInProcess)
 {
-    const srv::JobSpec spec = small_spec();
+    const core::RunSpec spec = small_spec();
     const core::SearchResult reference = serial_reference(spec);
     DistConfig dc = dist_config(2);
     dc.worker_binary = "/nonexistent/elivagar_worker_missing";
@@ -418,7 +421,7 @@ TEST(DistDeterminism, UnspawnableWorkerFallsBackInProcess)
  */
 TEST(DistDeterminism, StateDirResumesUnderDifferentWorkerCount)
 {
-    const srv::JobSpec spec = small_spec();
+    const core::RunSpec spec = small_spec();
     const core::SearchResult reference = serial_reference(spec);
     const std::string state_dir = fresh_state_dir("resume");
 
@@ -442,14 +445,14 @@ TEST(DistDeterminism, StateDirResumesUnderDifferentWorkerCount)
  * and the refusal names the fingerprint. */
 TEST(DistDeterminism, StateDirFromDifferentConfigRefusedWithHint)
 {
-    const srv::JobSpec spec = small_spec();
+    const core::RunSpec spec = small_spec();
     const std::string state_dir = fresh_state_dir("fingerprint");
 
     DistConfig first = dist_config(2);
     first.state_dir = state_dir;
     distributed_search(spec, first);
 
-    srv::JobSpec flipped = spec;
+    core::RunSpec flipped = spec;
     flipped.seed += 1;
     DistConfig second = dist_config(2);
     second.state_dir = state_dir;
@@ -466,7 +469,7 @@ TEST(DistDeterminism, StateDirFromDifferentConfigRefusedWithHint)
  * process is spawned for them. */
 TEST(DistDeterminism, MoreWorkersThanCandidates)
 {
-    srv::JobSpec spec = small_spec();
+    core::RunSpec spec = small_spec();
     spec.candidates = 3;
     const core::SearchResult reference = serial_reference(spec);
     const DistResult dist = distributed_search(spec, dist_config(5));
@@ -617,7 +620,7 @@ all_pending(const core::SearchResult &reference)
  * whatever order and thread the remote stores from. */
 TEST(DistRemoteStages, RemoteStageMatchesInProcessBitwise)
 {
-    const srv::JobSpec spec = small_spec();
+    const core::RunSpec spec = small_spec();
     const core::SearchResult reference = serial_reference(spec);
     const Pending all = all_pending(reference);
     const qml::Benchmark bench =
@@ -626,7 +629,7 @@ TEST(DistRemoteStages, RemoteStageMatchesInProcessBitwise)
     for (const int threads : {1, 4}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         const core::ElivagarConfig config =
-            srv::job_search_config(spec, bench.spec, threads, "");
+            core::search_config(spec, bench.spec, threads, "");
         ReversedRemote remote(device, bench.train, config);
         expect_bit_identical(reference,
                              core::elivagar_search(device, bench.train,
@@ -645,7 +648,7 @@ TEST(DistRemoteStages, RemoteStageMatchesInProcessBitwise)
  */
 TEST(DistRemoteStages, CancelledRemoteStageResumesFromTheJournal)
 {
-    const srv::JobSpec spec = small_spec();
+    const core::RunSpec spec = small_spec();
     const core::SearchResult reference = serial_reference(spec);
     const Pending all = all_pending(reference);
     const qml::Benchmark bench =
@@ -658,7 +661,7 @@ TEST(DistRemoteStages, CancelledRemoteStageResumesFromTheJournal)
         std::filesystem::create_directories(dir);
         const std::string journal = dir + "/search.journal";
         core::ElivagarConfig config =
-            srv::job_search_config(spec, bench.spec, 2, journal);
+            core::search_config(spec, bench.spec, 2, journal);
         ReversedRemote first(device, bench.train, config);
         first.cancel = std::make_shared<CancelToken>();
         first.cancel_after = cancel_after;
@@ -692,7 +695,7 @@ TEST(DistRemoteStages, CancelledRemoteStageResumesFromTheJournal)
  */
 TEST(DistDeterminism, DistAndInProcessJournalsInterchange)
 {
-    const srv::JobSpec spec = small_spec();
+    const core::RunSpec spec = small_spec();
     const core::SearchResult reference = serial_reference(spec);
     const qml::Benchmark bench =
         qml::make_benchmark(spec.benchmark, spec.seed, spec.scale);
@@ -713,7 +716,7 @@ TEST(DistDeterminism, DistAndInProcessJournalsInterchange)
     ASSERT_EQ(stage_records(dist_journal), complete);
     const core::SearchResult in_process = core::elivagar_search(
         device, bench.train,
-        srv::job_search_config(spec, bench.spec, 1, dist_journal));
+        core::search_config(spec, bench.spec, 1, dist_journal));
     expect_bit_identical(reference, in_process);
     EXPECT_TRUE(in_process.resumed);
     EXPECT_EQ(stage_records(dist_journal), complete);
@@ -723,7 +726,7 @@ TEST(DistDeterminism, DistAndInProcessJournalsInterchange)
     std::filesystem::create_directories(own);
     core::elivagar_search(
         device, bench.train,
-        srv::job_search_config(spec, bench.spec, 1, own + "/j.journal"));
+        core::search_config(spec, bench.spec, 1, own + "/j.journal"));
     const std::string fresh = fresh_state_dir("interchange_fresh");
     std::filesystem::create_directories(fresh);
     std::filesystem::copy_file(own + "/j.journal",
@@ -774,13 +777,13 @@ serve(const std::vector<std::string> &requests)
  * answered with an error event naming it and evaluates nothing. */
 TEST(DistWorker, RepeatedOrOutOfRangeIndexIsAnErrorEvent)
 {
-    const srv::JobSpec spec = small_spec();
+    const core::RunSpec spec = small_spec();
     const qml::Benchmark bench =
         qml::make_benchmark(spec.benchmark, spec.seed, spec.scale);
     const std::string configure = make_configure(
         spec, 2,
         core::config_fingerprint(
-            srv::job_search_config(spec, bench.spec, 2, "")),
+            core::search_config(spec, bench.spec, 2, "")),
         0);
     for (const auto &[indices, expected] :
          {std::pair<std::vector<int>, std::string>{
@@ -839,14 +842,14 @@ TEST(DistAttach, ServeWorkerMatchesSerialAndStopsOnSigterm)
         ELV_WORKER_BIN, {"--serve", "--port", "0"}, error);
     ASSERT_NE(worker, nullptr) << error;
     ASSERT_TRUE(worker->read_line(line, error, 30.0)) << error;
-    srv::JsonValue announce;
-    ASSERT_TRUE(srv::json_parse(line, announce, error)) << line;
+    obs::JsonValue announce;
+    ASSERT_TRUE(obs::json_parse(line, announce, error)) << line;
     ASSERT_NE(announce.get("port"), nullptr) << line;
     const std::uint64_t port = 
         announce.get("port")->as_integer<std::uint64_t>().value_or(0);
     ASSERT_GT(port, 0u) << line;
 
-    const srv::JobSpec spec = small_spec();
+    const core::RunSpec spec = small_spec();
     const core::SearchResult reference = serial_reference(spec);
     DistConfig dc = dist_config(0);
     dc.attach = {"127.0.0.1:" + std::to_string(port)};
@@ -865,6 +868,106 @@ TEST(DistAttach, ServeWorkerMatchesSerialAndStopsOnSigterm)
     EXPECT_FALSE(worker->read_line(line, error, 5.0)) << line;
     EXPECT_LT(seconds_since(start), 5.0);
     EXPECT_NE(error.find("closed"), std::string::npos) << error;
+}
+
+// --- Every front end -------------------------------------------------
+
+/** One line per candidate: hexfloat cnr, repcap and score, then the
+ * CNR rejection flag — what a ranking is, bit for bit. */
+std::vector<std::string>
+ranking_of(const core::SearchResult &result)
+{
+    std::vector<std::string> lines;
+    for (const core::CandidateRecord &record : result.candidates)
+        lines.push_back(core::double_to_hex(record.cnr) + " " +
+                        core::double_to_hex(record.repcap) + " " +
+                        core::double_to_hex(record.score) + " " +
+                        (record.rejected_by_cnr ? "1" : "0"));
+    return lines;
+}
+
+/** The same lines read back from a run report (%.17g doubles, which
+ * round-trip exactly). */
+std::vector<std::string>
+ranking_of_report(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    obs::JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(obs::json_parse(text.str(), doc, error)) << path << error;
+    std::vector<std::string> lines;
+    const obs::JsonValue *candidates = doc.get("candidates");
+    if (!candidates)
+        return lines;
+    for (const obs::JsonValue &record : candidates->items)
+        lines.push_back(
+            core::double_to_hex(record.get("cnr")->as_number()) + " " +
+            core::double_to_hex(record.get("repcap")->as_number()) + " " +
+            core::double_to_hex(record.get("score")->as_number()) + " " +
+            (record.get("rejected_by_cnr")->as_bool() ? "1" : "0"));
+    return lines;
+}
+
+/**
+ * The north star: one spec, one ranking, whichever front end runs it —
+ * the in-process search of core::search_config(spec), distributed_search
+ * over 2 forked workers, a server job, and a server job with
+ * workers = 2 — with dead-structure pruning off and on.
+ */
+TEST(DistFrontEnds, EveryFrontEndRanksASpecIdentically)
+{
+    // The server's dist path forks the default worker binary.
+    ASSERT_EQ(::setenv("ELV_WORKER_BIN", ELV_WORKER_BIN, 1), 0);
+    for (const bool prune : {false, true}) {
+        SCOPED_TRACE(prune ? "prune_dead" : "unpruned");
+        core::RunSpec spec = small_spec();
+        spec.prune_dead = prune;
+        const std::vector<std::string> expected =
+            ranking_of(serial_reference(spec));
+        ASSERT_EQ(expected.size(),
+                  static_cast<std::size_t>(spec.candidates));
+        // The workers evaluate the pruned spec themselves: a worker
+        // that derived another config would fail the fingerprint
+        // handshake and its shard would fall back in-process.
+        const DistResult dist = distributed_search(spec, dist_config(2));
+        EXPECT_EQ(ranking_of(dist.result), expected);
+        EXPECT_EQ(dist.stats.worker_failures, 0);
+        EXPECT_EQ(dist.stats.fallback_records, 0u);
+
+        srv::ServerConfig config;
+        config.data_dir = fresh_state_dir(prune ? "front_pruned"
+                                                : "front_plain");
+        config.thread_budget = 2;
+        srv::Server server(config);
+        for (const int workers : {0, 2}) {
+            SCOPED_TRACE("server job, workers=" + std::to_string(workers));
+            spec.workers = workers;
+            const srv::SubmitOutcome outcome = server.submit(spec);
+            ASSERT_TRUE(outcome.accepted) << outcome.error;
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(120);
+            std::optional<srv::JobStatusSnapshot> snap;
+            while ((!(snap = server.status(outcome.id)) ||
+                    !srv::job_state_terminal(snap->state)) &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            ASSERT_TRUE(snap && snap->state == srv::JobState::Completed)
+                << (snap ? snap->detail : "no status");
+            const std::string job = config.data_dir + "/" + outcome.id;
+            EXPECT_EQ(ranking_of_report(job + ".report.json"), expected);
+            if (workers > 0) {
+                std::ifstream in(job + ".dist/dist.manifest");
+                std::ostringstream manifest;
+                manifest << in.rdbuf();
+                EXPECT_NE(manifest.str().find("done repcap shard"),
+                          std::string::npos);
+                EXPECT_EQ(manifest.str().find("fallback"),
+                          std::string::npos);
+            }
+        }
+    }
 }
 
 } // namespace

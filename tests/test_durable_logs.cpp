@@ -12,7 +12,9 @@
  *    loads, drops only that record and leaves a file the next append
  *    and load read whole with no warning. A torn header resets.
  *  - Hostile bytes: seeded bit flips, truncations, duplicated lines and
- *    spliced lines either load or throw UsageError.
+ *    spliced lines either load or throw UsageError. The same mutator
+ *    feeds the run spec's JSON codec, which every manifest job record
+ *    and dist configure line goes through.
  */
 #include <gtest/gtest.h>
 
@@ -30,7 +32,9 @@
 
 #include "common/logging.hpp"
 #include "core/checkpoint.hpp"
+#include "core/run_spec.hpp"
 #include "dist/coordinator.hpp"
+#include "obs/json.hpp"
 #include "server/server.hpp"
 
 namespace {
@@ -89,10 +93,10 @@ last_line(const std::string &blob)
 // --- Server and dist fixtures -------------------------------------------
 
 /** A job that completes in well under a second. */
-srv::JobSpec
+core::RunSpec
 quick_spec(std::uint64_t seed)
 {
-    srv::JobSpec spec;
+    core::RunSpec spec;
     spec.benchmark = "moons";
     spec.candidates = 6;
     spec.scale = 0.05;
@@ -128,10 +132,10 @@ wait_terminal(srv::Server &server, const std::string &id)
 }
 
 /** The dist test spec (fingerprint 8b1652ae4c2c6f4d). */
-srv::JobSpec
+core::RunSpec
 dist_spec()
 {
-    srv::JobSpec spec;
+    core::RunSpec spec;
     spec.benchmark = "moons";
     spec.candidates = 10;
     spec.seed = 11;
@@ -511,6 +515,54 @@ TEST(DurableLog, SeededMutantsLoadOrThrowUsageError)
         EXPECT_GT(o.loaded, 0);
         EXPECT_GT(o.refused, 0);
     }
+}
+
+/** `json` with one member per line, so line splices add and repeat
+ * members. */
+std::string
+one_member_per_line(std::string json)
+{
+    for (std::size_t at = json.find(", \""); at != std::string::npos;
+         at = json.find(", \"", at))
+        json.replace(at, 2, ",\n");
+    return json;
+}
+
+TEST(DurableLog, SeededRunSpecMutantsParseOrAreRejected)
+{
+    core::RunSpec spec = dist_spec();
+    spec.deadline_sec = 4.5;
+    spec.workers = 2;
+    spec.prune_dead = true;
+    const std::string blob = one_member_per_line(spec.to_json()) + "\n";
+    // Donor members: out-of-range values and fields of the wrong kind.
+    std::vector<std::string> donors = split_lines(
+        one_member_per_line(core::RunSpec{}.to_json()));
+    for (const char *member :
+         {R"("benchmark": ["mnist_4"],)", R"("scale": "0.5",)",
+          R"("deadline_sec": 1e10,)", R"("deadline_sec": 1e999,)",
+          R"("candidates": 5000,)", R"("seed": -1,)",
+          R"("prune_dead": 1,)", R"("workers": null,)"})
+        donors.emplace_back(member);
+
+    std::mt19937_64 rng(4);
+    Outcomes outcomes;
+    for (int n = 0; n < 4000; ++n) {
+        const std::string mutant = mutate(blob, donors, rng);
+        obs::JsonValue value;
+        std::string error;
+        core::RunSpec parsed;
+        if (obs::json_parse(mutant, value, error) &&
+            core::RunSpec::from_json(value, parsed, error)) {
+            EXPECT_NO_THROW(parsed.check()) << mutant;
+            ++outcomes.loaded;
+        } else {
+            EXPECT_FALSE(error.empty()) << mutant;
+            ++outcomes.refused;
+        }
+    }
+    EXPECT_GT(outcomes.loaded, 0);
+    EXPECT_GT(outcomes.refused, 0);
 }
 
 } // namespace

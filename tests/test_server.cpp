@@ -19,15 +19,16 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
 
 #include "common/line_io.hpp"
 #include "common/logging.hpp"
+#include "core/run_spec.hpp"
 #include "server/http.hpp"
 #include "server/job.hpp"
-#include "server/json_value.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/tcp.hpp"
@@ -47,10 +48,10 @@ fresh_dir(const std::string &name)
 }
 
 /** A job that completes in well under a second. */
-JobSpec
+core::RunSpec
 quick_spec(std::uint64_t seed = 21)
 {
-    JobSpec spec;
+    core::RunSpec spec;
     spec.benchmark = "moons";
     spec.candidates = 6;
     spec.scale = 0.05;
@@ -59,10 +60,10 @@ quick_spec(std::uint64_t seed = 21)
 }
 
 /** A job that runs long enough to observe and interrupt mid-flight. */
-JobSpec
+core::RunSpec
 long_spec(std::uint64_t seed = 33)
 {
-    JobSpec spec = quick_spec(seed);
+    core::RunSpec spec = quick_spec(seed);
     spec.candidates = 64;
     spec.scale = 0.1;
     return spec;
@@ -110,11 +111,11 @@ is_terminal(const JobStatusSnapshot &snap)
 std::string
 json_field(const std::string &doc, const std::string &key)
 {
-    JsonValue value;
+    obs::JsonValue value;
     std::string error;
-    if (!json_parse(doc, value, error))
+    if (!obs::json_parse(doc, value, error))
         return "";
-    const JsonValue *field = value.get(key);
+    const obs::JsonValue *field = value.get(key);
     if (!field)
         return "";
     if (field->is_string())
@@ -126,33 +127,33 @@ json_field(const std::string &doc, const std::string &key)
 
 TEST(JsonValue, ParsesNestedDocument)
 {
-    JsonValue value;
+    obs::JsonValue value;
     std::string error;
-    ASSERT_TRUE(json_parse(
+    ASSERT_TRUE(obs::json_parse(
         R"({"a": [1, 2.5, -3e2], "b": {"c": "x\ny"}, "d": true,)"
         R"( "e": null})",
         value, error))
         << error;
     ASSERT_TRUE(value.is_object());
-    const JsonValue *a = value.get("a");
+    const obs::JsonValue *a = value.get("a");
     ASSERT_NE(a, nullptr);
     ASSERT_EQ(a->items.size(), 3u);
     EXPECT_EQ(a->items[0].as_integer<int>(), 1);
     EXPECT_DOUBLE_EQ(a->items[1].as_number(), 2.5);
     EXPECT_DOUBLE_EQ(a->items[2].as_number(), -300.0);
-    const JsonValue *b = value.get("b");
+    const obs::JsonValue *b = value.get("b");
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(b->get("c")->as_string(), "x\ny");
     EXPECT_TRUE(value.get("d")->as_bool(false));
-    EXPECT_EQ(value.get("e")->kind, JsonValue::Kind::Null);
+    EXPECT_EQ(value.get("e")->kind, obs::JsonValue::Kind::Null);
 }
 
 TEST(JsonValue, PreservesLargeSeedsExactly)
 {
-    JsonValue value;
+    obs::JsonValue value;
     std::string error;
     // 2^64 - 1: past the double-precision cliff at 2^53.
-    ASSERT_TRUE(json_parse(R"({"seed": 18446744073709551615})", value,
+    ASSERT_TRUE(obs::json_parse(R"({"seed": 18446744073709551615})", value,
                            error));
     EXPECT_EQ(value.get("seed")->as_integer<std::uint64_t>(),
               18446744073709551615ull);
@@ -160,14 +161,14 @@ TEST(JsonValue, PreservesLargeSeedsExactly)
 
 TEST(JsonValue, OutOfRangeIntegersAreNeverCast)
 {
-    JsonValue value;
+    obs::JsonValue value;
     std::string error;
-    ASSERT_TRUE(json_parse(
+    ASSERT_TRUE(obs::json_parse(
         R"([1e30, -1e30, 1e300, -1e300, 4294967297, -1, 2.5,)"
         R"( 9223372036854775808, 18446744073709551616, 1e3, -0])",
         value, error))
         << error;
-    const std::vector<JsonValue> &n = value.items;
+    const std::vector<obs::JsonValue> &n = value.items;
     for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_FALSE(n[i].as_integer<int>().has_value()) << i;
         EXPECT_FALSE(n[i].as_integer<std::int64_t>().has_value()) << i;
@@ -184,50 +185,50 @@ TEST(JsonValue, OutOfRangeIntegersAreNeverCast)
     EXPECT_EQ(n[9].as_integer<int>(), 1000);
     EXPECT_EQ(n[10].as_integer<std::uint64_t>(), 0u);
     // Other kinds are no integers; absent members leave the default.
-    ASSERT_TRUE(json_parse(R"({"s": "7", "b": true})", value, error));
+    ASSERT_TRUE(obs::json_parse(R"({"s": "7", "b": true})", value, error));
     EXPECT_FALSE(value.get("s")->as_integer<int>().has_value());
     int out = 5;
-    EXPECT_FALSE(value.read_integer("b", out, error));
+    EXPECT_FALSE(value.read("b", out, error));
     EXPECT_NE(error.find("\"b\""), std::string::npos) << error;
-    EXPECT_TRUE(value.read_integer("absent", out, error));
+    EXPECT_TRUE(value.read("absent", out, error));
     EXPECT_EQ(out, 5);
 }
 
 TEST(JsonValue, RejectsMalformedInput)
 {
-    JsonValue value;
+    obs::JsonValue value;
     std::string error;
-    EXPECT_FALSE(json_parse("", value, error));
-    EXPECT_FALSE(json_parse("{", value, error));
-    EXPECT_FALSE(json_parse(R"({"a": 1} trailing)", value, error));
-    EXPECT_FALSE(json_parse(R"({"a": })", value, error));
-    EXPECT_FALSE(json_parse(R"("unterminated)", value, error));
-    EXPECT_FALSE(json_parse(R"({"a": 1e})", value, error));
-    EXPECT_FALSE(json_parse("{\"a\": \"\x01\"}", value, error));
+    EXPECT_FALSE(obs::json_parse("", value, error));
+    EXPECT_FALSE(obs::json_parse("{", value, error));
+    EXPECT_FALSE(obs::json_parse(R"({"a": 1} trailing)", value, error));
+    EXPECT_FALSE(obs::json_parse(R"({"a": })", value, error));
+    EXPECT_FALSE(obs::json_parse(R"("unterminated)", value, error));
+    EXPECT_FALSE(obs::json_parse(R"({"a": 1e})", value, error));
+    EXPECT_FALSE(obs::json_parse("{\"a\": \"\x01\"}", value, error));
     // Depth bomb: bounded recursion, not a stack overflow.
     std::string bomb;
     for (int i = 0; i < 2000; ++i)
         bomb += '[';
-    EXPECT_FALSE(json_parse(bomb, value, error));
+    EXPECT_FALSE(obs::json_parse(bomb, value, error));
 }
 
 TEST(JsonValue, DecodesEscapes)
 {
-    JsonValue value;
+    obs::JsonValue value;
     std::string error;
-    ASSERT_TRUE(json_parse(R"({"s": "a\t\"\\é€"})", value,
+    ASSERT_TRUE(obs::json_parse(R"({"s": "a\t\"\\é€"})", value,
                            error))
         << error;
     EXPECT_EQ(value.get("s")->as_string(),
               "a\t\"\\\xc3\xa9\xe2\x82\xac");
-    EXPECT_FALSE(json_parse(R"({"s": "\ud800"})", value, error));
+    EXPECT_FALSE(obs::json_parse(R"({"s": "\ud800"})", value, error));
 }
 
 // --- Job model -------------------------------------------------------
 
 TEST(JobSpec, JsonRoundTrip)
 {
-    JobSpec spec;
+    core::RunSpec spec;
     spec.benchmark = "bank";
     spec.device = "ibm_nairobi";
     spec.candidates = 12;
@@ -235,12 +236,13 @@ TEST(JobSpec, JsonRoundTrip)
     spec.scale = 0.25;
     spec.priority = 3;
     spec.deadline_sec = 4.5;
+    spec.prune_dead = true;
 
-    JsonValue value;
+    obs::JsonValue value;
     std::string error;
-    ASSERT_TRUE(json_parse(spec.to_json(), value, error)) << error;
-    JobSpec parsed;
-    ASSERT_TRUE(JobSpec::from_json(value, parsed, error)) << error;
+    ASSERT_TRUE(obs::json_parse(spec.to_json(), value, error)) << error;
+    core::RunSpec parsed;
+    ASSERT_TRUE(core::RunSpec::from_json(value, parsed, error)) << error;
     EXPECT_EQ(parsed.benchmark, spec.benchmark);
     EXPECT_EQ(parsed.device, spec.device);
     EXPECT_EQ(parsed.candidates, spec.candidates);
@@ -248,21 +250,25 @@ TEST(JobSpec, JsonRoundTrip)
     EXPECT_DOUBLE_EQ(parsed.scale, spec.scale);
     EXPECT_EQ(parsed.priority, spec.priority);
     EXPECT_DOUBLE_EQ(parsed.deadline_sec, spec.deadline_sec);
+    EXPECT_TRUE(parsed.prune_dead);
+    // An unpruned spec renders as it did before the key existed.
+    spec.prune_dead = false;
+    EXPECT_EQ(spec.to_json().find("prune_dead"), std::string::npos);
 }
 
 TEST(JobSpec, FromJsonRejectsBadFields)
 {
-    JsonValue value;
+    obs::JsonValue value;
     std::string error;
-    JobSpec spec;
-    ASSERT_TRUE(json_parse(R"({"candidates": 0})", value, error));
-    EXPECT_FALSE(JobSpec::from_json(value, spec, error));
-    ASSERT_TRUE(json_parse(R"({"scale": 2.0})", value, error));
-    EXPECT_FALSE(JobSpec::from_json(value, spec, error));
-    ASSERT_TRUE(json_parse(R"({"deadline_sec": -1})", value, error));
-    EXPECT_FALSE(JobSpec::from_json(value, spec, error));
-    ASSERT_TRUE(json_parse(R"([1,2])", value, error));
-    EXPECT_FALSE(JobSpec::from_json(value, spec, error));
+    core::RunSpec spec;
+    ASSERT_TRUE(obs::json_parse(R"({"candidates": 0})", value, error));
+    EXPECT_FALSE(core::RunSpec::from_json(value, spec, error));
+    ASSERT_TRUE(obs::json_parse(R"({"scale": 2.0})", value, error));
+    EXPECT_FALSE(core::RunSpec::from_json(value, spec, error));
+    ASSERT_TRUE(obs::json_parse(R"({"deadline_sec": -1})", value, error));
+    EXPECT_FALSE(core::RunSpec::from_json(value, spec, error));
+    ASSERT_TRUE(obs::json_parse(R"([1,2])", value, error));
+    EXPECT_FALSE(core::RunSpec::from_json(value, spec, error));
     // Integers that do not fit their field are errors: never wrapped
     // (4294967297 is no 1-candidate job) nor cast out of range.
     for (const char *doc :
@@ -271,16 +277,76 @@ TEST(JobSpec, FromJsonRejectsBadFields)
           R"({"candidates": "8"})", R"({"seed": 1e300})",
           R"({"seed": -1})", R"({"seed": 18446744073709551616})",
           R"({"priority": 1e30})", R"({"workers": -2147483649})"}) {
-        ASSERT_TRUE(json_parse(doc, value, error)) << doc;
-        EXPECT_FALSE(JobSpec::from_json(value, spec, error)) << doc;
+        ASSERT_TRUE(obs::json_parse(doc, value, error)) << doc;
+        EXPECT_FALSE(core::RunSpec::from_json(value, spec, error)) << doc;
         EXPECT_NE(error.find("integer"), std::string::npos) << doc;
     }
     // Integral spellings that fit still parse.
-    ASSERT_TRUE(json_parse(R"({"candidates": 8e0, "seed": 1e3})", value,
-                           error));
-    ASSERT_TRUE(JobSpec::from_json(value, spec, error)) << error;
+    ASSERT_TRUE(obs::json_parse(R"({"candidates": 8e0, "seed": 1e3})",
+                                value, error));
+    ASSERT_TRUE(core::RunSpec::from_json(value, spec, error)) << error;
     EXPECT_EQ(spec.candidates, 8);
     EXPECT_EQ(spec.seed, 1000u);
+    // A string, number or boolean field of the wrong JSON kind is an
+    // error, never silently replaced by its default.
+    for (const char *doc :
+         {R"({"benchmark": ["mnist_4"]})", R"({"device": 7})",
+          R"({"scale": "0.5"})", R"({"scale": null})",
+          R"({"deadline_sec": "10"})", R"({"prune_dead": 1})",
+          R"({"prune_dead": "true"})"}) {
+        ASSERT_TRUE(obs::json_parse(doc, value, error)) << doc;
+        error.clear();
+        EXPECT_FALSE(core::RunSpec::from_json(value, spec, error)) << doc;
+        EXPECT_NE(error.find(" is not a"), std::string::npos) << doc;
+    }
+    // A deadline past the stated bound, or infinite, is refused rather
+    // than cancelling the run at once.
+    for (const char *doc :
+         {R"({"deadline_sec": 1e10})", R"({"deadline_sec": 1e999})",
+          R"({"scale": 1e999})"}) {
+        ASSERT_TRUE(obs::json_parse(doc, value, error)) << doc;
+        EXPECT_FALSE(core::RunSpec::from_json(value, spec, error)) << doc;
+    }
+    ASSERT_TRUE(obs::json_parse(R"({"prune_dead": true})", value, error));
+    ASSERT_TRUE(core::RunSpec::from_json(value, spec, error)) << error;
+    EXPECT_TRUE(spec.prune_dead);
+}
+
+TEST(JobSpec, CheckRejectsNanAndUnboundedValues)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_NO_THROW(core::RunSpec{}.check());
+    core::RunSpec spec;
+    spec.deadline_sec = core::RunSpec::kMaxDeadlineSec;
+    EXPECT_NO_THROW(spec.check());
+    for (const double deadline : {nan, inf, 1e10, -1.0}) {
+        spec.deadline_sec = deadline;
+        EXPECT_THROW(spec.check(), UsageError) << deadline;
+    }
+    spec = core::RunSpec{};
+    for (const double scale : {nan, inf, 0.0, 1.5}) {
+        spec.scale = scale;
+        EXPECT_THROW(spec.check(), UsageError) << scale;
+    }
+}
+
+TEST(JobSpec, SearchConfigSetsThePruneFlagsFromTheSpec)
+{
+    const qml::BenchmarkSpec bench = qml::benchmark_spec("mnist-4");
+    core::RunSpec spec;
+    core::ElivagarConfig config =
+        core::search_config(spec, bench, 1, "");
+    EXPECT_FALSE(config.cnr.prune_dead_structure);
+    EXPECT_FALSE(config.repcap.prune_dead_structure);
+    const std::uint64_t unpruned = core::config_fingerprint(config);
+    spec.prune_dead = true;
+    config = core::search_config(spec, bench, 1, "");
+    EXPECT_TRUE(config.cnr.prune_dead_structure);
+    EXPECT_TRUE(config.repcap.prune_dead_structure);
+    EXPECT_NE(core::config_fingerprint(config), unpruned);
+    // Never more embeddings than rotations.
+    EXPECT_LE(config.candidate.num_embeds, bench.params);
 }
 
 TEST(JobState, NamesRoundTripAndTerminality)
@@ -322,7 +388,7 @@ TEST(Server, RunsAJobToCompletion)
 TEST(Server, RejectsInvalidSpecs)
 {
     Server server(small_config(fresh_dir("invalid")));
-    JobSpec bad = quick_spec();
+    core::RunSpec bad = quick_spec();
     bad.benchmark = "no_such_benchmark";
     EXPECT_FALSE(server.submit(bad).accepted);
     bad = quick_spec();
@@ -379,7 +445,7 @@ TEST(Server, OverloadRejectsExplicitlyWithRetryAfter)
         }
         ASSERT_TRUE(full) << "re-flooding a bounded queue must reject";
 
-        JobSpec urgent = quick_spec(7 + static_cast<unsigned>(attempt));
+        core::RunSpec urgent = quick_spec(7 + static_cast<unsigned>(attempt));
         urgent.priority = 5 + attempt;
         const SubmitOutcome shed_outcome = server.submit(urgent);
         ASSERT_TRUE(shed_outcome.accepted) << shed_outcome.error;
@@ -403,10 +469,10 @@ TEST(Server, OverloadRejectsExplicitlyWithRetryAfter)
     for (const auto &snap : server.jobs())
         wait_for(server, snap.id, is_terminal);
 
-    JsonValue health;
+    obs::JsonValue health;
     std::string error;
-    ASSERT_TRUE(json_parse(server.health_json(), health, error));
-    const JsonValue *jobs = health.get("jobs");
+    ASSERT_TRUE(obs::json_parse(server.health_json(), health, error));
+    const obs::JsonValue *jobs = health.get("jobs");
     ASSERT_NE(jobs, nullptr);
     EXPECT_GE(jobs->get("rejected")->as_integer<int>().value_or(0), 1);
     EXPECT_GE(jobs->get("shed")->as_integer<int>().value_or(0), 1);
@@ -415,7 +481,7 @@ TEST(Server, OverloadRejectsExplicitlyWithRetryAfter)
 TEST(Server, DeadlineExpiryCancelsNotFails)
 {
     Server server(small_config(fresh_dir("deadline")));
-    JobSpec spec = long_spec();
+    core::RunSpec spec = long_spec();
     spec.deadline_sec = 0.05; // far too tight for 64 candidates
     const SubmitOutcome outcome = server.submit(spec);
     ASSERT_TRUE(outcome.accepted);
@@ -475,7 +541,7 @@ TEST(Server, CancelQueuedJobNeverRuns)
 TEST(Server, HardStopResumesBitIdentically)
 {
     // Reference: the same job on an uninterrupted server.
-    JobSpec spec = quick_spec(55);
+    core::RunSpec spec = quick_spec(55);
     spec.candidates = 24;
     spec.scale = 0.1;
     std::string clean_hex, clean_circuit;
@@ -582,9 +648,9 @@ TEST(Protocol, HandlesBadInputWithoutThrowing)
         const RequestOutcome outcome =
             handle_request(server, line, /*allow_shutdown=*/false);
         EXPECT_EQ(outcome.action, RequestAction::Reply);
-        JsonValue value;
+        obs::JsonValue value;
         std::string error;
-        ASSERT_TRUE(json_parse(outcome.response, value, error)) << line;
+        ASSERT_TRUE(obs::json_parse(outcome.response, value, error)) << line;
         EXPECT_FALSE(value.get("ok")->as_bool(true)) << line;
     }
 }
@@ -594,21 +660,21 @@ TEST(Protocol, SubmitStatusResultLifecycle)
     Server server(small_config(fresh_dir("proto_life")));
     const RequestOutcome submitted = handle_request(
         server, make_submit_request(quick_spec()), false);
-    JsonValue value;
+    obs::JsonValue value;
     std::string error;
-    ASSERT_TRUE(json_parse(submitted.response, value, error));
+    ASSERT_TRUE(obs::json_parse(submitted.response, value, error));
     ASSERT_TRUE(value.get("ok")->as_bool(false)) << submitted.response;
     const std::string id = value.get("id")->as_string();
     wait_for(server, id, is_terminal);
 
     const RequestOutcome status =
         handle_request(server, make_status_request(id), false);
-    ASSERT_TRUE(json_parse(status.response, value, error));
+    ASSERT_TRUE(obs::json_parse(status.response, value, error));
     EXPECT_EQ(value.get("job")->get("state")->as_string(), "completed");
 
     const RequestOutcome result =
         handle_request(server, make_result_request(id), false);
-    ASSERT_TRUE(json_parse(result.response, value, error));
+    ASSERT_TRUE(obs::json_parse(result.response, value, error));
     EXPECT_TRUE(value.get("ok")->as_bool(false));
     EXPECT_FALSE(value.get("result")
                      ->get("best_score_hex")
@@ -617,13 +683,13 @@ TEST(Protocol, SubmitStatusResultLifecycle)
 
     const RequestOutcome health =
         handle_request(server, make_health_request(), false);
-    ASSERT_TRUE(json_parse(health.response, value, error));
+    ASSERT_TRUE(obs::json_parse(health.response, value, error));
     EXPECT_EQ(value.get("health")->get("state")->as_string(),
               "serving");
 
     const RequestOutcome metrics =
         handle_request(server, make_metrics_request(), false);
-    ASSERT_TRUE(json_parse(metrics.response, value, error));
+    ASSERT_TRUE(obs::json_parse(metrics.response, value, error));
     EXPECT_TRUE(value.get("ok")->as_bool(false));
 
     const RequestOutcome shutdown =
@@ -650,13 +716,13 @@ TEST(Tcp, EndToEndOverLoopback)
     // Malformed line: explicit error, connection stays usable.
     std::string response;
     ASSERT_TRUE(client.request("this is not json", response, error));
-    JsonValue value;
-    ASSERT_TRUE(json_parse(response, value, error));
+    obs::JsonValue value;
+    ASSERT_TRUE(obs::json_parse(response, value, error));
     EXPECT_FALSE(value.get("ok")->as_bool(true));
 
     ASSERT_TRUE(client.request(make_submit_request(quick_spec()),
                                response, error));
-    ASSERT_TRUE(json_parse(response, value, error));
+    ASSERT_TRUE(obs::json_parse(response, value, error));
     ASSERT_TRUE(value.get("ok")->as_bool(false)) << response;
     const std::string id = value.get("id")->as_string();
 
@@ -666,8 +732,8 @@ TEST(Tcp, EndToEndOverLoopback)
     bool saw_terminal = false;
     while (!saw_terminal &&
            client.read_line(response, error, 60.0)) {
-        ASSERT_TRUE(json_parse(response, value, error)) << response;
-        const JsonValue *state = value.get("state");
+        ASSERT_TRUE(obs::json_parse(response, value, error)) << response;
+        const obs::JsonValue *state = value.get("state");
         ASSERT_NE(state, nullptr);
         const auto parsed = job_state_from_name(state->as_string());
         ASSERT_TRUE(parsed.has_value());
@@ -678,12 +744,12 @@ TEST(Tcp, EndToEndOverLoopback)
     // Shutdown is rejected unless the transport allows it.
     ASSERT_TRUE(
         client.request(make_shutdown_request(1.0), response, error));
-    ASSERT_TRUE(json_parse(response, value, error));
+    ASSERT_TRUE(obs::json_parse(response, value, error));
     EXPECT_FALSE(value.get("ok")->as_bool(true));
 
     ASSERT_TRUE(
         client.request(make_health_request(), response, error));
-    ASSERT_TRUE(json_parse(response, value, error));
+    ASSERT_TRUE(obs::json_parse(response, value, error));
     EXPECT_TRUE(value.get("ok")->as_bool(false));
 
     tcp.stop();
@@ -774,21 +840,21 @@ TEST(Telemetry, EventsVerbReportsJobLifecycle)
 
     const RequestOutcome reply =
         handle_request(server, make_events_request(0, 64), false);
-    JsonValue value;
+    obs::JsonValue value;
     std::string error;
-    ASSERT_TRUE(json_parse(reply.response, value, error))
+    ASSERT_TRUE(obs::json_parse(reply.response, value, error))
         << reply.response;
     ASSERT_TRUE(value.get("ok")->as_bool(false));
-    const JsonValue *doc = value.get("events");
+    const obs::JsonValue *doc = value.get("events");
     ASSERT_NE(doc, nullptr);
     const std::uint64_t last_seq = 
         doc->get("last_seq")->as_integer<std::uint64_t>().value_or(0);
     EXPECT_GE(last_seq, 3u); // admitted, started, finished
 
     std::vector<std::string> kinds;
-    for (const JsonValue &event : doc->get("events")->items) {
+    for (const obs::JsonValue &event : doc->get("events")->items) {
         kinds.push_back(event.get("kind")->as_string());
-        if (const JsonValue *id = event.get("id")) {
+        if (const obs::JsonValue *id = event.get("id")) {
             EXPECT_EQ(id->as_string(), outcome.id);
         }
     }
@@ -808,7 +874,7 @@ TEST(Telemetry, EventsVerbReportsJobLifecycle)
     // Cursor paging: everything before last_seq is filtered out.
     const RequestOutcome tail = handle_request(
         server, make_events_request(last_seq, 64), false);
-    ASSERT_TRUE(json_parse(tail.response, value, error));
+    ASSERT_TRUE(obs::json_parse(tail.response, value, error));
     EXPECT_TRUE(value.get("events")->get("events")->items.empty());
 }
 
