@@ -144,7 +144,6 @@ struct CliOptions
     int epochs = 40;
     std::string emit; // "", "text" or "qasm"
     std::string checkpoint;
-    double fault_rate = 0.0;
     int threads = 0; // 0 = one per hardware thread
     std::string trace_path;
     std::string profile_path;
@@ -210,8 +209,6 @@ print_usage()
         "in-process\n"
         "                     and on workers (rankings preserved; "
         "fingerprinted)\n"
-        "  --fault-rate F     inject transient backend faults with "
-        "probability F\n"
         "  --trace FILE       write a Chrome trace of the search "
         "(Perfetto-viewable)\n"
         "  --profile FILE     sample the whole run (search, training, "
@@ -262,8 +259,6 @@ parse(int argc, char **argv, CliOptions &options)
             options.emit = value();
         else if (arg == "--checkpoint")
             options.checkpoint = value();
-        else if (arg == "--fault-rate")
-            options.fault_rate = number(arg, value(), 0.0, 1.0);
         else if (arg == "--trace")
             options.trace_path = value();
         else if (arg == "--profile")
@@ -686,7 +681,6 @@ watch_until_terminal(const std::string &host, std::uint16_t port,
     policy.max_attempts = 6;
     policy.initial_backoff_ms = 200.0;
     policy.max_backoff_ms = 5000.0;
-    policy.full_jitter = true;
     elv::Rng rng(0x3a7c0u ^ static_cast<std::uint64_t>(port));
     int consecutive_failures = 0;
 
@@ -918,11 +912,6 @@ main(int argc, char **argv)
             token->set_deadline_after(spec.deadline_sec);
             config.hooks.cancel = token;
         }
-        if (options.fault_rate > 0.0) {
-            config.resilience.enabled = true;
-            config.resilience.faults.transient_rate = options.fault_rate;
-            config.resilience.retry.max_attempts = 8;
-        }
 
         // Tracing and metrics cover the search: they go live just before
         // elivagar_search and their artifacts are written as soon as it
@@ -948,10 +937,6 @@ main(int argc, char **argv)
         core::SearchResult found;
         std::optional<dist::DistStats> dist_stats;
         if (distributed) {
-            if (options.fault_rate > 0.0)
-                elv::fatal("--fault-rate injects faults into the "
-                           "in-process executor and cannot be "
-                           "combined with --workers/--attach");
             if (!options.checkpoint.empty())
                 elv::fatal("--checkpoint journals an in-process "
                            "search; distributed runs journal to "
@@ -1034,17 +1019,6 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (config.resilience.enabled)
-            std::printf("resilience: %llu faults injected, %llu "
-                        "retries, %d degraded candidates, %.1f s "
-                        "simulated wait\n",
-                        static_cast<unsigned long long>(
-                            found.fault_counters.total()),
-                        static_cast<unsigned long long>(
-                            found.exec_counters.retries),
-                        found.degraded_candidates,
-                        found.simulated_wait_ms / 1000.0);
-
         qml::TrainConfig tc;
         tc.epochs = options.epochs;
         tc.threads = options.threads;
@@ -1099,7 +1073,7 @@ main(int argc, char **argv)
         print_usage();
         return 1;
     } catch (const std::exception &error) {
-        // e.g. every execution backend exhausted under --fault-rate.
+        // e.g. a broken internal invariant (InternalError).
         std::fprintf(stderr, "error: %s\n", error.what());
         return 1;
     }

@@ -7,21 +7,6 @@
 
 namespace elv {
 
-void
-RetryPolicy::check() const
-{
-    if (max_attempts < 1)
-        fatal("retry policy needs max_attempts >= 1");
-    if (initial_backoff_ms < 0.0 || max_backoff_ms < 0.0)
-        fatal("retry backoff delays must be non-negative");
-    if (backoff_multiplier < 1.0)
-        fatal("retry backoff multiplier must be >= 1");
-    if (jitter < 0.0 || jitter > 1.0)
-        fatal("retry jitter must lie in [0, 1]");
-    if (call_deadline_ms < 0.0 || total_budget_ms < 0.0)
-        fatal("retry deadlines must be non-negative");
-}
-
 double
 RetryPolicy::backoff_delay_ms(int retry_index, Rng &rng) const
 {
@@ -30,35 +15,12 @@ RetryPolicy::backoff_delay_ms(int retry_index, Rng &rng) const
                      std::pow(backoff_multiplier,
                               static_cast<double>(retry_index));
     nominal = std::min(nominal, max_backoff_ms);
-    if (full_jitter) {
-        // Bounded full jitter: uniform in nominal * [1 - jitter, 1].
-        // The draw never exceeds the nominal delay, so a fleet of
-        // synchronized clients spreads out instead of stampeding, and
-        // the (1 - jitter) floor preserves backoff progress.
-        const double floor_factor = 1.0 - jitter;
-        const double factor =
-            floor_factor + jitter * rng.uniform();
-        return std::max(0.0, nominal * factor);
-    }
-    // Symmetric band: uniform in nominal * [1 - jitter, 1 + jitter],
-    // so concurrent clients do not retry in lockstep.
-    const double factor = 1.0 + jitter * (2.0 * rng.uniform() - 1.0);
+    // Bounded full jitter: uniform in nominal * [1 - jitter, 1]. The
+    // draw never exceeds the nominal delay, so a fleet of synchronized
+    // clients spreads out instead of stampeding, and the (1 - jitter)
+    // floor preserves backoff progress.
+    const double factor = (1.0 - jitter) + jitter * rng.uniform();
     return std::max(0.0, nominal * factor);
-}
-
-RetryCounters &
-RetryCounters::operator+=(const RetryCounters &other)
-{
-    calls += other.calls;
-    attempts += other.attempts;
-    failures += other.failures;
-    retries += other.retries;
-    invalid_results += other.invalid_results;
-    rungs_exhausted += other.rungs_exhausted;
-    degraded_calls += other.degraded_calls;
-    backoff_wait_ms += other.backoff_wait_ms;
-    queue_wait_ms += other.queue_wait_ms;
-    return *this;
 }
 
 } // namespace elv

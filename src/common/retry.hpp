@@ -1,94 +1,39 @@
 /**
  * @file
- * Retry policy shared by the resilient execution layer (src/exec/).
- *
- * Cloud NISQ backends fail jobs transiently, sit in queues, and return
- * garbage often enough that every repeated-execution loop needs bounded
- * retries. The policy is expressed in *simulated* milliseconds: callers
- * accumulate the computed backoff delays on a virtual clock instead of
- * sleeping, so deadline/budget behaviour is testable deterministically
- * and benches run at full speed.
+ * Backoff for reconnect loops: the CLI's `watch` re-attaches to the
+ * server with these delays after a dropped connection.
  */
 #pragma once
-
-#include <cstdint>
 
 #include "common/rng.hpp"
 
 namespace elv {
 
-/** Exponential backoff with jitter plus per-call / per-run deadlines. */
+/** Exponential backoff with bounded full jitter. */
 struct RetryPolicy
 {
-    /** Attempts per backend rung before degrading (>= 1). */
+    /** Consecutive failed attempts before giving up (>= 1). */
     int max_attempts = 4;
-    /** Delay before the first retry (simulated milliseconds). */
+    /** Delay before the first retry (milliseconds). */
     double initial_backoff_ms = 100.0;
     /** Growth factor of successive delays (>= 1). */
     double backoff_multiplier = 2.0;
     /** Cap on a single backoff delay. */
     double max_backoff_ms = 10000.0;
-    /** Uniform jitter as a fraction of the nominal delay, in [0, 1]. */
+    /**
+     * Jitter as a fraction of the nominal delay, in [0, 1]: the delay
+     * is drawn uniformly from [nominal * (1 - jitter), nominal].
+     * Concurrent clients whose retries would otherwise synchronize
+     * spread across the window, while the floor keeps exponential
+     * progress; jitter = 1 is classic full jitter over [0, nominal].
+     */
     double jitter = 0.25;
-    /**
-     * Bounded full jitter (AWS-style, with a floor): draw the delay
-     * uniformly from [nominal * (1 - jitter), nominal] instead of the
-     * symmetric band around the nominal. Concurrent clients whose
-     * retries would otherwise synchronize spread across the window,
-     * while the floor keeps exponential progress — jitter = 1 is
-     * classic full jitter over [0, nominal]. Deterministic in the
-     * caller's RNG stream, like every other draw.
-     */
-    bool full_jitter = false;
-    /**
-     * Per-call deadline: once a single logical call has accumulated this
-     * much simulated wait (queue time + backoff), stop retrying the
-     * current backend and degrade. 0 disables the deadline.
-     */
-    double call_deadline_ms = 60000.0;
-    /**
-     * Per-run budget: once the executor's whole virtual clock passes
-     * this, retries are skipped entirely (one attempt per rung) so the
-     * run finishes by degrading instead of waiting. 0 disables it.
-     */
-    double total_budget_ms = 0.0;
-
-    /** Reject nonsensical settings with a fatal() diagnostic. */
-    void check() const;
 
     /**
      * Delay before retry number `retry_index` (0-based), with jitter
      * drawn deterministically from `rng`.
      */
     double backoff_delay_ms(int retry_index, Rng &rng) const;
-};
-
-/**
- * Tallies kept by a resilient executor, reported next to the existing
- * circuit-execution counters (Table-4-style accounting).
- */
-struct RetryCounters
-{
-    /** Logical calls serviced. */
-    std::uint64_t calls = 0;
-    /** Physical attempts, including the first try of each call. */
-    std::uint64_t attempts = 0;
-    /** Attempts that failed (threw or returned invalid data). */
-    std::uint64_t failures = 0;
-    /** Backoff waits taken (attempts minus first tries, minus skips). */
-    std::uint64_t retries = 0;
-    /** Failures caused by NaN/garbage/unnormalized distributions. */
-    std::uint64_t invalid_results = 0;
-    /** Backend rungs abandoned after exhausting their attempts. */
-    std::uint64_t rungs_exhausted = 0;
-    /** Calls serviced by a fallback rung instead of the primary. */
-    std::uint64_t degraded_calls = 0;
-    /** Total simulated backoff wait (milliseconds). */
-    double backoff_wait_ms = 0.0;
-    /** Total simulated queue wait from timed-out jobs (milliseconds). */
-    double queue_wait_ms = 0.0;
-
-    RetryCounters &operator+=(const RetryCounters &other);
 };
 
 } // namespace elv

@@ -85,11 +85,12 @@ SearchJournal::parse_record(const std::string &body)
             !try_double_from_hex(value, cnr))
             return false;
         CheckpointEntry &e = entries_[index];
-        e.has_cnr = true;
+        // A fallback backend's value is no CNR of the configured
+        // backend: the record loads, and like any later record it
+        // supersedes earlier ones, but it leaves the stage pending.
+        e.has_cnr = degraded == 0;
         e.cnr = cnr;
         e.cnr_executions = executions;
-        e.degraded = degraded != 0;
-        e.retries = retries;
         return true;
     }
     if (keyword == "repcap") {
@@ -148,13 +149,10 @@ SearchJournal::record_candidate(int index, const circ::Circuit &circuit)
 }
 
 void
-SearchJournal::record_cnr(int index, double cnr,
-                          std::uint64_t executions, bool degraded,
-                          std::uint64_t retries)
+SearchJournal::record_cnr(int index, double cnr, std::uint64_t executions)
 {
     record("cnr " + std::to_string(index) + " " + double_to_hex(cnr) +
-           " " + std::to_string(executions) + " " +
-           (degraded ? "1" : "0") + " " + std::to_string(retries));
+           " " + std::to_string(executions) + " 0 0");
 }
 
 void

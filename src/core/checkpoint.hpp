@@ -4,13 +4,13 @@
  *
  * The search appends one line per completed per-candidate stage to a
  * checkpoint file (flushed immediately, append-only), so a crash —
- * process kill, backend meltdown, injected CrashError — loses at most
- * the stage in flight. A resumed search with the same configuration
- * replays the journal: already-evaluated candidates keep their recorded
- * CNR/RepCap values (and execution/retry accounting), unevaluated ones
- * are computed, and because every stage draws from a per-candidate
- * seeded RNG the final ranking is bit-identical to an uninterrupted
- * run.
+ * process kill, a tripped cancel token, a machine going down — loses
+ * at most the stage in flight. A resumed search with the same
+ * configuration replays the journal: already-evaluated candidates keep
+ * their recorded CNR/RepCap values (and execution accounting),
+ * unevaluated ones are computed, and because every stage draws from a
+ * per-candidate seeded RNG the final ranking is bit-identical to an
+ * uninterrupted run.
  *
  * The file is a common/record_log.hpp RecordLog (header
  * "elv-search-journal 2", a fingerprint of the search configuration,
@@ -22,6 +22,12 @@
  *   cnr <idx> <hexfloat> <execs> <degraded> <retries>
  *   repcap <idx> <hexfloat> <execs>
  *   rank <idx> <score hexfloat> <rejected>   # audit, not replayed
+ *
+ * The cnr record's <degraded> <retries> columns are always written as
+ * "0 0". Older builds could write a CNR computed by a fallback backend
+ * with <degraded> 1; such a record loads but leaves the stage pending,
+ * so the candidate is evaluated again and its new record is appended
+ * (a later record wins over earlier ones for the same candidate).
  */
 #pragma once
 
@@ -42,8 +48,6 @@ struct CheckpointEntry
     bool has_cnr = false;
     double cnr = 0.0;
     std::uint64_t cnr_executions = 0;
-    bool degraded = false;
-    std::uint64_t retries = 0;
     bool has_repcap = false;
     double repcap = 0.0;
     std::uint64_t repcap_executions = 0;
@@ -88,8 +92,7 @@ class SearchJournal
 
     /** @name Stage records (append + flush immediately) @{ */
     void record_candidate(int index, const circ::Circuit &circuit);
-    void record_cnr(int index, double cnr, std::uint64_t executions,
-                    bool degraded, std::uint64_t retries);
+    void record_cnr(int index, double cnr, std::uint64_t executions);
     void record_repcap(int index, double repcap,
                        std::uint64_t executions);
     void record_rank(int index, double score, bool rejected);

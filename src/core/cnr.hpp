@@ -11,11 +11,11 @@
  * is what makes early rejection cheap compared to validation-set
  * performance evaluation.
  *
- * Replica executions are routed through the exec layer: by default a
- * plain executor matching `CnrOptions::backend`, or — when the caller
- * supplies one — a resilient executor with retry/backoff and a
- * degradation ladder, in which case the result records whether any
- * replica was serviced by a fallback backend.
+ * Each replica runs on the backend `CnrOptions::backend` names: one
+ * noise::NoisyDensitySimulator per call (exact, up to
+ * sim::DensityMatrix::kMaxQubits touched qubits), or stabilizer
+ * sampling with calibration-driven Pauli noise (any width). Every
+ * replica is linted at the executor boundary first.
  */
 #pragma once
 
@@ -24,20 +24,17 @@
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
 #include "device/device.hpp"
-#include "exec/executor.hpp"
 
 namespace elv::core {
 
 /** Which backend plays the role of the noisy device. */
 enum class CnrBackend {
-    /** Exact density-matrix noisy simulation (small circuits). */
+    /** Exact density-matrix noisy simulation (at most
+     *  sim::DensityMatrix::kMaxQubits touched qubits). */
     Density,
     /** Stochastic-Pauli stabilizer sampling (scales to any size). */
     Stabilizer,
 };
-
-/** The exec-layer backend corresponding to a CnrBackend. */
-exec::BackendKind cnr_backend_kind(CnrBackend backend);
 
 /** CNR evaluation options (paper defaults: 16-32 replicas). */
 struct CnrOptions
@@ -48,12 +45,6 @@ struct CnrOptions
     int shots = 2048;
     /** Multiplies device error rates (ablation knob). */
     double noise_scale = 1.0;
-    /**
-     * Route executions through this executor instead of building a
-     * plain one from `backend` (non-owning; e.g. a ResilientExecutor
-     * with fault injection / degradation). Null = plain execution.
-     */
-    exec::Executor *executor = nullptr;
     /**
      * Elide ops outside the measurement lightcone from each replica
      * before executing it (lint/dataflow.hpp). The replica is pruned
@@ -77,10 +68,6 @@ struct CnrResult
     double cnr = 0.0;
     /** Device-style circuit executions consumed (= replicas). */
     std::uint64_t circuit_executions = 0;
-    /** True when any replica was serviced by a fallback backend. */
-    bool degraded = false;
-    /** Retries spent across all replica executions. */
-    std::uint64_t retries = 0;
 };
 
 /**

@@ -30,8 +30,7 @@ write_config(obs::JsonWriter &json, const ElivagarConfig &config)
     json.kv("use_cnr", config.use_cnr);
     json.kv("seed", static_cast<std::uint64_t>(config.seed));
     json.kv("threads", config.threads);
-    json.kv("resilience_enabled", config.resilience.enabled);
-    json.kv("checkpoint_path", config.resilience.checkpoint_path);
+    json.kv("checkpoint_path", config.checkpoint_path);
     json.end_object();
 }
 
@@ -44,33 +43,7 @@ write_search(obs::JsonWriter &json, const SearchResult &result)
     json.kv("cnr_executions", result.cnr_executions);
     json.kv("repcap_executions", result.repcap_executions);
     json.kv("total_executions", result.total_executions());
-    json.kv("degraded_candidates", result.degraded_candidates);
     json.kv("resumed", result.resumed);
-    json.kv("simulated_wait_ms", result.simulated_wait_ms);
-
-    const elv::RetryCounters &exec = result.exec_counters;
-    json.key("exec").begin_object();
-    json.kv("calls", exec.calls);
-    json.kv("attempts", exec.attempts);
-    json.kv("failures", exec.failures);
-    json.kv("retries", exec.retries);
-    json.kv("invalid_results", exec.invalid_results);
-    json.kv("rungs_exhausted", exec.rungs_exhausted);
-    json.kv("degraded_calls", exec.degraded_calls);
-    json.kv("backoff_wait_ms", exec.backoff_wait_ms);
-    json.kv("queue_wait_ms", exec.queue_wait_ms);
-    json.end_object();
-
-    const exec::FaultCounters &faults = result.fault_counters;
-    json.key("faults").begin_object();
-    json.kv("transient", faults.transient);
-    json.kv("timeouts", faults.timeouts);
-    json.kv("garbage", faults.garbage);
-    json.kv("drifts", faults.drifts);
-    json.kv("crashes", faults.crashes);
-    json.kv("total", faults.total());
-    json.end_object();
-
     json.end_object();
 }
 
@@ -102,8 +75,6 @@ write_candidates(obs::JsonWriter &json, const SearchResult &result)
         json.kv("repcap", record.repcap);
         json.kv("score", record.score);
         json.kv("rejected_by_cnr", record.rejected_by_cnr);
-        json.kv("degraded", record.degraded);
-        json.kv("retries", record.retries);
         json.end_object();
     }
     json.end_array();

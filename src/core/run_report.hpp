@@ -2,9 +2,9 @@
  * @file
  * Structured run report for an Elivagar search: one JSON document that
  * aggregates the search configuration, per-candidate CNR/RepCap/score
- * records, the per-phase wall-clock breakdown, retry/fault/degradation
- * tallies and a snapshot of the metrics registry (kernel-mix counters,
- * pool activity, backoff histogram). Tallies are copied from the
+ * records, the per-phase wall-clock breakdown, the execution tallies
+ * and a snapshot of the metrics registry (kernel-mix counters, pool
+ * activity, superoperator-table hits). Tallies are copied from the
  * SearchResult itself, so the report always matches what the search
  * returned — it is a serialization, not a second accounting.
  */

@@ -91,7 +91,7 @@ search_config(const RunSpec &spec, const qml::BenchmarkSpec &bench,
     config.repcap.prune_dead_structure = spec.prune_dead;
     config.seed = spec.seed;
     config.threads = threads;
-    config.resilience.checkpoint_path = journal_path;
+    config.checkpoint_path = journal_path;
     return config;
 }
 

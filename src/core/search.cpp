@@ -10,7 +10,6 @@
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "core/checkpoint.hpp"
-#include "exec/resilient.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -200,49 +199,27 @@ generate_search_candidate(const dev::Device &device,
     return generate_candidate(device, config.candidate, rng);
 }
 
-exec::FaultConfig
-prepare_fault_config(const ElivagarConfig &config)
+CandidateCnr
+evaluate_candidate_cnr(const dev::Device &device,
+                       const circ::Circuit &circuit,
+                       const ElivagarConfig &config, std::size_t index)
 {
-    exec::FaultConfig faults = config.resilience.faults;
-    if (config.resilience.enabled && faults.crash_after > 0 &&
-        !faults.crash_clock)
-        faults.crash_clock =
-            std::make_shared<std::atomic<std::uint64_t>>(0);
-    return faults;
+    elv::Rng rng(stage_seed(config.seed, 0xc14, index));
+    const CnrResult cnr =
+        clifford_noise_resilience(circuit, device, rng, config.cnr);
+    CandidateCnr out;
+    out.cnr = cnr.cnr;
+    out.executions = cnr.circuit_executions;
+    return out;
 }
 
 CandidateCnr
 evaluate_candidate_cnr(const dev::Device &device,
                        const circ::Circuit &circuit,
-                       const ElivagarConfig &config,
-                       const exec::FaultConfig &faults, std::size_t index)
+                       const ElivagarConfig &config, FaultTag,
+                       std::size_t index)
 {
-    // The executor (ladder, retry state, fault streams) is seeded per
-    // candidate, so evaluations stay order- and process-independent.
-    std::unique_ptr<exec::ResilientExecutor> executor;
-    CnrOptions options = config.cnr;
-    if (config.resilience.enabled) {
-        executor = std::make_unique<exec::ResilientExecutor>(
-            device, cnr_backend_kind(config.cnr.backend),
-            config.cnr.shots, config.cnr.noise_scale,
-            config.resilience.retry, faults,
-            stage_seed(config.seed, 0xe8ec, index));
-        options.executor = executor.get();
-    }
-    elv::Rng rng(stage_seed(config.seed, 0xc14, index));
-    const CnrResult cnr =
-        clifford_noise_resilience(circuit, device, rng, options);
-    CandidateCnr out;
-    out.cnr = cnr.cnr;
-    out.executions = cnr.circuit_executions;
-    out.degraded = cnr.degraded;
-    out.retries = cnr.retries;
-    if (executor) {
-        out.counters = executor->counters();
-        out.faults = executor->injected();
-        out.wait_ms = executor->elapsed_ms();
-    }
-    return out;
+    return evaluate_candidate_cnr(device, circuit, config, index);
 }
 
 CandidateRepCap
@@ -321,10 +298,9 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
     // untorn and the resume map is never mutated concurrently.
     std::unique_ptr<SearchJournal> journal;
     std::mutex journal_mutex;
-    if (!config.resilience.checkpoint_path.empty()) {
+    if (!config.checkpoint_path.empty()) {
         journal = std::make_unique<SearchJournal>(
-            config.resilience.checkpoint_path,
-            config_fingerprint(config));
+            config.checkpoint_path, config_fingerprint(config));
         journal->set_mismatch_hint([&config](std::uint64_t stored) {
             return fingerprint_mismatch_hint(config, stored);
         });
@@ -361,12 +337,6 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
                 pool_size);
     };
 
-    // Every candidate owns its ResilientExecutor (ladder, retry state,
-    // fault streams seeded per candidate), so evaluations stay
-    // order-independent under concurrency. crash_after is the one
-    // cross-candidate fault: it means "after N successes across the
-    // whole search", so the injectors share one execution clock.
-    const exec::FaultConfig faults = prepare_fault_config(config);
     // Replays a journaled entry for candidate n, if present. The
     // returned pointer is stable (map node) and its fields are only
     // ever written by candidate n's own store, so reading it outside
@@ -401,8 +371,7 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
                     if (entry->circuit_line !=
                         circ::to_text_line(record.circuit))
                         elv::fatal(
-                            "journal " +
-                            config.resilience.checkpoint_path +
+                            "journal " + config.checkpoint_path +
                             ": candidate " + std::to_string(n) +
                             " does not match the regenerated pool; the "
                             "journal belongs to a different run");
@@ -418,35 +387,21 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
     // Step 2: CNR for every candidate (replayed from the journal where
     // possible; each candidate draws from its own seeded stream). The
     // pending rest goes to the remote stage first, if there is one;
-    // whatever it hands back is evaluated on the pool.
-    // Per-candidate tallies land in index-addressed slots and are
-    // merged serially below, in candidate order, so the accounting —
-    // including the floating-point wait totals — is bit-identical to
-    // the serial run.
-    struct CnrStageStats
-    {
-        std::uint64_t executions = 0;
-        elv::RetryCounters counters;
-        exec::FaultCounters faults;
-        double wait_ms = 0.0;
-    };
+    // whatever it hands back is evaluated on the pool. Execution
+    // counts land in index-addressed slots and are summed below, in
+    // candidate order.
     if (config.use_cnr) {
         PhaseScope phase("cnr", result);
         phase_begin("cnr");
-        std::vector<CnrStageStats> stats(pool_size);
+        std::vector<std::uint64_t> cnr_execs(pool_size, 0);
         const RemoteStages::CnrStore store = [&](int index,
                                                  const CandidateCnr &cnr) {
             const auto n = static_cast<std::size_t>(index);
-            auto &record = result.candidates[n];
-            record.cnr = cnr.cnr;
-            record.degraded = cnr.degraded;
-            record.retries = cnr.retries;
-            stats[n] = {cnr.executions, cnr.counters, cnr.faults,
-                        cnr.wait_ms};
+            result.candidates[n].cnr = cnr.cnr;
+            cnr_execs[n] = cnr.executions;
             if (journal) {
                 std::lock_guard<std::mutex> lock(journal_mutex);
-                journal->record_cnr(index, cnr.cnr, cnr.executions,
-                                    cnr.degraded, cnr.retries);
+                journal->record_cnr(index, cnr.cnr, cnr.executions);
             }
             task_done("cnr");
         };
@@ -454,11 +409,8 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
         for (std::size_t n = 0; n < pool_size; ++n) {
             const CheckpointEntry *entry = journal_entry(n);
             if (entry && entry->has_cnr) {
-                auto &record = result.candidates[n];
-                record.cnr = entry->cnr;
-                record.degraded = entry->degraded;
-                record.retries = entry->retries;
-                stats[n].executions = entry->cnr_executions;
+                result.candidates[n].cnr = entry->cnr;
+                cnr_execs[n] = entry->cnr_executions;
                 task_done("cnr");
             } else {
                 pending.push_back(static_cast<int>(n));
@@ -475,13 +427,10 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
             check_cancel("cnr");
             store(pending[k],
                   evaluate_candidate_cnr(device, result.candidates[n].circuit,
-                                         config, faults, n));
+                                         config, n));
         });
         for (std::size_t n = 0; n < pool_size; ++n) {
-            result.cnr_executions += stats[n].executions;
-            result.exec_counters += stats[n].counters;
-            result.fault_counters += stats[n].faults;
-            result.simulated_wait_ms += stats[n].wait_ms;
+            result.cnr_executions += cnr_execs[n];
             ELV_METRIC_OBSERVE("search.cnr", cnr_edges(),
                                result.candidates[n].cnr);
         }
@@ -551,8 +500,6 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
         for (int n = 0; n < config.num_candidates; ++n) {
             auto &record =
                 result.candidates[static_cast<std::size_t>(n)];
-            if (record.degraded)
-                ++result.degraded_candidates;
             if (record.rejected_by_cnr)
                 continue;
             record.score =

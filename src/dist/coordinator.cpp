@@ -462,7 +462,7 @@ distributed_search(const core::RunSpec &spec, const DistConfig &dist)
                 [](const std::string &) { return true; }))
             elv::fatal("manifest " + manifest.path() + " has header '" +
                        *other + "' from another build; delete it (" +
-                       config.resilience.checkpoint_path +
+                       config.checkpoint_path +
                        " holds the resume state)");
         manifest.append(
             "run shards " + std::to_string(total_shards) + " workers " +

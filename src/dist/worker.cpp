@@ -27,7 +27,6 @@ struct WorkerSearch
     dev::Device device;
     qml::Benchmark bench;
     core::ElivagarConfig config;
-    exec::FaultConfig faults;
     /** Candidates regenerated lazily, cached across stage requests. */
     std::vector<std::optional<circ::Circuit>> circuits;
     /** SIGKILL self after this many emitted records (test hook). */
@@ -48,7 +47,6 @@ configure_search(const CoordRequest &request)
                             request.spec.scale),
         {},
         {},
-        {},
         request.crash_after,
     };
     // The one spec -> config mapping every front end uses; both sides
@@ -57,7 +55,6 @@ configure_search(const CoordRequest &request)
     search.config = core::search_config(
         request.spec, search.bench.spec,
         request.threads < 1 ? 1 : request.threads, "");
-    search.faults = core::prepare_fault_config(search.config);
     search.circuits.resize(
         static_cast<std::size_t>(search.config.num_candidates));
     return search;
@@ -154,8 +151,7 @@ run_stage(WorkerSearch &search, const CoordRequest &request,
         if (is_cnr) {
             const core::CandidateCnr cnr = core::evaluate_candidate_cnr(
                 search.device, circuit_for(search, index),
-                search.config, search.faults,
-                static_cast<std::size_t>(index));
+                search.config, static_cast<std::size_t>(index));
             line = make_cnr_record(index, cnr);
         } else {
             const core::CandidateRepCap repcap =

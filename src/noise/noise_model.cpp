@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
@@ -88,6 +89,24 @@ NoisyDensitySimulator::NoisyDensitySimulator(const dev::Device &device,
     device.validate();
 }
 
+namespace {
+
+/** Refuse a compacted circuit too wide for an exact density matrix,
+ *  before anything is allocated for it. */
+void
+check_density_width(const circ::Circuit &local)
+{
+    if (local.num_qubits() > sim::DensityMatrix::kMaxQubits)
+        elv::fatal("the density backend simulates at most " +
+                   std::to_string(sim::DensityMatrix::kMaxQubits) +
+                   " touched qubits, and this circuit touches " +
+                   std::to_string(local.num_qubits()) +
+                   "; use CnrBackend::Stabilizer for wider Clifford "
+                   "circuits");
+}
+
+} // namespace
+
 std::shared_ptr<const NoisyProgram>
 NoisyDensitySimulator::program_for(const circ::Circuit &circuit,
                                    const circ::Circuit &local,
@@ -142,6 +161,7 @@ NoisyDensitySimulator::run_distribution(const circ::Circuit &circuit,
                 "circuit larger than device");
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
+    check_density_width(local);
     return distribution(*program_for(circuit, local, kept), local, kept,
                         params, x);
 }
@@ -179,6 +199,7 @@ NoisyDensitySimulator::fidelity(const circ::Circuit &circuit,
                 "circuit larger than device");
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
+    check_density_width(local);
     sim::StateVector psi(local.num_qubits());
     sim::FusedProgram::compile(local).run(psi, params, x);
     const auto ideal = psi.probabilities(local.measured());

@@ -52,7 +52,11 @@ std::vector<double> apply_readout_confusion(
 std::vector<double> mitigate_readout(const std::vector<double> &probs,
                                      const std::vector<double> &flip_probs);
 
-/** Exact noisy executor over the density-matrix backend. */
+/**
+ * Exact noisy executor over the density-matrix backend. A circuit that
+ * touches more than sim::DensityMatrix::kMaxQubits qubits is refused
+ * with fatal() before anything is allocated for it.
+ */
 class NoisyDensitySimulator
 {
   public:

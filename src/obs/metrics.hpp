@@ -16,7 +16,7 @@
  * defines ELV_OBS_DISABLED) compiles the macros away entirely.
  *
  * Naming convention: dotted lowercase paths, `layer.noun[.verb]` —
- * `sim.kernel.cx`, `pool.steals`, `exec.retries`.
+ * `sim.kernel.cx`, `pool.steals`, `noise.superop_table.hits`.
  */
 #pragma once
 

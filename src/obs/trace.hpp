@@ -32,7 +32,7 @@ namespace elv::obs {
 struct TraceEvent
 {
     std::string name;
-    /** Static category string ("search", "exec", "pool", "sim", ...). */
+    /** Static category string ("search", "pool", "sim", ...). */
     const char *category = "";
     /** Microseconds since the tracer's epoch. */
     double ts_us = 0.0;

@@ -571,7 +571,6 @@ Server::run_job(const RecordPtr &rec)
         json.kv("survivors", result.survivors);
         json.kv("cnr_executions", result.cnr_executions);
         json.kv("repcap_executions", result.repcap_executions);
-        json.kv("degraded_candidates", result.degraded_candidates);
         json.kv("resumed", result.resumed);
         json.kv("total_seconds", result.total_seconds);
         // Execution provenance: which kernel tier this result was

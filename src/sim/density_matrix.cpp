@@ -9,11 +9,23 @@
 
 namespace elv::sim {
 
-DensityMatrix::DensityMatrix(int num_qubits)
-    : num_qubits_(num_qubits), vec_(2 * num_qubits)
+namespace {
+
+/** `num_qubits`, checked before the 2n-qubit vector is allocated. */
+int
+checked_width(int num_qubits)
 {
-    ELV_REQUIRE(num_qubits >= 1 && num_qubits <= 13,
-                "density matrix limited to 1..13 qubits");
+    ELV_REQUIRE(num_qubits >= 1 && num_qubits <= DensityMatrix::kMaxQubits,
+                "density matrix limited to 1.." << DensityMatrix::kMaxQubits
+                                                << " qubits");
+    return num_qubits;
+}
+
+} // namespace
+
+DensityMatrix::DensityMatrix(int num_qubits)
+    : num_qubits_(checked_width(num_qubits)), vec_(2 * num_qubits_)
+{
 }
 
 void

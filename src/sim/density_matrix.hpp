@@ -23,7 +23,10 @@ namespace elv::sim {
 class DensityMatrix
 {
   public:
-    /** Construct in |0...0><0...0|. Practical limit is ~12 qubits. */
+    /** Widest register: 4^12 amplitudes, 256 MiB. */
+    static constexpr int kMaxQubits = 12;
+
+    /** Construct in |0...0><0...0| over 1..kMaxQubits qubits. */
     explicit DensityMatrix(int num_qubits);
 
     /** Reset to |0...0><0...0|. */

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG determinism and distribution
- * sanity, statistics, the table printer, the fd line-I/O layer every
- * transport reads and writes through, and the checksummed record log
- * every durable file is written through.
+ * sanity, statistics, the table printer, distribution validation, the
+ * reconnect backoff, the fd line-I/O layer every transport reads and
+ * writes through, and the checksummed record log every durable file is
+ * written through.
  */
 #include <gtest/gtest.h>
 
@@ -27,9 +28,11 @@
 #include "common/line_io.hpp"
 #include "common/logging.hpp"
 #include "common/record_log.hpp"
+#include "common/retry.hpp"
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
 #include "common/table.hpp"
+#include "common/validate.hpp"
 
 namespace {
 
@@ -650,6 +653,158 @@ TEST(RecordLog, ChecksumTokenRoundTripsAndRejectsDamage)
           std::string("cnr 0 0x1p-1 4 0 0 ~+4d82fe4e860b323"),
           std::string(" ~14d82fe4e860b323"), std::string("")})
         EXPECT_FALSE(elv::strip_record_checksum(damaged)) << damaged;
+}
+
+// --- validate_distribution ---------------------------------------------
+
+using elv::DistributionError;
+using elv::DistributionPolicy;
+using elv::is_valid_distribution;
+using elv::validate_distribution;
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(ValidateDistribution, AcceptsExactDistribution)
+{
+    std::vector<double> probs = {0.25, 0.25, 0.5};
+    EXPECT_TRUE(is_valid_distribution(probs));
+    EXPECT_NO_THROW(validate_distribution(
+        probs, DistributionPolicy::Throw, "test"));
+}
+
+TEST(ValidateDistribution, RejectsNaNAndInf)
+{
+    for (const double poison : {kNaN, kInf, -kInf}) {
+        std::vector<double> probs = {0.5, poison, 0.5};
+        EXPECT_FALSE(is_valid_distribution(probs));
+        EXPECT_THROW(validate_distribution(
+                         probs, DistributionPolicy::Renormalize, "test"),
+                     DistributionError);
+    }
+}
+
+TEST(ValidateDistribution, RejectsNegativeMass)
+{
+    std::vector<double> probs = {0.6, -0.2, 0.6};
+    EXPECT_THROW(validate_distribution(
+                     probs, DistributionPolicy::Renormalize, "test"),
+                 DistributionError);
+}
+
+TEST(ValidateDistribution, RejectsEmptyAndZeroMass)
+{
+    std::vector<double> empty;
+    EXPECT_THROW(validate_distribution(
+                     empty, DistributionPolicy::Renormalize, "test"),
+                 DistributionError);
+    std::vector<double> zeros = {0.0, 0.0};
+    EXPECT_THROW(validate_distribution(
+                     zeros, DistributionPolicy::Renormalize, "test"),
+                 DistributionError);
+}
+
+TEST(ValidateDistribution, RenormalizeRepairsDriftThrowDoesNot)
+{
+    std::vector<double> drifted = {0.3, 0.3, 0.3}; // sums to 0.9
+    std::vector<double> copy = drifted;
+    EXPECT_THROW(validate_distribution(copy, DistributionPolicy::Throw,
+                                       "test"),
+                 DistributionError);
+    validate_distribution(drifted, DistributionPolicy::Renormalize,
+                          "test");
+    double sum = 0.0;
+    for (double p : drifted)
+        sum += p;
+    EXPECT_NEAR(sum, 1.0, 1e-12);
+}
+
+TEST(ValidateDistribution, ClipsTinyNegativesUnderRenormalize)
+{
+    std::vector<double> probs = {0.5, -1e-12, 0.5};
+    validate_distribution(probs, DistributionPolicy::Renormalize,
+                          "test");
+    EXPECT_GE(probs[1], 0.0);
+    EXPECT_TRUE(is_valid_distribution(probs, 1e-9));
+}
+
+TEST(ValidateDistribution, ErrorNamesTheProducer)
+{
+    std::vector<double> probs = {kNaN};
+    try {
+        validate_distribution(probs, DistributionPolicy::Throw,
+                              "unit-test producer");
+        FAIL() << "expected DistributionError";
+    } catch (const DistributionError &e) {
+        EXPECT_NE(std::string(e.what()).find("unit-test producer"),
+                  std::string::npos);
+    }
+}
+
+// --- RetryPolicy ---------------------------------------------------------
+
+using elv::RetryPolicy;
+
+TEST(RetryPolicy, BackoffGrowsExponentiallyWithoutJitter)
+{
+    RetryPolicy policy;
+    policy.initial_backoff_ms = 100.0;
+    policy.backoff_multiplier = 2.0;
+    policy.max_backoff_ms = 550.0;
+    policy.jitter = 0.0;
+    Rng rng(7);
+    EXPECT_DOUBLE_EQ(policy.backoff_delay_ms(0, rng), 100.0);
+    EXPECT_DOUBLE_EQ(policy.backoff_delay_ms(1, rng), 200.0);
+    EXPECT_DOUBLE_EQ(policy.backoff_delay_ms(2, rng), 400.0);
+    // Capped by max_backoff_ms from here on.
+    EXPECT_DOUBLE_EQ(policy.backoff_delay_ms(3, rng), 550.0);
+    EXPECT_DOUBLE_EQ(policy.backoff_delay_ms(9, rng), 550.0);
+}
+
+TEST(RetryPolicy, FullJitterStaysWithinBoundedWindow)
+{
+    RetryPolicy policy;
+    policy.initial_backoff_ms = 100.0;
+    policy.jitter = 0.25;
+    Rng rng(11);
+    // Bounded full jitter draws from [nominal * (1 - j), nominal]: it
+    // only ever shortens the delay, never stretches past the nominal.
+    bool below_nominal = false;
+    for (int i = 0; i < 200; ++i) {
+        const double d = policy.backoff_delay_ms(0, rng);
+        EXPECT_GE(d, 75.0);
+        EXPECT_LE(d, 100.0);
+        below_nominal |= d < 99.0;
+    }
+    EXPECT_TRUE(below_nominal);
+}
+
+TEST(RetryPolicy, ClassicFullJitterSpansDownToZero)
+{
+    RetryPolicy policy;
+    policy.initial_backoff_ms = 100.0;
+    policy.jitter = 1.0; // classic full jitter: [0, nominal]
+    Rng rng(13);
+    double lo = 1e300, hi = 0.0;
+    for (int i = 0; i < 500; ++i) {
+        const double d = policy.backoff_delay_ms(0, rng);
+        EXPECT_GE(d, 0.0);
+        EXPECT_LE(d, 100.0);
+        lo = std::min(lo, d);
+        hi = std::max(hi, d);
+    }
+    // The window is actually exercised, not collapsed.
+    EXPECT_LT(lo, 20.0);
+    EXPECT_GT(hi, 80.0);
+}
+
+TEST(RetryPolicy, FullJitterDeterministicGivenSeed)
+{
+    RetryPolicy policy;
+    Rng a(42), b(42);
+    for (int i = 0; i < 32; ++i)
+        EXPECT_DOUBLE_EQ(policy.backoff_delay_ms(i % 5, a),
+                         policy.backoff_delay_ms(i % 5, b));
 }
 
 // --- CancelToken ------------------------------------------------------

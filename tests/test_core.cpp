@@ -256,6 +256,51 @@ TEST(Cnr, StabilizerBackendAgreesWithDensity)
     EXPECT_NEAR(cnr_dense, cnr_stab, 0.12);
 }
 
+/** A 3-qubit Clifford circuit on coupled ibm_lagos qubits. */
+Circuit
+lagos_clifford_circuit()
+{
+    Circuit c(3);
+    c.add_gate(GateKind::H, {0});
+    c.add_gate(GateKind::CX, {0, 1});
+    c.add_gate(GateKind::S, {1});
+    c.add_gate(GateKind::CX, {1, 2});
+    c.set_measured({0, 1, 2});
+    return c;
+}
+
+TEST(Cnr, FidelityInBoundsUnderBothBackends)
+{
+    const dev::Device device = dev::make_device("ibm_lagos");
+    for (const CnrBackend backend :
+         {CnrBackend::Density, CnrBackend::Stabilizer}) {
+        CnrOptions options;
+        options.num_replicas = 1;
+        options.backend = backend;
+        Rng rng(3);
+        const CnrResult result = clifford_noise_resilience(
+            lagos_clifford_circuit(), device, rng, options);
+        EXPECT_GT(result.cnr, 0.0);
+        EXPECT_LE(result.cnr, 1.0);
+        EXPECT_EQ(result.circuit_executions, 1u);
+    }
+}
+
+TEST(Cnr, BothBackendsRejectCorruptDevice)
+{
+    dev::Device device = dev::make_device("ibm_lagos");
+    device.readout_error[0] = 2.0;
+    for (const CnrBackend backend :
+         {CnrBackend::Density, CnrBackend::Stabilizer}) {
+        CnrOptions options;
+        options.backend = backend;
+        Rng rng(5);
+        EXPECT_THROW(clifford_noise_resilience(lagos_clifford_circuit(),
+                                               device, rng, options),
+                     UsageError);
+    }
+}
+
 TEST(RepCap, BoundsAndDeterminism)
 {
     const qml::Benchmark bench = qml::make_benchmark("moons", 1, 0.2);

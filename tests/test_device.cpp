@@ -2,10 +2,12 @@
  * @file
  * Device-substrate tests: topology generators (qubit counts, degrees,
  * connectivity), distances, the Table 3 catalog (median error rates
- * matching the paper), determinism, and connected-subgraph sampling.
+ * matching the paper), determinism, connected-subgraph sampling, and
+ * calibration validation.
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/logging.hpp"
@@ -232,6 +234,46 @@ TEST(Device, EdgeErrorLookup)
     const Device dev = make_device("ibmq_jakarta");
     EXPECT_GT(dev.edge_error(0, 1), 0.0);
     EXPECT_THROW(dev.edge_error(0, 6), elv::UsageError);
+}
+
+// --- Calibration validation ---------------------------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(DeviceValidate, CatalogDevicesAreValid)
+{
+    for (const std::string &name : dev::device_catalog())
+        EXPECT_NO_THROW(dev::make_device(name).validate()) << name;
+}
+
+TEST(DeviceValidate, RejectsTruncatedCalibration)
+{
+    dev::Device device = dev::make_device("ibm_lagos");
+    device.readout_error.pop_back();
+    EXPECT_THROW(device.validate(), UsageError);
+}
+
+TEST(DeviceValidate, RejectsOutOfRangeRates)
+{
+    dev::Device device = dev::make_device("ibm_lagos");
+    device.error_1q[0] = 1.5;
+    EXPECT_THROW(device.validate(), UsageError);
+
+    device = dev::make_device("ibm_lagos");
+    device.error_2q[0] = -0.1;
+    EXPECT_THROW(device.validate(), UsageError);
+
+    device = dev::make_device("ibm_lagos");
+    device.t1_us[0] = 0.0;
+    EXPECT_THROW(device.validate(), UsageError);
+
+    device = dev::make_device("ibm_lagos");
+    device.t2_us[0] = kNaN;
+    EXPECT_THROW(device.validate(), UsageError);
+
+    device = dev::make_device("ibm_lagos");
+    device.duration_2q_ns = -1.0;
+    EXPECT_THROW(device.validate(), UsageError);
 }
 
 } // namespace

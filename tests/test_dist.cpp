@@ -112,7 +112,6 @@ expect_bit_identical(const core::SearchResult &a,
     EXPECT_EQ(a.survivors, b.survivors);
     EXPECT_EQ(a.cnr_executions, b.cnr_executions);
     EXPECT_EQ(a.repcap_executions, b.repcap_executions);
-    EXPECT_EQ(a.degraded_candidates, b.degraded_candidates);
     ASSERT_EQ(a.candidates.size(), b.candidates.size());
     for (std::size_t n = 0; n < a.candidates.size(); ++n) {
         EXPECT_EQ(circ::to_text_line(a.candidates[n].circuit),
@@ -230,19 +229,18 @@ TEST(DistWire, StageAndRecordRoundTrips)
     core::CandidateCnr cnr;
     cnr.cnr = 0.12345678901234567;
     cnr.executions = 16;
-    cnr.degraded = true;
-    cnr.retries = 2;
+    const std::string cnr_line = make_cnr_record(7, cnr);
+    // The columns earlier builds read stay on the wire, fixed.
+    EXPECT_NE(cnr_line.find(R"("degraded": false, "retries": 0})"),
+              std::string::npos)
+        << cnr_line;
     WorkerEvent event;
-    ASSERT_TRUE(
-        parse_worker_event(make_cnr_record(7, cnr), event, error))
-        << error;
+    ASSERT_TRUE(parse_worker_event(cnr_line, event, error)) << error;
     EXPECT_EQ(event.kind, WorkerEvent::Kind::Cnr);
     EXPECT_EQ(event.index, 7);
     EXPECT_EQ(core::double_to_hex(event.cnr.cnr),
               core::double_to_hex(cnr.cnr));
     EXPECT_EQ(event.cnr.executions, 16u);
-    EXPECT_TRUE(event.cnr.degraded);
-    EXPECT_EQ(event.cnr.retries, 2u);
 
     core::CandidateRepCap repcap;
     repcap.repcap = 0.9999999999999999;
@@ -492,8 +490,7 @@ class ReversedRemote final : public core::RemoteStages
   public:
     ReversedRemote(const dev::Device &device, const qml::Dataset &train,
                    const core::ElivagarConfig &config)
-        : device_(device), train_(train), config_(config),
-          faults_(core::prepare_fault_config(config))
+        : device_(device), train_(train), config_(config)
     {
     }
 
@@ -503,7 +500,7 @@ class ReversedRemote final : public core::RemoteStages
         cnr_pending = pending;
         return run(pending, [&](int n) {
             store(n, core::evaluate_candidate_cnr(
-                         device_, circuit(n), config_, faults_,
+                         device_, circuit(n), config_,
                          static_cast<std::size_t>(n)));
         });
     }
@@ -565,7 +562,6 @@ class ReversedRemote final : public core::RemoteStages
     const dev::Device &device_;
     const qml::Dataset &train_;
     const core::ElivagarConfig &config_;
-    const exec::FaultConfig faults_;
     std::atomic<int> stores_{0};
 };
 

@@ -2,13 +2,17 @@
  * @file
  * Noise-substrate tests: Kraus completeness of every channel, readout
  * confusion, noisy density-matrix execution (trace preservation, fidelity
- * degradation with depth and with noise scale), Pauli twirl sanity, and
+ * degradation with depth and with noise scale, calibration changes
+ * reaching the next run, the width limit), Pauli twirl sanity, and
  * cross-backend agreement between the exact density-matrix executor and
  * the stochastic stabilizer executor on Clifford circuits.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "circuit/builders.hpp"
 #include "circuit/clifford_replica.hpp"
@@ -214,6 +218,74 @@ TEST(NoisyDensity, WorksOnLargeDeviceViaCompaction)
     const double fid = sim.fidelity(c);
     EXPECT_GT(fid, 0.5);
     EXPECT_LT(fid, 1.0);
+}
+
+TEST(NoisyDensity, CalibrationDriftReachesTheDensityBackend)
+{
+    // The simulator reads the device it refers to at every compile. A
+    // circuit run again after the calibration moved must be simulated
+    // against the new gate errors and relaxation times, not replay a
+    // program compiled before the move (readout, which is read live,
+    // would hide that).
+    dev::Device dev = make_device("ibm_lagos");
+    const NoisyDensitySimulator sim(dev);
+    Circuit c(dev.num_qubits());
+    c.add_variational(GateKind::RY, {0});
+    c.add_gate(GateKind::CX, {0, 1});
+    c.add_variational(GateKind::RZ, {1});
+    c.set_measured({0, 1});
+    const std::vector<double> params = {0.7, -1.1};
+    const auto before = sim.run_distribution(c, params);
+
+    for (double &e : dev.error_1q)
+        e *= 3.0;
+    for (double &e : dev.error_2q)
+        e *= 3.0;
+    for (double &t : dev.t1_us)
+        t *= 0.5;
+    const auto after = sim.run_distribution(c, params);
+    const auto want = NoisyDensitySimulator(dev).run_distribution(c, params);
+    ASSERT_EQ(after.size(), want.size());
+    double moved = 0.0;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+        EXPECT_NEAR(after[i], want[i], 1e-12) << i;
+        moved = std::max(moved, std::abs(after[i] - before[i]));
+    }
+    EXPECT_GT(moved, 1e-4);
+}
+
+TEST(NoisyDensity, RefusesCircuitsWiderThanTheDensityLimit)
+{
+    // Past sim::DensityMatrix::kMaxQubits touched qubits both calls
+    // refuse the circuit as a usage error, before anything is
+    // allocated (13 qubits would take 1 GiB), and name the backend
+    // that scales.
+    const dev::Device dev = make_device("ibm_guadalupe");
+    const NoisyDensitySimulator sim(dev);
+    for (const int width : {13, 14}) {
+        ASSERT_GT(width, sim::DensityMatrix::kMaxQubits);
+        Circuit c(dev.num_qubits());
+        std::vector<int> measured;
+        for (int q = 0; q < width; ++q) {
+            c.add_gate(GateKind::H, {q});
+            measured.push_back(q);
+        }
+        c.set_measured(measured);
+        for (const bool fidelity : {true, false}) {
+            try {
+                if (fidelity)
+                    sim.fidelity(c);
+                else
+                    sim.run_distribution(c);
+                ADD_FAILURE() << width << " qubits were simulated";
+            } catch (const elv::UsageError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "CnrBackend::Stabilizer"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
 TEST(CrossBackend, StabilizerMatchesDensityOnCliffordCircuit)

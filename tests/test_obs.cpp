@@ -373,8 +373,6 @@ TEST(RunReport, TalliesMatchTheSearchResultExactly)
     expect_field("total_executions",
                  std::to_string(result.total_executions()));
     expect_field("survivors", std::to_string(result.survivors));
-    expect_field("degraded_candidates",
-                 std::to_string(result.degraded_candidates));
     expect_field("num_candidates",
                  std::to_string(config.num_candidates));
     expect_field("seed", std::to_string(config.seed));

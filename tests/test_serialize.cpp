@@ -2,9 +2,10 @@
  * @file
  * Serialization tests: native text round-trips every IR construct,
  * OpenQASM export carries bound angles and rejects amplitude
- * embeddings, malformed inputs produce usage errors, and the
- * expressibility metric behaves (entangling ansatze beat trivial ones,
- * cost accounting is exact).
+ * embeddings, malformed inputs produce usage errors, the single-line
+ * form the search journal stores round-trips, and the expressibility
+ * metric behaves (entangling ansatze beat trivial ones, cost accounting
+ * is exact).
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +16,9 @@
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "core/candidate_gen.hpp"
 #include "core/expressibility.hpp"
+#include "device/device.hpp"
 #include "sim/statevector.hpp"
 
 namespace {
@@ -176,6 +179,34 @@ TEST(Expressibility, DeterministicGivenSeed)
     Rng r1(3), r2(3);
     EXPECT_DOUBLE_EQ(core::expressibility(c, r1).kl_divergence,
                      core::expressibility(c, r2).kl_divergence);
+}
+
+// --- Single-line form (journal format) -----------------------------------
+
+TEST(SerializeLine, RoundTripsGeneratedCandidates)
+{
+    const dev::Device device = dev::make_device("ibm_guadalupe");
+    core::CandidateConfig config;
+    config.num_qubits = 4;
+    config.num_params = 12;
+    config.num_embeds = 4;
+    config.num_meas = 2;
+    config.num_features = 4;
+    Rng rng(17);
+    for (int trial = 0; trial < 10; ++trial) {
+        const circ::Circuit c =
+            core::generate_candidate(device, config, rng);
+        const std::string line = circ::to_text_line(c);
+        EXPECT_EQ(line.find('\n'), std::string::npos);
+        const circ::Circuit back = circ::from_text_line(line);
+        EXPECT_EQ(circ::to_text(back), circ::to_text(c));
+    }
+}
+
+TEST(SerializeLine, RejectsCorruptEscapes)
+{
+    EXPECT_THROW(circ::from_text_line("elv-circuit 1\\"), UsageError);
+    EXPECT_THROW(circ::from_text_line("elv-circuit 1\\x"), UsageError);
 }
 
 } // namespace
