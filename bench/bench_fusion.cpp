@@ -14,13 +14,11 @@
  *    compile and replay columns, with a max-|prob-diff| check against
  *    programs built from a fresh table (must be exactly 0).
  *
- * The exit code reflects the *correctness* checks (fused must match
- * per-gate execution; table-compiled must match fresh builds) plus,
- * only when `--baseline` names a previous dump, the harness perf gate
- * over the recorded min-of-k section timings —
- * absolute speedups are still reported, not gated, so a loaded CI
- * machine cannot turn a perf report into a flaky failure. `--small`
- * restricts the sweep to the smallest sizes for smoke runs.
+ * The exit code reflects the *correctness* checks alone (fused must
+ * match per-gate execution; table-compiled must match fresh builds).
+ * Timings and speedups are reported, never gated: perf regressions are
+ * gated end to end by ci/perf_ab.py. `--small` restricts the sweep to
+ * the smallest sizes for smoke runs.
  */
 #include <chrono>
 #include <cmath>
@@ -217,24 +215,16 @@ main(int argc, char **argv)
         struct Case
         {
             const char *name;
-            const char *perf; // stable slug for the perf observatory
             circ::Circuit circuit;
         };
         const Case cases[] = {
-            {"clifford brickwork", "sv.clifford",
-             clifford_brickwork(qubits, 6)},
-            {"parametric mix", "sv.parametric",
-             parametric_mix(qubits, 6)},
+            {"clifford brickwork", clifford_brickwork(qubits, 6)},
+            {"parametric mix", parametric_mix(qubits, 6)},
         };
         for (const Case &kc : cases) {
             const int reps = small ? 50 : (qubits >= 10 ? 100 : 400);
             const SvTimings t =
                 time_statevector(kc.circuit, qubits, reps);
-            const std::string perf_key =
-                std::string(kc.perf) + ".q" + std::to_string(qubits);
-            reporter.record_perf(perf_key + ".plain", t.plain_s);
-            reporter.record_perf(perf_key + ".fused_simd",
-                                 t.fused_simd_s);
             const double diff = fused_max_diff(kc.circuit, qubits,
                                                fixed_params(kc.circuit));
             ok = ok && diff <= 1e-12;
@@ -263,8 +253,7 @@ main(int argc, char **argv)
                    "replay scalar (ms)", "replay simd (ms)",
                    "simd speedup", "max |prob diff|"});
     double simd_speedup_at_8 = 0.0;
-    // 8 qubits stays in the smoke preset: it is the smallest size whose
-    // sections clear the perf gate's 10 ms jitter cutoff.
+    // 8 qubits stays in the smoke preset for the speedup line below.
     const std::vector<int> dm_qubits =
         small ? std::vector<int>{4, 6, 8} : std::vector<int>{4, 6, 8, 10};
     for (const int qubits : dm_qubits) {
@@ -310,20 +299,6 @@ main(int argc, char **argv)
         }
         ok = ok && diff == 0.0;
 
-        // Min-of-k sampling in the smoke preset: the perf gate compares
-        // these sections across invocations, and one averaged pass is
-        // still hostage to a slow scheduling window. Three interleaved
-        // passes per section; record_perf and the table keep the best.
-        // The gate samples are process-CPU-second deltas (these
-        // sections are single-threaded), so a descheduled process does
-        // not read as a regression; the table shows wall clock. Each
-        // timed section repeats its replica sweep `inner` times so the
-        // span dwarfs the CPU-clock quantum (sandboxed kernels report
-        // process CPU time at 10 ms jiffy granularity even when
-        // clock_getres claims 1 ns); times are normalized back per
-        // sweep before recording.
-        const int passes = small ? 3 : 1;
-        const int inner = small ? 4 : 1;
         auto replay_sweep = [&] {
             double trace_sum = 0.0;
             for (std::size_t m = 0; m < reps.size(); ++m) {
@@ -333,48 +308,22 @@ main(int argc, char **argv)
             }
             return trace_sum;
         };
-        double compile_s = 0.0, scalar_s = 0.0, simd_s = 0.0;
-        for (int pass = 0; pass < passes; ++pass) {
-            auto start = std::chrono::steady_clock::now();
-            double cpu_start = bench::process_cpu_seconds();
-            for (int it = 0; it < inner; ++it)
-                for (std::size_t m = 0; m < reps.size(); ++m)
-                    programs[m] = noise::NoisyProgram::compile(
-                        reps[m].local, reps[m].kept, device, 1.0, table);
-            const double compile_cpu =
-                (bench::process_cpu_seconds() - cpu_start) / inner;
-            const double compile_t = seconds_since(start) / inner;
+        auto start = std::chrono::steady_clock::now();
+        for (std::size_t m = 0; m < reps.size(); ++m)
+            programs[m] = noise::NoisyProgram::compile(
+                reps[m].local, reps[m].kept, device, 1.0, table);
+        const double compile_s = seconds_since(start);
 
-            // Identical programs, scalar kernels vs the dispatched SIMD
-            // tier.
-            double scalar_sum = 0.0, simd_sum = 0.0;
-            sim::set_forced_tier(sim::KernelTier::Baseline);
-            start = std::chrono::steady_clock::now();
-            for (int it = 0; it < inner; ++it)
-                scalar_sum = replay_sweep();
-            const double scalar_t = seconds_since(start) / inner;
-            sim::clear_forced_tier();
-
-            start = std::chrono::steady_clock::now();
-            cpu_start = bench::process_cpu_seconds();
-            for (int it = 0; it < inner; ++it)
-                simd_sum = replay_sweep();
-            const double simd_cpu =
-                (bench::process_cpu_seconds() - cpu_start) / inner;
-            const double simd_t = seconds_since(start) / inner;
-            ok = ok && scalar_sum == simd_sum;
-
-            reporter.record_perf(
-                "dm.compile.q" + std::to_string(qubits), compile_cpu);
-            reporter.record_perf(
-                "dm.replay_simd.q" + std::to_string(qubits), simd_cpu);
-            if (pass == 0 || compile_t < compile_s)
-                compile_s = compile_t;
-            if (pass == 0 || scalar_t < scalar_s)
-                scalar_s = scalar_t;
-            if (pass == 0 || simd_t < simd_s)
-                simd_s = simd_t;
-        }
+        // Identical programs, scalar kernels vs the dispatched SIMD tier.
+        sim::set_forced_tier(sim::KernelTier::Baseline);
+        start = std::chrono::steady_clock::now();
+        const double scalar_sum = replay_sweep();
+        const double scalar_s = seconds_since(start);
+        sim::clear_forced_tier();
+        start = std::chrono::steady_clock::now();
+        const double simd_sum = replay_sweep();
+        const double simd_s = seconds_since(start);
+        ok = ok && scalar_sum == simd_sum;
 
         const double simd_speedup = scalar_s / std::max(1e-12, simd_s);
         if (qubits == 8)
@@ -393,6 +342,5 @@ main(int argc, char **argv)
                     "(target >= 1.5x, f64 SIMD vs scalar)\n",
                     simd_speedup_at_8);
     std::printf("equivalence checks: %s\n", ok ? "ok" : "FAILED");
-    const int gate_rc = reporter.perf_gate_exit_code();
-    return ok ? gate_rc : 1;
+    return ok ? 0 : 1;
 }

@@ -2,26 +2,23 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <numeric>
-#include <sstream>
 
 #include "baselines/quantum_supernet.hpp"
 #include "baselines/quantumnas.hpp"
 #include "baselines/simple.hpp"
 #include "baselines/supercircuit.hpp"
+#include "common/flag_number.hpp"
 #include "common/logging.hpp"
 #include "common/runinfo.hpp"
 #include "compiler/compile.hpp"
 #include "core/run_spec.hpp"
 #include "core/search.hpp"
 #include "noise/noise_model.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -29,18 +26,6 @@
 #include "sim/cpu_features.hpp"
 
 namespace elv::bench {
-
-double
-process_cpu_seconds()
-{
-#if defined(CLOCK_PROCESS_CPUTIME_ID)
-    timespec ts;
-    if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) == 0)
-        return static_cast<double>(ts.tv_sec) +
-               1e-9 * static_cast<double>(ts.tv_nsec);
-#endif
-    return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
-}
 
 namespace {
 
@@ -100,47 +85,32 @@ virtual_fully_connected(const dev::Device &device, int num_qubits)
 Reporter::Reporter(std::string name, int argc, char **argv)
     : name_(std::move(name))
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json") {
-            json_ = true;
-        } else if (arg == "--threads" && i + 1 < argc) {
-            threads_ = std::atoi(argv[++i]);
-            if (threads_ < 0)
-                threads_ = 0;
-        } else if (arg == "--trace" && i + 1 < argc) {
-            trace_path_ = argv[++i];
-        } else if (arg == "--metrics") {
-            metrics_ = true;
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baseline_path_ = argv[++i];
-        } else if (arg == "--profile" && i + 1 < argc) {
-            profile_path_ = argv[++i];
-        } else if (arg == "--perf-report" && i + 1 < argc) {
-            perf_report_path_ = argv[++i];
-        } else if (arg == "--gate-threshold" && i + 1 < argc) {
-            const double v = std::atof(argv[++i]);
-            if (v > 0.0)
-                gate_threshold_ = v;
-        } else if (arg == "--small" || arg == "--gbench") {
-            // Bench-local presets, parsed by the binary itself.
-        } else {
-            std::cerr << "bench_" << name_ << ": ignoring unknown option '"
-                      << arg
-                      << "' (known: --json, --threads N, --trace FILE, "
-                         "--metrics, --baseline FILE, --profile FILE, "
-                         "--perf-report FILE, --gate-threshold F)\n";
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            auto value = [&]() -> const char * {
+                if (i + 1 >= argc)
+                    elv::fatal("missing value for " + arg);
+                return argv[++i];
+            };
+            if (arg == "--json")
+                json_ = true;
+            else if (arg == "--threads")
+                threads_ = elv::flag_number(arg, value(), 0, 1024);
+            else if (arg == "--trace")
+                trace_path_ = value();
+            else if (arg == "--metrics")
+                metrics_ = true;
+            else if (arg == "--profile")
+                profile_path_ = value();
+            else if (arg != "--small") // bench-local, parsed by the binary
+                elv::fatal("unknown option '" + arg + "'");
         }
-    }
-    // CI's perf-gate self-test: scale every recorded sample so a known
-    // synthetic regression provably trips the gate.
-    if (const char *sd = std::getenv("ELV_PERF_SLOWDOWN")) {
-        const double v = std::atof(sd);
-        if (v > 0.0 && v != 1.0) {
-            slowdown_ = v;
-            std::cerr << "bench_" << name_ << ": ELV_PERF_SLOWDOWN=" << v
-                      << " scales recorded perf samples\n";
-        }
+    } catch (const UsageError &error) {
+        std::cerr << "error: " << error.what() << "\nusage: " << argv[0]
+                  << " [--json] [--threads N] [--trace FILE] [--metrics]"
+                     " [--profile FILE]\n";
+        std::exit(1);
     }
     if (metrics_)
         elv::obs::Registry::global().set_enabled(true);
@@ -158,10 +128,6 @@ Reporter::~Reporter()
     if (!profile_path_.empty() &&
         elv::obs::Profiler::global().write_collapsed(profile_path_))
         std::cout << "wrote " << profile_path_ << "\n";
-    // The gate normally runs from main() (for the exit code); run it
-    // here too so the verdict report exists even when a bench forgets.
-    if (!baseline_path_.empty() && !gate_done_)
-        run_perf_gate();
     if (metrics_) {
         // The snapshot is name-sorted (map-backed registry), so this
         // print is deterministic across runs — diffable in CI logs.
@@ -219,20 +185,6 @@ Reporter::~Reporter()
         }
         out << "}";
     }
-    if (!perf_.empty()) {
-        // Min-of-k wall-clock samples; the map keys keep the section
-        // name-sorted, so dumps diff cleanly run to run.
-        out.precision(12);
-        out << ", \"perf\": {";
-        bool first = true;
-        for (const auto &[pname, seconds] : perf_) {
-            if (!first)
-                out << ", ";
-            first = false;
-            out << Table::json_escape(pname) << ": " << seconds;
-        }
-        out << "}";
-    }
     out << ", \"tables\": [";
     for (std::size_t t = 0; t < tables_.size(); ++t) {
         if (t)
@@ -248,185 +200,6 @@ Reporter::add(const elv::Table &table)
 {
     table.print();
     tables_.push_back(table.to_json());
-}
-
-void
-Reporter::record_perf(const std::string &name, double seconds)
-{
-    const double scaled = seconds * slowdown_;
-    const auto it = perf_.find(name);
-    if (it == perf_.end() || scaled < it->second)
-        perf_[name] = scaled;
-}
-
-int
-Reporter::perf_gate_exit_code()
-{
-    if (!gate_done_)
-        run_perf_gate();
-    return gate_rc_;
-}
-
-void
-Reporter::run_perf_gate()
-{
-    gate_done_ = true;
-    gate_rc_ = 0;
-    if (baseline_path_.empty())
-        return;
-
-    // Load the baseline dump and pin its provenance. A baseline from a
-    // different kernel tier or thread count measures a different
-    // machine-shape; gating against it would flag phantom regressions,
-    // so mismatches skip the gate loudly instead of failing it.
-    std::map<std::string, double> base_perf;
-    std::string base_tier;
-    int base_threads = -1;
-    std::string skip_reason;
-
-    std::ifstream in(baseline_path_);
-    if (!in) {
-        skip_reason = "baseline unreadable: " + baseline_path_;
-    } else {
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        obs::JsonValue doc;
-        std::string error;
-        if (!obs::json_parse(buf.str(), doc, error)) {
-            skip_reason = "baseline parse error: " + error;
-        } else {
-            if (const obs::JsonValue *v = doc.get("kernel_dispatch"))
-                base_tier = v->as_string();
-            if (const obs::JsonValue *v = doc.get("threads"))
-                base_threads = v->as_integer<int>().value_or(-1);
-            if (const obs::JsonValue *v = doc.get("perf"))
-                for (const auto &[key, val] : v->members)
-                    if (val.is_number())
-                        base_perf[key] = val.number;
-            const std::string tier =
-                sim::kernel_tier_name(sim::active_tier());
-            if (base_tier != tier)
-                skip_reason = "kernel_dispatch mismatch: baseline '" +
-                              base_tier + "' vs current '" + tier + "'";
-            else if (base_threads >= 0 && base_threads != threads_)
-                skip_reason = "threads mismatch: baseline " +
-                              std::to_string(base_threads) +
-                              " vs current " + std::to_string(threads_);
-            else if (base_perf.empty())
-                skip_reason = "baseline has no perf section";
-        }
-    }
-
-    // Sections faster than this are jitter-dominated: sandboxed and
-    // virtualized kernels report process CPU time at scheduler-jiffy
-    // (10 ms) granularity even when clock_getres claims nanoseconds,
-    // so anything under one jiffy is pure quantization noise. They
-    // are still reported, just never gated.
-    constexpr double kMinGateSeconds = 0.01;
-
-    struct Entry
-    {
-        std::string name;
-        double current = 0.0;
-        double baseline = 0.0;
-        bool has_baseline = false;
-        bool gated = false;
-        double ratio = 0.0;
-        bool regressed = false;
-    };
-    std::vector<Entry> entries;
-    int regressions = 0;
-    int gated = 0;
-    for (const auto &[pname, current] : perf_) {
-        Entry e;
-        e.name = pname;
-        e.current = current;
-        if (skip_reason.empty()) {
-            const auto it = base_perf.find(pname);
-            if (it != base_perf.end() && it->second > 0.0) {
-                e.has_baseline = true;
-                e.baseline = it->second;
-                e.ratio = current / it->second;
-                e.gated = it->second >= kMinGateSeconds;
-                if (e.gated)
-                    ++gated;
-                e.regressed =
-                    e.gated &&
-                    current > it->second * (1.0 + gate_threshold_);
-                if (e.regressed)
-                    ++regressions;
-            }
-        }
-        entries.push_back(std::move(e));
-    }
-
-    if (!skip_reason.empty()) {
-        std::cerr << "bench_" << name_ << ": perf gate skipped ("
-                  << skip_reason << ")\n";
-    } else {
-        for (const Entry &e : entries) {
-            if (!e.regressed)
-                continue;
-            char line[256];
-            std::snprintf(line, sizeof line,
-                          "perf gate: %s %.6gs vs baseline %.6gs "
-                          "(%+.1f%%) REGRESSED",
-                          e.name.c_str(), e.current, e.baseline,
-                          100.0 * (e.ratio - 1.0));
-            std::cout << line << "\n";
-        }
-        char verdict[192];
-        std::snprintf(verdict, sizeof verdict,
-                      "perf gate: %s (%zu entries, %d gated, "
-                      "%d regression%s, threshold +%.0f%%)",
-                      regressions ? "FAIL" : "PASS", entries.size(),
-                      gated, regressions,
-                      regressions == 1 ? "" : "s",
-                      100.0 * gate_threshold_);
-        std::cout << verdict << "\n";
-        gate_rc_ = regressions ? 1 : 0;
-    }
-
-    // The verdict document, machine-readable for CI artifact triage.
-    obs::JsonWriter json;
-    json.begin_object();
-    json.kv("report", "perf_gate");
-    json.kv("bench", name_);
-    json.kv("baseline", baseline_path_);
-    json.kv("kernel_dispatch",
-            sim::kernel_tier_name(sim::active_tier()));
-    json.kv("threads", threads_);
-    json.kv("threshold", gate_threshold_);
-    json.kv("min_gate_seconds", kMinGateSeconds);
-    json.kv("slowdown", slowdown_);
-    if (!skip_reason.empty())
-        json.kv("skip_reason", skip_reason);
-    json.key("entries").begin_array();
-    for (const Entry &e : entries) {
-        json.begin_object();
-        json.kv("name", e.name);
-        json.kv("current_seconds", e.current);
-        if (e.has_baseline) {
-            json.kv("baseline_seconds", e.baseline);
-            json.kv("ratio", e.ratio);
-        }
-        json.kv("gated", e.gated);
-        json.kv("regressed", e.regressed);
-        json.end_object();
-    }
-    json.end_array();
-    json.kv("regressions", regressions);
-    json.kv("pass", gate_rc_ == 0);
-    json.end_object();
-
-    std::ofstream report(perf_report_path_);
-    if (!report) {
-        std::cerr << "bench_" << name_ << ": cannot write "
-                  << perf_report_path_ << "\n";
-        return;
-    }
-    report << json.str() << "\n";
-    std::cout << "wrote " << perf_report_path_ << "\n";
 }
 
 qml::Benchmark

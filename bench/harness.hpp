@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,13 +25,6 @@
 #include "qml/synthetic.hpp"
 
 namespace elv::bench {
-
-/**
- * CPU seconds consumed by the whole process (all threads). The perf
- * gate's time base: load-robust where wall clock is hostage to every
- * other tenant of the machine.
- */
-double process_cpu_seconds();
 
 /** Scaled-down experiment sizes (see the paper-scale notes above). */
 struct RunOptions
@@ -88,30 +80,17 @@ struct RunOptions
  * 0 = one per hardware thread), `--trace FILE` (record a Chrome trace
  * of the whole run, written on destruction), `--metrics` (collect
  * pipeline metrics; printed on destruction and embedded in the JSON
- * dump), `--profile FILE` (sampling profiler over the whole run;
- * collapsed stacks written on destruction), `--baseline FILE` (a prior
- * BENCH_<name>.json to gate perf samples against) and
- * `--perf-report FILE` (where the gate verdict lands; default
- * perf_report.json) — echoes every table to stdout as it is added, and
- * buffers its JSON form for the dump.
+ * dump) and `--profile FILE` (sampling profiler over the whole run;
+ * collapsed stacks written on destruction) — echoes every table to
+ * stdout as it is added, and buffers its JSON form for the dump.
+ * Numeric values are parsed whole; a malformed value or an unknown
+ * option (other than the bench-local `--small` preset) prints an
+ * `error:` line and exits 1.
  *
  * JSON dumps carry run provenance (seed, thread count, build version,
  * ISO-8601 timestamp, dispatched kernel tier) so archived result
- * trajectories stay comparable across machines and commits.
- *
- * Perf-regression observatory: benches call `record_perf(name, s)` for
- * each timed section (the minimum over repeated records is kept —
- * min-of-k is the standard noise-robust estimator). Gated sections
- * should record *process CPU seconds* (`process_cpu_seconds()` deltas),
- * not wall clock: CPU time is immune to the scheduler descheduling the
- * whole process, which on shared CI runners dwarfs any real regression.
- * The samples land in the BENCH json under "perf"; when `--baseline`
- * names a previous dump, `perf_gate_exit_code()` compares current
- * minima against the baseline's and fails (exit 1) on any regression
- * beyond the threshold. Baselines whose provenance (kernel tier, threads)
- * differs are skipped with a warning instead of producing bogus
- * verdicts. The ELV_PERF_SLOWDOWN env var scales every recorded sample
- * (CI uses it to prove the gate actually fails on a slowdown).
+ * trajectories stay comparable across machines and commits. Perf
+ * regressions are gated end to end by ci/perf_ab.py, not here.
  */
 class Reporter
 {
@@ -135,46 +114,15 @@ class Reporter
     /** Record the run's seed for the JSON metadata. */
     void set_seed(std::uint64_t seed) { seed_ = seed; }
 
-    /**
-     * Record one wall-clock perf sample in seconds. Repeated records
-     * under the same name keep the minimum (min-of-k). Scaled by
-     * ELV_PERF_SLOWDOWN when set (see the class comment).
-     */
-    void record_perf(const std::string &name, double seconds);
-
-    /**
-     * Run the perf gate against the `--baseline` dump (idempotent;
-     * the first call decides). Returns the process exit code the bench
-     * should propagate: 0 when no baseline was given, the baseline is
-     * unusable (unreadable / provenance mismatch — warned, not
-     * failed), or every entry is within the regression threshold; 1
-     * when any shared entry regressed. Writes the `--perf-report`
-     * verdict document whenever a baseline was requested.
-     */
-    int perf_gate_exit_code();
-
   private:
-    void run_perf_gate();
-
     std::string name_;
     bool json_ = false;
     int threads_ = 0;
     std::uint64_t seed_ = 0;
     std::string trace_path_;
+    std::string profile_path_;
     bool metrics_ = false;
     std::vector<std::string> tables_;
-    /** @name Perf-regression observatory state @{ */
-    std::map<std::string, double> perf_;
-    std::string baseline_path_;
-    std::string profile_path_;
-    std::string perf_report_path_ = "perf_report.json";
-    /** Relative regression tolerance (0.15 = fail beyond +15%). */
-    double gate_threshold_ = 0.15;
-    /** ELV_PERF_SLOWDOWN multiplier applied to recorded samples. */
-    double slowdown_ = 1.0;
-    bool gate_done_ = false;
-    int gate_rc_ = 0;
-    /** @} */
 };
 
 /** One method-on-cell outcome. */

@@ -48,12 +48,10 @@
  * builder template, generated candidate, and catalog device). Exit
  * status 1 when any error-severity diagnostic fires.
  */
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -64,6 +62,7 @@
 #include "circuit/builders.hpp"
 #include "circuit/serialize.hpp"
 #include "common/cancel.hpp"
+#include "common/flag_number.hpp"
 #include "common/logging.hpp"
 #include "common/retry.hpp"
 #include "core/checkpoint.hpp"
@@ -89,21 +88,7 @@
 
 namespace {
 
-/** Parse a whole flag value as a T in [lo, hi]; a trailing character,
- * an overflow, NaN or a value out of range is a usage error. */
-template <typename T>
-T
-number(const std::string &flag, const char *text,
-       T lo = std::numeric_limits<T>::lowest(),
-       T hi = std::numeric_limits<T>::max())
-{
-    T value{};
-    const auto [end, ec] =
-        std::from_chars(text, text + std::strlen(text), value);
-    if (ec != std::errc() || *end != '\0' || !(value >= lo && value <= hi))
-        elv::fatal(flag + " expects a number in range, got '" + text + "'");
-    return value;
-}
+using elv::flag_number;
 
 /**
  * Parse the run-spec flag `arg` into `spec`, taking its value from
@@ -121,15 +106,15 @@ parse_spec_flag(const std::string &arg, Value &&value,
     else if (arg == "--device")
         spec.device = value();
     else if (arg == "--candidates")
-        spec.candidates = number<int>(arg, value());
+        spec.candidates = flag_number<int>(arg, value());
     else if (arg == "--seed")
-        spec.seed = number<std::uint64_t>(arg, value());
+        spec.seed = flag_number<std::uint64_t>(arg, value());
     else if (arg == "--scale")
-        spec.scale = number<double>(arg, value());
+        spec.scale = flag_number<double>(arg, value());
     else if (arg == "--deadline-sec")
-        spec.deadline_sec = number<double>(arg, value());
+        spec.deadline_sec = flag_number<double>(arg, value());
     else if (arg == "--workers")
-        spec.workers = number<int>(arg, value());
+        spec.workers = flag_number<int>(arg, value());
     else if (arg == "--prune-dead")
         spec.prune_dead = true;
     else
@@ -240,9 +225,9 @@ parse(int argc, char **argv, CliOptions &options)
         if (parse_spec_flag(arg, value, options.spec))
             continue;
         if (arg == "--epochs")
-            options.epochs = number(arg, value(), 0, 1000000);
+            options.epochs = flag_number(arg, value(), 0, 1000000);
         else if (arg == "--threads")
-            options.threads = number(arg, value(), 0, 1024);
+            options.threads = flag_number(arg, value(), 0, 1024);
         else if (arg == "--attach")
             options.attach.push_back(value());
         else if (arg == "--worker-bin")
@@ -254,7 +239,7 @@ parse(int argc, char **argv, CliOptions &options)
         else if (arg == "--search-only")
             options.search_only = true;
         else if (arg == "--dist-test-crash")
-            options.dist_test_crash = number<int>(arg, value(), 0);
+            options.dist_test_crash = flag_number<int>(arg, value(), 0);
         else if (arg == "--emit")
             options.emit = value();
         else if (arg == "--checkpoint")
@@ -461,7 +446,7 @@ run_lint(int argc, char **argv)
         else if (arg == "--require-embedding-prefix")
             options.require_embedding_prefix = true;
         else if (arg == "--seed")
-            options.seed = number<std::uint64_t>(arg, value());
+            options.seed = flag_number<std::uint64_t>(arg, value());
         else if (arg == "--werror")
             options.werror = true;
         else if (arg == "--format")
@@ -757,17 +742,17 @@ run_client(int argc, char **argv)
         if (arg == "--host")
             options.host = value();
         else if (arg == "--port")
-            options.port = number(arg, value(), 1, 65535);
+            options.port = flag_number(arg, value(), 1, 65535);
         else if (arg == "--id")
             options.id = value();
         else if (arg == "--priority")
-            options.spec.priority = number<int>(arg, value());
+            options.spec.priority = flag_number<int>(arg, value());
         else if (arg == "--watch")
             options.watch_after = true;
         else if (arg == "--since")
-            options.since = number<std::uint64_t>(arg, value());
+            options.since = flag_number<std::uint64_t>(arg, value());
         else if (arg == "--limit")
-            options.limit = number<std::uint64_t>(arg, value());
+            options.limit = flag_number<std::uint64_t>(arg, value());
         else if (arg == "--help" || arg == "-h") {
             print_client_usage();
             return 0;

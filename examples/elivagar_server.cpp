@@ -31,13 +31,13 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 
 #include <memory>
 
+#include "common/flag_number.hpp"
 #include "common/logging.hpp"
 #include "server/http.hpp"
 #include "server/server.hpp"
@@ -72,13 +72,13 @@ print_usage()
         "7421)\n"
         "  --data-dir DIR     manifest/journals/results directory "
         "(default elivagar-jobs)\n"
-        "  --capacity N       queue bound; beyond it submissions are\n"
-        "                     rejected with retry-after (default 16)\n"
-        "  --workers N        concurrent jobs (default 1)\n"
-        "  --threads N        simulator thread budget shared by jobs\n"
-        "                     (default: all hardware threads)\n"
-        "  --drain-sec F      shutdown drain budget for in-flight jobs "
-        "(default 10)\n"
+        "  --capacity N       queue bound, >= 1; beyond it submissions\n"
+        "                     are rejected with retry-after (default 16)\n"
+        "  --workers N        concurrent jobs, 1-1024 (default 1)\n"
+        "  --threads N        simulator thread budget shared by jobs;\n"
+        "                     0 = all hardware threads (the default)\n"
+        "  --drain-sec F      shutdown drain budget for in-flight jobs,\n"
+        "                     0-86400 s (default 10)\n"
         "  --metrics          enable the metrics registry/endpoint\n"
         "  --metrics-port N   serve GET /metrics (Prometheus text) and\n"
         "                     GET /healthz over HTTP on this port; 0\n"
@@ -102,23 +102,23 @@ parse(int argc, char **argv, DaemonOptions &options)
         if (arg == "--host")
             options.tcp.host = value();
         else if (arg == "--port")
-            options.tcp.port =
-                static_cast<std::uint16_t>(std::atoi(value()));
+            options.tcp.port = elv::flag_number<std::uint16_t>(arg, value());
         else if (arg == "--data-dir")
             options.core.data_dir = value();
         else if (arg == "--capacity")
             options.core.queue_capacity =
-                static_cast<std::size_t>(std::atoi(value()));
+                elv::flag_number<std::size_t>(arg, value(), 1);
         else if (arg == "--workers")
-            options.core.workers = std::atoi(value());
+            options.core.workers = elv::flag_number(arg, value(), 1, 1024);
         else if (arg == "--threads")
-            options.core.thread_budget = std::atoi(value());
+            options.core.thread_budget =
+                elv::flag_number(arg, value(), 0, 1024);
         else if (arg == "--drain-sec")
-            options.drain_sec = std::atof(value());
+            options.drain_sec = elv::flag_number(arg, value(), 0.0, 86400.0);
         else if (arg == "--metrics")
             options.core.metrics = true;
         else if (arg == "--metrics-port") {
-            options.metrics_port = std::atoi(value());
+            options.metrics_port = elv::flag_number(arg, value(), 0, 65535);
             options.core.metrics = true;
         }
         else if (arg == "--allow-remote-shutdown")

@@ -23,11 +23,11 @@
  */
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include <unistd.h>
 
+#include "common/flag_number.hpp"
 #include "common/line_io.hpp"
 #include "common/logging.hpp"
 #include "dist/worker.hpp"
@@ -86,7 +86,7 @@ main(int argc, char **argv)
 {
     bool serve = false;
     std::string host = "127.0.0.1";
-    int port = 0;
+    std::uint16_t port = 0;
     try {
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -100,7 +100,7 @@ main(int argc, char **argv)
             else if (arg == "--host")
                 host = value();
             else if (arg == "--port")
-                port = std::atoi(value());
+                port = elv::flag_number<std::uint16_t>(arg, value());
             else if (arg == "--help" || arg == "-h") {
                 print_usage();
                 return 0;
@@ -108,9 +108,6 @@ main(int argc, char **argv)
                 elv::fatal("unknown option: " + arg);
             }
         }
-        if (port < 0 || port > 65535)
-            elv::fatal("--port out of range");
-
         // The coordinator closing its end mid-write must surface as a
         // failed write, not kill the worker with SIGPIPE.
         std::signal(SIGPIPE, SIG_IGN);
@@ -118,7 +115,7 @@ main(int argc, char **argv)
         std::signal(SIGINT, on_signal);
 
         if (serve)
-            return serve_tcp(host, static_cast<std::uint16_t>(port));
+            return serve_tcp(host, port);
         return elv::dist::serve_worker(STDIN_FILENO, STDOUT_FILENO);
     } catch (const elv::UsageError &error) {
         std::fprintf(stderr, "error: %s\n", error.what());

@@ -80,8 +80,13 @@ Circuit::add_variational(GateKind kind, const std::vector<int> &qubits)
     if (qubits.size() > 1)
         op.qubits[1] = qubits[1];
     op.role = ParamRole::Variational;
+    // Every earlier op is already indexed, so the full walk would give
+    // the appended op the next free slot: take it without the walk.
+    ELV_REQUIRE(!params_pinned_,
+                "cannot re-index parameters after append_op pinned them");
+    op.param_index = num_params_;
+    num_params_ += op.num_params();
     ops_.push_back(op);
-    reindex_params();
     return ops_.size() - 1;
 }
 

@@ -1,7 +1,9 @@
 #include "circuit/serialize.hpp"
 
+#include <charconv>
 #include <map>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -140,9 +142,24 @@ from_text(const std::string &text)
         std::istringstream ls(line);
         std::string keyword;
         ls >> keyword >> num_qubits;
-        if (keyword != "qubits" || num_qubits < 1)
-            fail("bad 'qubits' line: " + line);
+        if (keyword != "qubits" || !ls || num_qubits < 1 ||
+            num_qubits > kMaxTextQubits)
+            fail("bad 'qubits' line (1 to " +
+                 std::to_string(kMaxTextQubits) + "): " + line);
     }
+    auto check_qubit = [&](int q) {
+        if (q < 0 || q >= num_qubits)
+            fail("qubit " + std::to_string(q) + " out of range: " + line);
+    };
+    // A whole decimal feature index in [0, kMaxTextFeature], else -1.
+    auto feature_index = [](const std::string &digits) {
+        int value = -1;
+        const char *end = digits.data() + digits.size();
+        const auto [at, ec] = std::from_chars(digits.data(), end, value);
+        return ec == std::errc() && at == end && value <= kMaxTextFeature
+                   ? value
+                   : -1;
+    };
 
     Circuit circuit(num_qubits);
     bool measured_seen = false;
@@ -155,9 +172,15 @@ from_text(const std::string &text)
 
         if (keyword == "measure") {
             std::vector<int> measured;
+            std::set<int> seen;
             int q;
-            while (ls >> q)
+            while (ls >> q) {
+                check_qubit(q);
+                if (!seen.insert(q).second)
+                    fail("qubit " + std::to_string(q) +
+                         " measured twice: " + line);
                 measured.push_back(q);
+            }
             circuit.set_measured(measured);
             measured_seen = true;
             continue;
@@ -176,31 +199,36 @@ from_text(const std::string &text)
 
         std::vector<int> qubits(
             static_cast<std::size_t>(gate_num_qubits(kind)));
-        for (int &q : qubits)
+        for (int &q : qubits) {
             if (!(ls >> q))
                 fail("missing qubit operand: " + line);
+            check_qubit(q);
+        }
+        if (qubits.size() == 2 && qubits[0] == qubits[1])
+            fail("2-qubit gate on one qubit: " + line);
 
         if (keyword == "gate") {
+            if (gate_is_parametric(kind))
+                fail("parametric gate needs 'var' or 'embed': " + line);
             circuit.add_gate(kind, qubits);
         } else if (keyword == "var") {
+            if (!gate_is_parametric(kind))
+                fail("'var' needs a parametric gate: " + line);
             circuit.add_variational(kind, qubits);
         } else if (keyword == "embed") {
+            if (gate_num_params(kind) != 1)
+                fail("'embed' needs a one-parameter gate: " + line);
             std::string feat_kw, spec;
             ls >> feat_kw >> spec;
             if (feat_kw != "feat" || spec.empty())
                 fail("embedding without 'feat': " + line);
-            int feature = -1, feature2 = -1;
             const auto star = spec.find('*');
-            try {
-                if (star == std::string::npos) {
-                    feature = std::stoi(spec);
-                } else {
-                    feature = std::stoi(spec.substr(0, star));
-                    feature2 = std::stoi(spec.substr(star + 1));
-                }
-            } catch (const std::exception &) {
+            const int feature = feature_index(spec.substr(0, star));
+            const int feature2 = star == std::string::npos
+                                     ? -1
+                                     : feature_index(spec.substr(star + 1));
+            if (feature < 0 || (star != std::string::npos && feature2 < 0))
                 fail("bad feature spec: " + spec);
-            }
             circuit.add_embedding(kind, qubits, feature, feature2);
         } else {
             fail("unknown directive '" + keyword + "'");

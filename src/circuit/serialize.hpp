@@ -41,7 +41,23 @@ std::string to_qasm(const Circuit &circuit,
  */
 std::string to_text(const Circuit &circuit);
 
-/** Parse the native text format; throws UsageError on malformed input. */
+/** Widest circuit from_text accepts; at least the widest built-in
+ * device (the 127-qubit Eagle). */
+inline constexpr int kMaxTextQubits = 1024;
+
+/** Highest feature index from_text accepts in an `embed` line, so a
+ * circuit's feature count (highest index + 1) cannot overflow. */
+inline constexpr int kMaxTextFeature = 1 << 20;
+
+/**
+ * Parse the native text format; throws UsageError on malformed input:
+ * a bad header or directive, a qubit count outside
+ * [1, kMaxTextQubits], a qubit operand out of range, a 2-qubit gate on
+ * one qubit, a gate in the wrong role (`gate RX`, `var H`, `embed U3`),
+ * a feature index outside [0, kMaxTextFeature], or a measured qubit
+ * out of range or listed twice. Text from outside the program (journal
+ * records, `elivagar_cli lint` files) goes through here.
+ */
 Circuit from_text(const std::string &text);
 
 /**

@@ -2,14 +2,18 @@
  * @file
  * Serialization tests: native text round-trips every IR construct,
  * OpenQASM export carries bound angles and rejects amplitude
- * embeddings, malformed inputs produce usage errors, the single-line
- * form the search journal stores round-trips, and the expressibility
+ * embeddings, malformed inputs (hand-written probes and seeded mutants
+ * of a real candidate) produce usage errors, parsing is linear in the
+ * op count, the single-line form the search journal stores
+ * round-trips, and the expressibility
  * metric behaves (entangling ansatze beat trivial ones, cost accounting
  * is exact).
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <random>
 #include <sstream>
 
 #include "circuit/builders.hpp"
@@ -18,7 +22,11 @@
 #include "common/rng.hpp"
 #include "core/candidate_gen.hpp"
 #include "core/expressibility.hpp"
+#include "core/run_spec.hpp"
+#include "core/search.hpp"
 #include "device/device.hpp"
+#include "mutate.hpp"
+#include "qml/synthetic.hpp"
 #include "sim/statevector.hpp"
 
 namespace {
@@ -115,6 +123,145 @@ TEST(TextFormat, RejectsMalformedInput)
     // Missing measure line.
     EXPECT_THROW(from_text("elv-circuit 1\nqubits 2\ngate H 0\n"),
                  elv::UsageError);
+}
+
+// Operands the text names are checked by the parser itself: each of
+// these is a usage error naming the malformed text, never an internal
+// invariant failure of the circuit it builds.
+const std::string kTwoQubitHead = "elv-circuit 1\nqubits 2\n";
+
+TEST(TextFormat, RejectsQubitOutOfRange)
+{
+    EXPECT_THROW(from_text(kTwoQubitHead + "gate H 5\nmeasure 0\n"),
+                 UsageError);
+}
+
+TEST(TextFormat, RejectsTwoQubitGateOnOneQubit)
+{
+    EXPECT_THROW(from_text(kTwoQubitHead + "gate CX 0 0\nmeasure 0\n"),
+                 UsageError);
+}
+
+TEST(TextFormat, RejectsRepeatedMeasuredQubit)
+{
+    EXPECT_THROW(from_text(kTwoQubitHead + "measure 0 0\n"), UsageError);
+}
+
+TEST(TextFormat, RejectsMeasuredQubitOutOfRange)
+{
+    EXPECT_THROW(from_text(kTwoQubitHead + "measure 7\n"), UsageError);
+}
+
+TEST(TextFormat, RejectsNegativeFeature)
+{
+    EXPECT_THROW(
+        from_text(kTwoQubitHead + "embed RX 0 feat -3\nmeasure 0\n"),
+        UsageError);
+    EXPECT_THROW(
+        from_text(kTwoQubitHead + "embed RX 0 feat 1*-1\nmeasure 0\n"),
+        UsageError);
+}
+
+TEST(TextFormat, RejectsGateInTheWrongRole)
+{
+    for (const char *body :
+         {"gate RX 0\n", "var H 0\n", "embed U3 0 feat 0\n"})
+        EXPECT_THROW(from_text(kTwoQubitHead + body + "measure 0\n"),
+                     UsageError)
+            << body;
+}
+
+TEST(TextFormat, RejectsWidthAboveTheCap)
+{
+    static_assert(kMaxTextQubits >= 127,
+                  "the cap must admit the widest built-in device");
+    EXPECT_EQ(from_text("elv-circuit 1\nqubits 127\nmeasure 126\n")
+                  .num_qubits(),
+              127);
+    EXPECT_THROW(
+        from_text("elv-circuit 1\nqubits 2000000000\nmeasure 0\n"),
+        UsageError);
+    EXPECT_THROW(
+        from_text("elv-circuit 1\nqubits 99999999999\nmeasure 0\n"),
+        UsageError);
+}
+
+TEST(TextFormat, ParsingIsLinearInVariationalOps)
+{
+    // Appending a variational op used to re-index every op before it.
+    constexpr int kOps = 200000;
+    std::string text = "elv-circuit 1\nqubits 2\n";
+    for (int i = 0; i < kOps; ++i)
+        text += i % 3 ? "var RX 0\n" : "var U3 1\n";
+    text += "measure 0\n";
+    const auto start = std::chrono::steady_clock::now();
+    const Circuit c = from_text(text);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(seconds, 5.0);
+    ASSERT_EQ(c.ops().size(), static_cast<std::size_t>(kOps));
+    int running = 0;
+    std::size_t first_mismatch = c.ops().size();
+    for (std::size_t i = 0; i < c.ops().size(); ++i) {
+        if (c.ops()[i].param_index != running &&
+            first_mismatch == c.ops().size())
+            first_mismatch = i;
+        running += c.ops()[i].num_params();
+    }
+    EXPECT_EQ(first_mismatch, c.ops().size());
+    EXPECT_EQ(c.num_params(), running);
+}
+
+/** Candidate `index` of a mnist-10 search on ibm_guadalupe, as the
+ *  journal's `cand` records store it. */
+Circuit
+mnist10_candidate(std::size_t index)
+{
+    core::RunSpec spec;
+    spec.benchmark = "mnist-10";
+    spec.device = "ibm_guadalupe";
+    const core::ElivagarConfig config = core::search_config(
+        spec, qml::benchmark_spec(spec.benchmark), 1, "");
+    return core::generate_search_candidate(dev::make_device(spec.device),
+                                           config, index);
+}
+
+TEST(TextFormat, SeededMutantsParseOrThrowUsageError)
+{
+    std::vector<std::string> donors = {"gate CX 0 0", "measure 0 0",
+                                       "embed RX 0 feat -3", "gate RX 1",
+                                       "qubits 2000000000"};
+    for (std::size_t i = 0; i < 4; ++i)
+        for (const std::string &line :
+             test::split_lines(to_text(mnist10_candidate(i))))
+            donors.push_back(line);
+    const Circuit candidate = mnist10_candidate(0);
+    const std::string text = to_text(candidate);
+    const std::string line = to_text_line(candidate);
+
+    std::mt19937_64 rng(9);
+    int parsed = 0, refused = 0;
+    constexpr int kBudget = 4000;
+    for (int n = 0; n < kBudget; ++n) {
+        const bool as_line = n % 2 == 1;
+        const std::string mutant =
+            test::mutate(as_line ? line : text, donors, rng);
+        try {
+            const Circuit back =
+                as_line ? from_text_line(mutant) : from_text(mutant);
+            const std::string canonical = to_text(back);
+            EXPECT_EQ(to_text(from_text(canonical)), canonical) << mutant;
+            ++parsed;
+        } catch (const UsageError &) {
+            ++refused;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "mutant " << n << " threw " << e.what()
+                          << ":\n" << mutant;
+        }
+    }
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(refused, 0);
 }
 
 TEST(Qasm, EmitsBoundAngles)
