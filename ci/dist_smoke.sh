@@ -10,13 +10,13 @@
 #     itself after streaming two records, mid CNR shard; the
 #     coordinator must reissue the shard remainder to a fresh worker
 #     and still merge the same bytes.
-#  3. A state-dir run re-run at a different worker count, with the
-#     final dist.manifest record torn as a crash mid-append would tear
-#     it: must resume from DIR/search.journal (no re-evaluation) to the
-#     same bytes, warn once about the torn record and truncate it, so a
-#     third run loads the manifest with no warning. Then an in-process
-#     run (no --workers) given that journal as --checkpoint must resume
-#     from it to the same bytes: the two journals are one format.
+#  3. A --checkpoint run re-run at a different worker count, with the
+#     journal's final record torn as a crash mid-append would tear it:
+#     must resume from the journal to the same bytes, warn once about
+#     the torn record and truncate it, so a third run loads the journal
+#     with no warning. Then an in-process run (no --workers) given the
+#     same --checkpoint must resume from it to the same bytes: in-process
+#     and distributed runs write one journal.
 #  4. One `elivagar_worker --serve` peer attached over TCP (--attach):
 #     the socket transport must merge the same bytes, and the idle
 #     worker must exit cleanly within 5 s of SIGTERM.
@@ -66,15 +66,16 @@ grep -q "1 reissue" "$WORK/crash.log" || {
     exit 1
 }
 
-echo "== state-dir resume at a different worker count =="
+echo "== torn journal resumed at a different worker count =="
+JOURNAL="$WORK/search.journal"
 "$CLI" "${SPEC[@]}" --workers 2 --worker-bin "$WORKER" \
-    --dist-state "$WORK/state" --dump-ranking /dev/null
-truncate -s -6 "$WORK/state/dist.manifest"
+    --checkpoint "$JOURNAL" --dump-ranking /dev/null
+truncate -s -6 "$JOURNAL"
 "$CLI" "${SPEC[@]}" --workers 3 --worker-bin "$WORKER" \
-    --dist-state "$WORK/state" --dump-ranking "$WORK/resume.txt" \
+    --checkpoint "$JOURNAL" --dump-ranking "$WORK/resume.txt" \
     2>&1 | tee "$WORK/resume.log"
 cmp "$WORK/serial.txt" "$WORK/resume.txt" || {
-    echo "FAIL: ranking differs after a state-dir resume" >&2
+    echo "FAIL: ranking differs after a journal resume" >&2
     exit 1
 }
 grep -q "resumed from checkpoint" "$WORK/resume.log" || {
@@ -87,17 +88,17 @@ DROPS=$(grep -c "dropping" "$WORK/resume.log" || true)
     exit 1
 }
 "$CLI" "${SPEC[@]}" --workers 3 --worker-bin "$WORKER" \
-    --dist-state "$WORK/state" --dump-ranking "$WORK/third.txt" \
+    --checkpoint "$JOURNAL" --dump-ranking "$WORK/third.txt" \
     2>&1 | tee "$WORK/third.log"
 cmp "$WORK/serial.txt" "$WORK/third.txt" || {
-    echo "FAIL: ranking differs on the third state-dir run" >&2
+    echo "FAIL: ranking differs on the third journal run" >&2
     exit 1
 }
 if grep -q "dropping" "$WORK/third.log"; then
-    echo "FAIL: the torn manifest record was not truncated away" >&2
+    echo "FAIL: the torn journal record was not truncated away" >&2
     exit 1
 fi
-"$CLI" "${SPEC[@]}" --checkpoint "$WORK/state/search.journal" \
+"$CLI" "${SPEC[@]}" --checkpoint "$JOURNAL" \
     --dump-ranking "$WORK/in_process.txt" | tee "$WORK/in_process.log"
 cmp "$WORK/serial.txt" "$WORK/in_process.txt" || {
     echo "FAIL: in-process resume from the dist journal differs" >&2

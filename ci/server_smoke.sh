@@ -5,7 +5,12 @@
 # server that is killed with SIGKILL mid-job and restarted. The daemon
 # must re-queue the interrupted job from its manifest, resume it from
 # its checkpoint journal, and produce a result whose best_score_hex and
-# circuit are byte-identical to the uninterrupted run's.
+# circuit are byte-identical to the uninterrupted run's. The kill must
+# land while the job runs, so the interrupted server runs it on one
+# thread (a CNR phase several status polls long; rankings do not depend
+# on the thread count). When the job still left CNR between two polls,
+# or finished before the kill, its manifest holds a terminal record,
+# and the kill is retried on a fresh data dir (at most 5 times).
 #
 # The clean reference run also serves as the telemetry smoke: it is
 # started with --metrics-port, its GET /metrics scrape must return a
@@ -92,26 +97,44 @@ wait "$SRV_PID"
 SRV_PID=""
 
 echo "== interrupted run: SIGKILL mid-job =="
-"$SRV" --port "$PORT" --data-dir "$WORK/crash" --drain-sec 10 \
-    > "$WORK/crash1.log" 2>&1 &
-SRV_PID=$!
-wait_up
-"$CLI" submit --port "$PORT" "${SPEC[@]}" > /dev/null
-# Wait until the job has journaled CNR progress, then pull the plug.
-for _ in $(seq 1 400); do
-    if "$CLI" status --port "$PORT" --id job-1 \
-            | grep -Eq '"phase": "cnr", "done": [1-9]'; then
+CRASH=""
+for attempt in 1 2 3 4 5; do
+    DATA="$WORK/crash$attempt"
+    "$SRV" --port "$PORT" --data-dir "$DATA" --drain-sec 10 --threads 1 \
+        > "$WORK/crash1.log" 2>&1 &
+    SRV_PID=$!
+    wait_up
+    "$CLI" submit --port "$PORT" "${SPEC[@]}" > /dev/null
+    # Wait until the running job has journaled CNR progress, then pull
+    # the plug.
+    STATUS=""
+    for _ in $(seq 1 1000); do
+        STATUS=$("$CLI" status --port "$PORT" --id job-1 || true)
+        if grep -q '"state": "running"' <<<"$STATUS" &&
+                grep -Eq '"phase": "cnr", "done": [1-9]' <<<"$STATUS"; then
+            break
+        fi
+        sleep 0.005
+    done
+    echo "$STATUS"
+    kill -9 "$SRV_PID"
+    wait "$SRV_PID" 2>/dev/null || true
+    SRV_PID=""
+    if ! grep -Eq '^state job-1 (completed|failed|cancelled|rejected) ' \
+            "$DATA/jobs.manifest"; then
+        CRASH="$DATA"
         break
     fi
-    sleep 0.02
+    echo "attempt $attempt: job-1 was terminal before the kill;" \
+        "retrying on a fresh data dir"
 done
-"$CLI" status --port "$PORT" --id job-1
-kill -9 "$SRV_PID"
-wait "$SRV_PID" 2>/dev/null || true
-SRV_PID=""
+[ -n "$CRASH" ] || {
+    echo "FAIL: job-1 was terminal before the kill in all 5 attempts" >&2
+    exit 1
+}
 
 echo "== restart: the job must resume and complete =="
-"$SRV" --port "$PORT" --data-dir "$WORK/crash" --drain-sec 10 \
+"$SRV" --port "$PORT" --data-dir "$CRASH" --drain-sec 10 \
     > "$WORK/crash2.log" 2>&1 &
 SRV_PID=$!
 wait_up

@@ -8,18 +8,18 @@
  * Usage:
  *   elivagar_cli [--benchmark NAME] [--device NAME] [--candidates N]
  *                [--epochs N] [--seed N] [--scale F] [--threads N]
- *                [--workers N] [--attach host:port] [--dist-state DIR]
+ *                [--workers N] [--attach host:port] [--checkpoint PATH]
  *                [--emit text|qasm] [--trace FILE] [--metrics]
  *                [--report FILE] [--list]
  *
  * --workers N fans the candidate evaluation out over N local worker
  * processes (forked elivagar_worker binaries); --attach adds running
  * `elivagar_worker --serve` peers. The merged ranking is bit-identical
- * to the single-process search at any worker count. --dist-state DIR
- * keeps the search journal (DIR/search.journal, the --checkpoint
- * format) there so a crashed run resumes; a worker that dies mid-shard
- * is replaced and its remaining candidates reissued automatically
- * either way.
+ * to the single-process search at any worker count. --checkpoint PATH
+ * journals a distributed search exactly as it journals an in-process
+ * one, so a crashed run resumes at any worker count or none; a worker
+ * that dies mid-shard is replaced and its remaining candidates
+ * reissued automatically either way.
  *   elivagar_cli lint [FILE ...] [--builtin] [--device NAME]
  *                [--replica] [--require-embedding-prefix] [--rules]
  *   elivagar_cli submit|status|cancel|result|watch|health|metrics|
@@ -138,9 +138,6 @@ struct CliOptions
     std::vector<std::string> attach;
     /** Worker binary override ("" = next to this binary / $PATH). */
     std::string worker_bin;
-    /** State directory (search.journal + dist.manifest) for
-     * distributed crash resume. */
-    std::string dist_state;
     /** Write the full candidate ranking (deterministic, hexfloat). */
     std::string dump_ranking;
     /** Stop after the search: skip training/eval (CI byte-compares). */
@@ -173,9 +170,6 @@ print_usage()
         "  --worker-bin PATH  worker binary for --workers (default: "
         "the\n"
         "                     elivagar_worker next to this binary)\n"
-        "  --dist-state DIR   journal to DIR/search.journal; a crashed "
-        "distributed\n"
-        "                     run re-run with the same DIR resumes\n"
         "  --dump-ranking F   write the full candidate ranking to F "
         "(hexfloat,\n"
         "                     deterministic — byte-comparable)\n"
@@ -183,8 +177,9 @@ print_usage()
         "and accuracy\n"
         "                     evaluation)\n"
         "  --emit text|qasm   print the selected circuit\n"
-        "  --checkpoint PATH  journal the search; resumes if PATH "
-        "exists\n"
+        "  --checkpoint PATH  journal the search, in-process or on "
+        "workers; resumes\n"
+        "                     if PATH exists, at any worker count\n"
         "  --deadline-sec F   cancel the search after F seconds of "
         "wall clock\n"
         "                     (exit 3; journaled stages survive)\n"
@@ -232,8 +227,6 @@ parse(int argc, char **argv, CliOptions &options)
             options.attach.push_back(value());
         else if (arg == "--worker-bin")
             options.worker_bin = value();
-        else if (arg == "--dist-state")
-            options.dist_state = value();
         else if (arg == "--dump-ranking")
             options.dump_ranking = value();
         else if (arg == "--search-only")
@@ -922,17 +915,13 @@ main(int argc, char **argv)
         core::SearchResult found;
         std::optional<dist::DistStats> dist_stats;
         if (distributed) {
-            if (!options.checkpoint.empty())
-                elv::fatal("--checkpoint journals an in-process "
-                           "search; distributed runs journal to "
-                           "DIR/search.journal — use --dist-state DIR");
             dist::DistConfig dc;
             dc.workers = spec.workers;
             dc.attach = options.attach;
             dc.worker_binary = options.worker_bin;
             dc.threads_per_worker = std::max(1, options.threads);
             dc.coordinator_threads = options.threads;
-            dc.state_dir = options.dist_state;
+            dc.checkpoint_path = options.checkpoint;
             dc.crash_after = options.dist_test_crash;
             dc.hooks = config.hooks;
             const dist::DistResult dr =
@@ -1047,11 +1036,6 @@ main(int argc, char **argv)
                          "completed stages are journaled in %s; "
                          "re-running resumes there\n",
                          options.checkpoint.c_str());
-        if (!options.dist_state.empty())
-            std::fprintf(stderr,
-                         "completed stages are journaled in "
-                         "%s/search.journal; re-running resumes there\n",
-                         options.dist_state.c_str());
         return 3;
     } catch (const UsageError &error) {
         std::fprintf(stderr, "error: %s\n", error.what());

@@ -311,16 +311,6 @@ Circuit::embedding_op_indices() const
     return idx;
 }
 
-std::vector<std::size_t>
-Circuit::variational_op_indices() const
-{
-    std::vector<std::size_t> idx;
-    for (std::size_t i = 0; i < ops_.size(); ++i)
-        if (ops_[i].role == ParamRole::Variational)
-            idx.push_back(i);
-    return idx;
-}
-
 std::string
 Circuit::to_string() const
 {

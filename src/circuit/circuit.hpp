@@ -151,9 +151,6 @@ class Circuit
     /** Indices of ops with role Embedding. */
     std::vector<std::size_t> embedding_op_indices() const;
 
-    /** Indices of ops with role Variational. */
-    std::vector<std::size_t> variational_op_indices() const;
-
     /** Human-readable multi-line dump for debugging and examples. */
     std::string to_string() const;
 

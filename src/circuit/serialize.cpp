@@ -151,6 +151,12 @@ from_text(const std::string &text)
         if (q < 0 || q >= num_qubits)
             fail("qubit " + std::to_string(q) + " out of range: " + line);
     };
+    // Every operand is read: anything left on the line is malformed.
+    auto check_end = [&](std::istringstream &ls) {
+        std::string extra;
+        if (ls >> extra)
+            fail("trailing '" + extra + "': " + line);
+    };
     // A whole decimal feature index in [0, kMaxTextFeature], else -1.
     auto feature_index = [](const std::string &digits) {
         int value = -1;
@@ -173,8 +179,12 @@ from_text(const std::string &text)
         if (keyword == "measure") {
             std::vector<int> measured;
             std::set<int> seen;
-            int q;
-            while (ls >> q) {
+            for (std::string token; ls >> token;) {
+                int q = -1;
+                const char *end = token.data() + token.size();
+                const auto [at, ec] = std::from_chars(token.data(), end, q);
+                if (ec != std::errc() || at != end)
+                    fail("bad measured qubit '" + token + "': " + line);
                 check_qubit(q);
                 if (!seen.insert(q).second)
                     fail("qubit " + std::to_string(q) +
@@ -186,6 +196,7 @@ from_text(const std::string &text)
             continue;
         }
         if (keyword == "ampembed") {
+            check_end(ls);
             circuit.add_amplitude_embedding();
             continue;
         }
@@ -210,10 +221,12 @@ from_text(const std::string &text)
         if (keyword == "gate") {
             if (gate_is_parametric(kind))
                 fail("parametric gate needs 'var' or 'embed': " + line);
+            check_end(ls);
             circuit.add_gate(kind, qubits);
         } else if (keyword == "var") {
             if (!gate_is_parametric(kind))
                 fail("'var' needs a parametric gate: " + line);
+            check_end(ls);
             circuit.add_variational(kind, qubits);
         } else if (keyword == "embed") {
             if (gate_num_params(kind) != 1)
@@ -229,6 +242,7 @@ from_text(const std::string &text)
                                      : feature_index(spec.substr(star + 1));
             if (feature < 0 || (star != std::string::npos && feature2 < 0))
                 fail("bad feature spec: " + spec);
+            check_end(ls);
             circuit.add_embedding(kind, qubits, feature, feature2);
         } else {
             fail("unknown directive '" + keyword + "'");

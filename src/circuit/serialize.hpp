@@ -54,9 +54,10 @@ inline constexpr int kMaxTextFeature = 1 << 20;
  * a bad header or directive, a qubit count outside
  * [1, kMaxTextQubits], a qubit operand out of range, a 2-qubit gate on
  * one qubit, a gate in the wrong role (`gate RX`, `var H`, `embed U3`),
- * a feature index outside [0, kMaxTextFeature], or a measured qubit
- * out of range or listed twice. Text from outside the program (journal
- * records, `elivagar_cli lint` files) goes through here.
+ * a feature index outside [0, kMaxTextFeature], a measured qubit out
+ * of range or listed twice, or a token left after a line's operands.
+ * Text from outside the program (journal records, `elivagar_cli lint`
+ * files) goes through here.
  */
 Circuit from_text(const std::string &text);
 

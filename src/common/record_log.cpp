@@ -5,25 +5,10 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/fnv1a.hpp"
 #include "common/logging.hpp"
 
 namespace elv {
-
-namespace {
-
-/** FNV-1a over the record body (the torn-write detector). */
-std::uint64_t
-record_hash(const std::string &body)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : body) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-} // namespace
 
 std::string
 fingerprint_to_hex(std::uint64_t value)
@@ -45,7 +30,7 @@ fingerprint_from_hex(std::string_view text, std::uint64_t &value)
 std::string
 record_with_checksum(const std::string &body)
 {
-    return body + " ~" + fingerprint_to_hex(record_hash(body));
+    return body + " ~" + fingerprint_to_hex(fnv1a64(body));
 }
 
 bool
@@ -61,7 +46,7 @@ strip_record_checksum(std::string &line)
                               seen))
         return false;
     line.resize(body);
-    return seen == record_hash(line);
+    return seen == fnv1a64(line);
 }
 
 RecordLog::RecordLog(std::string path, std::string header,

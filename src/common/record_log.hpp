@@ -1,9 +1,9 @@
 /**
  * @file
  * Append-only checksummed record log: the one durable-log format. The
- * search journal, the server's jobs.manifest and the dist run manifest
- * frame, verify and recover their files here and keep only their own
- * record grammar. On disk:
+ * search journal and the server's jobs.manifest frame, verify and
+ * recover their files here and keep only their own record grammar. On
+ * disk:
  *
  *   <magic> <version>      # header line, e.g. "elv-search-journal 2"
  *   fingerprint <16 hex>   # only for logs constructed with one

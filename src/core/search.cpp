@@ -125,8 +125,8 @@ config_fingerprint(const ElivagarConfig &config)
     fp_mix(h, static_cast<std::uint64_t>(config.cnr.backend));
     fp_mix(h, static_cast<std::uint64_t>(config.cnr.shots));
     fp_mix_double(h, config.cnr.noise_scale);
-    // Former CNR/RepCap precision slots (f64 = 0): kept so journals,
-    // manifests and dist state dirs from older builds still resume.
+    // Former CNR/RepCap precision slots (f64 = 0): kept so journals
+    // from older builds, in-process and distributed, still resume.
     fp_mix(h, 0);
     fp_mix(h, static_cast<std::uint64_t>(config.repcap.samples_per_class));
     fp_mix(h, static_cast<std::uint64_t>(config.repcap.param_inits));

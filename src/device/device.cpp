@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/fnv1a.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 
@@ -78,18 +79,6 @@ topology_for(const std::string &name)
     if (name == "ibmq_manila")
         return line_topology(5);
     elv::fatal("unknown device: " + name);
-}
-
-/** FNV-1a hash of the device name, used as a deterministic seed. */
-std::uint64_t
-name_seed(const std::string &name)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (char c : name) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
 }
 
 /**
@@ -208,7 +197,8 @@ make_device(const std::string &name)
     dev.duration_2q_ns = entry->dur_2q_ns;
     dev.duration_readout_ns = entry->dur_ro_ns;
 
-    elv::Rng rng(name_seed(name));
+    // The device name's FNV-1a is the calibration sampling seed.
+    elv::Rng rng(elv::fnv1a64(name));
     const std::size_t n =
         static_cast<std::size_t>(dev.topology.num_qubits());
     const std::size_t m = dev.topology.edges().size();

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <exception>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "common/logging.hpp"
-#include "common/record_log.hpp"
-#include "core/checkpoint.hpp"
 #include "dist/channel.hpp"
 #include "dist/wire.hpp"
 #include "obs/metrics.hpp"
@@ -45,12 +41,9 @@ struct RunContext
     const DistConfig &dist;
     std::uint64_t fingerprint = 0;
     std::string worker_binary;
-    /** Guards stats + manifest (shard threads write both). */
+    /** Guards stats (shard threads write them). */
     std::mutex control_mutex;
     DistStats *stats = nullptr;
-    /** The run manifest (with a state_dir): an audit trail of shard
-     *  assignment, reissue and completion, fingerprinted. */
-    std::optional<RecordLog> manifest;
     /** Contiguous, ascending index ranges; one thread per stage owns
      *  each. */
     std::vector<Shard> shards;
@@ -60,17 +53,9 @@ struct RunContext
     {
         return dist.hooks.cancel && dist.hooks.cancel->cancelled();
     }
-
-    void
-    manifest_record(const std::string &body)
-    {
-        std::lock_guard<std::mutex> lock(control_mutex);
-        if (manifest)
-            manifest->append(body);
-    }
 };
 
-/** Render an index list compactly for manifest/diagnostic lines. */
+/** Render an index list compactly for diagnostic lines. */
 std::string
 describe_indices(const std::vector<int> &indices)
 {
@@ -204,20 +189,12 @@ drive_shard(RunContext &ctx, Shard &shard, const std::string &stage,
             }
             shard.channel = std::move(channel);
         }
-        {
-            const bool reissue = issued_once;
-            issued_once = true;
-            ctx.manifest_record(
-                std::string(reissue ? "reissue " : "issue ") + stage +
-                " shard " + std::to_string(shard.id) + " " +
-                describe_indices(pending) + " -> " +
-                shard.channel->describe());
-            if (reissue) {
-                std::lock_guard<std::mutex> lock(ctx.control_mutex);
-                ++ctx.stats->shards_reissued;
-                ELV_METRIC_COUNT("dist.shards_reissued");
-            }
+        if (issued_once) {
+            std::lock_guard<std::mutex> lock(ctx.control_mutex);
+            ++ctx.stats->shards_reissued;
+            ELV_METRIC_COUNT("dist.shards_reissued");
         }
+        issued_once = true;
         std::string error;
         if (!shard.channel->send_line(make_stage_request(stage, pending),
                                       error)) {
@@ -274,17 +251,9 @@ drive_shard(RunContext &ctx, Shard &shard, const std::string &stage,
             continue;
         }
     }
-    if (pending.empty()) {
-        ctx.manifest_record("done " + stage + " shard " +
-                            std::to_string(shard.id));
-        return pending;
-    }
-    if (ctx.cancelled())
+    if (pending.empty() || ctx.cancelled())
         return pending;
     // Every reissue burned: hand the rest back to the search.
-    ctx.manifest_record("fallback " + stage + " shard " +
-                        std::to_string(shard.id) + " " +
-                        describe_indices(pending));
     {
         std::lock_guard<std::mutex> lock(ctx.control_mutex);
         ctx.stats->fallback_records += pending.size();
@@ -410,21 +379,19 @@ distributed_search(const core::RunSpec &spec, const DistConfig &dist)
     const dev::Device device = dev::make_device(spec.device);
     const qml::Benchmark bench =
         qml::make_benchmark(spec.benchmark, spec.seed, spec.scale);
-    core::ElivagarConfig config = core::search_config(
-        spec, bench.spec, dist.coordinator_threads,
-        dist.state_dir.empty() ? "" : dist.state_dir + "/search.journal");
+    core::ElivagarConfig config =
+        core::search_config(spec, bench.spec, dist.coordinator_threads,
+                            dist.checkpoint_path);
     config.hooks = dist.hooks;
-    const std::uint64_t fingerprint = core::config_fingerprint(config);
 
     DistResult out;
     RunContext ctx{spec,
                    dist,
-                   fingerprint,
+                   core::config_fingerprint(config),
                    dist.worker_binary.empty() ? default_worker_binary()
                                               : dist.worker_binary,
                    {},
                    &out.stats,
-                   std::nullopt,
                    std::vector<Shard>(
                        static_cast<std::size_t>(total_shards))};
 
@@ -448,29 +415,6 @@ distributed_search(const core::RunSpec &spec, const DistConfig &dist)
         }
     }
 
-    // Durable state: the search journal (resume state) and the run
-    // manifest (audit trail) share the state dir.
-    if (!dist.state_dir.empty()) {
-        std::filesystem::create_directories(dist.state_dir);
-        RecordLog &manifest = ctx.manifest.emplace(
-            dist.state_dir + "/dist.manifest", "elv-dist-manifest 1",
-            fingerprint);
-        manifest.set_mismatch_hint([&config](std::uint64_t stored) {
-            return core::fingerprint_mismatch_hint(config, stored);
-        });
-        if (const auto other = manifest.load(
-                [](const std::string &) { return true; }))
-            elv::fatal("manifest " + manifest.path() + " has header '" +
-                       *other + "' from another build; delete it (" +
-                       config.checkpoint_path +
-                       " holds the resume state)");
-        manifest.append(
-            "run shards " + std::to_string(total_shards) + " workers " +
-            std::to_string(dist.workers) + " attached " +
-            std::to_string(dist.attach.size()) + " candidates " +
-            std::to_string(config.num_candidates));
-    }
-
     ShardScatter remote(ctx);
     out.result = core::elivagar_search(device, bench.train, config, &remote);
 
@@ -484,9 +428,6 @@ distributed_search(const core::RunSpec &spec, const DistConfig &dist)
         shard.channel->close();
         ELV_METRIC_GAUGE_ADD("dist.active_workers", -1);
     }
-    if (ctx.manifest)
-        ctx.manifest->append("complete best_score " +
-                             core::double_to_hex(out.result.best_score));
     return out;
 }
 

@@ -15,17 +15,15 @@
  * back; each record goes straight into the search's store, so the
  * ranking is bit-identical to an in-process run at any shard count.
  *
- * Crash tolerance: with a state_dir, the search journals every record
- * to state_dir/search.journal, the file --checkpoint writes, on the
- * coordinator side, so a worker crash can never tear it; the run
- * manifest (dist.manifest) records shard assignment and completion. A
- * worker that dies, stalls past the progress deadline, or returns
- * garbage is killed and its shard reissued to a fresh worker minus the
- * records already stored. After max_reissues the shard hands its
- * remaining indices back to the search, which evaluates them
- * in-process. Re-running with the same state_dir resumes from the
- * journal at any worker count, and an in-process run resumes from that
- * journal too.
+ * Crash tolerance: with a checkpoint_path, the search journals every
+ * record there on the coordinator side, in the one format --checkpoint
+ * writes, so a worker crash can never tear it. A worker that dies,
+ * stalls past the progress deadline, or returns garbage is killed and
+ * its shard reissued to a fresh worker minus the records already
+ * stored. After max_reissues the shard hands its remaining indices
+ * back to the search, which evaluates them in-process. Re-running with
+ * the same journal resumes at any worker count, and an in-process run
+ * resumes from that journal too.
  */
 #pragma once
 
@@ -54,11 +52,11 @@ struct DistConfig
      * handed-back indices; 0 = hardware). */
     int coordinator_threads = 0;
     /**
-     * Directory for search.journal + the run manifest; "" disables
-     * persistence (no crash resume across coordinator restarts;
-     * mid-run reissue works regardless).
+     * The search journal (core::ElivagarConfig::checkpoint_path); ""
+     * disables persistence (no crash resume across coordinator
+     * restarts; mid-run reissue works regardless).
      */
-    std::string state_dir;
+    std::string checkpoint_path;
     /** Worker spawn/configure handshake deadline (seconds). */
     double handshake_timeout_sec = 30.0;
     /**

@@ -223,7 +223,11 @@ parse_coord_request(const std::string &line, CoordRequest &out,
             return false;
         }
         const obs::JsonValue *spec = value.get("spec");
-        if (!spec || !core::RunSpec::from_json(*spec, out.spec, error))
+        if (!spec) {
+            error = "configure without a \"spec\"";
+            return false;
+        }
+        if (!core::RunSpec::from_json(*spec, out.spec, error))
             return false;
         if (!value.read("threads", out.threads, error) ||
             !value.read("crash_after", out.crash_after, error))

@@ -174,12 +174,6 @@ analyze_clifford_regions(const CircuitView &view)
     return regions;
 }
 
-DataflowAnalysis
-analyze_dataflow(const CircuitView &view)
-{
-    return {analyze_lightcone(view), analyze_clifford_regions(view)};
-}
-
 circ::Circuit
 prune_to_lightcone(const circ::Circuit &circuit, std::size_t *ops_elided)
 {

@@ -187,15 +187,6 @@ struct CliffordRegions
 /** Two forward/backward region sweeps over the same framework. */
 CliffordRegions analyze_clifford_regions(const CircuitView &view);
 
-/** Every analysis bundled (what the new rules consume). */
-struct DataflowAnalysis
-{
-    LightconeAnalysis lightcone;
-    CliffordRegions regions;
-};
-
-DataflowAnalysis analyze_dataflow(const CircuitView &view);
-
 /**
  * Scoring-time prune: rebuild `circuit` without its out-of-cone ops.
  * The qubit register and the declared parameter count/slot numbering

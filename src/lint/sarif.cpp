@@ -1,54 +1,16 @@
 #include "lint/sarif.hpp"
 
-#include <cstdint>
 #include <fstream>
 #include <sstream>
 
+#include "common/fnv1a.hpp"
 #include "common/logging.hpp"
 #include "common/runinfo.hpp"
+#include "obs/json.hpp"
 
 namespace elv::lint {
 
 namespace {
-
-/** JSON string escaping (control characters, quotes, backslashes). */
-std::string
-json_escape(const std::string &text)
-{
-    std::ostringstream oss;
-    for (const char ch : text) {
-        switch (ch) {
-          case '"': oss << "\\\""; break;
-          case '\\': oss << "\\\\"; break;
-          case '\n': oss << "\\n"; break;
-          case '\r': oss << "\\r"; break;
-          case '\t': oss << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(ch)));
-                oss << buf;
-            } else {
-                oss << ch;
-            }
-        }
-    }
-    return oss.str();
-}
-
-/** FNV-1a 64-bit over the message text. */
-std::uint64_t
-fnv1a64(const std::string &text)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char ch : text) {
-        h ^= static_cast<unsigned char>(ch);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 /** SARIF result level for a severity. */
 const char *
@@ -71,7 +33,7 @@ diagnostic_fingerprint(const std::string &artifact,
     std::ostringstream oss;
     oss << artifact << "|" << diagnostic.rule << "|op"
         << diagnostic.op_index << "|" << std::hex
-        << fnv1a64(diagnostic.message);
+        << elv::fnv1a64(diagnostic.message);
     return oss.str();
 }
 
@@ -150,68 +112,56 @@ std::string
 to_sarif(const std::vector<ArtifactReport> &reports,
          const Baseline *baseline)
 {
-    std::ostringstream oss;
-    oss << "{\n"
-        << "  \"$schema\": "
-           "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-        << "  \"version\": \"2.1.0\",\n"
-        << "  \"runs\": [\n"
-        << "    {\n"
-        << "      \"tool\": {\n"
-        << "        \"driver\": {\n"
-        << "          \"name\": \"elvlint\",\n"
-        << "          \"version\": \"" << json_escape(elv::version_string())
-        << "\",\n"
-        << "          \"informationUri\": "
-           "\"https://github.com/elivagar/elivagar\",\n"
-        << "          \"rules\": [\n";
-    const auto &catalog = rule_catalog();
-    for (std::size_t r = 0; r < catalog.size(); ++r) {
-        oss << "            {\"id\": \"" << json_escape(catalog[r].id)
-            << "\", \"shortDescription\": {\"text\": \""
-            << json_escape(catalog[r].summary)
-            << "\"}, \"defaultConfiguration\": {\"level\": \""
-            << sarif_level(catalog[r].severity) << "\"}}"
-            << (r + 1 < catalog.size() ? "," : "") << "\n";
+    obs::JsonWriter json;
+    json.begin_object();
+    json.kv("$schema", "https://json.schemastore.org/sarif-2.1.0.json");
+    json.kv("version", "2.1.0");
+    json.key("runs").begin_array().begin_object();
+    json.key("tool").begin_object().key("driver").begin_object();
+    json.kv("name", "elvlint");
+    json.kv("version", elv::version_string());
+    json.kv("informationUri", "https://github.com/elivagar/elivagar");
+    json.key("rules").begin_array();
+    for (const RuleInfo &rule : rule_catalog()) {
+        json.begin_object().kv("id", rule.id);
+        json.key("shortDescription").begin_object();
+        json.kv("text", rule.summary).end_object();
+        json.key("defaultConfiguration").begin_object();
+        json.kv("level", sarif_level(rule.severity)).end_object();
+        json.end_object();
     }
-    oss << "          ]\n"
-        << "        }\n"
-        << "      },\n"
-        << "      \"results\": [\n";
+    json.end_array().end_object().end_object(); // rules, driver, tool
 
-    bool first = true;
+    json.key("results").begin_array();
     for (const ArtifactReport &entry : reports) {
         for (const Diagnostic &d : entry.report.diagnostics) {
-            if (!first)
-                oss << ",\n";
-            first = false;
             const std::string fingerprint =
                 diagnostic_fingerprint(entry.artifact, d);
+            json.begin_object();
+            json.kv("ruleId", d.rule);
+            json.kv("level", sarif_level(d.severity));
+            json.key("message").begin_object();
+            json.kv("text", d.message).end_object();
             // Native-text circuit files carry a 2-line header before
             // the op stream, so op i lives on line i + 3.
-            const int line = d.op_index >= 0 ? d.op_index + 3 : 1;
-            oss << "        {\"ruleId\": \"" << json_escape(d.rule)
-                << "\", \"level\": \"" << sarif_level(d.severity)
-                << "\", \"message\": {\"text\": \""
-                << json_escape(d.message)
-                << "\"}, \"locations\": [{\"physicalLocation\": "
-                   "{\"artifactLocation\": {\"uri\": \""
-                << json_escape(entry.artifact)
-                << "\"}, \"region\": {\"startLine\": " << line
-                << "}}}], \"partialFingerprints\": {\"elvlint/v1\": \""
-                << json_escape(fingerprint) << "\"}";
-            if (baseline && baseline->contains(fingerprint))
-                oss << ", \"suppressions\": [{\"kind\": \"external\"}]";
-            oss << "}";
+            json.key("locations").begin_array().begin_object();
+            json.key("physicalLocation").begin_object();
+            json.key("artifactLocation").begin_object();
+            json.kv("uri", entry.artifact).end_object();
+            json.key("region").begin_object();
+            json.kv("startLine", d.op_index >= 0 ? d.op_index + 3 : 1);
+            json.end_object().end_object().end_object().end_array();
+            json.key("partialFingerprints").begin_object();
+            json.kv("elvlint/v1", fingerprint).end_object();
+            if (baseline && baseline->contains(fingerprint)) {
+                json.key("suppressions").begin_array().begin_object();
+                json.kv("kind", "external").end_object().end_array();
+            }
+            json.end_object();
         }
     }
-    if (!first)
-        oss << "\n";
-    oss << "      ]\n"
-        << "    }\n"
-        << "  ]\n"
-        << "}\n";
-    return oss.str();
+    json.end_array().end_object().end_array().end_object();
+    return json.str();
 }
 
 std::string
@@ -219,34 +169,32 @@ to_json(const std::vector<ArtifactReport> &reports,
         const Baseline *baseline)
 {
     const FindingCounts counts = count_findings(reports, baseline);
-    std::ostringstream oss;
-    oss << "{\n  \"artifacts\": [\n";
-    for (std::size_t a = 0; a < reports.size(); ++a) {
-        const ArtifactReport &entry = reports[a];
-        oss << "    {\"artifact\": \"" << json_escape(entry.artifact)
-            << "\", \"diagnostics\": [";
-        for (std::size_t i = 0; i < entry.report.diagnostics.size();
-             ++i) {
-            const Diagnostic &d = entry.report.diagnostics[i];
-            const bool suppressed =
-                baseline && baseline->contains(diagnostic_fingerprint(
-                                entry.artifact, d));
-            oss << (i ? ", " : "") << "{\"severity\": \""
-                << severity_name(d.severity) << "\", \"rule\": \""
-                << json_escape(d.rule)
-                << "\", \"op\": " << d.op_index << ", \"message\": \""
-                << json_escape(d.message) << "\", \"suppressed\": "
-                << (suppressed ? "true" : "false") << "}";
+    obs::JsonWriter json;
+    json.begin_object();
+    json.key("artifacts").begin_array();
+    for (const ArtifactReport &entry : reports) {
+        json.begin_object().kv("artifact", entry.artifact);
+        json.key("diagnostics").begin_array();
+        for (const Diagnostic &d : entry.report.diagnostics) {
+            json.begin_object();
+            json.kv("severity", severity_name(d.severity));
+            json.kv("rule", d.rule);
+            json.kv("op", d.op_index);
+            json.kv("message", d.message);
+            json.kv("suppressed",
+                    baseline && baseline->contains(diagnostic_fingerprint(
+                                    entry.artifact, d)));
+            json.end_object();
         }
-        oss << "]}" << (a + 1 < reports.size() ? "," : "") << "\n";
+        json.end_array().end_object();
     }
-    oss << "  ],\n"
-        << "  \"errors\": " << counts.errors << ",\n"
-        << "  \"warnings\": " << counts.warnings << ",\n"
-        << "  \"notes\": " << counts.notes << ",\n"
-        << "  \"suppressed\": " << counts.suppressed << "\n"
-        << "}\n";
-    return oss.str();
+    json.end_array();
+    json.kv("errors", static_cast<std::uint64_t>(counts.errors));
+    json.kv("warnings", static_cast<std::uint64_t>(counts.warnings));
+    json.kv("notes", static_cast<std::uint64_t>(counts.notes));
+    json.kv("suppressed", static_cast<std::uint64_t>(counts.suppressed));
+    json.end_object();
+    return json.str();
 }
 
 } // namespace elv::lint

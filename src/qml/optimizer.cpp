@@ -52,13 +52,4 @@ Adam::step_masked(std::vector<double> &params,
     }
 }
 
-void
-Adam::reset()
-{
-    step_count_ = 0;
-    std::fill(m_.begin(), m_.end(), 0.0);
-    std::fill(v_.begin(), v_.end(), 0.0);
-    std::fill(slot_steps_.begin(), slot_steps_.end(), 0L);
-}
-
 } // namespace elv::qml

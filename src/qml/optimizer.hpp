@@ -33,9 +33,6 @@ class Adam
                      const std::vector<double> &grads,
                      const std::vector<std::uint8_t> &mask);
 
-    /** Reset moment estimates and the step counter. */
-    void reset();
-
     double learning_rate() const { return lr_; }
 
   private:

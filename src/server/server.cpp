@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "circuit/serialize.hpp"
@@ -464,6 +465,7 @@ Server::run_job(const RecordPtr &rec)
     std::string detail;
     bool have_result = false;
     core::SearchResult result;
+    std::optional<dist::DistStats> dist_stats;
     core::ElivagarConfig config;
 
     try {
@@ -496,19 +498,18 @@ Server::run_job(const RecordPtr &rec)
             bump_epoch_locked();
         };
         if (rec->spec.workers > 0) {
-            // Distributed fan-out: the dist state dir (search.journal
-            // + dist.manifest) lives next to the job's other
-            // artifacts, so an abandoned job resumes its distributed
-            // search like an in-process one resumes its journal — at
-            // any worker count.
+            // Distributed fan-out journals to the same job journal, so
+            // an abandoned job resumes at any worker count, or none.
             dist::DistConfig dc;
             dc.workers = rec->spec.workers;
             dc.threads_per_worker =
                 std::max(1, rec->thread_quota / rec->spec.workers);
             dc.coordinator_threads = std::max(1, rec->thread_quota);
-            dc.state_dir = job_path(rec->id, ".dist");
+            dc.checkpoint_path = config.checkpoint_path;
             dc.hooks = config.hooks;
-            result = dist::distributed_search(rec->spec, dc).result;
+            dist::DistResult out = dist::distributed_search(rec->spec, dc);
+            result = std::move(out.result);
+            dist_stats = out.stats;
         } else {
             result = core::elivagar_search(device, bench.train, config);
         }
@@ -581,6 +582,19 @@ Server::run_job(const RecordPtr &rec)
         if (trace_ok)
             json.kv("trace", job_path(rec->id, ".trace.json"));
         json.kv("circuit", circ::to_text_line(result.best_circuit));
+        if (dist_stats) {
+            // The fan-out record of a job with workers: which shards
+            // ran remotely and which fell back in-process.
+            json.key("dist").begin_object();
+            json.kv("workers_spawned", dist_stats->workers_spawned);
+            json.kv("workers_attached", dist_stats->workers_attached);
+            json.kv("shards", dist_stats->shards);
+            json.kv("shards_reissued", dist_stats->shards_reissued);
+            json.kv("worker_failures", dist_stats->worker_failures);
+            json.kv("records_received", dist_stats->records_received);
+            json.kv("fallback_records", dist_stats->fallback_records);
+            json.end_object();
+        }
         json.end_object();
         if (!write_file_atomic(job_path(rec->id, ".result.json"),
                                json.str()))
@@ -784,12 +798,6 @@ Server::metrics_json() const
 
     json.end_object();
     return json.str();
-}
-
-obs::EventSlice
-Server::events_since(std::uint64_t cursor, std::size_t limit) const
-{
-    return events_.since(cursor, limit);
 }
 
 std::string

@@ -14,9 +14,9 @@
  *    manifest is replayed: jobs whose last state is non-terminal are
  *    re-queued.
  *  - each job's *checkpoint journal* (`<data_dir>/job-N.journal`, the
- *    PR 1 search journal) records per-candidate stages. A re-queued job
- *    resumes from it, so the recovered SearchResult is bit-identical to
- *    an uninterrupted run.
+ *    search journal) records per-candidate stages, with or without
+ *    workers. A re-queued job resumes from it, so the recovered
+ *    SearchResult is bit-identical to an uninterrupted run.
  *
  * Overload ladder (graceful degradation, in escalation order):
  *
@@ -159,13 +159,9 @@ class Server
 
     /**
      * Operational events after sequence `cursor` (0 = oldest held),
-     * newest-clipped to `limit`. Readers page with the returned
-     * last_seq and detect loss via first_seq.
+     * newest-clipped to `limit`, as one JSON object. Readers page with
+     * its last_seq and detect loss via first_seq.
      */
-    obs::EventSlice events_since(std::uint64_t cursor,
-                                 std::size_t limit) const;
-
-    /** events_since rendered as one JSON object. */
     std::string events_json(std::uint64_t cursor,
                             std::size_t limit) const;
 

@@ -288,18 +288,6 @@ StateVector::probabilities(const std::vector<int> &qubits) const
     return probs;
 }
 
-std::vector<double>
-StateVector::probabilities_full() const
-{
-    std::vector<double> probs(amps_.size());
-    for (std::size_t i = 0; i < amps_.size(); ++i) {
-        const double re = amps_[i].real();
-        const double im = amps_[i].imag();
-        probs[i] = re * re + im * im;
-    }
-    return probs;
-}
-
 std::size_t
 StateVector::sample(const std::vector<int> &qubits, elv::Rng &rng) const
 {

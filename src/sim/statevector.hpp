@@ -156,9 +156,6 @@ class StateVector
      */
     std::vector<double> probabilities(const std::vector<int> &qubits) const;
 
-    /** Full 2^n outcome distribution. */
-    std::vector<double> probabilities_full() const;
-
     /** Sample one outcome over `qubits` from the Born distribution. */
     std::size_t sample(const std::vector<int> &qubits, elv::Rng &rng) const;
 

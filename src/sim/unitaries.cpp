@@ -232,15 +232,6 @@ identity2()
     return m;
 }
 
-Mat4
-identity4()
-{
-    Mat4 m = {};
-    for (std::size_t i = 0; i < 4; ++i)
-        m[i][i] = Amp(1);
-    return m;
-}
-
 Mat16
 matmul(const Mat16 &a, const Mat16 &b)
 {
@@ -249,15 +240,6 @@ matmul(const Mat16 &a, const Mat16 &b)
     Mat16 out = {};
     vec::matmul16(a[0].data(), b[0].data(), out[0].data());
     return out;
-}
-
-Mat16
-identity16()
-{
-    Mat16 m = {};
-    for (std::size_t i = 0; i < 16; ++i)
-        m[i][i] = Amp(1);
-    return m;
 }
 
 Mat4

@@ -54,10 +54,8 @@ Mat2 matmul(const Mat2 &a, const Mat2 &b);
 Mat4 matmul(const Mat4 &a, const Mat4 &b);
 Mat16 matmul(const Mat16 &a, const Mat16 &b);
 
-/** Identity matrices. */
+/** The 2x2 identity. */
 Mat2 identity2();
-Mat4 identity4();
-Mat16 identity16();
 
 /**
  * Embed a 1-qubit matrix into the 2-qubit basis |q0 q1>: slot 0 puts

@@ -70,13 +70,6 @@ Tableau::z_bit(int row, int q) const
            mask_of(q);
 }
 
-bool
-Tableau::sign_bit(int row) const
-{
-    // Signs are exponents of i; a "negative" row has exponent 2.
-    return (signs_[static_cast<std::size_t>(row)] & 2) != 0;
-}
-
 void
 Tableau::h(int q)
 {

@@ -75,7 +75,6 @@ class Tableau
     /** @name Row accessors (for tests) @{ */
     bool x_bit(int row, int q) const;
     bool z_bit(int row, int q) const;
-    bool sign_bit(int row) const;
     /** @} */
 
   private:

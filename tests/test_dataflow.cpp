@@ -28,6 +28,7 @@
 #include "lint/dataflow.hpp"
 #include "lint/lint.hpp"
 #include "lint/sarif.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "qml/dataset.hpp"
 #include "qml/trainer.hpp"
@@ -709,6 +710,46 @@ TEST(Sarif, BaselineSuppressionRoundTrip)
     EXPECT_EQ(sparse.size(), 1u);
     EXPECT_TRUE(sparse.contains("x|y|op0|beef"));
     EXPECT_FALSE(sparse.contains("x|y|op1|beef"));
+}
+
+/** Both documents escape what an artifact name or message holds: a
+ * quote, a backslash and a control character parse back intact. */
+TEST(Sarif, DocumentsParseForAHostileArtifactName)
+{
+    const std::string name = "dir\\a \"b\"\x01.txt";
+    lint::Report report;
+    report.add(lint::Severity::Warning, "dead-lightcone", 2,
+               "a \"quoted\"\tmessage");
+    const std::vector<lint::ArtifactReport> reports = {{name, report}};
+    const lint::Baseline baseline =
+        lint::Baseline::parse(lint::Baseline::render(reports));
+
+    obs::JsonValue sarif, json;
+    std::string error;
+    const std::string sarif_doc = lint::to_sarif(reports, &baseline);
+    ASSERT_TRUE(obs::json_parse(sarif_doc, sarif, error))
+        << error << "\n" << sarif_doc;
+    const std::string json_doc = lint::to_json(reports, &baseline);
+    ASSERT_TRUE(obs::json_parse(json_doc, json, error))
+        << error << "\n" << json_doc;
+
+    const obs::JsonValue &result =
+        sarif.get("runs")->items.at(0).get("results")->items.at(0);
+    EXPECT_EQ(result.get("locations")
+                  ->items.at(0)
+                  .get("physicalLocation")
+                  ->get("artifactLocation")
+                  ->get("uri")
+                  ->as_string(),
+              name);
+    EXPECT_EQ(result.get("message")->get("text")->as_string(),
+              "a \"quoted\"\tmessage");
+    EXPECT_NE(result.get("suppressions"), nullptr);
+    const obs::JsonValue &artifact = json.get("artifacts")->items.at(0);
+    EXPECT_EQ(artifact.get("artifact")->as_string(), name);
+    EXPECT_TRUE(
+        artifact.get("diagnostics")->items.at(0).get("suppressed")->as_bool());
+    EXPECT_EQ(json.get("suppressed")->as_number(), 1.0);
 }
 
 TEST(Sarif, JsonRenderingCarriesCounts)

@@ -29,6 +29,7 @@
 #include <functional>
 #include <iterator>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -48,6 +49,8 @@
 #include "obs/json.hpp"
 #include "qml/synthetic.hpp"
 #include "server/server.hpp"
+
+#include "mutate.hpp"
 
 namespace {
 
@@ -90,9 +93,9 @@ dist_config(int workers)
     return dc;
 }
 
-/** Fresh state directory under the gtest temp dir. */
+/** A path under the gtest temp dir with nothing there yet. */
 std::string
-fresh_state_dir(const std::string &name)
+fresh_path(const std::string &name)
 {
     const std::string path =
         ::testing::TempDir() + "elv_dist_" + name;
@@ -336,6 +339,83 @@ TEST(DistWire, EndpointParsing)
     EXPECT_FALSE(parse_endpoint("", host, port));
 }
 
+/** Every refused line says why: a configure line without its spec
+ * once came back false with an empty error. */
+TEST(DistWire, ConfigureWithoutSpecNamesTheField)
+{
+    CoordRequest request;
+    std::string error;
+    EXPECT_FALSE(parse_coord_request(
+        R"({"op":"configure","protocol":1,"threads":2,)"
+        R"("fp":"0000000000001234","crash_after":0})",
+        request, error));
+    EXPECT_NE(error.find("\"spec\""), std::string::npos) << error;
+}
+
+/**
+ * The wire is a trust boundary: seeded mutants of every line the
+ * builders make either parse or are refused with a non-empty error, on
+ * both ends, and mutated endpoints parse or are refused. Nothing
+ * throws.
+ */
+TEST(DistWire, SeededMutantsParseOrAreRejected)
+{
+    core::CandidateCnr cnr;
+    cnr.cnr = 0.12345678901234567;
+    cnr.executions = 16;
+    core::CandidateRepCap repcap;
+    repcap.repcap = 0.75;
+    repcap.executions = 512;
+    const std::vector<std::string> lines = {
+        make_configure(small_spec(), 2, 0xdeadbeefcafe01ULL, 3),
+        make_stage_request("cnr", {3, 1, 4}),
+        make_stage_request("repcap", {}),
+        make_shutdown(),
+        make_ready(0x42ULL),
+        make_cnr_record(7, cnr),
+        make_repcap_record(2, repcap),
+        make_stage_done("cnr", 5),
+        make_error("backend on fire"),
+        make_bye()};
+    const std::vector<std::string> endpoints = {"10.1.2.3:7400", ":7401",
+                                                "7402", "localhost:65535"};
+
+    std::mt19937_64 rng(23);
+    int parsed = 0, rejected = 0;
+    constexpr int kRounds = 500;
+    for (int round = 0; round < kRounds; ++round) {
+        for (const std::string &line : lines) {
+            const std::string mutant = test::mutate(line, lines, rng);
+            for (const bool worker_side : {false, true}) {
+                WorkerEvent event;
+                CoordRequest request;
+                std::string error;
+                bool ok = false;
+                EXPECT_NO_THROW(
+                    ok = worker_side
+                             ? parse_coord_request(mutant, request, error)
+                             : parse_worker_event(mutant, event, error))
+                    << mutant;
+                if (ok) {
+                    ++parsed;
+                } else {
+                    ++rejected;
+                    EXPECT_FALSE(error.empty()) << mutant;
+                }
+            }
+        }
+        for (const std::string &endpoint : endpoints) {
+            const std::string mutant =
+                test::mutate(endpoint, endpoints, rng);
+            std::string host;
+            std::uint16_t port = 0;
+            EXPECT_NO_THROW(parse_endpoint(mutant, host, port)) << mutant;
+        }
+    }
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, 0);
+}
+
 TEST(DistJobSpec, WorkersFieldRoundTripsAndValidates)
 {
     core::RunSpec spec = small_spec();
@@ -413,24 +493,24 @@ TEST(DistDeterminism, UnspawnableWorkerFallsBackInProcess)
 }
 
 /**
- * Whole-run resume: a completed run's state_dir replays every record
- * from search.journal — no worker is spawned and no shard issued — at
- * a *different* worker count (the journal has no per-shard layout).
+ * Whole-run resume: a completed run's journal replays every record —
+ * no worker is spawned and no shard issued — at a *different* worker
+ * count (the journal has no per-shard layout).
  */
 TEST(DistDeterminism, StateDirResumesUnderDifferentWorkerCount)
 {
     const core::RunSpec spec = small_spec();
     const core::SearchResult reference = serial_reference(spec);
-    const std::string state_dir = fresh_state_dir("resume");
+    const std::string journal = fresh_path("resume.journal");
 
     DistConfig first = dist_config(2);
-    first.state_dir = state_dir;
+    first.checkpoint_path = journal;
     const DistResult original = distributed_search(spec, first);
     expect_bit_identical(reference, original.result);
     EXPECT_FALSE(original.result.resumed);
 
     DistConfig second = dist_config(3);
-    second.state_dir = state_dir;
+    second.checkpoint_path = journal;
     const DistResult resumed = distributed_search(spec, second);
     expect_bit_identical(reference, resumed.result);
     EXPECT_TRUE(resumed.result.resumed);
@@ -439,24 +519,24 @@ TEST(DistDeterminism, StateDirResumesUnderDifferentWorkerCount)
     EXPECT_EQ(resumed.stats.shards, 0);
 }
 
-/** A state_dir written under a different configuration is refused,
- * and the refusal names the fingerprint. */
+/** A journal written under a different configuration is refused, and
+ * the refusal names the fingerprint. */
 TEST(DistDeterminism, StateDirFromDifferentConfigRefusedWithHint)
 {
     const core::RunSpec spec = small_spec();
-    const std::string state_dir = fresh_state_dir("fingerprint");
+    const std::string journal = fresh_path("fingerprint.journal");
 
     DistConfig first = dist_config(2);
-    first.state_dir = state_dir;
+    first.checkpoint_path = journal;
     distributed_search(spec, first);
 
     core::RunSpec flipped = spec;
     flipped.seed += 1;
     DistConfig second = dist_config(2);
-    second.state_dir = state_dir;
+    second.checkpoint_path = journal;
     try {
         distributed_search(flipped, second);
-        FAIL() << "expected the mismatched state_dir to be refused";
+        FAIL() << "expected the mismatched journal to be refused";
     } catch (const elv::UsageError &e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("fingerprint"), std::string::npos) << what;
@@ -652,10 +732,8 @@ TEST(DistRemoteStages, CancelledRemoteStageResumesFromTheJournal)
     const dev::Device device = dev::make_device(spec.device);
     for (const int cancel_after : {3, 8}) {
         SCOPED_TRACE("cancel_after=" + std::to_string(cancel_after));
-        const std::string dir =
-            fresh_state_dir("cancel_" + std::to_string(cancel_after));
-        std::filesystem::create_directories(dir);
-        const std::string journal = dir + "/search.journal";
+        const std::string journal = fresh_path(
+            "cancel_" + std::to_string(cancel_after) + ".journal");
         core::ElivagarConfig config =
             core::search_config(spec, bench.spec, 2, journal);
         ReversedRemote first(device, bench.train, config);
@@ -685,9 +763,9 @@ TEST(DistRemoteStages, CancelledRemoteStageResumesFromTheJournal)
 }
 
 /**
- * A dist state dir and an in-process --checkpoint journal are one
- * file format: each run resumes from the other's journal with nothing
- * re-evaluated (no worker spawned, no cnr/repcap record appended).
+ * A dist run and an in-process run write one journal format: each run
+ * resumes from the other's journal with nothing re-evaluated (no
+ * worker spawned, no cnr/repcap record appended).
  */
 TEST(DistDeterminism, DistAndInProcessJournalsInterchange)
 {
@@ -704,11 +782,10 @@ TEST(DistDeterminism, DistAndInProcessJournalsInterchange)
         static_cast<std::size_t>(spec.candidates + reference.survivors);
 
     // Dist run -> in-process resume.
-    const std::string state_dir = fresh_state_dir("interchange_dist");
+    const std::string dist_journal = fresh_path("interchange_dist.journal");
     DistConfig dc = dist_config(2);
-    dc.state_dir = state_dir;
+    dc.checkpoint_path = dist_journal;
     expect_bit_identical(reference, distributed_search(spec, dc).result);
-    const std::string dist_journal = state_dir + "/search.journal";
     ASSERT_EQ(stage_records(dist_journal), complete);
     const core::SearchResult in_process = core::elivagar_search(
         device, bench.train,
@@ -718,21 +795,15 @@ TEST(DistDeterminism, DistAndInProcessJournalsInterchange)
     EXPECT_EQ(stage_records(dist_journal), complete);
 
     // In-process run -> dist resume.
-    const std::string own = fresh_state_dir("interchange_own");
-    std::filesystem::create_directories(own);
-    core::elivagar_search(
-        device, bench.train,
-        core::search_config(spec, bench.spec, 1, own + "/j.journal"));
-    const std::string fresh = fresh_state_dir("interchange_fresh");
-    std::filesystem::create_directories(fresh);
-    std::filesystem::copy_file(own + "/j.journal",
-                               fresh + "/search.journal");
-    dc.state_dir = fresh;
+    const std::string own = fresh_path("interchange_own.journal");
+    core::elivagar_search(device, bench.train,
+                          core::search_config(spec, bench.spec, 1, own));
+    dc.checkpoint_path = own;
     const DistResult resumed = distributed_search(spec, dc);
     expect_bit_identical(reference, resumed.result);
     EXPECT_TRUE(resumed.result.resumed);
     EXPECT_EQ(resumed.stats.workers_spawned, 0);
-    EXPECT_EQ(stage_records(fresh + "/search.journal"), complete);
+    EXPECT_EQ(stage_records(own), complete);
 }
 
 // --- Worker ------------------------------------------------------------
@@ -933,8 +1004,7 @@ TEST(DistFrontEnds, EveryFrontEndRanksASpecIdentically)
         EXPECT_EQ(dist.stats.fallback_records, 0u);
 
         srv::ServerConfig config;
-        config.data_dir = fresh_state_dir(prune ? "front_pruned"
-                                                : "front_plain");
+        config.data_dir = fresh_path(prune ? "front_pruned" : "front_plain");
         config.thread_budget = 2;
         srv::Server server(config);
         for (const int workers : {0, 2}) {
@@ -953,14 +1023,26 @@ TEST(DistFrontEnds, EveryFrontEndRanksASpecIdentically)
                 << (snap ? snap->detail : "no status");
             const std::string job = config.data_dir + "/" + outcome.id;
             EXPECT_EQ(ranking_of_report(job + ".report.json"), expected);
-            if (workers > 0) {
-                std::ifstream in(job + ".dist/dist.manifest");
-                std::ostringstream manifest;
-                manifest << in.rdbuf();
-                EXPECT_NE(manifest.str().find("done repcap shard"),
-                          std::string::npos);
-                EXPECT_EQ(manifest.str().find("fallback"),
-                          std::string::npos);
+            // A job with workers records its fan-out in result.json:
+            // every shard ran on a worker, none fell back in-process.
+            std::ifstream in(job + ".result.json");
+            std::ostringstream text;
+            text << in.rdbuf();
+            obs::JsonValue result;
+            std::string error;
+            ASSERT_TRUE(obs::json_parse(text.str(), result, error))
+                << error;
+            const obs::JsonValue *fanout = result.get("dist");
+            ASSERT_EQ(fanout != nullptr, workers > 0) << text.str();
+            auto count = [fanout](const char *key) {
+                const obs::JsonValue *value = fanout->get(key);
+                return value ? value->as_number(-1.0) : -1.0;
+            };
+            if (fanout) {
+                EXPECT_EQ(count("workers_spawned"), 2.0);
+                EXPECT_GT(count("records_received"), 0.0);
+                EXPECT_EQ(count("fallback_records"), 0.0);
+                EXPECT_EQ(count("worker_failures"), 0.0);
             }
         }
     }

@@ -1,14 +1,14 @@
 /**
  * @file
- * The three durable logs written through common/record_log.hpp (the
- * search journal, the server's jobs.manifest and the dist run
- * manifest), each driven through its real owner: SearchJournal,
- * Server and distributed_search.
+ * The durable logs written through common/record_log.hpp (the search
+ * journal, in-process and distributed, and the server's jobs.manifest),
+ * each driven through its real owner: SearchJournal,
+ * distributed_search and Server.
  *
  *  - Byte compatibility: a file holding the exact bytes of the previous
  *    writer loads, and what is appended to it is the exact bytes that
  *    writer appends.
- *  - Torn writes: each manifest's final record cut at every byte offset
+ *  - Torn writes: the manifest's final record cut at every byte offset
  *    loads, drops only that record and leaves a file the next append
  *    and load read whole with no warning. A torn header resets.
  *  - Hostile bytes: seeded bit flips, truncations, duplicated lines and
@@ -162,35 +162,15 @@ dist_spec()
 }
 
 dist::DistConfig
-dist_config(const std::string &state_dir)
+dist_config(const std::string &journal)
 {
     dist::DistConfig dc;
     dc.workers = 2;
     dc.worker_binary = ELV_WORKER_BIN;
     dc.handshake_timeout_sec = 60.0;
     dc.record_timeout_sec = 60.0;
-    dc.state_dir = state_dir;
+    dc.checkpoint_path = journal;
     return dc;
-}
-
-/**
- * One distributed_search over `state_dir`, whose search journal is
- * complete, so it resumes without spawning a worker. Returns what it
- * printed to stderr.
- */
-std::string
-resume_dist(const std::string &state_dir, const std::string &what)
-{
-    testing::internal::CaptureStderr();
-    try {
-        const dist::DistResult out =
-            dist::distributed_search(dist_spec(), dist_config(state_dir));
-        EXPECT_TRUE(out.result.resumed) << what;
-        EXPECT_EQ(out.stats.workers_spawned, 0) << what;
-    } catch (const UsageError &e) {
-        ADD_FAILURE() << what << ": " << e.what();
-    }
-    return testing::internal::GetCapturedStderr();
 }
 
 // --- Byte compatibility -------------------------------------------------
@@ -255,41 +235,6 @@ TEST(DurableLog, JobsManifestBytesMatchThePreviousWriter)
                   "state job-2 completed ~ba42b621a5740acd\n");
 }
 
-TEST(DurableLog, DistRunManifestBytesMatchThePreviousWriter)
-{
-    const std::string state_dir = fresh_dir("dist_bytes");
-    // A first run leaves a complete search journal behind.
-    dist::distributed_search(dist_spec(), dist_config(state_dir));
-    const std::string fixture =
-        "elv-dist-manifest 1\n"
-        "fingerprint 8b1652ae4c2c6f4d\n"
-        "run shards 2 workers 2 attached 0 candidates 10 "
-        "~19bb79f6a767ce61\n"
-        "issue cnr shard 0 5 indices [0..4] -> local worker pid 22670 "
-        "~e7a2db4b162d303d\n"
-        "issue cnr shard 1 5 indices [5..9] -> local worker pid 22672 "
-        "~e68cb786373ba850\n"
-        "done cnr shard 0 ~120e6503a03f3df2\n"
-        "done cnr shard 1 ~120e6603a03f3fa5\n"
-        "issue repcap shard 0 3 indices [2..4] -> local worker pid 22670 "
-        "~c58a21521ba88681\n"
-        "issue repcap shard 1 2 indices [5..7] -> local worker pid 22672 "
-        "~06b599d51d10fa79\n"
-        "done repcap shard 1 ~74eeb6507f0d993b\n"
-        "done repcap shard 0 ~74eeb5507f0d9788\n"
-        "complete best_score 0x1.4803618eab24ap-1 ~2490606fe43280b3\n";
-    spit(state_dir + "/dist.manifest", fixture);
-
-    const std::string log = resume_dist(state_dir, "resume");
-    EXPECT_EQ(count(log, "dropping"), 0u) << log;
-    EXPECT_EQ(slurp(state_dir + "/dist.manifest"),
-              fixture +
-                  "run shards 2 workers 2 attached 0 candidates 10 "
-                  "~19bb79f6a767ce61\n"
-                  "complete best_score 0x1.4803618eab24ap-1 "
-                  "~2490606fe43280b3\n");
-}
-
 // --- Torn writes ----------------------------------------------------------
 
 TEST(DurableLog, JobsManifestTornAtEveryByteOffset)
@@ -348,66 +293,31 @@ TEST(DurableLog, JobsManifestTornAtEveryByteOffset)
     }
 }
 
-TEST(DurableLog, DistRunManifestTornAtEveryByteOffset)
+/** A journal append that fails on a shard's driver thread (where a
+ * worker's record is stored) surfaces as UsageError from
+ * distributed_search, not as std::terminate. */
+TEST(DurableLog, FailedDistJournalAppendIsFatal)
 {
-    const std::string state_dir = fresh_dir("dist_torn");
-    const std::string manifest = state_dir + "/dist.manifest";
-    dist::distributed_search(dist_spec(), dist_config(state_dir));
-    const std::string blob = slurp(manifest);
-    const std::size_t header = next_line(blob, next_line(blob, 0));
-    const std::string run_line =
-        blob.substr(header, next_line(blob, header) - header);
-    const std::size_t last = last_line(blob);
-    const std::string complete_line = blob.substr(last);
-    ASSERT_EQ(run_line.rfind("run shards ", 0), 0u) << blob;
-    ASSERT_EQ(complete_line.rfind("complete best_score ", 0), 0u) << blob;
-
-    // A resume appends exactly one "run" and one "complete" record.
-    for (std::size_t cut = last; cut < blob.size(); ++cut) {
-        const std::string what = "cut at byte " + std::to_string(cut);
-        spit(manifest, blob.substr(0, cut));
-        std::string log = resume_dist(state_dir, what);
-        EXPECT_EQ(count(log, "dropping"), cut > last ? 1u : 0u)
-            << what << "\n" << log;
-        const std::string once =
-            blob.substr(0, last) + run_line + complete_line;
-        EXPECT_EQ(slurp(manifest), once) << what;
-
-        log = resume_dist(state_dir, what + ", reloaded");
-        EXPECT_EQ(count(log, "dropping"), 0u) << what << "\n" << log;
-        EXPECT_EQ(slurp(manifest), once + run_line + complete_line) << what;
-    }
-
-    for (std::size_t cut = 0; cut < header; ++cut) {
-        const std::string what = "header cut at byte " + std::to_string(cut);
-        spit(manifest, blob.substr(0, cut));
-        const std::string log = resume_dist(state_dir, what);
-        EXPECT_EQ(count(log, "dropping header"), cut > 0 ? 1u : 0u)
-            << what << "\n" << log;
-        EXPECT_EQ(slurp(manifest),
-                  blob.substr(0, header) + run_line + complete_line)
-            << what;
-    }
-}
-
-/** A manifest append that fails on a shard's driver thread surfaces as
- * UsageError from distributed_search, not as std::terminate. */
-TEST(DurableLog, FailedDistRunManifestAppendIsFatal)
-{
-    const std::string state_dir = fresh_dir("dist_unwritable");
-    const std::string manifest = state_dir + "/dist.manifest";
-    dist::DistConfig dc = dist_config(state_dir);
+    const std::string journal =
+        fresh_dir("dist_unwritable") + "/search.journal";
+    dist::DistConfig dc = dist_config(journal);
     std::atomic<bool> swapped{false};
     dc.hooks.progress = [&](const std::string &phase, std::size_t,
                             std::size_t) {
-        // Mid-CNR, a directory takes the manifest's place: every
+        // As CNR starts, a directory takes the journal's place: every
         // later append fails to open it, even for root.
         if (phase == "cnr" && !swapped.exchange(true)) {
-            std::filesystem::remove(manifest);
-            std::filesystem::create_directory(manifest);
+            std::filesystem::remove(journal);
+            std::filesystem::create_directory(journal);
         }
     };
-    EXPECT_THROW(dist::distributed_search(dist_spec(), dc), UsageError);
+    try {
+        dist::distributed_search(dist_spec(), dc);
+        ADD_FAILURE() << "expected the failed append to be fatal";
+    } catch (const UsageError &e) {
+        EXPECT_NE(std::string(e.what()).find(journal), std::string::npos)
+            << e.what();
+    }
     EXPECT_TRUE(swapped.load());
 }
 
@@ -448,23 +358,23 @@ fuzz(const std::string &path, const std::vector<std::string> &donors,
 
 TEST(DurableLog, SeededMutantsLoadOrThrowUsageError)
 {
-    // Real files: a server job's journal and manifest, a dist run's
-    // manifest (its search journal is complete, so a load is a resume
-    // with no worker).
+    // Real files: a server job's journal and manifest, and a dist run's
+    // journal, loaded by the dist run that wrote it (a load that drops
+    // records resumes on workers).
     const std::string dir = fresh_dir("mutants_server");
     {
         srv::Server server(small_config(dir));
         ASSERT_TRUE(server.submit(quick_spec(21)).accepted);
         ASSERT_EQ(wait_terminal(server, "job-1"), srv::JobState::Completed);
     }
-    const std::string state_dir = fresh_dir("mutants_dist");
-    dist::distributed_search(dist_spec(), dist_config(state_dir));
+    const std::string dist_journal =
+        fresh_dir("mutants_dist") + "/search.journal";
+    dist::distributed_search(dist_spec(), dist_config(dist_journal));
 
     const std::string journal = dir + "/job-1.journal";
     const std::string manifest = dir + "/jobs.manifest";
-    const std::string dist_manifest = state_dir + "/dist.manifest";
     std::vector<std::string> donors;
-    for (const std::string &path : {journal, manifest, dist_manifest})
+    for (const std::string &path : {journal, manifest, dist_journal})
         for (const std::string &line : split_lines(slurp(path)))
             donors.push_back(line);
     const std::uint64_t fingerprint =
@@ -478,12 +388,13 @@ TEST(DurableLog, SeededMutantsLoadOrThrowUsageError)
     const Outcomes manifests = fuzz(manifest, donors, 2, kBudget, [&] {
         srv::Server server(small_config(dir));
     });
-    const Outcomes dist_manifests =
-        fuzz(dist_manifest, donors, 3, kBudget, [&] {
-            dist::distributed_search(dist_spec(), dist_config(state_dir));
+    const Outcomes dist_journals =
+        fuzz(dist_journal, donors, 3, kBudget, [&] {
+            dist::distributed_search(dist_spec(),
+                                     dist_config(dist_journal));
         });
     // Both outcomes occur, so the mutants reach past the header.
-    for (const Outcomes &o : {journals, manifests, dist_manifests}) {
+    for (const Outcomes &o : {journals, manifests, dist_journals}) {
         EXPECT_GT(o.loaded, 0);
         EXPECT_GT(o.refused, 0);
     }
@@ -852,7 +763,7 @@ TEST(Resilience, FingerprintHintCoversSingleFieldMutations)
 }
 
 /** Fingerprints pinned to the values older builds computed, so their
- * journals, manifests and dist state dirs keep resuming. */
+ * journals keep resuming. */
 TEST(Fingerprint, GoldenValuesMatchEarlierBuilds)
 {
     EXPECT_EQ(config_fingerprint(ElivagarConfig{}), 0x902d077d099a5636ULL);

@@ -171,6 +171,21 @@ TEST(TextFormat, RejectsGateInTheWrongRole)
             << body;
 }
 
+/** A token after a line's operands is malformed, never ignored: a
+ * measure list that stopped at it would drop the qubits after it. */
+TEST(TextFormat, RejectsTrailingTokens)
+{
+    for (const char *body :
+         {"gate H 0 junk\nmeasure 0\n", "gate CX 0 1 0\nmeasure 0\n",
+          "var RX 1 2\nmeasure 0\n", "embed RY 0 feat 0 1\nmeasure 0\n",
+          "ampembed x\nmeasure 0\n", "measure 0 x 1\n", "measure 0 1x\n",
+          "gate H 0x\nmeasure 0\n"})
+        EXPECT_THROW(from_text(kTwoQubitHead + body), UsageError) << body;
+    // Trailing whitespace is not a token.
+    const Circuit c = from_text(kTwoQubitHead + "gate H 0 \nmeasure 0 1\t\n");
+    EXPECT_EQ(c.measured(), (std::vector<int>{0, 1}));
+}
+
 TEST(TextFormat, RejectsWidthAboveTheCap)
 {
     static_assert(kMaxTextQubits >= 127,
