@@ -1,10 +1,11 @@
 /**
  * @file
- * Simulator and search-engine scaling benchmarks.
+ * Simulator and search-engine scaling benchmarks. Every table is
+ * dumped to BENCH_parallel.json:
  *
- * Default mode measures the two perf-critical comparisons of the
- * parallel search engine and dumps them to BENCH_parallel.json:
- *
+ *  - the paper's Sec. 5 scaling claim: time per run by qubit count on
+ *    the state-vector, density-matrix and stabilizer backends, and of
+ *    CNR on the density and stabilizer backends;
  *  - lane-batched replay (sim::StateBatch) against one-state-at-a-time
  *    replay of a RepCap-shaped candidate, by qubits x lanes, with a
  *    bit-identity check of every lane — the table behind RepCap's
@@ -14,24 +15,16 @@
  *    8-qubit/64-candidate search, with a bit-identity check of the
  *    full ranking (the determinism contract of src/parallel/).
  *
- * `--small` restricts the comparisons to the smallest sizes and a
- * reduced candidate pool — the CI smoke preset. The exit code is the
+ * `--small` restricts every table to its smallest sizes and a reduced
+ * candidate pool — the CI smoke preset. The exit code is the
  * bit-identity checks alone; timings are reported, never gated.
- *
- * `--gbench` instead runs the original google-benchmark microbenches
- * for the paper's Sec. 5 efficiency claim: the stabilizer tableau
- * scales polynomially with qubit count while the dense state-vector
- * and density-matrix backends scale exponentially — which is what
- * makes Clifford-replica CNR cheap even for circuits far beyond dense
- * simulation.
  */
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -77,102 +70,6 @@ clifford_brickwork(int qubits, int layers)
     return c;
 }
 
-void
-BM_StateVectorClifford(benchmark::State &state)
-{
-    const int qubits = static_cast<int>(state.range(0));
-    const circ::Circuit c = clifford_brickwork(qubits, 4);
-    sim::StateVector psi(qubits);
-    for (auto _ : state) {
-        psi.run(c);
-        benchmark::DoNotOptimize(psi.amps().data());
-    }
-    state.SetLabel(std::to_string(qubits) + " qubits (dense 2^n)");
-}
-
-void
-BM_DensityMatrixClifford(benchmark::State &state)
-{
-    const int qubits = static_cast<int>(state.range(0));
-    const circ::Circuit c = clifford_brickwork(qubits, 4);
-    sim::DensityMatrix rho(qubits);
-    for (auto _ : state) {
-        rho.run(c);
-        benchmark::DoNotOptimize(rho.trace());
-    }
-    state.SetLabel(std::to_string(qubits) + " qubits (dense 4^n)");
-}
-
-void
-BM_StabilizerClifford(benchmark::State &state)
-{
-    const int qubits = static_cast<int>(state.range(0));
-    const circ::Circuit c = clifford_brickwork(qubits, 4);
-    Rng rng(5);
-    for (auto _ : state) {
-        const std::size_t outcome = stab::run_shot(c, rng);
-        benchmark::DoNotOptimize(outcome);
-    }
-    state.SetLabel(std::to_string(qubits) +
-                   " qubits (tableau, poly n)");
-}
-
-void
-BM_CnrDensityBackend(benchmark::State &state)
-{
-    const dev::Device device = dev::make_device("ibm_guadalupe");
-    Rng rng(7);
-    core::CandidateConfig config;
-    config.num_qubits = static_cast<int>(state.range(0));
-    config.num_params = 16;
-    config.num_embeds = 4;
-    config.num_meas = 2;
-    config.num_features = 4;
-    const circ::Circuit c = core::generate_candidate(device, config, rng);
-    core::CnrOptions options;
-    options.num_replicas = 4;
-    for (auto _ : state) {
-        const auto result =
-            core::clifford_noise_resilience(c, device, rng, options);
-        benchmark::DoNotOptimize(result.cnr);
-    }
-}
-
-void
-BM_CnrStabilizerBackend(benchmark::State &state)
-{
-    const dev::Device device = dev::make_device("ibm_guadalupe");
-    Rng rng(7);
-    core::CandidateConfig config;
-    config.num_qubits = static_cast<int>(state.range(0));
-    config.num_params = 16;
-    config.num_embeds = 4;
-    config.num_meas = 2;
-    config.num_features = 4;
-    const circ::Circuit c = core::generate_candidate(device, config, rng);
-    core::CnrOptions options;
-    options.num_replicas = 4;
-    options.backend = core::CnrBackend::Stabilizer;
-    options.shots = 512;
-    for (auto _ : state) {
-        const auto result =
-            core::clifford_noise_resilience(c, device, rng, options);
-        benchmark::DoNotOptimize(result.cnr);
-    }
-}
-
-void
-BM_AdjointVsParameterShiftGap(benchmark::State &state)
-{
-    // The Table 4 'Q'-regime cost driver: executions per gradient.
-    const int params = static_cast<int>(state.range(0));
-    state.counters["param_shift_execs"] =
-        static_cast<double>(1 + 2 * params);
-    state.counters["adjoint_execs"] = 1.0;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(params);
-}
-
 /** An entangler-heavy circuit that mixes every specialized kernel. */
 circ::Circuit
 kernel_mix(int qubits, int layers)
@@ -204,6 +101,105 @@ seconds_since(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
+}
+
+/** Mean seconds per call of `run` over at least `budget_s` of wall
+ *  time (and at least two calls), after one warm-up call. Each call's
+ *  result feeds a volatile sink so no call can be optimized away. */
+template <typename Run>
+std::pair<double, int>
+seconds_per_run(Run &&run, double budget_s)
+{
+    volatile double sink = run();
+    int runs = 0;
+    const auto start = std::chrono::steady_clock::now();
+    do {
+        sink = sink + run();
+        ++runs;
+    } while (runs < 2 || seconds_since(start) < budget_s);
+    return {seconds_since(start) / runs, runs};
+}
+
+/** A guadalupe candidate on `qubits` qubits for the CNR rows. */
+circ::Circuit
+cnr_candidate(const dev::Device &device, int qubits, Rng &rng)
+{
+    core::CandidateConfig config;
+    config.num_qubits = qubits;
+    config.num_params = 16;
+    config.num_embeds = 4;
+    config.num_meas = 2;
+    config.num_features = 4;
+    return core::generate_candidate(device, config, rng);
+}
+
+/**
+ * The paper's Sec. 5 efficiency claim, measured: time per run of a
+ * 4-layer Clifford brickwork by qubit count on the dense state-vector
+ * (2^n amplitudes), dense density-matrix (4^n entries) and stabilizer
+ * tableau (poly n) backends, and of a 4-replica CNR on the density and
+ * stabilizer backends. The tableau keeps scaling polynomially long
+ * after the dense backends stop, which is what makes Clifford-replica
+ * CNR cheap for circuits far beyond dense simulation.
+ */
+Table
+scaling_table(bool small)
+{
+    const double budget_s = small ? 0.01 : 0.1;
+    Table table("Sec. 5 scaling: time per run by qubit count "
+                     "(single-threaded)");
+    table.set_header({"backend", "qubits", "runs", "us per run"});
+    auto add = [&](const char *backend, int qubits, auto &&run) {
+        const auto [seconds, runs] = seconds_per_run(run, budget_s);
+        table.add_row({backend, std::to_string(qubits),
+                       std::to_string(runs), Table::fmt(1e6 * seconds, 2)});
+    };
+    using Qubits = std::vector<int>;
+    for (const int qubits :
+         small ? Qubits{4, 8, 12} : Qubits{4, 8, 12, 16, 18}) {
+        const circ::Circuit c = clifford_brickwork(qubits, 4);
+        sim::StateVector psi(qubits);
+        add("state vector", qubits, [&] {
+            psi.run(c);
+            return std::real(psi.amps()[0]);
+        });
+    }
+    for (const int qubits : small ? Qubits{4, 6} : Qubits{4, 6, 8, 9}) {
+        const circ::Circuit c = clifford_brickwork(qubits, 4);
+        sim::DensityMatrix rho(qubits);
+        add("density matrix", qubits, [&] {
+            rho.run(c);
+            return rho.trace();
+        });
+    }
+    for (const int qubits :
+         small ? Qubits{4, 16, 64} : Qubits{4, 8, 16, 32, 64}) {
+        const circ::Circuit c = clifford_brickwork(qubits, 4);
+        Rng rng(5);
+        add("stabilizer", qubits, [&] {
+            return static_cast<double>(stab::run_shot(c, rng));
+        });
+    }
+    const dev::Device device = dev::make_device("ibm_guadalupe");
+    for (const core::CnrBackend backend :
+         {core::CnrBackend::Density, core::CnrBackend::Stabilizer}) {
+        for (const int qubits : small ? Qubits{3, 5} : Qubits{3, 5, 7}) {
+            Rng rng(7);
+            const circ::Circuit c = cnr_candidate(device, qubits, rng);
+            core::CnrOptions options;
+            options.num_replicas = 4;
+            options.backend = backend;
+            options.shots = 512;
+            add(backend == core::CnrBackend::Density ? "CNR density"
+                                                     : "CNR stabilizer",
+                qubits, [&] {
+                    return core::clifford_noise_resilience(c, device, rng,
+                                                           options)
+                        .cnr;
+                });
+        }
+    }
+    return table;
 }
 
 /** Fixed angles for a circuit's variational slots. */
@@ -376,6 +372,7 @@ run_comparisons(int argc, char **argv)
     bench::Reporter reporter("parallel", static_cast<int>(args.size()),
                              args.data());
     reporter.set_seed(7);
+    reporter.add(scaling_table(small));
 
     // Part 1: lane-batched replay throughput, one thread: microseconds
     // per state by qubits x lanes (the shape of the TFQ and MindSpore
@@ -488,27 +485,8 @@ run_comparisons(int argc, char **argv)
 
 } // namespace
 
-BENCHMARK(BM_StateVectorClifford)->DenseRange(4, 16, 4)->Arg(18);
-BENCHMARK(BM_DensityMatrixClifford)->DenseRange(4, 8, 2)->Arg(9);
-BENCHMARK(BM_StabilizerClifford)->RangeMultiplier(2)->Range(4, 64);
-BENCHMARK(BM_CnrDensityBackend)->DenseRange(3, 7, 2);
-BENCHMARK(BM_CnrStabilizerBackend)->DenseRange(3, 7, 2);
-BENCHMARK(BM_AdjointVsParameterShiftGap)->Arg(16)->Arg(40)->Arg(72);
-
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--gbench") {
-            std::vector<char *> args;
-            for (int j = 0; j < argc; ++j)
-                if (j != i)
-                    args.push_back(argv[j]);
-            int bench_argc = static_cast<int>(args.size());
-            benchmark::Initialize(&bench_argc, args.data());
-            benchmark::RunSpecifiedBenchmarks();
-            return 0;
-        }
-    }
     return run_comparisons(argc, argv);
 }

@@ -4,14 +4,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <numeric>
+#include <sstream>
 
 #include "baselines/quantum_supernet.hpp"
 #include "baselines/quantumnas.hpp"
 #include "baselines/simple.hpp"
 #include "baselines/supercircuit.hpp"
+#include "common/file_write.hpp"
 #include "common/flag_number.hpp"
 #include "common/logging.hpp"
 #include "common/runinfo.hpp"
@@ -156,12 +157,7 @@ Reporter::~Reporter()
     if (!json_)
         return;
     const std::string path = "BENCH_" + name_ + ".json";
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "bench_" << name_ << ": cannot write " << path
-                  << "\n";
-        return;
-    }
+    std::ostringstream out;
     out << "{\"bench\": " << Table::json_escape(name_)
         << ", \"threads\": " << threads_
         << ", \"seed\": " << seed_
@@ -192,6 +188,11 @@ Reporter::~Reporter()
         out << tables_[t];
     }
     out << "]}\n";
+    if (!elv::write_file(path, out.str())) {
+        std::cerr << "bench_" << name_ << ": cannot write " << path
+                  << "\n";
+        return;
+    }
     std::cout << "wrote " << path << "\n";
 }
 

@@ -62,6 +62,7 @@
 #include "circuit/builders.hpp"
 #include "circuit/serialize.hpp"
 #include "common/cancel.hpp"
+#include "common/file_write.hpp"
 #include "common/flag_number.hpp"
 #include "common/logging.hpp"
 #include "common/retry.hpp"
@@ -493,42 +494,39 @@ run_lint(int argc, char **argv)
         // A file that cannot even deserialize (bad qubit index, duplicate
         // measurement, ...) is reported as a parse diagnostic against the
         // file rather than aborting the whole lint run.
+        circ::Circuit c;
         try {
-            circ::Circuit c = circ::from_text(text.str());
-            if (options.fix) {
-                const lint::FixResult fixed =
-                    lint::elide_dead_structure(c);
-                if (fixed.ops_elided > 0) {
-                    std::ofstream out(path,
-                                      std::ios::out | std::ios::trunc);
-                    if (!out)
-                        elv::fatal("cannot rewrite " + path);
-                    out << circ::to_text(fixed.circuit);
-                    if (options.format == "text")
-                        std::printf("  %-40s fixed: %zu op(s), %zu "
-                                    "param slot(s) elided\n",
-                                    path.c_str(), fixed.ops_elided,
-                                    fixed.params_elided);
-                    c = fixed.circuit;
-                }
-            }
-            reports.push_back(
-                {path, lint::lint_circuit(c, lint_options)});
+            c = circ::from_text(text.str());
         } catch (const std::exception &e) {
             lint::Report parse;
             parse.add(lint::Severity::Error, "parse", -1, e.what());
             reports.push_back({path, parse});
+            continue;
         }
+        if (options.fix) {
+            const lint::FixResult fixed = lint::elide_dead_structure(c);
+            if (fixed.ops_elided > 0) {
+                // tmp + rename: a failed write leaves the source intact.
+                if (!elv::write_file_atomic(path,
+                                            circ::to_text(fixed.circuit)))
+                    elv::fatal("cannot write " + path);
+                if (options.format == "text")
+                    std::printf("  %-40s fixed: %zu op(s), %zu "
+                                "param slot(s) elided\n",
+                                path.c_str(), fixed.ops_elided,
+                                fixed.params_elided);
+                c = fixed.circuit;
+            }
+        }
+        reports.push_back({path, lint::lint_circuit(c, lint_options)});
     }
     if (options.builtin)
         lint_builtin(options, reports);
 
     if (!options.write_baseline_path.empty()) {
-        std::ofstream out(options.write_baseline_path,
-                          std::ios::out | std::ios::trunc);
-        if (!out)
+        if (!elv::write_file(options.write_baseline_path,
+                             lint::Baseline::render(reports)))
             elv::fatal("cannot write " + options.write_baseline_path);
-        out << lint::Baseline::render(reports);
         std::printf("baseline written to %s\n",
                     options.write_baseline_path.c_str());
         return 0;
@@ -577,9 +575,7 @@ void
 write_ranking(const std::string &path,
               const elv::core::SearchResult &found)
 {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        elv::fatal("cannot write " + path);
+    std::ostringstream out;
     out << "elv-ranking 1\n";
     for (std::size_t n = 0; n < found.candidates.size(); ++n) {
         const auto &record = found.candidates[n];
@@ -593,6 +589,8 @@ write_ranking(const std::string &path,
         << "\n";
     out << "survivors " << found.survivors << "\n";
     out << "executions " << found.total_executions() << "\n";
+    if (!elv::write_file(path, out.str()))
+        elv::fatal("cannot write " + path);
 }
 
 /** Options for the client subcommands (submit/status/...). */

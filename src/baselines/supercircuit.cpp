@@ -216,7 +216,6 @@ train_supercircuit(const SuperCircuit &super, const qml::Dataset &data,
     for (int epoch = 0; epoch < config.epochs; ++epoch) {
         rng.shuffle(order);
         std::size_t cursor = 0;
-        int batches = 0;
         while (cursor < order.size()) {
             const std::size_t batch_end =
                 std::min(order.size(),
@@ -270,10 +269,6 @@ train_supercircuit(const SuperCircuit &super, const qml::Dataset &data,
             optimizer.step_masked(result.shared_params, shared_grad,
                                   active_mask);
             cursor = batch_end;
-            ++batches;
-            if (config.max_batches_per_epoch > 0 &&
-                batches >= config.max_batches_per_epoch)
-                break;
         }
     }
     return result;

@@ -1,7 +1,6 @@
 #include "core/run_report.hpp"
 
-#include <cstdio>
-
+#include "common/file_write.hpp"
 #include "common/logging.hpp"
 #include "common/runinfo.hpp"
 #include "obs/json.hpp"
@@ -152,16 +151,10 @@ bool
 write_run_report(const std::string &path, const ElivagarConfig &config,
                  const SearchResult &result)
 {
-    const std::string doc = run_report_json(config, result);
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (!file) {
-        elv::warn("cannot write run report to " + path);
-        return false;
-    }
-    std::fwrite(doc.data(), 1, doc.size(), file);
-    std::fputc('\n', file);
-    std::fclose(file);
-    return true;
+    if (elv::write_file(path, run_report_json(config, result) + "\n"))
+        return true;
+    elv::warn("cannot write run report to " + path);
+    return false;
 }
 
 } // namespace elv::core

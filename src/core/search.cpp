@@ -27,9 +27,8 @@ seconds_since(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** CNR-value histogram edges (scores live in [0, 1]); read only by
- *  metric macros, which -DELV_OBS=OFF compiles out. */
-[[maybe_unused]] const std::vector<double> &
+/** CNR-value histogram edges (scores live in [0, 1]). */
+const std::vector<double> &
 cnr_edges()
 {
     static const std::vector<double> edges{0.1, 0.2, 0.3, 0.4, 0.5,

@@ -121,7 +121,6 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
     for (int epoch = 0; epoch < config_.epochs; ++epoch) {
         rng.shuffle(order);
         std::size_t cursor = 0;
-        int batches = 0;
         while (cursor < order.size()) {
             const std::size_t batch_end = std::min(
                 order.size(),
@@ -225,10 +224,6 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
             optimizer.step(flat, grad);
             unpack(flat);
             cursor = batch_end;
-            ++batches;
-            if (config_.max_batches_per_epoch > 0 &&
-                batches >= config_.max_batches_per_epoch)
-                break;
         }
     }
 

@@ -31,8 +31,6 @@ struct QtnVqcConfig
     int batch_size = 32;
     double learning_rate = 0.01;
     std::uint64_t seed = 0;
-    /** Cap on batches per epoch (0 = all). */
-    int max_batches_per_epoch = 0;
 };
 
 /** Trainable classical frontend + circuit parameters. */

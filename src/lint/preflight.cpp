@@ -1,23 +1,9 @@
 #include "lint/preflight.hpp"
 
-#include <atomic>
-
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 
 namespace elv::lint {
-
-namespace {
-
-std::atomic<bool> preflight_fatal_flag{
-#ifdef NDEBUG
-    false
-#else
-    true
-#endif
-};
-
-} // namespace
 
 const char *
 boundary_name(Boundary boundary)
@@ -31,19 +17,7 @@ boundary_name(Boundary boundary)
     return "unknown";
 }
 
-bool
-preflight_fatal()
-{
-    return preflight_fatal_flag.load(std::memory_order_relaxed);
-}
-
 void
-set_preflight_fatal(bool fatal)
-{
-    preflight_fatal_flag.store(fatal, std::memory_order_relaxed);
-}
-
-bool
 preflight(const circ::Circuit &circuit, Boundary boundary,
           const LintOptions &options)
 {
@@ -51,15 +25,12 @@ preflight(const circ::Circuit &circuit, Boundary boundary,
     const Report report = lint_circuit(circuit, options);
     const std::size_t errors = report.count(Severity::Error);
     if (errors == 0)
-        return true;
+        return;
     ELV_METRIC_COUNT_N("lint.violations",
                        static_cast<std::uint64_t>(errors));
-    if (preflight_fatal())
-        ELV_REQUIRE(false, "lint preflight failed at the "
-                               << boundary_name(boundary)
-                               << " boundary:\n"
-                               << report.to_string());
-    return false;
+    ELV_REQUIRE(false, "lint preflight failed at the "
+                           << boundary_name(boundary) << " boundary:\n"
+                           << report.to_string());
 }
 
 } // namespace elv::lint

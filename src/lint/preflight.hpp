@@ -5,14 +5,10 @@
  * Candidate generation, the compiler, and the executors each hand a
  * circuit to the next stage assuming its invariants hold. preflight()
  * is the cheap (O(ops)) check at those hand-offs: it lints the
- * circuit and
- *
- *  - in debug builds (and under set_preflight_fatal(true)) throws
- *    InternalError carrying the full diagnostic text — a malformed
- *    circuit crossing a boundary is a bug in the producing stage;
- *  - in release builds counts the violation and lets the circuit
- *    through, so a production search never aborts on a lint finding
- *    but the damage is visible in the metrics.
+ * circuit and, on any error diagnostic, throws InternalError carrying
+ * the full diagnostic text, in every build. A malformed circuit
+ * crossing a boundary is a bug in the producing stage, so it must
+ * never be scored into a ranking or a journal.
  *
  * Observability (when metrics collection is on):
  *   lint.circuits_checked  circuits linted at any boundary
@@ -37,20 +33,10 @@ enum class Boundary {
 const char *boundary_name(Boundary boundary);
 
 /**
- * Whether preflight() throws on error diagnostics. Defaults to true
- * in debug builds (NDEBUG undefined), false in release.
+ * Lint `circuit` at a boundary; throws InternalError when the report
+ * holds an error diagnostic. See the file comment for the counters.
  */
-bool preflight_fatal();
-
-/** Override the fatal behavior (tests; takes effect process-wide). */
-void set_preflight_fatal(bool fatal);
-
-/**
- * Lint `circuit` at a boundary. Returns true when the report is free
- * of error diagnostics. See the file comment for the debug/release
- * behavior and counters.
- */
-bool preflight(const circ::Circuit &circuit, Boundary boundary,
+void preflight(const circ::Circuit &circuit, Boundary boundary,
                const LintOptions &options = {});
 
 } // namespace elv::lint

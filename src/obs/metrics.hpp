@@ -12,8 +12,7 @@
  * Collection is *disabled* by default: every `ELV_METRIC_*` macro loads
  * one relaxed atomic flag and branches away, so instrumented hot paths
  * (gate-kernel dispatch, shot sampling) show no measurable cost until a
- * run opts in with `--metrics`. Building with -DELV_OBS=OFF (which
- * defines ELV_OBS_DISABLED) compiles the macros away entirely.
+ * run opts in with `--metrics`.
  *
  * Naming convention: dotted lowercase paths, `layer.noun[.verb]` —
  * `sim.kernel.cx`, `pool.steals`, `noise.superop_table.hits`.
@@ -322,11 +321,7 @@ class Registry
  * Hot-path instrumentation macros. Each site registers its metric once
  * (function-local static) and afterwards costs one relaxed load of the
  * enabled flag plus, when collection is on, one relaxed atomic update.
- * With ELV_OBS_DISABLED (CMake -DELV_OBS=OFF) they expand to nothing —
- * no registration, no load, no branch.
  */
-#ifndef ELV_OBS_DISABLED
-
 #define ELV_METRIC_COUNT_N(name, n)                                        \
     do {                                                                   \
         static ::elv::obs::Counter &elv_metric_counter_ =                  \
@@ -352,12 +347,3 @@ class Registry
         if (::elv::obs::Registry::global().enabled())                      \
             elv_metric_hist_.observe(v);                                   \
     } while (0)
-
-#else // ELV_OBS_DISABLED
-
-#define ELV_METRIC_COUNT_N(name, n) ((void)0)
-#define ELV_METRIC_COUNT(name) ((void)0)
-#define ELV_METRIC_GAUGE_ADD(name, delta) ((void)0)
-#define ELV_METRIC_OBSERVE(name, edges, v) ((void)0)
-
-#endif // ELV_OBS_DISABLED

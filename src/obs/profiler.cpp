@@ -1,13 +1,13 @@
 #include "obs/profiler.hpp"
 
 #include <atomic>
-#include <fstream>
 #include <map>
 #include <vector>
 
+#include "common/file_write.hpp"
 #include "common/logging.hpp"
 
-#if !defined(ELV_OBS_DISABLED) && defined(__linux__) && defined(__GLIBC__)
+#if defined(__linux__) && defined(__GLIBC__)
 #define ELV_PROFILER_SUPPORTED 1
 #else
 #define ELV_PROFILER_SUPPORTED 0
@@ -245,13 +245,13 @@ Profiler::write_collapsed(const std::string &path)
         elv::warn("profiler: no samples collected");
         return false;
     }
-    std::ofstream out(path);
-    if (!out) {
+    std::string text;
+    for (const auto &[stack, count] : folded)
+        text += stack + " " + std::to_string(count) + "\n";
+    if (!elv::write_file(path, text)) {
         elv::warn("cannot write profile file " + path);
         return false;
     }
-    for (const auto &[stack, count] : folded)
-        out << stack << " " << count << "\n";
     const std::uint64_t dropped =
         g_dropped.load(std::memory_order_relaxed);
     elv::inform("profiler: wrote " + std::to_string(kept) +

@@ -27,8 +27,8 @@
  *  - when the ring fills, further samples are counted as dropped, not
  *    blocked on.
  *
- * Compiled to no-op stubs under -DELV_OBS=OFF and on platforms without
- * <execinfo.h>; `start()` then returns false with a warning.
+ * Compiled to no-op stubs on platforms without <execinfo.h>; `start()`
+ * then returns false with a warning.
  */
 #pragma once
 

@@ -1,8 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <fstream>
 
+#include "common/file_write.hpp"
 #include "common/logging.hpp"
 #include "obs/json.hpp"
 
@@ -134,13 +134,10 @@ bool
 write_chrome_trace(const std::string &path,
                    const std::vector<TraceEvent> &events)
 {
-    std::ofstream out(path);
-    if (!out) {
-        elv::warn("cannot write trace file " + path);
-        return false;
-    }
-    out << chrome_trace_json(events) << "\n";
-    return true;
+    if (elv::write_file(path, chrome_trace_json(events) + "\n"))
+        return true;
+    elv::warn("cannot write trace file " + path);
+    return false;
 }
 
 bool

@@ -11,10 +11,10 @@
  * phase span.
  *
  * Cost model: with tracing off (the default) a scope is one relaxed
- * atomic load and a branch; with ELV_OBS_DISABLED the macro expands to
- * nothing. When tracing is on, events append to per-thread buffers
- * (one uncontended mutex each, taken only at append and at drain), so
- * pool workers never serialize against each other mid-run.
+ * atomic load and a branch. When tracing is on, events append to
+ * per-thread buffers (one uncontended mutex each, taken only at append
+ * and at drain), so pool workers never serialize against each other
+ * mid-run.
  */
 #pragma once
 
@@ -185,8 +185,6 @@ class TraceScope
 
 } // namespace elv::obs
 
-#ifndef ELV_OBS_DISABLED
-
 #define ELV_OBS_CONCAT_IMPL(a, b) a##b
 #define ELV_OBS_CONCAT(a, b) ELV_OBS_CONCAT_IMPL(a, b)
 
@@ -194,9 +192,3 @@ class TraceScope
 #define ELV_TRACE_SCOPE(...)                                               \
     ::elv::obs::TraceScope ELV_OBS_CONCAT(elv_trace_scope_,               \
                                           __LINE__){__VA_ARGS__}
-
-#else // ELV_OBS_DISABLED
-
-#define ELV_TRACE_SCOPE(...) ((void)0)
-
-#endif // ELV_OBS_DISABLED

@@ -161,7 +161,6 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
         rng.shuffle(order);
         double epoch_loss = 0.0;
         std::size_t seen = 0;
-        int batches = 0;
 
         std::size_t cursor = 0;
         while (cursor < order.size()) {
@@ -238,10 +237,6 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
 
             optimizer.step(result.params, grad);
             cursor = batch_end;
-            ++batches;
-            if (config.max_batches_per_epoch > 0 &&
-                batches >= config.max_batches_per_epoch)
-                break;
         }
         result.loss_history.push_back(
             seen > 0 ? epoch_loss / static_cast<double>(seen) : 0.0);
@@ -262,32 +257,16 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
 }
 
 std::uint64_t
-parameter_shift_execution_count(int num_params, int epochs,
-                                int batches_per_epoch, int batch_size)
+parameter_shift_execution_count_dataset(int num_params, int epochs,
+                                        int num_samples, int batch_size)
 {
+    ELV_REQUIRE(num_params >= 0 && epochs >= 0 && num_samples >= 0 &&
+                    batch_size >= 1,
+                "bad execution-count arguments");
     const std::uint64_t per_sample =
         1 + 2 * static_cast<std::uint64_t>(num_params);
     return per_sample * static_cast<std::uint64_t>(epochs) *
-           static_cast<std::uint64_t>(batches_per_epoch) *
-           static_cast<std::uint64_t>(batch_size);
-}
-
-std::uint64_t
-parameter_shift_execution_count_dataset(int num_params, int epochs,
-                                        int num_samples, int batch_size,
-                                        int max_batches)
-{
-    ELV_REQUIRE(num_params >= 0 && epochs >= 0 && num_samples >= 0 &&
-                    batch_size >= 1 && max_batches >= 0,
-                "bad execution-count arguments");
-    std::uint64_t per_epoch = static_cast<std::uint64_t>(num_samples);
-    if (max_batches > 0)
-        per_epoch = std::min(per_epoch,
-                             static_cast<std::uint64_t>(max_batches) *
-                                 static_cast<std::uint64_t>(batch_size));
-    const std::uint64_t per_sample =
-        1 + 2 * static_cast<std::uint64_t>(num_params);
-    return per_sample * static_cast<std::uint64_t>(epochs) * per_epoch;
+           static_cast<std::uint64_t>(num_samples);
 }
 
 } // namespace elv::qml

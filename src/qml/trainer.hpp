@@ -35,8 +35,6 @@ struct TrainConfig
     double learning_rate = 0.01;
     GradientBackend backend = GradientBackend::Adjoint;
     std::uint64_t seed = 0;
-    /** Cap on batches per epoch (0 = use every batch). */
-    int max_batches_per_epoch = 0;
     /**
      * Worker threads for batched gradient evaluation: each sample of a
      * mini-batch is an independent pool task, and the loss/gradient
@@ -92,28 +90,17 @@ TrainResult train_circuit(const circ::Circuit &circuit,
 
 /**
  * Closed-form circuit-execution count for training on quantum hardware
- * via the parameter-shift rule: steps * batch * (1 + 2 * params). Used
- * by the Table 4 'Q' speedup model for runs too large to simulate.
- */
-std::uint64_t parameter_shift_execution_count(int num_params, int epochs,
-                                              int batches_per_epoch,
-                                              int batch_size);
-
-/**
- * Parameter-shift execution count for `epochs` passes over a dataset
- * of `num_samples` (optionally capped at `max_batches` batches of
- * `batch_size` per epoch; 0 = no cap). The batched scheduler visits
- * every sample exactly once per epoch regardless of how batch
- * boundaries fall — a partial final batch contributes its true size —
- * and fanning samples across simulator threads never changes what a
- * quantum device would have to execute. The steps x batch_size
- * overload above over-counts whenever batch_size does not divide the
- * per-epoch sample count.
+ * via the parameter-shift rule: `epochs` passes over a dataset of
+ * `num_samples`, at (1 + 2 * params) executions per sample. Used by the
+ * Table 4 'Q' speedup model for runs too large to simulate. The batched
+ * scheduler visits every sample exactly once per epoch regardless of
+ * how batch boundaries fall — a partial final batch contributes its
+ * true size — and fanning samples across simulator threads never
+ * changes what a quantum device would have to execute.
  */
 std::uint64_t parameter_shift_execution_count_dataset(int num_params,
                                                       int epochs,
                                                       int num_samples,
-                                                      int batch_size,
-                                                      int max_batches = 0);
+                                                      int batch_size);
 
 } // namespace elv::qml

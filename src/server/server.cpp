@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
 
 #include "circuit/serialize.hpp"
+#include "common/file_write.hpp"
 #include "common/logging.hpp"
 #include "core/checkpoint.hpp"
 #include "core/run_report.hpp"
@@ -26,6 +26,10 @@ namespace {
 /** Manifest header line (format version 1). */
 constexpr const char *kManifestHeader = "elv-server-manifest 1";
 
+/** Retry-after reported on rejected submissions before any job has
+ *  completed, and the floor of every later estimate (ms). */
+constexpr double kRetryAfterFloorMs = 1000.0;
+
 double
 seconds_since(std::chrono::steady_clock::time_point start)
 {
@@ -41,9 +45,8 @@ us_since(std::chrono::steady_clock::time_point start)
     return seconds_since(start) * 1e6;
 }
 
-/** Job-duration histogram edges (seconds); read only by metric
- *  macros, which -DELV_OBS=OFF compiles out. */
-[[maybe_unused]] const std::vector<double> &
+/** Job-duration histogram edges (seconds). */
+const std::vector<double> &
 job_seconds_edges()
 {
     static const std::vector<double> edges{0.01, 0.05, 0.1,  0.5,  1.0,
@@ -69,25 +72,6 @@ known_device(const std::string &name)
     return false;
 }
 
-/** Write `doc` to `path` atomically (tmp + rename). */
-bool
-write_file_atomic(const std::string &path, const std::string &doc)
-{
-    const std::string tmp = path + ".tmp";
-    std::FILE *file = std::fopen(tmp.c_str(), "w");
-    if (!file)
-        return false;
-    const bool ok =
-        std::fwrite(doc.data(), 1, doc.size(), file) == doc.size() &&
-        std::fputc('\n', file) != EOF;
-    std::fclose(file);
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 void
@@ -101,8 +85,6 @@ ServerConfig::check() const
         elv::fatal("server needs at least one worker");
     if (thread_budget < 0)
         elv::fatal("server thread budget must be >= 0");
-    if (default_retry_after_ms < 0.0)
-        elv::fatal("server retry-after must be non-negative");
 }
 
 Server::Server(const ServerConfig &config)
@@ -304,11 +286,11 @@ double
 Server::retry_after_estimate_locked() const
 {
     const double per_job =
-        job_ms_ewma_ > 0.0 ? job_ms_ewma_ : config_.default_retry_after_ms;
+        job_ms_ewma_ > 0.0 ? job_ms_ewma_ : kRetryAfterFloorMs;
     const double backlog =
         static_cast<double>(queue_.size() + 1) /
         static_cast<double>(config_.workers);
-    return std::max(config_.default_retry_after_ms, per_job * backlog);
+    return std::max(kRetryAfterFloorMs, per_job * backlog);
 }
 
 SubmitOutcome
@@ -333,7 +315,7 @@ Server::submit(const core::RunSpec &spec)
     std::lock_guard<std::mutex> lock(mutex_);
     if (draining_ || stopping_) {
         outcome.error = "server is draining";
-        outcome.retry_after_ms = config_.default_retry_after_ms;
+        outcome.retry_after_ms = kRetryAfterFloorMs;
         ELV_METRIC_COUNT("server.jobs.rejected");
         ++rejected_;
         events_.emit("job.rejected", "", outcome.error);
@@ -596,8 +578,8 @@ Server::run_job(const RecordPtr &rec)
             json.end_object();
         }
         json.end_object();
-        if (!write_file_atomic(job_path(rec->id, ".result.json"),
-                               json.str()))
+        if (!elv::write_file_atomic(job_path(rec->id, ".result.json"),
+                                    json.str() + "\n"))
             elv::warn("cannot write result for " + rec->id);
         core::write_run_report(job_path(rec->id, ".report.json"),
                                config, result);

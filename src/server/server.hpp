@@ -74,8 +74,6 @@ struct ServerConfig
     int thread_budget = 0;
     /** Enable the global metrics registry for the metrics endpoint. */
     bool metrics = false;
-    /** Retry-after floor reported on rejected submissions (ms). */
-    double default_retry_after_ms = 1000.0;
 
     void check() const;
 };

@@ -162,9 +162,8 @@ void
 StateVector::apply_gate(circ::GateKind kind, const Mat2 &u, int q)
 {
     // Kernel-mix counters (the --metrics "which dispatch path ran"
-    // tally). Each site is a relaxed flag load when metrics are off and
-    // compiles away entirely under ELV_OBS_DISABLED, so the dispatch
-    // stays kernel-bound either way.
+    // tally). Each site is a relaxed flag load when metrics are off, so
+    // the dispatch stays kernel-bound either way.
     if (circ::gate_is_diagonal_1q(kind)) {
         // The diagonal comes from the same matrix as the dense path,
         // so the fast path can never drift from it.

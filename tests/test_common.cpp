@@ -25,6 +25,7 @@
 #include <thread>
 
 #include "common/cancel.hpp"
+#include "common/file_write.hpp"
 #include "common/line_io.hpp"
 #include "common/logging.hpp"
 #include "common/record_log.hpp"
@@ -234,6 +235,53 @@ TEST(Logging, FatalThrowsUsageError)
     EXPECT_THROW(elv::fatal("bad input"), elv::UsageError);
 }
 
+// --- Checked file writers ----------------------------------------------
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(FileWrite, ReportsAFullDeviceAndABadPath)
+{
+    const std::string path = ::testing::TempDir() + "elv_write_file.txt";
+    EXPECT_TRUE(elv::write_file(path, "first\n"));
+    EXPECT_TRUE(elv::write_file(path, "second\n"));
+    EXPECT_EQ(slurp(path), "second\n");
+    std::remove(path.c_str());
+    EXPECT_FALSE(elv::write_file("/nonexistent-dir/file.txt", "x"));
+    // The open succeeds on /dev/full; the flush is what fails.
+    if (std::filesystem::exists("/dev/full")) {
+        EXPECT_FALSE(elv::write_file("/dev/full", "x"));
+    }
+}
+
+TEST(FileWrite, AtomicWriteReplacesWholeOrLeavesTheTargetAlone)
+{
+    const std::string dir = ::testing::TempDir() + "elv_atomic_write";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/doc.json";
+    EXPECT_TRUE(elv::write_file_atomic(path, "old\n"));
+    EXPECT_TRUE(elv::write_file_atomic(path, "new\n"));
+    EXPECT_EQ(slurp(path), "new\n");
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+    // A rename that cannot land (the target is a directory) removes
+    // the tmp file and leaves the target as it was.
+    const std::string blocked = dir + "/blocked";
+    std::filesystem::create_directories(blocked);
+    EXPECT_FALSE(elv::write_file_atomic(blocked, "x"));
+    EXPECT_TRUE(std::filesystem::is_directory(blocked));
+    EXPECT_FALSE(std::filesystem::exists(blocked + ".tmp"));
+    EXPECT_FALSE(elv::write_file_atomic(dir + "/missing/doc.json", "x"));
+    std::filesystem::remove_all(dir);
+}
+
 // --- Line I/O ----------------------------------------------------------
 
 /** Lines of every protocol that reads through LineReader: server
@@ -429,15 +477,6 @@ log_path(const std::string &name)
     const std::string path = ::testing::TempDir() + "elv_log_" + name;
     std::remove(path.c_str());
     return path;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
 }
 
 void

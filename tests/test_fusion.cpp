@@ -1089,21 +1089,10 @@ TEST(PinnedTraining, ParameterShiftOnMoons)
 
 TEST(ExecutionCount, DatasetVariantCountsEachSampleOnce)
 {
-    // 35 samples in batches of 8: five batches (8+8+8+8+3); the
-    // steps x batch_size formula would bill 5 x 8 = 40 samples.
+    // 35 samples in batches of 8: five batches (8+8+8+8+3); billing
+    // steps x batch_size would count 5 x 8 = 40 samples.
     EXPECT_EQ(qml::parameter_shift_execution_count_dataset(10, 2, 35, 8),
               21ull * 2ull * 35ull);
-    // When batch_size divides the set the two formulas agree.
-    EXPECT_EQ(qml::parameter_shift_execution_count_dataset(10, 2, 32, 8),
-              qml::parameter_shift_execution_count(10, 2, 4, 8));
-    // A batch cap limits the per-epoch sample count.
-    EXPECT_EQ(
-        qml::parameter_shift_execution_count_dataset(10, 2, 35, 8, 2),
-        21ull * 2ull * 16ull);
-    // A cap beyond the dataset size changes nothing.
-    EXPECT_EQ(
-        qml::parameter_shift_execution_count_dataset(10, 2, 35, 8, 9),
-        21ull * 2ull * 35ull);
 }
 
 TEST(ExecutionCount, TrainerMatchesDatasetFormula)

@@ -4,7 +4,7 @@
  * rule, asserting exactly the expected rule fires), clean-pass
  * assertions over every builder template, baseline generator, and
  * generated candidate, the fused-program and device passes, and the
- * pipeline pre-flight boundaries (fatal and counting modes).
+ * pipeline pre-flight boundaries.
  */
 #include <gtest/gtest.h>
 
@@ -588,77 +588,64 @@ TEST(LintPlumbing, DiagnosticRendering)
 // Pre-flight boundaries.
 // ---------------------------------------------------------------------
 
-/** RAII reset of the process-wide preflight-fatal override. */
-struct PreflightFatalGuard
+/** A lagos circuit with a CX on the uncoupled pair (0, 2). */
+Circuit
+uncoupled_cx(const dev::Device &device)
 {
-    bool saved = lint::preflight_fatal();
-    ~PreflightFatalGuard() { lint::set_preflight_fatal(saved); }
-};
+    Circuit c(device.num_qubits());
+    c.add_gate(GateKind::CX, {0, 2});
+    c.set_measured({0});
+    return c;
+}
 
 TEST(LintPreflight, FatalModeThrowsOnErrors)
 {
-    PreflightFatalGuard guard;
-    lint::set_preflight_fatal(true);
-    const dev::Device device = dev::make_device("ibm_lagos");
-    Circuit c(device.num_qubits());
-    c.add_gate(GateKind::CX, {0, 2}); // not a coupling edge
-    c.set_measured({0});
-    LintOptions options;
-    options.device = &device;
-    EXPECT_THROW(
-        lint::preflight(c, lint::Boundary::Executor, options),
-        elv::InternalError);
-}
-
-TEST(LintPreflight, CountingModeRecordsViolations)
-{
-    PreflightFatalGuard guard;
-    lint::set_preflight_fatal(false);
     obs::Registry::global().set_enabled(true);
     obs::Registry::global().reset();
 
     const dev::Device device = dev::make_device("ibm_lagos");
-    Circuit bad(device.num_qubits());
-    bad.add_gate(GateKind::CX, {0, 2});
-    bad.set_measured({0});
     LintOptions options;
     options.device = &device;
-    EXPECT_FALSE(
-        lint::preflight(bad, lint::Boundary::Executor, options));
+    EXPECT_THROW(lint::preflight(uncoupled_cx(device),
+                                 lint::Boundary::Executor, options),
+                 elv::InternalError);
 
     Circuit good(device.num_qubits());
     good.add_gate(GateKind::CX, {0, 1});
     good.set_measured({0});
-    EXPECT_TRUE(
+    EXPECT_NO_THROW(
         lint::preflight(good, lint::Boundary::Executor, options));
 
     const auto snapshot = obs::Registry::global().snapshot();
-    std::uint64_t checked = 0, violations = 0;
-    for (const auto &counter : snapshot.counters) {
-        if (counter.name == "lint.circuits_checked")
-            checked = counter.value;
-        if (counter.name == "lint.violations")
-            violations = counter.value;
-    }
     obs::Registry::global().set_enabled(false);
-    // The counters only record when the metric macros are compiled in;
-    // under -DELV_OBS=OFF this test still covers the non-fatal return
-    // values above.
-#ifndef ELV_OBS_DISABLED
-    EXPECT_GE(checked, 2u);
-    EXPECT_EQ(violations, 1u);
-#else
-    (void)checked;
-    (void)violations;
-#endif
+    EXPECT_GE(snapshot.counter("lint.circuits_checked"), 2u);
+    EXPECT_EQ(snapshot.counter("lint.violations"), 1u);
+}
+
+TEST(LintPreflight, ThrowsInEveryBuildType)
+{
+    // The default build is RelWithDebInfo (NDEBUG set): a violation at
+    // the executor boundary still throws, carrying the report, instead
+    // of letting the replica be scored.
+    const dev::Device device = dev::make_device("ibm_lagos");
+    LintOptions options;
+    options.device = &device;
+    try {
+        lint::preflight(uncoupled_cx(device), lint::Boundary::Executor,
+                        options);
+        FAIL() << "preflight accepted an uncoupled CX";
+    } catch (const elv::InternalError &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("executor boundary"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("error["), std::string::npos) << what;
+    }
 }
 
 TEST(LintPreflight, SearchPipelineRunsCleanUnderFatalPreflight)
 {
-    // With throw-on-violation forced on, generation + compilation of
-    // real candidates must cross every boundary without a diagnostic.
-    PreflightFatalGuard guard;
-    lint::set_preflight_fatal(true);
+    // Preflight throws on any violation, so generation + compilation
+    // of real candidates must cross every boundary without one.
     const dev::Device device = dev::make_device("ibm_nairobi");
     elv::Rng rng(41);
     core::CandidateConfig config;

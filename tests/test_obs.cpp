@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -149,7 +150,6 @@ TEST(Metrics, SnapshotIsSortedAndLooksUpByName)
     EXPECT_EQ(snap.gauges[0].value, 7);
 }
 
-#ifndef ELV_OBS_DISABLED
 TEST(Metrics, MacroSitesRespectTheEnabledFlag)
 {
     obs::Registry &registry = obs::Registry::global();
@@ -196,7 +196,6 @@ TEST(Metrics, CachesReportHitsMissesAndEvictions)
               std::string::npos);
     registry.reset();
 }
-#endif // ELV_OBS_DISABLED
 
 TEST(Tracer, SpansNestByTimeContainment)
 {
@@ -299,6 +298,15 @@ TEST(Tracer, WriteFailsGracefullyOnBadPath)
     tracer.start();
     EXPECT_FALSE(tracer.write("/nonexistent-dir/trace.json"));
     tracer.drain();
+}
+
+TEST(Tracer, WriteReportsAFullDevice)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    obs::TraceEvent event;
+    event.name = "span";
+    EXPECT_FALSE(obs::write_chrome_trace("/dev/full", {event}));
 }
 
 TEST(JsonWriterTest, NestsObjectsAndArraysWithCommas)
@@ -422,6 +430,18 @@ TEST(RunReport, WritesAFileAndFailsGracefully)
     std::remove(path.c_str());
     EXPECT_FALSE(core::write_run_report("/nonexistent-dir/report.json",
                                         config, result));
+}
+
+TEST(RunReport, WriteReportsAFullDevice)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    const qml::Benchmark bench = qml::make_benchmark("moons", 5, 0.08);
+    const dev::Device device = dev::make_device("ibmq_manila");
+    const auto config = tiny_search_config(bench.spec.dim);
+    const auto result =
+        core::elivagar_search(device, bench.train, config);
+    EXPECT_FALSE(core::write_run_report("/dev/full", config, result));
 }
 
 } // namespace

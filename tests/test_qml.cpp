@@ -253,12 +253,6 @@ TEST(Trainer, ParameterShiftMatchesAdjointTrajectory)
               a.circuit_executions * (1 + 2 * 6));
 }
 
-TEST(Trainer, ExecutionCountFormula)
-{
-    EXPECT_EQ(parameter_shift_execution_count(10, 2, 3, 8),
-              static_cast<std::uint64_t>(21 * 2 * 3 * 8));
-}
-
 TEST(Trainer, HandlesAmplitudeEmbeddingCircuits)
 {
     const Benchmark bench = make_benchmark("mnist-2", 3, 0.03);

@@ -16,11 +16,13 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <thread>
 
@@ -32,6 +34,8 @@
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/tcp.hpp"
+
+#include "mutate.hpp"
 
 namespace {
 
@@ -655,6 +659,69 @@ TEST(Protocol, HandlesBadInputWithoutThrowing)
     }
 }
 
+/** Handle `line` and check the answer is one JSON object with an "ok"
+ *  bool, carrying a non-empty "error" when false. Returns its "ok". */
+bool
+expect_well_formed_answer(Server &server, const std::string &line,
+                          bool allow_shutdown, std::string *error_out)
+{
+    RequestOutcome outcome;
+    EXPECT_NO_THROW(outcome = handle_request(server, line, allow_shutdown))
+        << line;
+    obs::JsonValue value;
+    std::string error;
+    EXPECT_TRUE(obs::json_parse(outcome.response, value, error))
+        << error << " in " << outcome.response;
+    const obs::JsonValue *ok = value.get("ok");
+    EXPECT_TRUE(ok && ok->kind == obs::JsonValue::Kind::Bool)
+        << outcome.response;
+    if (!ok || ok->as_bool(false))
+        return ok != nullptr;
+    const obs::JsonValue *why = value.get("error");
+    EXPECT_TRUE(why && !why->as_string().empty()) << outcome.response;
+    if (error_out && why)
+        *error_out = why->as_string();
+    return false;
+}
+
+TEST(Protocol, SeededMutantsAnswerWithoutThrowing)
+{
+    ServerConfig config;
+    config.data_dir = fresh_dir("proto_mutants");
+    config.queue_capacity = 1;
+    config.workers = 1;
+    config.thread_budget = 1;
+    Server server(config);
+    const std::vector<std::string> lines = {
+        make_submit_request(quick_spec()), make_status_request("job-1"),
+        make_jobs_request(),               make_cancel_request("job-1"),
+        make_result_request("job-1"),      make_watch_request("job-1"),
+        make_health_request(),             make_metrics_request(),
+        make_events_request(3, 8),         make_shutdown_request(1.5)};
+
+    std::mt19937_64 rng(31);
+    bool allow_shutdown = false;
+    for (int round = 0; round < 300; ++round) {
+        for (const std::string &line : lines) {
+            std::string mutant = test::mutate(line, lines, rng);
+            std::replace(mutant.begin(), mutant.end(), '\n', ' ');
+            expect_well_formed_answer(server, mutant, allow_shutdown,
+                                      nullptr);
+            allow_shutdown = !allow_shutdown;
+        }
+    }
+
+    // The parser's depth bound refuses a deeply nested line before it
+    // can exhaust the stack.
+    std::string why;
+    EXPECT_FALSE(expect_well_formed_answer(
+        server, std::string(10000, '['), false, &why));
+    EXPECT_NE(why.find("nesting too deep"), std::string::npos) << why;
+    EXPECT_FALSE(expect_well_formed_answer(
+        server, make_status_request(std::string(70 * 1024, 'j')), false,
+        nullptr));
+}
+
 TEST(Protocol, SubmitStatusResultLifecycle)
 {
     Server server(small_config(fresh_dir("proto_life")));
@@ -922,16 +989,12 @@ TEST(Telemetry, HttpHandleServesMetricsHealthzAnd404)
     std::string content_type;
     const std::string metrics = http.handle("/metrics", content_type);
     EXPECT_NE(content_type.find("text/plain"), std::string::npos);
-#ifndef ELV_OBS_DISABLED
-    // Series content needs a live registry; the -DELV_OBS=OFF build
-    // still serves the endpoint (empty scrape), checked above.
     EXPECT_NE(metrics.find("elv_server_queue_depth"),
               std::string::npos);
     EXPECT_NE(metrics.find("elv_server_job_seconds_bucket"),
               std::string::npos);
     EXPECT_NE(metrics.find("elv_server_job_seconds_q50"),
               std::string::npos);
-#endif
 
     const std::string health = http.handle("/healthz", content_type);
     EXPECT_EQ(content_type, "application/json");
@@ -943,9 +1006,12 @@ TEST(Telemetry, HttpHandleServesMetricsHealthzAnd404)
 }
 
 /** Send `request` to the metrics port; everything the server writes
- * back before it closes (empty when it drops the connection). */
+ * back before it closes (empty when it drops the connection). With
+ * `half_close` the write side is shut after the request, so a head
+ * without its blank line ends at EOF instead of the server's deadline. */
 std::string
-http_exchange(std::uint16_t port, const std::string &request)
+http_exchange(std::uint16_t port, const std::string &request,
+              bool half_close = false)
 {
     std::string error;
     const int fd = connect_tcp("127.0.0.1", port, error);
@@ -955,6 +1021,8 @@ http_exchange(std::uint16_t port, const std::string &request)
     const timeval limit{10, 0}; // a server that never answers fails
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
     EXPECT_TRUE(write_all(fd, request, error)) << error;
+    if (half_close)
+        ::shutdown(fd, SHUT_WR);
     std::string response;
     char chunk[4096];
     ssize_t n = 0;
@@ -999,6 +1067,46 @@ TEST(Telemetry, HttpHeadOver8KiBIsDroppedWithoutResponse)
     EXPECT_EQ(http_exchange(http.port(), head), "");
 
     // The port keeps serving after dropping the oversized head.
+    const std::string ok =
+        http_exchange(http.port(), "GET /healthz HTTP/1.0\r\n\r\n");
+    EXPECT_EQ(ok.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << ok;
+}
+
+TEST(Telemetry, SeededHttpHeadMutantsAreAnsweredOrClosed)
+{
+    Server server(small_config(fresh_dir("tele_http_mutants")));
+    MetricsHttpServer http(server, HttpConfig{});
+    const std::vector<std::string> heads = {
+        "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n",
+        "GET /healthz HTTP/1.0\r\n\r\n",
+        "POST /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+        "GET /no-such HTTP/1.0\n\n",
+        "GET /metrics HTTP/1.1\r\nAccept: text/plain\r\n"
+        "User-Agent: probe\r\n\r\n"};
+
+    std::mt19937_64 rng(37);
+    int answered = 0, closed = 0;
+    for (int round = 0; round < 60; ++round) {
+        for (const std::string &head : heads) {
+            const std::string mutant = test::mutate(head, heads, rng);
+            const std::string response =
+                http_exchange(http.port(), mutant, /*half_close=*/true);
+            if (response.empty()) {
+                ++closed;
+                continue;
+            }
+            ++answered;
+            const bool known_status =
+                response.rfind("HTTP/1.0 200 OK\r\n", 0) == 0 ||
+                response.rfind("HTTP/1.0 404 Not Found\r\n", 0) == 0 ||
+                response.rfind("HTTP/1.0 405 Method Not Allowed\r\n", 0) ==
+                    0;
+            EXPECT_TRUE(known_status) << mutant << "\n->\n" << response;
+        }
+    }
+    EXPECT_GT(answered, 0);
+    EXPECT_GT(closed, 0);
+
     const std::string ok =
         http_exchange(http.port(), "GET /healthz HTTP/1.0\r\n\r\n");
     EXPECT_EQ(ok.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << ok;

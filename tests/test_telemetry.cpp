@@ -373,6 +373,11 @@ TEST(Concurrency, ScrapeWhileInstrumentingIsRaceFree)
     obs::SpanLog spans;
     obs::Exposition exposition;
     std::atomic<bool> stop{false};
+    // Register the series before any thread starts: the scraper's
+    // first render must find them however the writers are scheduled.
+    registry.counter("test.ops");
+    registry.gauge("test.depth");
+    registry.histogram("test.lat", {0.5, 1.0});
 
     std::vector<std::thread> writers;
     for (int w = 0; w < 4; ++w)
