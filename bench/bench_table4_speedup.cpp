@@ -89,8 +89,7 @@ main(int argc, char **argv)
         // per survivor on RepCap (128 candidates, top 50% kept).
         const std::uint64_t qnas_q =
             qml::parameter_shift_execution_count_dataset(
-                bench.spec.params, /*epochs=*/200, bench.spec.train,
-                /*batch_size=*/32) +
+                bench.spec.params, /*epochs=*/200, bench.spec.train) +
             std::uint64_t{500} *
                 static_cast<std::uint64_t>(bench.spec.test);
         const std::uint64_t elv_q =

@@ -223,7 +223,6 @@ time.sleep(0.3)  # let the closed connections' threads exit
 idle = []
 for _ in range(70):
     idle.append(connect(port))
-    time.sleep(0.005)  # stay inside the listen backlog
 time.sleep(0.5)
 refused = 0
 for s in idle:

@@ -51,7 +51,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -486,17 +485,15 @@ run_lint(int argc, char **argv)
 
     std::vector<lint::ArtifactReport> reports;
     for (const auto &path : options.files) {
-        std::ifstream in(path);
-        if (!in)
-            elv::fatal("cannot open " + path);
-        std::ostringstream text;
-        text << in.rdbuf();
+        const std::optional<std::string> text = elv::read_file(path);
+        if (!text)
+            elv::fatal("cannot read " + path);
         // A file that cannot even deserialize (bad qubit index, duplicate
         // measurement, ...) is reported as a parse diagnostic against the
         // file rather than aborting the whole lint run.
         circ::Circuit c;
         try {
-            c = circ::from_text(text.str());
+            c = circ::from_text(*text);
         } catch (const std::exception &e) {
             lint::Report parse;
             parse.add(lint::Severity::Error, "parse", -1, e.what());

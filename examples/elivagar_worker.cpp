@@ -59,7 +59,7 @@ print_usage()
 int
 serve_tcp(const std::string &host, std::uint16_t port)
 {
-    elv::Listener listener(host, port, 4);
+    elv::Listener listener(host, port);
     std::printf("{\"ev\":\"listening\",\"port\":%u}\n",
                 static_cast<unsigned>(listener.port()));
     std::fflush(stdout);

@@ -207,8 +207,7 @@ train_supercircuit(const SuperCircuit &super, const qml::Dataset &data,
     for (auto &p : result.shared_params)
         p = rng.uniform(-M_PI, M_PI);
 
-    qml::Adam optimizer(result.shared_params.size(),
-                        config.learning_rate);
+    qml::Adam optimizer(result.shared_params.size());
 
     std::vector<std::size_t> order(data.samples.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -248,13 +247,8 @@ train_supercircuit(const SuperCircuit &super, const qml::Dataset &data,
                 const std::vector<sim::DiagonalObservable> obs = {
                     projectors[static_cast<std::size_t>(
                         data.labels[idx])]};
-                sim::GradientResult g;
-                if (config.backend == qml::GradientBackend::Adjoint)
-                    g = sim::adjoint_gradient(program, params,
-                                              data.samples[idx], obs);
-                else
-                    g = sim::parameter_shift_gradient(
-                        program, params, data.samples[idx], obs);
+                const sim::GradientResult g = sim::adjoint_gradient(
+                    program, params, data.samples[idx], obs);
                 result.circuit_executions += g.circuit_executions;
 
                 const double p_y = std::max(g.values[0], 1e-10);

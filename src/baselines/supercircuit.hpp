@@ -95,7 +95,7 @@ struct SuperTrainResult
 {
     /** Shared parameter store after training. */
     std::vector<double> shared_params;
-    /** Circuit executions consumed (backend-dependent accounting). */
+    /** Circuit executions consumed: one per sample per epoch. */
     std::uint64_t circuit_executions = 0;
 };
 

@@ -4,6 +4,24 @@
 
 namespace elv {
 
+std::optional<std::string>
+read_file(const std::string &path)
+{
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    if (!file)
+        return std::nullopt;
+    std::string text;
+    char chunk[4096];
+    std::size_t got = 0;
+    while ((got = std::fread(chunk, 1, sizeof chunk, file)) > 0)
+        text.append(chunk, got);
+    const bool failed = std::ferror(file) != 0;
+    std::fclose(file);
+    if (failed)
+        return std::nullopt;
+    return text;
+}
+
 bool
 write_file(const std::string &path, std::string_view text)
 {

@@ -5,14 +5,22 @@
  * server's job documents and circuit files rewritten by `lint --fix`.
  * The write, the flush and the close are each checked, so a full disk
  * or a bad path reports failure instead of leaving a short file that
- * looks written.
+ * looks written. The matching reader checks every read the same way.
  */
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
 namespace elv {
+
+/**
+ * The whole contents of `path`, or nullopt when it cannot be opened or
+ * a read fails. A directory opens but fails its first read (EISDIR), so
+ * it is never mistaken for an empty file.
+ */
+std::optional<std::string> read_file(const std::string &path);
 
 /** Write `text` to `path`, replacing any previous contents. True when
  *  every byte was written and the file closed cleanly. */

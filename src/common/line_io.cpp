@@ -55,8 +55,7 @@ thread_local int t_pipe_fd = -1;
 
 } // namespace
 
-Listener::Listener(const std::string &host, std::uint16_t port,
-                   int backlog)
+Listener::Listener(const std::string &host, std::uint16_t port)
 {
     sockaddr_in addr{};
     if (!ipv4_address(host, port, addr))
@@ -68,7 +67,7 @@ Listener::Listener(const std::string &host, std::uint16_t port,
     ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
     socklen_t len = sizeof addr;
     if (::bind(fd_, reinterpret_cast<sockaddr *>(&addr), sizeof addr) != 0 ||
-        ::listen(fd_, backlog) != 0 ||
+        ::listen(fd_, SOMAXCONN) != 0 ||
         ::getsockname(fd_, reinterpret_cast<sockaddr *>(&addr), &len) !=
             0) {
         const std::string why = errno_text();

@@ -5,8 +5,9 @@
  * search server, its metrics port, the dist coordinator's worker
  * channels and elivagar_worker all speak through it.
  *
- *  - Listener: bind + listen, accept() on a poll tick so the caller
- *    re-checks its own stop flag at least once per tick.
+ *  - Listener: bind + listen (with the kernel's largest backlog), accept()
+ *    on a poll tick so the caller re-checks its own stop flag at least
+ *    once per tick.
  *  - connect_tcp: a client connection.
  *  - LineReader: '\n'-framed reads ("\r\n" tolerated) with a byte cap
  *    and a whole-line deadline; the same loop serves sockets and pipes.
@@ -28,9 +29,11 @@ namespace elv {
 class Listener
 {
   public:
-    /** Binds `host`:`port` (port 0 picks a free one) and listens;
-     * fatal() when the address is bad or the bind fails. */
-    Listener(const std::string &host, std::uint16_t port, int backlog);
+    /** Binds `host`:`port` (port 0 picks a free one) and listens with a
+     * backlog of SOMAXCONN, so a burst of connects waits in the accept
+     * queue instead of for a SYN retransmit; fatal() when the address
+     * is bad or the bind fails. */
+    Listener(const std::string &host, std::uint16_t port);
     ~Listener();
 
     Listener(const Listener &) = delete;

@@ -99,7 +99,7 @@ generate_candidate(const dev::Device &device, const CandidateConfig &config,
     // noise-quality distribution.
     std::vector<std::vector<int>> pool;
     std::vector<double> weights;
-    for (int s = 0; s < std::max(1, config.subgraph_pool); ++s) {
+    for (int s = 0; s < kSubgraphPool; ++s) {
         auto sub = dev::sample_connected_subgraph(device.topology,
                                                   config.num_qubits, rng);
         const double quality =

@@ -51,9 +51,10 @@ struct CandidateConfig
      * always kept (that is what makes the circuit executable).
      */
     bool noise_aware = true;
-    /** Candidate subgraphs drawn before the weighted pick (line 1). */
-    int subgraph_pool = 8;
 };
+
+/** Candidate subgraphs drawn before the weighted pick (line 1). */
+inline constexpr int kSubgraphPool = 8;
 
 /**
  * Generate one device-native candidate circuit (qubit labels are

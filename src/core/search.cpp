@@ -119,7 +119,7 @@ config_fingerprint(const ElivagarConfig &config)
     fp_mix(h, static_cast<std::uint64_t>(config.candidate.num_features));
     fp_mix(h, static_cast<std::uint64_t>(config.candidate.embedding));
     fp_mix(h, config.candidate.noise_aware ? 1 : 0);
-    fp_mix(h, static_cast<std::uint64_t>(config.candidate.subgraph_pool));
+    fp_mix(h, static_cast<std::uint64_t>(kSubgraphPool));
     fp_mix(h, static_cast<std::uint64_t>(config.cnr.num_replicas));
     fp_mix(h, static_cast<std::uint64_t>(config.cnr.backend));
     fp_mix(h, static_cast<std::uint64_t>(config.cnr.shots));

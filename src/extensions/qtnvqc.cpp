@@ -12,21 +12,27 @@
 
 namespace elv::ext {
 
+namespace {
+
+/** Hidden units of the frontend. */
+constexpr int kHidden = 8;
+/** Samples per joint-training batch. */
+constexpr std::size_t kBatchSize = 32;
+
+} // namespace
+
 QtnVqc::QtnVqc(int in_dim, int out_dim, const QtnVqcConfig &config)
-    : in_dim_(in_dim), hidden_(config.hidden), out_dim_(out_dim),
-      config_(config)
+    : in_dim_(in_dim), out_dim_(out_dim), config_(config)
 {
-    ELV_REQUIRE(in_dim >= 1 && out_dim >= 1 && config.hidden >= 1,
-                "bad QTN-VQC shape");
+    ELV_REQUIRE(in_dim >= 1 && out_dim >= 1, "bad QTN-VQC shape");
     elv::Rng rng(config.seed ^ 0x71746eULL);
     const double scale1 = 1.0 / std::sqrt(static_cast<double>(in_dim));
-    const double scale2 =
-        1.0 / std::sqrt(static_cast<double>(config.hidden));
-    w1_.resize(static_cast<std::size_t>(hidden_ * in_dim_));
+    const double scale2 = 1.0 / std::sqrt(static_cast<double>(kHidden));
+    w1_.resize(static_cast<std::size_t>(kHidden * in_dim_));
     for (auto &w : w1_)
         w = rng.normal(0.0, scale1);
-    b1_.assign(static_cast<std::size_t>(hidden_), 0.0);
-    w2_.resize(static_cast<std::size_t>(out_dim_ * hidden_));
+    b1_.assign(static_cast<std::size_t>(kHidden), 0.0);
+    w2_.resize(static_cast<std::size_t>(out_dim_ * kHidden));
     for (auto &w : w2_)
         w = rng.normal(0.0, scale2);
     b2_.assign(static_cast<std::size_t>(out_dim_), 0.0);
@@ -37,8 +43,8 @@ QtnVqc::transform(const std::vector<double> &x) const
 {
     ELV_REQUIRE(static_cast<int>(x.size()) == in_dim_,
                 "input dimension mismatch");
-    std::vector<double> h(static_cast<std::size_t>(hidden_));
-    for (int j = 0; j < hidden_; ++j) {
+    std::vector<double> h(static_cast<std::size_t>(kHidden));
+    for (int j = 0; j < kHidden; ++j) {
         double acc = b1_[static_cast<std::size_t>(j)];
         for (int i = 0; i < in_dim_; ++i)
             acc += w1_[static_cast<std::size_t>(j * in_dim_ + i)] *
@@ -48,8 +54,8 @@ QtnVqc::transform(const std::vector<double> &x) const
     std::vector<double> y(static_cast<std::size_t>(out_dim_));
     for (int o = 0; o < out_dim_; ++o) {
         double acc = b2_[static_cast<std::size_t>(o)];
-        for (int j = 0; j < hidden_; ++j)
-            acc += w2_[static_cast<std::size_t>(o * hidden_ + j)] *
+        for (int j = 0; j < kHidden; ++j)
+            acc += w2_[static_cast<std::size_t>(o * kHidden + j)] *
                    h[static_cast<std::size_t>(j)];
         y[static_cast<std::size_t>(o)] = acc;
     }
@@ -109,7 +115,7 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
     };
     unpack(flat);
 
-    qml::Adam optimizer(flat.size(), config_.learning_rate);
+    qml::Adam optimizer(flat.size());
     const auto projectors =
         sim::class_projectors(local.measured(), data.num_classes);
     const sim::FusedProgram program = sim::FusedProgram::compile(local);
@@ -122,9 +128,8 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
         rng.shuffle(order);
         std::size_t cursor = 0;
         while (cursor < order.size()) {
-            const std::size_t batch_end = std::min(
-                order.size(),
-                cursor + static_cast<std::size_t>(config_.batch_size));
+            const std::size_t batch_end =
+                std::min(order.size(), cursor + kBatchSize);
             std::vector<double> grad(flat.size(), 0.0);
             const double inv_batch =
                 1.0 / static_cast<double>(batch_end - cursor);
@@ -136,8 +141,8 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
 
                 // Classical forward (keep hidden activations for
                 // backprop).
-                std::vector<double> h(static_cast<std::size_t>(hidden_));
-                for (int j = 0; j < hidden_; ++j) {
+                std::vector<double> h(static_cast<std::size_t>(kHidden));
+                for (int j = 0; j < kHidden; ++j) {
                     double acc = b1_[static_cast<std::size_t>(j)];
                     for (int i = 0; i < in_dim_; ++i)
                         acc += w1_[static_cast<std::size_t>(
@@ -148,9 +153,9 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
                 std::vector<double> y(static_cast<std::size_t>(out_dim_));
                 for (int o = 0; o < out_dim_; ++o) {
                     double acc = b2_[static_cast<std::size_t>(o)];
-                    for (int j = 0; j < hidden_; ++j)
+                    for (int j = 0; j < kHidden; ++j)
                         acc += w2_[static_cast<std::size_t>(
-                                   o * hidden_ + j)] *
+                                   o * kHidden + j)] *
                                h[static_cast<std::size_t>(j)];
                     y[static_cast<std::size_t>(o)] = acc;
                 }
@@ -184,15 +189,15 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
                 // Backprop the two-layer frontend.
                 std::size_t off = np;
                 // w1 grads need dL/dh first.
-                std::vector<double> dh(static_cast<std::size_t>(hidden_),
+                std::vector<double> dh(static_cast<std::size_t>(kHidden),
                                        0.0);
                 for (int o = 0; o < out_dim_; ++o)
-                    for (int j = 0; j < hidden_; ++j)
+                    for (int j = 0; j < kHidden; ++j)
                         dh[static_cast<std::size_t>(j)] +=
                             dy[static_cast<std::size_t>(o)] *
-                            w2_[static_cast<std::size_t>(o * hidden_ +
+                            w2_[static_cast<std::size_t>(o * kHidden +
                                                          j)];
-                for (int j = 0; j < hidden_; ++j) {
+                for (int j = 0; j < kHidden; ++j) {
                     const double dpre =
                         dh[static_cast<std::size_t>(j)] *
                         (1.0 - h[static_cast<std::size_t>(j)] *
@@ -203,16 +208,16 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
                             dpre * x[static_cast<std::size_t>(i)];
                 }
                 off += w1_.size();
-                for (int j = 0; j < hidden_; ++j)
+                for (int j = 0; j < kHidden; ++j)
                     grad[off + static_cast<std::size_t>(j)] +=
                         dh[static_cast<std::size_t>(j)] *
                         (1.0 - h[static_cast<std::size_t>(j)] *
                                    h[static_cast<std::size_t>(j)]);
                 off += b1_.size();
                 for (int o = 0; o < out_dim_; ++o)
-                    for (int j = 0; j < hidden_; ++j)
+                    for (int j = 0; j < kHidden; ++j)
                         grad[off + static_cast<std::size_t>(
-                                       o * hidden_ + j)] +=
+                                       o * kHidden + j)] +=
                             dy[static_cast<std::size_t>(o)] *
                             h[static_cast<std::size_t>(j)];
                 off += w2_.size();

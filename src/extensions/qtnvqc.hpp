@@ -23,13 +23,11 @@
 
 namespace elv::ext {
 
-/** Joint-training hyperparameters. */
+/** Joint-training hyperparameters. The frontend has 8 hidden units;
+ *  training uses batches of 32 at qml::kLearningRate. */
 struct QtnVqcConfig
 {
-    int hidden = 8;
     int epochs = 30;
-    int batch_size = 32;
-    double learning_rate = 0.01;
     std::uint64_t seed = 0;
 };
 
@@ -64,7 +62,7 @@ class QtnVqc
                              const qml::DistributionFn &dist_fn) const;
 
   private:
-    int in_dim_, hidden_, out_dim_;
+    int in_dim_, out_dim_;
     QtnVqcConfig config_;
     /** w1_[h][i], b1_[h], w2_[o][h], b2_[o]. */
     std::vector<double> w1_, b1_, w2_, b2_;

@@ -1,8 +1,9 @@
 #include "lint/sarif.hpp"
 
-#include <fstream>
+#include <optional>
 #include <sstream>
 
+#include "common/file_write.hpp"
 #include "common/fnv1a.hpp"
 #include "common/logging.hpp"
 #include "common/runinfo.hpp"
@@ -57,12 +58,10 @@ Baseline::parse(const std::string &text)
 Baseline
 Baseline::load(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        elv::fatal("cannot open lint baseline " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parse(text.str());
+    const std::optional<std::string> text = elv::read_file(path);
+    if (!text)
+        elv::fatal("cannot read lint baseline " + path);
+    return parse(*text);
 }
 
 std::string

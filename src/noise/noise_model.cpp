@@ -39,46 +39,6 @@ apply_readout_confusion(const std::vector<double> &probs,
     return current;
 }
 
-std::vector<double>
-mitigate_readout(const std::vector<double> &probs,
-                 const std::vector<double> &flip_probs)
-{
-    std::size_t bits = 0;
-    while ((std::size_t{1} << bits) < probs.size())
-        ++bits;
-    ELV_REQUIRE((std::size_t{1} << bits) == probs.size(),
-                "distribution size is not a power of two");
-    ELV_REQUIRE(flip_probs.size() == bits,
-                "one flip probability per outcome bit required");
-
-    std::vector<double> current = probs;
-    std::vector<double> next(probs.size());
-    for (std::size_t b = 0; b < bits; ++b) {
-        const double r = flip_probs[b];
-        if (r >= 0.5)
-            elv::fatal("readout flip probability >= 0.5 is not "
-                       "invertible");
-        // Inverse of [[1-r, r], [r, 1-r]] applied along bit b.
-        const double inv = 1.0 / (1.0 - 2.0 * r);
-        const std::size_t mask = std::size_t{1} << b;
-        for (std::size_t k = 0; k < current.size(); ++k)
-            next[k] = inv * ((1.0 - r) * current[k] -
-                             r * current[k ^ mask]);
-        std::swap(current, next);
-    }
-
-    // Clip inversion artifacts and renormalize.
-    double total = 0.0;
-    for (double &p : current) {
-        p = std::max(p, 0.0);
-        total += p;
-    }
-    if (total > 0.0)
-        for (double &p : current)
-            p /= total;
-    return current;
-}
-
 NoisyDensitySimulator::NoisyDensitySimulator(const dev::Device &device,
                                              double noise_scale)
     : device_(device), scale_(noise_scale)

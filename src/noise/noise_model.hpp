@@ -42,17 +42,6 @@ std::vector<double> apply_readout_confusion(
     const std::vector<double> &flip_probs);
 
 /**
- * Measurement-error mitigation: invert the per-qubit readout confusion
- * (the tensor-product calibration-matrix method used by standard
- * readout-mitigation passes, cf. the JigSaw line of work the paper
- * cites). Inversion can produce small negative entries on sampled
- * inputs; they are clipped and the result renormalized. Requires every
- * flip probability < 0.5.
- */
-std::vector<double> mitigate_readout(const std::vector<double> &probs,
-                                     const std::vector<double> &flip_probs);
-
-/**
  * Exact noisy executor over the density-matrix backend. A circuit that
  * touches more than sim::DensityMatrix::kMaxQubits qubits is refused
  * with fatal() before anything is allocated for it.

@@ -10,11 +10,14 @@
 
 namespace elv::qml {
 
+/** Step size of every training loop in the repo (the paper's lr). */
+inline constexpr double kLearningRate = 0.01;
+
 /** Adam with bias correction. */
 class Adam
 {
   public:
-    explicit Adam(std::size_t num_params, double lr = 0.01,
+    explicit Adam(std::size_t num_params, double lr = kLearningRate,
                   double beta1 = 0.9, double beta2 = 0.999,
                   double epsilon = 1e-8);
 

@@ -6,7 +6,6 @@
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "common/validate.hpp"
 #include "lint/dataflow.hpp"
 #include "lint/preflight.hpp"
 #include "obs/metrics.hpp"
@@ -16,52 +15,6 @@
 #include "sim/observable.hpp"
 
 namespace elv::qml {
-
-namespace {
-
-/**
- * Parameter-shift gradient of one diagonal observable, evaluating every
- * circuit through an arbitrary distribution provider (e.g. the noisy
- * device simulator). Exact two-term rule; CRY rejected.
- */
-sim::GradientResult
-provider_shift_gradient(const circ::Circuit &circuit,
-                        const std::vector<double> &params,
-                        const std::vector<double> &x,
-                        const sim::DiagonalObservable &obs,
-                        const DistributionFn &provider)
-{
-    sim::GradientResult result;
-    result.values = {obs.expectation(provider(circuit, params, x))};
-    result.circuit_executions = 1;
-    result.jacobian.assign(
-        1, std::vector<double>(static_cast<std::size_t>(
-                                   circuit.num_params()),
-                               0.0));
-
-    for (const circ::Op &op : circuit.ops()) {
-        if (op.role != circ::ParamRole::Variational)
-            continue;
-        ELV_REQUIRE(op.kind != circ::GateKind::CRY,
-                    "CRY unsupported with a distribution provider");
-        for (int slot = 0; slot < op.num_params(); ++slot) {
-            const std::size_t pi =
-                static_cast<std::size_t>(op.param_index + slot);
-            std::vector<double> shifted = params;
-            shifted[pi] += M_PI / 2;
-            const double plus =
-                obs.expectation(provider(circuit, shifted, x));
-            shifted[pi] -= M_PI;
-            const double minus =
-                obs.expectation(provider(circuit, shifted, x));
-            result.circuit_executions += 2;
-            result.jacobian[0][pi] = 0.5 * (plus - minus);
-        }
-    }
-    return result;
-}
-
-} // namespace
 
 TrainResult
 train_circuit(const circ::Circuit &circuit, const Dataset &data,
@@ -94,8 +47,6 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
                                        fix.params_elided));
         }
     }
-    // elide_dead_structure preserves the register, so qubit labels of
-    // `source` stay physical (the provider path depends on that).
     const circ::Circuit &source = pruned ? fix.circuit : circuit;
 
     // Work on the compacted circuit (Elivagar circuits live on large
@@ -128,25 +79,9 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
         return result;
     }
 
-    Adam optimizer(result.params.size(), config.learning_rate);
+    Adam optimizer(result.params.size());
     const auto projectors =
         sim::class_projectors(local.measured(), data.num_classes);
-
-    // Guard the training loop against a misbehaving provider: one NaN
-    // distribution would silently poison the Adam moments for good.
-    DistributionFn provider;
-    if (config.distribution) {
-        provider = [inner = config.distribution](
-                       const circ::Circuit &c,
-                       const std::vector<double> &p,
-                       const std::vector<double> &xs) {
-            auto probs = inner(c, p, xs);
-            elv::validate_distribution(
-                probs, elv::DistributionPolicy::Renormalize,
-                "training distribution provider");
-            return probs;
-        };
-    }
 
     std::vector<std::size_t> order(data.samples.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -177,49 +112,21 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
             // reduction below then runs serially in sample-index
             // order, reproducing the serial loop's floating-point
             // accumulation exactly for every thread count.
-            std::vector<sim::GradientResult> batch_grads;
-            if (config.distribution) {
-                ELV_REQUIRE(config.backend ==
-                                GradientBackend::ParameterShift,
-                            "a custom distribution provider needs "
-                            "the parameter-shift backend");
-                // Providers may carry shared mutable state (e.g. a
-                // shot-noise RNG stream): stay serial.
-                batch_grads.reserve(batch_n);
-                for (std::size_t k = 0; k < batch_n; ++k) {
-                    ELV_METRIC_COUNT("train.batch_tasks");
-                    const std::size_t idx = order[cursor + k];
-                    // Pass the UNCOMPACTED circuit: providers interpret
-                    // qubit labels as physical device qubits, which
-                    // compaction would strip (dead-structure elision
-                    // preserves the register, so `source` is safe).
-                    // Parameter slots and the measured-qubit order are
-                    // compaction-invariant.
-                    batch_grads.push_back(provider_shift_gradient(
-                        source, result.params, data.samples[idx],
-                        projectors[static_cast<std::size_t>(
-                            data.labels[idx])],
-                        provider));
-                }
-            } else {
-                batch_grads = pool.parallel_map<sim::GradientResult>(
+            const std::vector<sim::GradientResult> batch_grads =
+                pool.parallel_map<sim::GradientResult>(
                     batch_n, [&](std::size_t k) {
                         ELV_METRIC_COUNT("train.batch_tasks");
                         const std::size_t idx = order[cursor + k];
-                        const auto &x = data.samples[idx];
                         // Only the label-class projector feeds the
                         // loss gradient:
                         // dL/dtheta = -(1/p_y) dp_y/dtheta.
                         const std::vector<sim::DiagonalObservable> obs =
                             {projectors[static_cast<std::size_t>(
                                 data.labels[idx])]};
-                        return config.backend == GradientBackend::Adjoint
-                                   ? sim::adjoint_gradient(
-                                         program, result.params, x, obs)
-                                   : sim::parameter_shift_gradient(
-                                         program, result.params, x, obs);
+                        return sim::adjoint_gradient(
+                            program, result.params, data.samples[idx],
+                            obs);
                     });
-            }
 
             // Index-ordered reduction (same accumulation order as the
             // serial loop).
@@ -258,10 +165,9 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
 
 std::uint64_t
 parameter_shift_execution_count_dataset(int num_params, int epochs,
-                                        int num_samples, int batch_size)
+                                        int num_samples)
 {
-    ELV_REQUIRE(num_params >= 0 && epochs >= 0 && num_samples >= 0 &&
-                    batch_size >= 1,
+    ELV_REQUIRE(num_params >= 0 && epochs >= 0 && num_samples >= 0,
                 "bad execution-count arguments");
     const std::uint64_t per_sample =
         1 + 2 * static_cast<std::uint64_t>(num_params);

@@ -31,7 +31,7 @@ http_response(const char *status, const std::string &content_type,
 MetricsHttpServer::MetricsHttpServer(Server &server,
                                      const HttpConfig &config)
     : server_(server), epoch_(std::chrono::steady_clock::now()),
-      listener_(config.host, config.port, 16)
+      listener_(config.host, config.port)
 {
     thread_ = std::thread([this] { serve_loop(); });
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 
@@ -206,13 +205,11 @@ Server::recover_from_manifest()
             if (r.state == JobState::Completed) {
                 // Status fields like best_score live in the result
                 // document, not the manifest; rehydrate them.
-                std::ifstream doc(job_path(rec->id, ".result.json"),
-                                  std::ios::binary);
-                std::ostringstream text;
-                text << doc.rdbuf();
+                const std::optional<std::string> doc =
+                    elv::read_file(job_path(rec->id, ".result.json"));
                 obs::JsonValue value;
                 std::string error;
-                if (doc && obs::json_parse(text.str(), value, error)) {
+                if (doc && obs::json_parse(*doc, value, error)) {
                     if (const obs::JsonValue *v = value.get("best_score"))
                         rec->best_score = v->as_number(0.0);
                     if (const obs::JsonValue *v = value.get("resumed"))
@@ -712,14 +709,11 @@ Server::result_json(const std::string &id) const
         if (!completed)
             return std::nullopt;
     }
-    std::ifstream in(job_path(id, ".result.json"), std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string doc = text.str();
-    while (!doc.empty() && (doc.back() == '\n' || doc.back() == '\r'))
-        doc.pop_back();
+    std::optional<std::string> doc =
+        elv::read_file(job_path(id, ".result.json"));
+    while (doc && !doc->empty() &&
+           (doc->back() == '\n' || doc->back() == '\r'))
+        doc->pop_back();
     return doc;
 }
 

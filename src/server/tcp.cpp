@@ -34,7 +34,7 @@ transport_error_line(const std::string &what)
 
 TcpServer::TcpServer(Server &server, const TcpConfig &config)
     : server_(server), config_(config),
-      listener_(config.host, config.port, 16)
+      listener_(config.host, config.port)
 {
 }
 

@@ -1,8 +1,5 @@
 #include "sim/density_matrix.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -69,44 +66,6 @@ DensityMatrix::apply_2q(const Mat4 &u, int q0, int q1)
 }
 
 void
-DensityMatrix::apply_kraus_1q(const std::vector<Mat2> &kraus, int q)
-{
-    ELV_REQUIRE(!kraus.empty(), "empty Kraus set");
-    // Member scratch, sized on first use: copying into it and the
-    // final swap recycle both buffers, so repeated channel
-    // applications allocate nothing.
-    auto &state = vec_.amps();
-    kraus_original_ = state;
-    kraus_acc_.assign(state.size(), Amp(0));
-    for (const Mat2 &k : kraus) {
-        std::copy(kraus_original_.begin(), kraus_original_.end(),
-                  state.begin());
-        apply_1q(k, q);
-        for (std::size_t i = 0; i < state.size(); ++i)
-            kraus_acc_[i] += state[i];
-    }
-    std::swap(state, kraus_acc_);
-}
-
-void
-DensityMatrix::apply_kraus_2q(const std::vector<Mat4> &kraus, int q0,
-                              int q1)
-{
-    ELV_REQUIRE(!kraus.empty(), "empty Kraus set");
-    auto &state = vec_.amps();
-    kraus_original_ = state;
-    kraus_acc_.assign(state.size(), Amp(0));
-    for (const Mat4 &k : kraus) {
-        std::copy(kraus_original_.begin(), kraus_original_.end(),
-                  state.begin());
-        apply_2q(k, q0, q1);
-        for (std::size_t i = 0; i < state.size(); ++i)
-            kraus_acc_[i] += state[i];
-    }
-    std::swap(state, kraus_acc_);
-}
-
-void
 DensityMatrix::apply_superop_1q(const Mat4 &s, int q)
 {
     ELV_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
@@ -122,101 +81,6 @@ DensityMatrix::apply_superop_2q(const Mat16 &s, int q0, int q1)
                 "bad 2-qubit operands");
     ELV_METRIC_COUNT("sim.superop_applies");
     vec_.apply_4q(s, q0, q1, q0 + num_qubits_, q1 + num_qubits_);
-}
-
-void
-DensityMatrix::apply_depolarizing_1q(double p, int q)
-{
-    ELV_REQUIRE(p >= 0.0 && p <= 1.0, "bad depolarizing probability");
-    const double lambda = 4.0 * p / 3.0;
-    const double keep = 1.0 - lambda;
-    const double half = 0.5;
-    const std::size_t dim = std::size_t{1} << num_qubits_;
-    const std::size_t m = std::size_t{1} << q;
-    auto &data = vec_.amps();
-    for (std::size_t c = 0; c < dim; ++c) {
-        for (std::size_t r = 0; r < dim; ++r) {
-            const bool br = r & m, bc = c & m;
-            const std::size_t idx = r | (c << num_qubits_);
-            if (br != bc) {
-                data[idx] *= keep;
-            } else if (!br) {
-                // Handle the (0,0)/(1,1) pair once, at the 0 slot.
-                const std::size_t idx1 = (r | m) | ((c | m) <<
-                                                    num_qubits_);
-                const Amp mix = half * (data[idx] + data[idx1]);
-                data[idx] = keep * data[idx] + lambda * mix;
-                data[idx1] = keep * data[idx1] + lambda * mix;
-            }
-        }
-    }
-}
-
-void
-DensityMatrix::apply_depolarizing_2q(double p, int q0, int q1)
-{
-    ELV_REQUIRE(p >= 0.0 && p <= 1.0, "bad depolarizing probability");
-    ELV_REQUIRE(q0 != q1, "depolarizing on equal qubits");
-    const double lambda = 16.0 * p / 15.0;
-    const double keep = 1.0 - lambda;
-    const std::size_t dim = std::size_t{1} << num_qubits_;
-    const std::size_t m0 = std::size_t{1} << q0;
-    const std::size_t m1 = std::size_t{1} << q1;
-    const std::size_t both = m0 | m1;
-    auto &data = vec_.amps();
-    for (std::size_t c = 0; c < dim; ++c) {
-        for (std::size_t r = 0; r < dim; ++r) {
-            const bool same = ((r ^ c) & both) == 0;
-            const std::size_t idx = r | (c << num_qubits_);
-            if (!same) {
-                data[idx] *= keep;
-            } else if ((r & both) == 0) {
-                // Average the four matched diagonal-in-subspace slots.
-                const std::size_t rows[4] = {r, r | m1, r | m0, r | both};
-                Amp mix(0);
-                std::size_t idxs[4];
-                for (int k = 0; k < 4; ++k) {
-                    const std::size_t cc =
-                        (c & ~both) | (rows[k] & both);
-                    idxs[k] = rows[k] | (cc << num_qubits_);
-                    mix += data[idxs[k]];
-                }
-                mix *= 0.25;
-                for (auto i : idxs)
-                    data[i] = keep * data[i] + lambda * mix;
-            }
-        }
-    }
-}
-
-void
-DensityMatrix::apply_thermal_relaxation(double gamma, double lambda, int q)
-{
-    ELV_REQUIRE(gamma >= 0.0 && gamma <= 1.0 && lambda >= 0.0 &&
-                    lambda <= 1.0,
-                "bad relaxation parameters");
-    const double keep = 1.0 - gamma;
-    const double gain = gamma;
-    const double coherence = std::sqrt((1.0 - gamma) * (1.0 - lambda));
-    const std::size_t dim = std::size_t{1} << num_qubits_;
-    const std::size_t m = std::size_t{1} << q;
-    auto &data = vec_.amps();
-    for (std::size_t c = 0; c < dim; ++c) {
-        for (std::size_t r = 0; r < dim; ++r) {
-            const bool br = r & m, bc = c & m;
-            const std::size_t idx = r | (c << num_qubits_);
-            if (br != bc) {
-                data[idx] *= coherence;
-            } else if (!br) {
-                const std::size_t idx1 =
-                    (r | m) | ((c | m) << num_qubits_);
-                // (0,0) gains the decayed (1,1) population; then (1,1)
-                // shrinks. Ordering matters: read old (1,1) first.
-                data[idx] += gain * data[idx1];
-                data[idx1] *= keep;
-            }
-        }
-    }
 }
 
 void
@@ -285,19 +149,6 @@ DensityMatrix::trace() const
     for (std::size_t i = 0; i < dim; ++i)
         t += element(i, i).real();
     return t;
-}
-
-double
-DensityMatrix::purity() const
-{
-    // Tr(rho^2) = sum_{r,c} |rho(r,c)|^2 for Hermitian rho.
-    double p = 0.0;
-    for (const Amp &a : vec_.amps()) {
-        const double re = a.real();
-        const double im = a.imag();
-        p += re * re + im * im;
-    }
-    return p;
 }
 
 std::vector<double>

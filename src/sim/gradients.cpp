@@ -1,7 +1,5 @@
 #include "sim/gradients.hpp"
 
-#include <cmath>
-
 #include "common/logging.hpp"
 
 namespace elv::sim {
@@ -131,62 +129,6 @@ adjoint_gradient(const FusedProgram &program,
                     deriv_overlap(lambda, psi, op, angles, 0);
             }
             apply_op_dagger(lambda, op, angles);
-        }
-    }
-    return result;
-}
-
-GradientResult
-parameter_shift_gradient(const FusedProgram &program,
-                         const std::vector<double> &params,
-                         const std::vector<double> &x,
-                         const std::vector<DiagonalObservable> &obs)
-{
-    const circ::Circuit &circuit = program.source();
-    GradientResult result;
-    result.values = expectations(program, params, x, obs);
-    result.circuit_executions = 1;
-    result.jacobian.assign(
-        obs.size(),
-        std::vector<double>(static_cast<std::size_t>(circuit.num_params()),
-                            0.0));
-
-    auto eval_shifted = [&](std::size_t pi, double shift) {
-        std::vector<double> shifted = params;
-        shifted[pi] += shift;
-        ++result.circuit_executions;
-        return expectations(program, shifted, x, obs);
-    };
-
-    for (const circ::Op &op : circuit.ops()) {
-        if (op.role != circ::ParamRole::Variational)
-            continue;
-        for (int slot = 0; slot < op.num_params(); ++slot) {
-            const std::size_t pi =
-                static_cast<std::size_t>(op.param_index + slot);
-            if (op.kind == circ::GateKind::CRY) {
-                // Four-term rule for generators with eigenvalues
-                // {0, +-1/2}: frequencies {1/2, 1}.
-                const double c1 = (std::sqrt(2.0) + 1.0) /
-                                  (4.0 * std::sqrt(2.0));
-                const double c2 = (std::sqrt(2.0) - 1.0) /
-                                  (4.0 * std::sqrt(2.0));
-                const auto p1 = eval_shifted(pi, M_PI / 2);
-                const auto m1 = eval_shifted(pi, -M_PI / 2);
-                const auto p2 = eval_shifted(pi, 3 * M_PI / 2);
-                const auto m2 = eval_shifted(pi, -3 * M_PI / 2);
-                for (std::size_t oi = 0; oi < obs.size(); ++oi)
-                    result.jacobian[oi][pi] =
-                        c1 * (p1[oi] - m1[oi]) - c2 * (p2[oi] - m2[oi]);
-            } else {
-                // Exact two-term rule for rotations with generator
-                // eigenvalues +-1/2.
-                const auto plus = eval_shifted(pi, M_PI / 2);
-                const auto minus = eval_shifted(pi, -M_PI / 2);
-                for (std::size_t oi = 0; oi < obs.size(); ++oi)
-                    result.jacobian[oi][pi] =
-                        0.5 * (plus[oi] - minus[oi]);
-            }
         }
     }
     return result;

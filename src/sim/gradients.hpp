@@ -1,20 +1,15 @@
 /**
  * @file
  * Gradients of observable expectations with respect to variational
- * parameters, via two backends mirroring the paper's two cost regimes:
- *
- *  - adjoint differentiation: the "backpropagation on classical
- *    simulators" regime (Table 4, 'C' columns). One forward pass plus one
- *    reverse sweep per observable, independent of the parameter count.
- *  - parameter-shift: the "gradients on quantum hardware" regime
- *    (Table 4, 'Q' columns). Two circuit executions per 1-qubit rotation
- *    parameter (four for controlled rotations), which is exactly the
- *    linear-in-parameters scaling the paper identifies as the
- *    SuperCircuit bottleneck.
+ * parameters by adjoint differentiation: the "backpropagation on
+ * classical simulators" regime (Table 4, 'C' columns). One forward pass
+ * plus one reverse sweep per observable, independent of the parameter
+ * count. (The hardware regime, Table 4 'Q', is modelled in closed form
+ * by qml::parameter_shift_execution_count_dataset.)
  *
  * Each takes a FusedProgram compiled once by the caller, which replays
- * it for every sample, step and shift; the adjoint reverse sweep and the
- * shift loop walk the ops of the circuit the program was compiled from.
+ * it for every sample and step; the reverse sweep walks the ops of the
+ * circuit the program was compiled from.
  */
 #pragma once
 
@@ -63,14 +58,5 @@ GradientResult adjoint_gradient(const FusedProgram &program,
                                 const std::vector<double> &x,
                                 const std::vector<DiagonalObservable> &obs,
                                 bool with_embedding_grads = false);
-
-/**
- * Parameter-shift differentiation: exact two-term rule for single-qubit
- * rotations and U3 slots, four-term rule for CRY.
- */
-GradientResult parameter_shift_gradient(
-    const FusedProgram &program, const std::vector<double> &params,
-    const std::vector<double> &x,
-    const std::vector<DiagonalObservable> &obs);
 
 } // namespace elv::sim

@@ -10,13 +10,16 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -438,7 +441,7 @@ TEST(LineIo, StalledHalfLineTimesOutAtItsDeadline)
  * first status line) until the peer's delayed ACK, ~40 ms later. */
 TEST(LineIo, AcceptedAndConnectedSocketsSetTcpNoDelay)
 {
-    elv::Listener listener("127.0.0.1", 0, 4);
+    elv::Listener listener("127.0.0.1", 0);
     ASSERT_GT(listener.port(), 0);
     // An empty tick returns -1 instead of blocking.
     EXPECT_LT(listener.accept(20), 0);
@@ -467,6 +470,49 @@ TEST(LineIo, AcceptedAndConnectedSocketsSetTcpNoDelay)
     EXPECT_EQ(line, "ping");
     ::close(client);
     ::close(accepted);
+}
+
+/** Connects past a full accept queue wait for the kernel's 1 s SYN
+ * retransmit; a burst the server's connection cap admits must fit. */
+TEST(LineIo, ListenerQueuesABurstOfConnects)
+{
+    elv::Listener listener("127.0.0.1", 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(listener.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+
+    // Nothing accepts, so a connect completes only once the accept
+    // queue holds it.
+    std::vector<int> fds;
+    std::string failure;
+    for (int n = 1; n <= 70 && failure.empty(); ++n) {
+        const int fd = ::socket(
+            AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+        ASSERT_GE(fd, 0) << std::strerror(errno);
+        fds.push_back(fd);
+        if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                      sizeof addr) != 0 &&
+            errno != EINPROGRESS)
+            failure = "connect " + std::to_string(n) + ": " +
+                      std::strerror(errno);
+    }
+    for (std::size_t i = 0; i < fds.size() && failure.empty(); ++i) {
+        pollfd pfd{fds[i], POLLOUT, 0};
+        int error = 0;
+        socklen_t len = sizeof error;
+        if (::poll(&pfd, 1, 500) != 1)
+            failure = "connect " + std::to_string(i + 1) +
+                      " of 70 still pending after 0.5 s";
+        else if (::getsockopt(fds[i], SOL_SOCKET, SO_ERROR, &error,
+                              &len) != 0 ||
+                 error != 0)
+            failure = "connect " + std::to_string(i + 1) + ": " +
+                      std::strerror(error);
+    }
+    for (const int fd : fds)
+        ::close(fd);
+    EXPECT_EQ(failure, "");
 }
 
 // --- Record log --------------------------------------------------------

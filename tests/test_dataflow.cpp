@@ -2,7 +2,8 @@
  * @file
  * Tests for the lint dataflow engine (lightcone, parameter liveness,
  * const/Clifford regions), the search-time semantic pruning pass it
- * powers, the `--fix` elision, and the SARIF/baseline surface.
+ * powers, the `--fix` elision, and the SARIF/baseline surface
+ * (including seeded mutants of a baseline file).
  *
  * The load-bearing suite is the ranking gauntlet: CNR and RepCap
  * evaluated with and without `prune_dead_structure` over a corpus of
@@ -15,11 +16,13 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <random>
 
 #include "circuit/builders.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/clifford_replica.hpp"
 #include "circuit/serialize.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "core/cnr.hpp"
 #include "core/repcap.hpp"
@@ -34,6 +37,8 @@
 #include "qml/trainer.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
+
+#include "mutate.hpp"
 
 namespace {
 
@@ -742,6 +747,58 @@ TEST(Sarif, DocumentsParseForAHostileArtifactName)
     EXPECT_TRUE(
         artifact.get("diagnostics")->items.at(0).get("suppressed")->as_bool());
     EXPECT_EQ(json.get("suppressed")->as_number(), 1.0);
+}
+
+/** `std::ifstream` opens a directory and reads nothing from it, which
+ * once made `--baseline DIR` an empty baseline instead of an error. */
+TEST(Sarif, LoadingADirectoryIsAUsageError)
+{
+    EXPECT_THROW(lint::Baseline::load(::testing::TempDir()),
+                 elv::UsageError);
+    EXPECT_THROW(lint::Baseline::load(::testing::TempDir() +
+                                      "elv_no_such_baseline"),
+                 elv::UsageError);
+}
+
+/** A baseline file is untrusted input: whatever its bytes, every
+ * finding is counted exactly once (suppressed or reported) and both
+ * documents stay well-formed JSON. */
+TEST(Sarif, SeededBaselineMutantsKeepCountsAndDocumentsWhole)
+{
+    std::vector<lint::ArtifactReport> reports = sample_reports();
+    lint::Report hostile;
+    hostile.add(lint::Severity::Warning, "dead-parameter", 1,
+                "slot \"1\"\tunused");
+    reports.push_back({"dir\\c \"d\".txt", hostile});
+    std::size_t total = 0;
+    for (const auto &entry : reports)
+        total += entry.report.diagnostics.size();
+
+    const std::string rendered = lint::Baseline::render(reports);
+    std::vector<std::string> donors = elv::test::split_lines(rendered);
+    donors.push_back("# comment");
+    donors.push_back("a.txt|qubit-bounds|op0|");
+    donors.push_back(std::string(300, '|'));
+    std::mt19937_64 rng(25);
+    for (int round = 0; round < 300; ++round) {
+        const std::string text = elv::test::mutate(rendered, donors, rng);
+        const lint::Baseline baseline = lint::Baseline::parse(text);
+        const lint::FindingCounts counts =
+            lint::count_findings(reports, &baseline);
+        EXPECT_EQ(counts.errors + counts.warnings + counts.notes +
+                      counts.suppressed,
+                  total)
+            << "round " << round;
+
+        obs::JsonValue value;
+        std::string error;
+        EXPECT_TRUE(obs::json_parse(lint::to_sarif(reports, &baseline),
+                                    value, error))
+            << "round " << round << ": " << error;
+        EXPECT_TRUE(obs::json_parse(lint::to_json(reports, &baseline),
+                                    value, error))
+            << "round " << round << ": " << error;
+    }
 }
 
 TEST(Sarif, JsonRenderingCarriesCounts)

@@ -134,7 +134,6 @@ TEST(QtnVqcTest, JointTrainingLearnsMoons)
     QtnVqcConfig config;
     config.epochs = 40;
     config.seed = 4;
-    config.hidden = 8;
     QtnVqc frontend(bench.spec.dim, 2, config);
     std::uint64_t executions = 0;
     const auto params =

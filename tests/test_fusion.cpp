@@ -1,8 +1,8 @@
 /**
  * @file
  * Fused execution engine: gate fusion equivalence, superoperator
- * channel kernels vs the Kraus reference, compiled noisy programs vs
- * the per-gate channel loop, lane-batched replay vs the scalar replay
+ * channel kernels vs the Kraus-loop oracle, compiled noisy programs vs
+ * the per-gate Kraus loop, lane-batched replay vs the scalar replay
  * (memcmp-equal under every kernel tier), and the batched-training
  * determinism contract (bit-identical results for every thread count).
  */
@@ -35,9 +35,12 @@
 #include "sim/statevector.hpp"
 #include "sim/vec_batch.hpp"
 
+#include "oracles.hpp"
+
 namespace {
 
 using namespace elv;
+using elv::test::KrausRho;
 
 /** Append a random mix of fixed, variational and embedding gates. */
 void
@@ -115,8 +118,11 @@ max_amp_diff(const sim::StateVector &a, const sim::StateVector &b)
     return diff;
 }
 
+/** Largest |a(r, c) - b(r, c)| of two density matrices (production or
+ *  Kraus-loop) of equal size. */
+template <typename RhoA, typename RhoB>
 double
-max_element_diff(const sim::DensityMatrix &a, const sim::DensityMatrix &b)
+max_element_diff(const RhoA &a, const RhoB &b)
 {
     const std::size_t dim = std::size_t{1} << a.num_qubits();
     double diff = 0.0;
@@ -139,12 +145,15 @@ prepared_state(int qubits)
         c.add_gate(circ::GateKind::CX, {q, q + 1});
     c.add_gate(circ::GateKind::S, {0});
     rho.run(c);
-    rho.apply_depolarizing_1q(0.05, qubits - 1); // make it mixed
+    // Make it mixed.
+    rho.apply_superop_1q(
+        noise::kraus_superop_1q(noise::depolarizing_1q_kraus(0.05)),
+        qubits - 1);
     return rho;
 }
 
 /**
- * Reference for the compiled noisy programs: the per-gate channel loop.
+ * Reference for the compiled noisy programs: the per-gate Kraus loop.
  * Every gate, then its depolarizing (twice for CRY) and thermal-
  * relaxation channels as separate Kraus passes, then readout confusion.
  */
@@ -159,23 +168,25 @@ kraus_loop_distribution(const dev::Device &device, double scale,
     auto physical = [&kept](int lq) {
         return static_cast<std::size_t>(kept[static_cast<std::size_t>(lq)]);
     };
-    auto relax = [&](sim::DensityMatrix &rho, int lq, double duration_ns) {
+    auto relax = [&](KrausRho &rho, int lq, double duration_ns) {
         const std::size_t pq = physical(lq);
-        const noise::ThermalParams p = noise::thermal_relaxation_params(
-            device.t1_us[pq] / std::max(scale, 1e-9),
-            device.t2_us[pq] / std::max(scale, 1e-9), duration_ns);
-        rho.apply_thermal_relaxation(p.gamma, p.lambda, lq);
+        rho.apply_kraus_1q(noise::thermal_relaxation_kraus(
+                               device.t1_us[pq] / std::max(scale, 1e-9),
+                               device.t2_us[pq] / std::max(scale, 1e-9),
+                               duration_ns),
+                           lq);
     };
 
-    sim::DensityMatrix rho(local.num_qubits());
+    KrausRho rho(local.num_qubits());
     for (const circ::Op &op : local.ops()) {
         rho.apply_op(op, params, x);
         if (scale == 0.0 || op.kind == circ::GateKind::AmpEmbed)
             continue;
         if (op.num_qubits() == 1) {
             const int lq = op.qubits[0];
-            rho.apply_depolarizing_1q(
-                std::clamp(scale * device.error_1q[physical(lq)], 0.0, 1.0),
+            rho.apply_kraus_1q(
+                noise::depolarizing_1q_kraus(std::clamp(
+                    scale * device.error_1q[physical(lq)], 0.0, 1.0)),
                 lq);
             relax(rho, lq, device.duration_1q_ns);
         } else {
@@ -186,7 +197,7 @@ kraus_loop_distribution(const dev::Device &device, double scale,
                 0.0, 1.0);
             const int reps = op.kind == circ::GateKind::CRY ? 2 : 1;
             for (int rep = 0; rep < reps; ++rep)
-                rho.apply_depolarizing_2q(err, la, lb);
+                rho.apply_kraus_2q(noise::depolarizing_2q_kraus(err), la, lb);
             relax(rho, la, device.duration_2q_ns);
             relax(rho, lb, device.duration_2q_ns);
         }
@@ -298,8 +309,8 @@ TEST(Superop, DepolarizingMatchesKrausLoop1q)
         const auto kraus = noise::depolarizing_1q_kraus(p);
         const sim::Mat4 s = noise::kraus_superop_1q(kraus);
         for (int q = 0; q < 3; ++q) {
-            sim::DensityMatrix a = prepared_state(3);
-            sim::DensityMatrix b = a;
+            sim::DensityMatrix b = prepared_state(3);
+            KrausRho a(b);
             a.apply_kraus_1q(kraus, q);
             b.apply_superop_1q(s, q);
             EXPECT_LE(max_element_diff(a, b), 1e-14)
@@ -314,8 +325,8 @@ TEST(Superop, DepolarizingMatchesKrausLoop2q)
     const sim::Mat16 s = noise::kraus_superop_2q(kraus);
     const int pairs[][2] = {{0, 1}, {1, 0}, {0, 2}, {2, 1}};
     for (const auto &pair : pairs) {
-        sim::DensityMatrix a = prepared_state(3);
-        sim::DensityMatrix b = a;
+        sim::DensityMatrix b = prepared_state(3);
+        KrausRho a(b);
         a.apply_kraus_2q(kraus, pair[0], pair[1]);
         b.apply_superop_2q(s, pair[0], pair[1]);
         EXPECT_LE(max_element_diff(a, b), 1e-14)
@@ -329,8 +340,8 @@ TEST(Superop, ThermalRelaxationMatchesKrausLoop)
         noise::thermal_relaxation_kraus(85.0, 60.0, 0.25);
     const sim::Mat4 s = noise::kraus_superop_1q(kraus);
     for (int q = 0; q < 3; ++q) {
-        sim::DensityMatrix a = prepared_state(3);
-        sim::DensityMatrix b = a;
+        sim::DensityMatrix b = prepared_state(3);
+        KrausRho a(b);
         a.apply_kraus_1q(kraus, q);
         b.apply_superop_1q(s, q);
         EXPECT_LE(max_element_diff(a, b), 1e-14) << "q=" << q;
@@ -357,26 +368,6 @@ TEST(Superop, UnitarySuperopMatchesDirectUnitary)
     c.apply_2q(u2, 2, 0);
     d.apply_superop_2q(noise::unitary_superop_2q(u2), 2, 0);
     EXPECT_LE(max_element_diff(c, d), 1e-14);
-}
-
-TEST(Superop, KrausScratchReusePreservesResults)
-{
-    // Back-to-back generic-Kraus channels reuse the member scratch;
-    // results must be independent of prior channel applications.
-    const auto depol = noise::depolarizing_1q_kraus(0.03);
-    const auto thermal =
-        noise::thermal_relaxation_kraus(90.0, 70.0, 0.5);
-    sim::DensityMatrix seq = prepared_state(3);
-    seq.apply_kraus_1q(depol, 0);
-    seq.apply_kraus_1q(thermal, 1);
-    seq.apply_kraus_1q(depol, 2);
-
-    sim::DensityMatrix ref = prepared_state(3);
-    ref.apply_superop_1q(noise::kraus_superop_1q(depol), 0);
-    ref.apply_superop_1q(noise::kraus_superop_1q(thermal), 1);
-    ref.apply_superop_1q(noise::kraus_superop_1q(depol), 2);
-    EXPECT_LE(max_element_diff(seq, ref), 1e-14);
-    EXPECT_NEAR(seq.trace(), 1.0, 1e-12);
 }
 
 TEST(NoisyProgram, MatchesUnfusedChannelLoop)
@@ -969,34 +960,27 @@ TEST(BatchedTraining, BitIdenticalForEveryThreadCount)
     const qml::Benchmark bench = qml::make_benchmark("moons", 17, 0.1);
     const circ::Circuit c = training_circuit();
 
-    for (const auto backend : {qml::GradientBackend::Adjoint,
-                               qml::GradientBackend::ParameterShift}) {
-        qml::TrainConfig serial;
-        serial.epochs = 2;
-        serial.batch_size = 5; // deliberately not dividing the set
-        serial.seed = 3;
-        serial.backend = backend;
-        serial.threads = 1;
-        const qml::TrainResult ref =
-            qml::train_circuit(c, bench.train, serial);
+    qml::TrainConfig serial;
+    serial.epochs = 2;
+    serial.batch_size = 5; // deliberately not dividing the set
+    serial.seed = 3;
+    serial.threads = 1;
+    const qml::TrainResult ref = qml::train_circuit(c, bench.train, serial);
 
-        for (int threads = 2; threads <= 4; ++threads) {
-            qml::TrainConfig tc = serial;
-            tc.threads = threads;
-            const qml::TrainResult got =
-                qml::train_circuit(c, bench.train, tc);
-            ASSERT_EQ(ref.params.size(), got.params.size());
-            for (std::size_t i = 0; i < ref.params.size(); ++i)
-                EXPECT_EQ(ref.params[i], got.params[i])
-                    << "threads=" << threads << " param " << i;
-            ASSERT_EQ(ref.loss_history.size(),
-                      got.loss_history.size());
-            for (std::size_t e = 0; e < ref.loss_history.size(); ++e)
-                EXPECT_EQ(ref.loss_history[e], got.loss_history[e])
-                    << "threads=" << threads << " epoch " << e;
-            EXPECT_EQ(ref.circuit_executions, got.circuit_executions)
-                << "threads=" << threads;
-        }
+    for (int threads = 2; threads <= 4; ++threads) {
+        qml::TrainConfig tc = serial;
+        tc.threads = threads;
+        const qml::TrainResult got = qml::train_circuit(c, bench.train, tc);
+        ASSERT_EQ(ref.params.size(), got.params.size());
+        for (std::size_t i = 0; i < ref.params.size(); ++i)
+            EXPECT_EQ(ref.params[i], got.params[i])
+                << "threads=" << threads << " param " << i;
+        ASSERT_EQ(ref.loss_history.size(), got.loss_history.size());
+        for (std::size_t e = 0; e < ref.loss_history.size(); ++e)
+            EXPECT_EQ(ref.loss_history[e], got.loss_history[e])
+                << "threads=" << threads << " epoch " << e;
+        EXPECT_EQ(ref.circuit_executions, got.circuit_executions)
+            << "threads=" << threads;
     }
 }
 
@@ -1045,7 +1029,6 @@ TEST(PinnedTraining, AdjointHumanDesignedOnMnist4)
     tc.batch_size = 16;
     tc.seed = 5;
     tc.threads = 2;
-    tc.backend = qml::GradientBackend::Adjoint;
     expect_pinned(
         c, bench, tc,
         {{0x1.7f40bccb8296fp+0, 0x1.6c468d18be725p+0, 0x1.5fe665de958p+0},
@@ -1068,7 +1051,7 @@ TEST(PinnedTraining, AdjointHumanDesignedOnMnist4)
          0x1.999999999999ap-3});
 }
 
-TEST(PinnedTraining, ParameterShiftOnMoons)
+TEST(PinnedTraining, AdjointOnMoons)
 {
     const qml::Benchmark bench = qml::make_benchmark("moons", 17, 0.1);
     qml::TrainConfig tc;
@@ -1076,44 +1059,22 @@ TEST(PinnedTraining, ParameterShiftOnMoons)
     tc.batch_size = 5;
     tc.seed = 3;
     tc.threads = 1;
-    tc.backend = qml::GradientBackend::ParameterShift;
     expect_pinned(
         training_circuit(), bench, tc,
-        {{0x1.48a06cc167587p+0, 0x1.3b7cff4de2395p+0},
-         {0x1.612fa414aafcep-3, 0x1.a2ec4d8f17604p-1, -0x1.56b106932412cp+1,
-          0x1.8c2e056dc4c5fp-3, 0x1.3495b9b54aa6fp+0, 0x1.91083ba51b2f8p+1},
-         1560,
-         0x1.37c7beef2ad04p+0,
+        {{0x1.48a06cc167586p+0, 0x1.3b7cff4de2395p+0},
+         {0x1.612fa414aafcbp-3, 0x1.a2ec4d8e448d4p-1, -0x1.56b10693665d2p+1,
+          0x1.8c2e057823e0ap-3, 0x1.3495b9b2bde43p+0, 0x1.91083ba50d4bcp+1},
+         120,
+         0x1.37c7beef2ad05p+0,
          0x1.2aaaaaaaaaaabp-1});
 }
 
 TEST(ExecutionCount, DatasetVariantCountsEachSampleOnce)
 {
-    // 35 samples in batches of 8: five batches (8+8+8+8+3); billing
-    // steps x batch_size would count 5 x 8 = 40 samples.
-    EXPECT_EQ(qml::parameter_shift_execution_count_dataset(10, 2, 35, 8),
+    // 35 samples, 10 parameters, 2 epochs: (1 + 2 * 10) executions per
+    // sample per epoch, however the samples are batched.
+    EXPECT_EQ(qml::parameter_shift_execution_count_dataset(10, 2, 35),
               21ull * 2ull * 35ull);
-}
-
-TEST(ExecutionCount, TrainerMatchesDatasetFormula)
-{
-    // The parameter-shift trainer's tally must equal the closed form
-    // regardless of simulator threading.
-    const qml::Benchmark bench = qml::make_benchmark("moons", 23, 0.05);
-    const circ::Circuit c = training_circuit();
-    qml::TrainConfig tc;
-    tc.epochs = 2;
-    tc.batch_size = 4;
-    tc.backend = qml::GradientBackend::ParameterShift;
-    tc.seed = 9;
-    tc.threads = 3;
-    const qml::TrainResult result =
-        qml::train_circuit(c, bench.train, tc);
-    EXPECT_EQ(result.circuit_executions,
-              qml::parameter_shift_execution_count_dataset(
-                  c.num_params(), tc.epochs,
-                  static_cast<int>(bench.train.samples.size()),
-                  tc.batch_size));
 }
 
 } // namespace

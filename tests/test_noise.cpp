@@ -22,6 +22,7 @@
 #include "device/device.hpp"
 #include "noise/channels.hpp"
 #include "noise/noise_model.hpp"
+#include "noise/superop.hpp"
 #include "sim/density_matrix.hpp"
 #include "stabilizer/tableau.hpp"
 
@@ -338,94 +339,6 @@ TEST(CrossBackend, NoiselessAgreementIsExact)
     EXPECT_LT(total_variation_distance(dense, sampled), 0.02);
 }
 
-TEST(ReadoutMitigation, InvertsConfusionExactly)
-{
-    const std::vector<double> ideal = {0.55, 0.05, 0.3, 0.1};
-    const std::vector<double> flips = {0.08, 0.15};
-    const auto noisy = apply_readout_confusion(ideal, flips);
-    const auto recovered = mitigate_readout(noisy, flips);
-    for (std::size_t k = 0; k < ideal.size(); ++k)
-        EXPECT_NEAR(recovered[k], ideal[k], 1e-12);
-}
-
-TEST(ReadoutMitigation, ClipsSampledArtifacts)
-{
-    // A sampled histogram that the exact inverse would push negative.
-    const std::vector<double> sampled = {0.9, 0.0, 0.1, 0.0};
-    const auto recovered = mitigate_readout(sampled, {0.2, 0.2});
-    double total = 0.0;
-    for (double p : recovered) {
-        EXPECT_GE(p, 0.0);
-        total += p;
-    }
-    EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-TEST(ReadoutMitigation, RejectsNonInvertibleError)
-{
-    EXPECT_THROW(mitigate_readout({0.5, 0.5}, {0.5}), elv::UsageError);
-}
-
-TEST(FastChannels, DepolarizingMatchesKraus)
-{
-    // The closed-form depolarizing paths must agree with the generic
-    // Kraus route on an arbitrary entangled state.
-    Rng rng(99);
-    Circuit c = build_random_rxyz_cz(3, 3, 9, 3, rng);
-    std::vector<double> params(9);
-    for (auto &p : params)
-        p = rng.uniform(-M_PI, M_PI);
-    const std::vector<double> x = {0.2, -0.9, 0.5};
-
-    for (double p : {0.0, 0.05, 0.4}) {
-        sim::DensityMatrix kraus_rho(3), fast_rho(3);
-        kraus_rho.run(c, params, x);
-        fast_rho.run(c, params, x);
-
-        kraus_rho.apply_kraus_1q(depolarizing_1q_kraus(p), 1);
-        fast_rho.apply_depolarizing_1q(p, 1);
-        kraus_rho.apply_kraus_2q(depolarizing_2q_kraus(p), 0, 2);
-        fast_rho.apply_depolarizing_2q(p, 0, 2);
-
-        for (std::size_t r = 0; r < 8; ++r)
-            for (std::size_t cc = 0; cc < 8; ++cc)
-                EXPECT_NEAR(std::abs(kraus_rho.element(r, cc) -
-                                     fast_rho.element(r, cc)),
-                            0.0, 1e-12)
-                    << "p=" << p;
-    }
-}
-
-TEST(FastChannels, ThermalRelaxationMatchesKraus)
-{
-    Rng rng(101);
-    Circuit c = build_random_rxyz_cz(3, 3, 9, 3, rng);
-    std::vector<double> params(9);
-    for (auto &p : params)
-        p = rng.uniform(-M_PI, M_PI);
-    const std::vector<double> x = {0.4, 0.1, -0.7};
-
-    for (auto [t1, t2, dur] :
-         {std::tuple{100.0, 80.0, 300.0}, std::tuple{50.0, 90.0, 700.0},
-          std::tuple{120.0, 240.0, 35.0}}) {
-        sim::DensityMatrix kraus_rho(3), fast_rho(3);
-        kraus_rho.run(c, params, x);
-        fast_rho.run(c, params, x);
-
-        kraus_rho.apply_kraus_1q(thermal_relaxation_kraus(t1, t2, dur),
-                                 2);
-        const ThermalParams relax =
-            thermal_relaxation_params(t1, t2, dur);
-        fast_rho.apply_thermal_relaxation(relax.gamma, relax.lambda, 2);
-
-        for (std::size_t r = 0; r < 8; ++r)
-            for (std::size_t cc = 0; cc < 8; ++cc)
-                EXPECT_NEAR(std::abs(kraus_rho.element(r, cc) -
-                                     fast_rho.element(r, cc)),
-                            0.0, 1e-12);
-    }
-}
-
 TEST(FastChannels, FullDepolarizingIsMaximallyMixed)
 {
     sim::DensityMatrix rho(2);
@@ -433,8 +346,10 @@ TEST(FastChannels, FullDepolarizingIsMaximallyMixed)
     c.add_gate(GateKind::H, {0});
     c.add_gate(GateKind::CX, {0, 1});
     rho.run(c);
-    rho.apply_depolarizing_1q(0.75, 0); // lambda = 1: full twirl
-    rho.apply_depolarizing_1q(0.75, 1);
+    // p = 3/4 is the full twirl: every Pauli term equally likely.
+    const sim::Mat4 full = kraus_superop_1q(depolarizing_1q_kraus(0.75));
+    rho.apply_superop_1q(full, 0);
+    rho.apply_superop_1q(full, 1);
     const auto probs = rho.probabilities({0, 1});
     for (double p : probs)
         EXPECT_NEAR(p, 0.25, 1e-12);

@@ -2,8 +2,7 @@
  * @file
  * QML-stack tests: dataset utilities, PCA correctness, the
  * classification head, the Adam optimizer, and end-to-end training
- * (circuits must actually learn the synthetic tasks; both gradient
- * backends must agree on the physics and differ only in cost).
+ * (circuits must actually learn the synthetic tasks).
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "common/rng.hpp"
 #include "qml/classifier.hpp"
 #include "qml/dataset.hpp"
-#include "qml/diagnostics.hpp"
 #include "qml/optimizer.hpp"
 #include "qml/pca.hpp"
 #include "qml/synthetic.hpp"
@@ -227,32 +225,6 @@ TEST(Trainer, LearnsMoons)
     EXPECT_GT(eval.accuracy, 0.75);
 }
 
-TEST(Trainer, ParameterShiftMatchesAdjointTrajectory)
-{
-    // Identical seeds and data: the two backends compute the same
-    // gradients, so the loss histories must coincide.
-    const Benchmark bench = make_benchmark("moons", 6, 0.05);
-    Rng rng(9);
-    const Circuit c = build_random_rxyz_cz(3, 2, 6, 1, rng);
-
-    TrainConfig adj;
-    adj.epochs = 3;
-    adj.seed = 21;
-    adj.backend = GradientBackend::Adjoint;
-    TrainConfig shift = adj;
-    shift.backend = GradientBackend::ParameterShift;
-
-    const TrainResult a = train_circuit(c, bench.train, adj);
-    const TrainResult b = train_circuit(c, bench.train, shift);
-    ASSERT_EQ(a.loss_history.size(), b.loss_history.size());
-    for (std::size_t e = 0; e < a.loss_history.size(); ++e)
-        EXPECT_NEAR(a.loss_history[e], b.loss_history[e], 1e-8);
-
-    // ... but the hardware backend needs 1 + 2P times more executions.
-    EXPECT_EQ(b.circuit_executions,
-              a.circuit_executions * (1 + 2 * 6));
-}
-
 TEST(Trainer, HandlesAmplitudeEmbeddingCircuits)
 {
     const Benchmark bench = make_benchmark("mnist-2", 3, 0.03);
@@ -266,91 +238,6 @@ TEST(Trainer, HandlesAmplitudeEmbeddingCircuits)
     EXPECT_EQ(trained.params.size(), 12u);
     const EvalResult eval = evaluate(c, trained.params, bench.test);
     EXPECT_GE(eval.accuracy, 0.0); // smoke: runs end to end
-}
-
-TEST(Diagnostics, BarrenPlateauVarianceDecaysWithWidth)
-{
-    // McClean et al.: for deep random circuits, the gradient variance
-    // of a local cost decays exponentially with qubit count. Check the
-    // monotone-decay shape between 2 and 6 qubits.
-    double prev = 1e9;
-    for (int qubits : {2, 4, 6}) {
-        // Structured brickwork ansatz so the tracked parameter (slot 0,
-        // an RY on the measured qubit) is always causally connected.
-        Circuit c(qubits);
-        for (int layer = 0; layer < 8; ++layer) {
-            for (int q = 0; q < qubits; ++q) {
-                c.add_variational(GateKind::RY, {q});
-                c.add_variational(GateKind::RZ, {q});
-            }
-            for (int q = 0; q + 1 < qubits; ++q)
-                c.add_gate(GateKind::CX, {q, q + 1});
-            if (qubits > 1)
-                c.add_gate(GateKind::CX, {qubits - 1, 0});
-        }
-        c.set_measured({0});
-        Rng rng(41);
-        GradientVarianceOptions options;
-        options.num_samples = 48;
-        const GradientVariance gv = gradient_variance(c, rng, options);
-        EXPECT_GT(gv.variance, 0.0);
-        EXPECT_LT(gv.variance, prev) << qubits << " qubits";
-        EXPECT_NEAR(gv.mean, 0.0, 0.15);
-        prev = gv.variance;
-    }
-}
-
-TEST(Diagnostics, CountsExecutionsAndValidatesInput)
-{
-    Rng rng(42);
-    Circuit c = build_random_rxyz_cz(3, 2, 6, 1, rng);
-    GradientVarianceOptions options;
-    options.num_samples = 8;
-    Rng gv_rng(1);
-    const GradientVariance gv = gradient_variance(c, gv_rng, options);
-    EXPECT_EQ(gv.circuit_executions, 8u);
-
-    Circuit no_params(2);
-    no_params.add_gate(GateKind::H, {0});
-    no_params.set_measured({0});
-    Rng r2(2);
-    EXPECT_THROW(gradient_variance(no_params, r2), elv::InternalError);
-}
-
-TEST(Trainer, NoiseAwareTrainingThroughProvider)
-{
-    // Training through a distribution provider (here: the noiseless
-    // statevector, wrapped) must match plain parameter-shift training
-    // exactly — and a noisy provider must still learn the task.
-    const Benchmark bench = make_benchmark("moons", 8, 0.08);
-    Rng rng(10);
-    const Circuit c = build_random_rxyz_cz(3, 2, 8, 1, rng);
-
-    TrainConfig plain;
-    plain.epochs = 4;
-    plain.seed = 31;
-    plain.backend = GradientBackend::ParameterShift;
-    const TrainResult a = train_circuit(c, bench.train, plain);
-
-    TrainConfig provided = plain;
-    provided.distribution = statevector_distribution();
-    const TrainResult b = train_circuit(c, bench.train, provided);
-    ASSERT_EQ(a.loss_history.size(), b.loss_history.size());
-    for (std::size_t e = 0; e < a.loss_history.size(); ++e)
-        EXPECT_NEAR(a.loss_history[e], b.loss_history[e], 1e-9);
-}
-
-TEST(Trainer, ProviderRequiresParameterShift)
-{
-    const Benchmark bench = make_benchmark("moons", 9, 0.05);
-    Rng rng(11);
-    const Circuit c = build_random_rxyz_cz(2, 2, 4, 1, rng);
-    TrainConfig config;
-    config.epochs = 1;
-    config.backend = GradientBackend::Adjoint;
-    config.distribution = statevector_distribution();
-    EXPECT_THROW(train_circuit(c, bench.train, config),
-                 elv::InternalError);
 }
 
 } // namespace

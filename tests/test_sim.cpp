@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the simulators: gate unitarity, canonical states, observable
- * expectations, agreement of adjoint / parameter-shift / finite-difference
- * gradients, density-matrix vs state-vector consistency, Kraus map trace
- * preservation, and Clifford-replica lowering correctness.
+ * expectations, agreement of adjoint gradients with the parameter-shift
+ * oracle and finite differences, density-matrix vs state-vector
+ * consistency, channel trace preservation, and Clifford-replica lowering
+ * correctness.
  */
 #include <gtest/gtest.h>
 
@@ -18,17 +19,22 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
+#include "noise/channels.hpp"
+#include "noise/superop.hpp"
 #include "sim/cpu_features.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/gradients.hpp"
 #include "sim/observable.hpp"
 #include "sim/statevector.hpp"
 
+#include "oracles.hpp"
+
 namespace {
 
 using namespace elv;
 using namespace elv::circ;
 using namespace elv::sim;
+using elv::test::parameter_shift_gradient;
 
 bool
 is_unitary2(const Mat2 &u)
@@ -322,6 +328,18 @@ TEST(Gradients, ParameterShiftCountsExecutions)
     EXPECT_EQ(adj.circuit_executions, 1u);
 }
 
+/** Tr(rho^2) = sum_{r,c} |rho(r,c)|^2 for Hermitian rho. */
+double
+purity(const DensityMatrix &rho)
+{
+    const std::size_t dim = std::size_t{1} << rho.num_qubits();
+    double p = 0.0;
+    for (std::size_t r = 0; r < dim; ++r)
+        for (std::size_t c = 0; c < dim; ++c)
+            p += std::norm(rho.element(r, c));
+    return p;
+}
+
 TEST(DensityMatrix, MatchesStateVectorNoiseless)
 {
     Rng rng(23);
@@ -337,7 +355,7 @@ TEST(DensityMatrix, MatchesStateVectorNoiseless)
     rho.run(c, params, x);
 
     EXPECT_NEAR(rho.trace(), 1.0, 1e-10);
-    EXPECT_NEAR(rho.purity(), 1.0, 1e-10);
+    EXPECT_NEAR(purity(rho), 1.0, 1e-10);
     const auto pv = psi.probabilities(c.measured());
     const auto pd = rho.probabilities(c.measured());
     ASSERT_EQ(pv.size(), pd.size());
@@ -368,9 +386,9 @@ TEST(DensityMatrix, DepolarizingKrausIsTracePreserving)
     c.add_gate(GateKind::H, {0});
     c.add_gate(GateKind::CX, {0, 1});
     rho.run(c);
-    rho.apply_kraus_1q(kraus, 0);
+    rho.apply_superop_1q(noise::kraus_superop_1q(kraus), 0);
     EXPECT_NEAR(rho.trace(), 1.0, 1e-10);
-    EXPECT_LT(rho.purity(), 1.0);
+    EXPECT_LT(purity(rho), 1.0);
 }
 
 TEST(DensityMatrix, AmplitudeEmbeddingAsPureState)
@@ -702,7 +720,8 @@ TEST(KernelDispatch, StateVectorTiersBitIdentical)
     }
 }
 
-/** Density-matrix pipeline (gates + channels + superops) under one tier. */
+/** Density-matrix pipeline (gates, the channels of noisy replay as
+ *  superoperators, arbitrary superops) under one tier. */
 DensityMatrix
 run_channel_gauntlet(KernelTier tier, unsigned seed)
 {
@@ -716,9 +735,15 @@ run_channel_gauntlet(KernelTier tier, unsigned seed)
 
     DensityMatrix rho(n);
     rho.run(c, params, {0.2, -0.4, 0.9});
-    rho.apply_depolarizing_1q(0.05, 0);
-    rho.apply_depolarizing_2q(0.02, 1, 2);
-    rho.apply_thermal_relaxation(0.03, 0.01, 1);
+    rho.apply_superop_1q(
+        noise::kraus_superop_1q(noise::depolarizing_1q_kraus(0.05)), 0);
+    rho.apply_superop_2q(
+        noise::kraus_superop_2q(noise::depolarizing_2q_kraus(0.02)), 1, 2);
+    // Thermal relaxation: amplitude damping, then pure dephasing.
+    rho.apply_superop_1q(
+        noise::kraus_superop_1q(noise::amplitude_damping_kraus(0.03)), 1);
+    rho.apply_superop_1q(
+        noise::kraus_superop_1q(noise::phase_damping_kraus(0.01)), 1);
     rho.apply_superop_1q(random_matrix<Mat4>(rng), 2);
     rho.apply_superop_2q(random_matrix<Mat16>(rng), 0, 2);
     return rho;
