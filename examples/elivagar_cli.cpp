@@ -115,8 +115,6 @@ parse_spec_flag(const std::string &arg, Value &&value,
         spec.deadline_sec = flag_number<double>(arg, value());
     else if (arg == "--workers")
         spec.workers = flag_number<int>(arg, value());
-    else if (arg == "--prune-dead")
-        spec.prune_dead = true;
     else
         return false;
     return true;
@@ -183,12 +181,6 @@ print_usage()
         "  --deadline-sec F   cancel the search after F seconds of "
         "wall clock\n"
         "                     (exit 3; journaled stages survive)\n"
-        "  --prune-dead       elide ops outside the measurement "
-        "lightcone\n"
-        "                     during CNR/RepCap scoring and training, "
-        "in-process\n"
-        "                     and on workers (rankings preserved; "
-        "fingerprinted)\n"
         "  --trace FILE       write a Chrome trace of the search "
         "(Perfetto-viewable)\n"
         "  --profile FILE     sample the whole run (search, training, "
@@ -261,6 +253,9 @@ parse(int argc, char **argv, CliOptions &options)
             elv::fatal("unknown option: " + arg);
         }
     }
+    if (!options.emit.empty() && options.emit != "text" &&
+        options.emit != "qasm")
+        elv::fatal("--emit expects 'text' or 'qasm'");
     options.spec.check();
     return true;
 }
@@ -615,7 +610,7 @@ print_client_usage()
         "  --id job-N         job id (status/cancel/result/watch)\n"
         "submit options: the one-shot run's spec flags and defaults\n"
         "  (--benchmark --device --candidates --seed --scale\n"
-        "  --deadline-sec --workers --prune-dead), plus\n"
+        "  --deadline-sec --workers), plus\n"
         "  --priority N       admission priority\n"
         "  --watch            stream status until the job finishes\n"
         "events options:\n"
@@ -992,7 +987,6 @@ main(int argc, char **argv)
         tc.epochs = options.epochs;
         tc.threads = options.threads;
         tc.seed = spec.seed + 1;
-        tc.prune_dead_structure = spec.prune_dead;
         const auto trained =
             qml::train_circuit(found.best_circuit, bench.train, tc);
 
@@ -1020,8 +1014,6 @@ main(int argc, char **argv)
             std::printf("%s", circ::to_qasm(found.best_circuit,
                                             trained.params, zeros)
                                   .c_str());
-        } else if (!options.emit.empty()) {
-            elv::fatal("--emit expects 'text' or 'qasm'");
         }
         return 0;
     } catch (const CancelledError &error) {

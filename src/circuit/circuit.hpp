@@ -104,9 +104,9 @@ class Circuit
      * Pin the declared parameter count to `count` (>= the count implied
      * by the ops) and freeze slot numbering. append_op infers num_params
      * as the highest bound slot + 1, which under-declares a circuit
-     * whose *trailing* slots are intentionally unbound — the shape the
-     * lint dataflow pruner produces when it elides dead rotations while
-     * keeping the parameter vector layout of the original circuit.
+     * whose *trailing* slots are intentionally unbound. The lint
+     * autofix (lint::elide_dead_structure) pins the count of the slots
+     * it renumbers.
      */
     void declare_params(int count);
 

@@ -45,21 +45,6 @@ struct CnrOptions
     int shots = 2048;
     /** Multiplies device error rates (ablation knob). */
     double noise_scale = 1.0;
-    /**
-     * Elide ops outside the measurement lightcone from each replica
-     * before executing it (lint/dataflow.hpp). The replica is pruned
-     * AFTER construction — make_clifford_replica draws from the RNG
-     * per parametric gate, so pruning the source circuit first would
-     * shift every subsequent stream. Dead ops are traced out of the
-     * measured marginal, so the density backend's fidelity is
-     * mathematically unchanged (bit-identical candidate *rankings*;
-     * scores differ only in floating-point reassociation) while the
-     * per-replica simulation cost drops with the dead-op count. The
-     * stabilizer backend additionally samples per-gate Pauli noise, so
-     * its shot noise re-randomizes — distributions stay statistically
-     * identical. Fingerprinted: toggling it invalidates checkpoints.
-     */
-    bool prune_dead_structure = false;
 };
 
 /** CNR value plus cost accounting. */

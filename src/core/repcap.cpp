@@ -5,8 +5,6 @@
 
 #include "common/logging.hpp"
 #include "common/validate.hpp"
-#include "lint/dataflow.hpp"
-#include "obs/metrics.hpp"
 #include "sim/fusion.hpp"
 #include "sim/state_batch.hpp"
 #include "sim/unitaries.hpp"
@@ -38,23 +36,8 @@ representational_capacity(const circ::Circuit &circuit,
                 "bad RepCap options");
     ELV_REQUIRE(!circuit.measured().empty(), "circuit measures nothing");
 
-    // Optional dead-structure prune. prune_to_lightcone preserves the
-    // declared parameter count, so the theta_t draws below (sized by
-    // num_params()) consume the same RNG stream either way; it happens
-    // before compaction so qubits freed by elided ops compact away too.
-    // No RNG is consumed before this point, so pruning the source (not
-    // a per-iteration copy) is stream-safe here, unlike in CNR.
-    circ::Circuit pruned = circuit;
-    if (options.prune_dead_structure) {
-        std::size_t elided = 0;
-        pruned = lint::prune_to_lightcone(circuit, &elided);
-        if (elided > 0)
-            ELV_METRIC_COUNT_N("lint.ops_elided",
-                               static_cast<std::uint64_t>(elided));
-    }
-
     std::vector<int> kept;
-    const circ::Circuit local = pruned.compacted(kept);
+    const circ::Circuit local = circuit.compacted(kept);
     const auto &measured = local.measured();
 
     // Select d_c samples per class (indices grouped by class).

@@ -32,18 +32,6 @@ struct RepCapOptions
     int param_inits = 32;
     /** Random measurement bases per state pair (n_bases in Eq. 6). */
     int num_bases = 4;
-    /**
-     * Elide ops outside the measurement lightcone before compiling the
-     * fused program (lint/dataflow.hpp). The prune preserves the
-     * declared parameter count and slot numbering — the random
-     * parameter vectors are sized by num_params(), so dropping slots
-     * would shift every subsequent RNG draw; with slots preserved the
-     * streams stay aligned and only the (mathematically invisible)
-     * dead rotations disappear from the simulation. Rankings are
-     * bit-identical; scores differ only in floating-point
-     * reassociation. Fingerprinted.
-     */
-    bool prune_dead_structure = false;
 };
 
 /** RepCap value plus cost accounting. */

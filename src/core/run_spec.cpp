@@ -39,8 +39,6 @@ RunSpec::to_json() const
     json.kv("priority", priority);
     json.kv("deadline_sec", deadline_sec);
     json.kv("workers", workers);
-    if (prune_dead)
-        json.kv("prune_dead", true);
     json.end_object();
     return json.str();
 }
@@ -61,8 +59,7 @@ RunSpec::from_json(const obs::JsonValue &value, RunSpec &out,
         !value.read("scale", out.scale, error) ||
         !value.read("priority", out.priority, error) ||
         !value.read("deadline_sec", out.deadline_sec, error) ||
-        !value.read("workers", out.workers, error) ||
-        !value.read("prune_dead", out.prune_dead, error))
+        !value.read("workers", out.workers, error))
         return false;
     try {
         out.check();
@@ -87,8 +84,6 @@ search_config(const RunSpec &spec, const qml::BenchmarkSpec &bench,
         bench.params, std::max(bench.dim, bench.params / 4));
     config.candidate.num_meas = bench.meas;
     config.candidate.num_features = bench.dim;
-    config.cnr.prune_dead_structure = spec.prune_dead;
-    config.repcap.prune_dead_structure = spec.prune_dead;
     config.seed = spec.seed;
     config.threads = threads;
     config.checkpoint_path = journal_path;

@@ -37,9 +37,6 @@ struct RunSpec
     /** > 0 runs dist::distributed_search on this many local workers.
      * Not fingerprinted: it changes how the work runs, not the result. */
     int workers = 0;
-    /** Elide ops outside the measurement lightcone in CNR/RepCap
-     * scoring and training (fingerprinted). */
-    bool prune_dead = false;
 
     static constexpr int kMaxCandidates = 4096;
     static constexpr int kMaxWorkers = 64;
@@ -50,8 +47,7 @@ struct RunSpec
      * names are checked where the catalogs are. */
     void check() const;
 
-    /** Single-line JSON (job manifest, protocol, dist configure line);
-     * `prune_dead` only when set, so unpruned specs render as before. */
+    /** Single-line JSON (job manifest, protocol, dist configure line). */
     std::string to_json() const;
 
     /** Read a spec from a JSON object (unknown keys ignored, missing

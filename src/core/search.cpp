@@ -135,17 +135,6 @@ config_fingerprint(const ElivagarConfig &config)
     fp_mix_double(h, config.keep_fraction);
     fp_mix_double(h, config.alpha_cnr);
     fp_mix(h, config.use_cnr ? 1 : 0);
-    // Dead-structure pruning changes scores only at the floating-point
-    // reassociation level, but resuming a journal written by the other
-    // setting would mix pruned and unpruned scores in one ranking —
-    // fingerprint it. Mixed conditionally so every pre-existing journal
-    // (flags default false) keeps its stored fingerprint.
-    if (config.cnr.prune_dead_structure ||
-        config.repcap.prune_dead_structure) {
-        fp_mix(h, 0x70727565ULL); // "prue" tag: domain separation
-        fp_mix(h, config.cnr.prune_dead_structure ? 1 : 0);
-        fp_mix(h, config.repcap.prune_dead_structure ? 1 : 0);
-    }
     return h;
 }
 
@@ -171,14 +160,6 @@ fingerprint_mismatch_hint(const ElivagarConfig &config,
         {"noise-aware candidate generation was toggled",
          [](ElivagarConfig &c) {
              c.candidate.noise_aware = !c.candidate.noise_aware;
-         }},
-        {"search-time dead-structure pruning was toggled "
-         "(--prune-dead)",
-         [](ElivagarConfig &c) {
-             const bool on = c.cnr.prune_dead_structure ||
-                             c.repcap.prune_dead_structure;
-             c.cnr.prune_dead_structure = !on;
-             c.repcap.prune_dead_structure = !on;
          }},
     };
     for (const Probe &probe : probes) {
@@ -279,6 +260,11 @@ elivagar_search(const dev::Device &device, const qml::Dataset &train,
     ELV_REQUIRE(config.threads >= 0, "bad thread count");
     train.check();
     device.validate();
+    if (config.candidate.num_qubits > device.num_qubits())
+        elv::fatal("device " + device.name + " has " +
+                   std::to_string(device.num_qubits()) +
+                   " qubits but the benchmark needs " +
+                   std::to_string(config.candidate.num_qubits));
 
     // Observability: one span covers the whole search; each pipeline
     // step below records a nested phase span plus a PhaseTiming rollup,

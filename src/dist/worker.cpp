@@ -51,7 +51,7 @@ configure_search(const CoordRequest &request)
     };
     // The one spec -> config mapping every front end uses; both sides
     // deriving it independently is what the fingerprint handshake
-    // verifies (a pruned spec included).
+    // verifies.
     search.config = core::search_config(
         request.spec, search.bench.spec,
         request.threads < 1 ? 1 : request.threads, "");

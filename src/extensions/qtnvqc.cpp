@@ -39,27 +39,35 @@ QtnVqc::QtnVqc(int in_dim, int out_dim, const QtnVqcConfig &config)
 }
 
 std::vector<double>
-QtnVqc::transform(const std::vector<double> &x) const
+QtnVqc::forward(const std::vector<double> &x,
+                std::vector<double> &hidden) const
 {
     ELV_REQUIRE(static_cast<int>(x.size()) == in_dim_,
                 "input dimension mismatch");
-    std::vector<double> h(static_cast<std::size_t>(kHidden));
+    hidden.resize(static_cast<std::size_t>(kHidden));
     for (int j = 0; j < kHidden; ++j) {
         double acc = b1_[static_cast<std::size_t>(j)];
         for (int i = 0; i < in_dim_; ++i)
             acc += w1_[static_cast<std::size_t>(j * in_dim_ + i)] *
                    x[static_cast<std::size_t>(i)];
-        h[static_cast<std::size_t>(j)] = std::tanh(acc);
+        hidden[static_cast<std::size_t>(j)] = std::tanh(acc);
     }
     std::vector<double> y(static_cast<std::size_t>(out_dim_));
     for (int o = 0; o < out_dim_; ++o) {
         double acc = b2_[static_cast<std::size_t>(o)];
         for (int j = 0; j < kHidden; ++j)
             acc += w2_[static_cast<std::size_t>(o * kHidden + j)] *
-                   h[static_cast<std::size_t>(j)];
+                   hidden[static_cast<std::size_t>(j)];
         y[static_cast<std::size_t>(o)] = acc;
     }
     return y;
+}
+
+std::vector<double>
+QtnVqc::transform(const std::vector<double> &x) const
+{
+    std::vector<double> hidden;
+    return forward(x, hidden);
 }
 
 std::vector<double>
@@ -141,24 +149,8 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
 
                 // Classical forward (keep hidden activations for
                 // backprop).
-                std::vector<double> h(static_cast<std::size_t>(kHidden));
-                for (int j = 0; j < kHidden; ++j) {
-                    double acc = b1_[static_cast<std::size_t>(j)];
-                    for (int i = 0; i < in_dim_; ++i)
-                        acc += w1_[static_cast<std::size_t>(
-                                   j * in_dim_ + i)] *
-                               x[static_cast<std::size_t>(i)];
-                    h[static_cast<std::size_t>(j)] = std::tanh(acc);
-                }
-                std::vector<double> y(static_cast<std::size_t>(out_dim_));
-                for (int o = 0; o < out_dim_; ++o) {
-                    double acc = b2_[static_cast<std::size_t>(o)];
-                    for (int j = 0; j < kHidden; ++j)
-                        acc += w2_[static_cast<std::size_t>(
-                                   o * kHidden + j)] *
-                               h[static_cast<std::size_t>(j)];
-                    y[static_cast<std::size_t>(o)] = acc;
-                }
+                std::vector<double> h;
+                const std::vector<double> y = forward(x, h);
 
                 // Quantum forward + gradients (params and embeddings).
                 const std::vector<double> params(

@@ -62,6 +62,11 @@ class QtnVqc
                              const qml::DistributionFn &dist_fn) const;
 
   private:
+    /** Classical forward pass; `hidden` receives the tanh activations
+     * that backprop needs. */
+    std::vector<double> forward(const std::vector<double> &x,
+                                std::vector<double> &hidden) const;
+
     int in_dim_, out_dim_;
     QtnVqcConfig config_;
     /** w1_[h][i], b1_[h], w2_[o][h], b2_[o]. */

@@ -174,37 +174,6 @@ analyze_clifford_regions(const CircuitView &view)
     return regions;
 }
 
-circ::Circuit
-prune_to_lightcone(const circ::Circuit &circuit, std::size_t *ops_elided)
-{
-    const LightconeAnalysis analysis =
-        analyze_lightcone(view_of(circuit));
-    if (analysis.no_measurements)
-        return circuit;
-    const std::vector<int> dead = analysis.dead_ops();
-    if (dead.empty())
-        return circuit;
-    // Degenerate cone (no op touches a measured qubit): a zero-op
-    // circuit fatals in compacted()/executors downstream, and there is
-    // no simulation left to speed up — keep the circuit as-is.
-    if (dead.size() == circuit.ops().size())
-        return circuit;
-
-    circ::Circuit pruned(circuit.num_qubits());
-    for (std::size_t i = 0; i < circuit.ops().size(); ++i)
-        if (analysis.live_ops[i])
-            pruned.append_op(circuit.ops()[i]);
-    // Keep the declared parameter count (and the surviving ops' slot
-    // numbers, which append_op preserved): consumers that size RNG
-    // draws or parameter vectors by num_params stay stream-aligned
-    // with the unpruned circuit.
-    pruned.declare_params(circuit.num_params());
-    pruned.set_measured(circuit.measured());
-    if (ops_elided)
-        *ops_elided += dead.size();
-    return pruned;
-}
-
 FixResult
 elide_dead_structure(const circ::Circuit &circuit)
 {

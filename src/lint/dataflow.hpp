@@ -29,13 +29,11 @@
  *    (sim::FusedProgram::const_prefix_source_ops carries the same
  *    region at the compiled level).
  *
- * On top of the analyses sit the two rewrites the pipeline wires in:
- * `prune_to_lightcone` (scoring-time: drops dead ops but preserves the
- * qubit register and the declared parameter slots, so RNG streams that
- * are sized by num_params stay aligned with the unpruned run) and
- * `elide_dead_structure` (autofix: drops dead ops AND dead params,
+ * On top of the analyses sits one rewrite, `elide_dead_structure`
+ * (the `lint --fix` autofix): it drops dead ops AND dead params,
  * renumbering the survivors densely so the result serializes through
- * the native text format).
+ * the native text format. The search pipeline does not rewrite
+ * candidates; the lint rules only report the dead structure.
  *
  * Views may describe arbitrarily malformed IR (the adversarial lint
  * corpus does); every analysis here ignores out-of-range qubit and
@@ -186,19 +184,6 @@ struct CliffordRegions
 
 /** Two forward/backward region sweeps over the same framework. */
 CliffordRegions analyze_clifford_regions(const CircuitView &view);
-
-/**
- * Scoring-time prune: rebuild `circuit` without its out-of-cone ops.
- * The qubit register and the declared parameter count/slot numbering
- * are preserved (dead variational slots become holes), which is what
- * keeps RNG streams sized or indexed by num_params — RepCap's random
- * parameter draws, the trainer's initializer — aligned with the
- * unpruned evaluation. Circuits that measure nothing (or have nothing
- * to elide) come back unchanged. `ops_elided`, when non-null, is
- * incremented by the number of dropped ops.
- */
-circ::Circuit prune_to_lightcone(const circ::Circuit &circuit,
-                                 std::size_t *ops_elided = nullptr);
 
 /**
  * Autofix rewrite: drop dead ops AND the parameter slots that die with

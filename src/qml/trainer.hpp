@@ -32,20 +32,6 @@ struct TrainConfig
      * inline serial execution, <= 0 = all hardware threads.
      */
     int threads = 1;
-    /**
-     * Elide dead structure (lint/dataflow.hpp) before training: ops
-     * outside the measurement lightcone are removed and their
-     * now-unbound parameter slots dropped from the optimized vector —
-     * they receive zero gradient signal, so optimizing them is pure
-     * waste. The returned params are still sized to the ORIGINAL
-     * circuit: dead slots hold their initialization draws, exactly
-     * what element-wise Adam leaves them at when their gradient is
-     * identically zero. Initial draws and the epoch shuffles consume
-     * the same RNG stream either way (inits are drawn full-size, then
-     * scattered into the reduced vector), so live-slot trajectories
-     * and the loss history match the unpruned run. Fingerprinted.
-     */
-    bool prune_dead_structure = false;
 };
 
 /** Trained parameters plus bookkeeping. */

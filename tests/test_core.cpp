@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <set>
 #include <string>
 
@@ -23,7 +24,6 @@
 #include "core/repcap.hpp"
 #include "core/search.hpp"
 #include "common/validate.hpp"
-#include "lint/dataflow.hpp"
 #include "noise/noise_model.hpp"
 #include "qml/synthetic.hpp"
 #include "qml/trainer.hpp"
@@ -499,6 +499,24 @@ TEST(Search, HigherThresholdRejectsMore)
     EXPECT_LT(strict.repcap_executions, lax.repcap_executions);
 }
 
+TEST(Search, DeviceNarrowerThanTheBenchmarkIsAUsageError)
+{
+    // mnist-10 needs 6 qubits; ibmq_manila has 5. Refused up front,
+    // before the journal file is created.
+    const qml::Benchmark bench = qml::make_benchmark("mnist-10", 7, 0.02);
+    const dev::Device device = dev::make_device("ibmq_manila");
+    ElivagarConfig config;
+    config.num_candidates = 4;
+    config.candidate.num_qubits = bench.spec.qubits;
+    config.candidate.num_params = bench.spec.params;
+    config.candidate.num_meas = bench.spec.meas;
+    config.candidate.num_features = bench.spec.dim;
+    config.checkpoint_path = ::testing::TempDir() + "narrow_device.journal";
+    std::filesystem::remove(config.checkpoint_path);
+    EXPECT_THROW(elivagar_search(device, bench.train, config), UsageError);
+    EXPECT_FALSE(std::filesystem::exists(config.checkpoint_path));
+}
+
 // ---------------------------------------------------------------------
 // Pinned scores: every candidate's score, CNR and RepCap, bit for bit.
 // Any change that reassociates floating-point work in the search path
@@ -621,11 +639,8 @@ RepCapResult
 repcap_oracle(const Circuit &circuit, const qml::Dataset &data, Rng &rng,
               const RepCapOptions &options)
 {
-    Circuit pruned = circuit;
-    if (options.prune_dead_structure)
-        pruned = lint::prune_to_lightcone(circuit, nullptr);
     std::vector<int> kept;
-    const Circuit local = pruned.compacted(kept);
+    const Circuit local = circuit.compacted(kept);
     const auto &measured = local.measured();
     const auto chosen =
         qml::sample_per_class(data, options.samples_per_class, rng);
@@ -746,13 +761,9 @@ TEST(RepCap, BatchedMatchesPerStateOracleOnMnistPools)
         Rng pool(11);
         for (int n = 0; n < 6; ++n) {
             const Circuit c = generate_candidate(device, config, pool);
-            for (const bool prune : {false, true}) {
-                options.prune_dead_structure = prune;
-                expect_matches_oracle(c, bench.train, 300 + n, options,
-                                      std::string(benchmark) + " cand " +
-                                          std::to_string(n) + " prune " +
-                                          std::to_string(prune));
-            }
+            expect_matches_oracle(c, bench.train, 300 + n, options,
+                                  std::string(benchmark) + " cand " +
+                                      std::to_string(n));
         }
     }
 }

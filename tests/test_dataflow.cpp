@@ -1,21 +1,13 @@
 /**
  * @file
  * Tests for the lint dataflow engine (lightcone, parameter liveness,
- * const/Clifford regions), the search-time semantic pruning pass it
- * powers, the `--fix` elision, and the SARIF/baseline surface
- * (including seeded mutants of a baseline file).
- *
- * The load-bearing suite is the ranking gauntlet: CNR and RepCap
- * evaluated with and without `prune_dead_structure` over a corpus of
- * dead-structure circuits must produce the *same candidate ranking*
- * and scores equal within 1e-9 — the pruning pass is a pure
- * performance optimization, never a semantic change.
+ * const/Clifford regions), the `--fix` elision, and the SARIF/baseline
+ * surface (including seeded mutants of a baseline file).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <random>
 
 #include "circuit/builders.hpp"
@@ -24,17 +16,10 @@
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "core/cnr.hpp"
-#include "core/repcap.hpp"
-#include "core/search.hpp"
-#include "device/device.hpp"
 #include "lint/dataflow.hpp"
 #include "lint/lint.hpp"
 #include "lint/sarif.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
-#include "qml/dataset.hpp"
-#include "qml/trainer.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
 
@@ -251,57 +236,6 @@ TEST(CliffordRegions, FusedConstPrefixBoundsTheCliffordPrefix)
 }
 
 // ---------------------------------------------------------------------
-// prune_to_lightcone: the scoring-path prune (slot-preserving).
-// ---------------------------------------------------------------------
-
-TEST(Prune, PreservesRegisterSlotsAndMeasuredDistribution)
-{
-    const Circuit c = dead_tail_circuit();
-    std::size_t elided = 0;
-    const Circuit pruned = lint::prune_to_lightcone(c, &elided);
-    EXPECT_EQ(elided, 2u);
-    EXPECT_EQ(pruned.num_qubits(), c.num_qubits());
-    EXPECT_EQ(pruned.num_params(), c.num_params());
-    EXPECT_EQ(pruned.measured(), c.measured());
-    EXPECT_EQ(pruned.ops().size(), c.ops().size() - 2);
-
-    elv::Rng rng(11);
-    std::vector<double> params(static_cast<std::size_t>(c.num_params()));
-    for (auto &p : params)
-        p = rng.uniform(-M_PI, M_PI);
-    const auto original = measured_distribution(c, params);
-    const auto reduced = measured_distribution(pruned, params);
-    ASSERT_EQ(original.size(), reduced.size());
-    for (std::size_t i = 0; i < original.size(); ++i)
-        EXPECT_NEAR(original[i], reduced[i], 1e-12);
-}
-
-TEST(Prune, CleanCircuitAndDegenerateConeAreUntouched)
-{
-    Circuit clean(2);
-    clean.add_variational(GateKind::RX, {0});
-    clean.add_gate(GateKind::CX, {0, 1});
-    clean.set_measured({0, 1});
-    std::size_t elided = 0;
-    EXPECT_EQ(lint::prune_to_lightcone(clean, &elided).ops().size(), 2u);
-    EXPECT_EQ(elided, 0u);
-
-    // Degenerate: nothing touches the measured qubit. Pruning would
-    // leave zero ops, which downstream compaction rejects — keep as-is.
-    Circuit degenerate(2);
-    degenerate.add_variational(GateKind::RX, {0});
-    degenerate.set_measured({1});
-    EXPECT_EQ(lint::prune_to_lightcone(degenerate, &elided).ops().size(),
-              1u);
-    EXPECT_EQ(elided, 0u);
-
-    // No measurements: lightcone is undefined; unchanged.
-    Circuit unmeasured(2);
-    unmeasured.add_gate(GateKind::H, {0});
-    EXPECT_EQ(lint::prune_to_lightcone(unmeasured).ops().size(), 1u);
-}
-
-// ---------------------------------------------------------------------
 // elide_dead_structure: the autofix (dense renumbering, serializable).
 // ---------------------------------------------------------------------
 
@@ -317,8 +251,8 @@ TEST(Elide, RenumbersDenselyAndRoundTrips)
     EXPECT_EQ(fix.param_map[1], 1);
     EXPECT_EQ(fix.param_map[2], -1);
 
-    // Serializes and parses back (the scoring prune's slot holes
-    // cannot do this — dense renumbering is what makes --fix safe).
+    // Serializes and parses back (dense renumbering is what makes
+    // --fix safe: slot holes would not round-trip).
     const Circuit reparsed = circ::from_text(circ::to_text(fix.circuit));
     EXPECT_EQ(reparsed.num_params(), 2);
 
@@ -399,236 +333,6 @@ TEST(DataflowRules, CliffordRegionNoteAnnotates)
             saw_fully = d.message.find("stabilizer-simulable") !=
                         std::string::npos;
     EXPECT_TRUE(saw_fully) << report.to_string();
-}
-
-// ---------------------------------------------------------------------
-// Ranking gauntlet: pruning is invisible to CNR/RepCap rankings.
-// ---------------------------------------------------------------------
-
-/**
- * Corpus of 6 circuits on a 5-qubit register: a live block on qubits
- * 0-3 of varying depth, plus planted dead structure on qubit 4.
- */
-std::vector<Circuit>
-dead_structure_corpus()
-{
-    std::vector<Circuit> corpus;
-    elv::Rng rng(99);
-    for (int k = 0; k < 6; ++k) {
-        Circuit c(5);
-        c.add_embedding(GateKind::RY, {0}, 0);
-        c.add_embedding(GateKind::RY, {1}, 1);
-        const GateKind rotations[] = {GateKind::RX, GateKind::RY,
-                                      GateKind::RZ};
-        for (int g = 0; g < 3 + k; ++g) {
-            const int q = static_cast<int>(rng.uniform_index(4));
-            c.add_variational(rotations[g % 3], {q});
-            // Stay on the manila line coupling (0-1-2-3-4): pair each
-            // qubit with its line neighbor so CNR needs no routing.
-            if (g % 2 == 0)
-                c.add_gate(GateKind::CX, {q, q == 3 ? 2 : q + 1});
-        }
-        // Planted dead structure: qubit 4 never couples to 0-3.
-        c.add_variational(GateKind::RX, {4});
-        c.add_gate(GateKind::H, {4});
-        c.add_variational(GateKind::RZ, {4});
-        c.set_measured({0, 1});
-        corpus.push_back(std::move(c));
-    }
-    return corpus;
-}
-
-/** Descending-score index order with index tie-break (stable). */
-std::vector<std::size_t>
-ranking(const std::vector<double> &scores)
-{
-    std::vector<std::size_t> order(scores.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&scores](std::size_t a, std::size_t b) {
-                         return scores[a] > scores[b];
-                     });
-    return order;
-}
-
-TEST(RankingGauntlet, CnrDensityIsInvariantUnderPruning)
-{
-    const dev::Device device = dev::make_device("ibmq_manila");
-    const std::vector<Circuit> corpus = dead_structure_corpus();
-
-    core::CnrOptions plain;
-    plain.num_replicas = 4;
-    core::CnrOptions pruning = plain;
-    pruning.prune_dead_structure = true;
-
-    std::vector<double> unpruned, pruned;
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        // Fresh identically-seeded RNG per evaluation: the prune must
-        // not shift the replica draws (it acts on the replica, after
-        // construction), so both runs see identical Clifford replicas.
-        elv::Rng r1(1000 + i), r2(1000 + i);
-        unpruned.push_back(
-            core::clifford_noise_resilience(corpus[i], device, r1, plain)
-                .cnr);
-        pruned.push_back(core::clifford_noise_resilience(corpus[i],
-                                                         device, r2,
-                                                         pruning)
-                             .cnr);
-    }
-    for (std::size_t i = 0; i < corpus.size(); ++i)
-        EXPECT_NEAR(unpruned[i], pruned[i], 1e-9)
-            << "candidate " << i;
-    EXPECT_EQ(ranking(unpruned), ranking(pruned));
-}
-
-TEST(RankingGauntlet, RepCapIsInvariantUnderPruning)
-{
-    // Tiny 2-class dataset with the 2 features the corpus embeds.
-    qml::Dataset data;
-    data.num_classes = 2;
-    elv::Rng drng(7);
-    for (int i = 0; i < 12; ++i) {
-        const int label = i % 2;
-        data.samples.push_back(
-            {drng.uniform(0.0, 1.0) + label, drng.uniform(0.0, 1.0)});
-        data.labels.push_back(label);
-    }
-
-    core::RepCapOptions plain;
-    plain.samples_per_class = 3;
-    plain.param_inits = 3;
-    plain.num_bases = 2;
-    core::RepCapOptions pruning = plain;
-    pruning.prune_dead_structure = true;
-
-    const std::vector<Circuit> corpus = dead_structure_corpus();
-    std::vector<double> unpruned, pruned;
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        // prune_to_lightcone preserves the declared parameter count,
-        // so the theta_t draws stay aligned between the two runs.
-        elv::Rng r1(2000 + i), r2(2000 + i);
-        unpruned.push_back(core::representational_capacity(
-                               corpus[i], data, r1, plain)
-                               .repcap);
-        pruned.push_back(core::representational_capacity(
-                             corpus[i], data, r2, pruning)
-                             .repcap);
-    }
-    for (std::size_t i = 0; i < corpus.size(); ++i)
-        EXPECT_NEAR(unpruned[i], pruned[i], 1e-9)
-            << "candidate " << i;
-    EXPECT_EQ(ranking(unpruned), ranking(pruned));
-}
-
-TEST(RankingGauntlet, StabilizerCnrStaysDistributionSane)
-{
-    // The stabilizer backend re-samples shot noise per gate, so pruned
-    // scores are only statistically identical — assert both land in
-    // [0, 1] and within a loose shot-noise tolerance of each other.
-    const dev::Device device = dev::make_device("ibmq_manila");
-    const Circuit c = dead_structure_corpus()[0];
-    core::CnrOptions options;
-    options.backend = core::CnrBackend::Stabilizer;
-    options.num_replicas = 4;
-    options.shots = 4096;
-    elv::Rng r1(42), r2(42);
-    const double unpruned =
-        core::clifford_noise_resilience(c, device, r1, options).cnr;
-    options.prune_dead_structure = true;
-    const double pruned =
-        core::clifford_noise_resilience(c, device, r2, options).cnr;
-    EXPECT_GE(pruned, 0.0);
-    EXPECT_LE(pruned, 1.0);
-    EXPECT_NEAR(unpruned, pruned, 0.1);
-}
-
-// ---------------------------------------------------------------------
-// Trainer elision.
-// ---------------------------------------------------------------------
-
-TEST(TrainerPrune, LiveTrajectoriesAndLossMatchUnpruned)
-{
-    qml::Dataset data;
-    data.num_classes = 2;
-    elv::Rng drng(5);
-    for (int i = 0; i < 16; ++i) {
-        const int label = i % 2;
-        data.samples.push_back({drng.uniform(0.0, 1.0) + 2.0 * label});
-        data.labels.push_back(label);
-    }
-
-    const Circuit c = dead_tail_circuit();
-    qml::TrainConfig config;
-    config.epochs = 3;
-    config.batch_size = 4;
-    config.seed = 21;
-
-    const qml::TrainResult plain = qml::train_circuit(c, data, config);
-    config.prune_dead_structure = true;
-    const qml::TrainResult pruned = qml::train_circuit(c, data, config);
-
-    ASSERT_EQ(plain.params.size(), pruned.params.size());
-    ASSERT_EQ(plain.loss_history.size(), pruned.loss_history.size());
-    // Live slots (0, 1) followed identical trajectories; the dead slot
-    // (2) has an identically-zero adjoint gradient, so element-wise
-    // Adam leaves it at its init in BOTH runs — they agree everywhere.
-    for (std::size_t s = 0; s < plain.params.size(); ++s)
-        EXPECT_NEAR(plain.params[s], pruned.params[s], 1e-9)
-            << "slot " << s;
-    for (std::size_t e = 0; e < plain.loss_history.size(); ++e)
-        EXPECT_NEAR(plain.loss_history[e], pruned.loss_history[e], 1e-9)
-            << "epoch " << e;
-    // Fewer executions of a smaller circuit, same result.
-    EXPECT_EQ(plain.circuit_executions, pruned.circuit_executions);
-}
-
-TEST(TrainerPrune, CountsElisionMetrics)
-{
-    obs::Registry &registry = obs::Registry::global();
-    registry.set_enabled(true);
-    const obs::MetricsSnapshot before = registry.snapshot();
-    auto counter_value = [](const obs::MetricsSnapshot &snap,
-                            const std::string &name) -> std::uint64_t {
-        for (const auto &c : snap.counters)
-            if (c.name == name)
-                return c.value;
-        return 0;
-    };
-
-    qml::Dataset data;
-    data.num_classes = 2;
-    data.samples = {{0.1}, {2.2}, {0.3}, {2.4}};
-    data.labels = {0, 1, 0, 1};
-    qml::TrainConfig config;
-    config.epochs = 1;
-    config.batch_size = 2;
-    config.prune_dead_structure = true;
-    (void)qml::train_circuit(dead_tail_circuit(), data, config);
-
-    const obs::MetricsSnapshot after = registry.snapshot();
-    EXPECT_GT(counter_value(after, "lint.ops_elided"),
-              counter_value(before, "lint.ops_elided"));
-    EXPECT_GT(counter_value(after, "lint.params_elided"),
-              counter_value(before, "lint.params_elided"));
-    registry.set_enabled(false);
-}
-
-// ---------------------------------------------------------------------
-// Config fingerprint.
-// ---------------------------------------------------------------------
-
-TEST(Fingerprint, PruneFlagIsFingerprintedWithHint)
-{
-    core::ElivagarConfig config;
-    const std::uint64_t base = core::config_fingerprint(config);
-    core::ElivagarConfig toggled = config;
-    toggled.cnr.prune_dead_structure = true;
-    toggled.repcap.prune_dead_structure = true;
-    const std::uint64_t changed = core::config_fingerprint(toggled);
-    EXPECT_NE(base, changed);
-    const std::string hint =
-        core::fingerprint_mismatch_hint(config, changed);
-    EXPECT_NE(hint.find("pruning"), std::string::npos) << hint;
 }
 
 // ---------------------------------------------------------------------

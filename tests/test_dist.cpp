@@ -981,69 +981,63 @@ ranking_of_report(const std::string &path)
  * The north star: one spec, one ranking, whichever front end runs it —
  * the in-process search of core::search_config(spec), distributed_search
  * over 2 forked workers, a server job, and a server job with
- * workers = 2 — with dead-structure pruning off and on.
+ * workers = 2.
  */
 TEST(DistFrontEnds, EveryFrontEndRanksASpecIdentically)
 {
     // The server's dist path forks the default worker binary.
     ASSERT_EQ(::setenv("ELV_WORKER_BIN", ELV_WORKER_BIN, 1), 0);
-    for (const bool prune : {false, true}) {
-        SCOPED_TRACE(prune ? "prune_dead" : "unpruned");
-        core::RunSpec spec = small_spec();
-        spec.prune_dead = prune;
-        const std::vector<std::string> expected =
-            ranking_of(serial_reference(spec));
-        ASSERT_EQ(expected.size(),
-                  static_cast<std::size_t>(spec.candidates));
-        // The workers evaluate the pruned spec themselves: a worker
-        // that derived another config would fail the fingerprint
-        // handshake and its shard would fall back in-process.
-        const DistResult dist = distributed_search(spec, dist_config(2));
-        EXPECT_EQ(ranking_of(dist.result), expected);
-        EXPECT_EQ(dist.stats.worker_failures, 0);
-        EXPECT_EQ(dist.stats.fallback_records, 0u);
+    core::RunSpec spec = small_spec();
+    const std::vector<std::string> expected =
+        ranking_of(serial_reference(spec));
+    ASSERT_EQ(expected.size(), static_cast<std::size_t>(spec.candidates));
+    // The workers derive the config themselves: a worker that derived
+    // another config would fail the fingerprint handshake and its
+    // shard would fall back in-process.
+    const DistResult dist = distributed_search(spec, dist_config(2));
+    EXPECT_EQ(ranking_of(dist.result), expected);
+    EXPECT_EQ(dist.stats.worker_failures, 0);
+    EXPECT_EQ(dist.stats.fallback_records, 0u);
 
-        srv::ServerConfig config;
-        config.data_dir = fresh_path(prune ? "front_pruned" : "front_plain");
-        config.thread_budget = 2;
-        srv::Server server(config);
-        for (const int workers : {0, 2}) {
-            SCOPED_TRACE("server job, workers=" + std::to_string(workers));
-            spec.workers = workers;
-            const srv::SubmitOutcome outcome = server.submit(spec);
-            ASSERT_TRUE(outcome.accepted) << outcome.error;
-            const auto deadline =
-                std::chrono::steady_clock::now() + std::chrono::seconds(120);
-            std::optional<srv::JobStatusSnapshot> snap;
-            while ((!(snap = server.status(outcome.id)) ||
-                    !srv::job_state_terminal(snap->state)) &&
-                   std::chrono::steady_clock::now() < deadline)
-                std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            ASSERT_TRUE(snap && snap->state == srv::JobState::Completed)
-                << (snap ? snap->detail : "no status");
-            const std::string job = config.data_dir + "/" + outcome.id;
-            EXPECT_EQ(ranking_of_report(job + ".report.json"), expected);
-            // A job with workers records its fan-out in result.json:
-            // every shard ran on a worker, none fell back in-process.
-            std::ifstream in(job + ".result.json");
-            std::ostringstream text;
-            text << in.rdbuf();
-            obs::JsonValue result;
-            std::string error;
-            ASSERT_TRUE(obs::json_parse(text.str(), result, error))
-                << error;
-            const obs::JsonValue *fanout = result.get("dist");
-            ASSERT_EQ(fanout != nullptr, workers > 0) << text.str();
-            auto count = [fanout](const char *key) {
-                const obs::JsonValue *value = fanout->get(key);
-                return value ? value->as_number(-1.0) : -1.0;
-            };
-            if (fanout) {
-                EXPECT_EQ(count("workers_spawned"), 2.0);
-                EXPECT_GT(count("records_received"), 0.0);
-                EXPECT_EQ(count("fallback_records"), 0.0);
-                EXPECT_EQ(count("worker_failures"), 0.0);
-            }
+    srv::ServerConfig config;
+    config.data_dir = fresh_path("front_plain");
+    config.thread_budget = 2;
+    srv::Server server(config);
+    for (const int workers : {0, 2}) {
+        SCOPED_TRACE("server job, workers=" + std::to_string(workers));
+        spec.workers = workers;
+        const srv::SubmitOutcome outcome = server.submit(spec);
+        ASSERT_TRUE(outcome.accepted) << outcome.error;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(120);
+        std::optional<srv::JobStatusSnapshot> snap;
+        while ((!(snap = server.status(outcome.id)) ||
+                !srv::job_state_terminal(snap->state)) &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        ASSERT_TRUE(snap && snap->state == srv::JobState::Completed)
+            << (snap ? snap->detail : "no status");
+        const std::string job = config.data_dir + "/" + outcome.id;
+        EXPECT_EQ(ranking_of_report(job + ".report.json"), expected);
+        // A job with workers records its fan-out in result.json:
+        // every shard ran on a worker, none fell back in-process.
+        std::ifstream in(job + ".result.json");
+        std::ostringstream text;
+        text << in.rdbuf();
+        obs::JsonValue result;
+        std::string error;
+        ASSERT_TRUE(obs::json_parse(text.str(), result, error)) << error;
+        const obs::JsonValue *fanout = result.get("dist");
+        ASSERT_EQ(fanout != nullptr, workers > 0) << text.str();
+        auto count = [fanout](const char *key) {
+            const obs::JsonValue *value = fanout->get(key);
+            return value ? value->as_number(-1.0) : -1.0;
+        };
+        if (fanout) {
+            EXPECT_EQ(count("workers_spawned"), 2.0);
+            EXPECT_GT(count("records_received"), 0.0);
+            EXPECT_EQ(count("fallback_records"), 0.0);
+            EXPECT_EQ(count("worker_failures"), 0.0);
         }
     }
 }

@@ -416,7 +416,6 @@ TEST(DurableLog, SeededRunSpecMutantsParseOrAreRejected)
     core::RunSpec spec = dist_spec();
     spec.deadline_sec = 4.5;
     spec.workers = 2;
-    spec.prune_dead = true;
     const std::string blob = one_member_per_line(spec.to_json()) + "\n";
     // Donor members: out-of-range values and fields of the wrong kind.
     std::vector<std::string> donors = split_lines(
@@ -788,9 +787,7 @@ TEST(Fingerprint, GoldenValuesMatchEarlierBuilds)
     c.keep_fraction = 0.5;
     c.alpha_cnr = 0.75;
     c.use_cnr = false;
-    c.cnr.prune_dead_structure = true;
-    c.repcap.prune_dead_structure = true;
-    EXPECT_EQ(config_fingerprint(c), 0x78c2b535d3f2b25dULL);
+    EXPECT_EQ(config_fingerprint(c), 0x303441ffbbd717b1ULL);
 }
 
 TEST(Resilience, OldJournalVersionDiscardedNotFatal)

@@ -145,6 +145,35 @@ TEST(QtnVqcTest, JointTrainingLearnsMoons)
     EXPECT_GT(eval.accuracy, 0.8);
 }
 
+TEST(QtnVqcTest, PinnedJointTraining)
+{
+    // The trained circuit parameters and the trained frontend's output,
+    // bit for bit: a change that reorders the forward pass or the
+    // gradient accumulation fails here.
+    const qml::Benchmark bench = qml::make_benchmark("moons", 3, 0.1);
+    Circuit c(2);
+    c.add_embedding(GateKind::RX, {0}, 0);
+    c.add_embedding(GateKind::RY, {1}, 1);
+    c.add_gate(GateKind::CX, {0, 1});
+    c.add_variational(GateKind::RY, {0});
+    c.add_variational(GateKind::RY, {1});
+    c.set_measured({0});
+
+    QtnVqcConfig config;
+    config.epochs = 3;
+    config.seed = 4;
+    QtnVqc frontend(bench.spec.dim, 2, config);
+    std::uint64_t executions = 0;
+    const auto params = frontend.train_joint(c, bench.train, &executions);
+    EXPECT_EQ(params,
+              (std::vector<double>{0x1.143ba3d703778p+0,
+                                   0x1.f69e30be9d45dp+0}));
+    EXPECT_EQ(frontend.transform(bench.test.samples[0]),
+              (std::vector<double>{-0x1.e0a031f8249ddp-2,
+                                   0x1.530273988d27p-4}));
+    EXPECT_EQ(executions, 180u);
+}
+
 TEST(QtnVqcTest, FrontendBeatsPlainCircuitOnAverage)
 {
     // Same quantum circuit with and without the trainable frontend:

@@ -240,7 +240,6 @@ TEST(JobSpec, JsonRoundTrip)
     spec.scale = 0.25;
     spec.priority = 3;
     spec.deadline_sec = 4.5;
-    spec.prune_dead = true;
 
     obs::JsonValue value;
     std::string error;
@@ -254,10 +253,6 @@ TEST(JobSpec, JsonRoundTrip)
     EXPECT_DOUBLE_EQ(parsed.scale, spec.scale);
     EXPECT_EQ(parsed.priority, spec.priority);
     EXPECT_DOUBLE_EQ(parsed.deadline_sec, spec.deadline_sec);
-    EXPECT_TRUE(parsed.prune_dead);
-    // An unpruned spec renders as it did before the key existed.
-    spec.prune_dead = false;
-    EXPECT_EQ(spec.to_json().find("prune_dead"), std::string::npos);
 }
 
 TEST(JobSpec, FromJsonRejectsBadFields)
@@ -291,13 +286,12 @@ TEST(JobSpec, FromJsonRejectsBadFields)
     ASSERT_TRUE(core::RunSpec::from_json(value, spec, error)) << error;
     EXPECT_EQ(spec.candidates, 8);
     EXPECT_EQ(spec.seed, 1000u);
-    // A string, number or boolean field of the wrong JSON kind is an
-    // error, never silently replaced by its default.
+    // A string or number field of the wrong JSON kind is an error,
+    // never silently replaced by its default.
     for (const char *doc :
          {R"({"benchmark": ["mnist_4"]})", R"({"device": 7})",
           R"({"scale": "0.5"})", R"({"scale": null})",
-          R"({"deadline_sec": "10"})", R"({"prune_dead": 1})",
-          R"({"prune_dead": "true"})"}) {
+          R"({"deadline_sec": "10"})"}) {
         ASSERT_TRUE(obs::json_parse(doc, value, error)) << doc;
         error.clear();
         EXPECT_FALSE(core::RunSpec::from_json(value, spec, error)) << doc;
@@ -311,9 +305,6 @@ TEST(JobSpec, FromJsonRejectsBadFields)
         ASSERT_TRUE(obs::json_parse(doc, value, error)) << doc;
         EXPECT_FALSE(core::RunSpec::from_json(value, spec, error)) << doc;
     }
-    ASSERT_TRUE(obs::json_parse(R"({"prune_dead": true})", value, error));
-    ASSERT_TRUE(core::RunSpec::from_json(value, spec, error)) << error;
-    EXPECT_TRUE(spec.prune_dead);
 }
 
 TEST(JobSpec, CheckRejectsNanAndUnboundedValues)
@@ -335,21 +326,11 @@ TEST(JobSpec, CheckRejectsNanAndUnboundedValues)
     }
 }
 
-TEST(JobSpec, SearchConfigSetsThePruneFlagsFromTheSpec)
+TEST(JobSpec, SearchConfigKeepsEmbeddingsWithinTheRotationBudget)
 {
     const qml::BenchmarkSpec bench = qml::benchmark_spec("mnist-4");
-    core::RunSpec spec;
-    core::ElivagarConfig config =
-        core::search_config(spec, bench, 1, "");
-    EXPECT_FALSE(config.cnr.prune_dead_structure);
-    EXPECT_FALSE(config.repcap.prune_dead_structure);
-    const std::uint64_t unpruned = core::config_fingerprint(config);
-    spec.prune_dead = true;
-    config = core::search_config(spec, bench, 1, "");
-    EXPECT_TRUE(config.cnr.prune_dead_structure);
-    EXPECT_TRUE(config.repcap.prune_dead_structure);
-    EXPECT_NE(core::config_fingerprint(config), unpruned);
-    // Never more embeddings than rotations.
+    const core::ElivagarConfig config =
+        core::search_config(core::RunSpec{}, bench, 1, "");
     EXPECT_LE(config.candidate.num_embeds, bench.params);
 }
 
