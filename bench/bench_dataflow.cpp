@@ -2,8 +2,8 @@
  * @file
  * Lightcone-analysis cost -> BENCH_dataflow.json.
  *
- * Every `lint::preflight` runs the backward measurement-lightcone
- * fixpoint (the dead-lightcone and dead-parameter rules), so its cost
+ * Every `lint::preflight` runs the one-pass backward measurement
+ * lightcone (the dead-lightcone and dead-parameter rules), so its cost
  * is paid at every pipeline boundary. This bench times one analysis
  * per circuit on an 8-qubit ring-device corpus whose dead fraction is
  * swept from 0% to ~60%. Timings are the best wall clock of a few
@@ -33,10 +33,11 @@ seconds_since(std::chrono::steady_clock::time_point start)
 }
 
 /**
- * One corpus circuit on the oqc_lucy 8-qubit ring: a live block on
- * qubits 0-3 (measured {0,1}) plus `dead_layers` layers of provably
- * dead structure on qubits 4-7, which never couple back to the live
- * block (the ring edge 7-0 is deliberately unused).
+ * One corpus circuit on the oqc_lucy 8-qubit ring: a block on qubits
+ * 0-3 (measured {0,1}; its last CX 2,3 and the rotation on qubit 3
+ * before it are dead) plus `dead_layers` layers of provably dead
+ * structure on qubits 4-7, which never couple back to the block (the
+ * ring edge 7-0 is deliberately unused).
  */
 circ::Circuit
 corpus_circuit(int dead_layers, int variant)
@@ -108,7 +109,7 @@ main(int argc, char **argv)
         small ? std::vector<int>{0, 2} : std::vector<int>{0, 1, 2, 4};
 
     // The analysis itself, as every preflight runs it.
-    Table an("Lightcone analysis cost (backward fixpoint per circuit)");
+    Table an("Lightcone analysis cost (one backward pass per circuit)");
     an.set_header({"dead layers", "ops", "dead frac", "analysis (us)"});
     for (const int layers : dead_layer_sweep) {
         const std::vector<circ::Circuit> cs = corpus(layers, circuits);

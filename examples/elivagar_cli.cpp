@@ -174,7 +174,9 @@ print_usage()
         "  --search-only      stop after the search (skip training "
         "and accuracy\n"
         "                     evaluation)\n"
-        "  --emit text|qasm   print the selected circuit\n"
+        "  --emit text|qasm   print the selected circuit (qasm binds "
+        "the trained\n"
+        "                     parameters, so not with --search-only)\n"
         "  --checkpoint PATH  journal the search, in-process or on "
         "workers; resumes\n"
         "                     if PATH exists, at any worker count\n"
@@ -256,6 +258,10 @@ parse(int argc, char **argv, CliOptions &options)
     if (!options.emit.empty() && options.emit != "text" &&
         options.emit != "qasm")
         elv::fatal("--emit expects 'text' or 'qasm'");
+    // QASM binds the trained parameters, which a search-only run lacks.
+    if (options.search_only && options.emit == "qasm")
+        elv::fatal("--emit qasm needs training; drop --search-only or "
+                   "use --emit text");
     options.spec.check();
     return true;
 }
@@ -979,6 +985,9 @@ main(int argc, char **argv)
                         options.dump_ranking.c_str());
         }
         if (options.search_only) {
+            if (options.emit == "text")
+                std::printf("%s",
+                            circ::to_text(found.best_circuit).c_str());
             write_profile();
             return 0;
         }

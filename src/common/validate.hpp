@@ -5,9 +5,8 @@
  * Every backend in the tree ultimately hands probability vectors to
  * TVD/loss computations that silently propagate NaN, negative mass, or
  * normalization drift. validate_distribution() is the single checkpoint
- * applied at the DistributionFn boundary (qml/classifier), inside
- * CNR/RepCap, and by the resilient execution layer, where an invalid
- * distribution counts as a retryable backend failure.
+ * applied at the DistributionFn boundary (qml/classifier) and inside
+ * CNR/RepCap.
  */
 #pragma once
 
@@ -17,7 +16,7 @@
 
 namespace elv {
 
-/** Thrown when a distribution fails validation (retryable failure). */
+/** Thrown when a distribution fails validation. */
 class DistributionError : public std::runtime_error
 {
   public:

@@ -213,8 +213,8 @@ std::uint64_t config_fingerprint(const ElivagarConfig &config);
  * Best-effort guess at which configuration field changed between
  * `config` and a journal stamped with fingerprint `stored`: single
  * enumerable-field mutations of `config` (use_cnr, backend, noise
- * awareness, dead-structure pruning) are fingerprinted and the one
- * matching `stored` is reported. "" when no single-field change explains the
+ * awareness) are fingerprinted and the one matching `stored` is
+ * reported. "" when no single-field change explains the
  * difference. Feed into SearchJournal::set_mismatch_hint so the
  * refusing-to-resume message names the likely culprit.
  */

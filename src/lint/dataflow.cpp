@@ -8,62 +8,6 @@ using circ::GateKind;
 using circ::Op;
 using circ::ParamRole;
 
-AbstractState
-AbstractState::bottom(const CircuitView &view)
-{
-    AbstractState state;
-    state.qubit.assign(
-        static_cast<std::size_t>(std::max(0, view.num_qubits)), 0);
-    state.param.assign(
-        static_cast<std::size_t>(std::max(0, view.num_params)), 0);
-    return state;
-}
-
-bool
-AbstractState::join(const AbstractState &other)
-{
-    bool changed = false;
-    const std::size_t nq = std::min(qubit.size(), other.qubit.size());
-    for (std::size_t i = 0; i < nq; ++i) {
-        if (other.qubit[i] && !qubit[i]) {
-            qubit[i] = 1;
-            changed = true;
-        }
-    }
-    const std::size_t np = std::min(param.size(), other.param.size());
-    for (std::size_t i = 0; i < np; ++i) {
-        if (other.param[i] && !param[i]) {
-            param[i] = 1;
-            changed = true;
-        }
-    }
-    return changed;
-}
-
-void
-AbstractState::mark_qubit(int q)
-{
-    if (q >= 0 && static_cast<std::size_t>(q) < qubit.size())
-        qubit[static_cast<std::size_t>(q)] = 1;
-}
-
-void
-AbstractState::mark_params(int slot, int count)
-{
-    for (int k = 0; k < count; ++k) {
-        const int s = slot + k;
-        if (s >= 0 && static_cast<std::size_t>(s) < param.size())
-            param[static_cast<std::size_t>(s)] = 1;
-    }
-}
-
-bool
-AbstractState::qubit_set(int q) const
-{
-    return q >= 0 && static_cast<std::size_t>(q) < qubit.size() &&
-           qubit[static_cast<std::size_t>(q)];
-}
-
 namespace {
 
 /** A fixed member of the Clifford group (no run-time angles at all). */
@@ -107,53 +51,63 @@ LightconeAnalysis
 analyze_lightcone(const CircuitView &view)
 {
     LightconeAnalysis analysis;
-    AbstractState state = AbstractState::bottom(view);
     analysis.no_measurements = view.measured.empty();
+    analysis.live_ops.assign(view.ops.size(), 0);
+    std::vector<char> &cone = analysis.live_qubits;
+    cone.assign(static_cast<std::size_t>(std::max(0, view.num_qubits)), 0);
+    std::vector<char> &slots = analysis.live_params;
+    slots.assign(static_cast<std::size_t>(std::max(0, view.num_params)), 0);
+    auto in_cone = [&cone](int q) {
+        return q >= 0 && static_cast<std::size_t>(q) < cone.size() &&
+               cone[static_cast<std::size_t>(q)];
+    };
+    auto pull = [&cone](int q) {
+        if (q >= 0 && static_cast<std::size_t>(q) < cone.size())
+            cone[static_cast<std::size_t>(q)] = 1;
+    };
     for (int q : view.measured)
-        state.mark_qubit(q);
+        pull(q);
 
-    // Backward transfer: an op is live iff it touches a cone qubit at
-    // its position; a live op pulls every operand into the cone
-    // (2-qubit gates carry influence both ways — phase kickback makes
-    // even a "control" qubit's reduced state gate-dependent), and a
-    // live variational op keeps its parameter slots alive.
-    run_to_fixpoint(
-        view, Direction::Backward, state,
-        [](const Op &op, int, AbstractState &s) {
-            bool live = false;
-            if (op.kind == GateKind::AmpEmbed) {
-                live = std::find(s.qubit.begin(), s.qubit.end(), 1) !=
-                       s.qubit.end();
-                if (live)
-                    std::fill(s.qubit.begin(), s.qubit.end(), 1);
-            } else {
-                const int arity = op.num_qubits();
+    // Visiting op i, `cone` holds the qubits whose state after op i
+    // still reaches a measurement. An op is live iff it touches the
+    // cone there; a live op pulls every operand in (2-qubit gates carry
+    // influence both ways — phase kickback makes even a "control"
+    // qubit's reduced state gate-dependent), and a live variational op
+    // keeps its parameter slots alive.
+    for (std::size_t i = view.ops.size(); i-- > 0;) {
+        const Op &op = view.ops[i];
+        bool live = false;
+        if (op.kind == GateKind::AmpEmbed) {
+            live = std::find(cone.begin(), cone.end(), 1) != cone.end();
+            if (live)
+                std::fill(cone.begin(), cone.end(), 1);
+        } else {
+            const int arity = op.num_qubits();
+            for (int k = 0; k < arity; ++k)
+                live |= in_cone(op.qubits[static_cast<std::size_t>(k)]);
+            if (live)
                 for (int k = 0; k < arity; ++k)
-                    live |= s.qubit_set(
-                        op.qubits[static_cast<std::size_t>(k)]);
-                if (live)
-                    for (int k = 0; k < arity; ++k)
-                        s.mark_qubit(
-                            op.qubits[static_cast<std::size_t>(k)]);
-            }
-            if (live && op.role == ParamRole::Variational)
-                s.mark_params(op.param_index, op.num_params());
-            return live;
-        },
-        analysis.live_ops);
-
-    analysis.live_qubits = state.qubit;
-    analysis.live_params = state.param;
+                    pull(op.qubits[static_cast<std::size_t>(k)]);
+        }
+        if (!live)
+            continue;
+        analysis.live_ops[i] = 1;
+        if (op.role != ParamRole::Variational)
+            continue;
+        for (int k = 0; k < op.num_params(); ++k) {
+            const int s = op.param_index + k;
+            if (s >= 0 && static_cast<std::size_t>(s) < slots.size())
+                slots[static_cast<std::size_t>(s)] = 1;
+        }
+    }
     return analysis;
 }
 
 CliffordRegions
 analyze_clifford_regions(const CircuitView &view)
 {
-    // The region lattice is a chain over op positions ("still inside
-    // the prefix"), so a single sweep per direction IS the fixed point;
-    // plain scans keep the encoding direct instead of forcing a
-    // positional property into the per-qubit domain.
+    // "Still inside the prefix" is a property of op positions, so one
+    // scan per direction settles it.
     CliffordRegions regions;
     const std::size_t n = view.ops.size();
     std::size_t i = 0;
@@ -193,13 +147,25 @@ elide_dead_structure(const circ::Circuit &circuit)
 
     // Dense renumbering in op order over the surviving variational
     // ops — the only slot layout the native text format round-trips.
+    // The register keeps every qubit up to the highest one a kept op
+    // or the measurement uses: trailing qubits go, and no used qubit
+    // is relabeled.
     result.param_map.assign(
         static_cast<std::size_t>(circuit.num_params()), -1);
     int next = 0;
+    int width = 0;
+    for (int q : circuit.measured())
+        width = std::max(width, q + 1);
     for (std::size_t i = 0; i < circuit.ops().size(); ++i) {
         const Op &op = circuit.ops()[i];
-        if (!analysis.live_ops[i] ||
-            op.role != ParamRole::Variational || op.param_index < 0)
+        if (!analysis.live_ops[i])
+            continue;
+        if (op.kind == GateKind::AmpEmbed)
+            width = circuit.num_qubits();
+        for (int k = 0; k < op.num_qubits(); ++k)
+            width = std::max(width,
+                             op.qubits[static_cast<std::size_t>(k)] + 1);
+        if (op.role != ParamRole::Variational || op.param_index < 0)
             continue;
         for (int k = 0; k < op.num_params(); ++k) {
             const int s = op.param_index + k;
@@ -209,7 +175,7 @@ elide_dead_structure(const circ::Circuit &circuit)
         }
     }
 
-    circ::Circuit fixed(circuit.num_qubits());
+    circ::Circuit fixed(width);
     for (std::size_t i = 0; i < circuit.ops().size(); ++i) {
         if (!analysis.live_ops[i])
             continue;

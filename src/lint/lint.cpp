@@ -9,10 +9,6 @@
 
 namespace elv::lint {
 
-namespace detail {
-void register_builtin_rules(Linter &linter);
-} // namespace detail
-
 const char *
 severity_name(Severity severity)
 {
@@ -91,75 +87,6 @@ view_of(const circ::Circuit &circuit)
             circuit.measured()};
 }
 
-bool
-LintOptions::disabled(const std::string &rule) const
-{
-    return std::find(disabled_rules.begin(), disabled_rules.end(), rule) !=
-           disabled_rules.end();
-}
-
-const std::vector<RuleInfo> &
-rule_catalog()
-{
-    static const std::vector<RuleInfo> catalog = [] {
-        std::vector<RuleInfo> rules = Linter::global().rules();
-        rules.push_back({"fusion-barrier", Severity::Error,
-                         "fused programs preserve every parametric/"
-                         "embedding barrier of their source"});
-        rules.push_back({"device-topology", Severity::Error,
-                         "coupling edges valid, no self-loops or "
-                         "duplicates; warns on disconnected graphs"});
-        rules.push_back({"device-calibration", Severity::Error,
-                         "calibration vectors sized to the topology, "
-                         "rates in [0,1], times positive"});
-        return rules;
-    }();
-    return catalog;
-}
-
-Linter::Linter()
-{
-    detail::register_builtin_rules(*this);
-}
-
-Linter &
-Linter::global()
-{
-    static Linter linter;
-    return linter;
-}
-
-void
-Linter::register_rule(RuleInfo info, CircuitRuleFn fn)
-{
-    infos_.push_back(std::move(info));
-    rules_.push_back(std::move(fn));
-}
-
-Report
-Linter::lint(const CircuitView &view, const LintOptions &options) const
-{
-    Report report;
-    for (std::size_t i = 0; i < rules_.size(); ++i) {
-        if (options.disabled(infos_[i].id))
-            continue;
-        rules_[i](view, options, report);
-    }
-    return report;
-}
-
-Report
-lint_circuit(const circ::Circuit &circuit, const LintOptions &options)
-{
-    return Linter::global().lint(view_of(circuit), options);
-}
-
-Report
-lint_circuit(const CircuitView &view, const LintOptions &options)
-{
-    return Linter::global().lint(view, options);
-}
-
 namespace {
 
 /** True when every entry of the matrix is finite. */
@@ -205,11 +132,9 @@ describe_op(const circ::Op &op)
 
 Report
 lint_program(const sim::FusedProgram &program, const circ::Circuit &source,
-             const LintOptions &options)
+             const LintOptions &)
 {
     Report out;
-    if (options.disabled("fusion-barrier"))
-        return out;
     const char *rule = "fusion-barrier";
     const int n = program.num_qubits();
     if (n != source.num_qubits()) {
@@ -344,60 +269,56 @@ check_calibration_vector(const std::vector<double> &values,
 } // namespace
 
 Report
-lint_device(const dev::Device &device, const LintOptions &options)
+lint_device(const dev::Device &device)
 {
     Report out;
     const int n = device.topology.num_qubits();
     const auto &edges = device.topology.edges();
 
-    if (!options.disabled("device-topology")) {
-        if (n <= 0)
+    if (n <= 0)
+        out.add(Severity::Error, "device-topology", -1,
+                "device declares no qubits");
+    std::set<std::pair<int, int>> seen;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+        const auto &[a, b] = edges[e];
+        std::ostringstream where;
+        where << "edge " << e << " (" << a << ", " << b << ")";
+        if (a < 0 || a >= n || b < 0 || b >= n) {
             out.add(Severity::Error, "device-topology", -1,
-                    "device declares no qubits");
-        std::set<std::pair<int, int>> seen;
-        for (std::size_t e = 0; e < edges.size(); ++e) {
-            const auto &[a, b] = edges[e];
-            std::ostringstream where;
-            where << "edge " << e << " (" << a << ", " << b << ")";
-            if (a < 0 || a >= n || b < 0 || b >= n) {
-                out.add(Severity::Error, "device-topology", -1,
-                        where.str() + " references an invalid qubit");
-                continue;
-            }
-            if (a == b) {
-                out.add(Severity::Error, "device-topology", -1,
-                        where.str() + " is a self-loop");
-                continue;
-            }
-            if (!seen.insert({std::min(a, b), std::max(a, b)}).second)
-                out.add(Severity::Error, "device-topology", -1,
-                        where.str() + " duplicates an earlier edge");
+                    where.str() + " references an invalid qubit");
+            continue;
         }
-        if (n > 0 && !device.topology.is_connected())
-            out.add(Severity::Warning, "device-topology", -1,
-                    "coupling graph is disconnected (routing cannot "
-                    "reach every qubit)");
+        if (a == b) {
+            out.add(Severity::Error, "device-topology", -1,
+                    where.str() + " is a self-loop");
+            continue;
+        }
+        if (!seen.insert({std::min(a, b), std::max(a, b)}).second)
+            out.add(Severity::Error, "device-topology", -1,
+                    where.str() + " duplicates an earlier edge");
     }
+    if (n > 0 && !device.topology.is_connected())
+        out.add(Severity::Warning, "device-topology", -1,
+                "coupling graph is disconnected (routing cannot "
+                "reach every qubit)");
 
-    if (!options.disabled("device-calibration")) {
-        const auto nq = static_cast<std::size_t>(std::max(0, n));
-        const double inf = std::numeric_limits<double>::infinity();
-        check_calibration_vector(device.t1_us, nq, "t1_us", 0.0, inf,
-                                 true, out);
-        check_calibration_vector(device.t2_us, nq, "t2_us", 0.0, inf,
-                                 true, out);
-        check_calibration_vector(device.readout_error, nq,
-                                 "readout_error", 0.0, 1.0, false, out);
-        check_calibration_vector(device.error_1q, nq, "error_1q", 0.0,
-                                 1.0, false, out);
-        check_calibration_vector(device.error_2q, edges.size(),
-                                 "error_2q", 0.0, 1.0, false, out);
-        if (!(device.duration_1q_ns > 0.0) ||
-            !(device.duration_2q_ns > 0.0) ||
-            !(device.duration_readout_ns > 0.0))
-            out.add(Severity::Error, "device-calibration", -1,
-                    "gate/readout durations must be positive");
-    }
+    const auto nq = static_cast<std::size_t>(std::max(0, n));
+    const double inf = std::numeric_limits<double>::infinity();
+    check_calibration_vector(device.t1_us, nq, "t1_us", 0.0, inf,
+                             true, out);
+    check_calibration_vector(device.t2_us, nq, "t2_us", 0.0, inf,
+                             true, out);
+    check_calibration_vector(device.readout_error, nq,
+                             "readout_error", 0.0, 1.0, false, out);
+    check_calibration_vector(device.error_1q, nq, "error_1q", 0.0,
+                             1.0, false, out);
+    check_calibration_vector(device.error_2q, edges.size(),
+                             "error_2q", 0.0, 1.0, false, out);
+    if (!(device.duration_1q_ns > 0.0) ||
+        !(device.duration_2q_ns > 0.0) ||
+        !(device.duration_readout_ns > 0.0))
+        out.add(Severity::Error, "device-calibration", -1,
+                "gate/readout durations must be positive");
     return out;
 }
 

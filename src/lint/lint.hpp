@@ -15,11 +15,10 @@
  * (severity, rule id, offending op index, human message) instead of
  * aborting, so callers can reject, count, or report.
  *
- * Circuit rules run through a pluggable `Linter` registry (built-ins
- * pre-registered, extensions added with register_rule); program and
- * device rules are fixed functions. `preflight.hpp` wires the linter
- * into the pipeline boundaries; `elivagar_cli lint` exposes it on the
- * command line.
+ * lint_circuit runs one fixed table of circuit rules (rules.cpp), and
+ * lint_program and lint_device are the program and device rules.
+ * `preflight.hpp` wires lint_circuit into the pipeline boundaries;
+ * `elivagar_cli lint` exposes all three on the command line.
  *
  * Rule catalog (see rule_catalog()):
  *   qubit-bounds      E  qubit indices in range, arity slots consistent
@@ -56,7 +55,6 @@
  */
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -145,11 +143,6 @@ struct LintOptions
     /** Data embeddings must precede all variational gates (fixed-
      *  embedding templates; searched candidates interleave by design). */
     bool require_embedding_prefix = false;
-    /** Rule ids to skip. */
-    std::vector<std::string> disabled_rules;
-
-    /** True when `rule` appears in disabled_rules. */
-    bool disabled(const std::string &rule) const;
 };
 
 /** Static description of a rule (for listings and docs). */
@@ -161,49 +154,16 @@ struct RuleInfo
     std::string summary;
 };
 
-/** All built-in rules (circuit, program, and device). */
+/** All built-in rules: the circuit rules in run order, then the
+ *  program and device rules. */
 const std::vector<RuleInfo> &rule_catalog();
 
-/** A circuit rule: reads the view, appends diagnostics. */
-using CircuitRuleFn =
-    std::function<void(const CircuitView &, const LintOptions &, Report &)>;
-
-/**
- * The pluggable circuit-rule runner. Construction registers the
- * built-in rules; register_rule appends custom ones. Registration is
- * not thread-safe; lint() is const and safe to call concurrently once
- * registration is done (the pipeline boundaries lint from pool
- * workers).
- */
-class Linter
-{
-  public:
-    Linter();
-
-    /** Process-wide instance used by lint_circuit and the preflight
-     *  boundaries. */
-    static Linter &global();
-
-    /** Append a custom rule, run after the built-ins. */
-    void register_rule(RuleInfo info, CircuitRuleFn fn);
-
-    /** Registered rules, in run order. */
-    const std::vector<RuleInfo> &rules() const { return infos_; }
-
-    /** Run every registered (non-disabled) rule over the view. */
-    Report lint(const CircuitView &view,
-                const LintOptions &options = {}) const;
-
-  private:
-    std::vector<RuleInfo> infos_;
-    std::vector<CircuitRuleFn> rules_;
-};
-
-/** Lint a circuit through the global Linter. */
+/** Run every circuit rule over a circuit. Safe to call concurrently
+ *  (the pipeline boundaries lint from pool workers). */
 Report lint_circuit(const circ::Circuit &circuit,
                     const LintOptions &options = {});
 
-/** Lint a raw IR view through the global Linter. */
+/** Run every circuit rule over a raw IR view. */
 Report lint_circuit(const CircuitView &view,
                     const LintOptions &options = {});
 
@@ -214,7 +174,9 @@ Report lint_circuit(const CircuitView &view,
  * identical bindings — the precondition for replaying one program for
  * fresh (params, x) values — and the fused group accounting must cover
  * exactly the fixed source ops. Detects a program paired with another
- * circuit, dropped barriers, and regions fused across a barrier.
+ * circuit, dropped barriers, and regions fused across a barrier. The
+ * rule reads no option; callers may pass the ones they lint circuits
+ * with.
  */
 Report lint_program(const sim::FusedProgram &program,
                     const circ::Circuit &source,
@@ -225,7 +187,6 @@ Report lint_program(const sim::FusedProgram &program,
  * diagnostic-emitting counterpart of Device::validate(), usable on
  * untrusted models without aborting.
  */
-Report lint_device(const dev::Device &device,
-                   const LintOptions &options = {});
+Report lint_device(const dev::Device &device);
 
 } // namespace elv::lint

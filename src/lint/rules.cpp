@@ -1,10 +1,10 @@
 /**
  * @file
- * Built-in circuit lint rules. Each rule is a free function appended
- * to the Linter registry by register_builtin_rules(); rules read a
- * CircuitView (which may describe IR the Circuit builder API would
- * refuse to construct) and must tolerate arbitrary garbage in every
- * field without crashing — that is the point.
+ * The circuit lint rules, lint_circuit, and the rule catalog. Each rule
+ * is a free function in one fixed table that lint_circuit walks in
+ * order; rules read a CircuitView (which may describe IR the Circuit
+ * builder API would refuse to construct) and must tolerate arbitrary
+ * garbage in every field without crashing — that is the point.
  */
 #include <algorithm>
 #include <sstream>
@@ -14,10 +14,6 @@
 #include "lint/lint.hpp"
 
 namespace elv::lint {
-
-namespace detail {
-void register_builtin_rules(Linter &linter);
-} // namespace detail
 
 namespace {
 
@@ -422,10 +418,9 @@ rule_dead_lightcone(const CircuitView &c, const LintOptions &, Report &out)
 
 /**
  * dead-parameter (warnings): variational slots whose every binding
- * rotation lies outside the lightcone — the optimizer moves them, the
- * parameter-shift bill charges 2 executions per step for them, and the
- * loss never feels it. Never-bound slots are dead-code's finding; this
- * rule covers bound-but-invisible ones.
+ * rotation lies outside the lightcone — the optimizer moves them and
+ * the loss never feels it. Never-bound slots are dead-code's finding;
+ * this rule covers bound-but-invisible ones.
  */
 void
 rule_dead_parameter(const CircuitView &c, const LintOptions &, Report &out)
@@ -459,9 +454,8 @@ rule_dead_parameter(const CircuitView &c, const LintOptions &, Report &out)
 /**
  * clifford-region (notes): const/Clifford structure worth annotating —
  * a fully fixed-Clifford circuit is exactly replayable on the
- * stabilizer fast path, and a nonempty Clifford/param-free prefix
- * marks state a cache could precompute (sim::FusedProgram carries the
- * compiled-level counterpart in const_prefix_source_ops()).
+ * stabilizer fast path; otherwise the note gives the lengths of the
+ * Clifford prefix and suffix and of the parameter-free prefix.
  */
 void
 rule_clifford_region(const CircuitView &c, const LintOptions &, Report &out)
@@ -488,54 +482,88 @@ rule_clifford_region(const CircuitView &c, const LintOptions &, Report &out)
     out.add(Severity::Note, "clifford-region", -1, oss.str());
 }
 
+/** One row of the circuit-rule table. */
+struct CircuitRule
+{
+    const char *id;
+    Severity severity;
+    const char *summary;
+    void (*check)(const CircuitView &, const LintOptions &, Report &);
+};
+
+/** Every circuit rule, in run order. */
+constexpr CircuitRule kCircuitRules[] = {
+    {"qubit-bounds", Severity::Error,
+     "qubit indices in range, gate arity slots consistent",
+     rule_qubit_bounds},
+    {"param-binding", Severity::Error,
+     "every parameter slot bound exactly once, no dangling symbols",
+     rule_param_binding},
+    {"embedding-order", Severity::Error,
+     "amplitude embedding first and alone; optional embedding-prefix "
+     "ordering",
+     rule_embedding_order},
+    {"connectivity", Severity::Error,
+     "every 2-qubit gate on a device coupling edge (post-SABRE "
+     "feasibility)",
+     rule_connectivity},
+    {"clifford-replica", Severity::Error,
+     "replicas are pure Clifford (angles snapped to pi/2 multiples)",
+     rule_clifford_replica},
+    {"measurement", Severity::Error,
+     "measured set in range and duplicate-free; warns on empty",
+     rule_measurement},
+    {"dead-code", Severity::Warning,
+     "unused qubits and never-trained parameters", rule_dead_code},
+    {"dead-lightcone", Severity::Warning,
+     "ops outside the backward measurement lightcone (traced out; --fix "
+     "elides)",
+     rule_dead_lightcone},
+    {"dead-parameter", Severity::Warning,
+     "parameter slots bound only by out-of-lightcone rotations",
+     rule_dead_parameter},
+    {"clifford-region", Severity::Note,
+     "const/Clifford prefixes and suffixes (stabilizer fast path "
+     "annotation)",
+     rule_clifford_region},
+};
+
 } // namespace
 
-namespace detail {
-
-void
-register_builtin_rules(Linter &linter)
+Report
+lint_circuit(const CircuitView &view, const LintOptions &options)
 {
-    linter.register_rule({"qubit-bounds", Severity::Error,
-                          "qubit indices in range, gate arity slots "
-                          "consistent"},
-                         rule_qubit_bounds);
-    linter.register_rule({"param-binding", Severity::Error,
-                          "every parameter slot bound exactly once, no "
-                          "dangling symbols"},
-                         rule_param_binding);
-    linter.register_rule({"embedding-order", Severity::Error,
-                          "amplitude embedding first and alone; optional "
-                          "embedding-prefix ordering"},
-                         rule_embedding_order);
-    linter.register_rule({"connectivity", Severity::Error,
-                          "every 2-qubit gate on a device coupling edge "
-                          "(post-SABRE feasibility)"},
-                         rule_connectivity);
-    linter.register_rule({"clifford-replica", Severity::Error,
-                          "replicas are pure Clifford (angles snapped "
-                          "to pi/2 multiples)"},
-                         rule_clifford_replica);
-    linter.register_rule({"measurement", Severity::Error,
-                          "measured set in range and duplicate-free; "
-                          "warns on empty"},
-                         rule_measurement);
-    linter.register_rule({"dead-code", Severity::Warning,
-                          "unused qubits and never-trained parameters"},
-                         rule_dead_code);
-    linter.register_rule({"dead-lightcone", Severity::Warning,
-                          "ops outside the backward measurement "
-                          "lightcone (traced out; --fix elides)"},
-                         rule_dead_lightcone);
-    linter.register_rule({"dead-parameter", Severity::Warning,
-                          "parameter slots bound only by "
-                          "out-of-lightcone rotations"},
-                         rule_dead_parameter);
-    linter.register_rule({"clifford-region", Severity::Note,
-                          "const/Clifford prefixes and suffixes "
-                          "(stabilizer fast path annotation)"},
-                         rule_clifford_region);
+    Report report;
+    for (const CircuitRule &rule : kCircuitRules)
+        rule.check(view, options, report);
+    return report;
 }
 
-} // namespace detail
+Report
+lint_circuit(const circ::Circuit &circuit, const LintOptions &options)
+{
+    return lint_circuit(view_of(circuit), options);
+}
+
+const std::vector<RuleInfo> &
+rule_catalog()
+{
+    static const std::vector<RuleInfo> catalog = [] {
+        std::vector<RuleInfo> rules;
+        for (const CircuitRule &rule : kCircuitRules)
+            rules.push_back({rule.id, rule.severity, rule.summary});
+        rules.push_back({"fusion-barrier", Severity::Error,
+                         "fused programs preserve every parametric/"
+                         "embedding barrier of their source"});
+        rules.push_back({"device-topology", Severity::Error,
+                         "coupling edges valid, no self-loops or "
+                         "duplicates; warns on disconnected graphs"});
+        rules.push_back({"device-calibration", Severity::Error,
+                         "calibration vectors sized to the topology, "
+                         "rates in [0,1], times positive"});
+        return rules;
+    }();
+    return catalog;
+}
 
 } // namespace elv::lint

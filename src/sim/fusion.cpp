@@ -51,15 +51,9 @@ FusedProgram::compile(const circ::Circuit &circuit)
 
     // Next ResolvedBarriers slot per [role is embedding][arity is 2].
     int next_slot[2][2] = {{0, 0}, {0, 0}};
-    bool in_const_prefix = true;
     for (const circ::Op &op : circuit.ops()) {
-        const bool barrier = op.kind == circ::GateKind::AmpEmbed ||
-                             op.role != circ::ParamRole::None;
-        if (barrier)
-            in_const_prefix = false;
-        else if (in_const_prefix)
-            ++prog.const_prefix_source_ops_;
-        if (barrier) {
+        if (op.kind == circ::GateKind::AmpEmbed ||
+            op.role != circ::ParamRole::None) {
             // Angles resolve at run time; keep the IR op and close the
             // touched qubits (all of them for amplitude embedding,
             // which rewrites the whole state).

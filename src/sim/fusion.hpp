@@ -159,21 +159,6 @@ class FusedProgram
     /** Source-circuit op count before fusion. */
     std::size_t source_ops() const { return source_.ops().size(); }
 
-    /**
-     * Leading source ops whose matrices resolved fully at compile time
-     * (everything before the first fusion barrier): the state they
-     * produce is identical for every (params, x), so a cached prefix
-     * state could replace re-executing them on each run. This is the
-     * compiled-level counterpart of the lint dataflow pass's
-     * const/Clifford region inference (lint/dataflow.hpp) — the
-     * dataflow Clifford prefix is always <= this count, since fixed
-     * Clifford gates are a subset of fixed gates.
-     */
-    std::size_t const_prefix_source_ops() const
-    {
-        return const_prefix_source_ops_;
-    }
-
     int num_qubits() const { return source_.num_qubits(); }
 
   private:
@@ -185,7 +170,6 @@ class FusedProgram
     circ::Circuit source_;
     std::vector<FusedOp> ops_;
     std::uint64_t ops_merged_ = 0;
-    std::size_t const_prefix_source_ops_ = 0;
 };
 
 } // namespace elv::sim

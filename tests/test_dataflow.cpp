@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the lint dataflow engine (lightcone, parameter liveness,
+ * Tests for the lint dataflow analyses (lightcone, parameter liveness,
  * const/Clifford regions), the `--fix` elision, and the SARIF/baseline
  * surface (including seeded mutants of a baseline file).
  */
@@ -16,10 +16,15 @@
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "core/run_spec.hpp"
+#include "core/search.hpp"
+#include "device/device.hpp"
 #include "lint/dataflow.hpp"
 #include "lint/lint.hpp"
 #include "lint/sarif.hpp"
+#include "noise/noise_model.hpp"
 #include "obs/json.hpp"
+#include "qml/synthetic.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
 
@@ -30,10 +35,6 @@ namespace {
 using namespace elv;
 using circ::Circuit;
 using circ::GateKind;
-using circ::Op;
-using circ::ParamRole;
-using lint::AbstractState;
-using lint::CircuitView;
 
 /**
  * 3 qubits, measured {0, 1}. Ops 0-3 are the live cone; op 4 (var RZ
@@ -53,96 +54,67 @@ dead_tail_circuit()
     return c;
 }
 
-/** Measured distribution of `circuit` under `params` (feature 0.4). */
+/** Measured distribution of `circuit` under `params` and features `x`,
+ *  simulated on the touched qubits only. */
 std::vector<double>
 measured_distribution(const Circuit &circuit,
-                      const std::vector<double> &params)
+                      const std::vector<double> &params,
+                      const std::vector<double> &x = {0.4})
 {
-    sim::StateVector psi(circuit.num_qubits());
-    psi.run(circuit, params, {0.4});
-    return psi.probabilities(circuit.measured());
-}
-
-// ---------------------------------------------------------------------
-// Framework: the abstract domain and the fixed-point driver, used
-// directly (the analyses below are clients, not the framework itself).
-// ---------------------------------------------------------------------
-
-TEST(DataflowFramework, JoinIsMonotoneUnion)
-{
-    std::vector<Op> ops;
-    const std::vector<int> measured = {0};
-    const CircuitView view{3, 2, ops, measured};
-    AbstractState a = AbstractState::bottom(view);
-    AbstractState b = AbstractState::bottom(view);
-    b.mark_qubit(1);
-    b.mark_params(0, 1);
-    EXPECT_TRUE(a.join(b));
-    EXPECT_TRUE(a.qubit_set(1));
-    EXPECT_FALSE(a.qubit_set(2));
-    EXPECT_EQ(a.param[0], 1);
-    EXPECT_FALSE(a.join(b)); // already absorbed: no change
-    EXPECT_FALSE(b.join(AbstractState::bottom(view)));
-}
-
-TEST(DataflowFramework, ForwardReachabilityToFixpoint)
-{
-    // A forward taint analysis written against the raw framework:
-    // qubit 0 is tainted; any op touching a tainted qubit is marked
-    // and spreads the taint to its operands.
-    std::vector<Op> ops(3);
-    ops[0].kind = GateKind::CX;
-    ops[0].qubits = {0, 1};
-    ops[1].kind = GateKind::H;
-    ops[1].qubits = {2, -1};
-    ops[2].kind = GateKind::CX;
-    ops[2].qubits = {1, 2};
-    const std::vector<int> measured = {0};
-    const CircuitView view{3, 0, ops, measured};
-
-    AbstractState state = AbstractState::bottom(view);
-    state.mark_qubit(0);
-    std::vector<char> marks;
-    const lint::FixpointStats stats = lint::run_to_fixpoint(
-        view, lint::Direction::Forward, state,
-        [](const Op &op, int, AbstractState &s) {
-            bool hit = false;
-            for (int k = 0; k < op.num_qubits(); ++k)
-                hit |= s.qubit_set(op.qubits[static_cast<std::size_t>(k)]);
-            if (hit)
-                for (int k = 0; k < op.num_qubits(); ++k)
-                    s.mark_qubit(op.qubits[static_cast<std::size_t>(k)]);
-            return hit;
-        },
-        marks);
-    EXPECT_FALSE(stats.capped);
-    // The framework iterates one global state to a fixpoint, so the
-    // result is flow-insensitive: once CX 1,2 spreads the taint to
-    // qubit 2 (sweep 1), the re-sweep marks the earlier H as touching
-    // tainted data too. Three sweeps: compute, propagate, confirm.
-    EXPECT_EQ(marks, (std::vector<char>{1, 1, 1}));
-    EXPECT_EQ(stats.sweeps, 3);
-    EXPECT_TRUE(state.qubit_set(2)); // via 0 -> 1 -> 2
-}
-
-TEST(DataflowFramework, BackwardConeNeedsASecondSweep)
-{
-    // Backward scan visits `RY 3` before the CX that pulls qubit 3
-    // into the cone: single-sweep analyses get this wrong.
-    Circuit c(4);
-    c.add_gate(GateKind::CX, {2, 3});
-    c.add_variational(GateKind::RY, {3});
-    c.set_measured({2});
-    const lint::LightconeAnalysis analysis =
-        lint::analyze_lightcone(lint::view_of(c));
-    EXPECT_EQ(analysis.live_ops, (std::vector<char>{1, 1}));
-    EXPECT_TRUE(analysis.dead_ops().empty());
-    EXPECT_EQ(analysis.live_params, (std::vector<char>{1}));
+    std::vector<int> kept;
+    const Circuit small = circuit.compacted(kept);
+    sim::StateVector psi(small.num_qubits());
+    psi.run(small, params, x);
+    return psi.probabilities(small.measured());
 }
 
 // ---------------------------------------------------------------------
 // Lightcone analysis.
 // ---------------------------------------------------------------------
+
+/** The 64 seed-7 candidates elivagar_search scores for `benchmark` on
+ *  `device`. */
+std::vector<Circuit>
+search_pool(const std::string &benchmark, const dev::Device &device)
+{
+    core::RunSpec spec;
+    spec.benchmark = benchmark;
+    spec.device = device.name;
+    spec.candidates = 64;
+    spec.seed = 7;
+    const core::ElivagarConfig config =
+        core::search_config(spec, qml::benchmark_spec(benchmark), 1, "");
+    std::vector<Circuit> pool;
+    for (int i = 0; i < spec.candidates; ++i)
+        pool.push_back(core::generate_search_candidate(
+            device, config, static_cast<std::size_t>(i)));
+    return pool;
+}
+
+/** `circuit` without the ops `analysis` marks dead; slots keep their
+ *  numbers, so one parameter vector binds both. */
+Circuit
+without_dead_ops(const Circuit &circuit,
+                 const lint::LightconeAnalysis &analysis)
+{
+    Circuit live(circuit.num_qubits());
+    for (std::size_t i = 0; i < circuit.ops().size(); ++i)
+        if (analysis.live_ops[i])
+            live.append_op(circuit.ops()[i]);
+    live.declare_params(circuit.num_params());
+    live.set_measured(circuit.measured());
+    return live;
+}
+
+void
+expect_same_distribution(const std::vector<double> &a,
+                         const std::vector<double> &b,
+                         const std::string &context)
+{
+    ASSERT_EQ(a.size(), b.size()) << context;
+    for (std::size_t k = 0; k < a.size(); ++k)
+        EXPECT_NEAR(a[k], b[k], 1e-12) << context << " outcome " << k;
+}
 
 TEST(Lightcone, DeadTailIsOutsideTheCone)
 {
@@ -172,6 +144,71 @@ TEST(Lightcone, AmplitudeEmbeddingPullsEveryQubit)
     EXPECT_TRUE(analysis.live_ops[0]);
     for (char q : analysis.live_qubits)
         EXPECT_TRUE(q);
+}
+
+TEST(Lightcone, GateAfterTheLastCouplingIsDead)
+{
+    // The CX is qubit 3's last coupling to the measured qubit 2, so the
+    // RY after it is traced out of every outcome.
+    Circuit c(4);
+    c.add_gate(GateKind::CX, {2, 3});
+    c.add_variational(GateKind::RY, {3});
+    c.set_measured({2});
+    const lint::LightconeAnalysis analysis =
+        lint::analyze_lightcone(lint::view_of(c));
+    EXPECT_EQ(analysis.live_ops, (std::vector<char>{1, 0}));
+    EXPECT_EQ(analysis.dead_ops(), (std::vector<int>{1}));
+    EXPECT_EQ(analysis.dead_params(), (std::vector<int>{0}));
+    EXPECT_TRUE(analysis.live_qubits[3]); // pulled in by the CX
+}
+
+/** Soundness on real search pools: removing every op the analysis
+ *  marks dead leaves the measured distribution unchanged, noiseless
+ *  and under the calibrated density-matrix noise model. */
+TEST(Lightcone, ElidingDeadOpsKeepsEveryMeasuredDistribution)
+{
+    const std::pair<const char *, const char *> cells[] = {
+        {"mnist-10", "ibm_guadalupe"}, {"moons", "ibm_lagos"}};
+    std::size_t mnist10_dead = 0;
+    for (const auto &[benchmark, device_name] : cells) {
+        const dev::Device device = dev::make_device(device_name);
+        const noise::NoisyDensitySimulator noisy(device);
+        const std::vector<Circuit> pool = search_pool(benchmark, device);
+        elv::Rng rng(31);
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+            const Circuit &c = pool[i];
+            const lint::LightconeAnalysis analysis =
+                lint::analyze_lightcone(lint::view_of(c));
+            const Circuit live = without_dead_ops(c, analysis);
+            if (std::string(benchmark) == "mnist-10")
+                mnist10_dead += analysis.dead_ops().size();
+            for (int binding = 0; binding < 3; ++binding) {
+                std::vector<double> params(
+                    static_cast<std::size_t>(c.num_params()));
+                for (double &p : params)
+                    p = rng.uniform(-M_PI, M_PI);
+                std::vector<double> x(static_cast<std::size_t>(
+                    std::max(1, c.num_data_features())));
+                for (double &v : x)
+                    v = rng.uniform(0.0, M_PI);
+                const std::string context =
+                    std::string(benchmark) + " candidate " +
+                    std::to_string(i) + " binding " +
+                    std::to_string(binding);
+                expect_same_distribution(
+                    measured_distribution(c, params, x),
+                    measured_distribution(live, params, x),
+                    context + " (noiseless)");
+                if (i < 8)
+                    expect_same_distribution(
+                        noisy.run_distribution(c, params, x),
+                        noisy.run_distribution(live, params, x),
+                        context + " (noisy)");
+            }
+        }
+    }
+    // The pool measures some qubits before their last gates.
+    EXPECT_GT(mnist10_dead, 0u);
 }
 
 TEST(Lightcone, NoMeasurementsReportsAndKeepsAllDead)
@@ -228,11 +265,12 @@ TEST(CliffordRegions, FusedConstPrefixBoundsTheCliffordPrefix)
     c.add_gate(GateKind::H, {1});
     c.set_measured({0, 1});
     const sim::FusedProgram fused = sim::FusedProgram::compile(c);
-    EXPECT_EQ(fused.const_prefix_source_ops(), 2u);
     const lint::CliffordRegions regions =
         lint::analyze_clifford_regions(lint::view_of(c));
-    EXPECT_LE(static_cast<std::size_t>(regions.clifford_prefix),
-              fused.const_prefix_source_ops());
+    EXPECT_EQ(regions.clifford_prefix, 2);
+    // The prefix fuses into fixed groups ahead of the first barrier.
+    ASSERT_FALSE(fused.ops().empty());
+    EXPECT_NE(fused.ops().front().kind, sim::FusedOp::Kind::Barrier);
 }
 
 // ---------------------------------------------------------------------
@@ -277,6 +315,46 @@ TEST(Elide, RenumbersDenselyAndRoundTrips)
     ASSERT_EQ(original.size(), fixed.size());
     for (std::size_t i = 0; i < original.size(); ++i)
         EXPECT_NEAR(original[i], fixed[i], 1e-12);
+}
+
+/** A rewrite drops the trailing qubits it leaves unused, so the file
+ *  `lint --fix` writes re-lints without a dead-code finding; a used
+ *  qubit is never relabeled, so an unused one below it stays. */
+TEST(Elide, TrailingQubitsLeftUnusedAreDropped)
+{
+    const Circuit tail = circ::from_text("elv-circuit 1\n"
+                                         "qubits 3\n"
+                                         "var RX 0\n"
+                                         "gate CX 0 1\n"
+                                         "var RZ 2\n"
+                                         "gate H 2\n"
+                                         "measure 0 1\n");
+    const lint::FixResult fix = lint::elide_dead_structure(tail);
+    EXPECT_EQ(fix.ops_elided, 2u);
+    EXPECT_EQ(circ::to_text(fix.circuit), "elv-circuit 1\n"
+                                          "qubits 2\n"
+                                          "var RX 0\n"
+                                          "gate CX 0 1\n"
+                                          "measure 0 1\n");
+    const lint::Report report =
+        lint::lint_circuit(circ::from_text(circ::to_text(fix.circuit)));
+    EXPECT_FALSE(report.fired("dead-code")) << report.to_string();
+    EXPECT_EQ(report.count(lint::Severity::Warning), 0u)
+        << report.to_string();
+    EXPECT_FALSE(report.has_errors()) << report.to_string();
+
+    const Circuit middle = circ::from_text("elv-circuit 1\n"
+                                           "qubits 3\n"
+                                           "var RX 0\n"
+                                           "gate CX 0 2\n"
+                                           "var RZ 1\n"
+                                           "gate H 1\n"
+                                           "measure 0 2\n");
+    const lint::FixResult kept = lint::elide_dead_structure(middle);
+    EXPECT_EQ(kept.ops_elided, 2u);
+    EXPECT_EQ(kept.circuit.num_qubits(), 3);
+    EXPECT_EQ(kept.circuit.measured(), (std::vector<int>{0, 2}));
+    EXPECT_TRUE(lint::lint_circuit(kept.circuit).fired("dead-code"));
 }
 
 TEST(Elide, IdentityOnCleanCircuit)

@@ -263,19 +263,6 @@ TEST(LintAdversarial, DeadCodeUntrainedParameterSlot)
     EXPECT_TRUE(report.fired("dead-code")) << report.to_string();
 }
 
-TEST(LintAdversarial, DisabledRulesAreSkipped)
-{
-    std::vector<Op> ops(1);
-    ops[0].kind = GateKind::H;
-    ops[0].qubits = {5, -1};
-    const std::vector<int> measured = {0};
-    LintOptions options;
-    options.disabled_rules = {"qubit-bounds", "dead-code"};
-    const Report report =
-        lint::lint_circuit(CircuitView{2, 0, ops, measured}, options);
-    EXPECT_FALSE(report.fired("qubit-bounds")) << report.to_string();
-}
-
 // ---------------------------------------------------------------------
 // Fused-program pass.
 // ---------------------------------------------------------------------
@@ -493,29 +480,8 @@ TEST(LintClean, CliffordReplicasPassReplicaRules)
 }
 
 // ---------------------------------------------------------------------
-// Extensibility and reporting plumbing.
+// Catalog and reporting plumbing.
 // ---------------------------------------------------------------------
-
-TEST(LintPlumbing, CustomRuleRegistration)
-{
-    lint::Linter linter;
-    const std::size_t builtin_count = linter.rules().size();
-    linter.register_rule(
-        {"no-swap", Severity::Warning, "SWAP gates are expensive"},
-        [](const CircuitView &view, const LintOptions &, Report &out) {
-            for (std::size_t i = 0; i < view.ops.size(); ++i)
-                if (view.ops[i].kind == GateKind::SWAP)
-                    out.add(Severity::Warning, "no-swap",
-                            static_cast<int>(i), "SWAP gate");
-        });
-    EXPECT_EQ(linter.rules().size(), builtin_count + 1);
-    Circuit c(2);
-    c.add_gate(GateKind::SWAP, {0, 1});
-    c.set_measured({0, 1});
-    const Report report = linter.lint(lint::view_of(c));
-    EXPECT_TRUE(report.fired("no-swap")) << report.to_string();
-    EXPECT_FALSE(report.has_errors());
-}
 
 TEST(LintPlumbing, CatalogCoversEveryRule)
 {
