@@ -7,6 +7,7 @@
  * garbage in every field without crashing — that is the point.
  */
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -46,12 +47,35 @@ index_list(const std::vector<int> &indices)
 }
 
 /**
+ * The lightcone of one lint_circuit call, shared by the rules that read
+ * it: analysed on first use, so at most once per call and not at all
+ * when no rule needs it.
+ */
+class Lightcone
+{
+  public:
+    explicit Lightcone(const CircuitView &c) : c_(c) {}
+
+    const LightconeAnalysis &get()
+    {
+        if (!analysis_)
+            analysis_ = analyze_lightcone(c_);
+        return *analysis_;
+    }
+
+  private:
+    const CircuitView &c_;
+    std::optional<LightconeAnalysis> analysis_;
+};
+
+/**
  * qubit-bounds: every operand indexes a declared qubit and the arity
  * slots agree with the gate kind (unused slot = -1, 2-qubit operands
  * distinct). The amplitude-embedding pseudo-op carries no operands.
  */
 void
-rule_qubit_bounds(const CircuitView &c, const LintOptions &, Report &out)
+rule_qubit_bounds(const CircuitView &c, const LintOptions &, Lightcone &,
+                  Report &out)
 {
     if (c.num_qubits <= 0) {
         out.add(Severity::Error, "qubit-bounds", -1,
@@ -105,7 +129,8 @@ rule_qubit_bounds(const CircuitView &c, const LintOptions &, Report &out)
  * time, silently).
  */
 void
-rule_param_binding(const CircuitView &c, const LintOptions &, Report &out)
+rule_param_binding(const CircuitView &c, const LintOptions &, Lightcone &,
+                   Report &out)
 {
     std::vector<int> bound(
         static_cast<std::size_t>(std::max(0, c.num_params)), 0);
@@ -191,7 +216,7 @@ rule_param_binding(const CircuitView &c, const LintOptions &, Report &out)
  */
 void
 rule_embedding_order(const CircuitView &c, const LintOptions &options,
-                     Report &out)
+                     Lightcone &, Report &out)
 {
     int first_variational = -1;
     int gate_embeddings = 0;
@@ -245,7 +270,7 @@ rule_embedding_order(const CircuitView &c, const LintOptions &options,
  */
 void
 rule_connectivity(const CircuitView &c, const LintOptions &options,
-                  Report &out)
+                  Lightcone &, Report &out)
 {
     if (!options.device)
         return;
@@ -282,7 +307,7 @@ rule_connectivity(const CircuitView &c, const LintOptions &options,
  */
 void
 rule_clifford_replica(const CircuitView &c, const LintOptions &options,
-                      Report &out)
+                      Lightcone &, Report &out)
 {
     if (!options.expect_clifford_replica)
         return;
@@ -312,7 +337,8 @@ rule_clifford_replica(const CircuitView &c, const LintOptions &options,
  * (a classifier circuit without output).
  */
 void
-rule_measurement(const CircuitView &c, const LintOptions &, Report &out)
+rule_measurement(const CircuitView &c, const LintOptions &, Lightcone &,
+                 Report &out)
 {
     if (c.measured.empty())
         out.add(Severity::Warning, "measurement", -1,
@@ -345,7 +371,8 @@ rule_measurement(const CircuitView &c, const LintOptions &, Report &out)
  * lint.
  */
 void
-rule_dead_code(const CircuitView &c, const LintOptions &, Report &out)
+rule_dead_code(const CircuitView &c, const LintOptions &, Lightcone &,
+               Report &out)
 {
     if (c.num_qubits <= 0)
         return;
@@ -401,12 +428,12 @@ rule_dead_code(const CircuitView &c, const LintOptions &, Report &out)
  * every op for the wrong reason.
  */
 void
-rule_dead_lightcone(const CircuitView &c, const LintOptions &, Report &out)
+rule_dead_lightcone(const CircuitView &c, const LintOptions &,
+                    Lightcone &cone, Report &out)
 {
     if (c.measured.empty() || c.ops.empty())
         return;
-    const LightconeAnalysis analysis = analyze_lightcone(c);
-    const std::vector<int> dead = analysis.dead_ops();
+    const std::vector<int> dead = cone.get().dead_ops();
     if (dead.empty())
         return;
     std::ostringstream oss;
@@ -423,11 +450,12 @@ rule_dead_lightcone(const CircuitView &c, const LintOptions &, Report &out)
  * this rule covers bound-but-invisible ones.
  */
 void
-rule_dead_parameter(const CircuitView &c, const LintOptions &, Report &out)
+rule_dead_parameter(const CircuitView &c, const LintOptions &,
+                    Lightcone &cone, Report &out)
 {
     if (c.measured.empty() || c.num_params <= 0)
         return;
-    const LightconeAnalysis analysis = analyze_lightcone(c);
+    const LightconeAnalysis &analysis = cone.get();
     std::vector<int> bound(
         static_cast<std::size_t>(c.num_params), 0);
     for (const Op &op : c.ops) {
@@ -458,7 +486,8 @@ rule_dead_parameter(const CircuitView &c, const LintOptions &, Report &out)
  * Clifford prefix and suffix and of the parameter-free prefix.
  */
 void
-rule_clifford_region(const CircuitView &c, const LintOptions &, Report &out)
+rule_clifford_region(const CircuitView &c, const LintOptions &, Lightcone &,
+                     Report &out)
 {
     if (c.ops.empty())
         return;
@@ -478,7 +507,7 @@ rule_clifford_region(const CircuitView &c, const LintOptions &, Report &out)
     if (regions.param_free_prefix > regions.clifford_prefix)
         oss << "; parameter-free prefix extends to "
             << regions.param_free_prefix << " op(s)";
-    oss << " (stabilizer fast path / prefix-state cache eligible)";
+    oss << " (stabilizer fast path eligible)";
     out.add(Severity::Note, "clifford-region", -1, oss.str());
 }
 
@@ -488,7 +517,8 @@ struct CircuitRule
     const char *id;
     Severity severity;
     const char *summary;
-    void (*check)(const CircuitView &, const LintOptions &, Report &);
+    void (*check)(const CircuitView &, const LintOptions &, Lightcone &,
+                  Report &);
 };
 
 /** Every circuit rule, in run order. */
@@ -534,8 +564,9 @@ Report
 lint_circuit(const CircuitView &view, const LintOptions &options)
 {
     Report report;
+    Lightcone cone(view);
     for (const CircuitRule &rule : kCircuitRules)
-        rule.check(view, options, report);
+        rule.check(view, options, cone, report);
     return report;
 }
 

@@ -9,6 +9,7 @@
 #include "noise/channels.hpp"
 #include "obs/metrics.hpp"
 #include "sim/kernel_obs.hpp"
+#include "sim/vec_complex.hpp"
 
 namespace elv::noise {
 
@@ -84,6 +85,18 @@ expand_superop_1q(const Mat4 &s, int slot)
                 s[li][lj];
     }
     return out;
+}
+
+void
+absorb_superop_1q(Mat16 &m, const Mat4 &s, int slot)
+{
+    ELV_REQUIRE(slot == 0 || slot == 1, "bad embedding slot");
+    // m[i][j] is amplitude 16 * i + j of a 256-entry vector, so row bit
+    // b is vector bit b + 4; the bits are expand_superop_1q's.
+    const std::size_t rbit = slot == 0 ? 3 : 2;
+    const std::size_t cbit = slot == 0 ? 1 : 0;
+    sim::vec::apply_2q(m[0].data(), 256, std::size_t{1} << (rbit + 4),
+                       std::size_t{1} << (cbit + 4), s[0].data());
 }
 
 Mat16
@@ -312,8 +325,7 @@ NoisyProgram::compile(const circ::Circuit &local,
             if (e.kind == Entry::Kind::Super1) {
                 e.s4 = sim::matmul(s, e.s4);
             } else {
-                const int slot = e.q0 == q ? 0 : 1;
-                e.s16 = sim::matmul(expand_superop_1q(s, slot), e.s16);
+                absorb_superop_1q(e.s16, s, e.q0 == q ? 0 : 1);
             }
             ++prog.ops_merged_;
             return;

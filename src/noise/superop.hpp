@@ -20,7 +20,8 @@
  * parametric gate contributes a fusable noise superoperator right
  * after its barrier entry. SuperopTable builds each such per-gate
  * superoperator once; compiling a circuit is then lookups plus the
- * fusion merges.
+ * fusion merges. A 1-qubit channel folds into an open 2-qubit entry in
+ * place (absorb_superop_1q), without building its 16x16 embedding.
  */
 #pragma once
 
@@ -54,6 +55,15 @@ sim::Mat16 unitary_superop_2q(const sim::Mat4 &u);
  * slot 0 acts on the (r0, c0) pair, slot 1 on (r1, c1).
  */
 sim::Mat16 expand_superop_1q(const sim::Mat4 &s, int slot);
+
+/**
+ * m = expand_superop_1q(s, slot) * m, in place and bit-identical to
+ * that product: `s` acts on two bits of m's row index, so this is the
+ * 4x4 kernel over m's 256 coefficients. Each m[i][j] sums the same four
+ * terms in the same order as the 16x16 product, which skips the other
+ * twelve because their coefficients are exact zeros.
+ */
+void absorb_superop_1q(sim::Mat16 &m, const sim::Mat4 &s, int slot);
 
 /** Reorder a 2-qubit superoperator between |r0 r1 c0 c1> and
  *  |r1 r0 c1 c0> (operand swap). */

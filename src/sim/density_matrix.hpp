@@ -7,9 +7,9 @@
  * superoperators reuse the state-vector kernels: U rho U^dag applies U
  * on the row qubit and conj(U) on the matching column qubit, and a
  * channel is one gathered pass over a (row, column) qubit pair. Exact
- * noisy simulation for circuits of up to ~10 qubits — which covers
- * every circuit in this reproduction, because Elivagar circuits live on
- * small connected device subgraphs.
+ * noisy simulation for circuits of up to kMaxQubits = 12 qubits — which
+ * covers every circuit in this reproduction, because Elivagar circuits
+ * live on small connected device subgraphs.
  */
 #pragma once
 

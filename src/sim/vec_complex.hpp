@@ -4,17 +4,24 @@
  *
  * Every kernel ships in up to three tiers — scalar baseline, AVX2
  * (256-bit), AVX-512F (512-bit) — selected at run time through
- * cpu_features.hpp. The baseline tier is the exact loop the simulator
- * has always run; the vector tiers parallelize *across amplitude
- * indices* (each SIMD lane is a distinct amplitude) and replicate the
- * per-amplitude arithmetic operation-for-operation:
+ * cpu_features.hpp. The baseline tier is the plain scalar loop; the
+ * vector tiers parallelize *across amplitude indices* (each SIMD lane
+ * is a distinct amplitude) and replicate the per-amplitude arithmetic
+ * operation-for-operation:
  *
  *  - complex multiply w*a is computed as the naive formula
  *    (re = a.re*w.re - a.im*w.im, im = a.im*w.re + a.re*w.im) with
  *    separate multiplies and adds — no FMA contraction — which is the
  *    code GCC emits for std::complex on finite values;
- *  - matvec accumulators start from zero and sum in column order,
- *    exactly like the scalar `acc += u[r][c] * in[c]` loop.
+ *  - matvec accumulators start from +0 and sum in column order,
+ *    exactly like the scalar `acc += u[r][c] * in[c]` loop. The 16x16
+ *    kernel (apply_4q) and the 16x16 product (matmul16) skip every
+ *    coefficient that is exactly zero (both parts +-0), on every tier,
+ *    and that changes no bit of a finite result: the skipped product
+ *    w*x is +-0 in each part, and adding +-0 leaves an accumulator as
+ *    it was unless the accumulator is -0 — which it never is, because
+ *    it starts at +0 and an IEEE sum is -0 only when both addends
+ *    are -0. The 4x4 kernels stay dense (fused unitaries are dense).
  *
  * Consequence: all tiers produce BIT-IDENTICAL amplitudes on finite
  * states (the tier-equivalence tests assert this with memcmp), so
@@ -36,6 +43,7 @@
 #include <array>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 #include "sim/cpu_features.hpp"
 
@@ -56,9 +64,8 @@ insert_zero_bit(std::size_t v, std::size_t mask)
 }
 
 // ---------------------------------------------------------------------
-// Scalar baseline: the simulator's original loops, verbatim. These
-// define the reference arithmetic every vector tier must reproduce
-// bit-for-bit.
+// Scalar baseline: these loops define the reference arithmetic every
+// vector tier must reproduce bit-for-bit.
 
 inline void
 scalar_1q(std::complex<double> *amps, std::size_t dim, std::size_t stride,
@@ -114,10 +121,34 @@ scalar_2q(std::complex<double> *amps, std::size_t m0, std::size_t m1,
     }
 }
 
+/**
+ * The nonzero coefficients of a row-major 16x16 matrix, row by row in
+ * column order: row r's terms are [start[r], start[r + 1]). A dense
+ * matrix has 256 terms, so the row starts are 16-bit.
+ */
+struct Nonzeros16
+{
+    std::uint16_t start[17];
+    std::uint8_t col[256];
+};
+
+inline void
+list_nonzeros16(const std::complex<double> *u, Nonzeros16 &nz)
+{
+    std::uint16_t n = 0;
+    for (std::size_t r = 0; r < 16; ++r) {
+        nz.start[r] = n;
+        for (std::size_t c = 0; c < 16; ++c)
+            if (u[16 * r + c] != std::complex<double>(0))
+                nz.col[n++] = static_cast<std::uint8_t>(c);
+    }
+    nz.start[16] = n;
+}
+
 inline void
 scalar_4q(std::complex<double> *amps, const std::size_t *sorted,
           const std::size_t *offset, const std::complex<double> *u,
-          std::size_t g_begin, std::size_t g_end)
+          const Nonzeros16 &nz, std::size_t g_begin, std::size_t g_end)
 {
     for (std::size_t g = g_begin; g < g_end; ++g) {
         std::size_t i = g;
@@ -128,15 +159,17 @@ scalar_4q(std::complex<double> *amps, const std::size_t *sorted,
             in[k] = amps[i | offset[k]];
         for (std::size_t r = 0; r < 16; ++r) {
             std::complex<double> acc(0);
-            for (std::size_t c = 0; c < 16; ++c)
-                acc += u[16 * r + c] * in[c];
+            for (std::size_t t = nz.start[r]; t < nz.start[r + 1]; ++t)
+                acc += u[16 * r + nz.col[t]] * in[nz.col[t]];
             amps[i | offset[r]] = acc;
         }
     }
 }
 
 /** out += a * b over row-major 16x16 matrices, skipping zero a[i][k]
- *  (superoperators are sparse); each out[i][j] sums in k order. */
+ *  (superoperators are sparse); each out[i][j] sums in k order. The
+ *  skip is exact for finite b when `out` holds no -0, as sim::matmul's
+ *  zero-initialized product does not (see the file comment). */
 inline void
 scalar_matmul16(const std::complex<double> *a, const std::complex<double> *b,
                 std::complex<double> *out)
@@ -183,7 +216,10 @@ cmul_pd(__m256d a, __m256d wr, __m256d wi)
     return _mm256_addsub_pd(t1, t2);
 }
 
-/** out[r] = sum_c u[r*n+c] * in[c], accumulated from zero in order. */
+/** out[r] = sum_c u[r*n+c] * in[c], accumulated from zero in order:
+ *  the dense 4x4 kernel. n stays a parameter: with a literal 4, GCC
+ *  compiles avx2_2q_pd into longer code (1,415 instructions, not
+ *  1,182). */
 __attribute__((target("avx2"))) inline void
 matvec_pd(const std::complex<double> *u, std::size_t n, const __m256d *in,
           __m256d *out)
@@ -192,6 +228,25 @@ matvec_pd(const std::complex<double> *u, std::size_t n, const __m256d *in,
         __m256d acc = _mm256_setzero_pd();
         for (std::size_t c = 0; c < n; ++c) {
             const std::complex<double> w = u[r * n + c];
+            acc = _mm256_add_pd(
+                acc, cmul_pd(in[c], _mm256_set1_pd(w.real()),
+                             _mm256_set1_pd(w.imag())));
+        }
+        out[r] = acc;
+    }
+}
+
+/** out[r] = sum over row r's nonzeros of u[16r+c] * in[c], accumulated
+ *  from zero in column order (scalar_4q's sum). */
+__attribute__((target("avx2"))) inline void
+matvec16_pd(const std::complex<double> *u, const Nonzeros16 &nz,
+            const __m256d *in, __m256d *out)
+{
+    for (std::size_t r = 0; r < 16; ++r) {
+        __m256d acc = _mm256_setzero_pd();
+        for (std::size_t t = nz.start[r]; t < nz.start[r + 1]; ++t) {
+            const std::size_t c = nz.col[t];
+            const std::complex<double> w = u[16 * r + c];
             acc = _mm256_add_pd(
                 acc, cmul_pd(in[c], _mm256_set1_pd(w.real()),
                              _mm256_set1_pd(w.imag())));
@@ -376,7 +431,7 @@ avx2_2q_pd(std::complex<double> *amps, std::size_t dim, std::size_t m0,
 __attribute__((target("avx2"))) inline void
 avx2_4q_pd(std::complex<double> *amps, std::size_t dim,
            const std::size_t *sorted, const std::size_t *offset,
-           const std::complex<double> *u)
+           const std::complex<double> *u, const Nonzeros16 &nz)
 {
     double *raw = reinterpret_cast<double *>(amps);
     const std::size_t groups = dim >> 4;
@@ -388,12 +443,12 @@ avx2_4q_pd(std::complex<double> *amps, std::size_t dim,
             __m256d in[16], out[16];
             for (std::size_t k = 0; k < 16; ++k)
                 in[k] = _mm256_loadu_pd(raw + 2 * (i | offset[k]));
-            matvec_pd(u, 16, in, out);
+            matvec16_pd(u, nz, in, out);
             for (std::size_t r = 0; r < 16; ++r)
                 _mm256_storeu_pd(raw + 2 * (i | offset[r]), out[r]);
         }
         if (groups & 1)
-            scalar_4q(amps, sorted, offset, u, groups - 1, groups);
+            scalar_4q(amps, sorted, offset, u, nz, groups - 1, groups);
         return;
     }
     // sorted[0] == 1: pair each slot with its low-mask partner (their
@@ -418,7 +473,7 @@ avx2_4q_pd(std::complex<double> *amps, std::size_t dim,
             in[k] = _mm256_permute2f128_pd(a, b, 0x20);
             in[k | pair_bit] = _mm256_permute2f128_pd(a, b, 0x31);
         }
-        matvec_pd(u, 16, in, out);
+        matvec16_pd(u, nz, in, out);
         for (std::size_t k = 0; k < 16; ++k) {
             if (k & pair_bit)
                 continue;
@@ -431,7 +486,7 @@ avx2_4q_pd(std::complex<double> *amps, std::size_t dim,
         }
     }
     if (g < groups)
-        scalar_4q(amps, sorted, offset, u, g, groups);
+        scalar_4q(amps, sorted, offset, u, nz, g, groups);
 }
 
 // ---------------------------------------------------------------------
@@ -458,6 +513,7 @@ negreal512()
     return _mm512_set_pd(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
 }
 
+/** matvec_pd on zmm lanes. */
 __attribute__((target("avx512f"))) inline void
 matvec512_pd(const std::complex<double> *u, std::size_t n,
              const __m512d *in, __m512d *out)
@@ -467,6 +523,25 @@ matvec512_pd(const std::complex<double> *u, std::size_t n,
         __m512d acc = _mm512_setzero_pd();
         for (std::size_t c = 0; c < n; ++c) {
             const std::complex<double> w = u[r * n + c];
+            acc = _mm512_add_pd(
+                acc, cmul512_pd(in[c], _mm512_set1_pd(w.real()),
+                                _mm512_set1_pd(w.imag()), nr));
+        }
+        out[r] = acc;
+    }
+}
+
+/** matvec16_pd on zmm lanes. */
+__attribute__((target("avx512f"))) inline void
+matvec16_512_pd(const std::complex<double> *u, const Nonzeros16 &nz,
+                const __m512d *in, __m512d *out)
+{
+    const __m512d nr = negreal512();
+    for (std::size_t r = 0; r < 16; ++r) {
+        __m512d acc = _mm512_setzero_pd();
+        for (std::size_t t = nz.start[r]; t < nz.start[r + 1]; ++t) {
+            const std::size_t c = nz.col[t];
+            const std::complex<double> w = u[16 * r + c];
             acc = _mm512_add_pd(
                 acc, cmul512_pd(in[c], _mm512_set1_pd(w.real()),
                                 _mm512_set1_pd(w.imag()), nr));
@@ -555,7 +630,7 @@ avx512_2q_pd(std::complex<double> *amps, std::size_t dim, std::size_t m0,
 __attribute__((target("avx512f"))) inline void
 avx512_4q_pd(std::complex<double> *amps, std::size_t dim,
              const std::size_t *sorted, const std::size_t *offset,
-             const std::complex<double> *u)
+             const std::complex<double> *u, const Nonzeros16 &nz)
 {
     double *raw = reinterpret_cast<double *>(amps);
     const std::size_t groups = dim >> 4;
@@ -566,12 +641,12 @@ avx512_4q_pd(std::complex<double> *amps, std::size_t dim,
         __m512d in[16], out[16];
         for (std::size_t k = 0; k < 16; ++k)
             in[k] = _mm512_loadu_pd(raw + 2 * (i | offset[k]));
-        matvec512_pd(u, 16, in, out);
+        matvec16_512_pd(u, nz, in, out);
         for (std::size_t r = 0; r < 16; ++r)
             _mm512_storeu_pd(raw + 2 * (i | offset[r]), out[r]);
     }
     if (groups & 3)
-        scalar_4q(amps, sorted, offset, u, groups & ~std::size_t{3},
+        scalar_4q(amps, sorted, offset, u, nz, groups & ~std::size_t{3},
                   groups);
 }
 
@@ -657,18 +732,21 @@ apply_4q(std::complex<double> *amps, std::size_t dim, std::size_t m0,
     for (std::size_t k = 0; k < 16; ++k)
         offset[k] = ((k & 8) ? m0 : 0) | ((k & 4) ? m1 : 0) |
                     ((k & 2) ? m2 : 0) | ((k & 1) ? m3 : 0);
+    // Superoperators are sparse: every tier sums only the nonzeros.
+    Nonzeros16 nz;
+    list_nonzeros16(u, nz);
 #if ELV_VEC_X86
     const KernelTier tier = active_tier();
     if (tier == KernelTier::AVX512 && sorted[0] >= 4) {
-        avx512_4q_pd(amps, dim, sorted, offset, u);
+        avx512_4q_pd(amps, dim, sorted, offset, u, nz);
         return;
     }
     if (tier != KernelTier::Baseline) {
-        avx2_4q_pd(amps, dim, sorted, offset, u);
+        avx2_4q_pd(amps, dim, sorted, offset, u, nz);
         return;
     }
 #endif
-    scalar_4q(amps, sorted, offset, u, 0, dim >> 4);
+    scalar_4q(amps, sorted, offset, u, nz, 0, dim >> 4);
 }
 
 /** out += a * b for row-major 16x16 matrices (see scalar_matmul16). */

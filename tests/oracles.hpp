@@ -10,11 +10,16 @@
  *    loop rho -> sum_k K rho K^dag, one full-state copy and two kernel
  *    passes per operator, the oracle for the superoperator kernels and
  *    the compiled noisy programs.
+ *  - dense_apply_4q: the 16x16 kernel with every coefficient multiplied,
+ *    zeros included, the oracle for sim::vec::apply_4q, which sums only
+ *    the nonzeros.
  */
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -27,6 +32,7 @@
 #include "sim/observable.hpp"
 #include "sim/statevector.hpp"
 #include "sim/unitaries.hpp"
+#include "sim/vec_complex.hpp"
 
 namespace elv::test {
 
@@ -88,6 +94,39 @@ parameter_shift_gradient(const sim::FusedProgram &program,
         }
     }
     return result;
+}
+
+/**
+ * amps <- u amps on the qubits of masks m0..m3 (local basis
+ * |q0 q1 q2 q3>, the layout of sim::vec::apply_4q), as a dense 16x16
+ * matvec per group: every accumulator starts from zero and sums all 16
+ * columns in order.
+ */
+inline void
+dense_apply_4q(std::complex<double> *amps, std::size_t dim, std::size_t m0,
+               std::size_t m1, std::size_t m2, std::size_t m3,
+               const std::complex<double> *u)
+{
+    std::size_t sorted[4] = {m0, m1, m2, m3};
+    std::sort(sorted, sorted + 4);
+    std::size_t offset[16];
+    for (std::size_t k = 0; k < 16; ++k)
+        offset[k] = ((k & 8) ? m0 : 0) | ((k & 4) ? m1 : 0) |
+                    ((k & 2) ? m2 : 0) | ((k & 1) ? m3 : 0);
+    for (std::size_t g = 0; g < dim >> 4; ++g) {
+        std::size_t i = g;
+        for (int a = 0; a < 4; ++a)
+            i = sim::vec::insert_zero_bit(i, sorted[a]);
+        std::complex<double> in[16];
+        for (std::size_t k = 0; k < 16; ++k)
+            in[k] = amps[i | offset[k]];
+        for (std::size_t r = 0; r < 16; ++r) {
+            std::complex<double> acc(0);
+            for (std::size_t c = 0; c < 16; ++c)
+                acc += u[16 * r + c] * in[c];
+            amps[i | offset[r]] = acc;
+        }
+    }
 }
 
 /**

@@ -138,10 +138,11 @@ TEST(Lightcone, AmplitudeEmbeddingPullsEveryQubit)
     const lint::LightconeAnalysis analysis =
         lint::analyze_lightcone(lint::view_of(c));
     // AmpEmbed writes all qubits, so it is live and puts q2 in the
-    // cone; but the RX on q2 sits *after* the embed and before nothing
-    // that routes q2 into the measurement — it is still live because
-    // q2 entered the cone through the embed's operand marking.
+    // cone. The RX on q2 sits after the embed, and nothing after it
+    // routes q2 into the measurement, so it is dead: the cone only
+    // reaches q2 at the embed, before the RX.
     EXPECT_TRUE(analysis.live_ops[0]);
+    EXPECT_FALSE(analysis.live_ops[1]);
     for (char q : analysis.live_qubits)
         EXPECT_TRUE(q);
 }

@@ -446,6 +446,61 @@ TEST(NoisyProgram, NoiseScaleZeroIsNoiselessInBothPaths)
     EXPECT_NEAR(fused.fidelity(c, params, x), 1.0, 1e-9);
 }
 
+TEST(NoisyProgram, InPlaceAbsorptionMatchesExpandedProduct)
+{
+    // Compile folds a 1-qubit channel into an open 2-qubit entry in
+    // place; that must give the bits of the expanded 16x16 product, for
+    // either slot, at every tier.
+    TierGuard guard;
+    elv::Rng rng(61);
+    auto random_amp = [&rng] {
+        return sim::Amp(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    };
+    const dev::Device device = dev::make_device("ibm_lagos");
+    noise::SuperopTable table;
+    // The noise a barrier leaves behind: 6 of its 16 coefficients are
+    // nonzero.
+    circ::Op rx;
+    rx.kind = circ::GateKind::RX;
+    rx.qubits = {0, -1};
+    rx.role = circ::ParamRole::Variational;
+    rx.param_index = 0;
+    circ::Op cx;
+    cx.kind = circ::GateKind::CX;
+    cx.qubits = {0, 1};
+
+    std::vector<sim::Mat4> ones(3);
+    for (auto &row : ones[0])
+        for (auto &e : row)
+            e = random_amp();
+    ones[1] = table.gate_1q(rx, false, 0, device, 1.0);
+    ones[2] = ones[0];
+    ones[2][0][1] = sim::Amp(-0.0, 0.0);
+    ones[2][1][3] = sim::Amp(0.0, -0.0);
+    ones[2][2] = {};
+    ones[2][3][0] = sim::Amp(0.0, 0.5);
+    std::vector<sim::Mat16> twos(2);
+    for (auto &row : twos[0])
+        for (auto &e : row)
+            e = random_amp();
+    twos[1] = table.gate_2q(cx, true, 0, 1, device, 1.0);
+
+    for (int t = 0; t <= static_cast<int>(sim::best_supported_tier()); ++t) {
+        sim::set_forced_tier(static_cast<sim::KernelTier>(t));
+        for (std::size_t a = 0; a < ones.size(); ++a)
+            for (std::size_t b = 0; b < twos.size(); ++b)
+                for (int slot = 0; slot < 2; ++slot) {
+                    const sim::Mat16 want = sim::matmul(
+                        noise::expand_superop_1q(ones[a], slot), twos[b]);
+                    sim::Mat16 got = twos[b];
+                    noise::absorb_superop_1q(got, ones[a], slot);
+                    EXPECT_EQ(std::memcmp(&want, &got, sizeof got), 0)
+                        << "tier " << t << " s " << a << " m " << b
+                        << " slot " << slot;
+                }
+    }
+}
+
 /** Fixed, variational and embedding gates on the coupled pairs of
  *  `device` among its first four qubits, including CRY barriers (the
  *  double-depolarizing 2-qubit case). */

@@ -467,7 +467,10 @@ TEST(Server, DeadlineExpiryCancelsNotFails)
 {
     Server server(small_config(fresh_dir("deadline")));
     core::RunSpec spec = long_spec();
-    spec.deadline_sec = 0.05; // far too tight for 64 candidates
+    // Far too tight for 64 candidates. It must stay well under the
+    // search's own time (tens of milliseconds on a fast host), or the
+    // job can complete before the deadline expires.
+    spec.deadline_sec = 0.001;
     const SubmitOutcome outcome = server.submit(spec);
     ASSERT_TRUE(outcome.accepted);
 

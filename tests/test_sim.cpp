@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
+#include "device/device.hpp"
 #include "noise/channels.hpp"
 #include "noise/superop.hpp"
 #include "sim/cpu_features.hpp"
@@ -766,6 +768,105 @@ TEST(KernelDispatch, DensityMatrixTiersBitIdentical)
                 ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0)
                     << "tier " << t << " rho(" << r << ", " << col << ")";
             }
+    }
+}
+
+/** rho's 2n-qubit vectorized form, read element by element. */
+AmpVector
+vectorized(const DensityMatrix &rho)
+{
+    const int n = rho.num_qubits();
+    const std::size_t dim = std::size_t{1} << n;
+    AmpVector v(dim * dim);
+    for (std::size_t c = 0; c < dim; ++c)
+        for (std::size_t r = 0; r < dim; ++r)
+            v[r | (c << n)] = rho.element(r, c);
+    return v;
+}
+
+TEST(KernelDispatch, SparseSuperopMatchesDenseOracle)
+{
+    // apply_superop_2q sums only a superoperator's nonzero coefficients.
+    // On a finite rho that must give the dense product's bits, at every
+    // tier, for any zero pattern and any operand placement.
+    TierGuard guard;
+    Rng rng(31);
+    const dev::Device device = dev::make_device("ibm_lagos");
+    noise::SuperopTable table;
+    Op cx;
+    cx.kind = GateKind::CX;
+    cx.qubits = {0, 1};
+    Op cz = cx;
+    cz.kind = GateKind::CZ;
+    Op cry = cx;
+    cry.kind = GateKind::CRY;
+    cry.role = ParamRole::Variational;
+    cry.param_index = 0;
+
+    std::vector<Mat16> mats;
+    mats.push_back(table.gate_2q(cx, true, 0, 1, device, 1.0));
+    mats.push_back(table.gate_2q(cz, true, 1, 3, device, 1.0));
+    mats.push_back(table.gate_2q(cry, false, 3, 5, device, 1.0));
+    Mat16 structural = random_matrix<Mat16>(rng);
+    for (std::size_t i = 0; i < 16; ++i)
+        for (std::size_t k = 0; k < 16; ++k)
+            if ((7 * i + k) % 3 != 0)
+                structural[i][k] = Amp(0);
+    mats.push_back(structural);
+    Mat16 zero_row = random_matrix<Mat16>(rng);
+    zero_row[5] = {};
+    mats.push_back(zero_row);
+    mats.push_back(random_matrix<Mat16>(rng));
+    // Signed zeros are skipped; a coefficient with one nonzero part is not.
+    Mat16 signed_zeros = random_matrix<Mat16>(rng);
+    for (std::size_t i = 0; i < 16; ++i) {
+        signed_zeros[i][i] = Amp(-0.0, 0.0);
+        signed_zeros[i][(i + 3) % 16] = Amp(0.0, -0.0);
+        signed_zeros[i][(i + 7) % 16] = Amp(-0.0, -0.0);
+        signed_zeros[i][(i + 11) % 16] = Amp(-0.0, 0.5);
+    }
+    mats.push_back(signed_zeros);
+
+    // Lowest operand mask 1, 2 and >= 4. At 2 qubits the state is one
+    // group, so the vector tiers run only their scalar tails.
+    const int placements[][3] = {{2, 0, 1}, {2, 1, 0}, {3, 0, 2},
+                                 {3, 2, 1}, {6, 1, 4}, {6, 5, 0},
+                                 {6, 2, 4}, {6, 5, 3}};
+    const int best = static_cast<int>(best_supported_tier());
+    for (const auto &p : placements) {
+        const int n = p[0], q0 = p[1], q1 = p[2];
+        // A pure state with (-0, -0) entries puts -0 parts into rho.
+        StateVector psi(n);
+        for (std::size_t k = 0; k < psi.dim(); ++k)
+            psi.amps()[k] = k % 3 == 1 ? Amp(-0.0, -0.0)
+                                       : Amp(rng.uniform(0.1, 1.0),
+                                             rng.uniform(0.1, 1.0));
+        DensityMatrix start(n);
+        start.set_pure(psi);
+        const AmpVector before = vectorized(start);
+        ASSERT_TRUE(std::any_of(before.begin(), before.end(),
+                                [](Amp a) {
+                                    return a.real() == 0.0 &&
+                                           std::signbit(a.real());
+                                }));
+        const std::size_t m0 = std::size_t{1} << q0;
+        const std::size_t m1 = std::size_t{1} << q1;
+        for (std::size_t m = 0; m < mats.size(); ++m) {
+            AmpVector want = before;
+            test::dense_apply_4q(want.data(), want.size(), m0, m1, m0 << n,
+                                 m1 << n, mats[m][0].data());
+            for (int t = 0; t <= best; ++t) {
+                set_forced_tier(static_cast<KernelTier>(t));
+                DensityMatrix rho = start;
+                rho.apply_superop_2q(mats[m], q0, q1);
+                const AmpVector got = vectorized(rho);
+                EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                                      want.size() * sizeof(Amp)),
+                          0)
+                    << "tier " << t << ", " << n << " qubits, (" << q0
+                    << ", " << q1 << "), matrix " << m;
+            }
+        }
     }
 }
 
