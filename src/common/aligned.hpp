@@ -4,7 +4,7 @@
  *
  * The vectorized kernels (sim/vec_complex.hpp) issue 256/512-bit loads
  * and stores against the amplitude array. Correctness never depends on
- * alignment (the kernels use unaligned load/store intrinsics), but a
+ * alignment (the kernels load and store unaligned), but a
  * 64-byte base keeps every vector access inside one cache line and
  * makes the hot arrays start on an AVX-512-friendly boundary. The
  * allocator rounds every allocation up to the alignment so operator

@@ -4,16 +4,14 @@
 #include <cstdio>
 #include <ctime>
 
+#include "elv_version.hpp"
+
 namespace elv {
 
 const char *
 version_string()
 {
-#ifdef ELV_VERSION_STRING
     return ELV_VERSION_STRING;
-#else
-    return "unknown";
-#endif
 }
 
 std::string

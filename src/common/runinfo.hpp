@@ -13,8 +13,8 @@ namespace elv {
 
 /**
  * git-describe-style version of this build (e.g. "21a9faa-dirty"),
- * captured at configure time; "unknown" when the source tree was built
- * outside git.
+ * read on every build; "unknown" when the source tree was built outside
+ * git.
  */
 const char *version_string();
 

@@ -2,10 +2,11 @@
  * @file
  * Runtime CPU-feature detection and kernel-tier dispatch.
  *
- * The state-vector kernels ship in three tiers — the scalar baseline,
- * AVX2, and AVX-512 — compiled with per-function target attributes so
- * one binary carries all of them. The active tier is chosen once per
- * process from CPUID (`best_supported_tier`), and can be overridden:
+ * Each vector kernel is one source compiled into three tiers — the
+ * baseline, AVX2 and AVX-512 — through the target-attributed entry
+ * points of vec_lanes.hpp, so one binary carries all of them. The
+ * active tier is chosen once per process from CPUID
+ * (`best_supported_tier`), and can be overridden:
  *
  *  - `ELV_FORCE_KERNEL=baseline|avx2|avx512` (environment, read once):
  *    CI uses this to exercise every tier on any runner. Forcing a tier
@@ -15,9 +16,9 @@
  *    clamping): used by the benches and the tier-equivalence tests to
  *    switch tiers mid-process.
  *
- * Every tier computes bit-identical results (see vec_complex.hpp), so
- * switching tiers — across processes, machines, or mid-run — never
- * perturbs scores, rankings, or journal resume.
+ * Every tier computes bit-identical results (see vec_complex.hpp and
+ * vec_batch.hpp), so switching tiers — across processes, machines, or
+ * mid-run — never perturbs scores, rankings, or journal resume.
  */
 #pragma once
 
@@ -28,9 +29,9 @@ namespace elv::sim {
 
 /** Vector-kernel tiers, in ascending capability order. */
 enum class KernelTier {
-    Baseline = 0, ///< scalar loops (always available, always correct)
-    AVX2 = 1,     ///< 256-bit kernels (x86 with AVX2)
-    AVX512 = 2,   ///< 512-bit kernels (x86 with AVX-512F)
+    Baseline = 0, ///< base-ISA code (always available)
+    AVX2 = 1,     ///< 256-bit lanes (x86 with AVX2)
+    AVX512 = 2,   ///< 512-bit lanes (x86 with AVX-512F)
 };
 
 /** Printable tier name ("baseline" / "avx2" / "avx512"). */

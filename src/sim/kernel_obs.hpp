@@ -3,10 +3,13 @@
  * Dispatch-tier observability for the vector kernels.
  *
  * `sim.kernel_dispatch.*` counts, per simulator run (state-vector,
- * fused, and noisy density-matrix runs), which kernel tier dispatch
- * selected — the --metrics answer to "did this host actually run the
- * AVX2/AVX-512 kernels?". Counted per run rather than per kernel call
- * to keep the hot loops free of extra atomic-flag loads.
+ * fused, and noisy density-matrix runs), the tier the run dispatched on
+ * — the --metrics answer to "did this host actually run the AVX2/AVX-512
+ * kernels?". Counted per run rather than per kernel call to keep the
+ * hot loops free of extra atomic-flag loads. It is not the width each
+ * call ran at: on the AVX-512 tier a call whose lowest operand mask is
+ * below 4 still runs at AVX2 width (vec_complex.hpp; DESIGN.md §12
+ * gives the measured shares per kernel).
  */
 #pragma once
 

@@ -9,18 +9,14 @@
  * state-vector kernels (vec_complex.hpp) walk amplitudes and runs
  * across the lanes of each row. Split planes need no shuffles.
  *
- * Each kernel is written once against a lane type V: double for the
- * baseline tier and for the lanes that do not fill a vector, Lanes4
- * (four doubles) for AVX2, Lanes8 (eight) for AVX-512. The kernels use
- * plain + - * on V, which compile to one instruction per operation
- * over all of V's lanes, and are always inlined, so inside dispatch()'s
- * avx2 / avx512f entry points they compile to that tier's
- * instructions. (No V ever crosses a call by value, which would change
- * the calling convention.)
+ * Each kernel is written once against a lane type V (vec_lanes.hpp):
+ * double for the baseline tier and for the lanes that do not fill a
+ * vector, Lanes4 for AVX2, Lanes8 for AVX-512, and dispatch() runs it
+ * in the active tier's entry point.
  *
  * Each lane does the scalar tier's multiply/add sequence on its own
  * amplitudes: the complex product as (ac - bd, ad + bc) with separate
- * multiplies and adds (fp-contract is off below), the 2x2 matvec as
+ * multiplies and adds (no FMA contraction), the 2x2 matvec as
  * u0*a0 + u1*a1 and the 4x4 one accumulated from zero in column
  * order. A lane is therefore bit-identical to the same state replayed
  * through StateVector, under any tier.
@@ -39,54 +35,12 @@
 #include <cstring>
 #include <type_traits>
 
-#include "sim/cpu_features.hpp"
-#include "sim/vec_complex.hpp"
-
-// Same reason as in vec_complex.hpp: no FMA contraction of the
-// multiply/add pairs, which would round once instead of twice.
-#if defined(__clang__)
-#pragma clang fp contract(off)
-#elif defined(__GNUC__)
-#pragma GCC push_options
-#pragma GCC optimize("fp-contract=off")
-#endif
+#include "sim/vec_lanes.hpp"
 
 namespace elv::sim::vec {
 
-typedef double Lanes4 __attribute__((vector_size(32)));
-typedef double Lanes8 __attribute__((vector_size(64)));
-
-template <typename V>
-inline constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
-
-/** The unsigned integer lanes of V's width, for sign-bit operations. */
-template <typename V>
-struct LaneBits
-{
-    typedef std::uint64_t type __attribute__((vector_size(sizeof(V))));
-};
-template <>
-struct LaneBits<double>
-{
-    using type = std::uint64_t;
-};
-
 // ---------------------------------------------------------------------
 // Lane-type primitives. V is passed by reference only.
-
-template <typename V>
-[[gnu::always_inline]] inline void
-load(V &v, const double *p)
-{
-    std::memcpy(&v, p, sizeof v);
-}
-
-template <typename V>
-[[gnu::always_inline]] inline void
-store(double *p, const V &v)
-{
-    std::memcpy(p, &v, sizeof v);
-}
 
 template <typename V>
 [[gnu::always_inline]] inline double
@@ -106,19 +60,6 @@ set_lane(V &v, [[maybe_unused]] std::size_t w, double x)
         v = x;
     else
         v[w] = x;
-}
-
-/**
- * Every lane of v set to x. -0 + x is x exactly for every x (signed
- * zeros and NaN included) and compiles to one broadcast, where a brace
- * list of x compiles to one masked insert per lane.
- */
-template <typename V>
-[[gnu::always_inline]] inline void
-splat(V &v, double x)
-{
-    v = -V{};
-    v += x;
 }
 
 /** |v| per lane: clears the sign bit, as std::abs does. */
@@ -526,46 +467,4 @@ struct AbsDiffRows
     }
 };
 
-// ---------------------------------------------------------------------
-// Tier dispatch: Kernel::run<V> with the active tier's lane type.
-
-#if ELV_VEC_X86
-template <typename Kernel, typename... Args>
-__attribute__((target("avx512f"))) void
-run_avx512(Args... args)
-{
-    Kernel::template run<Lanes8>(args...);
-}
-
-template <typename Kernel, typename... Args>
-__attribute__((target("avx2"))) void
-run_avx2(Args... args)
-{
-    Kernel::template run<Lanes4>(args...);
-}
-#endif
-
-template <typename Kernel, typename... Args>
-inline void
-dispatch(Args... args)
-{
-#if ELV_VEC_X86
-    switch (active_tier()) {
-      case KernelTier::AVX512:
-        run_avx512<Kernel>(args...);
-        return;
-      case KernelTier::AVX2:
-        run_avx2<Kernel>(args...);
-        return;
-      case KernelTier::Baseline:
-        break;
-    }
-#endif
-    Kernel::template run<double>(args...);
-}
-
 } // namespace elv::sim::vec
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC pop_options
-#endif

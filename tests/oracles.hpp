@@ -13,6 +13,9 @@
  *  - dense_apply_4q: the 16x16 kernel with every coefficient multiplied,
  *    zeros included, the oracle for sim::vec::apply_4q, which sums only
  *    the nonzeros.
+ *  - scalar_1q, scalar_diag_1q, scalar_2q and scalar_matmul16: the
+ *    std::complex loops whose arithmetic every tier of the other
+ *    sim::vec kernels reproduces bit for bit.
  */
 #pragma once
 
@@ -127,6 +130,77 @@ dense_apply_4q(std::complex<double> *amps, std::size_t dim, std::size_t m0,
             amps[i | offset[r]] = acc;
         }
     }
+}
+
+inline void
+scalar_1q(std::complex<double> *amps, std::size_t dim, std::size_t stride,
+          const std::complex<double> *u, std::size_t base_begin,
+          std::size_t base_end)
+{
+    (void)dim;
+    for (std::size_t base = base_begin; base < base_end;
+         base += 2 * stride) {
+        for (std::size_t off = 0; off < stride; ++off) {
+            const std::size_t i0 = base + off;
+            const std::size_t i1 = i0 + stride;
+            const std::complex<double> a0 = amps[i0];
+            const std::complex<double> a1 = amps[i1];
+            amps[i0] = u[0] * a0 + u[1] * a1;
+            amps[i1] = u[2] * a0 + u[3] * a1;
+        }
+    }
+}
+
+inline void
+scalar_diag_1q(std::complex<double> *amps, std::size_t stride,
+               std::complex<double> d0, std::complex<double> d1,
+               std::size_t base_begin, std::size_t base_end)
+{
+    for (std::size_t base = base_begin; base < base_end;
+         base += 2 * stride) {
+        for (std::size_t off = 0; off < stride; ++off) {
+            amps[base + off] *= d0;
+            amps[base + off + stride] *= d1;
+        }
+    }
+}
+
+inline void
+scalar_2q(std::complex<double> *amps, std::size_t m0, std::size_t m1,
+          std::size_t lo, std::size_t hi, const std::complex<double> *u,
+          std::size_t g_begin, std::size_t g_end)
+{
+    for (std::size_t g = g_begin; g < g_end; ++g) {
+        const std::size_t i = sim::vec::insert_zero_bit(
+            sim::vec::insert_zero_bit(g, lo), hi);
+        // Local basis |q0 q1>: index = 2 * bit(q0) + bit(q1).
+        const std::size_t idx[4] = {i, i | m1, i | m0, i | m0 | m1};
+        std::complex<double> in[4];
+        for (std::size_t k = 0; k < 4; ++k)
+            in[k] = amps[idx[k]];
+        for (std::size_t r = 0; r < 4; ++r) {
+            std::complex<double> acc(0);
+            for (std::size_t c = 0; c < 4; ++c)
+                acc += u[4 * r + c] * in[c];
+            amps[idx[r]] = acc;
+        }
+    }
+}
+
+/** out += a * b over row-major 16x16 matrices, skipping zero a[i][k]
+ *  (superoperators are sparse); each out[i][j] sums in k order. */
+inline void
+scalar_matmul16(const std::complex<double> *a, const std::complex<double> *b,
+                std::complex<double> *out)
+{
+    for (std::size_t i = 0; i < 16; ++i)
+        for (std::size_t k = 0; k < 16; ++k) {
+            const std::complex<double> aik = a[16 * i + k];
+            if (aik == std::complex<double>(0))
+                continue;
+            for (std::size_t j = 0; j < 16; ++j)
+                out[16 * i + j] += aik * b[16 * k + j];
+        }
 }
 
 /**

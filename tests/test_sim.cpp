@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <set>
+#include <string>
 #include <type_traits>
 
 #include "circuit/builders.hpp"
@@ -867,6 +870,137 @@ TEST(KernelDispatch, SparseSuperopMatchesDenseOracle)
                     << ", " << q1 << "), matrix " << m;
             }
         }
+    }
+}
+
+/** A coefficient drawn from [-1, 1]^2, or with probability 1/3 one
+ *  with a +-0 part (both parts +-0 in half of those). */
+Amp
+signed_zero_mix(Rng &rng)
+{
+    const double re = rng.uniform(-1.0, 1.0);
+    const double im = rng.uniform(-1.0, 1.0);
+    switch (rng.uniform_index(12)) {
+      case 0: return Amp(-0.0, 0.0);
+      case 1: return Amp(0.0, -0.0);
+      case 2: return Amp(-0.0, -0.0);
+      case 3: return Amp(0.0, 0.0);
+      case 4: return Amp(-0.0, im);
+      case 5: return Amp(re, -0.0);
+      default: return Amp(re, im);
+    }
+}
+
+std::vector<Amp>
+signed_zero_mix(Rng &rng, std::size_t n)
+{
+    std::vector<Amp> v(n);
+    for (Amp &a : v)
+        a = signed_zero_mix(rng);
+    return v;
+}
+
+TEST(KernelDispatch, KernelsMatchScalarOracles)
+{
+    // Every tier is compiled from the same kernel source as the
+    // baseline, so each kernel is checked against the std::complex loops
+    // of oracles.hpp: every register size it admits up to 8 qubits,
+    // lowest operand mask 1, 2, 4 and >= 8, coefficients and states with
+    // +-0 parts.
+    TierGuard guard;
+    Rng rng(53);
+    const int best = static_cast<int>(best_supported_tier());
+    auto expect_tiers = [&](const std::vector<Amp> &start,
+                            const std::vector<Amp> &want, auto &&kernel,
+                            const std::string &what) {
+        for (int t = 0; t <= best; ++t) {
+            set_forced_tier(static_cast<KernelTier>(t));
+            std::vector<Amp> got = start;
+            kernel(got.data());
+            EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                                  want.size() * sizeof(Amp)),
+                      0)
+                << what << ", tier " << kernel_tier_name(
+                                            static_cast<KernelTier>(t));
+        }
+    };
+    for (int n = 1; n <= 8; ++n) {
+        const std::size_t dim = std::size_t{1} << n;
+        const std::string reg = std::to_string(n) + " qubits";
+        // Lowest operand qubit 0, 1, 2 and 3 (mask >= 8), where it fits.
+        for (int q = 0; q < std::min(n, 4); ++q) {
+            const std::size_t m = std::size_t{1} << q;
+            const std::vector<Amp> start = signed_zero_mix(rng, dim);
+            const std::vector<Amp> u = signed_zero_mix(rng, 4);
+            std::vector<Amp> want = start;
+            test::scalar_1q(want.data(), dim, m, u.data(), 0, dim);
+            expect_tiers(start, want,
+                         [&](Amp *a) { vec::apply_1q(a, dim, m, u.data()); },
+                         "1q on q" + std::to_string(q) + ", " + reg);
+            want = start;
+            test::scalar_diag_1q(want.data(), m, u[0], u[3], 0, dim);
+            expect_tiers(start, want,
+                         [&](Amp *a) {
+                             vec::apply_diag_1q(a, dim, m, u[0], u[3]);
+                         },
+                         "diag on q" + std::to_string(q) + ", " + reg);
+        }
+        // 2q: the low operand in either slot, the high one adjacent or
+        // at the top of the register.
+        for (int lo = 0; lo < std::min(n - 1, 4); ++lo) {
+            for (int hi : std::set<int>{lo + 1, n - 1}) {
+                const std::vector<Amp> start = signed_zero_mix(rng, dim);
+                const std::vector<Amp> u = signed_zero_mix(rng, 16);
+                for (const auto &[q0, q1] :
+                     {std::pair{lo, hi}, std::pair{hi, lo}}) {
+                    const std::size_t m0 = std::size_t{1} << q0;
+                    const std::size_t m1 = std::size_t{1} << q1;
+                    std::vector<Amp> want = start;
+                    test::scalar_2q(want.data(), m0, m1, std::min(m0, m1),
+                                    std::max(m0, m1), u.data(), 0, dim >> 2);
+                    expect_tiers(start, want,
+                                 [&](Amp *a) {
+                                     vec::apply_2q(a, dim, m0, m1, u.data());
+                                 },
+                                 "2q on (" + std::to_string(q0) + ", " +
+                                     std::to_string(q1) + "), " + reg);
+                }
+            }
+        }
+        // 4q: the low operand first or last in the local basis, the
+        // others above it.
+        for (int lo = 0; lo < std::min(n - 3, 4); ++lo) {
+            const std::vector<Amp> start = signed_zero_mix(rng, dim);
+            const std::vector<Amp> u = signed_zero_mix(rng, 256);
+            for (const std::array<int, 4> &qs :
+                 {std::array{lo, n - 1, lo + 1, n - 2},
+                  std::array{n - 2, lo + 1, n - 1, lo}}) {
+                const std::size_t m[4] = {
+                    std::size_t{1} << qs[0], std::size_t{1} << qs[1],
+                    std::size_t{1} << qs[2], std::size_t{1} << qs[3]};
+                std::vector<Amp> want = start;
+                test::dense_apply_4q(want.data(), dim, m[0], m[1], m[2],
+                                     m[3], u.data());
+                expect_tiers(start, want,
+                             [&](Amp *a) {
+                                 vec::apply_4q(a, dim, m[0], m[1], m[2], m[3],
+                                               u.data());
+                             },
+                             "4q with low qubit " + std::to_string(lo) +
+                                 ", " + reg);
+            }
+        }
+    }
+    // The 16x16 product, accumulated onto an `out` with +-0 parts.
+    for (int round = 0; round < 4; ++round) {
+        const std::vector<Amp> a = signed_zero_mix(rng, 256);
+        const std::vector<Amp> b = signed_zero_mix(rng, 256);
+        const std::vector<Amp> start = signed_zero_mix(rng, 256);
+        std::vector<Amp> want = start;
+        test::scalar_matmul16(a.data(), b.data(), want.data());
+        expect_tiers(start, want,
+                     [&](Amp *out) { vec::matmul16(a.data(), b.data(), out); },
+                     "matmul16 round " + std::to_string(round));
     }
 }
 
