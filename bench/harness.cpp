@@ -30,6 +30,18 @@ namespace elv::bench {
 
 namespace {
 
+/** Elivagar predictor sizes: CNR replicas, and the paper's RepCap
+ *  defaults (Sec. 7.5) d_c = 16, n_p = 32. */
+constexpr int kCnrReplicas = 8;
+constexpr int kRepcapSamplesPerClass = 16;
+constexpr int kRepcapParamInits = 32;
+/** Random baseline: circuits averaged (paper: 25). */
+constexpr int kRandomCircuits = 3;
+/** Minimum SuperCircuit depth of the QCS baselines. */
+constexpr int kSuperLayers = 3;
+/** Validation samples per QCS-baseline fitness evaluation. */
+constexpr int kNasValidSamples = 10;
+
 double
 seconds_since(std::chrono::steady_clock::time_point start)
 {
@@ -296,7 +308,7 @@ run_random(const qml::Benchmark &bench, const dev::Device &device,
     shape.num_meas = bench.spec.meas;
 
     const auto circuits =
-        base::random_baseline(shape, options.random_circuits, rng);
+        base::random_baseline(shape, kRandomCircuits, rng);
 
     MethodRun total;
     const auto start = std::chrono::steady_clock::now();
@@ -381,7 +393,7 @@ run_supernet(const qml::Benchmark &bench, const dev::Device &device,
     const auto start = std::chrono::steady_clock::now();
 
     const int layers = std::max(
-        options.super_layers,
+        kSuperLayers,
         (bench.spec.params + 3 * bench.spec.qubits - 1) /
                 (3 * bench.spec.qubits) +
             1);
@@ -398,7 +410,7 @@ run_supernet(const qml::Benchmark &bench, const dev::Device &device,
     base::SupernetConfig config;
     config.num_samples = options.supernet_samples;
     config.target_params = bench.spec.params;
-    config.valid_samples = options.nas_valid_samples;
+    config.valid_samples = kNasValidSamples;
     config.seed = options.seed ^ 0x2222ULL;
     const auto found = base::supernet_search(
         super, trained.shared_params, bench.train, config);
@@ -423,7 +435,7 @@ run_quantumnas(const qml::Benchmark &bench, const dev::Device &device,
     const auto start = std::chrono::steady_clock::now();
 
     const int layers = std::max(
-        options.super_layers,
+        kSuperLayers,
         (bench.spec.params + 3 * bench.spec.qubits - 1) /
                 (3 * bench.spec.qubits) +
             1);
@@ -440,7 +452,7 @@ run_quantumnas(const qml::Benchmark &bench, const dev::Device &device,
     config.population = options.nas_population;
     config.generations = options.nas_generations;
     config.target_params = bench.spec.params;
-    config.valid_samples = options.nas_valid_samples;
+    config.valid_samples = kNasValidSamples;
     config.seed = options.seed ^ 0x4444ULL;
     const auto found = base::quantumnas_search(
         super, trained.shared_params, device, bench.train, config);
@@ -473,10 +485,10 @@ run_elivagar(const qml::Benchmark &bench, const dev::Device &device,
     config.candidate.embedding = knobs.embedding;
     config.candidate.noise_aware = knobs.noise_aware;
     config.use_cnr = knobs.use_cnr;
-    config.cnr.num_replicas = options.cnr_replicas;
+    config.cnr.num_replicas = kCnrReplicas;
     config.cnr.noise_scale = options.noise_scale;
-    config.repcap.samples_per_class = options.repcap_samples_per_class;
-    config.repcap.param_inits = options.repcap_param_inits;
+    config.repcap.samples_per_class = kRepcapSamplesPerClass;
+    config.repcap.param_inits = kRepcapParamInits;
 
     const auto found = core::elivagar_search(device, bench.train, config);
     const double search_time = seconds_since(start);

@@ -36,24 +36,15 @@ struct RunOptions
     /** Optimizer restarts; the best by train accuracy is kept. */
     int train_restarts = 2;
 
-    /** Elivagar: candidate pool (paper: larger) and predictor sizes. */
+    /** Elivagar: candidate pool (paper: larger). */
     int candidates = 24;
-    int cnr_replicas = 8;
-    /** Paper defaults (Sec. 7.5): d_c = 16, n_p = 32. */
-    int repcap_samples_per_class = 16;
-    int repcap_param_inits = 32;
-
-    /** Random baseline: circuits averaged (paper: 25). */
-    int random_circuits = 3;
 
     /** SuperCircuit training epochs for QCS baselines. */
     int super_epochs = 15;
-    int super_layers = 3;
 
     /** QuantumNAS evolutionary settings. */
     int nas_population = 8;
     int nas_generations = 4;
-    int nas_valid_samples = 10;
 
     /** QuantumSupernet random-search samples. */
     int supernet_samples = 16;

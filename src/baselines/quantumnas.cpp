@@ -97,6 +97,17 @@ route_with_fixed_mapping(const Circuit &logical,
 
 namespace {
 
+/** Genomes drawn per tournament selection. */
+constexpr int kTournament = 3;
+/**
+ * Genomes whose routed circuit spreads over more physical qubits than
+ * this get zero fitness without evaluation: long SWAP chains are
+ * hardware-inefficient (the very pathology Table 5 measures), and
+ * bounding the footprint also bounds the noisy-simulation cost of
+ * fitness evaluation on large devices.
+ */
+constexpr int kMaxTouchedQubits = 10;
+
 /** A genome: subcircuit configuration plus qubit mapping. */
 struct Genome
 {
@@ -174,7 +185,7 @@ quantumnas_search(const SuperCircuit &super,
         const Circuit physical = route_with_fixed_mapping(
             logical, device.topology, genome.mapping);
         if (static_cast<int>(physical.touched_qubits().size()) >
-            config.max_touched_qubits) {
+            kMaxTouchedQubits) {
             genome.fitness = 0.0;
             return;
         }
@@ -204,7 +215,7 @@ quantumnas_search(const SuperCircuit &super,
 
     auto tournament_pick = [&](void) -> const Genome & {
         const Genome *best = nullptr;
-        for (int t = 0; t < config.tournament; ++t) {
+        for (int t = 0; t < kTournament; ++t) {
             const Genome &g =
                 population[rng.uniform_index(population.size())];
             if (!best || g.fitness > best->fitness)

@@ -25,19 +25,10 @@ struct QuantumNasConfig
 {
     int population = 16;
     int generations = 6;
-    int tournament = 3;
     /** Parameter budget of searched subcircuits. */
     int target_params = 20;
     /** Validation samples per fitness evaluation. */
     int valid_samples = 24;
-    /**
-     * Genomes whose routed circuit spreads over more physical qubits
-     * than this get zero fitness without evaluation: long SWAP chains
-     * are hardware-inefficient (the very pathology Table 5 measures),
-     * and bounding the footprint also bounds the noisy-simulation cost
-     * of fitness evaluation on large devices.
-     */
-    int max_touched_qubits = 10;
     std::uint64_t seed = 0;
 };
 

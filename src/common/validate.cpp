@@ -34,8 +34,7 @@ is_valid_distribution(const std::vector<double> &probs, double tolerance)
 }
 
 std::vector<double> &
-validate_distribution(std::vector<double> &probs,
-                      DistributionPolicy policy, const char *context,
+validate_distribution(std::vector<double> &probs, const char *context,
                       double tolerance)
 {
     if (probs.empty())
@@ -51,9 +50,6 @@ validate_distribution(std::vector<double> &probs,
     }
     if (most_negative < -tolerance)
         reject(context, "negative probability mass", probs);
-    if (policy == DistributionPolicy::Throw &&
-        std::abs(total - 1.0) > tolerance)
-        reject(context, "mass does not sum to 1", probs);
     if (total <= tolerance)
         reject(context, "no probability mass", probs);
 

@@ -26,29 +26,20 @@ class DistributionError : public std::runtime_error
     }
 };
 
-/** What validate_distribution does with a repairable violation. */
-enum class DistributionPolicy {
-    /**
-     * Clip tiny negative entries and rescale to unit mass. Non-finite
-     * entries, entries below -tolerance, and non-positive total mass
-     * are not repairable and still throw.
-     */
-    Renormalize,
-    /** Throw DistributionError on any violation beyond tolerance. */
-    Throw,
-};
-
 /** True iff `probs` is a probability distribution within `tolerance`. */
 bool is_valid_distribution(const std::vector<double> &probs,
                            double tolerance = 1e-6);
 
 /**
- * Validate (and under Renormalize, repair) `probs` in place. `context`
- * names the producing component in the DistributionError message.
- * Returns a reference to `probs` for call-site chaining.
+ * Validate and repair `probs` in place: clip tiny negative entries and
+ * rescale to unit mass. Throws DistributionError on what is not
+ * repairable: an empty vector, a non-finite entry, an entry below
+ * -tolerance, or non-positive total mass. `context` names the
+ * producing component in the message. Returns a reference to `probs`
+ * for call-site chaining.
  */
-std::vector<double> &validate_distribution(
-    std::vector<double> &probs, DistributionPolicy policy,
-    const char *context, double tolerance = 1e-6);
+std::vector<double> &validate_distribution(std::vector<double> &probs,
+                                           const char *context,
+                                           double tolerance = 1e-6);
 
 } // namespace elv

@@ -14,6 +14,15 @@ using circ::ParamRole;
 
 namespace {
 
+/** Size cap of the lookahead extended set. */
+constexpr int kExtendedSetSize = 20;
+/** Weight of the extended set in the heuristic. */
+constexpr double kExtendedSetWeight = 0.5;
+/** Per-use decay added to a qubit's decay factor. */
+constexpr double kDecayIncrement = 0.001;
+/** Rounds between decay resets. */
+constexpr int kDecayResetInterval = 5;
+
 /** Per-qubit program order used to find ready ops cheaply. */
 struct OpSchedule
 {
@@ -87,8 +96,7 @@ struct PassResult
 PassResult
 route_pass(const Circuit &logical, const dev::Topology &topo,
            const std::vector<int> &distances,
-           std::vector<int> initial_mapping, const SabreOptions &opt,
-           elv::Rng &rng)
+           std::vector<int> initial_mapping, elv::Rng &rng)
 {
     const std::size_t n_phys = static_cast<std::size_t>(topo.num_qubits());
     const auto dist = [&distances, n_phys](int a, int b) {
@@ -147,7 +155,7 @@ route_pass(const Circuit &logical, const dev::Topology &topo,
         std::vector<std::size_t> extended;
         for (std::size_t i = 0;
              i < ops.size() &&
-             static_cast<int>(extended.size()) < opt.extended_set_size;
+             static_cast<int>(extended.size()) < kExtendedSetSize;
              ++i) {
             if (!done[i] && ops[i].num_qubits() == 2 &&
                 std::find(front.begin(), front.end(), i) == front.end())
@@ -191,7 +199,7 @@ route_pass(const Circuit &logical, const dev::Topology &topo,
                 for (std::size_t ei : extended)
                     ext_cost += dist(mapped(ops[ei].qubits[0]),
                                      mapped(ops[ei].qubits[1]));
-                ext_cost *= opt.extended_set_weight /
+                ext_cost *= kExtendedSetWeight /
                             static_cast<double>(extended.size());
             }
             const double decay_factor = std::max(
@@ -224,10 +232,10 @@ route_pass(const Circuit &logical, const dev::Topology &topo,
         std::swap(inverse[static_cast<std::size_t>(best_edge.first)],
                   inverse[static_cast<std::size_t>(best_edge.second)]);
         decay[static_cast<std::size_t>(best_edge.first)] +=
-            opt.decay_increment;
+            kDecayIncrement;
         decay[static_cast<std::size_t>(best_edge.second)] +=
-            opt.decay_increment;
-        if (++rounds_since_reset >= opt.decay_reset_interval) {
+            kDecayIncrement;
+        if (++rounds_since_reset >= kDecayResetInterval) {
             std::fill(decay.begin(), decay.end(), 1.0);
             rounds_since_reset = 0;
         }
@@ -294,15 +302,15 @@ sabre_route(const Circuit &logical, const dev::Topology &topology,
         // Bidirectional refinement: each backward pass turns the final
         // mapping of the forward pass into a better initial mapping.
         for (int round = 0; round < options.refinement_rounds; ++round) {
-            PassResult fwd = route_pass(logical, topology, distances,
-                                        mapping, options, rng);
+            PassResult fwd =
+                route_pass(logical, topology, distances, mapping, rng);
             PassResult bwd = route_pass(backward, topology, distances,
-                                        fwd.final_mapping, options, rng);
+                                        fwd.final_mapping, rng);
             mapping = bwd.final_mapping;
         }
 
-        PassResult final_pass = route_pass(logical, topology, distances,
-                                           mapping, options, rng);
+        PassResult final_pass =
+            route_pass(logical, topology, distances, mapping, rng);
         if (final_pass.swaps < best.swaps_inserted) {
             best.circuit = final_pass.circuit;
             best.initial_mapping = mapping;

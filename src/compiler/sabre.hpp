@@ -33,17 +33,9 @@ struct RouteResult
     int swaps_inserted = 0;
 };
 
-/** SABRE tuning knobs. */
+/** SABRE search effort (the optimization level sets both). */
 struct SabreOptions
 {
-    /** Size cap of the lookahead extended set. */
-    int extended_set_size = 20;
-    /** Weight of the extended set in the heuristic. */
-    double extended_set_weight = 0.5;
-    /** Per-use decay added to a qubit's decay factor. */
-    double decay_increment = 0.001;
-    /** Rounds between decay resets. */
-    int decay_reset_interval = 5;
     /** Bidirectional mapping-refinement passes (forward+backward). */
     int refinement_rounds = 1;
     /** Independent restarts with random initial mappings; best kept. */

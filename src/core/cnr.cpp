@@ -32,10 +32,8 @@ stabilizer_replica_fidelity(const circ::Circuit &replica,
     elv::Rng noisy_rng = rng.split();
     auto noisy =
         stab::sample_distribution(local, options.shots, noisy_rng, &hook);
-    elv::validate_distribution(ideal, elv::DistributionPolicy::Renormalize,
-                               "stabilizer CNR backend (ideal)");
-    elv::validate_distribution(noisy, elv::DistributionPolicy::Renormalize,
-                               "stabilizer CNR backend (noisy)");
+    elv::validate_distribution(ideal, "stabilizer CNR backend (ideal)");
+    elv::validate_distribution(noisy, "stabilizer CNR backend (noisy)");
     return 1.0 - elv::total_variation_distance(ideal, noisy);
 }
 

@@ -7,12 +7,18 @@
 
 namespace elv::core {
 
+namespace {
+
+/** Histogram bins for the fidelity distribution. */
+constexpr int kNumBins = 24;
+
+} // namespace
+
 ExpressibilityResult
 expressibility(const circ::Circuit &circuit, elv::Rng &rng,
                const ExpressibilityOptions &options)
 {
-    ELV_REQUIRE(options.num_pairs >= 2 && options.num_bins >= 2,
-                "bad expressibility options");
+    ELV_REQUIRE(options.num_pairs >= 2, "bad expressibility options");
 
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
@@ -22,7 +28,7 @@ expressibility(const circ::Circuit &circuit, elv::Rng &rng,
 
     ExpressibilityResult result;
     std::vector<double> histogram(
-        static_cast<std::size_t>(options.num_bins), 0.0);
+        static_cast<std::size_t>(kNumBins), 0.0);
 
     sim::StateVector a(local.num_qubits());
     sim::StateVector b(local.num_qubits());
@@ -38,8 +44,8 @@ expressibility(const circ::Circuit &circuit, elv::Rng &rng,
         result.circuit_executions += 2;
         const double fidelity = a.overlap(b);
         const int bin = std::min(
-            options.num_bins - 1,
-            static_cast<int>(fidelity * options.num_bins));
+            kNumBins - 1,
+            static_cast<int>(fidelity * kNumBins));
         histogram[static_cast<std::size_t>(bin)] += 1.0;
     }
     for (double &h : histogram)
@@ -49,9 +55,9 @@ expressibility(const circ::Circuit &circuit, elv::Rng &rng,
     const double n_minus_1 =
         std::pow(2.0, local.num_qubits()) - 1.0;
     double kl = 0.0;
-    for (int bin = 0; bin < options.num_bins; ++bin) {
-        const double lo = static_cast<double>(bin) / options.num_bins;
-        const double hi = static_cast<double>(bin + 1) / options.num_bins;
+    for (int bin = 0; bin < kNumBins; ++bin) {
+        const double lo = static_cast<double>(bin) / kNumBins;
+        const double hi = static_cast<double>(bin + 1) / kNumBins;
         const double haar = std::pow(1.0 - lo, n_minus_1) -
                             std::pow(1.0 - hi, n_minus_1);
         const double p = histogram[static_cast<std::size_t>(bin)];

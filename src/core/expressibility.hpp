@@ -25,8 +25,6 @@ struct ExpressibilityOptions
 {
     /** Random parameter pairs sampled. */
     int num_pairs = 64;
-    /** Histogram bins for the fidelity distribution. */
-    int num_bins = 24;
 };
 
 /** Expressibility value plus cost accounting. */

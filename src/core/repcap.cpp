@@ -123,8 +123,7 @@ representational_capacity(const circ::Circuit &circuit,
                 // Guard the similarity estimate against numerical decay
                 // of the rotated state (NaN poisons the whole matrix).
                 elv::validate_distribution(
-                    probs, elv::DistributionPolicy::Renormalize,
-                    "RepCap randomized measurement");
+                    probs, "RepCap randomized measurement");
                 for (std::size_t o = 0; o < outcomes; ++o)
                     dists[o * d + s] = probs[o];
             }

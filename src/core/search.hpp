@@ -19,7 +19,7 @@
  * (ElivagarConfig::checkpoint_path) to a bit-identical ranking.
  *
  * Parallelism: candidate generation, CNR and RepCap fan out over a
- * work-stealing thread pool (ElivagarConfig::threads). The result is
+ * fixed-size thread pool (ElivagarConfig::threads). The result is
  * bit-identical for every thread count: each candidate owns its seeded
  * RNG streams, its backend and its journal records, and per-candidate
  * tallies are merged in candidate-index order. Journal writes are

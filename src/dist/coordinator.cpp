@@ -18,6 +18,14 @@ namespace elv::dist {
 
 namespace {
 
+/** Worker spawn/configure handshake deadline (seconds). */
+constexpr double kHandshakeTimeoutSec = 30.0;
+/** Progress deadline: a worker producing no record for this long is
+ *  treated as hung and its shard reissued (seconds). */
+constexpr double kRecordTimeoutSec = 300.0;
+/** Reissues per shard before its remainder goes back to the search. */
+constexpr int kMaxReissues = 2;
+
 /** One shard: its index range and transport. */
 struct Shard
 {
@@ -102,8 +110,7 @@ connect_shard(RunContext &ctx, Shard &shard, std::string &error)
                             error))
         return nullptr;
     std::string line;
-    if (!channel->read_line(line, error,
-                            ctx.dist.handshake_timeout_sec))
+    if (!channel->read_line(line, error, kHandshakeTimeoutSec))
         return nullptr;
     WorkerEvent event;
     if (!parse_worker_event(line, event, error))
@@ -178,7 +185,7 @@ drive_shard(RunContext &ctx, Shard &shard, const std::string &stage,
 
     bool issued_once = false;
     while (!pending.empty() && !ctx.cancelled() &&
-           shard.reissues <= ctx.dist.max_reissues) {
+           shard.reissues <= kMaxReissues) {
         if (!shard.channel) {
             std::string error;
             auto channel = connect_shard(ctx, shard, error);
@@ -205,8 +212,8 @@ drive_shard(RunContext &ctx, Shard &shard, const std::string &stage,
         bool done = false;
         while (!done && !ctx.cancelled()) {
             std::string line;
-            if (!shard.channel->read_line(
-                    line, error, ctx.dist.record_timeout_sec)) {
+            if (!shard.channel->read_line(line, error,
+                                          kRecordTimeoutSec)) {
                 stream_ok = false;
                 break;
             }

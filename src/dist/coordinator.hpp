@@ -20,7 +20,7 @@
  * writes, so a worker crash can never tear it. A worker that dies,
  * stalls past the progress deadline, or returns garbage is killed and
  * its shard reissued to a fresh worker minus the records already
- * stored. After max_reissues the shard hands its remaining indices
+ * stored. After two reissues the shard hands its remaining indices
  * back to the search, which evaluates them in-process. Re-running with
  * the same journal resumes at any worker count, and an in-process run
  * resumes from that journal too.
@@ -57,16 +57,6 @@ struct DistConfig
      * restarts; mid-run reissue works regardless).
      */
     std::string checkpoint_path;
-    /** Worker spawn/configure handshake deadline (seconds). */
-    double handshake_timeout_sec = 30.0;
-    /**
-     * Progress deadline: a worker producing no record for this long
-     * is treated as hung and its shard reissued (seconds).
-     */
-    double record_timeout_sec = 300.0;
-    /** Reissues per shard before its remainder goes back to the
-     * search. */
-    int max_reissues = 2;
     /**
      * Test hook forwarded to the first local worker's configure:
      * SIGKILL itself after emitting this many records (0 = off).

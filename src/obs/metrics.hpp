@@ -15,7 +15,7 @@
  * run opts in with `--metrics`.
  *
  * Naming convention: dotted lowercase paths, `layer.noun[.verb]` —
- * `sim.kernel.cx`, `pool.steals`, `noise.superop_table.hits`.
+ * `sim.kernel.cx`, `pool.tasks`, `noise.superop_table.hits`.
  */
 #pragma once
 

@@ -1,75 +1,110 @@
 #include "parallel/thread_pool.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 
-#include "common/logging.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace elv::par {
 
 namespace {
 
-/**
- * Set while the current thread is executing a pool task; a nested
- * parallel_for from inside a task would deadlock waiting for workers
- * that are busy running its caller, so nested calls degrade to inline
- * loops instead.
- */
-thread_local bool in_pool_task = false;
+/** Set while this thread runs pool bodies, the caller's included: a
+ *  nested parallel_for then runs inline instead of waiting on itself. */
+thread_local bool in_pool_body = false;
 
 } // namespace
 
-/** Shared completion state of one parallel_for call. */
-struct ThreadPool::Job
+/**
+ * One published parallel_for, held by shared_ptr so that a worker
+ * waking after the loop has ended finds the counter past n in live
+ * state; `body` is called only for a claimed index, which the caller
+ * still waits for.
+ */
+struct ThreadPool::Loop
 {
-    std::atomic<std::size_t> remaining{0};
-    /** Set on the first failure; later tasks skip their body. */
-    std::atomic<bool> cancelled{false};
+    Loop(const std::function<void(std::size_t)> &loop_body,
+         std::size_t count)
+        : body(&loop_body), n(count)
+    {
+    }
+
+    const std::function<void(std::size_t)> *body;
+    const std::size_t n;
+    /** The next unclaimed index. */
+    std::atomic<std::size_t> next{0};
+    /** Set on the first failure; later claims skip their body. */
+    std::atomic<bool> failed{false};
     std::mutex mutex;
     std::condition_variable done_cv;
-    std::exception_ptr error; // guarded by mutex
+    std::size_t done = 0;     // finished claims; guarded by mutex
+    std::exception_ptr error; // first failure; guarded by mutex
 
+    /** Claim and run indices until the counter passes n. */
     void
-    finish_one()
+    run()
     {
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            std::lock_guard<std::mutex> lock(mutex);
-            done_cv.notify_all();
+        in_pool_body = true;
+        std::size_t ran = 0, i = 0;
+        while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) {
+            ++ran;
+            if (failed.load(std::memory_order_relaxed))
+                continue;
+            try {
+                (*body)(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mutex);
+                if (!error)
+                    error = std::current_exception();
+                failed.store(true, std::memory_order_relaxed);
+            }
         }
+        in_pool_body = false;
+        std::lock_guard<std::mutex> lock(mutex);
+        done += ran;
+        if (done == n)
+            done_cv.notify_one();
     }
 };
 
 int
 ThreadPool::hardware_threads()
 {
-    const unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : static_cast<int>(n);
+    cpu_set_t cpus;
+    CPU_ZERO(&cpus);
+    if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0)
+        return std::max(1, CPU_COUNT(&cpus));
+    return static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
 }
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(num_threads <= 0 ? hardware_threads() : num_threads)
 {
-    ELV_REQUIRE(num_threads_ >= 1, "thread pool needs a positive size");
     if (num_threads_ == 1)
-        return; // inline serial pool: no queues, no workers
-    queues_.reserve(static_cast<std::size_t>(num_threads_));
-    for (int w = 0; w < num_threads_; ++w)
-        queues_.push_back(std::make_unique<WorkerQueue>());
-    workers_.reserve(static_cast<std::size_t>(num_threads_));
-    for (int w = 0; w < num_threads_; ++w)
-        workers_.emplace_back(
-            [this, w] { worker_loop(static_cast<std::size_t>(w)); });
+        return; // inline serial pool: no workers
+    try {
+        for (int w = 0; w < num_threads_; ++w)
+            workers_.emplace_back([this] { worker_loop(); });
+    } catch (...) {
+        stop_workers(); // join the workers that did start
+        throw;
+    }
 }
 
 ThreadPool::~ThreadPool()
 {
-    if (workers_.empty())
-        return;
+    stop_workers();
+}
+
+void
+ThreadPool::stop_workers()
+{
     {
-        std::lock_guard<std::mutex> lock(wake_mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
     }
     wake_cv_.notify_all();
@@ -77,66 +112,22 @@ ThreadPool::~ThreadPool()
         worker.join();
 }
 
-bool
-ThreadPool::try_get_task(std::size_t worker, std::function<void()> &task)
-{
-    // Own deque first (front: oldest of the round-robin share)...
-    {
-        WorkerQueue &own = *queues_[worker];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.tasks.empty()) {
-            task = std::move(own.tasks.front());
-            own.tasks.pop_front();
-            ELV_METRIC_GAUGE_ADD("pool.queue_depth", -1);
-            return true;
-        }
-    }
-    // ...then steal from the back of the next non-empty victim.
-    const std::size_t n = queues_.size();
-    for (std::size_t k = 1; k < n; ++k) {
-        WorkerQueue &victim = *queues_[(worker + k) % n];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.tasks.empty()) {
-            task = std::move(victim.tasks.back());
-            victim.tasks.pop_back();
-            ELV_METRIC_COUNT("pool.steals");
-            ELV_METRIC_GAUGE_ADD("pool.queue_depth", -1);
-            return true;
-        }
-    }
-    return false;
-}
-
 void
-ThreadPool::worker_loop(std::size_t worker)
+ThreadPool::worker_loop()
 {
-    auto run_task = [](std::function<void()> &t) {
-        ELV_TRACE_SCOPE("pool.task", "pool");
-        ELV_METRIC_COUNT("pool.tasks");
-        in_pool_task = true;
-        t();
-        in_pool_task = false;
-    };
+    std::uint64_t seen = 0;
     for (;;) {
-        std::function<void()> task;
-        if (try_get_task(worker, task)) {
-            run_task(task);
-            continue;
+        std::shared_ptr<Loop> loop;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            wake_cv_.wait(lock,
+                          [&] { return stop_ || published_ != seen; });
+            if (stop_)
+                return;
+            seen = published_;
+            loop = loop_;
         }
-        std::unique_lock<std::mutex> lock(wake_mutex_);
-        if (stop_)
-            return;
-        // Re-check under the wake lock: a submitter enqueues before
-        // notifying, so a missed task means a pending notification.
-        lock.unlock();
-        if (try_get_task(worker, task)) {
-            run_task(task);
-            continue;
-        }
-        lock.lock();
-        if (stop_)
-            return;
-        wake_cv_.wait_for(lock, std::chrono::milliseconds(50));
+        loop->run();
     }
 }
 
@@ -144,64 +135,27 @@ void
 ThreadPool::parallel_for(std::size_t n,
                          const std::function<void(std::size_t)> &body)
 {
-    if (n == 0)
-        return;
-    if (num_threads_ == 1 || workers_.empty() || in_pool_task || n == 1) {
+    if (workers_.empty() || in_pool_body || n <= 1) {
         // Serial reference path (and nested-call fallback): index
         // order, abort at the first exception like a plain loop.
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
-
-    auto job = std::make_shared<Job>();
-    job->remaining.store(n, std::memory_order_relaxed);
-
-    // One task per index, dealt round-robin across the worker deques;
-    // the stealing protocol rebalances whatever this static split gets
-    // wrong.
-    for (std::size_t i = 0; i < n; ++i) {
-        WorkerQueue &queue = *queues_[i % queues_.size()];
-        std::lock_guard<std::mutex> lock(queue.mutex);
-        queue.tasks.push_back([job, &body, i] {
-            if (!job->cancelled.load(std::memory_order_acquire)) {
-                try {
-                    body(i);
-                } catch (...) {
-                    job->cancelled.store(true,
-                                         std::memory_order_release);
-                    std::lock_guard<std::mutex> error_lock(
-                        job->mutex);
-                    if (!job->error)
-                        job->error = std::current_exception();
-                }
-            }
-            job->finish_one();
-        });
-        ELV_METRIC_GAUGE_ADD("pool.queue_depth", 1);
+    ELV_METRIC_COUNT_N("pool.tasks", n);
+    const auto loop = std::make_shared<Loop>(body, n);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        loop_ = loop;
+        ++published_;
     }
     wake_cv_.notify_all();
+    loop->run(); // the caller claims too: N workers + 1 runners
 
-    // Help instead of blocking: the submitting thread drains tasks too,
-    // so an N-thread pool brings N+1 runners to each parallel region.
-    std::function<void()> task;
-    while (job->remaining.load(std::memory_order_acquire) > 0) {
-        if (try_get_task(0, task)) {
-            ELV_TRACE_SCOPE("pool.task", "pool");
-            ELV_METRIC_COUNT("pool.tasks");
-            task();
-            task = nullptr;
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(job->mutex);
-        job->done_cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-            return job->remaining.load(std::memory_order_acquire) == 0;
-        });
-    }
-
-    std::lock_guard<std::mutex> lock(job->mutex);
-    if (job->error)
-        std::rethrow_exception(job->error);
+    std::unique_lock<std::mutex> lock(loop->mutex);
+    loop->done_cv.wait(lock, [&] { return loop->done == n; });
+    if (loop->error)
+        std::rethrow_exception(loop->error);
 }
 
 } // namespace elv::par

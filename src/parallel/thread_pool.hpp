@@ -1,28 +1,25 @@
 /**
  * @file
- * Fixed-size work-stealing thread pool for the search pipeline.
+ * Fixed-size thread pool for the pipeline's flat index loops.
  *
- * The pool owns N workers, each with its own task deque: a worker pops
- * work from the front of its own deque and, when that runs dry, steals
- * from the back of a victim's. `parallel_for` distributes one task per
- * index round-robin across the deques, blocks until every task has
- * finished, and rethrows the first exception raised by any task
- * (remaining queued tasks are cancelled, mimicking the serial loop's
- * abort-at-first-throw semantics; tasks already in flight complete).
+ * `parallel_for` publishes one loop; the N sleeping workers and the
+ * calling thread claim indices from one atomic counter until it passes
+ * n, so a runner that finishes early simply claims more. The caller
+ * returns once every claimed index has finished.
  *
- * Determinism contract: the pool schedules work in an arbitrary order,
- * so callers must make every task order-independent (own RNG stream,
- * own executor state, writes confined to the task's own result slot)
- * and merge results in index order afterwards. A pool of size 1 runs
- * every task inline on the calling thread, in index order, with no
- * worker threads at all — this is the bit-identical serial reference
- * path that `elivagar_search(threads=1)` relies on.
+ * Determinism contract: bodies run in an arbitrary order on arbitrary
+ * threads, so callers must make every body order-independent (own RNG
+ * stream, own executor state, writes confined to the index's own
+ * result slot) and merge results in index order afterwards. A pool of
+ * size 1 runs every body inline on the calling thread, in index order,
+ * with no worker threads at all — this is the bit-identical serial
+ * reference path that `elivagar_search(threads=1)` relies on.
  */
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -31,7 +28,7 @@
 
 namespace elv::par {
 
-/** Fixed-size work-stealing thread pool. */
+/** Fixed-size thread pool: one claim counter per parallel loop. */
 class ThreadPool
 {
   public:
@@ -41,7 +38,7 @@ class ThreadPool
      */
     explicit ThreadPool(int num_threads = 0);
 
-    /** Joins all workers; pending tasks are completed first. */
+    /** Joins all workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -53,9 +50,9 @@ class ThreadPool
     /**
      * Run body(0..n-1) across the pool and wait for completion. The
      * first exception thrown by any body is rethrown here after every
-     * in-flight task has drained; queued-but-unstarted tasks are
-     * cancelled. Not reentrant: a body that calls parallel_for again
-     * runs the nested loop inline.
+     * running body has returned; indices claimed after it skip their
+     * body. Not reentrant: a body that calls parallel_for again runs
+     * the nested loop inline.
      */
     void parallel_for(std::size_t n,
                       const std::function<void(std::size_t)> &body);
@@ -73,29 +70,25 @@ class ThreadPool
         return out;
     }
 
-    /** Usable hardware threads (>= 1 even when detection fails). */
+    /** CPUs in the calling thread's affinity mask (>= 1 even when
+     *  detection fails). */
     static int hardware_threads();
 
   private:
-    struct Job;
+    struct Loop;
 
-    void worker_loop(std::size_t worker);
-    /** Pop from own front, else steal from a victim's back. */
-    bool try_get_task(std::size_t worker, std::function<void()> &task);
-
-    /** One mutex-guarded deque per worker (stealable from the back). */
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
+    void worker_loop();
+    /** Wake the workers with stop set and join them. */
+    void stop_workers();
 
     int num_threads_;
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-    std::mutex wake_mutex_;
+    std::mutex mutex_;
     std::condition_variable wake_cv_;
+    /** The latest loop and its sequence number; guarded by mutex_. */
+    std::shared_ptr<Loop> loop_;
+    std::uint64_t published_ = 0;
     bool stop_ = false;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace elv::par

@@ -33,8 +33,7 @@ ideal_distribution(const sim::FusedProgram &program,
     auto probs = psi.probabilities(program.source().measured());
     // Numerical guardrail at the DistributionFn boundary: NaN or
     // lost mass here silently corrupts every downstream loss.
-    elv::validate_distribution(probs, elv::DistributionPolicy::Renormalize,
-                               "statevector distribution");
+    elv::validate_distribution(probs, "statevector distribution");
     return probs;
 }
 
@@ -63,9 +62,7 @@ with_shot_noise(DistributionFn inner, int shots, std::uint64_t seed)
         auto exact = inner(circuit, params, x);
         // Sampling from a NaN/unnormalized distribution would silently
         // bias every histogram; validate (and repair drift) first.
-        elv::validate_distribution(exact,
-                                   elv::DistributionPolicy::Renormalize,
-                                   "shot-noise provider input");
+        elv::validate_distribution(exact, "shot-noise provider input");
         std::vector<double> histogram(exact.size(), 0.0);
         for (int s = 0; s < shots; ++s) {
             const std::size_t outcome =

@@ -52,20 +52,6 @@ DensityMatrix::set_pure(const StateVector &psi)
 }
 
 void
-DensityMatrix::apply_1q(const Mat2 &u, int q)
-{
-    vec_.apply_1q(u, q);
-    vec_.apply_1q(conjugate(u), q + num_qubits_);
-}
-
-void
-DensityMatrix::apply_2q(const Mat4 &u, int q0, int q1)
-{
-    vec_.apply_2q(u, q0, q1);
-    vec_.apply_2q(conjugate(u), q0 + num_qubits_, q1 + num_qubits_);
-}
-
-void
 DensityMatrix::apply_superop_1q(const Mat4 &s, int q)
 {
     ELV_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
@@ -94,37 +80,20 @@ DensityMatrix::apply_op(const circ::Op &op,
         set_pure(psi);
         return;
     }
+    // U rho U^dag: U on the row qubits, conj(U) on the column qubits,
+    // through StateVector::apply_gate's one kernel choice.
     const int n = num_qubits_;
-    switch (op.kind) {
-      case circ::GateKind::CX:
-        vec_.apply_cx(op.qubits[0], op.qubits[1]);
-        vec_.apply_cx(op.qubits[0] + n, op.qubits[1] + n);
-        return;
-      case circ::GateKind::CZ:
-        vec_.apply_cz(op.qubits[0], op.qubits[1]);
-        vec_.apply_cz(op.qubits[0] + n, op.qubits[1] + n);
-        return;
-      case circ::GateKind::SWAP:
-        vec_.apply_swap(op.qubits[0], op.qubits[1]);
-        vec_.apply_swap(op.qubits[0] + n, op.qubits[1] + n);
-        return;
-      default:
-        break;
-    }
-    if (circ::gate_is_diagonal_1q(op.kind)) {
-        const auto angles = circ::op_angles(op, params, x);
-        const Mat2 u = gate_matrix_1q(op.kind, angles);
-        vec_.apply_diag_1q(u[0][0], u[1][1], op.qubits[0]);
-        vec_.apply_diag_1q(std::conj(u[0][0]), std::conj(u[1][1]),
-                           op.qubits[0] + n);
-        return;
-    }
     const auto angles = circ::op_angles(op, params, x);
-    if (op.num_qubits() == 1)
-        apply_1q(gate_matrix_1q(op.kind, angles), op.qubits[0]);
-    else
-        apply_2q(gate_matrix_2q(op.kind, angles), op.qubits[0],
-                 op.qubits[1]);
+    if (op.num_qubits() == 1) {
+        const Mat2 u = gate_matrix_1q(op.kind, angles);
+        vec_.apply_gate(op.kind, u, op.qubits[0]);
+        vec_.apply_gate(op.kind, conjugate(u), op.qubits[0] + n);
+    } else {
+        const Mat4 u = gate_matrix_2q(op.kind, angles);
+        vec_.apply_gate(op.kind, u, op.qubits[0], op.qubits[1]);
+        vec_.apply_gate(op.kind, conjugate(u), op.qubits[0] + n,
+                        op.qubits[1] + n);
+    }
 }
 
 void

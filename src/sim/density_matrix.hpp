@@ -41,12 +41,6 @@ class DensityMatrix
     /** Set to the pure state |psi><psi|. */
     void set_pure(const StateVector &psi);
 
-    /** Apply a 1-qubit unitary. */
-    void apply_1q(const Mat2 &u, int q);
-
-    /** Apply a 2-qubit unitary (basis |q0 q1>). */
-    void apply_2q(const Mat4 &u, int q0, int q1);
-
     /** @name Superoperator channel application @{
      *
      * Single-pass channel kernels: the precomputed superoperator
@@ -66,11 +60,10 @@ class DensityMatrix
     /** @} */
 
     /**
-     * Apply one IR op with resolved parameters (no noise). CX/CZ/SWAP
-     * take the state-vector permutation kernels (they are real
-     * matrices, so the conjugate column half reuses the same kernel)
-     * and diagonal 1-qubit gates the diagonal one with conjugated
-     * entries: every gate hits rho twice, so the win is compound.
+     * Apply one IR op with resolved parameters (no noise): the gate
+     * matrix goes through StateVector::apply_gate on the row qubits and
+     * its conjugate on the column qubits, so rho takes the same
+     * permutation, diagonal and dense kernels a state vector does.
      */
     void apply_op(const circ::Op &op, const std::vector<double> &params,
                   const std::vector<double> &x);

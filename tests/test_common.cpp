@@ -743,7 +743,6 @@ TEST(RecordLog, ChecksumTokenRoundTripsAndRejectsDamage)
 // --- validate_distribution ---------------------------------------------
 
 using elv::DistributionError;
-using elv::DistributionPolicy;
 using elv::is_valid_distribution;
 using elv::validate_distribution;
 
@@ -754,8 +753,7 @@ TEST(ValidateDistribution, AcceptsExactDistribution)
 {
     std::vector<double> probs = {0.25, 0.25, 0.5};
     EXPECT_TRUE(is_valid_distribution(probs));
-    EXPECT_NO_THROW(validate_distribution(
-        probs, DistributionPolicy::Throw, "test"));
+    EXPECT_NO_THROW(validate_distribution(probs, "test"));
 }
 
 TEST(ValidateDistribution, RejectsNaNAndInf)
@@ -763,8 +761,7 @@ TEST(ValidateDistribution, RejectsNaNAndInf)
     for (const double poison : {kNaN, kInf, -kInf}) {
         std::vector<double> probs = {0.5, poison, 0.5};
         EXPECT_FALSE(is_valid_distribution(probs));
-        EXPECT_THROW(validate_distribution(
-                         probs, DistributionPolicy::Renormalize, "test"),
+        EXPECT_THROW(validate_distribution(probs, "test"),
                      DistributionError);
     }
 }
@@ -772,32 +769,21 @@ TEST(ValidateDistribution, RejectsNaNAndInf)
 TEST(ValidateDistribution, RejectsNegativeMass)
 {
     std::vector<double> probs = {0.6, -0.2, 0.6};
-    EXPECT_THROW(validate_distribution(
-                     probs, DistributionPolicy::Renormalize, "test"),
-                 DistributionError);
+    EXPECT_THROW(validate_distribution(probs, "test"), DistributionError);
 }
 
 TEST(ValidateDistribution, RejectsEmptyAndZeroMass)
 {
     std::vector<double> empty;
-    EXPECT_THROW(validate_distribution(
-                     empty, DistributionPolicy::Renormalize, "test"),
-                 DistributionError);
+    EXPECT_THROW(validate_distribution(empty, "test"), DistributionError);
     std::vector<double> zeros = {0.0, 0.0};
-    EXPECT_THROW(validate_distribution(
-                     zeros, DistributionPolicy::Renormalize, "test"),
-                 DistributionError);
+    EXPECT_THROW(validate_distribution(zeros, "test"), DistributionError);
 }
 
-TEST(ValidateDistribution, RenormalizeRepairsDriftThrowDoesNot)
+TEST(ValidateDistribution, RepairsDrift)
 {
     std::vector<double> drifted = {0.3, 0.3, 0.3}; // sums to 0.9
-    std::vector<double> copy = drifted;
-    EXPECT_THROW(validate_distribution(copy, DistributionPolicy::Throw,
-                                       "test"),
-                 DistributionError);
-    validate_distribution(drifted, DistributionPolicy::Renormalize,
-                          "test");
+    validate_distribution(drifted, "test");
     double sum = 0.0;
     for (double p : drifted)
         sum += p;
@@ -807,8 +793,7 @@ TEST(ValidateDistribution, RenormalizeRepairsDriftThrowDoesNot)
 TEST(ValidateDistribution, ClipsTinyNegativesUnderRenormalize)
 {
     std::vector<double> probs = {0.5, -1e-12, 0.5};
-    validate_distribution(probs, DistributionPolicy::Renormalize,
-                          "test");
+    validate_distribution(probs, "test");
     EXPECT_GE(probs[1], 0.0);
     EXPECT_TRUE(is_valid_distribution(probs, 1e-9));
 }
@@ -817,8 +802,7 @@ TEST(ValidateDistribution, ErrorNamesTheProducer)
 {
     std::vector<double> probs = {kNaN};
     try {
-        validate_distribution(probs, DistributionPolicy::Throw,
-                              "unit-test producer");
+        validate_distribution(probs, "unit-test producer");
         FAIL() << "expected DistributionError";
     } catch (const DistributionError &e) {
         EXPECT_NE(std::string(e.what()).find("unit-test producer"),

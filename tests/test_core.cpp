@@ -683,7 +683,7 @@ repcap_oracle(const Circuit &circuit, const qml::Dataset &data, Rng &rng,
                 for (std::size_t m = 0; m < measured.size(); ++m)
                     rotated.apply_1q(basis[m], measured[m]);
                 auto probs = rotated.probabilities(measured);
-                validate_distribution(probs, DistributionPolicy::Renormalize,
+                validate_distribution(probs,
                                       "RepCap randomized measurement");
                 for (std::size_t o = 0; o < outcomes; ++o)
                     dists[o * d + s] = probs[o];

@@ -88,8 +88,6 @@ dist_config(int workers)
     DistConfig dc;
     dc.workers = workers;
     dc.worker_binary = ELV_WORKER_BIN;
-    dc.handshake_timeout_sec = 60.0;
-    dc.record_timeout_sec = 60.0;
     return dc;
 }
 
@@ -485,7 +483,6 @@ TEST(DistDeterminism, UnspawnableWorkerFallsBackInProcess)
     const core::SearchResult reference = serial_reference(spec);
     DistConfig dc = dist_config(2);
     dc.worker_binary = "/nonexistent/elivagar_worker_missing";
-    dc.max_reissues = 0;
     const DistResult dist = distributed_search(spec, dc);
     expect_bit_identical(reference, dist.result);
     EXPECT_GT(dist.stats.fallback_records, 0u);

@@ -167,8 +167,6 @@ dist_config(const std::string &journal)
     dist::DistConfig dc;
     dc.workers = 2;
     dc.worker_binary = ELV_WORKER_BIN;
-    dc.handshake_timeout_sec = 60.0;
-    dc.record_timeout_sec = 60.0;
     dc.checkpoint_path = journal;
     return dc;
 }

@@ -355,16 +355,16 @@ TEST(Superop, UnitarySuperopMatchesDirectUnitary)
         circ::GateKind::U3, {rng.uniform(0.0, M_PI),
                              rng.uniform(0.0, 2 * M_PI),
                              rng.uniform(0.0, 2 * M_PI)});
-    sim::DensityMatrix a = prepared_state(3);
-    sim::DensityMatrix b = a;
+    sim::DensityMatrix b = prepared_state(3);
+    KrausRho a(b);
     a.apply_1q(u1, 1);
     b.apply_superop_1q(noise::unitary_superop_1q(u1), 1);
     EXPECT_LE(max_element_diff(a, b), 1e-14);
 
     const sim::Mat4 u2 =
         sim::gate_matrix_2q(circ::GateKind::CX, {0.0, 0.0, 0.0});
-    sim::DensityMatrix c = prepared_state(3);
-    sim::DensityMatrix d = c;
+    sim::DensityMatrix d = prepared_state(3);
+    KrausRho c(d);
     c.apply_2q(u2, 2, 0);
     d.apply_superop_2q(noise::unitary_superop_2q(u2), 2, 0);
     EXPECT_LE(max_element_diff(c, d), 1e-14);

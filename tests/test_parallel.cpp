@@ -9,13 +9,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -45,6 +51,31 @@ using namespace elv::core;
 TEST(ThreadPool, HardwareThreadsIsPositive)
 {
     EXPECT_GE(par::ThreadPool::hardware_threads(), 1);
+}
+
+TEST(ThreadPool, HardwareThreadsFollowsTheAffinityMask)
+{
+    // Pin one thread to one CPU this process may use; the affinity
+    // call acts on that thread alone.
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &allowed))
+        ++cpu;
+    int pinned_rc = -1;
+    int seen = 0;
+    std::thread pinned([&] {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        pinned_rc = pthread_setaffinity_np(pthread_self(), sizeof(one),
+                                           &one);
+        seen = par::ThreadPool::hardware_threads();
+    });
+    pinned.join();
+    ASSERT_EQ(pinned_rc, 0);
+    EXPECT_EQ(seen, 1);
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnceUnderContention)
@@ -91,30 +122,60 @@ TEST(ThreadPool, ParallelMapReturnsResultsInIndexOrder)
 
 TEST(ThreadPool, NestedParallelForRunsInline)
 {
+    // A nested loop runs inline: in index order, on the thread whose
+    // body made the nested call, the helping caller's bodies included.
     par::ThreadPool pool(4);
-    std::atomic<std::size_t> total{0};
-    pool.parallel_for(16, [&](std::size_t) {
-        pool.parallel_for(16,
-                          [&](std::size_t) { total.fetch_add(1); });
+    const auto caller = std::this_thread::get_id();
+    std::atomic<std::size_t> by_caller{0};
+    std::atomic<std::size_t> not_inline{0};
+    pool.parallel_for(64, [&](std::size_t) {
+        const auto outer = std::this_thread::get_id();
+        if (outer == caller)
+            by_caller.fetch_add(1);
+        // Hold every runner until the caller has claimed an outer body.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (by_caller.load() == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        std::mutex mutex;
+        std::vector<std::size_t> order;
+        bool moved = false;
+        pool.parallel_for(16, [&](std::size_t i) {
+            std::lock_guard<std::mutex> lock(mutex);
+            order.push_back(i);
+            moved = moved || std::this_thread::get_id() != outer;
+        });
+        std::vector<std::size_t> in_order(16);
+        std::iota(in_order.begin(), in_order.end(), std::size_t{0});
+        if (moved || order != in_order)
+            not_inline.fetch_add(1);
     });
-    EXPECT_EQ(total.load(), 16u * 16u);
+    EXPECT_GT(by_caller.load(), 0u);
+    EXPECT_EQ(not_inline.load(), 0u);
 }
 
-TEST(ThreadPool, ExceptionPropagatesAndPoolStaysUsable)
+TEST(ThreadPool, FailureSkipsUnclaimedIndices)
 {
     par::ThreadPool pool(4);
+    std::atomic<std::size_t> ran{0};
     EXPECT_THROW(pool.parallel_for(
-                     1000,
+                     2000,
                      [&](std::size_t i) {
-                         if (i == 37)
-                             throw std::runtime_error("task 37");
+                         ran.fetch_add(1);
+                         if (i == 3)
+                             throw std::runtime_error("index 3");
+                         std::this_thread::sleep_for(
+                             std::chrono::microseconds(50));
                      }),
                  std::runtime_error);
+    // Indices claimed after the failure skip their body.
+    EXPECT_LT(ran.load(), 500u);
 
     // The pool must survive a failed loop and run the next one fully.
     std::atomic<std::size_t> total{0};
-    pool.parallel_for(1000, [&](std::size_t) { total.fetch_add(1); });
-    EXPECT_EQ(total.load(), 1000u);
+    pool.parallel_for(2000, [&](std::size_t) { total.fetch_add(1); });
+    EXPECT_EQ(total.load(), 2000u);
 }
 
 // ---------------------------------------------------------------------
@@ -350,9 +411,8 @@ TEST(Kernels, DirectKernelsMatchGenericMatmulOnRandomStates)
  * The generic dense path, a test oracle: every op as its full matrix
  * through the dense kernels, no permutation or diagonal fast path.
  */
-template <typename State>
 void
-run_dense(State &state, const circ::Circuit &c,
+run_dense(sim::StateVector &state, const circ::Circuit &c,
           const std::vector<double> &params)
 {
     state.reset();
@@ -391,8 +451,11 @@ TEST(Kernels, DensityMatrixDispatchMatchesGenericForEveryGate)
     sim::DensityMatrix fast(c.num_qubits());
     fast.run(c, params);
 
+    // The oracle is |psi><psi| of the dense state-vector run.
+    sim::StateVector dense(c.num_qubits());
+    run_dense(dense, c, params);
     sim::DensityMatrix generic(c.num_qubits());
-    run_dense(generic, c, params);
+    generic.set_pure(dense);
 
     double worst = 0.0;
     for (std::size_t r = 0; r < dim; ++r)
