@@ -263,7 +263,8 @@ train_and_evaluate(const circ::Circuit &physical,
         const auto trained =
             qml::train_circuit(physical, bench.train, tc);
         const double train_acc =
-            qml::evaluate(physical, trained.params, bench.train)
+            qml::evaluate(physical, trained.params, bench.train,
+                          options.threads)
                 .accuracy;
         if (train_acc > best_train_acc) {
             best_train_acc = train_acc;
@@ -272,13 +273,15 @@ train_and_evaluate(const circ::Circuit &physical,
     }
 
     run.ideal_accuracy =
-        qml::evaluate(physical, best_params, bench.test).accuracy;
+        qml::evaluate(physical, best_params, bench.test, options.threads)
+            .accuracy;
     // Circuits whose routing spread over many physical qubits make the
     // exact noisy simulation exponentially expensive; bound the cost by
-    // subsampling the noisy test evaluation for them.
+    // subsampling the noisy test evaluation for them, and run its rows
+    // serially: a 12-qubit density matrix is 256 MiB per runner.
     qml::Dataset noisy_test = bench.test;
-    if (physical.touched_qubits().size() > 10 &&
-        noisy_test.size() > 24) {
+    const bool wide = physical.touched_qubits().size() > 10;
+    if (wide && noisy_test.size() > 24) {
         elv::Rng sub_rng(options.seed + seed_offset + 77);
         qml::shuffle_dataset(noisy_test, sub_rng);
         noisy_test = qml::take(noisy_test, 24);
@@ -289,7 +292,8 @@ train_and_evaluate(const circ::Circuit &physical,
             std::move(noisy_provider), options.shots,
             options.seed + seed_offset);
     run.noisy_accuracy = qml::evaluate(physical, best_params, noisy_test,
-                                       noisy_provider)
+                                       noisy_provider,
+                                       wide ? 1 : options.threads)
                              .accuracy;
     run.circuit = physical;
     run.params = std::move(best_params);

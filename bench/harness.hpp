@@ -58,7 +58,8 @@ struct RunOptions
      * whose effective noise exceeds our calibrated simulators'. */
     double noise_scale = 1.0;
 
-    /** Search threads (0 = one per hardware thread, 1 = serial). */
+    /** Search, training and evaluation threads (0 = one per hardware
+     *  thread, 1 = serial). */
     int threads = 0;
 
     std::uint64_t seed = 1;
@@ -67,13 +68,14 @@ struct RunOptions
 /**
  * Shared reporting sink for the bench binaries. Parses the common CLI
  * flags — `--json` (dump the run's tables to BENCH_<name>.json in the
- * working directory on destruction), `--threads N` (search parallelism;
- * 0 = one per hardware thread), `--trace FILE` (record a Chrome trace
- * of the whole run, written on destruction), `--metrics` (collect
- * pipeline metrics; printed on destruction and embedded in the JSON
- * dump) and `--profile FILE` (sampling profiler over the whole run;
- * collapsed stacks written on destruction) — echoes every table to
- * stdout as it is added, and buffers its JSON form for the dump.
+ * working directory on destruction), `--threads N` (search, training
+ * and evaluation parallelism; 0 = one per hardware thread), `--trace
+ * FILE` (record a Chrome trace of the whole run, written on
+ * destruction), `--metrics` (collect pipeline metrics; printed on
+ * destruction and embedded in the JSON dump) and `--profile FILE`
+ * (sampling profiler over the whole run; collapsed stacks written on
+ * destruction) — echoes every table to stdout as it is added, and
+ * buffers its JSON form for the dump.
  * Numeric values are parsed whole; a malformed value or an unknown
  * option (other than the bench-local `--small` preset) prints an
  * `error:` line and exits 1.

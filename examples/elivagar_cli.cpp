@@ -155,8 +155,11 @@ print_usage()
         "  --epochs N         training epochs (default 40)\n"
         "  --seed N           search/data seed (default 7)\n"
         "  --scale F          dataset scale in (0,1] (default 0.3)\n"
-        "  --threads N        search worker threads (default: all "
-        "hardware threads; results are identical for any N)\n"
+        "  --threads N        worker threads for search, training and "
+        "evaluation\n"
+        "                     (default: all hardware threads; results "
+        "are identical\n"
+        "                     for any N)\n"
         "  --workers N        fan the evaluation out over N local "
         "worker processes;\n"
         "                     the merged ranking is bit-identical to "
@@ -999,8 +1002,8 @@ main(int argc, char **argv)
         const auto trained =
             qml::train_circuit(found.best_circuit, bench.train, tc);
 
-        const auto ideal =
-            qml::evaluate(found.best_circuit, trained.params, bench.test);
+        const auto ideal = qml::evaluate(found.best_circuit, trained.params,
+                                         bench.test, options.threads);
         const noise::NoisyDensitySimulator noisy(device);
         const auto hw = qml::evaluate(
             found.best_circuit, trained.params, bench.test,
@@ -1008,7 +1011,8 @@ main(int argc, char **argv)
                      const std::vector<double> &p,
                      const std::vector<double> &x) {
                 return noisy.run_distribution(c, p, x);
-            });
+            },
+            options.threads);
         std::printf("accuracy: %.1f%% noiseless / %.1f%% noisy\n",
                     100 * ideal.accuracy, 100 * hw.accuracy);
         write_profile();

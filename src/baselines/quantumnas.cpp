@@ -193,12 +193,11 @@ quantumnas_search(const SuperCircuit &super,
             super.inherited_params(genome.config, shared_params);
         const auto eval = qml::evaluate(
             physical, params, subset,
-            [&noisy, &result](const Circuit &c,
-                              const std::vector<double> &p,
-                              const std::vector<double> &x) {
-                ++result.search_executions;
+            [&noisy](const Circuit &c, const std::vector<double> &p,
+                     const std::vector<double> &x) {
                 return noisy.run_distribution(c, p, x);
             });
+        result.search_executions += subset.size();
         genome.fitness = eval.accuracy;
     };
 

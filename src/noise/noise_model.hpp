@@ -105,7 +105,10 @@ class NoisyDensitySimulator
      * determine the noise — plus the raw calibration values of the
      * qubits it touches and the couplers among them, so a drifted
      * calibration misses instead of replaying a stale program. Cleared
-     * wholesale at capacity.
+     * wholesale at capacity. qml::evaluate calls run_distribution from
+     * every pool runner at once: the key is built outside the lock, a
+     * miss compiles under it (the other runners wait for that one
+     * compile, then hit), and the programs are shared read-only.
      */
     mutable std::mutex cache_mutex_;
     mutable std::unordered_map<std::string,

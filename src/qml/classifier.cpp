@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <string>
 
+#include "common/fnv1a.hpp"
 #include "common/rng.hpp"
 #include "common/logging.hpp"
 #include "common/validate.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
 
@@ -37,6 +39,24 @@ ideal_distribution(const sim::FusedProgram &program,
     return probs;
 }
 
+/** The shot stream of one with_shot_noise call: FNV-1a over the
+ *  wrapper's seed, the parameter count and the bits of params and x. */
+elv::Rng
+shot_stream(std::uint64_t seed, const std::vector<double> &params,
+            const std::vector<double> &x)
+{
+    std::string bytes;
+    auto put = [&bytes](const void *data, std::size_t size) {
+        bytes.append(static_cast<const char *>(data), size);
+    };
+    const std::uint64_t count = params.size();
+    put(&seed, sizeof seed);
+    put(&count, sizeof count);
+    put(params.data(), params.size() * sizeof(double));
+    put(x.data(), x.size() * sizeof(double));
+    return elv::Rng(elv::fnv1a64(bytes));
+}
+
 } // namespace
 
 DistributionFn
@@ -53,20 +73,22 @@ DistributionFn
 with_shot_noise(DistributionFn inner, int shots, std::uint64_t seed)
 {
     ELV_REQUIRE(shots >= 1, "need at least one shot");
-    // Shared generator: one provider instance samples a single stream.
-    auto rng = std::make_shared<elv::Rng>(seed ^ 0x73686f74ULL);
+    seed ^= 0x73686f74ULL;
     return [inner = std::move(inner), shots,
-            rng](const circ::Circuit &circuit,
-                 const std::vector<double> &params,
-                 const std::vector<double> &x) {
+            seed](const circ::Circuit &circuit,
+                  const std::vector<double> &params,
+                  const std::vector<double> &x) {
         auto exact = inner(circuit, params, x);
         // Sampling from a NaN/unnormalized distribution would silently
         // bias every histogram; validate (and repair drift) first.
         elv::validate_distribution(exact, "shot-noise provider input");
+        // No state is shared between calls: concurrent rows race on
+        // nothing, and no call's draws depend on the calls before it.
+        elv::Rng rng = shot_stream(seed, params, x);
         std::vector<double> histogram(exact.size(), 0.0);
         for (int s = 0; s < shots; ++s) {
             const std::size_t outcome =
-                sim::StateVector::sample_from(exact, *rng);
+                sim::StateVector::sample_from(exact, rng);
             histogram[outcome] += 1.0 / shots;
         }
         return histogram;
@@ -128,38 +150,50 @@ cross_entropy(const std::vector<double> &class_probs, int label)
 
 EvalResult
 evaluate(const circ::Circuit &circuit, const std::vector<double> &params,
-         const Dataset &data, const DistributionFn &dist_fn)
+         const Dataset &data, const DistributionFn &dist_fn, int threads)
 {
+    data.check();
     ELV_REQUIRE(!data.samples.empty(), "empty evaluation set");
+    const std::size_t rows = data.samples.size();
+    const std::size_t runners = static_cast<std::size_t>(
+        threads <= 0 ? par::ThreadPool::hardware_threads() : threads);
+    par::ThreadPool pool(static_cast<int>(std::min(runners, rows)));
+    // Each row's class probabilities land in its own slot and the
+    // reduction below runs in row order, so loss and accuracy are
+    // bit-identical at every thread count.
+    const auto probs = pool.parallel_map<std::vector<double>>(
+        rows, [&](std::size_t i) {
+            return class_probabilities_from(
+                dist_fn(circuit, params, data.samples[i]),
+                data.num_classes);
+        });
     EvalResult result;
     int correct = 0;
-    for (std::size_t i = 0; i < data.samples.size(); ++i) {
-        const auto outcome = dist_fn(circuit, params, data.samples[i]);
-        const auto probs =
-            class_probabilities_from(outcome, data.num_classes);
-        result.loss += cross_entropy(probs, data.labels[i]);
-        if (predict_class(probs) == data.labels[i])
+    for (std::size_t i = 0; i < rows; ++i) {
+        result.loss += cross_entropy(probs[i], data.labels[i]);
+        if (predict_class(probs[i]) == data.labels[i])
             ++correct;
     }
-    result.loss /= static_cast<double>(data.samples.size());
-    result.accuracy = static_cast<double>(correct) /
-                      static_cast<double>(data.samples.size());
+    result.loss /= static_cast<double>(rows);
+    result.accuracy =
+        static_cast<double>(correct) / static_cast<double>(rows);
     return result;
 }
 
 EvalResult
 evaluate(const circ::Circuit &circuit, const std::vector<double> &params,
-         const Dataset &data)
+         const Dataset &data, int threads)
 {
     // statevector_distribution()'s arithmetic, compiled once for all
     // rows.
     const sim::FusedProgram program = compile_compacted(circuit);
-    return evaluate(circuit, params, data,
-                    [&program](const circ::Circuit &,
-                               const std::vector<double> &p,
-                               const std::vector<double> &x) {
-                        return ideal_distribution(program, p, x);
-                    });
+    return evaluate(
+        circuit, params, data,
+        [&program](const circ::Circuit &, const std::vector<double> &p,
+                   const std::vector<double> &x) {
+            return ideal_distribution(program, p, x);
+        },
+        threads);
 }
 
 } // namespace elv::qml

@@ -21,6 +21,13 @@ namespace elv::qml {
  * circuit's measured qubits for one input sample. Lets the same
  * prediction code run against the noiseless state-vector backend, the
  * noisy density-matrix backend, or sampled hardware-style shots.
+ *
+ * Contract with evaluate(): each row gets exactly one call, and calls
+ * may run concurrently, on any thread and in no fixed order. A provider
+ * must therefore be thread-safe, and its result for a row must not
+ * depend on which calls came before it. statevector_distribution() and
+ * noise::NoisyDensitySimulator::run_distribution meet it, and so does
+ * with_shot_noise() over a provider that does.
  */
 using DistributionFn = std::function<std::vector<double>(
     const circ::Circuit &, const std::vector<double> &params,
@@ -37,7 +44,9 @@ DistributionFn statevector_distribution();
  * draws `shots` outcomes from the inner distribution and returns the
  * empirical histogram. This is how hardware estimates probabilities,
  * and it is what turns noise-shrunk class margins into accuracy loss
- * (stochastic Pauli noise alone preserves the argmax).
+ * (stochastic Pauli noise alone preserves the argmax). Each call seeds
+ * its own stream from `seed` and the bits of `params` and `x`, so a
+ * histogram is a function of the call's inputs, whatever ran before.
  */
 DistributionFn with_shot_noise(DistributionFn inner, int shots,
                                std::uint64_t seed);
@@ -65,14 +74,21 @@ struct EvalResult
     double accuracy = 0.0;
 };
 
-/** Evaluate with an arbitrary distribution provider. */
+/**
+ * Evaluate with an arbitrary distribution provider. The rows run on a
+ * par::ThreadPool of `threads` workers (<= 0 = one per CPU in the
+ * affinity mask; never more than one per row), each writing its class
+ * probabilities to its own slot; loss and accuracy are then reduced
+ * serially in row order, so the result is bit-identical at every
+ * thread count.
+ */
 EvalResult evaluate(const circ::Circuit &circuit,
                     const std::vector<double> &params, const Dataset &data,
-                    const DistributionFn &dist_fn);
+                    const DistributionFn &dist_fn, int threads = 0);
 
 /** Evaluate noiselessly (statevector_distribution()'s arithmetic). */
 EvalResult evaluate(const circ::Circuit &circuit,
                     const std::vector<double> &params,
-                    const Dataset &data);
+                    const Dataset &data, int threads = 0);
 
 } // namespace elv::qml

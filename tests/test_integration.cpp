@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "baselines/quantum_supernet.hpp"
 #include "baselines/quantumnas.hpp"
@@ -19,6 +20,7 @@
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
 #include "compiler/compile.hpp"
+#include "core/candidate_gen.hpp"
 #include "core/search.hpp"
 #include "noise/noise_model.hpp"
 #include "qml/synthetic.hpp"
@@ -261,6 +263,78 @@ TEST(ShotNoise, FewShotsDegradeAccuracy)
                           qml::statevector_distribution(), 4, 3))
             .accuracy;
     EXPECT_LE(few_shot_acc, exact_acc + 0.1);
+}
+
+TEST(ShotNoise, HistogramIsAFunctionOfItsInputs)
+{
+    // One wrapper samples the same rows forward, backward and from four
+    // threads. A row's histogram must not depend on the calls before
+    // it, so all three passes agree.
+    Cell cell;
+    elv::Rng rng(9);
+    const circ::Circuit c = circ::build_random_rxyz_cz(4, 2, 12, 2, rng);
+    std::vector<double> params(12);
+    for (auto &p : params)
+        p = rng.uniform(-M_PI, M_PI);
+    const auto shots =
+        qml::with_shot_noise(qml::statevector_distribution(), 16, 5);
+    const auto &rows = cell.bench.test.samples;
+
+    std::vector<std::vector<double>> forward(rows.size()),
+        backward(rows.size()), threaded(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        forward[i] = shots(c, params, rows[i]);
+    for (std::size_t i = rows.size(); i-- > 0;)
+        backward[i] = shots(c, params, rows[i]);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            for (std::size_t i = t; i < rows.size(); i += 4)
+                threaded[i] = shots(c, params, rows[i]);
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(backward, forward);
+    EXPECT_EQ(threaded, forward);
+}
+
+TEST(Evaluate, BitIdenticalAtEveryThreadCount)
+{
+    // A device-native mnist-4 candidate on ibm_perth with random
+    // parameters, evaluated noiselessly and on the density backend. The
+    // pins are the serial row loop's loss and accuracy; the fanned-out
+    // rows must reduce to them bit for bit at every thread count.
+    const qml::Benchmark bench = qml::make_benchmark("mnist-4", 7, 0.01);
+    const dev::Device device = dev::make_device("ibm_perth");
+    core::CandidateConfig cc;
+    cc.num_qubits = bench.spec.qubits;
+    cc.num_params = bench.spec.params;
+    cc.num_embeds = bench.spec.dim;
+    cc.num_meas = bench.spec.meas;
+    cc.num_features = bench.spec.dim;
+    elv::Rng rng(31);
+    const circ::Circuit c = core::generate_candidate(device, cc, rng);
+    std::vector<double> params(static_cast<std::size_t>(c.num_params()));
+    for (auto &p : params)
+        p = rng.uniform(-M_PI, M_PI);
+    const noise::NoisyDensitySimulator noisy(device);
+    const qml::DistributionFn noisy_fn =
+        [&noisy](const circ::Circuit &circuit, const std::vector<double> &p,
+                 const std::vector<double> &x) {
+            return noisy.run_distribution(circuit, p, x);
+        };
+    ASSERT_EQ(bench.test.size(), 20u);
+
+    for (int threads : {1, 2, 4}) {
+        const qml::EvalResult ideal =
+            qml::evaluate(c, params, bench.test, threads);
+        const qml::EvalResult hw =
+            qml::evaluate(c, params, bench.test, noisy_fn, threads);
+        EXPECT_EQ(ideal.loss, 0x1.981accab04268p+0) << threads;
+        EXPECT_EQ(ideal.accuracy, 0x1.3333333333333p-3) << threads;
+        EXPECT_EQ(hw.loss, 0x1.8015ce675b12bp+0) << threads;
+        EXPECT_EQ(hw.accuracy, 0x1.3333333333333p-3) << threads;
+    }
 }
 
 } // namespace

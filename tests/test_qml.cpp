@@ -193,6 +193,27 @@ TEST(Classifier, PredictAndLoss)
     EXPECT_GT(cross_entropy({1e-20, 1.0}, 0), 20.0);
 }
 
+TEST(Evaluate, RejectsMismatchedLabels)
+{
+    // Three rows, two labels: unchecked, the third row would read past
+    // the end of `labels`.
+    Rng rng(4);
+    const Circuit c = build_random_rxyz_cz(2, 2, 4, 1, rng);
+    const std::vector<double> params(4, 0.3);
+    Dataset data;
+    data.num_classes = 2;
+    data.samples = {{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}};
+    data.labels = {0, 1};
+    try {
+        evaluate(c, params, data);
+        ADD_FAILURE() << "evaluate accepted 3 rows with 2 labels";
+    } catch (const InternalError &e) {
+        EXPECT_NE(std::string(e.what()).find("sample/label count mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Optimizer, AdamMinimizesQuadratic)
 {
     Adam adam(2, 0.1);
